@@ -3,16 +3,17 @@
 Only definite lengths are produced or accepted (DER, the canonical subset of
 BER).  Values are modeled as ``DerValue`` trees: primitive values carry raw
 content octets, constructed values carry an ordered tuple of child values.
-Encoding is deterministic; SET values are re-ordered into canonical
-(lexicographic-by-encoding) order when encoded, and canonical order is
-required when decoding.
+The constructor rejects what DER forbids and puts SET children in canonical
+order (``set_order``, X.690 §11.6), which the decoder requires.  A value keeps
+its DER octets: a view of those it was decoded from, or its first encoding.
+Decoding nests at most ``MAX_DEPTH`` values deep.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "TagClass",
@@ -26,6 +27,8 @@ __all__ = [
     "IndefiniteLength",
     "NonMinimalLength",
     "ArcOverflow",
+    "TooDeep",
+    "MAX_DEPTH",
     "der_encode",
     "der_decode",
     "oid_to_octets",
@@ -51,6 +54,12 @@ GENERALIZED_TIME = 0x18
 
 # Largest tag number we encode/decode: three base-128 octets in high-tag form.
 _MAX_TAG_NUMBER = 2**21 - 1
+
+# Most values on one root-to-leaf path that the decoder accepts.  Each signed-,
+# digested- or authenticated-data layer adds three levels, and the structures
+# built here reach 13; 128 allows some 40 nested CMS layers and stays far
+# below the interpreter's recursion limit (1000 by default).
+MAX_DEPTH = 128
 
 _STRING_TAGS = {UTF8_STRING, PRINTABLE_STRING, IA5_STRING, UTC_TIME, GENERALIZED_TIME}
 
@@ -92,6 +101,10 @@ class NonMinimalLength(DerError):
 
 class ArcOverflow(DerError):
     """OID arc not terminated (or absurdly large) in the encoded form."""
+
+
+class TooDeep(DerError):
+    """Values nested deeper than MAX_DEPTH."""
 
 
 class TagClass(enum.IntEnum):
@@ -138,6 +151,7 @@ class DerValue:
     constructed: bool
     tag_number: int
     content: bytes | tuple["DerValue", ...]
+    _der: bytes | memoryview | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.tag_number < 0:
@@ -145,16 +159,22 @@ class DerValue:
         if self.constructed:
             if isinstance(self.content, (bytes, bytearray)):
                 raise ValueError("constructed value must carry child values")
+            if self.tag_class == TagClass.UNIVERSAL and self.tag_number in _ALWAYS_PRIMITIVE:
+                raise NonCanonical(f"universal tag {self.tag_number} must be primitive")
             children = tuple(self.content)
             if self.tag_class == TagClass.UNIVERSAL and self.tag_number == SET:
                 # SETs are canonical by construction, so every round trip is
                 # structure- and octet-exact
-                children = tuple(sorted(children, key=der_encode))
+                children = set_order(children)
             object.__setattr__(self, "content", children)
         else:
             if not isinstance(self.content, (bytes, bytearray)):
                 raise ValueError("primitive value must carry octets")
             object.__setattr__(self, "content", bytes(self.content))
+            if self.tag_class == TagClass.UNIVERSAL:
+                if self.tag_number in _ALWAYS_CONSTRUCTED:
+                    raise NonCanonical(f"universal tag {self.tag_number} must be constructed")
+                _check_primitive_canonical(self)
 
     # -- shape helpers -------------------------------------------------
 
@@ -382,30 +402,34 @@ def _check_primitive_canonical(value: DerValue) -> None:
         octets_to_oid(content)  # validates arc structure
 
 
+def set_order(items, to_value=lambda value: value) -> tuple:
+    """``items`` in canonical SET OF order (X.690 §11.6), by DER of ``to_value(item)``."""
+    return tuple(sorted(items, key=lambda item: der_encode(to_value(item))))
+
+
 def der_encode(value: DerValue) -> bytes:
-    """Encode a value tree into definite-length DER octets."""
-    if value.constructed:
-        if value.tag_class == TagClass.UNIVERSAL and value.tag_number in _ALWAYS_PRIMITIVE:
-            raise NonCanonical(f"universal tag {value.tag_number} must be primitive")
-        encoded = [der_encode(child) for child in value.content]
-        if value.is_universal(SET):
-            encoded.sort()
-        body = b"".join(encoded)
-    else:
-        if value.tag_class == TagClass.UNIVERSAL:
-            if value.tag_number in _ALWAYS_CONSTRUCTED:
-                raise NonCanonical(f"universal tag {value.tag_number} must be constructed")
-            _check_primitive_canonical(value)
-        body = value.content
-    return _encode_tag(value) + _encode_length(len(body)) + body
+    """DER octets of a value tree, kept from decoding or from the first call."""
+    if value._der is None:
+        if value.constructed:
+            body = b"".join([der_encode(child) for child in value.content])
+        else:
+            body = value.content
+        object.__setattr__(value, "_der", _encode_tag(value) + _encode_length(len(body)) + body)
+    return bytes(value._der)
+
+
+def encode_sequence(*elements: bytes) -> bytes:
+    """DER of a SEQUENCE of elements given as DER octets, used as they are."""
+    body = b"".join(elements)
+    return bytes([0x20 | SEQUENCE]) + _encode_length(len(body)) + body
 
 
 # ---------------------------------------------------------------------------
 # decoding
 
 
-def _decode_tag(data: bytes, pos: int) -> tuple[TagClass, bool, int, int]:
-    if pos >= len(data):
+def _decode_tag(data: memoryview, pos: int, end: int) -> tuple[TagClass, bool, int, int]:
+    if pos >= end:
         raise Truncated("input ended inside a tag")
     first = data[pos]
     pos += 1
@@ -416,7 +440,7 @@ def _decode_tag(data: bytes, pos: int) -> tuple[TagClass, bool, int, int]:
         number = 0
         count = 0
         while True:
-            if pos >= len(data):
+            if pos >= end:
                 raise Truncated("input ended inside a high tag number")
             b = data[pos]
             pos += 1
@@ -433,8 +457,8 @@ def _decode_tag(data: bytes, pos: int) -> tuple[TagClass, bool, int, int]:
     return tag_class, constructed, number, pos
 
 
-def _decode_length(data: bytes, pos: int) -> tuple[int, int]:
-    if pos >= len(data):
+def _decode_length(data: memoryview, pos: int, end: int) -> tuple[int, int]:
+    if pos >= end:
         raise Truncated("input ended before length")
     first = data[pos]
     pos += 1
@@ -443,7 +467,7 @@ def _decode_length(data: bytes, pos: int) -> tuple[int, int]:
     if first == 0x80:
         raise IndefiniteLength("indefinite length form is BER, not DER")
     count = first & 0x7F
-    if pos + count > len(data):
+    if pos + count > end:
         raise Truncated("input ended inside length octets")
     body = data[pos:pos + count]
     pos += count
@@ -455,40 +479,32 @@ def _decode_length(data: bytes, pos: int) -> tuple[int, int]:
     return length, pos
 
 
-def _decode_value(data: bytes, pos: int) -> tuple[DerValue, int]:
-    tag_class, constructed, number, pos = _decode_tag(data, pos)
-    length, pos = _decode_length(data, pos)
-    if pos + length > len(data):
+def _decode_value(data: memoryview, pos: int, end: int, depth: int) -> tuple[DerValue, int]:
+    if depth > MAX_DEPTH:
+        raise TooDeep(f"values nested more than {MAX_DEPTH} deep")
+    start = pos
+    tag_class, constructed, number, pos = _decode_tag(data, pos, end)
+    length, pos = _decode_length(data, pos, end)
+    stop = pos + length
+    if stop > end:
         raise Truncated("content shorter than announced length")
-    body = data[pos:pos + length]
-    pos += length
     if constructed:
-        if tag_class == TagClass.UNIVERSAL and number in _ALWAYS_PRIMITIVE:
-            raise NonCanonical(f"universal tag {number} must be primitive")
         children = []
-        child_pos = 0
-        while child_pos < len(body):
-            child, child_pos = _decode_value(body, child_pos)
+        while pos < stop:
+            child, pos = _decode_value(data, pos, stop, depth + 1)
             children.append(child)
-        if tag_class == TagClass.UNIVERSAL and number == SET:
-            # wire order must already be canonical; check before the
-            # constructor re-sorts
-            encodings = [der_encode(c) for c in children]
-            if encodings != sorted(encodings):
-                raise NonCanonical("SET children not in canonical order")
-        return DerValue(tag_class, True, number, tuple(children)), pos
-    if tag_class == TagClass.UNIVERSAL:
-        if number in _ALWAYS_CONSTRUCTED:
-            raise NonCanonical(f"universal tag {number} must be constructed")
-        probe = DerValue(tag_class, False, number, body)
-        _check_primitive_canonical(probe)
-        return probe, pos
-    return DerValue(tag_class, False, number, body), pos
+        value = DerValue(tag_class, True, number, tuple(children))
+        if list(value.content) != children:  # the constructor reorders a SET
+            raise NonCanonical("SET children not in canonical order")
+    else:
+        value = DerValue(tag_class, False, number, bytes(data[pos:stop]))
+    object.__setattr__(value, "_der", data[start:stop])  # a view of the octets received
+    return value, stop
 
 
 def der_decode(data: bytes) -> DerValue:
     """Decode exactly one DER value spanning the whole input."""
-    value, pos = _decode_value(bytes(data), 0)
+    value, pos = _decode_value(memoryview(bytes(data)), 0, len(data), 1)
     if pos != len(data):
         raise TrailingOctets(f"{len(data) - pos} octets after the value")
     return value

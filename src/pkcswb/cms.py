@@ -21,7 +21,7 @@ from .csr import (CertificationRequest, Name, decode_public_key_info,
                   encode_public_key_info, pss_salt_len_for, verify_csr)
 from .errors import DecryptionError
 from .keystore import (AlgorithmIdentifier, Attribute, _attributes_from_der,
-                       attribute_make)
+                       _attributes_to_der, attribute_make)
 from .pkcs1 import ModulusTooSmall, PssParams
 from .primitives import SHA256, HashAlg, RandomSource, cbc_decrypt, cbc_encrypt, \
     ct_equal, hmac_digest
@@ -124,9 +124,9 @@ def data_payload(ci: ContentInfo) -> bytes:
 # signed-data
 
 
-def _attr_message(attr_values: tuple[DerValue, ...]) -> bytes:
-    """The octets a signature over attributes covers: DER of SET OF Attribute."""
-    return der_encode(asn1.set_value(*attr_values))
+def _attr_message(attrs_v: DerValue) -> bytes:
+    """What a signature or MAC over attributes covers: the [0] set, tagged SET (RFC 5652 §5.4)."""
+    return bytes([0x20 | asn1.SET]) + der_encode(attrs_v)[1:]
 
 
 def _find_attr(attributes: tuple[Attribute, ...], oid: Oid) -> Attribute | None:
@@ -136,41 +136,44 @@ def _find_attr(attributes: tuple[Attribute, ...], oid: Oid) -> Attribute | None:
     return None
 
 
+def _covered(encap: ContentInfo,
+             attrs: tuple[Attribute, ...]) -> tuple[DerValue, tuple[DerValue, ...], bytes]:
+    """(encapsulated content, a tuple of none or one [0] attribute set, octets a
+    signature or MAC covers); attributes gain contentType and messageDigest if absent."""
+    encap_v = encap.to_der_value()
+    content_der = der_encode(encap_v)
+    attrs = tuple(attrs)
+    if not attrs:
+        return encap_v, (), content_der
+    if _find_attr(attrs, oids.AT_CONTENT_TYPE) is None:
+        attrs += (attribute_make("contentType", encap.content_type),)
+    if _find_attr(attrs, oids.AT_MESSAGE_DIGEST) is None:
+        attrs += (attribute_make("messageDigest", SHA256.digest(content_der)),)
+    attrs_v = _attributes_to_der(attrs)
+    return encap_v, (attrs_v,), _attr_message(attrs_v)
+
+
 def sign_data(inner: ContentInfo, signer_key: RsaPrivateKey, signer_ident: SignerIdent,
               signed_attrs: tuple[Attribute, ...], rng: RandomSource) -> ContentInfo:
     """Wrap ``inner`` in signed-data.  A non-empty attribute set is augmented
     with contentType and messageDigest and the signature covers the attribute
     set; with no attributes the signature covers the encapsulated DER."""
-    content_der = inner.to_der()
-    digest = SHA256.digest(content_der)
-    attrs = tuple(signed_attrs)
-    if attrs:
-        if _find_attr(attrs, oids.AT_CONTENT_TYPE) is None:
-            attrs += (attribute_make("contentType", inner.content_type),)
-        if _find_attr(attrs, oids.AT_MESSAGE_DIGEST) is None:
-            attrs += (attribute_make("messageDigest", digest),)
-        message = _attr_message(tuple(a.to_der_value() for a in attrs))
-    else:
-        message = content_der
+    encap_v, attrs_set, message = _covered(inner, signed_attrs)
     params = PssParams.for_key(signer_key, salt_len=pss_salt_len_for(signer_key))
     signature = pkcs1.sign(message, signer_key, rng, params)
-    signer_info = [
+    signer_info = asn1.sequence(
         asn1.integer(1),
         signer_ident.to_der_value(),
         AlgorithmIdentifier(oids.SHA256).to_der_value(),
-    ]
-    if attrs:
-        encoded = sorted((a.to_der_value() for a in attrs), key=der_encode)
-        signer_info.append(asn1.context(0, tuple(encoded)))
-    signer_info += [
+        *attrs_set,
         AlgorithmIdentifier(oids.RSASSA_PSS).to_der_value(),
         asn1.octet_string(signature),
-    ]
+    )
     signed = asn1.sequence(
         asn1.integer(1),
         asn1.set_value(AlgorithmIdentifier(oids.SHA256).to_der_value()),
-        inner.to_der_value(),
-        asn1.set_value(asn1.sequence(*signer_info)),
+        encap_v,
+        asn1.set_value(signer_info),
     )
     return ContentInfo(oids.CT_SIGNED_DATA, signed)
 
@@ -204,7 +207,7 @@ def verify_signed(ci: ContentInfo,
         raise SignatureInvalid("unsupported digest algorithm")
     if AlgorithmIdentifier.from_der_value(sig_alg_v).oid != oids.RSASSA_PSS:
         raise SignatureInvalid("unsupported signature algorithm")
-    content_der = der_encode(encap_v)  # identical to the received octets
+    content_der = der_encode(encap_v)  # the received octets
     inner = ContentInfo.from_der_value(encap_v)
     if attrs_v is not None:
         attributes = _attributes_from_der(attrs_v)
@@ -214,7 +217,7 @@ def verify_signed(ci: ContentInfo,
             raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
         if not ct_equal(md.values[0].as_octet_string(), SHA256.digest(content_der)):
             raise DigestMismatch("messageDigest attribute does not match the content")
-        message = _attr_message(attrs_v.children)
+        message = _attr_message(attrs_v)
     else:
         message = content_der
     if not pkcs1.verify(message, sig_v.as_octet_string(), trusted_pub):
@@ -346,26 +349,15 @@ def authenticate_data(inner: ContentInfo, key: bytes,
                       auth_attrs: tuple[Attribute, ...] = ()) -> ContentInfo:
     """HMAC tag over the content, or over the attribute set when present
     (augmented with contentType and messageDigest, like signed-data)."""
-    content_der = inner.to_der()
-    attrs = tuple(auth_attrs)
-    if attrs:
-        if _find_attr(attrs, oids.AT_CONTENT_TYPE) is None:
-            attrs += (attribute_make("contentType", inner.content_type),)
-        if _find_attr(attrs, oids.AT_MESSAGE_DIGEST) is None:
-            attrs += (attribute_make("messageDigest", SHA256.digest(content_der)),)
-        message = _attr_message(tuple(a.to_der_value() for a in attrs))
-    else:
-        message = content_der
-    body = [
+    encap_v, attrs_set, message = _covered(inner, auth_attrs)
+    body = asn1.sequence(
         asn1.integer(0),
         AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value(),
-        inner.to_der_value(),
-    ]
-    if attrs:
-        encoded = sorted((a.to_der_value() for a in attrs), key=der_encode)
-        body.append(asn1.context(0, tuple(encoded)))
-    body.append(asn1.octet_string(hmac_digest(key, message)))
-    return ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(*body))
+        encap_v,
+        *attrs_set,
+        asn1.octet_string(hmac_digest(key, message)),
+    )
+    return ContentInfo(oids.CT_AUTHENTICATED_DATA, body)
 
 
 def check_auth(ci: ContentInfo, key: bytes) -> bool:
@@ -380,7 +372,7 @@ def check_auth(ci: ContentInfo, key: bytes) -> bool:
         return False
     if AlgorithmIdentifier.from_der_value(alg_v).oid != oids.HMAC_WITH_SHA256:
         return False
-    content_der = der_encode(encap_v)
+    content_der = der_encode(encap_v)  # the received octets
     if attrs_v is not None:
         try:
             attributes = _attributes_from_der(attrs_v)
@@ -390,7 +382,7 @@ def check_auth(ci: ContentInfo, key: bytes) -> bool:
         if md is None or not ct_equal(md.values[0].as_octet_string(),
                                       SHA256.digest(content_der)):
             return False
-        message = _attr_message(attrs_v.children)
+        message = _attr_message(attrs_v)
     else:
         message = content_der
     return ct_equal(hmac_digest(key, message), mac_v.as_octet_string())

@@ -130,9 +130,8 @@ class CertificationRequestInfo:
     version: int = 0
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.attributes,
-                               key=lambda a: der_encode(a.to_der_value())))
-        object.__setattr__(self, "attributes", ordered)
+        object.__setattr__(self, "attributes",
+                           asn1.set_order(self.attributes, Attribute.to_der_value))
 
     def to_der_value(self) -> DerValue:
         return asn1.sequence(
@@ -163,11 +162,11 @@ class CertificationRequest:
     info_der: bytes
 
     def to_der(self) -> bytes:
-        return der_encode(asn1.sequence(
-            der_decode(self.info_der),
-            self.signature_algorithm.to_der_value(),
-            asn1.bit_string(self.signature),
-        ))
+        return asn1.encode_sequence(
+            self.info_der,
+            der_encode(self.signature_algorithm.to_der_value()),
+            der_encode(asn1.bit_string(self.signature)),
+        )
 
     @classmethod
     def from_der(cls, octets: bytes) -> "CertificationRequest":
@@ -176,7 +175,7 @@ class CertificationRequest:
             return cls(CertificationRequestInfo.from_der_value(info_v),
                        AlgorithmIdentifier.from_der_value(alg_v),
                        sig_v.as_bit_string(),
-                       der_encode(info_v))
+                       der_encode(info_v))  # the received octets
         except (asn1.DerError, ValueError) as exc:
             raise MalformedRequest(str(exc)) from None
 

@@ -19,13 +19,15 @@ with no directory-schema machinery behind them.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import asn1, oids
 from .asn1 import DerValue, Oid, der_decode, der_encode
 from .errors import DecryptionError, UnsupportedAlgorithm
-from .pkcs5 import Pbes2Params, pbes2_decrypt, pbes2_encrypt
+from .pkcs5 import (Pbes2Params, TooManyIterations, check_iterations, pbes2_decrypt,
+                    pbes2_encrypt)
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey
 
@@ -62,6 +64,17 @@ class UnknownAttributeType(KeyError):
 
 class SyntaxViolation(ValueError):
     pass
+
+
+@contextmanager
+def _as_malformed_key():
+    """Report a DER or shape failure inside the block as MalformedKey."""
+    try:
+        yield
+    except (UnsupportedAlgorithm, MalformedKey, TooManyIterations):
+        raise
+    except (asn1.DerError, ValueError) as exc:
+        raise MalformedKey(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -111,21 +124,24 @@ def pbes2_params_from_algorithm(alg: AlgorithmIdentifier) -> Pbes2Params:
         raise UnsupportedAlgorithm(f"legacy password-based scheme {alg.oid} not supported")
     if alg.oid != oids.PBES2:
         raise UnsupportedAlgorithm(f"unsupported encryption algorithm {alg.oid}")
-    if alg.params is None:
-        raise MalformedKey("PBES2 header lacks parameters")
-    kdf_value, enc_value = alg.params.children
-    kdf = AlgorithmIdentifier.from_der_value(kdf_value)
-    enc = AlgorithmIdentifier.from_der_value(enc_value)
-    if kdf.oid != oids.PBKDF2:
-        raise UnsupportedAlgorithm(f"unsupported key derivation {kdf.oid}")
-    if enc.oid != oids.AES128_CBC:
-        raise UnsupportedAlgorithm(f"unsupported cipher {enc.oid}")
-    salt_v, iter_v, prf_v = kdf.params.children
-    prf = AlgorithmIdentifier.from_der_value(prf_v)
-    if prf.oid != oids.HMAC_WITH_SHA256:
-        raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
-    return Pbes2Params(salt_v.as_octet_string(), iter_v.as_integer(),
-                       enc.params.as_octet_string())
+    with _as_malformed_key():
+        if alg.params is None:
+            raise MalformedKey("PBES2 header lacks parameters")
+        kdf_value, enc_value = alg.params.children
+        kdf = AlgorithmIdentifier.from_der_value(kdf_value)
+        enc = AlgorithmIdentifier.from_der_value(enc_value)
+        if kdf.oid != oids.PBKDF2:
+            raise UnsupportedAlgorithm(f"unsupported key derivation {kdf.oid}")
+        if enc.oid != oids.AES128_CBC:
+            raise UnsupportedAlgorithm(f"unsupported cipher {enc.oid}")
+        if kdf.params is None or enc.params is None:
+            raise MalformedKey("PBKDF2 or cipher identifier lacks parameters")
+        salt_v, iter_v, prf_v = kdf.params.children
+        prf = AlgorithmIdentifier.from_der_value(prf_v)
+        if prf.oid != oids.HMAC_WITH_SHA256:
+            raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
+        return Pbes2Params(salt_v.as_octet_string(), check_iterations(iter_v.as_integer()),
+                           enc.params.as_octet_string())
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +156,7 @@ class Attribute:
     values: tuple[DerValue, ...]
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.values, key=der_encode))
+        ordered = asn1.set_order(self.values)
         if not ordered:
             raise ValueError("attribute needs at least one value")
         object.__setattr__(self, "values", ordered)
@@ -263,13 +279,11 @@ def attribute_check(attribute: Attribute) -> bool:
 
 def _attributes_to_der(attributes: tuple[Attribute, ...], tag: int = 0) -> DerValue:
     """[tag] IMPLICIT SET OF Attribute in canonical order."""
-    encoded = sorted((a.to_der_value() for a in attributes), key=der_encode)
-    return asn1.context(tag, tuple(encoded))
+    return asn1.context(tag, asn1.set_order(a.to_der_value() for a in attributes))
 
 
 def _attributes_from_der(value: DerValue) -> tuple[Attribute, ...]:
-    encodings = [der_encode(child) for child in value.children]
-    if encodings != sorted(encodings):
+    if asn1.set_order(value.children) != value.children:
         raise asn1.NonCanonical("attribute set not in canonical order")
     return tuple(Attribute.from_der_value(child) for child in value.children)
 
@@ -367,11 +381,10 @@ class PrivateKeyInfo:
     algorithm: AlgorithmIdentifier = _RSA_ALG
 
     def __post_init__(self):
-        ordered = tuple(sorted(self.attributes,
-                               key=lambda a: der_encode(a.to_der_value())))
-        object.__setattr__(self, "attributes", ordered)
+        object.__setattr__(self, "attributes",
+                           asn1.set_order(self.attributes, Attribute.to_der_value))
 
-    def to_der(self) -> bytes:
+    def to_der_value(self) -> DerValue:
         children = [
             asn1.integer(0),
             self.algorithm.to_der_value(),
@@ -379,13 +392,15 @@ class PrivateKeyInfo:
         ]
         if self.attributes:
             children.append(_attributes_to_der(self.attributes))
-        return der_encode(asn1.sequence(*children))
+        return asn1.sequence(*children)
+
+    def to_der(self) -> bytes:
+        return der_encode(self.to_der_value())
 
     @classmethod
-    def from_der(cls, octets: bytes) -> "PrivateKeyInfo":
-        try:
-            root = asn1.require(der_decode(octets), asn1.SEQUENCE)
-            kids = root.children
+    def from_der_value(cls, value: DerValue) -> "PrivateKeyInfo":
+        with _as_malformed_key():
+            kids = asn1.require(value, asn1.SEQUENCE).children
             if len(kids) not in (3, 4) or kids[0].as_integer() != 0:
                 raise MalformedKey("unrecognized PrivateKeyInfo shape")
             algorithm = AlgorithmIdentifier.from_der_value(kids[1])
@@ -398,10 +413,11 @@ class PrivateKeyInfo:
                     raise MalformedKey("unexpected trailing field")
                 attributes = _attributes_from_der(kids[3])
             return cls(key, attributes, algorithm)
-        except (UnsupportedAlgorithm, MalformedKey):
-            raise
-        except (asn1.DerError, ValueError) as exc:
-            raise MalformedKey(str(exc)) from None
+
+    @classmethod
+    def from_der(cls, octets: bytes) -> "PrivateKeyInfo":
+        with _as_malformed_key():
+            return cls.from_der_value(der_decode(octets))
 
 
 def encode_private_key(key: RsaPrivateKey, attributes: tuple[Attribute, ...] = ()) -> bytes:
@@ -425,19 +441,22 @@ class EncryptedPrivateKeyInfo:
     algorithm: AlgorithmIdentifier
     encrypted_data: bytes
 
+    def to_der_value(self) -> DerValue:
+        return asn1.sequence(self.algorithm.to_der_value(), asn1.octet_string(self.encrypted_data))
+
     def to_der(self) -> bytes:
-        return der_encode(asn1.sequence(
-            self.algorithm.to_der_value(),
-            asn1.octet_string(self.encrypted_data),
-        ))
+        return der_encode(self.to_der_value())
+
+    @classmethod
+    def from_der_value(cls, value: DerValue) -> "EncryptedPrivateKeyInfo":
+        with _as_malformed_key():
+            alg_v, data_v = asn1.require(value, asn1.SEQUENCE).children
+            return cls(AlgorithmIdentifier.from_der_value(alg_v), data_v.as_octet_string())
 
     @classmethod
     def from_der(cls, octets: bytes) -> "EncryptedPrivateKeyInfo":
-        try:
-            alg_v, data_v = asn1.require(der_decode(octets), asn1.SEQUENCE).children
-            return cls(AlgorithmIdentifier.from_der_value(alg_v), data_v.as_octet_string())
-        except (asn1.DerError, ValueError) as exc:
-            raise MalformedKey(str(exc)) from None
+        with _as_malformed_key():
+            return cls.from_der_value(der_decode(octets))
 
 
 def encrypt_private_key(info: PrivateKeyInfo, password: bytes, salt: bytes,

@@ -27,7 +27,8 @@ from .csr import Name
 from .errors import DecryptionError, IntegrityFailure, MissingCredential
 from .keystore import (AlgorithmIdentifier, Attribute, EncryptedPrivateKeyInfo,
                        PrivateKeyInfo, pbes2_algorithm, pbes2_params_from_algorithm)
-from .pkcs5 import pbes2_decrypt, pbes2_encrypt, pbmac1_tag, pbmac1_verify
+from .pkcs5 import (check_iterations, pbes2_decrypt, pbes2_encrypt, pbmac1_tag,
+                    pbmac1_verify)
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey
 
@@ -60,6 +61,8 @@ _BAG_OIDS = {
     "cert": oids.CERT_BAG,
 }
 _BAG_TYPES = {oid: name for name, oid in _BAG_OIDS.items()}
+_BAG_CLASSES = {"key": PrivateKeyInfo, "shroudedKey": EncryptedPrivateKeyInfo,
+                "cert": ContentInfo}
 
 
 class PfxSecurityWarning(UserWarning):
@@ -77,20 +80,15 @@ class SafeBag:
     def __post_init__(self):
         if self.bag_type not in _BAG_OIDS:
             raise ValueError(f"unknown bag type {self.bag_type!r}")
-        expected = {"key": PrivateKeyInfo, "shroudedKey": EncryptedPrivateKeyInfo,
-                    "cert": ContentInfo}[self.bag_type]
+        expected = _BAG_CLASSES[self.bag_type]
         if not isinstance(self.value, expected):
             raise ValueError(f"{self.bag_type} bag must hold {expected.__name__}")
-        ordered = tuple(sorted(self.attributes,
-                               key=lambda a: der_encode(a.to_der_value())))
-        object.__setattr__(self, "attributes", ordered)
+        object.__setattr__(self, "attributes",
+                           asn1.set_order(self.attributes, Attribute.to_der_value))
 
     def to_der_value(self) -> DerValue:
-        if self.bag_type == "cert":
-            inner = self.value.to_der_value()
-        else:
-            inner = der_decode(self.value.to_der())
-        children = [asn1.oid_value(_BAG_OIDS[self.bag_type]), asn1.explicit(0, inner)]
+        children = [asn1.oid_value(_BAG_OIDS[self.bag_type]),
+                    asn1.explicit(0, self.value.to_der_value())]
         if self.attributes:
             children.append(asn1.set_value(*(a.to_der_value() for a in self.attributes)))
         return asn1.sequence(*children)
@@ -104,12 +102,7 @@ class SafeBag:
         if bag_type is None:
             raise ValueError(f"unknown bag type {kids[0].as_oid()}")
         (inner,) = asn1.require(kids[1], 0, tag_class=asn1.TagClass.CONTEXT).children
-        if bag_type == "key":
-            bag_value = PrivateKeyInfo.from_der(der_encode(inner))
-        elif bag_type == "shroudedKey":
-            bag_value = EncryptedPrivateKeyInfo.from_der(der_encode(inner))
-        else:
-            bag_value = ContentInfo.from_der_value(inner)
+        bag_value = _BAG_CLASSES[bag_type].from_der_value(inner)
         attributes = ()
         if len(kids) == 3:
             attrs_v = asn1.require(kids[2], asn1.SET)
@@ -130,7 +123,8 @@ class MacData:
     @classmethod
     def from_der_value(cls, value: DerValue) -> "MacData":
         tag_v, salt_v, iter_v = asn1.require(value, asn1.SEQUENCE).children
-        return cls(tag_v.as_octet_string(), salt_v.as_octet_string(), iter_v.as_integer())
+        return cls(tag_v.as_octet_string(), salt_v.as_octet_string(),
+                   check_iterations(iter_v.as_integer()))
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,7 @@ from .primitives import (SHA256, HashAlg, RandomSource, cbc_decrypt,
 
 __all__ = [
     "DerivedKeyTooLong",
+    "TooManyIterations",
     "Pbkdf2Params",
     "Pbes2Params",
     "pbkdf2",
@@ -30,10 +31,15 @@ __all__ = [
     "pbmac1_verify",
     "DEFAULT_ITERATIONS",
     "DEFAULT_SALT_LEN",
+    "MAX_ITERATIONS",
+    "check_iterations",
 ]
 
 DEFAULT_ITERATIONS = 10000
 DEFAULT_SALT_LEN = 8
+# Largest iteration count accepted from a file; a count sets the PBKDF2 cost,
+# so an edited header must not be able to demand unbounded work.
+MAX_ITERATIONS = 1_000_000
 
 AES128_KEY_LEN = 16
 _IV_LEN = 16
@@ -41,6 +47,18 @@ _IV_LEN = 16
 
 class DerivedKeyTooLong(ValueError):
     pass
+
+
+class TooManyIterations(ValueError):
+    """An iteration count read from a file exceeds MAX_ITERATIONS."""
+
+
+def check_iterations(count: int) -> int:
+    """``count`` if at most MAX_ITERATIONS; called on a count read from a
+    file, before any key derivation."""
+    if count > MAX_ITERATIONS:
+        raise TooManyIterations(f"iteration count {count} exceeds {MAX_ITERATIONS}")
+    return count
 
 
 @dataclass(frozen=True)

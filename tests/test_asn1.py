@@ -214,3 +214,103 @@ def test_fuzz_malformed_corpus_always_errors():
             # the only acceptable non-error: mutation produced a different
             # but valid value; it must still re-encode to the mutated input
             assert der_encode(reparsed) == bad
+
+
+# ---------------------------------------------------------------------------
+# nesting depth
+
+
+def nested_sequences(count: int) -> bytes:
+    """``count`` SEQUENCEs around a NULL, encoded from the inside out."""
+    encoded = bytes.fromhex("0500")
+    for _ in range(count):
+        encoded = asn1.encode_sequence(encoded)
+    return encoded
+
+
+def test_nesting_up_to_max_depth_decodes():
+    value = der_decode(nested_sequences(asn1.MAX_DEPTH - 1))
+    for _ in range(asn1.MAX_DEPTH - 1):
+        (value,) = value.children
+    assert value.is_universal(asn1.NULL)
+
+
+def test_nesting_beyond_max_depth_is_a_der_error():
+    with pytest.raises(asn1.TooDeep):
+        der_decode(nested_sequences(asn1.MAX_DEPTH))
+    with pytest.raises(asn1.DerError):
+        der_decode(nested_sequences(3000))
+
+
+# ---------------------------------------------------------------------------
+# canonical form of accepted mutants
+
+
+def rebuilt(value: DerValue) -> DerValue:
+    """A copy made from the fields alone, so no value in it keeps octets."""
+    content = value.content
+    if value.constructed:
+        content = tuple(rebuilt(child) for child in content)
+    return DerValue(value.tag_class, value.constructed, value.tag_number, content)
+
+
+def length_offsets(value: DerValue, start: int = 0) -> list[int]:
+    """Offset of the first length octet of ``value`` and of each value inside it."""
+    offsets = [start + len(asn1._encode_tag(value))]
+    if value.constructed:
+        pos = start + len(der_encode(value)) - sum(len(der_encode(c)) for c in value.children)
+        for child in value.children:
+            offsets += length_offsets(child, pos)
+            pos += len(der_encode(child))
+    return offsets
+
+
+def mutants(rng: random.Random, value: DerValue):
+    """Bit flips, a truncation and length bumps of the encoding of ``value``."""
+    encoded = der_encode(value)
+    for _ in range(4):
+        flipped = bytearray(encoded)
+        flipped[rng.randrange(len(encoded))] ^= 1 << rng.randrange(8)
+        yield bytes(flipped)
+    yield encoded[:rng.randrange(len(encoded))]
+    offsets = length_offsets(value)
+    for delta in (1, -1):
+        bumped = bytearray(encoded)
+        at = rng.choice(offsets)
+        bumped[at] = (bumped[at] + delta) % 256
+        yield bytes(bumped)
+
+
+def test_mutants_that_decode_re_encode_from_fields_to_the_input():
+    # der_encode of a decoded value returns the octets it came from, so only
+    # an encoding made afresh from the fields shows that the decoder accepted
+    # nothing but canonical DER
+    rng = random.Random(0x5E7)
+    accepted = 0
+    for _ in range(1500):
+        for bad in mutants(rng, random_value(rng, 1)):
+            try:
+                decoded = der_decode(bad)
+            except asn1.DerError:
+                continue
+            accepted += 1
+            assert der_encode(rebuilt(decoded)) == bad
+    assert accepted > 1000
+
+
+def test_values_are_encoded_at_most_once(monkeypatch):
+    encoded = der_encode(asn1.sequence(asn1.set_value(asn1.integer(2), asn1.integer(1)),
+                                       asn1.octet_string(b"abc")))
+    decoded = der_decode(encoded)
+    tags = []
+    real_encode_tag = asn1._encode_tag
+    monkeypatch.setattr(asn1, "_encode_tag", lambda v: tags.append(v) or real_encode_tag(v))
+    # a decoded value returns the octets received, a built one encodes once
+    assert der_encode(decoded) == encoded
+    assert der_encode(decoded.children[1]) == bytes.fromhex("0403616263")
+    assert tags == []
+    built = asn1.set_value(asn1.integer(3), asn1.integer(1), asn1.integer(2))
+    assert der_encode(built) == der_encode(built) == bytes.fromhex("3109020101020102020103")
+    assert len(tags) == 4
+    # the kept octets take no part in equality
+    assert decoded == rebuilt(decoded)

@@ -157,6 +157,36 @@ def test_triple_nesting_sign_of_envelope(key_1024, key_1024_b, ident):
     assert data_payload(open_envelope(recovered, enc_private)) == b"core"
 
 
+def test_ten_nested_layers_decode_within_the_depth_limit(key_1024, ident):
+    # each signed-, digested- or authenticated-data layer adds three levels
+    sign_public, sign_private = key_1024
+
+    def depth(value):
+        return 1 + max(map(depth, value.children), default=0) if value.constructed else 1
+
+    ci = make_data(b"core")
+    for layer in range(10):
+        if layer % 3 == 0:
+            ci = sign_data(ci, sign_private, ident, (SIGNING_TIME,), seeded(b"deep"))
+        elif layer % 3 == 1:
+            ci = digest_data(ci)
+        else:
+            ci = authenticate_data(ci, b"k" * 16, (SIGNING_TIME,))
+    decoded = ContentInfo.from_der(ci.to_der())
+    assert depth(asn1.der_decode(ci.to_der())) <= asn1.MAX_DEPTH // 2
+    for layer in reversed(range(10)):
+        if layer % 3 == 0:
+            decoded, ok = verify_signed(decoded, sign_public)
+        elif layer % 3 == 1:
+            ok = check_digest(decoded)
+            decoded = digested_content(decoded)
+        else:
+            ok = check_auth(decoded, b"k" * 16)
+            decoded = authenticated_content(decoded)
+        assert ok
+    assert data_payload(decoded) == b"core"
+
+
 # -- digested-data --------------------------------------------------------------------
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import asn1, oids, rsa
+from pkcswb import asn1, oids, pkcs5, rsa
 from pkcswb.asn1 import Oid, der_decode, der_encode
 from pkcswb.errors import DecryptionError, UnsupportedAlgorithm
 from pkcswb.keystore import (ATTRIBUTE_REGISTRY, AlgorithmIdentifier, Attribute,
@@ -9,7 +9,9 @@ from pkcswb.keystore import (ATTRIBUTE_REGISTRY, AlgorithmIdentifier, Attribute,
                              attribute_make, decode_private_key,
                              decrypt_private_key,
                              encode_private_key, encrypt_private_key,
-                             natural_person_bundle, pkcs_entity_bundle)
+                             natural_person_bundle, pbes2_algorithm,
+                             pbes2_params_from_algorithm, pkcs_entity_bundle)
+from pkcswb.pkcs5 import Pbes2Params
 from conftest import seeded
 
 
@@ -213,3 +215,43 @@ def test_pkcs_entity_bundle():
     assert bundle[0].attr_type == oids.AT_ENCRYPTED_PRIVATE_KEY_INFO
     with pytest.raises(UnknownAttributeType):
         pkcs_entity_bundle(unknown_thing=asn1.null())
+
+
+# -- hostile PBES2 headers ----------------------------------------------------------
+
+
+def _pbes2_epki(kdf: AlgorithmIdentifier, enc: AlgorithmIdentifier) -> EncryptedPrivateKeyInfo:
+    header = AlgorithmIdentifier(oids.PBES2,
+                                 asn1.sequence(kdf.to_der_value(), enc.to_der_value()))
+    return EncryptedPrivateKeyInfo.from_der(EncryptedPrivateKeyInfo(header, bytes(32)).to_der())
+
+
+def test_pbes2_identifiers_without_parameters_are_malformed():
+    kdf = AlgorithmIdentifier(oids.PBKDF2, asn1.sequence(
+        asn1.octet_string(b"saltsalt"), asn1.integer(64),
+        AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value()))
+    enc = AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(bytes(16)))
+    for epki in (_pbes2_epki(AlgorithmIdentifier(oids.PBKDF2), enc),
+                 _pbes2_epki(kdf, AlgorithmIdentifier(oids.AES128_CBC)),
+                 EncryptedPrivateKeyInfo(AlgorithmIdentifier(oids.PBES2, asn1.null()),
+                                         bytes(32))):
+        with pytest.raises(MalformedKey):
+            decrypt_private_key(epki, b"pw")
+
+
+def test_p8e_iteration_count_above_cap_fails_before_pbkdf2(key_512, monkeypatch):
+    _, private = key_512
+    epki = encrypt_private_key(PrivateKeyInfo(private), b"pw", b"saltsalt", 64,
+                               seeded(b"iv-cap"))
+    params = pbes2_params_from_algorithm(epki.algorithm)
+    edited = EncryptedPrivateKeyInfo(
+        pbes2_algorithm(Pbes2Params(params.salt, 2**40, params.iv)),
+        epki.encrypted_data).to_der()
+
+    def no_pbkdf2(*args):
+        raise AssertionError("PBKDF2 ran on an over-cap iteration count")
+
+    monkeypatch.setattr(pkcs5, "pbkdf2", no_pbkdf2)
+    with pytest.raises(pkcs5.TooManyIterations):
+        decrypt_private_key(EncryptedPrivateKeyInfo.from_der(edited), b"pw")
+    assert pkcs5.MAX_ITERATIONS < 2**40

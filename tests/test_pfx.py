@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from pkcswb import cms
+from pkcswb import cms, pkcs5
 from pkcswb.csr import Name, build_csr
 from pkcswb.errors import DecryptionError, IntegrityFailure, MissingCredential
 from pkcswb.keystore import (PrivateKeyInfo, attribute_make, encrypt_private_key)
@@ -150,3 +150,17 @@ def test_bag_type_validation(material):
         SafeBag("unknown", info, ())
     with pytest.raises(ValueError):
         SafeBag("cert", info, ())  # wrong value type for the bag
+
+
+def test_mac_iteration_count_above_cap_fails_before_pbkdf2(material, monkeypatch):
+    bags, credentials, _ = material
+    built = pfx_create(bags, "public_key", "password", credentials, seeded(b"mac-cap"))
+    edited = PfxPdu(built.auth_safe,
+                    MacData(built.mac_data.tag, built.mac_data.salt, 2**40)).to_der()
+
+    def no_pbkdf2(*args):
+        raise AssertionError("PBKDF2 ran on an over-cap iteration count")
+
+    monkeypatch.setattr(pkcs5, "pbkdf2", no_pbkdf2)
+    with pytest.raises(pkcs5.TooManyIterations):
+        pfx_open(PfxPdu.from_der(edited), credentials)
