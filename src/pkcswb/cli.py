@@ -22,7 +22,7 @@ from . import asn1, cms, csr as csr_mod, keystore, pfx as pfx_mod, pkcs1, \
 from .asn1 import der_decode, der_encode, hex_dump
 from .errors import (DecryptionError, IntegrityFailure, MissingCredential,
                      UnsupportedAlgorithm)
-from .primitives import RandomSource, SeededSource, SystemRandomSource
+from .primitives import SHA256, RandomSource, SeededSource, SystemRandomSource
 from .token import Token, export_pkcs15_layout
 
 __all__ = ["main", "run_scenario", "ScenarioStepFailed", "SCENARIO_STEPS", "FAULT_POINTS"]
@@ -272,16 +272,16 @@ def _cmd_pfx_pack(args) -> int:
     return 0
 
 
+_BAG_SUFFIXES = {"cert": "cms", "key": "p8", "shroudedKey": "p8e"}
+
+
 def _cmd_pfx_unpack(args) -> int:
     pdu = pfx_mod.PfxPdu.from_der(_read(args.infile))
     bags = pfx_mod.pfx_open(pdu, _pfx_credentials(args))
     os.makedirs(args.out_dir, exist_ok=True)
     for index, bag in enumerate(bags):
-        if bag.bag_type == "cert":
-            payload, suffix = bag.value.to_der(), "cms"
-        else:
-            payload, suffix = bag.value.to_der(), ("p8" if bag.bag_type == "key" else "p8e")
-        _write(os.path.join(args.out_dir, f"bag{index}.{suffix}"), payload)
+        suffix = _BAG_SUFFIXES[bag.bag_type]
+        _write(os.path.join(args.out_dir, f"bag{index}.{suffix}"), bag.value.to_der())
     print(f"unpacked {len(bags)} bags")
     return 0
 
@@ -321,18 +321,6 @@ def _cmd_strength(args) -> int:
 # ---------------------------------------------------------------------------
 # the end-to-end scenario
 
-SCENARIO_STEPS = (
-    "keypair-generation",
-    "natural-person-attributes",
-    "certification-request",
-    "enveloped-transport",
-    "certificate-issuance",
-    "private-key-wrapping",
-    "pfx-transfer",
-    "token-provisioning",
-    "challenge-response",
-)
-
 FAULT_POINTS = ("transport", "pfx", "challenge")
 
 _ALICE_PASSWORD = b"alice-card-pin"
@@ -342,7 +330,6 @@ _SIGNING_TIME = "200601021504Z"
 
 
 def _fingerprint(data: bytes) -> str:
-    from .primitives import SHA256
     return SHA256.digest(data)[:8].hex()
 
 
@@ -357,22 +344,11 @@ def run_scenario(seed: bytes, fault: str | None = None) -> tuple[str, bool]:
         f"fault={fault or 'none'}",
     ]
     state: dict = {}
-    steps = {
-        "keypair-generation": _step_keypair,
-        "natural-person-attributes": _step_attributes,
-        "certification-request": _step_csr,
-        "enveloped-transport": _step_transport,
-        "certificate-issuance": _step_issue,
-        "private-key-wrapping": _step_wrap,
-        "pfx-transfer": _step_pfx,
-        "token-provisioning": _step_provision,
-        "challenge-response": _step_challenge,
-    }
     passed = 0
     failed_at = None
-    for index, name in enumerate(SCENARIO_STEPS, start=1):
+    for index, (name, step) in enumerate(_SCENARIO, start=1):
         try:
-            detail = steps[name](state, rng, fault)
+            detail = step(state, rng, fault)
         except ScenarioStepFailed as exc:
             lines.append(f"step {index}/9 {name:<26} FAIL  {exc.reason}")
             failed_at = name
@@ -550,6 +526,21 @@ def _step_challenge(state, rng, fault):
     if not pkcs1.verify(challenge, bytes(signature), public):
         raise ScenarioStepFailed("challenge-response", "signature rejected by verifier")
     return f"challenge={challenge[:8].hex()} sig={_fingerprint(bytes(signature))}"
+
+
+# (name, step) in the order the scenario runs them
+_SCENARIO = (
+    ("keypair-generation", _step_keypair),
+    ("natural-person-attributes", _step_attributes),
+    ("certification-request", _step_csr),
+    ("enveloped-transport", _step_transport),
+    ("certificate-issuance", _step_issue),
+    ("private-key-wrapping", _step_wrap),
+    ("pfx-transfer", _step_pfx),
+    ("token-provisioning", _step_provision),
+    ("challenge-response", _step_challenge),
+)
+SCENARIO_STEPS = tuple(name for name, _step in _SCENARIO)
 
 
 def _cmd_scenario(args) -> int:

@@ -19,7 +19,7 @@ from . import asn1, oids, pkcs1
 from .asn1 import DerValue, Oid, der_decode, der_encode
 from .csr import (CertificationRequest, Name, decode_public_key_info,
                   encode_public_key_info, pss_salt_len_for, verify_csr)
-from .errors import DecryptionError
+from .errors import DecryptionError, uniform_decryption
 from .keystore import (AlgorithmIdentifier, Attribute, _attributes_from_der,
                        _attributes_to_der, attribute_make)
 from .pkcs1 import ModulusTooSmall, PssParams
@@ -272,7 +272,7 @@ def envelope(inner: ContentInfo, recipient_pub: RsaPublicKey,
 
 def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo:
     _expect_type(ci, oids.CT_ENVELOPED_DATA, "enveloped-data")
-    try:
+    with uniform_decryption():
         _version, recipient_v, econtent_v = asn1.require(ci.content, asn1.SEQUENCE).children
         _rver, kea_v, ek_v = asn1.require(recipient_v, asn1.SEQUENCE).children
         if AlgorithmIdentifier.from_der_value(kea_v).oid != oids.RSAES_OAEP:
@@ -281,10 +281,6 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
         cek = pkcs1.decrypt(ek_v.as_octet_string(), recipient_priv, pkcs1.SCHEME_OAEP)
         plaintext = cbc_decrypt(cek, iv, ciphertext)
         return ContentInfo.from_der(plaintext)
-    except DecryptionError:
-        raise
-    except Exception:
-        raise DecryptionError() from None
 
 
 # ---------------------------------------------------------------------------
@@ -331,14 +327,10 @@ def encrypt_data(inner: ContentInfo, key: bytes, rng: RandomSource) -> ContentIn
 
 def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
     _expect_type(ci, oids.CT_ENCRYPTED_DATA, "encrypted-data")
-    try:
+    with uniform_decryption():
         _version, econtent_v = asn1.require(ci.content, asn1.SEQUENCE).children
         _ctype, iv, ciphertext = _parse_encrypted_content(econtent_v)
         return ContentInfo.from_der(cbc_decrypt(key, iv, ciphertext))
-    except DecryptionError:
-        raise
-    except Exception:
-        raise DecryptionError() from None
 
 
 # ---------------------------------------------------------------------------

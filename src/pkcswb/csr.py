@@ -17,7 +17,7 @@ from .keystore import (AlgorithmIdentifier, Attribute, attribute_check,
                        _attributes_from_der, _attributes_to_der)
 from .pkcs1 import ModulusTooSmall, PssParams
 from .primitives import RandomSource
-from .rsa import RsaPrivateKey, RsaPublicKey
+from .rsa import RsaPrivateKey, RsaPublicKey, check_key_caps
 
 __all__ = [
     "MalformedRequest",
@@ -115,7 +115,9 @@ def decode_public_key_info(value: DerValue) -> RsaPublicKey:
         raise MalformedRequest(f"unsupported key algorithm {algorithm.oid}")
     wrapped = asn1.require(der_decode(key_v.as_bit_string()), asn1.SEQUENCE)
     n_v, e_v = wrapped.children
-    return RsaPublicKey(n_v.as_integer(), e_v.as_integer())
+    n, e = n_v.as_integer(), e_v.as_integer()
+    check_key_caps(n, e)
+    return RsaPublicKey(n, e)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,10 @@
 """Failure types shared across the scheme and container layers."""
 
+from contextlib import contextmanager
+
 __all__ = [
     "DecryptionError",
+    "uniform_decryption",
     "UnsupportedAlgorithm",
     "IntegrityFailure",
     "MissingCredential",
@@ -18,6 +21,18 @@ class DecryptionError(Exception):
 
     def __init__(self):
         super().__init__("decryption failed")
+
+
+@contextmanager
+def uniform_decryption():
+    """Let DecryptionError through and turn any other failure inside the
+    block into DecryptionError(), with no cause attached."""
+    try:
+        yield
+    except DecryptionError:
+        raise
+    except Exception:
+        raise DecryptionError() from None
 
 
 class UnsupportedAlgorithm(ValueError):

@@ -25,11 +25,11 @@ from typing import Callable
 
 from . import asn1, oids
 from .asn1 import DerValue, Oid, der_decode, der_encode
-from .errors import DecryptionError, UnsupportedAlgorithm
+from .errors import UnsupportedAlgorithm, uniform_decryption
 from .pkcs5 import (Pbes2Params, TooManyIterations, check_iterations, pbes2_decrypt,
                     pbes2_encrypt)
 from .primitives import RandomSource
-from .rsa import RsaPrivateKey
+from .rsa import RsaPrivateKey, check_key_caps
 
 __all__ = [
     "MalformedKey",
@@ -355,6 +355,8 @@ def _key_body(key: RsaPrivateKey) -> DerValue:
 def _key_from_body(body: DerValue) -> RsaPrivateKey:
     version_v, n_v, e_v, d_v, triples_v = asn1.require(body, asn1.SEQUENCE).children
     asn1.require(triples_v, asn1.SEQUENCE)
+    n, e = n_v.as_integer(), e_v.as_integer()
+    check_key_caps(n, e, len(triples_v.children))
     primes, exponents, coefficients = [], [], []
     for triple in triples_v.children:
         r_v, d_i_v, t_i_v = asn1.require(triple, asn1.SEQUENCE).children
@@ -369,7 +371,7 @@ def _key_from_body(body: DerValue) -> RsaPrivateKey:
         running *= r
         products.append(running)
     return RsaPrivateKey(
-        version_v.as_integer(), n_v.as_integer(), e_v.as_integer(), d_v.as_integer(),
+        version_v.as_integer(), n, e, d_v.as_integer(),
         tuple(primes), tuple(exponents), tuple(coefficients[1:]), tuple(products),
     )
 
@@ -470,8 +472,6 @@ def encrypt_private_key(info: PrivateKeyInfo, password: bytes, salt: bytes,
 def decrypt_private_key(epki: EncryptedPrivateKeyInfo, password: bytes) -> PrivateKeyInfo:
     params = pbes2_params_from_algorithm(epki.algorithm)
     plaintext = pbes2_decrypt(params, epki.encrypted_data, password)
-    try:
+    # a wrong password that slips past the padding check must look the same
+    with uniform_decryption():
         return PrivateKeyInfo.from_der(plaintext)
-    except (MalformedKey, UnsupportedAlgorithm):
-        # a wrong password that slips past the padding check must look the same
-        raise DecryptionError() from None

@@ -24,7 +24,7 @@ from . import asn1, cms, oids
 from .asn1 import DerValue, der_decode, der_encode
 from .cms import ContentInfo, SignerIdent
 from .csr import Name
-from .errors import DecryptionError, IntegrityFailure, MissingCredential
+from .errors import IntegrityFailure, MissingCredential, uniform_decryption
 from .keystore import (AlgorithmIdentifier, Attribute, EncryptedPrivateKeyInfo,
                        PrivateKeyInfo, pbes2_algorithm, pbes2_params_from_algorithm)
 from .pkcs5 import (check_iterations, pbes2_decrypt, pbes2_encrypt, pbmac1_tag,
@@ -201,16 +201,12 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials,
             raise MissingCredential("password privacy needs a privacy password")
         if trace is not None:
             trace.append(("privacy", "password"))
-        try:
+        with uniform_decryption():
             _version, ecinfo = asn1.require(element.content, asn1.SEQUENCE).children
             _ctype, alg_v, ct_v = asn1.require(ecinfo, asn1.SEQUENCE).children
             params = pbes2_params_from_algorithm(AlgorithmIdentifier.from_der_value(alg_v))
             asn1.require(ct_v, 0, tag_class=asn1.TagClass.CONTEXT, constructed=False)
             return pbes2_decrypt(params, ct_v.content, credentials.privacy_password)
-        except (DecryptionError, MissingCredential):
-            raise
-        except Exception:
-            raise DecryptionError() from None
     if element.content_type == oids.CT_ENVELOPED_DATA:
         if credentials.destination_priv is None:
             raise MissingCredential("public-key privacy needs the destination private key")

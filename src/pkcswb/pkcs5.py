@@ -1,9 +1,10 @@
 """Password-based cryptography: PBKDF2 derivation, PBES2 encryption, PBMAC1.
 
-The pseudorandom function is HMAC keyed by the password.  Block i of the
-derived key is T_i = U_1 xor ... xor U_c with U_1 = PRF(P, S || INT(i)) and
+The pseudorandom function is HMAC-SHA-256 through the stdlib ``hmac``, keyed
+by the password once per derivation.  Block i of the derived key is
+T_i = U_1 xor ... xor U_c with U_1 = PRF(P, S || INT(i)) and
 U_j = PRF(P, U_{j-1}), INT(i) being the four-octet big-endian encoding of the
-block index starting at 1.
+block index starting at 1.  PBES2 encrypts with AES-128-CBC.
 
 PBES1 (and the rest of the legacy password-based encryption family) is not
 implemented; decoding such an algorithm identifier fails loudly instead.
@@ -13,11 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac as _hmac
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .errors import DecryptionError
-from .primitives import (SHA256, HashAlg, RandomSource, cbc_decrypt,
-                         cbc_encrypt, ct_equal, hmac_digest)
+from .errors import uniform_decryption
+from .primitives import RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest
 
 __all__ = [
     "DerivedKeyTooLong",
@@ -43,6 +43,7 @@ MAX_ITERATIONS = 1_000_000
 
 AES128_KEY_LEN = 16
 _IV_LEN = 16
+_H_LEN = 32  # HMAC-SHA-256 output
 
 
 class DerivedKeyTooLong(ValueError):
@@ -50,12 +51,12 @@ class DerivedKeyTooLong(ValueError):
 
 
 class TooManyIterations(ValueError):
-    """An iteration count read from a file exceeds MAX_ITERATIONS."""
+    """An iteration count read or written exceeds MAX_ITERATIONS."""
 
 
 def check_iterations(count: int) -> int:
     """``count`` if at most MAX_ITERATIONS; called on a count read from a
-    file, before any key derivation."""
+    file or about to be written to one, before any key derivation."""
     if count > MAX_ITERATIONS:
         raise TooManyIterations(f"iteration count {count} exceeds {MAX_ITERATIONS}")
     return count
@@ -66,7 +67,6 @@ class Pbkdf2Params:
     salt: bytes
     iterations: int
     dk_len: int
-    prf: HashAlg = SHA256
 
     def __post_init__(self):
         object.__setattr__(self, "salt", bytes(self.salt))
@@ -76,38 +76,28 @@ class Pbkdf2Params:
             raise ValueError("iteration count must be positive")
         if self.dk_len < 1:
             raise ValueError("derived key length must be positive")
-        if self.dk_len > (2**32 - 1) * self.prf.output_len:
+        if self.dk_len > (2**32 - 1) * _H_LEN:
             raise DerivedKeyTooLong("derived key length beyond the PRF block limit")
-
-
-def _prf_factory(password: bytes, alg: HashAlg):
-    """Per-call PRF closure; the common SHA-256 case reuses keyed HMAC state."""
-    if alg == SHA256 and alg.raw is None:
-        base = _hmac.new(bytes(password), digestmod=hashlib.sha256)
-
-        def prf(msg: bytes) -> bytes:
-            h = base.copy()
-            h.update(msg)
-            return h.digest()
-
-        return prf
-    return lambda msg: hmac_digest(password, msg, alg)
 
 
 def pbkdf2(password: bytes, params: Pbkdf2Params) -> bytes:
     """Derive params.dk_len octets from the password."""
-    prf = _prf_factory(password, params.prf)
-    h_len = params.prf.output_len
-    blocks = -(-params.dk_len // h_len)
+    keyed = _hmac.new(bytes(password), digestmod=hashlib.sha256)
+
+    def prf(msg: bytes) -> bytes:
+        h = keyed.copy()
+        h.update(msg)
+        return h.digest()
+
+    blocks = -(-params.dk_len // _H_LEN)
     out = bytearray()
     for i in range(1, blocks + 1):
         u = prf(params.salt + i.to_bytes(4, "big"))
-        t = bytearray(u)
+        t = int.from_bytes(u, "big")
         for _ in range(params.iterations - 1):
             u = prf(u)
-            for j in range(h_len):
-                t[j] ^= u[j]
-        out += t
+            t ^= int.from_bytes(u, "big")
+        out += t.to_bytes(_H_LEN, "big")
     return bytes(out[:params.dk_len])
 
 
@@ -118,34 +108,31 @@ class Pbes2Params:
     salt: bytes
     iterations: int
     iv: bytes
-    prf: HashAlg = field(default=SHA256)
-    cipher: str = "aes-128-cbc"
 
     def __post_init__(self):
         object.__setattr__(self, "salt", bytes(self.salt))
         object.__setattr__(self, "iv", bytes(self.iv))
-        if self.cipher != "aes-128-cbc":
-            raise ValueError("only AES-128-CBC is supported")
         if len(self.iv) != _IV_LEN:
             raise ValueError("IV must be 16 octets")
 
 
 def pbes2_encrypt(message: bytes, password: bytes, salt: bytes, iterations: int,
                   rng: RandomSource) -> tuple[Pbes2Params, bytes]:
-    """Encrypt under PBKDF2(password) -> AES-128-CBC with a fresh random IV."""
+    """Encrypt under PBKDF2(password) -> AES-128-CBC with a fresh random IV.
+
+    The count is held to MAX_ITERATIONS, as on the reading side, so nothing
+    is written that the reader would refuse."""
+    check_iterations(iterations)
     params = Pbes2Params(salt, iterations, rng.read(_IV_LEN))
-    dk = pbkdf2(password, Pbkdf2Params(salt, iterations, AES128_KEY_LEN, params.prf))
+    dk = pbkdf2(password, Pbkdf2Params(salt, iterations, AES128_KEY_LEN))
     return params, cbc_encrypt(dk, params.iv, message)
 
 
 def pbes2_decrypt(params: Pbes2Params, ciphertext: bytes, password: bytes) -> bytes:
-    dk = pbkdf2(password, Pbkdf2Params(params.salt, params.iterations,
-                                       AES128_KEY_LEN, params.prf))
-    try:
+    dk = pbkdf2(password, Pbkdf2Params(params.salt, params.iterations, AES128_KEY_LEN))
+    # wrong password and mangled ciphertext are indistinguishable on purpose
+    with uniform_decryption():
         return cbc_decrypt(dk, params.iv, ciphertext)
-    except Exception:
-        # wrong password and mangled ciphertext are indistinguishable on purpose
-        raise DecryptionError() from None
 
 
 def pbmac1_tag(message: bytes, password: bytes, salt: bytes, iterations: int,

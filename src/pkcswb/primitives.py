@@ -1,10 +1,12 @@
 """Hash, HMAC, MGF1, AES-128-CBC, and injectable random sources.
 
-SHA-256 is the only hash wired in by default (hashlib-backed); ``HashAlg``
-instances with a custom raw function can be substituted wherever an algorithm
-parameter is accepted, which keeps the padding layers testable at small
-output sizes.  AES-128 is implemented here from the FIPS 197 construction so
-that the package stays self-contained and octet-for-octet testable.
+``HashAlg`` (SHA-256 by default, hashlib-backed) is the hash parameter of
+MGF1 and of the OAEP and PSS encodings; an instance with another function,
+such as a truncated SHA-256, keeps the padding layers testable at small
+output sizes.  HMAC is HMAC-SHA-256 through the stdlib ``hmac``.  AES-128 is
+implemented here from the FIPS 197 construction so that the package stays
+self-contained and octet-for-octet testable; CBC expands the key once per
+message.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from typing import Callable
 __all__ = [
     "HashAlg",
     "SHA256",
-    "hash_digest",
     "hmac_digest",
     "mgf",
     "ct_equal",
@@ -26,8 +27,6 @@ __all__ = [
     "aes128_decrypt_block",
     "cbc_encrypt",
     "cbc_decrypt",
-    "BlockCipher",
-    "AES128",
     "BadPadding",
     "BadLength",
     "RngExhausted",
@@ -60,40 +59,25 @@ class RngExhausted(Exception):
 
 @dataclass(frozen=True)
 class HashAlg:
-    """A hash function: name, output length (octets), and input block length."""
+    """A hash function: name, output length (octets), and the function."""
 
     name: str
     output_len: int
-    block_len: int
-    raw: Callable[[bytes], bytes] | None = field(default=None, compare=False, repr=False)
+    raw: Callable[[bytes], bytes] = field(compare=False, repr=False)
 
     def digest(self, data: bytes) -> bytes:
-        fn = self.raw if self.raw is not None else _BUILTIN_DIGESTS[self.name]
-        out = fn(bytes(data))
+        out = self.raw(bytes(data))
         if len(out) != self.output_len:
             raise ValueError(f"{self.name} produced {len(out)} octets, expected {self.output_len}")
         return out
 
 
-_BUILTIN_DIGESTS: dict[str, Callable[[bytes], bytes]] = {
-    "sha256": lambda data: hashlib.sha256(data).digest(),
-}
-
-SHA256 = HashAlg("sha256", 32, 64)
+SHA256 = HashAlg("sha256", 32, lambda data: hashlib.sha256(data).digest())
 
 
-def hash_digest(alg: HashAlg, msg: bytes) -> bytes:
-    return alg.digest(msg)
-
-
-def hmac_digest(key: bytes, msg: bytes, alg: HashAlg = SHA256) -> bytes:
-    """HMAC over any HashAlg; keys longer than the block length are pre-hashed."""
-    if len(key) > alg.block_len:
-        key = alg.digest(key)
-    key = key.ljust(alg.block_len, b"\x00")
-    inner = bytes(b ^ 0x36 for b in key)
-    outer = bytes(b ^ 0x5C for b in key)
-    return alg.digest(outer + alg.digest(inner + bytes(msg)))
+def hmac_digest(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA-256 (RFC 2104) through the stdlib ``hmac``."""
+    return _hmac.digest(key, msg, "sha256")
 
 
 def mgf(seed: bytes, out_len: int, alg: HashAlg = SHA256) -> bytes:
@@ -197,10 +181,9 @@ def _mix_columns(state: bytes, inverse: bool = False) -> bytes:
     return bytes(out)
 
 
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
+def _encrypt(rk: list[bytes], block: bytes) -> bytes:
     if len(block) != 16:
         raise BadLength("AES block must be 16 octets")
-    rk = _expand_key(key)
     state = bytes(a ^ b for a, b in zip(block, rk[0]))
     for rnd in range(1, 10):
         state = bytes(_SBOX[b] for b in state)
@@ -212,10 +195,9 @@ def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(state, rk[10]))
 
 
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
+def _decrypt(rk: list[bytes], block: bytes) -> bytes:
     if len(block) != 16:
         raise BadLength("AES block must be 16 octets")
-    rk = _expand_key(key)
     state = bytes(a ^ b for a, b in zip(block, rk[10]))
     for rnd in range(9, 0, -1):
         state = bytes(state[_INV_SHIFT_ROWS[i]] for i in range(16))
@@ -227,46 +209,29 @@ def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
     return bytes(a ^ b for a, b in zip(state, rk[0]))
 
 
+def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
+    return _encrypt(_expand_key(key), block)
+
+
+def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
+    return _decrypt(_expand_key(key), block)
+
+
 BLOCK_LEN = 16
-
-
-@dataclass(frozen=True)
-class BlockCipher:
-    """Block cipher descriptor; AES-128 is the one cipher wired in."""
-
-    name: str
-    key_len: int
-    block_len: int
-
-    def encrypt_block(self, key: bytes, block: bytes) -> bytes:
-        self._check_key(key)
-        return aes128_encrypt_block(key, block)
-
-    def decrypt_block(self, key: bytes, block: bytes) -> bytes:
-        self._check_key(key)
-        return aes128_decrypt_block(key, block)
-
-    def _check_key(self, key: bytes) -> None:
-        if self.name != "aes-128":
-            raise BadLength(f"unsupported cipher {self.name}")
-        if len(key) != self.key_len:
-            raise BadLength(f"{self.name} key must be {self.key_len} octets")
-
-
-AES128 = BlockCipher("aes-128", 16, 16)
 
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
     """AES-128-CBC with block padding: n octets of value n, 1 <= n <= 16."""
     if len(iv) != BLOCK_LEN:
         raise BadLength("IV must be 16 octets")
+    rk = _expand_key(key)
     pad = BLOCK_LEN - len(plaintext) % BLOCK_LEN
     padded = bytes(plaintext) + bytes([pad]) * pad
     out = bytearray()
     prev = iv
     for i in range(0, len(padded), BLOCK_LEN):
         block = bytes(a ^ b for a, b in zip(padded[i:i + BLOCK_LEN], prev))
-        prev = aes128_encrypt_block(key, block)
+        prev = _encrypt(rk, block)
         out += prev
     return bytes(out)
 
@@ -276,11 +241,12 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
         raise BadLength("IV must be 16 octets")
     if not ciphertext or len(ciphertext) % BLOCK_LEN:
         raise BadLength("ciphertext must be a positive multiple of 16 octets")
+    rk = _expand_key(key)
     out = bytearray()
     prev = iv
     for i in range(0, len(ciphertext), BLOCK_LEN):
         block = ciphertext[i:i + BLOCK_LEN]
-        out += bytes(a ^ b for a, b in zip(aes128_decrypt_block(key, block), prev))
+        out += bytes(a ^ b for a, b in zip(_decrypt(rk, block), prev))
         prev = block
     # padding check over a fixed window, single uniform failure
     pad = out[-1]

@@ -7,6 +7,9 @@ t_i (inverse of the partial product R_i = r_1 * ... * r_{i-1} modulo r_i).
 
 Desk-scale keys are first class: nothing below enforces a minimum modulus
 beyond arithmetic validity, so exhaustive sweeps over toy moduli stay cheap.
+A key read from a file is held to maximum sizes instead (``check_key_caps``),
+because its modulus, public exponent and prime count set the cost of the
+work done with it.
 """
 
 from __future__ import annotations
@@ -23,6 +26,11 @@ __all__ = [
     "CiphertextRepresentativeOutOfRange",
     "BadExponent",
     "DuplicatePrime",
+    "KeyTooLarge",
+    "MAX_MODULUS_BITS",
+    "MAX_PRIMES",
+    "MAX_EXPONENT_BITS",
+    "check_key_caps",
     "generate_prime",
     "generate_key",
     "key_from_primes",
@@ -48,6 +56,29 @@ class BadExponent(ValueError):
 
 class DuplicatePrime(ValueError):
     """The source kept producing an already-used prime."""
+
+
+class KeyTooLarge(ValueError):
+    """A key read from a file exceeds one of the size caps below."""
+
+
+# Largest key accepted from a file.  The modulus cap sits above the 15360-bit
+# top row of STRENGTH_TABLE and the prime cap above its largest u of 9; the
+# public-exponent cap is the 256 bits of FIPS 186-4.
+MAX_MODULUS_BITS = 16384
+MAX_PRIMES = 16
+MAX_EXPONENT_BITS = 256
+
+
+def check_key_caps(n: int, e: int, u: int = 2) -> None:
+    """Raise KeyTooLarge unless n, e and the prime count u are within the
+    caps; called on a key read from a file, before the key is built."""
+    if n.bit_length() > MAX_MODULUS_BITS:
+        raise KeyTooLarge(f"modulus of {n.bit_length()} bits exceeds {MAX_MODULUS_BITS}")
+    if e.bit_length() > MAX_EXPONENT_BITS:
+        raise KeyTooLarge(f"public exponent of {e.bit_length()} bits exceeds {MAX_EXPONENT_BITS}")
+    if u > MAX_PRIMES:
+        raise KeyTooLarge(f"{u} primes exceed {MAX_PRIMES}")
 
 
 @dataclass(frozen=True)

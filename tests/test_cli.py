@@ -229,3 +229,17 @@ def test_environment_seed(tmp_path, capsys, monkeypatch):
     code = main(["scenario"])
     out = capsys.readouterr().out
     assert code == 0 and f"seed={SEED}" in out
+
+
+def test_p8_wrap_refuses_a_count_the_reader_refuses(workdir, capsys, monkeypatch):
+    from pkcswb import pkcs5
+
+    def no_pbkdf2(*args):
+        raise AssertionError("PBKDF2 ran on an over-cap iteration count")
+
+    monkeypatch.setattr(pkcs5, "pbkdf2", no_pbkdf2)
+    target = workdir / "over-cap.p8e"
+    code, _ = run(capsys, "p8-wrap", "--in", workdir / "alice.p8",
+                  "--password", "pw", "--iter", "2000000", "--out", target)
+    assert code == 2
+    assert not target.exists()

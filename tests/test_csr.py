@@ -1,8 +1,10 @@
 import pytest
 
+from pkcswb import oids, rsa
+from pkcswb.asn1 import der_encode
 from pkcswb.csr import (CertificationRequest, CertificationRequestInfo,
                         MalformedRequest, Name, build_csr, verify_csr)
-from pkcswb.keystore import attribute_make
+from pkcswb.keystore import AlgorithmIdentifier, attribute_make
 from conftest import seeded
 
 
@@ -124,3 +126,20 @@ def test_malformed_request_decode():
         CertificationRequest.from_der(b"\x30\x03\x02\x01\x00")
     with pytest.raises(MalformedRequest):
         CertificationRequest.from_der(b"")
+
+
+def _request_der(public: rsa.RsaPublicKey) -> bytes:
+    info = CertificationRequestInfo(_alice_name(), public)
+    return CertificationRequest(info, AlgorithmIdentifier(oids.RSASSA_PSS), bytes(8),
+                                der_encode(info.to_der_value())).to_der()
+
+
+def test_public_exponent_above_cap_is_malformed_request():
+    n = 2**1023 + 1
+    CertificationRequest.from_der(_request_der(rsa.RsaPublicKey(n, 2**rsa.MAX_EXPONENT_BITS - 1)))
+    with pytest.raises(MalformedRequest, match="exponent"):
+        CertificationRequest.from_der(
+            _request_der(rsa.RsaPublicKey(n, 2**rsa.MAX_EXPONENT_BITS + 1)))
+    with pytest.raises(MalformedRequest, match="modulus"):
+        CertificationRequest.from_der(
+            _request_der(rsa.RsaPublicKey(2**rsa.MAX_MODULUS_BITS + 1, 65537)))

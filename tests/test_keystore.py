@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import asn1, oids, pkcs5, rsa
+from pkcswb import asn1, keystore, oids, pkcs5, rsa
 from pkcswb.asn1 import Oid, der_decode, der_encode
 from pkcswb.errors import DecryptionError, UnsupportedAlgorithm
 from pkcswb.keystore import (ATTRIBUTE_REGISTRY, AlgorithmIdentifier, Attribute,
@@ -255,3 +255,43 @@ def test_p8e_iteration_count_above_cap_fails_before_pbkdf2(key_512, monkeypatch)
     with pytest.raises(pkcs5.TooManyIterations):
         decrypt_private_key(EncryptedPrivateKeyInfo.from_der(edited), b"pw")
     assert pkcs5.MAX_ITERATIONS < 2**40
+
+
+# -- size caps on keys read from a file -------------------------------------------
+
+
+def _pki_der(n: int, e: int, primes: int) -> bytes:
+    """PrivateKeyInfo around a key body that is only the right shape."""
+    triples = [asn1.sequence(asn1.integer(3), asn1.integer(1), asn1.integer(1))
+               for _ in range(primes)]
+    body = asn1.sequence(asn1.integer(0), asn1.integer(n), asn1.integer(e),
+                         asn1.integer(3), asn1.sequence(*triples))
+    return der_encode(asn1.sequence(
+        asn1.integer(0),
+        AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null()).to_der_value(),
+        asn1.octet_string(der_encode(body))))
+
+
+@pytest.fixture
+def no_key_built(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a key was built before its size was checked")
+
+    monkeypatch.setattr(keystore, "RsaPrivateKey", refuse)
+
+
+def test_private_key_modulus_above_cap_is_malformed(no_key_built):
+    with pytest.raises(MalformedKey, match="modulus"):
+        PrivateKeyInfo.from_der(_pki_der(2**rsa.MAX_MODULUS_BITS + 1, 65537, 2))
+
+
+def test_private_key_prime_count_above_cap_is_malformed(no_key_built):
+    over = _pki_der(3 * 5, 65537, rsa.MAX_PRIMES + 1)
+    with pytest.raises(MalformedKey, match="primes"):
+        PrivateKeyInfo.from_der(over)
+    # wrapped under a password, the same key is one more decryption failure
+    params, ciphertext = pkcs5.pbes2_encrypt(over, b"pw", b"saltsalt", 64, seeded(b"iv-u"))
+    epki = EncryptedPrivateKeyInfo(pbes2_algorithm(params), ciphertext)
+    with pytest.raises(DecryptionError) as info:
+        decrypt_private_key(epki, b"pw")
+    assert info.value.__cause__ is None and info.value.__suppress_context__

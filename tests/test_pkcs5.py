@@ -5,7 +5,7 @@ import time
 import pytest
 
 from oracles import naive_pbkdf2
-from pkcswb.errors import DecryptionError
+from pkcswb.errors import DecryptionError, uniform_decryption
 from pkcswb.pkcs5 import (DerivedKeyTooLong, Pbes2Params, Pbkdf2Params, pbes2_decrypt,
                           pbes2_encrypt, pbkdf2, pbmac1_tag, pbmac1_verify)
 from conftest import seeded
@@ -151,3 +151,13 @@ def test_pbmac1_flipped_tag_bit():
 def test_pbmac1_key_length_parameter():
     assert pbmac1_tag(b"m", PASSWORD, SALT, 50, 16) != \
         pbmac1_tag(b"m", PASSWORD, SALT, 50, 32)
+
+
+def test_uniform_decryption_drops_the_cause():
+    for failure in (ValueError("bad padding"), IndexError(0), DecryptionError()):
+        with pytest.raises(DecryptionError) as info:
+            with uniform_decryption():
+                raise failure
+        assert info.value.args == ("decryption failed",)
+        assert info.value.__cause__ is None
+        assert info.value.__suppress_context__ or info.value is failure

@@ -2,11 +2,12 @@ import hashlib
 
 import pytest
 
+from pkcswb import primitives
 from oracles import hmac_sha256_oracle, sha256_oracle
 from pkcswb.primitives import (SHA256, BadLength, BadPadding, ConstantSource,
                                ExhaustibleSource, RngExhausted, SeededSource,
                                aes128_decrypt_block, aes128_encrypt_block,
-                               cbc_decrypt, cbc_encrypt, ct_equal, hash_digest,
+                               cbc_decrypt, cbc_encrypt, ct_equal,
                                hmac_digest, mgf)
 from conftest import seeded, tiny_hash
 
@@ -16,13 +17,13 @@ from conftest import seeded, tiny_hash
 
 @pytest.mark.parametrize("message", [b"", b"abc", b"x" * 1000])
 def test_sha256_matches_independent_implementation(message):
-    assert hash_digest(SHA256, message) == sha256_oracle(message)
+    assert SHA256.digest(message) == sha256_oracle(message)
 
 
 def test_sha256_output_length():
     rng = seeded(b"hash-len")
     for n in (0, 1, 31, 32, 33, 500):
-        assert len(hash_digest(SHA256, rng.read(n))) == 32
+        assert len(SHA256.digest(rng.read(n))) == 32
 
 
 def test_custom_hash_alg_digest():
@@ -111,17 +112,6 @@ def test_aes_key_must_be_16_octets():
         aes128_encrypt_block(b"short", b"\x00" * 16)
 
 
-def test_block_cipher_descriptor():
-    from pkcswb.primitives import AES128
-    assert (AES128.name, AES128.key_len, AES128.block_len) == ("aes-128", 16, 16)
-    rng = seeded(b"bc")
-    for _ in range(10):
-        key, block = rng.read(16), rng.read(16)
-        assert AES128.decrypt_block(key, AES128.encrypt_block(key, block)) == block
-    with pytest.raises(BadLength):
-        AES128.encrypt_block(b"short", b"\x00" * 16)
-
-
 def test_cbc_empty_plaintext_is_one_pad_block():
     key, iv = b"k" * 16, b"i" * 16
     ciphertext = cbc_encrypt(key, iv, b"")
@@ -164,6 +154,17 @@ def test_cbc_bad_padding_is_uniform():
             cbc_decrypt(key, iv, ciphertext)
         seen.append((type(info.value), info.value.args))
     assert len(set(seen)) == 1
+
+
+def test_cbc_expands_the_key_once_per_message(monkeypatch):
+    calls = []
+    expand = primitives._expand_key
+    monkeypatch.setattr(primitives, "_expand_key", lambda key: calls.append(1) or expand(key))
+    key, iv = b"k" * 16, b"i" * 16
+    ciphertext = cbc_encrypt(key, iv, bytes(4096))
+    assert len(calls) == 1  # one per block plus the pad block would be 257
+    assert cbc_decrypt(key, iv, ciphertext) == bytes(4096)
+    assert len(calls) == 2
 
 
 def test_cbc_bad_length():

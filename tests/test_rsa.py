@@ -200,3 +200,15 @@ def test_nfs_estimate_finite_positive():
         assert 0 < value < float("inf")
     with pytest.raises(ValueError):
         rsa.nfs_advisory_estimate(255)
+
+
+def test_key_caps_hold_at_their_limits():
+    rsa.check_key_caps(2**rsa.MAX_MODULUS_BITS - 1, 2**rsa.MAX_EXPONENT_BITS - 1,
+                       rsa.MAX_PRIMES)
+    for n, e, u in ((2**rsa.MAX_MODULUS_BITS, 3, 2),
+                    (15, 2**rsa.MAX_EXPONENT_BITS, 2),
+                    (15, 3, rsa.MAX_PRIMES + 1)):
+        with pytest.raises(rsa.KeyTooLarge):
+            rsa.check_key_caps(n, e, u)
+    assert rsa.MAX_MODULUS_BITS > max(bits for bits, _ in rsa.STRENGTH_TABLE)
+    assert rsa.MAX_PRIMES > max(u for _, u in rsa.STRENGTH_TABLE)
