@@ -13,7 +13,7 @@ hashed are the ones received on the wire, never a re-normalized encoding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import asn1, oids, pkcs1
 from .asn1 import DerValue, Oid, der_decode, der_encode
@@ -62,14 +62,22 @@ class SignatureInvalid(Exception):
 
 @dataclass(frozen=True)
 class ContentInfo:
-    """contentType plus content; the type OID fixes the content's shape."""
+    """contentType plus content; the type OID fixes the content's shape.
+
+    A decoded ContentInfo keeps the value it was decoded from, and a built one
+    the value of its first ``to_der_value``, so its octets are the ones
+    received (the PFX MAC covers them) and are encoded at most once.
+    """
 
     content_type: Oid
     content: DerValue
+    _value: DerValue | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_der_value(self) -> DerValue:
-        return asn1.sequence(asn1.oid_value(self.content_type),
-                             asn1.explicit(0, self.content))
+        if self._value is None:
+            object.__setattr__(self, "_value", asn1.sequence(
+                asn1.oid_value(self.content_type), asn1.explicit(0, self.content)))
+        return self._value
 
     def to_der(self) -> bytes:
         return der_encode(self.to_der_value())
@@ -79,7 +87,9 @@ class ContentInfo:
         type_v, wrapper = asn1.require(value, asn1.SEQUENCE).children
         asn1.require(wrapper, 0, tag_class=asn1.TagClass.CONTEXT)
         (content,) = wrapper.children
-        return cls(type_v.as_oid(), content)
+        ci = cls(type_v.as_oid(), content)
+        object.__setattr__(ci, "_value", value)
+        return ci
 
     @classmethod
     def from_der(cls, octets: bytes) -> "ContentInfo":

@@ -252,6 +252,7 @@ def pfx_open(pfx: PfxPdu, credentials: PfxCredentials,
     if pfx.mac_data is not None:
         if credentials.integrity_password is None:
             raise MissingCredential("password integrity needs an integrity password")
+        # a decoded ContentInfo keeps its value: these are the octets received
         ok = pbmac1_verify(pfx.auth_safe.to_der(), pfx.mac_data.tag,
                            credentials.integrity_password, pfx.mac_data.salt,
                            pfx.mac_data.iterations)

@@ -5,8 +5,11 @@ MGF1 and of the OAEP and PSS encodings; an instance with another function,
 such as a truncated SHA-256, keeps the padding layers testable at small
 output sizes.  HMAC is HMAC-SHA-256 through the stdlib ``hmac``.  AES-128 is
 implemented here from the FIPS 197 construction so that the package stays
-self-contained and octet-for-octet testable; CBC expands the key once per
-message.
+self-contained and octet-for-octet testable.  Its rounds are table-driven
+(32-bit T-tables derived at import, four column words of state); decryption
+is the equivalent inverse cipher.  CBC expands the key once per message and
+chains on 128-bit ints.  Table lookups are indexed by secret-dependent
+state, so AES here is not constant time.
 """
 
 from __future__ import annotations
@@ -103,9 +106,10 @@ def ct_equal(a: bytes, b: bytes) -> bool:
 # AES-128 (FIPS 197), desk-scale implementation
 #
 # The S-box and its inverse are derived from the GF(2^8) inverse plus the
-# affine map rather than transcribed, which removes a whole class of table
-# typos; correctness is pinned against an independent implementation in the
-# test suite.
+# affine map, and the round tables from the S-boxes and MixColumns, rather
+# than transcribed, which removes a whole class of table typos; correctness
+# is pinned against the FIPS 197 and SP 800-38A vectors and an independent
+# implementation in the test suite.
 
 
 def _xtime(a: int) -> int:
@@ -136,10 +140,7 @@ def _build_tables() -> tuple[bytes, bytes]:
 
 
 _SBOX, _INV_SBOX = _build_tables()
-
-# Flat-state index maps for ShiftRows on a column-major 16-octet state.
-_SHIFT_ROWS = [(i % 4) + 4 * (((i // 4) + (i % 4)) % 4) for i in range(16)]
-_INV_SHIFT_ROWS = [(i % 4) + 4 * (((i // 4) - (i % 4)) % 4) for i in range(16)]
+_WORD = 0xFFFFFFFF
 
 
 def _gmul(a: int, b: int) -> int:
@@ -152,72 +153,118 @@ def _gmul(a: int, b: int) -> int:
     return out
 
 
-def _expand_key(key: bytes) -> list[bytes]:
+def _round_tables(box: bytes, coef: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The four T-tables of one direction (FIPS 197 §5; Daemen-Rijmen §4.2).
+
+    Table j maps a state octet x in row j to the 32-bit column word that
+    SubBytes (``box``) then MixColumns (first column ``coef``) make of it:
+    table 0 holds coef * box[x], table j is table 0 rotated right by 8j bits.
+    """
+    t0 = tuple(int.from_bytes(bytes(_gmul(s, c) for c in coef), "big") for s in box)
+    return (t0,) + tuple(tuple((w >> 8 * j | w << 32 - 8 * j) & _WORD for w in t0)
+                         for j in (1, 2, 3))
+
+
+_TE = _round_tables(_SBOX, (2, 1, 1, 3))       # SubBytes, MixColumns
+_TD = _round_tables(_INV_SBOX, (14, 9, 13, 11))  # InvSubBytes, InvMixColumns
+
+
+def _expand_key(key: bytes) -> list[tuple[int, ...]]:
+    """The 11 round keys of AES-128 (FIPS 197 §5.2), four big-endian words each."""
     if len(key) != 16:
         raise BadLength("AES-128 key must be 16 octets")
-    words = [key[4 * i:4 * i + 4] for i in range(4)]
+    words = [int.from_bytes(key[i:i + 4], "big") for i in range(0, 16, 4)]
     rcon = 1
     for i in range(4, 44):
         temp = words[i - 1]
         if i % 4 == 0:
-            temp = bytes((_SBOX[temp[1]] ^ rcon, _SBOX[temp[2]], _SBOX[temp[3]], _SBOX[temp[0]]))
+            temp = (_SBOX[temp >> 16 & 255] << 24 | _SBOX[temp >> 8 & 255] << 16
+                    | _SBOX[temp & 255] << 8 | _SBOX[temp >> 24]) ^ rcon << 24
             rcon = _xtime(rcon)
-        words.append(bytes(a ^ b for a, b in zip(words[i - 4], temp)))
-    return [b"".join(words[4 * r:4 * r + 4]) for r in range(11)]
+        words.append(words[i - 4] ^ temp)
+    return [tuple(words[i:i + 4]) for i in range(0, 44, 4)]
 
 
-def _mix_columns(state: bytes, inverse: bool = False) -> bytes:
-    coef = (14, 11, 13, 9) if inverse else (2, 3, 1, 1)
-    out = bytearray(16)
-    for c in range(4):
-        col = state[4 * c:4 * c + 4]
-        for r in range(4):
-            out[4 * c + r] = (
-                _gmul(col[r], coef[0])
-                ^ _gmul(col[(r + 1) % 4], coef[1])
-                ^ _gmul(col[(r + 2) % 4], coef[2])
-                ^ _gmul(col[(r + 3) % 4], coef[3])
-            )
-    return bytes(out)
+def _inverse_keys(rk: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """Round keys of the equivalent inverse cipher (FIPS 197 §5.3.5).
+
+    Rounds run last to first; keys 1-9 go through InvMixColumns, read off
+    the decryption tables at S[x] (InvSubBytes undoes S).  Each round's words
+    are stored in the column order (0, 3, 2, 1) that ``_rounds`` uses for
+    decryption.
+    """
+    t0, t1, t2, t3 = _TD
+    dk = []
+    for r, k in enumerate(reversed(rk)):
+        if 0 < r < 10:
+            k = [t0[_SBOX[w >> 24]] ^ t1[_SBOX[w >> 16 & 255]]
+                 ^ t2[_SBOX[w >> 8 & 255]] ^ t3[_SBOX[w & 255]] for w in k]
+        dk.append((k[0], k[3], k[2], k[1]))
+    return dk
 
 
-def _encrypt(rk: list[bytes], block: bytes) -> bytes:
-    if len(block) != 16:
-        raise BadLength("AES block must be 16 octets")
-    state = bytes(a ^ b for a, b in zip(block, rk[0]))
-    for rnd in range(1, 10):
-        state = bytes(_SBOX[b] for b in state)
-        state = bytes(state[_SHIFT_ROWS[i]] for i in range(16))
-        state = _mix_columns(state)
-        state = bytes(a ^ b for a, b in zip(state, rk[rnd]))
-    state = bytes(_SBOX[b] for b in state)
-    state = bytes(state[_SHIFT_ROWS[i]] for i in range(16))
-    return bytes(a ^ b for a, b in zip(state, rk[10]))
+def _rounds(rk: list[tuple[int, ...]], tables, box: bytes, s0: int, s1: int, s2: int, s3: int):
+    """Ten rounds over four column words; the last omits MixColumns.
+
+    Output column c takes row j from input column c + j (ShiftRows).  With
+    the columns numbered (0, 3, 2, 1) the same rule is c - j (InvShiftRows),
+    so decryption runs this function on reordered words and keys.
+    """
+    t0, t1, t2, t3 = tables
+    k0, k1, k2, k3 = rk[0]
+    s0 ^= k0
+    s1 ^= k1
+    s2 ^= k2
+    s3 ^= k3
+    for k0, k1, k2, k3 in rk[1:10]:
+        s0, s1, s2, s3 = (
+            t0[s0 >> 24] ^ t1[s1 >> 16 & 255] ^ t2[s2 >> 8 & 255] ^ t3[s3 & 255] ^ k0,
+            t0[s1 >> 24] ^ t1[s2 >> 16 & 255] ^ t2[s3 >> 8 & 255] ^ t3[s0 & 255] ^ k1,
+            t0[s2 >> 24] ^ t1[s3 >> 16 & 255] ^ t2[s0 >> 8 & 255] ^ t3[s1 & 255] ^ k2,
+            t0[s3 >> 24] ^ t1[s0 >> 16 & 255] ^ t2[s1 >> 8 & 255] ^ t3[s2 & 255] ^ k3,
+        )
+    k0, k1, k2, k3 = rk[10]
+    return (
+        (box[s0 >> 24] << 24 | box[s1 >> 16 & 255] << 16 | box[s2 >> 8 & 255] << 8
+         | box[s3 & 255]) ^ k0,
+        (box[s1 >> 24] << 24 | box[s2 >> 16 & 255] << 16 | box[s3 >> 8 & 255] << 8
+         | box[s0 & 255]) ^ k1,
+        (box[s2 >> 24] << 24 | box[s3 >> 16 & 255] << 16 | box[s0 >> 8 & 255] << 8
+         | box[s1 & 255]) ^ k2,
+        (box[s3 >> 24] << 24 | box[s0 >> 16 & 255] << 16 | box[s1 >> 8 & 255] << 8
+         | box[s2 & 255]) ^ k3,
+    )
 
 
-def _decrypt(rk: list[bytes], block: bytes) -> bytes:
-    if len(block) != 16:
-        raise BadLength("AES block must be 16 octets")
-    state = bytes(a ^ b for a, b in zip(block, rk[10]))
-    for rnd in range(9, 0, -1):
-        state = bytes(state[_INV_SHIFT_ROWS[i]] for i in range(16))
-        state = bytes(_INV_SBOX[b] for b in state)
-        state = bytes(a ^ b for a, b in zip(state, rk[rnd]))
-        state = _mix_columns(state, inverse=True)
-    state = bytes(state[_INV_SHIFT_ROWS[i]] for i in range(16))
-    state = bytes(_INV_SBOX[b] for b in state)
-    return bytes(a ^ b for a, b in zip(state, rk[0]))
+def _encrypt(rk: list[tuple[int, ...]], block: int) -> int:
+    """One block as a 128-bit big-endian int, under the ``_expand_key`` round keys."""
+    a, b, c, d = _rounds(rk, _TE, _SBOX, block >> 96, block >> 64 & _WORD,
+                         block >> 32 & _WORD, block & _WORD)
+    return a << 96 | b << 64 | c << 32 | d
 
 
-def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
-    return _encrypt(_expand_key(key), block)
-
-
-def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
-    return _decrypt(_expand_key(key), block)
+def _decrypt(dk: list[tuple[int, ...]], block: int) -> int:
+    """Inverse of ``_encrypt``, under the ``_inverse_keys`` round keys."""
+    a, d, c, b = _rounds(dk, _TD, _INV_SBOX, block >> 96, block & _WORD,
+                         block >> 32 & _WORD, block >> 64 & _WORD)
+    return a << 96 | b << 64 | c << 32 | d
 
 
 BLOCK_LEN = 16
+
+
+def _block_int(block: bytes) -> int:
+    if len(block) != BLOCK_LEN:
+        raise BadLength("AES block must be 16 octets")
+    return int.from_bytes(block, "big")
+
+
+def aes128_encrypt_block(key: bytes, block: bytes) -> bytes:
+    return _encrypt(_expand_key(key), _block_int(block)).to_bytes(BLOCK_LEN, "big")
+
+
+def aes128_decrypt_block(key: bytes, block: bytes) -> bytes:
+    return _decrypt(_inverse_keys(_expand_key(key)), _block_int(block)).to_bytes(BLOCK_LEN, "big")
 
 
 def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
@@ -228,11 +275,10 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
     pad = BLOCK_LEN - len(plaintext) % BLOCK_LEN
     padded = bytes(plaintext) + bytes([pad]) * pad
     out = bytearray()
-    prev = iv
+    prev = int.from_bytes(iv, "big")
     for i in range(0, len(padded), BLOCK_LEN):
-        block = bytes(a ^ b for a, b in zip(padded[i:i + BLOCK_LEN], prev))
-        prev = _encrypt(rk, block)
-        out += prev
+        prev = _encrypt(rk, int.from_bytes(padded[i:i + BLOCK_LEN], "big") ^ prev)
+        out += prev.to_bytes(BLOCK_LEN, "big")
     return bytes(out)
 
 
@@ -241,12 +287,12 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
         raise BadLength("IV must be 16 octets")
     if not ciphertext or len(ciphertext) % BLOCK_LEN:
         raise BadLength("ciphertext must be a positive multiple of 16 octets")
-    rk = _expand_key(key)
+    dk = _inverse_keys(_expand_key(key))
     out = bytearray()
-    prev = iv
+    prev = int.from_bytes(iv, "big")
     for i in range(0, len(ciphertext), BLOCK_LEN):
-        block = ciphertext[i:i + BLOCK_LEN]
-        out += bytes(a ^ b for a, b in zip(_decrypt(rk, block), prev))
+        block = int.from_bytes(ciphertext[i:i + BLOCK_LEN], "big")
+        out += (_decrypt(dk, block) ^ prev).to_bytes(BLOCK_LEN, "big")
         prev = block
     # padding check over a fixed window, single uniform failure
     pad = out[-1]

@@ -2,7 +2,7 @@ import warnings
 
 import pytest
 
-from pkcswb import cms, pkcs5
+from pkcswb import asn1, cms, pfx, pkcs5
 from pkcswb.csr import Name, build_csr
 from pkcswb.errors import DecryptionError, IntegrityFailure, MissingCredential
 from pkcswb.keystore import (PrivateKeyInfo, attribute_make, encrypt_private_key)
@@ -164,3 +164,19 @@ def test_mac_iteration_count_above_cap_fails_before_pbkdf2(material, monkeypatch
     monkeypatch.setattr(pkcs5, "pbkdf2", no_pbkdf2)
     with pytest.raises(pkcs5.TooManyIterations):
         pfx_open(PfxPdu.from_der(edited), credentials)
+
+
+def test_mac_covers_the_auth_safe_octets_as_received(material, monkeypatch):
+    bags, credentials, _ = material
+    octets = pfx_create(bags, "public_key", "password", credentials, seeded(b"mac-in")).to_der()
+    received = asn1.der_encode(asn1.der_decode(octets).children[1])  # the authSafe slice
+    decoded = PfxPdu.from_der(octets)
+    tags, macced = [], []
+    real_encode_tag, real_verify = asn1._encode_tag, pfx.pbmac1_verify
+    monkeypatch.setattr(asn1, "_encode_tag", lambda v: tags.append(v) or real_encode_tag(v))
+    monkeypatch.setattr(pfx, "pbmac1_verify",
+                        lambda message, *args: macced.append((message, len(tags)))
+                        or real_verify(message, *args))
+    assert pfx_open(decoded, credentials) == bags
+    # the MAC ran over the received octets, and nothing was encoded to get them
+    assert macced == [(received, 0)]

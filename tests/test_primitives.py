@@ -112,6 +112,85 @@ def test_aes_key_must_be_16_octets():
         aes128_encrypt_block(b"short", b"\x00" * 16)
 
 
+@pytest.mark.parametrize("key_len, block_len", [(15, 16), (17, 16), (16, 15), (16, 17)])
+@pytest.mark.parametrize("operation", [aes128_encrypt_block, aes128_decrypt_block])
+def test_aes_block_and_key_lengths_are_checked_both_ways(operation, key_len, block_len):
+    with pytest.raises(BadLength):
+        operation(b"k" * key_len, b"b" * block_len)
+
+
+# FIPS 197 Appendix C.1 (AES-128): key, plaintext, ciphertext
+FIPS197_C1 = (bytes.fromhex("000102030405060708090a0b0c0d0e0f"),
+              bytes.fromhex("00112233445566778899aabbccddeeff"),
+              bytes.fromhex("69c4e0d86a7b0430d8cdb78070b4c55a"))
+
+# NIST SP 800-38A F.2.1/F.2.2 (CBC-AES128): key, IV, four plaintext and ciphertext blocks
+SP800_38A_KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
+SP800_38A_IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+SP800_38A_PLAIN = bytes.fromhex(
+    "6bc1bee22e409f96e93d7e117393172a" "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef" "f69f2445df4f9b17ad2b417be66c3710")
+SP800_38A_CIPHER = bytes.fromhex(
+    "7649abac8119b246cee98e9b12e9197d" "5086cb9b507219ee95db113a917678b2"
+    "73bed6b8e3c1743b7116e69e22229516" "3ff1caa1681fac09120eca307586e1a7")
+
+
+def test_aes_fips197_c1_block():
+    key, plaintext, ciphertext = FIPS197_C1
+    assert aes128_encrypt_block(key, plaintext) == ciphertext
+    assert aes128_decrypt_block(key, ciphertext) == plaintext
+
+
+def test_cbc_sp800_38a_vectors():
+    key, iv = SP800_38A_KEY, SP800_38A_IV
+    ciphertext = cbc_encrypt(key, iv, SP800_38A_PLAIN)
+    assert ciphertext[:64] == SP800_38A_CIPHER  # F.2.1; a fifth block carries the padding
+    assert cbc_decrypt(key, iv, ciphertext) == SP800_38A_PLAIN
+    chain = iv + SP800_38A_CIPHER  # F.2.2, block by block
+    for i in range(0, 64, 16):
+        block = aes128_decrypt_block(key, chain[i + 16:i + 32])
+        assert bytes(a ^ b for a, b in zip(block, chain[i:i + 16])) == SP800_38A_PLAIN[i:i + 16]
+
+
+def test_known_answer_vectors_match_cryptography():
+    pytest.importorskip("cryptography")
+    from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+    key, plaintext, ciphertext = FIPS197_C1
+    assert _pyca_ecb(key, plaintext) == ciphertext
+    enc = Cipher(algorithms.AES(SP800_38A_KEY), modes.CBC(SP800_38A_IV)).encryptor()
+    assert enc.update(SP800_38A_PLAIN) + enc.finalize() == SP800_38A_CIPHER
+
+
+def _column_mix(column, coef):
+    """MixColumns (coef 2 3 1 1) or InvMixColumns (coef 14 11 13 9) of one column."""
+    gmul = primitives._gmul
+    return bytes(gmul(column[r], coef[0]) ^ gmul(column[(r + 1) % 4], coef[1])
+                 ^ gmul(column[(r + 2) % 4], coef[2]) ^ gmul(column[(r + 3) % 4], coef[3])
+                 for r in range(4))
+
+
+@pytest.mark.parametrize("tables, box, coef", [
+    (primitives._TE, primitives._SBOX, (2, 3, 1, 1)),
+    (primitives._TD, primitives._INV_SBOX, (14, 11, 13, 9)),
+])
+def test_round_tables_are_mix_columns_of_the_sbox(tables, box, coef):
+    for row, table in enumerate(tables):
+        for x in range(256):
+            column = [0, 0, 0, 0]
+            column[row] = box[x]
+            assert table[x].to_bytes(4, "big") == _column_mix(column, coef)
+
+
+def test_cbc_makes_no_gmul_calls(monkeypatch):
+    calls = []
+    gmul = primitives._gmul
+    monkeypatch.setattr(primitives, "_gmul", lambda a, b: calls.append(1) or gmul(a, b))
+    key, iv = b"k" * 16, b"i" * 16
+    ciphertext = cbc_encrypt(key, iv, bytes(4096))
+    assert cbc_decrypt(key, iv, ciphertext) == bytes(4096)
+    assert calls == []
+
+
 def test_cbc_empty_plaintext_is_one_pad_block():
     key, iv = b"k" * 16, b"i" * 16
     ciphertext = cbc_encrypt(key, iv, b"")
