@@ -30,6 +30,7 @@ from .rsa import RsaPrivateKey, RsaPublicKey
 __all__ = [
     "DigestMismatch",
     "SignatureInvalid",
+    "WrongContentType",
     "ContentInfo",
     "SignerIdent",
     "make_data",
@@ -58,6 +59,10 @@ class DigestMismatch(Exception):
 
 class SignatureInvalid(Exception):
     """The signature (or the signed attribute set) does not verify."""
+
+
+class WrongContentType(ValueError):
+    """A ContentInfo does not carry the content type the caller expects."""
 
 
 @dataclass(frozen=True)
@@ -114,7 +119,7 @@ class SignerIdent:
 
 def _expect_type(ci: ContentInfo, content_type: Oid, what: str) -> None:
     if ci.content_type != content_type:
-        raise ValueError(f"not a {what} content (got {ci.content_type})")
+        raise WrongContentType(f"not a {what} content (got {ci.content_type})")
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +194,27 @@ def sign_data(inner: ContentInfo, signer_key: RsaPrivateKey, signer_ident: Signe
 
 
 def _parse_signed(ci: ContentInfo):
+    """Fields of a signed-data as sign_data writes it.  The signature does not
+    cover the versions or the digestAlgorithms SET, so they are checked here:
+    version 1 for SignedData and SignerInfo (RFC 5652 §5.1, §5.3) and exactly
+    SHA-256, or SignatureInvalid."""
     _expect_type(ci, oids.CT_SIGNED_DATA, "signed-data")
-    version_v, _algs, encap_v, signers_v = asn1.require(ci.content, asn1.SEQUENCE).children
+    version_v, algs_v, encap_v, signers_v = asn1.require(ci.content, asn1.SEQUENCE).children
     (signer_v,) = asn1.require(signers_v, asn1.SET).children
     kids = asn1.require(signer_v, asn1.SEQUENCE).children
     if len(kids) == 6:
-        _ver, sid_v, digest_alg_v, attrs_v, sig_alg_v, sig_v = kids
+        signer_version_v, sid_v, digest_alg_v, attrs_v, sig_alg_v, sig_v = kids
         asn1.require(attrs_v, 0, tag_class=asn1.TagClass.CONTEXT)
     elif len(kids) == 5:
-        _ver, sid_v, digest_alg_v, sig_alg_v, sig_v = kids
+        signer_version_v, sid_v, digest_alg_v, sig_alg_v, sig_v = kids
         attrs_v = None
     else:
         raise asn1.NonCanonical("unrecognized SignerInfo shape")
+    if version_v.as_integer() != 1 or signer_version_v.as_integer() != 1:
+        raise SignatureInvalid("SignedData and SignerInfo must be version 1")
+    if [AlgorithmIdentifier.from_der_value(v).oid
+            for v in asn1.require(algs_v, asn1.SET).children] != [oids.SHA256]:
+        raise SignatureInvalid("digestAlgorithms must be exactly SHA-256")
     return encap_v, sid_v, digest_alg_v, attrs_v, sig_alg_v, sig_v
 
 

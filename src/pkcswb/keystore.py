@@ -140,8 +140,18 @@ def pbes2_params_from_algorithm(alg: AlgorithmIdentifier) -> Pbes2Params:
         prf = AlgorithmIdentifier.from_der_value(prf_v)
         if prf.oid != oids.HMAC_WITH_SHA256:
             raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
-        return Pbes2Params(salt_v.as_octet_string(), check_iterations(iter_v.as_integer()),
-                           enc.params.as_octet_string())
+        return Pbes2Params(*_pbkdf2_fields(salt_v, iter_v), enc.params.as_octet_string())
+
+
+def _pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
+    """Salt and iteration count of a PBKDF2 header read from a file, checked
+    before any derivation: an empty salt or a count below one is MalformedKey,
+    a count above MAX_ITERATIONS is TooManyIterations."""
+    with _as_malformed_key():
+        salt = salt_v.as_octet_string()
+        if not salt:
+            raise MalformedKey("PBKDF2 salt is empty")
+        return salt, check_iterations(iter_v.as_integer())
 
 
 # ---------------------------------------------------------------------------

@@ -26,9 +26,9 @@ from .cms import ContentInfo, SignerIdent
 from .csr import Name
 from .errors import IntegrityFailure, MissingCredential, uniform_decryption
 from .keystore import (AlgorithmIdentifier, Attribute, EncryptedPrivateKeyInfo,
-                       PrivateKeyInfo, pbes2_algorithm, pbes2_params_from_algorithm)
-from .pkcs5 import (check_iterations, pbes2_decrypt, pbes2_encrypt, pbmac1_tag,
-                    pbmac1_verify)
+                       PrivateKeyInfo, pbes2_algorithm, pbes2_params_from_algorithm,
+                       _pbkdf2_fields)
+from .pkcs5 import pbes2_decrypt, pbes2_encrypt, pbmac1_tag, pbmac1_verify
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey
 
@@ -123,8 +123,7 @@ class MacData:
     @classmethod
     def from_der_value(cls, value: DerValue) -> "MacData":
         tag_v, salt_v, iter_v = asn1.require(value, asn1.SEQUENCE).children
-        return cls(tag_v.as_octet_string(), salt_v.as_octet_string(),
-                   check_iterations(iter_v.as_integer()))
+        return cls(tag_v.as_octet_string(), *_pbkdf2_fields(salt_v, iter_v))
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,10 @@ class TooManyIterations(ValueError):
 
 
 def check_iterations(count: int) -> int:
-    """``count`` if at most MAX_ITERATIONS; called on a count read from a
+    """``count`` if in [1, MAX_ITERATIONS]; called on a count read from a
     file or about to be written to one, before any key derivation."""
+    if count < 1:
+        raise ValueError(f"iteration count {count} is not positive")
     if count > MAX_ITERATIONS:
         raise TooManyIterations(f"iteration count {count} exceeds {MAX_ITERATIONS}")
     return count

@@ -14,6 +14,7 @@ work done with it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +31,7 @@ __all__ = [
     "MAX_MODULUS_BITS",
     "MAX_PRIMES",
     "MAX_EXPONENT_BITS",
+    "MILLER_RABIN_ROUNDS",
     "check_key_caps",
     "generate_prime",
     "generate_key",
@@ -183,7 +185,11 @@ for _i in range(2, 1000):
 del _sieve, _i
 
 
-def _is_probable_prime(n: int, rng: RandomSource, rounds: int) -> bool:
+# Miller-Rabin rounds per candidate that passes trial division.
+MILLER_RABIN_ROUNDS = 40
+
+
+def _is_probable_prime(n: int, rng: RandomSource) -> bool:
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -200,7 +206,7 @@ def _is_probable_prime(n: int, rng: RandomSource, rounds: int) -> bool:
         d //= 2
         s += 1
     width = (n.bit_length() + 7) // 8
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = 2 + int.from_bytes(rng.read(width), "big") % (n - 3)
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -214,17 +220,45 @@ def _is_probable_prime(n: int, rng: RandomSource, rounds: int) -> bool:
     return True
 
 
-def generate_prime(bits: int, rng: RandomSource, rounds: int = 40) -> int:
-    """Probable prime of exactly `bits` bits (top bit set), Miller-Rabin `rounds`."""
+@functools.lru_cache(maxsize=64)
+def _prime_floor(bits: int, u: int) -> int:
+    """⌈2^(bits − 1/u)⌉, the least m with m^u ≥ 2^(u·bits − 1).
+
+    Integer Newton iteration for the u-th root, started above the root so it
+    descends to ⌊root⌋.  Cached: generate_key asks once per prime for at most
+    two sizes.
+    """
+    target = 1 << (u * bits - 1)
+    m = 1 << bits
+    while True:
+        below = ((u - 1) * m + target // m ** (u - 1)) // u
+        if below >= m:
+            break
+        m = below
+    return m if m ** u >= target else m + 1
+
+
+def generate_prime(bits: int, rng: RandomSource, u: int = 2) -> int:
+    """Probable prime in [⌈2^(bits − 1/u)⌉, 2^bits − 1] for a u-prime key.
+
+    The floor generalises the FIPS 186-4 §B.3.1 rule p ≥ √2·2^(bits−1) (the
+    case u = 2): the product of u primes so drawn, of sizes b_1 … b_u, is at
+    least 2^(Σb_i − 1) and below 2^Σb_i, so it has exactly Σb_i bits and no
+    prime is ever thrown away for a short modulus.  Candidates are odd and
+    drawn almost uniformly from the range (64 spare random bits reduced
+    modulo its width); each must pass trial division and
+    MILLER_RABIN_ROUNDS rounds of Miller-Rabin.
+    """
     if bits < 8:
         raise ValueError("need at least 8 bits")
+    low = _prime_floor(bits, u)
+    span = (1 << bits) - low
+    width = (bits + 7) // 8 + 8
     # expected candidates ~ bits * ln(2) / 2; the budget only trips for
     # degenerate sources that keep proposing the same composite
     for _ in range(200 * bits):
-        candidate = int.from_bytes(rng.read((bits + 7) // 8), "big")
-        candidate &= (1 << bits) - 1
-        candidate |= (1 << (bits - 1)) | 1
-        if _is_probable_prime(candidate, rng, rounds):
+        candidate = (low + int.from_bytes(rng.read(width), "big") % span) | 1
+        if _is_probable_prime(candidate, rng):
             return candidate
     raise RngExhausted("source never produced a prime candidate")
 
@@ -244,7 +278,7 @@ def _crt_material(primes: tuple[int, ...], e: int) -> tuple[int, tuple, tuple, t
 
 
 def key_from_primes(primes, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
-    """Build a key pair from explicitly chosen distinct odd primes (tests, demos)."""
+    """Build a key pair from explicitly chosen distinct odd primes."""
     primes = tuple(primes)
     if len(primes) < 2:
         raise ValueError("at least two primes required")
@@ -262,7 +296,12 @@ def key_from_primes(primes, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
 
 def generate_key(modulus_bits: int, u: int, e: int,
                  rng: RandomSource) -> tuple[RsaPublicKey, RsaPrivateKey]:
-    """Generate a u-prime key with a modulus of exactly `modulus_bits` bits."""
+    """Generate a u-prime key with a modulus of exactly `modulus_bits` bits.
+
+    Every prime is drawn above the floor of generate_prime, so the first u
+    primes kept always reach the size; a prime is redrawn only when
+    gcd(e, r - 1) != 1 or it repeats an earlier one.
+    """
     if u < 2:
         raise ValueError("u must be at least 2")
     if modulus_bits // u < 16:
@@ -270,30 +309,21 @@ def generate_key(modulus_bits: int, u: int, e: int,
     if e < 3 or e % 2 == 0:
         raise ValueError("encryption exponent must be odd and >= 3")
     base, extra = divmod(modulus_bits, u)
-    sizes = [base + 1] * extra + [base] * (u - extra)
-    for _ in range(200):
-        primes: list[int] = []
-        for bits in sizes:
-            for attempt in range(200):
-                r = generate_prime(bits, rng)
-                if math.gcd(e, r - 1) != 1:
-                    if attempt == 199:
-                        raise BadExponent("could not find a prime with gcd(e, r-1) = 1")
-                    continue
-                if r in primes:
-                    if attempt == 199:
-                        raise DuplicatePrime("prime source keeps repeating itself")
-                    continue
-                primes.append(r)
-                break
-        n = math.prod(primes)
-        if n.bit_length() != modulus_bits:
-            continue
-        d, exponents, coefficients, products = _crt_material(tuple(primes), e)
-        private = RsaPrivateKey(0 if u == 2 else 1, n, e, d, tuple(primes),
-                                exponents, coefficients, products)
-        return private.public_key, private
-    raise ValueError("could not reach the requested modulus size")
+    primes: list[int] = []
+    for bits in [base + 1] * extra + [base] * (u - extra):
+        for attempt in range(200):
+            r = generate_prime(bits, rng, u)
+            if math.gcd(e, r - 1) != 1:
+                if attempt == 199:
+                    raise BadExponent("could not find a prime with gcd(e, r-1) = 1")
+                continue
+            if r in primes:
+                if attempt == 199:
+                    raise DuplicatePrime("prime source keeps repeating itself")
+                continue
+            primes.append(r)
+            break
+    return key_from_primes(primes, e)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from pkcswb import asn1, oids
 from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIdent,
+                        WrongContentType,
                         authenticate_data, authenticated_content, cert_fields,
                         check_auth, check_digest, data_payload, decrypt_data,
                         digest_data, digested_content, encrypt_data, envelope,
@@ -100,6 +101,47 @@ def test_wrong_key_is_signature_invalid(key_1024, key_1024_b, ident):
     signed = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s"))
     with pytest.raises(SignatureInvalid):
         verify_signed(signed, other_public)
+
+
+def _edit(octets: bytes, offset: int, octet: int) -> ContentInfo:
+    edited = bytearray(octets)
+    edited[offset] = octet
+    return ContentInfo.from_der(bytes(edited))
+
+
+def test_unsigned_field_edits_are_refused(key_1024, ident):
+    # the signature covers neither the versions nor the digestAlgorithms SET
+    public, private = key_1024
+    signed = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s"))
+    octets = signed.to_der()
+    version, algs, _encap, signers = signed.content.children
+    algs_der = asn1.der_encode(algs)
+    algs_at = octets.index(algs_der)
+    assert octets[algs_at - 3:algs_at] == asn1.der_encode(version) == b"\x02\x01\x01"
+    signer_der = asn1.der_encode(signers.children[0])
+    signer_version_at = octets.index(signer_der) + signer_der.index(b"\x02\x01\x01") + 2
+    assert signer_der.index(b"\x02\x01\x01") <= 4  # right after the SEQUENCE header
+    for offset, octet in ((algs_at - 1, 3),                   # SignedData version 3
+                          (signer_version_at, 3),             # SignerInfo version 3
+                          (algs_at + len(algs_der) - 1, 3)):  # SHA-512 for SHA-256
+        with pytest.raises(SignatureInvalid):
+            verify_signed(_edit(octets, offset, octet), public)
+    assert verify_signed(ContentInfo.from_der(octets), public)[1]
+
+
+def test_wrong_content_type_is_declared(key_1024, ident):
+    public, private = key_1024
+    signed = sign_data(make_data(b"m"), private, ident, (), seeded(b"s"))
+    octets = signed.to_der()
+    type_der = asn1.der_encode(asn1.oid_value(oids.CT_SIGNED_DATA))
+    last = octets.index(type_der) + len(type_der) - 1
+    assert octets[last] == 2  # pkcs7-signedData, 1.2.840.113549.1.7.2
+    enveloped = _edit(octets, last, 3)
+    with pytest.raises(WrongContentType):
+        verify_signed(enveloped, public)
+    with pytest.raises(WrongContentType):
+        data_payload(signed)
+    assert issubclass(WrongContentType, ValueError)
 
 
 def test_signed_der_round_trip_byte_identical(key_1024, ident):

@@ -257,6 +257,23 @@ def test_p8e_iteration_count_above_cap_fails_before_pbkdf2(key_512, monkeypatch)
     assert pkcs5.MAX_ITERATIONS < 2**40
 
 
+@pytest.mark.parametrize("salt,count", [(b"saltsalt", 0), (b"saltsalt", -1), (b"", 64)])
+def test_p8e_nonpositive_count_or_empty_salt_is_malformed(key_512, monkeypatch, salt, count):
+    _, private = key_512
+    epki = encrypt_private_key(PrivateKeyInfo(private), b"pw", b"saltsalt", 64,
+                               seeded(b"iv-low"))
+    params = pbes2_params_from_algorithm(epki.algorithm)
+    edited = EncryptedPrivateKeyInfo(
+        pbes2_algorithm(Pbes2Params(salt, count, params.iv)), epki.encrypted_data).to_der()
+
+    def no_pbkdf2(*args):
+        raise AssertionError("PBKDF2 ran on a malformed header")
+
+    monkeypatch.setattr(pkcs5, "pbkdf2", no_pbkdf2)
+    with pytest.raises(MalformedKey):
+        decrypt_private_key(EncryptedPrivateKeyInfo.from_der(edited), b"pw")
+
+
 # -- size caps on keys read from a file -------------------------------------------
 
 

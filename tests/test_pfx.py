@@ -5,7 +5,8 @@ import pytest
 from pkcswb import asn1, cms, pfx, pkcs5
 from pkcswb.csr import Name, build_csr
 from pkcswb.errors import DecryptionError, IntegrityFailure, MissingCredential
-from pkcswb.keystore import (PrivateKeyInfo, attribute_make, encrypt_private_key)
+from pkcswb.keystore import (MalformedKey, PrivateKeyInfo, attribute_make,
+                             encrypt_private_key)
 from pkcswb.pfx import (MacData, PfxCredentials, PfxPdu, PfxSecurityWarning,
                         SafeBag, pfx_create, pfx_open)
 from conftest import seeded
@@ -164,6 +165,27 @@ def test_mac_iteration_count_above_cap_fails_before_pbkdf2(material, monkeypatch
     monkeypatch.setattr(pkcs5, "pbkdf2", no_pbkdf2)
     with pytest.raises(pkcs5.TooManyIterations):
         pfx_open(PfxPdu.from_der(edited), credentials)
+
+
+@pytest.mark.parametrize("salt,count", [(b"saltsalt", 0), (b"saltsalt", -1), (b"", 2048)])
+def test_mac_nonpositive_count_or_empty_salt_is_malformed(material, salt, count):
+    bags, credentials, _ = material
+    built = pfx_create(bags, "public_key", "password", credentials, seeded(b"mac-low"))
+    edited = PfxPdu(built.auth_safe, MacData(built.mac_data.tag, salt, count)).to_der()
+    with pytest.raises(MalformedKey):
+        PfxPdu.from_der(edited)
+
+
+@pytest.mark.parametrize("salt,count", [(b"saltsalt", 0), (b"saltsalt", -1), (b"", 2048)])
+def test_privacy_nonpositive_count_or_empty_salt_is_uniform(material, monkeypatch, salt, count):
+    bags, credentials, _ = material
+    real = pfx.pbes2_algorithm
+    # the edited header is MACed, so only the privacy layer can refuse it
+    monkeypatch.setattr(pfx, "pbes2_algorithm",
+                        lambda params: real(pkcs5.Pbes2Params(salt, count, params.iv)))
+    built = pfx_create(bags, "password", "password", credentials, seeded(b"priv-low"))
+    with pytest.raises(DecryptionError):
+        pfx_open(PfxPdu.from_der(built.to_der()), credentials)
 
 
 def test_mac_covers_the_auth_safe_octets_as_received(material, monkeypatch):

@@ -6,7 +6,8 @@ import pytest
 
 from oracles import naive_pbkdf2
 from pkcswb.errors import DecryptionError, uniform_decryption
-from pkcswb.pkcs5 import (DerivedKeyTooLong, Pbes2Params, Pbkdf2Params, pbes2_decrypt,
+from pkcswb.pkcs5 import (MAX_ITERATIONS, DerivedKeyTooLong, Pbes2Params, Pbkdf2Params,
+                          TooManyIterations, check_iterations, pbes2_decrypt,
                           pbes2_encrypt, pbkdf2, pbmac1_tag, pbmac1_verify)
 from conftest import seeded
 
@@ -79,6 +80,16 @@ def test_param_validation():
         Pbkdf2Params(SALT, 0, 32)
     with pytest.raises(DerivedKeyTooLong):
         Pbkdf2Params(SALT, 1, (2**32 - 1) * 32 + 1)
+
+
+def test_check_iterations_bounds():
+    assert check_iterations(1) == 1
+    assert check_iterations(MAX_ITERATIONS) == MAX_ITERATIONS
+    for count in (0, -1):
+        with pytest.raises(ValueError, match="not positive"):
+            check_iterations(count)
+    with pytest.raises(TooManyIterations):
+        check_iterations(MAX_ITERATIONS + 1)
 
 
 # -- PBES2 -------------------------------------------------------------------

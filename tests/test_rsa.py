@@ -132,16 +132,26 @@ def test_generate_prime_exhausted_source():
         rsa.generate_prime(16, ExhaustibleSource(b"\x00\x01"))
 
 
+def _forced_candidate(octet: int, bits: int) -> int:
+    # the one candidate generate_prime(bits, ConstantSource(octet)) proposes
+    low = math.isqrt(2 ** (2 * bits - 1)) + 1  # ⌈√2·2^(bits−1)⌉
+    x = int.from_bytes(bytes([octet]) * ((bits + 7) // 8 + 8), "big")
+    return (low + x % (2**bits - low)) | 1
+
+
 def test_duplicate_prime_detected():
-    # constant 0x04 forces candidate 0x8405 = 33797, which is prime, so the
-    # source keeps proposing the same prime over and over
+    # constant 0x06 forces candidate 53381, which is prime, so the source
+    # keeps proposing the same prime over and over
+    assert _forced_candidate(0x06, 16) == 53381
+    assert is_prime_by_trial_division(53381)
     with pytest.raises(rsa.DuplicatePrime):
-        rsa.generate_key(32, 2, 65537, ConstantSource(0x04))
+        rsa.generate_key(32, 2, 65537, ConstantSource(0x06))
 
 
 def test_non_prime_constant_source_trips_candidate_budget():
+    assert _forced_candidate(0xC5, 16) == 53547 == 3 * 17849
     with pytest.raises(RngExhausted):
-        rsa.generate_prime(16, ConstantSource(0xC5))  # 0xC5C5 = 197 * 257
+        rsa.generate_prime(16, ConstantSource(0xC5))
 
 
 # -- key generation -------------------------------------------------------------
@@ -155,6 +165,42 @@ def test_generate_key_shapes(bits, u):
     assert private.version == (0 if u == 2 else 1)
     chi = math.lcm(*[r - 1 for r in private.primes])
     assert (private.e * private.d) % chi == 1
+
+
+@pytest.mark.parametrize("u", range(2, 17))
+def test_no_prime_is_thrown_away(u, monkeypatch):
+    drawn = []
+    real = rsa.generate_prime
+
+    def counting(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(rsa, "generate_prime", counting)
+    for modulus_bits in (16 * u + 7, 20 * u + u // 2, 24 * u):  # odd and even sizes
+        drawn.clear()
+        public, private = rsa.generate_key(modulus_bits, u, 65537,
+                                           seeded(b"exact/%d/%d" % (u, modulus_bits)))
+        assert public.n.bit_length() == modulus_bits
+        base, extra = divmod(modulus_bits, u)
+        assert [r.bit_length() for r in private.primes] == \
+            [base + 1] * extra + [base] * (u - extra)
+        # u primes drawn and kept; only a repeat or gcd(e, r - 1) != 1 is redrawn
+        kept = [r for i, r in enumerate(drawn)
+                if r not in drawn[:i] and math.gcd(65537, r - 1) == 1]
+        assert tuple(kept) == private.primes
+
+
+@pytest.mark.parametrize("bits", [8, 9, 16, 17, 512, 513])
+@pytest.mark.parametrize("u", [2, 3, 5, 16])
+def test_prime_floor_is_the_ceiling_of_the_u_th_root(bits, u):
+    low = rsa._prime_floor(bits, u)
+    target = 2 ** (u * bits - 1)
+    assert (low - 1) ** u < target <= low ** u
+    if u == 2:
+        assert low == math.isqrt(target) + 1  # the FIPS 186-4 §B.3.1 √2 bound
+    for tag in (b"a", b"b"):
+        assert low <= rsa.generate_prime(bits, seeded(b"floor/%d/" % u + tag), u) < 2**bits
 
 
 def test_generate_key_determinism():
