@@ -522,6 +522,16 @@ def require(value: DerValue, tag_number: int, *, constructed: bool = True,
     return value
 
 
+def _fields(value: DerValue, *counts: int, tag_number: int = SEQUENCE,
+            tag_class: TagClass = TagClass.UNIVERSAL) -> tuple[DerValue, ...]:
+    """The children of a constructed value of the given tag, which must number
+    one of ``counts``: a container parser's shape check, NonCanonical if not."""
+    kids = require(value, tag_number, tag_class=tag_class).children
+    if len(kids) not in counts:
+        raise NonCanonical(f"expected {' or '.join(map(str, counts))} fields, got {len(kids)}")
+    return kids
+
+
 def hex_dump(octets: bytes) -> str:
     """Diagnostic rendering: lowercase hex, two chars per octet, no separators."""
     return bytes(octets).hex()

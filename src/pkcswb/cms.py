@@ -89,9 +89,8 @@ class ContentInfo:
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "ContentInfo":
-        type_v, wrapper = asn1.require(value, asn1.SEQUENCE).children
-        asn1.require(wrapper, 0, tag_class=asn1.TagClass.CONTEXT)
-        (content,) = wrapper.children
+        type_v, wrapper = asn1._fields(value, 2)
+        (content,) = asn1._fields(wrapper, 1, tag_number=0, tag_class=asn1.TagClass.CONTEXT)
         ci = cls(type_v.as_oid(), content)
         object.__setattr__(ci, "_value", value)
         return ci
@@ -113,7 +112,7 @@ class SignerIdent:
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "SignerIdent":
-        name_v, kid_v = asn1.require(value, asn1.SEQUENCE).children
+        name_v, kid_v = asn1._fields(value, 2)
         return cls(Name.from_der_value(name_v), kid_v.as_octet_string())
 
 
@@ -168,6 +167,23 @@ def _covered(encap: ContentInfo,
     return encap_v, (attrs_v,), _attr_message(attrs_v)
 
 
+def _covered_as_received(encap_v: DerValue, attrs_v: DerValue | None) -> bytes:
+    """The octets a received signature or MAC covers: the encapsulated content
+    as received, or the received [0] attribute set, which must hold contentType
+    and a messageDigest of that content (RFC 5652 §5.3, §9.2).  Raises
+    SignatureInvalid or DigestMismatch."""
+    content_der = der_encode(encap_v)
+    if attrs_v is None:
+        return content_der
+    attributes = _attributes_from_der(asn1.require(attrs_v, 0, tag_class=asn1.TagClass.CONTEXT))
+    md = _find_attr(attributes, oids.AT_MESSAGE_DIGEST)
+    if md is None or _find_attr(attributes, oids.AT_CONTENT_TYPE) is None:
+        raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
+    if not ct_equal(md.values[0].as_octet_string(), SHA256.digest(content_der)):
+        raise DigestMismatch("messageDigest attribute does not match the content")
+    return _attr_message(attrs_v)
+
+
 def sign_data(inner: ContentInfo, signer_key: RsaPrivateKey, signer_ident: SignerIdent,
               signed_attrs: tuple[Attribute, ...], rng: RandomSource) -> ContentInfo:
     """Wrap ``inner`` in signed-data.  A non-empty attribute set is augmented
@@ -199,17 +215,12 @@ def _parse_signed(ci: ContentInfo):
     version 1 for SignedData and SignerInfo (RFC 5652 §5.1, §5.3) and exactly
     SHA-256, or SignatureInvalid."""
     _expect_type(ci, oids.CT_SIGNED_DATA, "signed-data")
-    version_v, algs_v, encap_v, signers_v = asn1.require(ci.content, asn1.SEQUENCE).children
-    (signer_v,) = asn1.require(signers_v, asn1.SET).children
-    kids = asn1.require(signer_v, asn1.SEQUENCE).children
-    if len(kids) == 6:
-        signer_version_v, sid_v, digest_alg_v, attrs_v, sig_alg_v, sig_v = kids
-        asn1.require(attrs_v, 0, tag_class=asn1.TagClass.CONTEXT)
-    elif len(kids) == 5:
-        signer_version_v, sid_v, digest_alg_v, sig_alg_v, sig_v = kids
-        attrs_v = None
-    else:
-        raise asn1.NonCanonical("unrecognized SignerInfo shape")
+    version_v, algs_v, encap_v, signers_v = asn1._fields(ci.content, 4)
+    (signer_v,) = asn1._fields(signers_v, 1, tag_number=asn1.SET)
+    kids = asn1._fields(signer_v, 5, 6)
+    signer_version_v, sid_v, digest_alg_v = kids[:3]
+    attrs_v = kids[3] if len(kids) == 6 else None
+    sig_alg_v, sig_v = kids[-2:]
     if version_v.as_integer() != 1 or signer_version_v.as_integer() != 1:
         raise SignatureInvalid("SignedData and SignerInfo must be version 1")
     if [AlgorithmIdentifier.from_der_value(v).oid
@@ -231,19 +242,8 @@ def verify_signed(ci: ContentInfo,
         raise SignatureInvalid("unsupported digest algorithm")
     if AlgorithmIdentifier.from_der_value(sig_alg_v).oid != oids.RSASSA_PSS:
         raise SignatureInvalid("unsupported signature algorithm")
-    content_der = der_encode(encap_v)  # the received octets
     inner = ContentInfo.from_der_value(encap_v)
-    if attrs_v is not None:
-        attributes = _attributes_from_der(attrs_v)
-        md = _find_attr(attributes, oids.AT_MESSAGE_DIGEST)
-        ct = _find_attr(attributes, oids.AT_CONTENT_TYPE)
-        if md is None or ct is None:
-            raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
-        if not ct_equal(md.values[0].as_octet_string(), SHA256.digest(content_der)):
-            raise DigestMismatch("messageDigest attribute does not match the content")
-        message = _attr_message(attrs_v)
-    else:
-        message = content_der
+    message = _covered_as_received(encap_v, attrs_v)
     if not pkcs1.verify(message, sig_v.as_octet_string(), trusted_pub):
         raise SignatureInvalid("signature does not verify")
     return inner, True
@@ -253,21 +253,30 @@ def verify_signed(ci: ContentInfo,
 # enveloped-data
 
 
-def _encrypted_content_value(content_type: Oid, iv: bytes, ciphertext: bytes) -> DerValue:
+def _encrypted_content_value(content_type: Oid, algorithm: AlgorithmIdentifier,
+                             ciphertext: bytes) -> DerValue:
+    """EncryptedContentInfo: content type, content-encryption algorithm, [0] ciphertext.
+    Encrypted-data, enveloped-data and PFX password privacy all carry it."""
     return asn1.sequence(
         asn1.oid_value(content_type),
-        AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv)).to_der_value(),
+        algorithm.to_der_value(),
         asn1.context(0, ciphertext, constructed=False),
     )
 
 
-def _parse_encrypted_content(value: DerValue) -> tuple[Oid, bytes, bytes]:
-    type_v, alg_v, ct_v = asn1.require(value, asn1.SEQUENCE).children
-    algorithm = AlgorithmIdentifier.from_der_value(alg_v)
+def _parse_encrypted_content(value: DerValue) -> tuple[AlgorithmIdentifier, bytes]:
+    """(content-encryption algorithm, ciphertext) of an EncryptedContentInfo."""
+    type_v, alg_v, ct_v = asn1._fields(value, 3)
+    asn1.require(type_v, asn1.OBJECT_IDENTIFIER, constructed=False)
+    asn1.require(ct_v, 0, tag_class=asn1.TagClass.CONTEXT, constructed=False)
+    return AlgorithmIdentifier.from_der_value(alg_v), ct_v.content
+
+
+def _aes_iv(algorithm: AlgorithmIdentifier) -> bytes:
+    """The IV of an AES-128-CBC identifier; any other identifier fails decryption."""
     if algorithm.oid != oids.AES128_CBC or algorithm.params is None:
         raise DecryptionError()
-    asn1.require(ct_v, 0, tag_class=asn1.TagClass.CONTEXT, constructed=False)
-    return type_v.as_oid(), algorithm.params.as_octet_string(), ct_v.content
+    return algorithm.params.as_octet_string()
 
 
 def envelope(inner: ContentInfo, recipient_pub: RsaPublicKey,
@@ -289,7 +298,9 @@ def envelope(inner: ContentInfo, recipient_pub: RsaPublicKey,
     enveloped = asn1.sequence(
         asn1.integer(0),
         recipient,
-        _encrypted_content_value(inner.content_type, iv, ciphertext),
+        _encrypted_content_value(inner.content_type,
+                                 AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv)),
+                                 ciphertext),
     )
     return ContentInfo(oids.CT_ENVELOPED_DATA, enveloped)
 
@@ -301,10 +312,10 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
         _rver, kea_v, ek_v = asn1.require(recipient_v, asn1.SEQUENCE).children
         if AlgorithmIdentifier.from_der_value(kea_v).oid != oids.RSAES_OAEP:
             raise DecryptionError()
-        _ctype, iv, ciphertext = _parse_encrypted_content(econtent_v)
+        algorithm, ciphertext = _parse_encrypted_content(econtent_v)
+        iv = _aes_iv(algorithm)
         cek = pkcs1.decrypt(ek_v.as_octet_string(), recipient_priv, pkcs1.SCHEME_OAEP)
-        plaintext = cbc_decrypt(cek, iv, ciphertext)
-        return ContentInfo.from_der(plaintext)
+        return ContentInfo.from_der(cbc_decrypt(cek, iv, ciphertext))
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +336,7 @@ def digest_data(inner: ContentInfo, alg: HashAlg = SHA256) -> ContentInfo:
 
 def check_digest(ci: ContentInfo) -> bool:
     _expect_type(ci, oids.CT_DIGESTED_DATA, "digested-data")
-    _version, alg_v, encap_v, digest_v = asn1.require(ci.content, asn1.SEQUENCE).children
+    _version, alg_v, encap_v, digest_v = asn1._fields(ci.content, 4)
     if AlgorithmIdentifier.from_der_value(alg_v).oid != oids.SHA256:
         return False
     return ct_equal(SHA256.digest(der_encode(encap_v)), digest_v.as_octet_string())
@@ -333,7 +344,7 @@ def check_digest(ci: ContentInfo) -> bool:
 
 def digested_content(ci: ContentInfo) -> ContentInfo:
     _expect_type(ci, oids.CT_DIGESTED_DATA, "digested-data")
-    return ContentInfo.from_der_value(ci.content.children[2])
+    return ContentInfo.from_der_value(asn1._fields(ci.content, 4)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +355,9 @@ def encrypt_data(inner: ContentInfo, key: bytes, rng: RandomSource) -> ContentIn
     iv = rng.read(_IV_LEN)
     body = asn1.sequence(
         asn1.integer(0),
-        _encrypted_content_value(inner.content_type, iv, cbc_encrypt(key, iv, inner.to_der())),
+        _encrypted_content_value(inner.content_type,
+                                 AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv)),
+                                 cbc_encrypt(key, iv, inner.to_der())),
     )
     return ContentInfo(oids.CT_ENCRYPTED_DATA, body)
 
@@ -353,8 +366,8 @@ def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
     _expect_type(ci, oids.CT_ENCRYPTED_DATA, "encrypted-data")
     with uniform_decryption():
         _version, econtent_v = asn1.require(ci.content, asn1.SEQUENCE).children
-        _ctype, iv, ciphertext = _parse_encrypted_content(econtent_v)
-        return ContentInfo.from_der(cbc_decrypt(key, iv, ciphertext))
+        algorithm, ciphertext = _parse_encrypted_content(econtent_v)
+        return ContentInfo.from_der(cbc_decrypt(key, _aes_iv(algorithm), ciphertext))
 
 
 # ---------------------------------------------------------------------------
@@ -376,37 +389,27 @@ def authenticate_data(inner: ContentInfo, key: bytes,
     return ContentInfo(oids.CT_AUTHENTICATED_DATA, body)
 
 
-def check_auth(ci: ContentInfo, key: bytes) -> bool:
+def _parse_auth(ci: ContentInfo) -> tuple[DerValue, DerValue, DerValue | None, DerValue]:
+    """(MAC algorithm, encapsulated content, [0] attributes or None, MAC) of an
+    authenticated-data as authenticate_data writes it."""
     _expect_type(ci, oids.CT_AUTHENTICATED_DATA, "authenticated-data")
-    kids = asn1.require(ci.content, asn1.SEQUENCE).children
-    if len(kids) == 5:
-        _version, alg_v, encap_v, attrs_v, mac_v = kids
-    elif len(kids) == 4:
-        _version, alg_v, encap_v, mac_v = kids
-        attrs_v = None
-    else:
-        return False
+    kids = asn1._fields(ci.content, 4, 5)
+    return kids[1], kids[2], kids[3] if len(kids) == 5 else None, kids[-1]
+
+
+def check_auth(ci: ContentInfo, key: bytes) -> bool:
+    alg_v, encap_v, attrs_v, mac_v = _parse_auth(ci)
     if AlgorithmIdentifier.from_der_value(alg_v).oid != oids.HMAC_WITH_SHA256:
         return False
-    content_der = der_encode(encap_v)  # the received octets
-    if attrs_v is not None:
-        try:
-            attributes = _attributes_from_der(attrs_v)
-        except asn1.DerError:
-            return False
-        md = _find_attr(attributes, oids.AT_MESSAGE_DIGEST)
-        if md is None or not ct_equal(md.values[0].as_octet_string(),
-                                      SHA256.digest(content_der)):
-            return False
-        message = _attr_message(attrs_v)
-    else:
-        message = content_der
+    try:
+        message = _covered_as_received(encap_v, attrs_v)
+    except (asn1.DerError, DigestMismatch, SignatureInvalid):
+        return False
     return ct_equal(hmac_digest(key, message), mac_v.as_octet_string())
 
 
 def authenticated_content(ci: ContentInfo) -> ContentInfo:
-    _expect_type(ci, oids.CT_AUTHENTICATED_DATA, "authenticated-data")
-    return ContentInfo.from_der_value(ci.content.children[2])
+    return ContentInfo.from_der_value(_parse_auth(ci)[1])
 
 
 # ---------------------------------------------------------------------------

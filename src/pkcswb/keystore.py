@@ -168,7 +168,7 @@ class Attribute:
     def __post_init__(self):
         ordered = asn1.set_order(self.values)
         if not ordered:
-            raise ValueError("attribute needs at least one value")
+            raise asn1.NonCanonical("attribute needs at least one value")
         object.__setattr__(self, "values", ordered)
 
     def to_der_value(self) -> DerValue:
@@ -176,9 +176,8 @@ class Attribute:
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "Attribute":
-        type_v, set_v = asn1.require(value, asn1.SEQUENCE).children
-        asn1.require(set_v, asn1.SET)
-        return cls(type_v.as_oid(), set_v.children)
+        type_v, set_v = asn1._fields(value, 2)
+        return cls(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
 
 
 def _is_primitive(value: DerValue, tag: int) -> bool:

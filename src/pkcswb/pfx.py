@@ -8,7 +8,7 @@ destination platform) and one integrity mode (password -> PBMAC1 over the
 authSafe DER, public key -> signed-data by the source platform).
 
 Opening a PFX always verifies integrity before attempting any privacy
-decryption; the optional ``trace`` argument records that order for tests.
+decryption.
 
 The MAC derivation here is PBKDF2/PBMAC1, not the key-derivation scheme
 deployed PKCS#12 files use, so these files are written with a distinct
@@ -25,9 +25,8 @@ from .asn1 import DerValue, der_decode, der_encode
 from .cms import ContentInfo, SignerIdent
 from .csr import Name
 from .errors import IntegrityFailure, MissingCredential, uniform_decryption
-from .keystore import (AlgorithmIdentifier, Attribute, EncryptedPrivateKeyInfo,
-                       PrivateKeyInfo, pbes2_algorithm, pbes2_params_from_algorithm,
-                       _pbkdf2_fields)
+from .keystore import (Attribute, EncryptedPrivateKeyInfo, PrivateKeyInfo,
+                       pbes2_algorithm, pbes2_params_from_algorithm, _pbkdf2_fields)
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt, pbmac1_tag, pbmac1_verify
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey
@@ -95,13 +94,11 @@ class SafeBag:
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "SafeBag":
-        kids = asn1.require(value, asn1.SEQUENCE).children
-        if len(kids) not in (2, 3):
-            raise asn1.NonCanonical("unrecognized SafeBag shape")
+        kids = asn1._fields(value, 2, 3)
         bag_type = _BAG_TYPES.get(kids[0].as_oid())
         if bag_type is None:
             raise ValueError(f"unknown bag type {kids[0].as_oid()}")
-        (inner,) = asn1.require(kids[1], 0, tag_class=asn1.TagClass.CONTEXT).children
+        (inner,) = asn1._fields(kids[1], 1, tag_number=0, tag_class=asn1.TagClass.CONTEXT)
         bag_value = _BAG_CLASSES[bag_type].from_der_value(inner)
         attributes = ()
         if len(kids) == 3:
@@ -122,7 +119,7 @@ class MacData:
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "MacData":
-        tag_v, salt_v, iter_v = asn1.require(value, asn1.SEQUENCE).children
+        tag_v, salt_v, iter_v = asn1._fields(value, 3)
         return cls(tag_v.as_octet_string(), *_pbkdf2_fields(salt_v, iter_v))
 
 
@@ -140,9 +137,7 @@ class PfxPdu:
 
     @classmethod
     def from_der(cls, octets: bytes) -> "PfxPdu":
-        kids = asn1.require(der_decode(octets), asn1.SEQUENCE).children
-        if len(kids) not in (2, 3):
-            raise asn1.NonCanonical("unrecognized PFX shape")
+        kids = asn1._fields(der_decode(octets), 2, 3)
         mac = MacData.from_der_value(kids[2]) if len(kids) == 3 else None
         return cls(ContentInfo.from_der_value(kids[1]), mac, kids[0].as_integer())
 
@@ -177,14 +172,8 @@ def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
         salt = rng.read(_SALT_LEN)
         params, ciphertext = pbes2_encrypt(contents, credentials.privacy_password,
                                            salt, _PRIVACY_ITERATIONS, rng)
-        body = asn1.sequence(
-            asn1.integer(0),
-            asn1.sequence(
-                asn1.oid_value(oids.CT_DATA),
-                pbes2_algorithm(params).to_der_value(),
-                asn1.context(0, ciphertext, constructed=False),
-            ),
-        )
+        body = asn1.sequence(asn1.integer(0), cms._encrypted_content_value(
+            oids.CT_DATA, pbes2_algorithm(params), ciphertext))
         return ContentInfo(oids.CT_ENCRYPTED_DATA, body)
     if privacy == PRIVACY_PUBLIC_KEY:
         if credentials.destination_pub is None:
@@ -193,24 +182,18 @@ def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
     raise ValueError(f"unknown privacy mode {privacy!r}")
 
 
-def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials,
-                    trace: list | None) -> bytes:
+def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> bytes:
     if element.content_type == oids.CT_ENCRYPTED_DATA:
         if credentials.privacy_password is None:
             raise MissingCredential("password privacy needs a privacy password")
-        if trace is not None:
-            trace.append(("privacy", "password"))
         with uniform_decryption():
             _version, ecinfo = asn1.require(element.content, asn1.SEQUENCE).children
-            _ctype, alg_v, ct_v = asn1.require(ecinfo, asn1.SEQUENCE).children
-            params = pbes2_params_from_algorithm(AlgorithmIdentifier.from_der_value(alg_v))
-            asn1.require(ct_v, 0, tag_class=asn1.TagClass.CONTEXT, constructed=False)
-            return pbes2_decrypt(params, ct_v.content, credentials.privacy_password)
+            algorithm, ciphertext = cms._parse_encrypted_content(ecinfo)
+            return pbes2_decrypt(pbes2_params_from_algorithm(algorithm), ciphertext,
+                                 credentials.privacy_password)
     if element.content_type == oids.CT_ENVELOPED_DATA:
         if credentials.destination_priv is None:
             raise MissingCredential("public-key privacy needs the destination private key")
-        if trace is not None:
-            trace.append(("privacy", "public_key"))
         return cms.data_payload(cms.open_envelope(element, credentials.destination_priv))
     raise ValueError(f"unexpected authenticated-safe element {element.content_type}")
 
@@ -245,19 +228,15 @@ def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,
     raise ValueError(f"unknown integrity mode {integrity!r}")
 
 
-def pfx_open(pfx: PfxPdu, credentials: PfxCredentials,
-             trace: list | None = None) -> tuple[SafeBag, ...]:
+def pfx_open(pfx: PfxPdu, credentials: PfxCredentials) -> tuple[SafeBag, ...]:
     """Reverse of pfx_create: verify integrity, then undo privacy protection."""
     if pfx.mac_data is not None:
         if credentials.integrity_password is None:
             raise MissingCredential("password integrity needs an integrity password")
         # a decoded ContentInfo keeps its value: these are the octets received
-        ok = pbmac1_verify(pfx.auth_safe.to_der(), pfx.mac_data.tag,
-                           credentials.integrity_password, pfx.mac_data.salt,
-                           pfx.mac_data.iterations)
-        if trace is not None:
-            trace.append(("integrity", "password"))
-        if not ok:
+        if not pbmac1_verify(pfx.auth_safe.to_der(), pfx.mac_data.tag,
+                             credentials.integrity_password, pfx.mac_data.salt,
+                             pfx.mac_data.iterations):
             raise IntegrityFailure("PFX MAC does not verify")
         content = pfx.auth_safe
     elif pfx.auth_safe.content_type == oids.CT_SIGNED_DATA:
@@ -266,16 +245,12 @@ def pfx_open(pfx: PfxPdu, credentials: PfxCredentials,
         try:
             content, _ = cms.verify_signed(pfx.auth_safe, credentials.source_verify_key)
         except (cms.DigestMismatch, cms.SignatureInvalid) as exc:
-            if trace is not None:
-                trace.append(("integrity", "public_key"))
             raise IntegrityFailure(str(exc)) from None
-        if trace is not None:
-            trace.append(("integrity", "public_key"))
     else:
         raise IntegrityFailure("PFX carries no integrity protection")
     elements = asn1.require(der_decode(cms.data_payload(content)), asn1.SEQUENCE).children
-    contents = b""
-    for element_v in elements:
+    bags = ()
+    for element_v in elements:  # each element carries its own SafeContents
         element = ContentInfo.from_der_value(element_v)
-        contents += _privacy_unwrap(element, credentials, trace)
-    return _bags_from_safe_contents(contents)
+        bags += _bags_from_safe_contents(_privacy_unwrap(element, credentials))
+    return bags

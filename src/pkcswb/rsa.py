@@ -103,6 +103,15 @@ class RsaPublicKey:
         return (self.n.bit_length() + 7) // 8
 
 
+def _check_primes(primes: tuple[int, ...]) -> None:
+    """At least two primes, each odd and >= 3; checked before any arithmetic
+    on them, since a prime of 1 makes lcm(r_i - 1) zero."""
+    if len(primes) < 2:
+        raise ValueError("at least two primes required")
+    if any(r < 3 or r % 2 == 0 for r in primes):
+        raise ValueError("primes must be odd and >= 3")
+
+
 @dataclass(frozen=True)
 class RsaPrivateKey:
     """Multiprime private key with CRT material.
@@ -142,9 +151,8 @@ class RsaPrivateKey:
         return (self.n.bit_length() + 7) // 8
 
     def check(self) -> None:
+        _check_primes(self.primes)
         u = len(self.primes)
-        if u < 2:
-            raise ValueError("at least two primes required")
         if len(set(self.primes)) != u:
             raise ValueError("primes must be distinct")
         if self.version != (0 if u == 2 else 1):
@@ -280,10 +288,7 @@ def _crt_material(primes: tuple[int, ...], e: int) -> tuple[int, tuple, tuple, t
 def key_from_primes(primes, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
     """Build a key pair from explicitly chosen distinct odd primes."""
     primes = tuple(primes)
-    if len(primes) < 2:
-        raise ValueError("at least two primes required")
-    if any(r < 3 or r % 2 == 0 for r in primes):
-        raise ValueError("primes must be odd and >= 3")
+    _check_primes(primes)
     for r in primes:
         if math.gcd(e, r - 1) != 1:
             raise BadExponent(f"gcd(e, {r} - 1) != 1")

@@ -231,6 +231,15 @@ def test_environment_seed(tmp_path, capsys, monkeypatch):
     assert code == 0 and f"seed={SEED}" in out
 
 
+def test_key_with_a_prime_of_one_is_a_usage_error(workdir, capsys):
+    from test_keystore import _pki_der
+    bad = workdir / "prime-one.p8"
+    bad.write_bytes(_pki_der(15, 3, (1, 15)))
+    code, _ = run(capsys, "sign", "--key", bad, "--in", workdir / "message.bin",
+                  "--out", workdir / "prime-one.sig")
+    assert code == 2
+
+
 def test_p8_wrap_refuses_a_count_the_reader_refuses(workdir, capsys, monkeypatch):
     from pkcswb import pkcs5
 

@@ -10,8 +10,9 @@ from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIde
                         verify_signed)
 from pkcswb.csr import Name, build_csr
 from pkcswb.errors import DecryptionError
-from pkcswb.keystore import Attribute, attribute_make
+from pkcswb.keystore import AlgorithmIdentifier, Attribute, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
+from pkcswb.primitives import SHA256, hmac_digest
 from conftest import seeded
 
 SIGNING_TIME = attribute_make("signingTime", "200101120000Z")
@@ -305,12 +306,46 @@ def test_auth_attr_tamper_detected():
     assert not check_auth(forged, b"mac key")
 
 
+def test_auth_attrs_without_content_type_are_refused():
+    # MACed correctly, but RFC 5652 §9.2 makes contentType mandatory, as in signed-data
+    inner = make_data(b"m")
+    digest = attribute_make("messageDigest", SHA256.digest(inner.to_der()))
+    attrs_v = _attributes_to_der((SIGNING_TIME, digest))
+    tag = hmac_digest(b"mac key", b"\x31" + asn1.der_encode(attrs_v)[1:])
+    body = asn1.sequence(asn1.integer(0),
+                         AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value(),
+                         inner.to_der_value(), attrs_v, asn1.octet_string(tag))
+    assert not check_auth(ContentInfo(oids.CT_AUTHENTICATED_DATA, body), b"mac key")
+
+
 def test_auth_content_tamper_detected():
     wrapped = authenticate_data(make_data(b"m"), b"mac key", (SIGNING_TIME,))
     kids = list(wrapped.content.children)
     kids[2] = make_data(b"M").to_der_value()
     forged = ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(*kids))
     assert not check_auth(forged, b"mac key")
+
+
+# -- readers refuse a wrong field count ----------------------------------------------
+
+_SHORT_BODY = asn1.sequence(asn1.integer(0), AlgorithmIdentifier(oids.SHA256).to_der_value())
+
+
+@pytest.mark.parametrize("read", [
+    lambda: ContentInfo.from_der_value(asn1.sequence(
+        asn1.oid_value(oids.CT_DATA), asn1.explicit(0, asn1.octet_string(b"m")), asn1.null())),
+    lambda: ContentInfo.from_der_value(asn1.sequence(
+        asn1.oid_value(oids.CT_DATA), asn1.context(0, (asn1.null(), asn1.null())))),
+    lambda: check_digest(ContentInfo(oids.CT_DIGESTED_DATA, _SHORT_BODY)),
+    lambda: digested_content(ContentInfo(oids.CT_DIGESTED_DATA, _SHORT_BODY)),
+    lambda: authenticated_content(ContentInfo(oids.CT_AUTHENTICATED_DATA, _SHORT_BODY)),
+    lambda: Attribute.from_der_value(asn1.sequence(asn1.oid_value(oids.AT_SIGNING_TIME),
+                                                   asn1.set_value())),
+], ids=["content-info-3", "content-info-[0]-2", "check_digest", "digested_content",
+        "authenticated_content", "attribute-no-values"])
+def test_wrong_field_count_is_non_canonical(read):
+    with pytest.raises(asn1.NonCanonical):
+        read()
 
 
 # -- every content type re-encodes byte-identically -----------------------------------

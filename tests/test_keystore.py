@@ -277,10 +277,10 @@ def test_p8e_nonpositive_count_or_empty_salt_is_malformed(key_512, monkeypatch, 
 # -- size caps on keys read from a file -------------------------------------------
 
 
-def _pki_der(n: int, e: int, primes: int) -> bytes:
+def _pki_der(n: int, e: int, primes: tuple[int, ...]) -> bytes:
     """PrivateKeyInfo around a key body that is only the right shape."""
-    triples = [asn1.sequence(asn1.integer(3), asn1.integer(1), asn1.integer(1))
-               for _ in range(primes)]
+    triples = [asn1.sequence(asn1.integer(r), asn1.integer(1), asn1.integer(1))
+               for r in primes]
     body = asn1.sequence(asn1.integer(0), asn1.integer(n), asn1.integer(e),
                          asn1.integer(3), asn1.sequence(*triples))
     return der_encode(asn1.sequence(
@@ -299,11 +299,11 @@ def no_key_built(monkeypatch):
 
 def test_private_key_modulus_above_cap_is_malformed(no_key_built):
     with pytest.raises(MalformedKey, match="modulus"):
-        PrivateKeyInfo.from_der(_pki_der(2**rsa.MAX_MODULUS_BITS + 1, 65537, 2))
+        PrivateKeyInfo.from_der(_pki_der(2**rsa.MAX_MODULUS_BITS + 1, 65537, (3, 3)))
 
 
 def test_private_key_prime_count_above_cap_is_malformed(no_key_built):
-    over = _pki_der(3 * 5, 65537, rsa.MAX_PRIMES + 1)
+    over = _pki_der(3 * 5, 65537, (3,) * (rsa.MAX_PRIMES + 1))
     with pytest.raises(MalformedKey, match="primes"):
         PrivateKeyInfo.from_der(over)
     # wrapped under a password, the same key is one more decryption failure
@@ -312,3 +312,9 @@ def test_private_key_prime_count_above_cap_is_malformed(no_key_built):
     with pytest.raises(DecryptionError) as info:
         decrypt_private_key(epki, b"pw")
     assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_private_key_prime_of_one_is_malformed():
+    # primes (1, 15) multiply to n = 15, and lcm(r_i - 1) would be zero
+    with pytest.raises(MalformedKey, match="primes"):
+        PrivateKeyInfo.from_der(_pki_der(15, 3, (1, 15)))

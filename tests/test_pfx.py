@@ -40,20 +40,33 @@ def material(request):
     return bags, credentials, info
 
 
+@pytest.fixture()
+def steps(monkeypatch):
+    """(kind, mode) of each integrity and privacy step pfx_open runs, in order."""
+    record = []
+    for module, name, step in ((pfx, "pbmac1_verify", ("integrity", "password")),
+                               (cms, "verify_signed", ("integrity", "public_key")),
+                               (pfx, "pbes2_decrypt", ("privacy", "password")),
+                               (cms, "open_envelope", ("privacy", "public_key"))):
+        def recorder(*args, real=getattr(module, name), step=step):
+            record.append(step)
+            return real(*args)
+        monkeypatch.setattr(module, name, recorder)
+    return record
+
+
 @pytest.mark.parametrize("privacy", ["password", "public_key"])
 @pytest.mark.parametrize("integrity", ["password", "public_key"])
-def test_all_four_mode_combinations_round_trip(material, privacy, integrity):
+def test_all_four_mode_combinations_round_trip(material, steps, privacy, integrity):
     bags, credentials, _ = material
     built = pfx_create(bags, privacy, integrity, credentials, seeded(b"modes"))
     encoded = built.to_der()
     decoded = PfxPdu.from_der(encoded)
     assert decoded == built
     assert decoded.to_der() == encoded
-    trace: list = []
-    recovered = pfx_open(decoded, credentials, trace)
+    recovered = pfx_open(decoded, credentials)
     assert recovered == bags
-    kinds = [kind for kind, _ in trace]
-    assert kinds.index("integrity") < kinds.index("privacy")
+    assert steps == [("integrity", integrity), ("privacy", privacy)]
 
 
 def test_mac_data_shape(material):
@@ -67,27 +80,37 @@ def test_mac_data_shape(material):
     assert public_key_built.mac_data is None
 
 
-def test_integrity_checked_before_privacy_on_tamper(material):
+def test_integrity_checked_before_privacy_on_tamper(material, steps):
     bags, credentials, _ = material
     built = pfx_create(bags, "password", "password", credentials, seeded(b"tamper"))
     encoded = bytearray(built.to_der())
     encoded[len(encoded) // 2] ^= 0x01
-    trace: list = []
     with pytest.raises(IntegrityFailure):
-        pfx_open(PfxPdu.from_der(bytes(encoded)), credentials, trace)
-    assert ("integrity", "password") in trace
-    assert all(kind != "privacy" for kind, _ in trace)
+        pfx_open(PfxPdu.from_der(bytes(encoded)), credentials)
+    assert ("integrity", "password") in steps
+    assert all(kind != "privacy" for kind, _ in steps)
 
 
-def test_signature_integrity_tamper(material):
+def test_signature_integrity_tamper(material, steps):
     bags, credentials, _ = material
     built = pfx_create(bags, "password", "public_key", credentials, seeded(b"t2"))
     encoded = bytearray(built.to_der())
     encoded[len(encoded) // 2] ^= 0x01
-    trace: list = []
-    with pytest.raises((IntegrityFailure, Exception)):
-        pfx_open(PfxPdu.from_der(bytes(encoded)), credentials, trace)
-    assert all(kind != "privacy" for kind, _ in trace)
+    with pytest.raises(IntegrityFailure):
+        pfx_open(PfxPdu.from_der(bytes(encoded)), credentials)
+    assert all(kind != "privacy" for kind, _ in steps)
+
+
+def test_two_authenticated_safe_elements_open_to_both_bags(material):
+    bags, credentials, _ = material
+    rng = seeded(b"two-elements")
+    elements = [pfx._privacy_wrap(pfx._safe_contents_der((bag,)), "password",
+                                  credentials, rng).to_der_value() for bag in bags]
+    auth_safe = cms.make_data(asn1.der_encode(asn1.sequence(*elements)))
+    salt = rng.read(8)
+    tag = pkcs5.pbmac1_tag(auth_safe.to_der(), credentials.integrity_password, salt, 2048)
+    octets = PfxPdu(auth_safe, MacData(tag, salt, 2048)).to_der()
+    assert pfx_open(PfxPdu.from_der(octets), credentials) == bags
 
 
 def test_wrong_privacy_password_after_valid_mac(material):
