@@ -7,11 +7,21 @@ The constructor rejects what DER forbids and puts SET children in canonical
 order (``set_order``, X.690 §11.6), which the decoder requires.  A value keeps
 its DER octets: a view of those it was decoded from, or its first encoding.
 Decoding nests at most ``MAX_DEPTH`` values deep.
+
+Decoding does each piece of work once.  An OID encoding is parsed once: the
+parse behind ``octets_to_oid`` has a bounded memo (512 encodings of at most
+``_OID_MEMO_OCTETS`` octets), so the constructor's check, every ``as_oid``
+and the container parsers share one immutable ``Oid`` per encoding; a bad
+encoding is not kept and raises on every call.  The decoder reads the common
+header, a one-octet tag and a short-form length, inline; ``_decode_tag`` and
+``_decode_length`` read, and check, every other form.  The constructor stays
+the one validity check for built and decoded values alike.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import re
 from dataclasses import dataclass, field
 
@@ -54,6 +64,10 @@ GENERALIZED_TIME = 0x18
 
 # Largest tag number we encode/decode: three base-128 octets in high-tag form.
 _MAX_TAG_NUMBER = 2**21 - 1
+
+# Longest OID encoding the parse memo keeps; with its 512 entries this bounds
+# the memo to under 1 MiB whatever the input.  Real OIDs take under 30 octets.
+_OID_MEMO_OCTETS = 64
 
 # Most values on one root-to-leaf path that the decoder accepts.  Each signed-,
 # digested- or authenticated-data layer adds three levels, and the structures
@@ -114,6 +128,13 @@ class TagClass(enum.IntEnum):
     PRIVATE = 3
 
 
+# The classes by number, and the two the checks test for: plain module lookups,
+# cheaper per value than calling the enum or reading its attributes.
+_TAG_CLASSES = tuple(TagClass)
+_UNIVERSAL = TagClass.UNIVERSAL
+_CONTEXT = TagClass.CONTEXT
+
+
 @dataclass(frozen=True)
 class Oid:
     """Object identifier as a tuple of non-negative integer arcs."""
@@ -143,7 +164,7 @@ class Oid:
         return self.dotted()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DerValue:
     """One ASN.1 value: primitive (octets) or constructed (children)."""
 
@@ -153,36 +174,45 @@ class DerValue:
     content: bytes | tuple["DerValue", ...]
     _der: bytes | memoryview | None = field(default=None, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.tag_number < 0:
+    def __init__(self, tag_class: TagClass, constructed: bool, tag_number: int,
+                 content: bytes | tuple["DerValue", ...]):
+        """Every check DER asks of a value, built or decoded.  The fields are
+        written to the instance dict once: the generated frozen ``__init__``
+        writes each through ``object.__setattr__``, half the cost of a value."""
+        universal = tag_class == _UNIVERSAL
+        if tag_number < 0:
             raise ValueError("negative tag number")
-        if self.constructed:
-            if isinstance(self.content, (bytes, bytearray)):
+        if constructed:
+            if isinstance(content, (bytes, bytearray)):
                 raise ValueError("constructed value must carry child values")
-            if self.tag_class == TagClass.UNIVERSAL and self.tag_number in _ALWAYS_PRIMITIVE:
-                raise NonCanonical(f"universal tag {self.tag_number} must be primitive")
-            children = tuple(self.content)
-            if self.tag_class == TagClass.UNIVERSAL and self.tag_number == SET:
+            if universal and tag_number in _ALWAYS_PRIMITIVE:
+                raise NonCanonical(f"universal tag {tag_number} must be primitive")
+            content = tuple(content)
+            if universal and tag_number == SET:
                 # SETs are canonical by construction, so every round trip is
                 # structure- and octet-exact
-                children = set_order(children)
-            object.__setattr__(self, "content", children)
+                content = set_order(content)
         else:
-            if not isinstance(self.content, (bytes, bytearray)):
+            if not isinstance(content, (bytes, bytearray)):
                 raise ValueError("primitive value must carry octets")
-            object.__setattr__(self, "content", bytes(self.content))
-            if self.tag_class == TagClass.UNIVERSAL:
-                if self.tag_number in _ALWAYS_CONSTRUCTED:
-                    raise NonCanonical(f"universal tag {self.tag_number} must be constructed")
-                _check_primitive_canonical(self)
+            content = bytes(content)
+            if universal:
+                if tag_number in _ALWAYS_CONSTRUCTED:
+                    raise NonCanonical(f"universal tag {tag_number} must be constructed")
+                _check_primitive_canonical(tag_number, content)
+        fields = self.__dict__
+        fields["tag_class"] = tag_class
+        fields["constructed"] = constructed
+        fields["tag_number"] = tag_number
+        fields["content"] = content
 
     # -- shape helpers -------------------------------------------------
 
     def is_universal(self, tag_number: int) -> bool:
-        return self.tag_class == TagClass.UNIVERSAL and self.tag_number == tag_number
+        return self.tag_number == tag_number and self.tag_class == _UNIVERSAL
 
     def is_context(self, tag_number: int) -> bool:
-        return self.tag_class == TagClass.CONTEXT and self.tag_number == tag_number
+        return self.tag_number == tag_number and self.tag_class == _CONTEXT
 
     @property
     def children(self) -> tuple["DerValue", ...]:
@@ -212,10 +242,10 @@ class DerValue:
 
     def as_oid(self) -> Oid:
         self._expect_primitive(OBJECT_IDENTIFIER, "OBJECT IDENTIFIER")
-        return octets_to_oid(self.octets)
+        return _parse_oid(self.content)
 
     def as_text(self) -> str:
-        if self.constructed or self.tag_class != TagClass.UNIVERSAL \
+        if self.constructed or self.tag_class != _UNIVERSAL \
                 or self.tag_number not in _STRING_TAGS:
             raise NonCanonical("value is not a supported string type")
         return self.octets.decode("utf-8" if self.tag_number == UTF8_STRING else "ascii")
@@ -239,72 +269,72 @@ class DerValue:
 def integer(value: int) -> DerValue:
     magnitude = value if value >= 0 else value + 1
     length = magnitude.bit_length() // 8 + 1
-    return DerValue(TagClass.UNIVERSAL, False, INTEGER,
+    return DerValue(_UNIVERSAL, False, INTEGER,
                     value.to_bytes(length, "big", signed=True))
 
 
 def boolean(value: bool) -> DerValue:
-    return DerValue(TagClass.UNIVERSAL, False, BOOLEAN, b"\xff" if value else b"\x00")
+    return DerValue(_UNIVERSAL, False, BOOLEAN, b"\xff" if value else b"\x00")
 
 
 def octet_string(data: bytes) -> DerValue:
-    return DerValue(TagClass.UNIVERSAL, False, OCTET_STRING, bytes(data))
+    return DerValue(_UNIVERSAL, False, OCTET_STRING, bytes(data))
 
 
 def null() -> DerValue:
-    return DerValue(TagClass.UNIVERSAL, False, NULL, b"")
+    return DerValue(_UNIVERSAL, False, NULL, b"")
 
 
 def oid_value(oid: Oid | str) -> DerValue:
     if isinstance(oid, str):
         oid = Oid.parse(oid)
-    return DerValue(TagClass.UNIVERSAL, False, OBJECT_IDENTIFIER, oid_to_octets(oid))
+    return DerValue(_UNIVERSAL, False, OBJECT_IDENTIFIER, oid_to_octets(oid))
 
 
 def bit_string(data: bytes, unused_bits: int = 0) -> DerValue:
     if not 0 <= unused_bits <= 7:
         raise ValueError("unused bit count must be 0..7")
-    return DerValue(TagClass.UNIVERSAL, False, BIT_STRING, bytes([unused_bits]) + bytes(data))
+    return DerValue(_UNIVERSAL, False, BIT_STRING, bytes([unused_bits]) + bytes(data))
 
 
 def utf8_string(text: str) -> DerValue:
-    return DerValue(TagClass.UNIVERSAL, False, UTF8_STRING, text.encode("utf-8"))
+    return DerValue(_UNIVERSAL, False, UTF8_STRING, text.encode("utf-8"))
 
 
 def printable_string(text: str) -> DerValue:
     if not _PRINTABLE_RE.match(text):
         raise ValueError("text outside the PrintableString repertoire")
-    return DerValue(TagClass.UNIVERSAL, False, PRINTABLE_STRING, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, False, PRINTABLE_STRING, text.encode("ascii"))
 
 
 def ia5_string(text: str) -> DerValue:
-    return DerValue(TagClass.UNIVERSAL, False, IA5_STRING, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, False, IA5_STRING, text.encode("ascii"))
 
 
 def utc_time(text: str) -> DerValue:
-    return DerValue(TagClass.UNIVERSAL, False, UTC_TIME, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, False, UTC_TIME, text.encode("ascii"))
 
 
 def generalized_time(text: str) -> DerValue:
-    return DerValue(TagClass.UNIVERSAL, False, GENERALIZED_TIME, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, False, GENERALIZED_TIME, text.encode("ascii"))
 
 
 def sequence(*children: DerValue) -> DerValue:
-    return DerValue(TagClass.UNIVERSAL, True, SEQUENCE, tuple(children))
+    return DerValue(_UNIVERSAL, True, SEQUENCE, tuple(children))
 
 
 def set_value(*children: DerValue) -> DerValue:
     """SET (OF); the constructor puts children into DER canonical order."""
-    return DerValue(TagClass.UNIVERSAL, True, SET, tuple(children))
+    return DerValue(_UNIVERSAL, True, SET, tuple(children))
 
 
 def context(tag_number: int, children_or_octets, constructed: bool = True) -> DerValue:
-    return DerValue(TagClass.CONTEXT, constructed, tag_number, children_or_octets)
+    return DerValue(_CONTEXT, constructed, tag_number, children_or_octets)
 
 
 def explicit(tag_number: int, inner: DerValue) -> DerValue:
     """[tag] EXPLICIT wrapper: constructed context value with one child."""
-    return DerValue(TagClass.CONTEXT, True, tag_number, (inner,))
+    return DerValue(_CONTEXT, True, tag_number, (inner,))
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +359,26 @@ def oid_to_octets(oid: Oid) -> bytes:
 
 
 def octets_to_oid(octets: bytes) -> Oid:
+    """The Oid of OID content octets (bytes-like); a bad encoding raises a DerError."""
+    return _parse_oid(bytes(octets))
+
+
+def _parse_oid(octets: bytes) -> Oid:
+    """``octets_to_oid`` of bytes.  Encodings of up to ``_OID_MEMO_OCTETS``
+    octets are parsed once and share one immutable Oid; errors are not kept."""
+    if len(octets) <= _OID_MEMO_OCTETS:
+        return _memo_oid(octets)
+    return _memo_oid.__wrapped__(octets)
+
+
+@functools.lru_cache(maxsize=512)
+def _memo_oid(octets: bytes) -> Oid:
     if not octets:
         raise ArcOverflow("empty OID content")
     arcs: list[int] = []
     value = 0
     started = False
-    for i, b in enumerate(octets):
+    for b in octets:
         if not started and b == 0x80:
             raise NonCanonical("OID arc with redundant leading octet")
         started = True
@@ -377,8 +421,7 @@ def _encode_length(length: int) -> bytes:
     return bytes([0x80 | len(body)]) + body
 
 
-def _check_primitive_canonical(value: DerValue) -> None:
-    tag, content = value.tag_number, value.content
+def _check_primitive_canonical(tag: int, content: bytes) -> None:
     if tag == INTEGER:
         if not content:
             raise NonCanonical("INTEGER with empty content")
@@ -399,7 +442,7 @@ def _check_primitive_canonical(value: DerValue) -> None:
         if content[0] > 7 or (len(content) == 1 and content[0] != 0):
             raise NonCanonical("invalid BIT STRING unused-bit count")
     elif tag == OBJECT_IDENTIFIER:
-        octets_to_oid(content)  # validates arc structure
+        _parse_oid(content)  # validates arc structure, and memoizes the Oid
 
 
 def set_order(items, to_value=lambda value: value) -> tuple:
@@ -433,7 +476,7 @@ def _decode_tag(data: memoryview, pos: int, end: int) -> tuple[TagClass, bool, i
         raise Truncated("input ended inside a tag")
     first = data[pos]
     pos += 1
-    tag_class = TagClass(first >> 6)
+    tag_class = _TAG_CLASSES[first >> 6]
     constructed = bool(first & 0x20)
     number = first & 0x1F
     if number == 0x1F:
@@ -483,8 +526,17 @@ def _decode_value(data: memoryview, pos: int, end: int, depth: int) -> tuple[Der
     if depth > MAX_DEPTH:
         raise TooDeep(f"values nested more than {MAX_DEPTH} deep")
     start = pos
-    tag_class, constructed, number, pos = _decode_tag(data, pos, end)
-    length, pos = _decode_length(data, pos, end)
+    # a one-octet tag and a short-form length are read here; _decode_tag and
+    # _decode_length take, and check, every other form
+    if pos < end and (first := data[pos]) & 0x1F != 0x1F:
+        tag_class, constructed, number = _TAG_CLASSES[first >> 6], first & 0x20, first & 0x1F
+        pos += 1
+    else:
+        tag_class, constructed, number, pos = _decode_tag(data, pos, end)
+    if pos < end and (length := data[pos]) < 0x80:
+        pos += 1
+    else:
+        length, pos = _decode_length(data, pos, end)
     stop = pos + length
     if stop > end:
         raise Truncated("content shorter than announced length")
@@ -493,8 +545,9 @@ def _decode_value(data: memoryview, pos: int, end: int, depth: int) -> tuple[Der
         while pos < stop:
             child, pos = _decode_value(data, pos, stop, depth + 1)
             children.append(child)
-        value = DerValue(tag_class, True, number, tuple(children))
-        if list(value.content) != children:  # the constructor reorders a SET
+        children = tuple(children)
+        value = DerValue(tag_class, True, number, children)
+        if value.content != children:  # the constructor reorders a SET
             raise NonCanonical("SET children not in canonical order")
     else:
         value = DerValue(tag_class, False, number, bytes(data[pos:stop]))

@@ -159,26 +159,37 @@ def _covered(encap: ContentInfo,
     attrs = tuple(attrs)
     if not attrs:
         return encap_v, (), content_der
-    if _find_attr(attrs, oids.AT_CONTENT_TYPE) is None:
+    content_type = _find_attr(attrs, oids.AT_CONTENT_TYPE)
+    if content_type is None:
         attrs += (attribute_make("contentType", encap.content_type),)
+    elif not _is_content_type(content_type, encap.content_type):
+        raise WrongContentType("contentType attribute is not the encapsulated content's type")
     if _find_attr(attrs, oids.AT_MESSAGE_DIGEST) is None:
         attrs += (attribute_make("messageDigest", SHA256.digest(content_der)),)
     attrs_v = _attributes_to_der(attrs)
     return encap_v, (attrs_v,), _attr_message(attrs_v)
 
 
-def _covered_as_received(encap_v: DerValue, attrs_v: DerValue | None) -> bytes:
+def _is_content_type(attribute: Attribute, content_type: Oid) -> bool:
+    """Whether a contentType attribute holds exactly ``content_type`` (RFC 5652 §11.1)."""
+    return [value.as_oid() for value in attribute.values] == [content_type]
+
+
+def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
     """The octets a received signature or MAC covers: the encapsulated content
-    as received, or the received [0] attribute set, which must hold contentType
-    and a messageDigest of that content (RFC 5652 §5.3, §9.2).  Raises
-    SignatureInvalid or DigestMismatch."""
-    content_der = der_encode(encap_v)
+    as received, or the received [0] attribute set, which must hold the
+    content's type as contentType and a messageDigest of that content
+    (RFC 5652 §5.3, §9.2, §11.1).  Raises SignatureInvalid or DigestMismatch."""
+    content_der = encap.to_der()
     if attrs_v is None:
         return content_der
     attributes = _attributes_from_der(asn1.require(attrs_v, 0, tag_class=asn1.TagClass.CONTEXT))
     md = _find_attr(attributes, oids.AT_MESSAGE_DIGEST)
-    if md is None or _find_attr(attributes, oids.AT_CONTENT_TYPE) is None:
+    content_type = _find_attr(attributes, oids.AT_CONTENT_TYPE)
+    if md is None or content_type is None:
         raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
+    if not _is_content_type(content_type, encap.content_type):
+        raise SignatureInvalid("contentType attribute is not the encapsulated content's type")
     if not ct_equal(md.values[0].as_octet_string(), SHA256.digest(content_der)):
         raise DigestMismatch("messageDigest attribute does not match the content")
     return _attr_message(attrs_v)
@@ -243,7 +254,7 @@ def verify_signed(ci: ContentInfo,
     if AlgorithmIdentifier.from_der_value(sig_alg_v).oid != oids.RSASSA_PSS:
         raise SignatureInvalid("unsupported signature algorithm")
     inner = ContentInfo.from_der_value(encap_v)
-    message = _covered_as_received(encap_v, attrs_v)
+    message = _covered_as_received(inner, attrs_v)
     if not pkcs1.verify(message, sig_v.as_octet_string(), trusted_pub):
         raise SignatureInvalid("signature does not verify")
     return inner, True
@@ -402,7 +413,7 @@ def check_auth(ci: ContentInfo, key: bytes) -> bool:
     if AlgorithmIdentifier.from_der_value(alg_v).oid != oids.HMAC_WITH_SHA256:
         return False
     try:
-        message = _covered_as_received(encap_v, attrs_v)
+        message = _covered_as_received(ContentInfo.from_der_value(encap_v), attrs_v)
     except (asn1.DerError, DigestMismatch, SignatureInvalid):
         return False
     return ct_equal(hmac_digest(key, message), mac_v.as_octet_string())

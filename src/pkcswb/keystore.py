@@ -160,10 +160,16 @@ def _pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
 
 @dataclass(frozen=True)
 class Attribute:
-    """attrType plus a set of values, held in canonical (encoded) order."""
+    """attrType plus a set of values, held in canonical (encoded) order.
+
+    Like a ContentInfo, a decoded Attribute keeps the value it was decoded
+    from and a built one the value of its first ``to_der_value``, so sorting
+    attributes by their DER builds and encodes nothing again.
+    """
 
     attr_type: Oid
     values: tuple[DerValue, ...]
+    _value: DerValue | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ordered = asn1.set_order(self.values)
@@ -172,12 +178,17 @@ class Attribute:
         object.__setattr__(self, "values", ordered)
 
     def to_der_value(self) -> DerValue:
-        return asn1.sequence(asn1.oid_value(self.attr_type), asn1.set_value(*self.values))
+        if self._value is None:
+            object.__setattr__(self, "_value", asn1.sequence(
+                asn1.oid_value(self.attr_type), asn1.set_value(*self.values)))
+        return self._value
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "Attribute":
         type_v, set_v = asn1._fields(value, 2)
-        return cls(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
+        attribute = cls(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
+        object.__setattr__(attribute, "_value", value)
+        return attribute
 
 
 def _is_primitive(value: DerValue, tag: int) -> bool:

@@ -24,7 +24,7 @@ from . import asn1, cms, oids
 from .asn1 import DerValue, der_decode, der_encode
 from .cms import ContentInfo, SignerIdent
 from .csr import Name
-from .errors import IntegrityFailure, MissingCredential, uniform_decryption
+from .errors import IntegrityFailure, MissingCredential, UnsupportedAlgorithm, uniform_decryption
 from .keystore import (Attribute, EncryptedPrivateKeyInfo, PrivateKeyInfo,
                        pbes2_algorithm, pbes2_params_from_algorithm, _pbkdf2_fields)
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt, pbmac1_tag, pbmac1_verify
@@ -96,8 +96,8 @@ class SafeBag:
     def from_der_value(cls, value: DerValue) -> "SafeBag":
         kids = asn1._fields(value, 2, 3)
         bag_type = _BAG_TYPES.get(kids[0].as_oid())
-        if bag_type is None:
-            raise ValueError(f"unknown bag type {kids[0].as_oid()}")
+        if bag_type is None:  # crlBag, secretBag and safeContentsBag are not modelled
+            raise UnsupportedAlgorithm(f"unsupported bag type {kids[0].as_oid()}")
         (inner,) = asn1._fields(kids[1], 1, tag_number=0, tag_class=asn1.TagClass.CONTEXT)
         bag_value = _BAG_CLASSES[bag_type].from_der_value(inner)
         attributes = ()

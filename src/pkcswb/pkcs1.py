@@ -74,7 +74,8 @@ def i2osp(value: int, length: int) -> bytes:
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
+    """Octet-wise XOR of two strings of equal length, as one integer XOR."""
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 @dataclass(frozen=True)

@@ -98,3 +98,30 @@ def is_prime_by_trial_division(n: int) -> bool:
         if n % d == 0:
             return False
     return True
+
+
+def der_tlv_count(octets: bytes, tag: int | None = None) -> int:
+    """Number of tag-length-value triples in a DER encoding, or of those whose
+    first tag octet is ``tag``, read by a plain walk of the headers (no
+    checks: the input is taken to be valid DER)."""
+    count, pending = 0, [(0, len(octets))]
+    while pending:
+        pos, end = pending.pop()
+        while pos < end:
+            first = octets[pos]
+            pos += 1
+            if first & 0x1F == 0x1F:  # high tag number: skip its base-128 octets
+                while octets[pos] & 0x80:
+                    pos += 1
+                pos += 1
+            length = octets[pos]
+            pos += 1
+            if length & 0x80:
+                size = length & 0x7F
+                length = int.from_bytes(octets[pos:pos + size], "big")
+                pos += size
+            if first & 0x20:
+                pending.append((pos, pos + length))
+            count += tag is None or first == tag
+            pos += length
+    return count

@@ -110,6 +110,73 @@ def test_reject_oversize_tag():
         der_decode(bytes.fromhex("9fffffff7f00"))
 
 
+# ---------------------------------------------------------------------------
+# headers at the edges of the inline form (one tag octet, short-form length)
+
+
+@pytest.mark.parametrize("header,length", [("047f", 127), ("048180", 128)])
+def test_length_at_the_short_form_boundary_decodes(header, length):
+    value = der_decode(bytes.fromhex(header) + b"z" * length)
+    assert value.as_octet_string() == b"z" * length
+
+
+def test_long_form_for_a_short_length_is_non_minimal():
+    with pytest.raises(NonMinimalLength):
+        der_decode(bytes.fromhex("04817f") + b"z" * 127)
+
+
+@pytest.mark.parametrize("encoded,number", [("9e00", 0x1E), ("9f1f00", 0x1F), ("9f810000", 0x80)])
+def test_tag_numbers_on_either_side_of_the_high_tag_form(encoded, number):
+    value = der_decode(bytes.fromhex(encoded))
+    assert value.tag_class == TagClass.CONTEXT and value.tag_number == number
+    assert der_encode(rebuilt(value)).hex() == encoded
+
+
+def test_high_tag_form_for_a_low_number_is_non_canonical():
+    with pytest.raises(NonCanonical):
+        der_decode(bytes.fromhex("9f1e00"))
+
+
+@pytest.mark.parametrize("encoded", ["", "04", "0405", "0481", "9f", "9f81", "3003"])
+def test_input_ending_inside_or_right_after_a_header_is_truncated(encoded):
+    with pytest.raises(Truncated):
+        der_decode(bytes.fromhex(encoded))
+
+
+# ---------------------------------------------------------------------------
+# the OID parse memo
+
+
+def test_same_oid_octets_give_one_oid():
+    octets = bytes.fromhex("2a864886f70d010101")
+    first = octets_to_oid(octets)
+    assert octets_to_oid(bytes(octets)) is first
+    assert der_decode(bytes.fromhex("0609") + octets).as_oid() is first
+    assert octets_to_oid(bytearray(octets)) == octets_to_oid(memoryview(octets)) == first
+
+
+@pytest.mark.parametrize("content,error", [("2a86", ArcOverflow), ("", ArcOverflow),
+                                           ("2a8001", NonCanonical)])
+def test_bad_oid_raises_on_every_call(content, error):
+    octets = bytes.fromhex(content)
+    for _ in range(2):
+        with pytest.raises(error):
+            octets_to_oid(octets)
+        with pytest.raises(error):
+            der_decode(bytes([asn1.OBJECT_IDENTIFIER, len(octets)]) + octets)
+
+
+def test_oid_longer_than_the_memo_keeps_parses_alike():
+    oid = Oid((1, 2) + tuple(range(1000, 1040)))
+    octets = oid_to_octets(oid)
+    assert len(octets) > asn1._OID_MEMO_OCTETS
+    before = asn1._memo_oid.cache_info()
+    assert octets_to_oid(octets) == octets_to_oid(memoryview(octets)) == oid
+    with pytest.raises(ArcOverflow):
+        octets_to_oid(octets[:-1])
+    assert asn1._memo_oid.cache_info() == before  # parsed, and not kept
+
+
 def test_boolean_content_rule():
     assert der_decode(bytes.fromhex("0101ff")).as_boolean() is True
     with pytest.raises(NonCanonical):
@@ -220,9 +287,8 @@ def test_fuzz_malformed_corpus_always_errors():
 # nesting depth
 
 
-def nested_sequences(count: int) -> bytes:
-    """``count`` SEQUENCEs around a NULL, encoded from the inside out."""
-    encoded = bytes.fromhex("0500")
+def nested_sequences(count: int, encoded: bytes = bytes.fromhex("0500")) -> bytes:
+    """``count`` SEQUENCEs around a value (a NULL), encoded from the inside out."""
     for _ in range(count):
         encoded = asn1.encode_sequence(encoded)
     return encoded
@@ -233,6 +299,17 @@ def test_nesting_up_to_max_depth_decodes():
     for _ in range(asn1.MAX_DEPTH - 1):
         (value,) = value.children
     assert value.is_universal(asn1.NULL)
+
+
+def test_header_of_either_form_decodes_at_exactly_max_depth():
+    # a short header (inline) and a high-tag, long-form one (the two readers)
+    for innermost in (bytes.fromhex("0500"), bytes.fromhex("9f1f8180") + bytes(128)):
+        value = der_decode(nested_sequences(asn1.MAX_DEPTH - 1, innermost))
+        for _ in range(asn1.MAX_DEPTH - 1):
+            (value,) = value.children
+        assert der_encode(value) == innermost
+        with pytest.raises(asn1.TooDeep):
+            der_decode(nested_sequences(asn1.MAX_DEPTH, innermost))
 
 
 def test_nesting_beyond_max_depth_is_a_der_error():

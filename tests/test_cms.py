@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import asn1, oids
+from pkcswb import asn1, cms, oids
 from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIdent,
                         WrongContentType,
                         authenticate_data, authenticated_content, cert_fields,
@@ -14,6 +14,7 @@ from pkcswb.keystore import AlgorithmIdentifier, Attribute, _attributes_to_der, 
 from pkcswb.pkcs1 import ModulusTooSmall
 from pkcswb.primitives import SHA256, hmac_digest
 from conftest import seeded
+from oracles import der_tlv_count
 
 SIGNING_TIME = attribute_make("signingTime", "200101120000Z")
 
@@ -145,12 +146,74 @@ def test_wrong_content_type_is_declared(key_1024, ident):
     assert issubclass(WrongContentType, ValueError)
 
 
+def test_sign_refuses_a_content_type_attribute_of_another_type(key_1024, ident):
+    public, private = key_1024
+    inner = make_data(b"m")
+    both = Attribute(oids.AT_CONTENT_TYPE, (asn1.oid_value(oids.CT_DATA),
+                                            asn1.oid_value(oids.CT_ENVELOPED_DATA)))
+    for given in (attribute_make("contentType", oids.CT_ENVELOPED_DATA), both):
+        with pytest.raises(WrongContentType):
+            sign_data(inner, private, ident, (given,), seeded(b"s"))
+        with pytest.raises(WrongContentType):
+            authenticate_data(inner, b"mac key", (given,))
+    # the content's own type, given by the caller, is kept as it is
+    same = attribute_make("contentType", oids.CT_DATA)
+    assert verify_signed(sign_data(inner, private, ident, (same,), seeded(b"s")), public)[1]
+    assert check_auth(authenticate_data(inner, b"mac key", (same,)), b"mac key")
+
+
+def test_received_content_type_attribute_must_match_the_content(key_1024, ident, monkeypatch):
+    # signed and MACed correctly over a contentType that names another type (RFC 5652 §11.1)
+    public, private = key_1024
+    inner = make_data(b"m")
+    attrs = (attribute_make("contentType", oids.CT_ENVELOPED_DATA), SIGNING_TIME)
+    monkeypatch.setattr(cms, "_is_content_type", lambda attribute, content_type: True)
+    signed = sign_data(inner, private, ident, attrs, seeded(b"s")).to_der()
+    maced = authenticate_data(inner, b"mac key", attrs).to_der()
+    monkeypatch.undo()
+    with pytest.raises(SignatureInvalid):
+        verify_signed(ContentInfo.from_der(signed), public)
+    assert not check_auth(ContentInfo.from_der(maced), b"mac key")
+
+
 def test_signed_der_round_trip_byte_identical(key_1024, ident):
     _, private = key_1024
     signed = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s"))
     encoded = signed.to_der()
     recoded = ContentInfo.from_der(encoded)
     assert recoded == signed and recoded.to_der() == encoded
+
+
+# -- decode work --------------------------------------------------------------------
+
+
+def test_decoding_builds_one_value_per_tlv_and_verifying_none(key_1024, ident, monkeypatch):
+    public, private = key_1024
+    octets = sign_data(make_data(b"m" * 300), private, ident, (SIGNING_TIME,),
+                       seeded(b"s")).to_der()
+    built = []
+    real_init = asn1.DerValue.__init__
+    monkeypatch.setattr(asn1.DerValue, "__init__",
+                        lambda value, *fields: built.append(value) or real_init(value, *fields))
+    signed = ContentInfo.from_der(octets)
+    assert len(built) == der_tlv_count(octets) > 30
+    assert verify_signed(signed, public)[1]
+    assert len(built) == der_tlv_count(octets)
+
+
+def test_decoding_the_same_signed_data_again_parses_no_oid(key_1024, ident):
+    public, private = key_1024
+    octets = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s")).to_der()
+    verify_signed(ContentInfo.from_der(octets), public)
+    before = asn1._memo_oid.cache_info()
+    tree = asn1.der_decode(octets)
+    decoded = asn1._memo_oid.cache_info()
+    assert verify_signed(ContentInfo.from_der_value(tree), public)[1]
+    after = asn1._memo_oid.cache_info()
+    # each OBJECT IDENTIFIER (tag 06) is found in the memo, and so is each as_oid
+    assert decoded.hits - before.hits == der_tlv_count(octets, asn1.OBJECT_IDENTIFIER) > 8
+    assert after.hits > decoded.hits
+    assert after.misses == before.misses
 
 
 # -- enveloped-data -----------------------------------------------------------------

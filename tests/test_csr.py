@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import oids, rsa
+from pkcswb import asn1, oids, rsa
 from pkcswb.asn1 import der_encode
 from pkcswb.csr import (CertificationRequest, CertificationRequestInfo,
                         MalformedRequest, Name, build_csr, verify_csr)
@@ -74,6 +74,19 @@ def test_der_round_trip_byte_identical(key_512):
     assert recoded == request
     assert recoded.to_der() == encoded
     assert verify_csr(recoded)
+
+
+def test_decoding_a_request_encodes_nothing(key_512, monkeypatch):
+    # decoded attributes keep their values, so sorting them builds nothing
+    attributes = (attribute_make("challengePassword", "pw"),
+                  attribute_make("extensionRequest", asn1.sequence()))
+    encoded = build_csr(_alice_name(), key_512, attributes, seeded(b"no-enc")).to_der()
+    tags = []
+    real_encode_tag = asn1._encode_tag
+    monkeypatch.setattr(asn1, "_encode_tag", lambda v: tags.append(v) or real_encode_tag(v))
+    request = CertificationRequest.from_der(encoded)
+    assert verify_csr(request) and len(request.info.attributes) == 2
+    assert tags == []
 
 
 def test_randomized_pipeline_fifty_subjects(key_512, key_1024):

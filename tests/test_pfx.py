@@ -2,9 +2,10 @@ import warnings
 
 import pytest
 
-from pkcswb import asn1, cms, pfx, pkcs5
+from pkcswb import asn1, cms, oids, pfx, pkcs5
 from pkcswb.csr import Name, build_csr
-from pkcswb.errors import DecryptionError, IntegrityFailure, MissingCredential
+from pkcswb.errors import (DecryptionError, IntegrityFailure, MissingCredential,
+                           UnsupportedAlgorithm)
 from pkcswb.keystore import (MalformedKey, PrivateKeyInfo, attribute_make,
                              encrypt_private_key)
 from pkcswb.pfx import (MacData, PfxCredentials, PfxPdu, PfxSecurityWarning,
@@ -111,6 +112,45 @@ def test_two_authenticated_safe_elements_open_to_both_bags(material):
     tag = pkcs5.pbmac1_tag(auth_safe.to_der(), credentials.integrity_password, salt, 2048)
     octets = PfxPdu(auth_safe, MacData(tag, salt, 2048)).to_der()
     assert pfx_open(PfxPdu.from_der(octets), credentials) == bags
+
+
+def _macced_pfx(contents: bytes, privacy: str, credentials, rng) -> bytes:
+    """A PFX whose one authenticated-safe element carries ``contents`` as given."""
+    element = pfx._privacy_wrap(contents, privacy, credentials, rng)
+    auth_safe = cms.make_data(asn1.der_encode(asn1.sequence(element.to_der_value())))
+    salt = rng.read(8)
+    tag = pkcs5.pbmac1_tag(auth_safe.to_der(), credentials.integrity_password, salt, 2048)
+    return PfxPdu(auth_safe, MacData(tag, salt, 2048)).to_der()
+
+
+@pytest.mark.parametrize("privacy", ["password", "public_key"])
+def test_unmodelled_bag_type_is_unsupported_algorithm(material, privacy):
+    # a secretBag (RFC 7292 §4.2.5) from another writer, correctly MACed and encrypted
+    _, credentials, _ = material
+    secret_bag = asn1.Oid.parse("1.2.840.113549.1.12.10.1.5")
+    bag = asn1.sequence(asn1.oid_value(secret_bag), asn1.explicit(0, asn1.sequence(
+        asn1.oid_value(oids.CT_DATA), asn1.explicit(0, asn1.octet_string(b"secret")))))
+    octets = _macced_pfx(asn1.der_encode(asn1.sequence(bag)), privacy, credentials,
+                         seeded(b"secret-bag"))
+    with pytest.raises(UnsupportedAlgorithm) as raised:
+        pfx_open(PfxPdu.from_der(octets), credentials)
+    assert type(raised.value) is UnsupportedAlgorithm  # a ValueError, declared
+    assert str(secret_bag) in str(raised.value)
+    for crl_or_contents in ("1.2.840.113549.1.12.10.1.4", "1.2.840.113549.1.12.10.1.6"):
+        other = asn1.sequence(asn1.oid_value(crl_or_contents), asn1.explicit(0, asn1.null()))
+        with pytest.raises(UnsupportedAlgorithm):
+            SafeBag.from_der_value(other)
+
+
+def test_decoding_a_pfx_encodes_nothing(material, monkeypatch):
+    bags, credentials, _ = material
+    assert all(bag.attributes for bag in bags)
+    octets = pfx_create(bags, "password", "password", credentials, seeded(b"no-enc")).to_der()
+    tags = []
+    real_encode_tag = asn1._encode_tag
+    monkeypatch.setattr(asn1, "_encode_tag", lambda v: tags.append(v) or real_encode_tag(v))
+    assert pfx_open(PfxPdu.from_der(octets), credentials) == bags
+    assert tags == []
 
 
 def test_wrong_privacy_password_after_valid_mac(material):

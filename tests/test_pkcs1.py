@@ -286,3 +286,12 @@ def test_os2ip_i2osp_fixed_width():
     assert i2osp(1, 4) == b"\x00\x00\x00\x01"
     assert os2ip(b"\x00\x00\x01\x00") == 256
     assert i2osp(os2ip(b"\x00\xab\xcd"), 3) == b"\x00\xab\xcd"
+
+
+def test_xor_is_octet_wise_at_every_length():
+    rng = seeded(b"xor")
+    for length in range(301):
+        a = bytes(2) + rng.read(length)[2:] if length > 2 else rng.read(length)
+        b = rng.read(length)
+        assert pkcs1._xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
+        assert len(pkcs1._xor(a, a)) == length
