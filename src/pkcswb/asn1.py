@@ -570,7 +570,8 @@ def require(value: DerValue, tag_number: int, *, constructed: bool = True,
             or value.tag_number != tag_number):
         raise NonCanonical(
             f"expected {'constructed' if constructed else 'primitive'} "
-            f"{tag_class.name} tag {tag_number}, got {tag_class.name} "
+            f"{tag_class.name} tag {tag_number}, got "
+            f"{'constructed' if value.constructed else 'primitive'} "
             f"{value.tag_class.name} tag {value.tag_number}")
     return value
 

@@ -153,7 +153,8 @@ def _find_attr(attributes: tuple[Attribute, ...], oid: Oid) -> Attribute | None:
 def _covered(encap: ContentInfo,
              attrs: tuple[Attribute, ...]) -> tuple[DerValue, tuple[DerValue, ...], bytes]:
     """(encapsulated content, a tuple of none or one [0] attribute set, octets a
-    signature or MAC covers); attributes gain contentType and messageDigest if absent."""
+    signature or MAC covers); attributes gain contentType and messageDigest if
+    absent, and given ones must be the content's (WrongContentType, DigestMismatch)."""
     encap_v = encap.to_der_value()
     content_der = der_encode(encap_v)
     attrs = tuple(attrs)
@@ -164,8 +165,12 @@ def _covered(encap: ContentInfo,
         attrs += (attribute_make("contentType", encap.content_type),)
     elif not _is_content_type(content_type, encap.content_type):
         raise WrongContentType("contentType attribute is not the encapsulated content's type")
-    if _find_attr(attrs, oids.AT_MESSAGE_DIGEST) is None:
-        attrs += (attribute_make("messageDigest", SHA256.digest(content_der)),)
+    digest = SHA256.digest(content_der)
+    message_digest = _find_attr(attrs, oids.AT_MESSAGE_DIGEST)
+    if message_digest is None:
+        attrs += (attribute_make("messageDigest", digest),)
+    elif not _is_digest(message_digest, digest):
+        raise DigestMismatch("messageDigest attribute is not the content's digest")
     attrs_v = _attributes_to_der(attrs)
     return encap_v, (attrs_v,), _attr_message(attrs_v)
 
@@ -175,11 +180,21 @@ def _is_content_type(attribute: Attribute, content_type: Oid) -> bool:
     return [value.as_oid() for value in attribute.values] == [content_type]
 
 
+def _is_digest(attribute: Attribute, digest: bytes) -> bool:
+    """Whether a messageDigest attribute holds exactly ``digest``, as its one
+    OCTET STRING value (RFC 5652 §11.2)."""
+    if len(attribute.values) != 1:
+        return False
+    value = attribute.values[0]
+    return (value.is_universal(asn1.OCTET_STRING) and not value.constructed
+            and ct_equal(value.octets, digest))
+
+
 def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
     """The octets a received signature or MAC covers: the encapsulated content
     as received, or the received [0] attribute set, which must hold the
     content's type as contentType and a messageDigest of that content
-    (RFC 5652 §5.3, §9.2, §11.1).  Raises SignatureInvalid or DigestMismatch."""
+    (RFC 5652 §5.3, §9.2, §11.1, §11.2).  Raises SignatureInvalid or DigestMismatch."""
     content_der = encap.to_der()
     if attrs_v is None:
         return content_der
@@ -190,7 +205,7 @@ def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
         raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
     if not _is_content_type(content_type, encap.content_type):
         raise SignatureInvalid("contentType attribute is not the encapsulated content's type")
-    if not ct_equal(md.values[0].as_octet_string(), SHA256.digest(content_der)):
+    if not _is_digest(md, SHA256.digest(content_der)):
         raise DigestMismatch("messageDigest attribute does not match the content")
     return _attr_message(attrs_v)
 

@@ -195,7 +195,7 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> bytes:
         if credentials.destination_priv is None:
             raise MissingCredential("public-key privacy needs the destination private key")
         return cms.data_payload(cms.open_envelope(element, credentials.destination_priv))
-    raise ValueError(f"unexpected authenticated-safe element {element.content_type}")
+    raise UnsupportedAlgorithm(f"unsupported authenticated-safe element {element.content_type}")
 
 
 def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,

@@ -15,6 +15,7 @@ work done with it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -183,15 +184,31 @@ class RsaPrivateKey:
 # ---------------------------------------------------------------------------
 # prime generation
 
-_SMALL_PRIMES: list[int] = []
-_sieve = bytearray([1]) * 1000
-for _i in range(2, 1000):
-    if _sieve[_i]:
-        _SMALL_PRIMES.append(_i)
-        for _j in range(_i * _i, 1000, _i):
-            _sieve[_j] = 0
-del _sieve, _i
+def _primes_below(bound: int) -> list[int]:
+    """The primes below ``bound``, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * bound
+    sieve[:2] = b"\0\0"
+    for i in range(2, math.isqrt(bound - 1) + 1):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, bound, i)))
+    return list(itertools.compress(range(bound), sieve))
 
+
+def _product(factors: list[int]) -> int:
+    """math.prod by halves, which multiplies big by big instead of big by
+    small: half the time for the 1732 factors below."""
+    if len(factors) <= 16:
+        return math.prod(factors)
+    half = len(factors) // 2
+    return _product(factors[:half]) * _product(factors[half:])
+
+
+# The two trial-division stages of _is_probable_prime, each one gcd with a
+# product of primes: those below 1000 (168 primes) and those in [1000, 2^14)
+# (1732 primes, a 22 072-bit product).
+_SMALL_PRIMES = frozenset(_primes_below(1000))
+_SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
+_PRODUCT = _product(_primes_below(1 << 14)[len(_SMALL_PRIMES):])
 
 # Miller-Rabin rounds per candidate that passes trial division.
 MILLER_RABIN_ROUNDS = 40
@@ -200,12 +217,9 @@ MILLER_RABIN_ROUNDS = 40
 def _is_probable_prime(n: int, rng: RandomSource) -> bool:
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-    if n < _SMALL_PRIMES[-1] ** 2:
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in _SMALL_PRIMES
+    if n < 997 ** 2:
         return True
     # Miller-Rabin with witnesses drawn from the supplied source
     d = n - 1
@@ -214,8 +228,13 @@ def _is_probable_prime(n: int, rng: RandomSource) -> bool:
         d //= 2
         s += 1
     width = (n.bit_length() + 7) // 8
-    for _ in range(MILLER_RABIN_ROUNDS):
+    for i in range(MILLER_RABIN_ROUNDS):
         a = 2 + int.from_bytes(rng.read(width), "big") % (n - 3)
+        # The second stage runs after the first witness is drawn, so the
+        # source is read exactly as by Miller-Rabin alone.  Here n >= 997^2
+        # exceeds every prime of the product: a gcd above 1 is a proper factor.
+        if i == 0 and math.gcd(n, _PRODUCT) != 1:
+            return False
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -256,6 +275,14 @@ def generate_prime(bits: int, rng: RandomSource, u: int = 2) -> int:
     drawn almost uniformly from the range (64 spare random bits reduced
     modulo its width); each must pass trial division and
     MILLER_RABIN_ROUNDS rounds of Miller-Rabin.
+
+    Trial division has two stages, each one gcd with a product of primes.
+    The primes below 1000 are tried before any witness is drawn.  The primes
+    in [1000, 2^14) are tried after the first witness is drawn and before
+    its exponentiation: the source is then read exactly as by Miller-Rabin
+    alone, so a seed gives the same primes as without the stage, and about
+    a third of the composites that reach Miller-Rabin are rejected by the
+    gcd instead of a modular exponentiation.
     """
     if bits < 8:
         raise ValueError("need at least 8 bits")

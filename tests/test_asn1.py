@@ -213,6 +213,17 @@ def test_text_types_round_trip():
         assert der_decode(der_encode(value)).as_text() == text
 
 
+def test_require_names_what_it_found():
+    with pytest.raises(asn1.NonCanonical) as raised:
+        asn1.require(asn1.context(0, ()), asn1.SEQUENCE)
+    assert str(raised.value) == ("expected constructed UNIVERSAL tag 16, "
+                                 "got constructed CONTEXT tag 0")
+    with pytest.raises(asn1.NonCanonical) as raised:
+        asn1.require(asn1.integer(5), asn1.SEQUENCE)
+    assert str(raised.value) == ("expected constructed UNIVERSAL tag 16, "
+                                 "got primitive UNIVERSAL tag 2")
+
+
 def test_hex_dump():
     assert hex_dump(bytes([0x9D, 0x00, 0xFF])) == "9d00ff"
 

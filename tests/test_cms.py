@@ -162,6 +162,39 @@ def test_sign_refuses_a_content_type_attribute_of_another_type(key_1024, ident):
     assert check_auth(authenticate_data(inner, b"mac key", (same,)), b"mac key")
 
 
+def test_sign_refuses_a_message_digest_that_is_not_the_contents(key_1024, ident):
+    public, private = key_1024
+    inner = make_data(b"m")
+    digest = SHA256.digest(inner.to_der())
+    twice = Attribute(oids.AT_MESSAGE_DIGEST, (asn1.octet_string(digest),) * 2)
+    as_integer = Attribute(oids.AT_MESSAGE_DIGEST, (asn1.integer(int.from_bytes(digest, "big")),))
+    for given in (attribute_make("messageDigest", bytes(32)), twice, as_integer):
+        with pytest.raises(DigestMismatch):
+            sign_data(inner, private, ident, (given,), seeded(b"s"))
+        with pytest.raises(DigestMismatch):
+            authenticate_data(inner, b"mac key", (given,))
+    # the content's own digest, given by the caller, is kept as it is
+    same = attribute_make("messageDigest", digest)
+    assert verify_signed(sign_data(inner, private, ident, (same,), seeded(b"s")), public)[1]
+    assert check_auth(authenticate_data(inner, b"mac key", (same,)), b"mac key")
+
+
+def test_received_message_digest_must_have_one_value(key_1024, ident, monkeypatch):
+    # signed and MACed correctly over two messageDigest values, the first the
+    # content's digest (RFC 5652 §11.2 allows exactly one)
+    public, private = key_1024
+    inner = make_data(b"m")
+    digest = asn1.octet_string(SHA256.digest(inner.to_der()))
+    attrs = (Attribute(oids.AT_MESSAGE_DIGEST, (digest, asn1.octet_string(bytes(32)))),)
+    monkeypatch.setattr(cms, "_is_digest", lambda attribute, digest: True)
+    signed = sign_data(inner, private, ident, attrs, seeded(b"s")).to_der()
+    maced = authenticate_data(inner, b"mac key", attrs).to_der()
+    monkeypatch.undo()
+    with pytest.raises(DigestMismatch):
+        verify_signed(ContentInfo.from_der(signed), public)
+    assert not check_auth(ContentInfo.from_der(maced), b"mac key")
+
+
 def test_received_content_type_attribute_must_match_the_content(key_1024, ident, monkeypatch):
     # signed and MACed correctly over a contentType that names another type (RFC 5652 §11.1)
     public, private = key_1024

@@ -114,9 +114,8 @@ def test_two_authenticated_safe_elements_open_to_both_bags(material):
     assert pfx_open(PfxPdu.from_der(octets), credentials) == bags
 
 
-def _macced_pfx(contents: bytes, privacy: str, credentials, rng) -> bytes:
-    """A PFX whose one authenticated-safe element carries ``contents`` as given."""
-    element = pfx._privacy_wrap(contents, privacy, credentials, rng)
+def _macced_pfx(element: cms.ContentInfo, credentials, rng) -> bytes:
+    """A password-MACed PFX whose one authenticated-safe element is ``element``."""
     auth_safe = cms.make_data(asn1.der_encode(asn1.sequence(element.to_der_value())))
     salt = rng.read(8)
     tag = pkcs5.pbmac1_tag(auth_safe.to_der(), credentials.integrity_password, salt, 2048)
@@ -130,8 +129,9 @@ def test_unmodelled_bag_type_is_unsupported_algorithm(material, privacy):
     secret_bag = asn1.Oid.parse("1.2.840.113549.1.12.10.1.5")
     bag = asn1.sequence(asn1.oid_value(secret_bag), asn1.explicit(0, asn1.sequence(
         asn1.oid_value(oids.CT_DATA), asn1.explicit(0, asn1.octet_string(b"secret")))))
-    octets = _macced_pfx(asn1.der_encode(asn1.sequence(bag)), privacy, credentials,
-                         seeded(b"secret-bag"))
+    rng = seeded(b"secret-bag")
+    element = pfx._privacy_wrap(asn1.der_encode(asn1.sequence(bag)), privacy, credentials, rng)
+    octets = _macced_pfx(element, credentials, rng)
     with pytest.raises(UnsupportedAlgorithm) as raised:
         pfx_open(PfxPdu.from_der(octets), credentials)
     assert type(raised.value) is UnsupportedAlgorithm  # a ValueError, declared
@@ -140,6 +140,17 @@ def test_unmodelled_bag_type_is_unsupported_algorithm(material, privacy):
         other = asn1.sequence(asn1.oid_value(crl_or_contents), asn1.explicit(0, asn1.null()))
         with pytest.raises(UnsupportedAlgorithm):
             SafeBag.from_der_value(other)
+
+
+def test_unmodelled_authenticated_safe_element_is_unsupported_algorithm(material):
+    # plain data: SafeContents under no privacy (RFC 7292 §4.1), which pfx does not model
+    _, credentials, _ = material
+    element = cms.make_data(asn1.der_encode(asn1.sequence()))
+    octets = _macced_pfx(element, credentials, seeded(b"data-element"))
+    with pytest.raises(UnsupportedAlgorithm) as raised:
+        pfx_open(PfxPdu.from_der(octets), credentials)
+    assert type(raised.value) is UnsupportedAlgorithm
+    assert str(oids.CT_DATA) in str(raised.value)
 
 
 def test_decoding_a_pfx_encodes_nothing(material, monkeypatch):

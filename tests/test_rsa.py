@@ -1,10 +1,11 @@
 import math
+import random
 
 import pytest
 
 from oracles import is_prime_by_trial_division
 from pkcswb import rsa
-from pkcswb.primitives import ConstantSource, ExhaustibleSource, RngExhausted
+from pkcswb.primitives import ConstantSource, ExhaustibleSource, RngExhausted, SeededSource
 from conftest import seeded
 
 
@@ -152,6 +153,97 @@ def test_non_prime_constant_source_trips_candidate_budget():
     assert _forced_candidate(0xC5, 16) == 53547 == 3 * 17849
     with pytest.raises(RngExhausted):
         rsa.generate_prime(16, ConstantSource(0xC5))
+
+
+# -- the two trial-division stages ------------------------------------------------
+
+
+class _CountingSource(SeededSource):
+    def __init__(self, seed: bytes):
+        super().__init__(seed)
+        self.reads = []
+
+    def read(self, n: int) -> bytes:
+        self.reads.append(n)
+        return super().read(n)
+
+
+def _count_exponentiations(monkeypatch) -> list[int]:
+    """Exponents of the modular exponentiations rsa runs from now on, bar squarings."""
+    exponents = []
+
+    def counting(base, exponent, modulus=None):
+        if exponent != 2:
+            exponents.append(exponent)
+        return pow(base, exponent, modulus)
+
+    monkeypatch.setattr(rsa, "pow", counting, raising=False)
+    return exponents
+
+
+def test_stage_products_hold_the_primes_of_their_ranges():
+    assert rsa._SMALL_PRIMES == {p for p in range(1000) if is_prime_by_trial_division(p)}
+    assert rsa._SMALL_PRODUCT == math.prod(rsa._SMALL_PRIMES)
+    second = [p for p in range(1000, 2**14) if is_prime_by_trial_division(p)]
+    assert len(second) == 1732
+    assert rsa._PRODUCT == math.prod(second)
+    assert rsa._PRODUCT.bit_length() == 22072
+
+
+def test_is_probable_prime_agrees_with_trial_division_below_2_16():
+    # below 997^2 the answer is exact and no random octet is read
+    empty = ExhaustibleSource(b"")
+    for n in range(2**16):
+        assert rsa._is_probable_prime(n, empty) == is_prime_by_trial_division(n), n
+
+
+def test_is_probable_prime_agrees_with_trial_division_across_997_squared():
+    # either side of where Miller-Rabin starts, and past 1009^2 and 1009 * 1013,
+    # the least composites that the first stage passes
+    rng = seeded(b"across 997^2")
+    for n in range(997**2 - 2**10, 1009 * 1013 + 2**10):
+        assert rsa._is_probable_prime(n, rng) == is_prime_by_trial_division(n), n
+
+
+def test_factor_below_2_14_rejected_with_one_witness_and_no_exponentiation(monkeypatch):
+    second = [p for p in rsa._primes_below(2**14) if p >= 1000]
+    factors = [second[0], second[-1]] + random.Random(14).sample(second, 30)
+    assert factors[:2] == [1009, 16381]
+    cofactors = [rsa.generate_prime(bits, seeded(b"cofactor/%d" % bits)) for bits in (21, 64, 512)]
+    assert all(r > 2**20 for r in cofactors)
+    exponents = _count_exponentiations(monkeypatch)
+    for q in factors:
+        for r in cofactors:
+            rng = _CountingSource(b"%d*%d" % (q, r))
+            assert not rsa._is_probable_prime(q * r, rng)
+            # the first witness is drawn, as Miller-Rabin alone would, and not used
+            assert rng.reads == [((q * r).bit_length() + 7) // 8]
+    assert exponents == []
+
+
+# Generated before the second stage existed: a change to how the random
+# stream is read would show here as other primes.
+_STREAM_GUARD_PRIMES = (
+    int("d788ba55a487d078be5fa970b90852ef477e6067294ee43f53001a4b0fb9e886"
+        "7c147667c5597353b434b393ff297dbbc5684f8036c5bcddc1f581aa4d6d9b5b", 16),
+    int("da4e20b46c4ed888c9fa446d0d8bc49d9eb83e261db79d5bbf82103f218c2982"
+        "5bec3284181d7ce6060384ed9e4ccd697642fbcd45228417ceb3cb3dc2f4212b", 16),
+)
+
+
+def test_seeded_key_primes_are_pinned():
+    _, private = rsa.generate_key(1024, 2, 65537, seeded(b"stream guard"))
+    assert private.primes == _STREAM_GUARD_PRIMES
+
+
+def test_seeded_prime_spends_a_pinned_count_of_exponentiations(monkeypatch):
+    exponents = _count_exponentiations(monkeypatch)
+    p = rsa.generate_prime(512, seeded(b"stream guard/512"))
+    assert p == int("c6b141cb3aebefd31ac67a8db0053de0b17f531ed81df22a696177bf5b6c39cf"
+                    "3a2ae58e441969ecb09163caa4e10383d5ca6f5489032a0b86b38a008b5eab67", 16)
+    # 40 rounds on the prime and 9 first rounds on composites; Miller-Rabin
+    # alone spent 51, two on composites with a factor in [1000, 2^14)
+    assert len(exponents) == rsa.MILLER_RABIN_ROUNDS + 9 == 49
 
 
 # -- key generation -------------------------------------------------------------
