@@ -472,41 +472,35 @@ def encode_sequence(*elements: bytes) -> bytes:
 
 
 def _decode_tag(data: memoryview, pos: int, end: int) -> tuple[TagClass, bool, int, int]:
+    """A tag in the high-number form, whose first octet ends in 0x1F."""
     if pos >= end:
         raise Truncated("input ended inside a tag")
     first = data[pos]
     pos += 1
-    tag_class = _TAG_CLASSES[first >> 6]
-    constructed = bool(first & 0x20)
-    number = first & 0x1F
-    if number == 0x1F:
-        number = 0
-        count = 0
-        while True:
-            if pos >= end:
-                raise Truncated("input ended inside a high tag number")
-            b = data[pos]
-            pos += 1
-            if count == 0 and b == 0x80:
-                raise NonCanonical("high tag number with redundant leading octet")
-            number = (number << 7) | (b & 0x7F)
-            count += 1
-            if number > _MAX_TAG_NUMBER:
-                raise OversizeTag("tag number beyond supported range")
-            if not b & 0x80:
-                break
-        if number < 0x1F:
-            raise NonCanonical("high tag form used for a low tag number")
-    return tag_class, constructed, number, pos
+    number = 0
+    while True:
+        if pos >= end:
+            raise Truncated("input ended inside a high tag number")
+        b = data[pos]
+        pos += 1
+        if number == 0 and b == 0x80:
+            raise NonCanonical("high tag number with redundant leading octet")
+        number = (number << 7) | (b & 0x7F)
+        if number > _MAX_TAG_NUMBER:
+            raise OversizeTag("tag number beyond supported range")
+        if not b & 0x80:
+            break
+    if number < 0x1F:
+        raise NonCanonical("high tag form used for a low tag number")
+    return _TAG_CLASSES[first >> 6], bool(first & 0x20), number, pos
 
 
 def _decode_length(data: memoryview, pos: int, end: int) -> tuple[int, int]:
+    """A length in the long form, whose first octet is 0x80 or above."""
     if pos >= end:
         raise Truncated("input ended before length")
     first = data[pos]
     pos += 1
-    if first < 0x80:
-        return first, pos
     if first == 0x80:
         raise IndefiniteLength("indefinite length form is BER, not DER")
     count = first & 0x7F

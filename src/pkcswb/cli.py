@@ -114,7 +114,7 @@ def _cmd_kdf(args) -> int:
 
 def _cmd_p8_wrap(args) -> int:
     rng = _build_rng(args)
-    info = keystore.decode_private_key_info(_read(args.infile))
+    info = keystore.PrivateKeyInfo.from_der(_read(args.infile))
     epki = keystore.encrypt_private_key(info, args.password.encode(),
                                         rng.read(args.salt_len), args.iterations, rng)
     _write(args.out, epki.to_der())
@@ -254,7 +254,7 @@ def _cmd_pfx_pack(args) -> int:
     bags = []
     key_id = keystore.attribute_make("localKeyId", b"\x01")
     if args.key:
-        info = keystore.decode_private_key_info(_read(args.key))
+        info = keystore.PrivateKeyInfo.from_der(_read(args.key))
         if args.password:
             epki = keystore.encrypt_private_key(info, args.password.encode(),
                                                 rng.read(8), pkcs5.DEFAULT_ITERATIONS, rng)

@@ -23,8 +23,7 @@ from .errors import DecryptionError, uniform_decryption
 from .keystore import (AlgorithmIdentifier, Attribute, _attributes_from_der,
                        _attributes_to_der, attribute_make)
 from .pkcs1 import ModulusTooSmall, PssParams
-from .primitives import SHA256, HashAlg, RandomSource, cbc_decrypt, cbc_encrypt, \
-    ct_equal, hmac_digest
+from .primitives import SHA256, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest
 from .rsa import RsaPrivateKey, RsaPublicKey
 
 __all__ = [
@@ -110,11 +109,6 @@ class SignerIdent:
     def to_der_value(self) -> DerValue:
         return asn1.sequence(self.name.to_der_value(), asn1.octet_string(self.key_id))
 
-    @classmethod
-    def from_der_value(cls, value: DerValue) -> "SignerIdent":
-        name_v, kid_v = asn1._fields(value, 2)
-        return cls(Name.from_der_value(name_v), kid_v.as_octet_string())
-
 
 def _expect_type(ci: ContentInfo, content_type: Oid, what: str) -> None:
     if ci.content_type != content_type:
@@ -175,19 +169,27 @@ def _covered(encap: ContentInfo,
     return encap_v, (attrs_v,), _attr_message(attrs_v)
 
 
+def _sole_value(attribute: Attribute, tag: int) -> DerValue | None:
+    """An attribute's value if it has exactly one and that is a primitive of
+    universal ``tag``, else None."""
+    value = attribute.values[0]
+    if len(attribute.values) == 1 and value.is_universal(tag) and not value.constructed:
+        return value
+    return None
+
+
 def _is_content_type(attribute: Attribute, content_type: Oid) -> bool:
-    """Whether a contentType attribute holds exactly ``content_type`` (RFC 5652 §11.1)."""
-    return [value.as_oid() for value in attribute.values] == [content_type]
+    """Whether a contentType attribute holds exactly ``content_type``, as its
+    one OBJECT IDENTIFIER value (RFC 5652 §11.1)."""
+    value = _sole_value(attribute, asn1.OBJECT_IDENTIFIER)
+    return value is not None and value.as_oid() == content_type
 
 
 def _is_digest(attribute: Attribute, digest: bytes) -> bool:
     """Whether a messageDigest attribute holds exactly ``digest``, as its one
     OCTET STRING value (RFC 5652 §11.2)."""
-    if len(attribute.values) != 1:
-        return False
-    value = attribute.values[0]
-    return (value.is_universal(asn1.OCTET_STRING) and not value.constructed
-            and ct_equal(value.octets, digest))
+    value = _sole_value(attribute, asn1.OCTET_STRING)
+    return value is not None and ct_equal(value.octets, digest)
 
 
 def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
@@ -348,14 +350,12 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
 # digested-data
 
 
-def digest_data(inner: ContentInfo, alg: HashAlg = SHA256) -> ContentInfo:
-    if alg != SHA256:
-        raise ValueError("only SHA-256 digested-data is produced")
+def digest_data(inner: ContentInfo) -> ContentInfo:
     body = asn1.sequence(
         asn1.integer(0),
         AlgorithmIdentifier(oids.SHA256).to_der_value(),
         inner.to_der_value(),
-        asn1.octet_string(alg.digest(inner.to_der())),
+        asn1.octet_string(SHA256.digest(inner.to_der())),
     )
     return ContentInfo(oids.CT_DIGESTED_DATA, body)
 
@@ -461,13 +461,8 @@ def toy_issue(request: CertificationRequest, ca_key: RsaPrivateKey, ca_name: Nam
 def cert_fields(cert: ContentInfo) -> tuple[Name, RsaPublicKey, int, Name]:
     """Subject, subject key, serial, issuer of a toy certificate.  Callers
     must check the certificate with verify_signed before trusting these."""
-    inner, _ = _cert_payload(cert)
+    encap_v, *_ = _parse_signed(cert)
+    inner = der_decode(data_payload(ContentInfo.from_der_value(encap_v)))
     subject_v, spki_v, serial_v, issuer_v = asn1.require(inner, asn1.SEQUENCE).children
     return (Name.from_der_value(subject_v), decode_public_key_info(spki_v),
             serial_v.as_integer(), Name.from_der_value(issuer_v))
-
-
-def _cert_payload(cert: ContentInfo) -> tuple[DerValue, ContentInfo]:
-    encap_v, *_ = _parse_signed(cert)
-    data = ContentInfo.from_der_value(encap_v)
-    return der_decode(data_payload(data)), data

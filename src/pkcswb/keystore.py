@@ -6,8 +6,8 @@ key octets, optional attribute set) and EncryptedPrivateKeyInfo (PBES2
 algorithm header plus ciphertext).  The RSA key body inside PrivateKeyInfo is
 a SEQUENCE of version, n, e, d, followed by one (r_i, d_i, t_i) triple per
 prime; the first prime carries the trivial coefficient t_1 = 1 so that all
-primes share one shape.  Multiprime keys use body version 1, two-prime keys
-version 0.
+primes share one shape, the one ``rsa.RsaPrivateKey`` holds, and the triples
+map one to one.  Multiprime keys use body version 1, two-prime keys version 0.
 
 The attribute registry holds exactly the ten types the other standards pull
 in: contentType, messageDigest, signingTime, sequenceNumber, randomNonce,
@@ -44,7 +44,6 @@ __all__ = [
     "EncryptedPrivateKeyInfo",
     "encode_private_key",
     "decode_private_key",
-    "decode_private_key_info",
     "encrypt_private_key",
     "decrypt_private_key",
     "pbes2_algorithm",
@@ -297,9 +296,9 @@ def attribute_check(attribute: Attribute) -> bool:
     return all(spec.syntax(v) for v in attribute.values)
 
 
-def _attributes_to_der(attributes: tuple[Attribute, ...], tag: int = 0) -> DerValue:
-    """[tag] IMPLICIT SET OF Attribute in canonical order."""
-    return asn1.context(tag, asn1.set_order(a.to_der_value() for a in attributes))
+def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
+    """[0] IMPLICIT SET OF Attribute in canonical order."""
+    return asn1.context(0, asn1.set_order(a.to_der_value() for a in attributes))
 
 
 def _attributes_from_der(value: DerValue) -> tuple[Attribute, ...]:
@@ -358,10 +357,9 @@ def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
 
 
 def _key_body(key: RsaPrivateKey) -> DerValue:
-    coefficients = (1,) + key.crt_coefficients  # R_1 is empty, so t_1 = 1
     triples = [
         asn1.sequence(asn1.integer(r), asn1.integer(d_i), asn1.integer(t_i))
-        for r, d_i, t_i in zip(key.primes, key.crt_exponents, coefficients)
+        for r, d_i, t_i in zip(key.primes, key.crt_exponents, key.crt_coefficients)
     ]
     return asn1.sequence(
         asn1.integer(key.version),
@@ -383,17 +381,8 @@ def _key_from_body(body: DerValue) -> RsaPrivateKey:
         primes.append(r_v.as_integer())
         exponents.append(d_i_v.as_integer())
         coefficients.append(t_i_v.as_integer())
-    if not coefficients or coefficients[0] != 1:
-        raise MalformedKey("first prime must carry the trivial coefficient 1")
-    products = []
-    running = 1
-    for r in primes[:-1]:
-        running *= r
-        products.append(running)
-    return RsaPrivateKey(
-        version_v.as_integer(), n, e, d_v.as_integer(),
-        tuple(primes), tuple(exponents), tuple(coefficients[1:]), tuple(products),
-    )
+    return RsaPrivateKey(version_v.as_integer(), n, e, d_v.as_integer(),
+                         primes, exponents, coefficients)
 
 
 @dataclass(frozen=True)
@@ -444,10 +433,6 @@ class PrivateKeyInfo:
 
 def encode_private_key(key: RsaPrivateKey, attributes: tuple[Attribute, ...] = ()) -> bytes:
     return PrivateKeyInfo(key, attributes).to_der()
-
-
-def decode_private_key_info(octets: bytes) -> PrivateKeyInfo:
-    return PrivateKeyInfo.from_der(octets)
 
 
 def decode_private_key(octets: bytes) -> RsaPrivateKey:

@@ -127,7 +127,7 @@ class MacData:
 class PfxPdu:
     auth_safe: ContentInfo
     mac_data: MacData | None = None
-    version: int = 3
+    version = 3  # the one version written and read (RFC 7292 §4)
 
     def to_der(self) -> bytes:
         children = [asn1.integer(self.version), self.auth_safe.to_der_value()]
@@ -138,8 +138,10 @@ class PfxPdu:
     @classmethod
     def from_der(cls, octets: bytes) -> "PfxPdu":
         kids = asn1._fields(der_decode(octets), 2, 3)
+        if kids[0].as_integer() != cls.version:
+            raise UnsupportedAlgorithm(f"unsupported PFX version {kids[0].as_integer()}")
         mac = MacData.from_der_value(kids[2]) if len(kids) == 3 else None
-        return cls(ContentInfo.from_der_value(kids[1]), mac, kids[0].as_integer())
+        return cls(ContentInfo.from_der_value(kids[1]), mac)
 
 
 @dataclass(frozen=True)

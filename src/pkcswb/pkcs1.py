@@ -95,11 +95,6 @@ class OaepParams:
         # message length k1 must satisfy k1 < k - 2*k0 - 2
         return self.k - 2 * self.k0 - 3
 
-    @classmethod
-    def for_key(cls, key: RsaPublicKey | RsaPrivateKey,
-                hash_alg: HashAlg = SHA256, label: bytes = b"") -> "OaepParams":
-        return cls(key.modulus_octets, hash_alg, label)
-
 
 @dataclass(frozen=True)
 class PssParams:
@@ -132,8 +127,8 @@ class PssParams:
 
     @classmethod
     def for_key(cls, key: RsaPublicKey | RsaPrivateKey,
-                hash_alg: HashAlg = SHA256, salt_len: int | None = None) -> "PssParams":
-        return cls(key.modulus_octets, key.n.bit_length(), hash_alg, salt_len)
+                salt_len: int | None = None) -> "PssParams":
+        return cls(key.modulus_octets, key.n.bit_length(), salt_len=salt_len)
 
 
 # ---------------------------------------------------------------------------
@@ -259,20 +254,20 @@ def pss_verify_encoding(message: bytes, em: bytes, params: PssParams) -> bool:
 
 
 def encrypt(message: bytes, pk: RsaPublicKey, scheme: str, rng: RandomSource,
-            *, label: bytes = b"", hash_alg: HashAlg = SHA256) -> bytes:
+            *, label: bytes = b"") -> bytes:
     """Pad, convert to an integer, and apply the public operation."""
     k = pk.modulus_octets
     if scheme == SCHEME_V15:
         em = eme_v15_pad(message, k, rng)
     elif scheme == SCHEME_OAEP:
-        em = oaep_encode(message, OaepParams(k, hash_alg, label), rng)
+        em = oaep_encode(message, OaepParams(k, label=label), rng)
     else:
         raise ValueError(f"unknown encryption scheme {scheme!r}")
     return i2osp(rsa_public_op(os2ip(em), pk), k)
 
 
 def decrypt(ciphertext: bytes, sk: RsaPrivateKey, scheme: str,
-            *, label: bytes = b"", hash_alg: HashAlg = SHA256) -> bytes:
+            *, label: bytes = b"") -> bytes:
     if scheme not in (SCHEME_V15, SCHEME_OAEP):
         raise ValueError(f"unknown encryption scheme {scheme!r}")
     k = sk.modulus_octets
@@ -284,7 +279,7 @@ def decrypt(ciphertext: bytes, sk: RsaPrivateKey, scheme: str,
     em = i2osp(rsa_private_op(c, sk), k)
     if scheme == SCHEME_V15:
         return eme_v15_unpad(em, k)
-    return oaep_decode(em, OaepParams(k, hash_alg, label))
+    return oaep_decode(em, OaepParams(k, label=label))
 
 
 def sign(message: bytes, sk: RsaPrivateKey, rng: RandomSource,

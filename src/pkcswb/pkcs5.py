@@ -137,13 +137,12 @@ def pbes2_decrypt(params: Pbes2Params, ciphertext: bytes, password: bytes) -> by
         return cbc_decrypt(dk, params.iv, ciphertext)
 
 
-def pbmac1_tag(message: bytes, password: bytes, salt: bytes, iterations: int,
-               mac_key_len: int = 32) -> bytes:
-    """HMAC tag under a PBKDF2-derived key."""
-    dk = pbkdf2(password, Pbkdf2Params(salt, iterations, mac_key_len))
+def pbmac1_tag(message: bytes, password: bytes, salt: bytes, iterations: int) -> bytes:
+    """HMAC-SHA-256 tag under a 32-octet PBKDF2-derived key."""
+    dk = pbkdf2(password, Pbkdf2Params(salt, iterations, 32))
     return hmac_digest(dk, message)
 
 
 def pbmac1_verify(message: bytes, tag: bytes, password: bytes, salt: bytes,
-                  iterations: int, mac_key_len: int = 32) -> bool:
-    return ct_equal(pbmac1_tag(message, password, salt, iterations, mac_key_len), tag)
+                  iterations: int) -> bool:
+    return ct_equal(pbmac1_tag(message, password, salt, iterations), tag)

@@ -1,9 +1,12 @@
 """Multiprime RSA: key material, prime generation, raw modular operations.
 
 Keys are products of u >= 2 distinct primes of roughly equal size.  The
-decryption exponent is taken modulo lcm(r_i - 1), and the private operation
-recombines per-prime exponentiations with the incremental CRT coefficients
-t_i (inverse of the partial product R_i = r_1 * ... * r_{i-1} modulo r_i).
+decryption exponent is taken modulo lcm(r_i - 1).  A private key holds one
+(r_i, d_i, t_i) triple per prime, as its PKCS #8 body does: d_i = e^-1 mod
+(r_i - 1), and t_i is the inverse modulo r_i of the partial product
+R_i = r_1 * ... * r_{i-1}, so t_1 = 1 (R_1 is the empty product).  The private
+operation recombines the per-prime exponentiations with Garner's step, one
+loop over the triples.
 
 Desk-scale keys are first class: nothing below enforces a minimum modulus
 beyond arithmetic validity, so exhaustive sweeps over toy moduli stay cheap.
@@ -117,10 +120,9 @@ def _check_primes(primes: tuple[int, ...]) -> None:
 class RsaPrivateKey:
     """Multiprime private key with CRT material.
 
-    ``crt_exponents`` holds d_i = e^-1 mod (r_i - 1) for every prime;
-    ``crt_coefficients`` and ``prime_products`` hold t_i and
-    R_i = r_1 * ... * r_{i-1} for i >= 2, aligned so index j describes
-    prime j+1.
+    ``primes``, ``crt_exponents`` and ``crt_coefficients`` are aligned: index
+    j holds r_i, d_i = e^-1 mod (r_i - 1) and t_i = R_i^-1 mod r_i for prime
+    i = j + 1, with R_i = r_1 * ... * r_{i-1}, so the first coefficient is 1.
     """
 
     version: int
@@ -130,13 +132,11 @@ class RsaPrivateKey:
     primes: tuple[int, ...]
     crt_exponents: tuple[int, ...]
     crt_coefficients: tuple[int, ...]
-    prime_products: tuple[int, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "primes", tuple(self.primes))
         object.__setattr__(self, "crt_exponents", tuple(self.crt_exponents))
         object.__setattr__(self, "crt_coefficients", tuple(self.crt_coefficients))
-        object.__setattr__(self, "prime_products", tuple(self.prime_products))
         self.check()
 
     @property
@@ -158,10 +158,8 @@ class RsaPrivateKey:
             raise ValueError("primes must be distinct")
         if self.version != (0 if u == 2 else 1):
             raise ValueError("version must be 0 for two primes, 1 otherwise")
-        if len(self.crt_exponents) != u:
-            raise ValueError("one CRT exponent per prime required")
-        if len(self.crt_coefficients) != u - 1 or len(self.prime_products) != u - 1:
-            raise ValueError("CRT coefficients/products required for primes 2..u")
+        if len(self.crt_exponents) != u or len(self.crt_coefficients) != u:
+            raise ValueError("one CRT exponent and coefficient per prime required")
         n = math.prod(self.primes)
         if n != self.n:
             raise ValueError("modulus is not the product of the primes")
@@ -171,11 +169,8 @@ class RsaPrivateKey:
         for r, d_i in zip(self.primes, self.crt_exponents):
             if (self.e * d_i) % (r - 1) != 1:
                 raise ValueError("bad CRT exponent")
-        product = self.primes[0]
-        for i in range(1, u):
-            r, t = self.primes[i], self.crt_coefficients[i - 1]
-            if self.prime_products[i - 1] != product:
-                raise ValueError("bad partial prime product")
+        product = 1
+        for r, t in zip(self.primes, self.crt_coefficients):
             if not 0 < t < r or (product * t) % r != 1:
                 raise ValueError("bad CRT coefficient")
             product *= r
@@ -298,31 +293,21 @@ def generate_prime(bits: int, rng: RandomSource, u: int = 2) -> int:
     raise RngExhausted("source never produced a prime candidate")
 
 
-def _crt_material(primes: tuple[int, ...], e: int) -> tuple[int, tuple, tuple, tuple]:
-    chi = math.lcm(*[r - 1 for r in primes])
-    d = pow(e, -1, chi)
-    exponents = tuple(pow(e, -1, r - 1) for r in primes)
-    coefficients = []
-    products = []
-    running = primes[0]
-    for r in primes[1:]:
-        products.append(running)
-        coefficients.append(pow(running, -1, r))
-        running *= r
-    return d, exponents, tuple(coefficients), tuple(products)
-
-
 def key_from_primes(primes, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
     """Build a key pair from explicitly chosen distinct odd primes."""
     primes = tuple(primes)
     _check_primes(primes)
+    exponents, coefficients = [], []
+    product = 1
     for r in primes:
         if math.gcd(e, r - 1) != 1:
             raise BadExponent(f"gcd(e, {r} - 1) != 1")
-    d, exponents, coefficients, products = _crt_material(primes, e)
-    n = math.prod(primes)
-    private = RsaPrivateKey(0 if len(primes) == 2 else 1, n, e, d,
-                            primes, exponents, coefficients, products)
+        exponents.append(pow(e, -1, r - 1))
+        coefficients.append(pow(product, -1, r))
+        product *= r
+    d = pow(e, -1, math.lcm(*[r - 1 for r in primes]))
+    private = RsaPrivateKey(0 if len(primes) == 2 else 1, product, e, d,
+                            primes, exponents, coefficients)
     return private.public_key, private
 
 
@@ -373,13 +358,9 @@ def rsa_private_op(c: int, sk: RsaPrivateKey) -> int:
     """c^d mod n via per-prime exponentiation and CRT recombination."""
     if not 0 <= c < sk.n:
         raise CiphertextRepresentativeOutOfRange("ciphertext representative out of range")
-    result = pow(c, sk.crt_exponents[0], sk.primes[0])
-    product = sk.primes[0]
-    for i in range(1, sk.u):
-        r = sk.primes[i]
-        m_i = pow(c, sk.crt_exponents[i], r)
-        t_i = sk.crt_coefficients[i - 1]
-        result += product * ((m_i - result) * t_i % r)
+    result, product = 0, 1
+    for r, d_i, t_i in zip(sk.primes, sk.crt_exponents, sk.crt_coefficients):
+        result += product * ((pow(c, d_i, r) - result) * t_i % r)
         product *= r
     return result
 

@@ -209,6 +209,30 @@ def test_received_content_type_attribute_must_match_the_content(key_1024, ident,
     assert not check_auth(ContentInfo.from_der(maced), b"mac key")
 
 
+# a contentType attribute whose one value is not an OBJECT IDENTIFIER
+NOT_AN_OID = Attribute(oids.AT_CONTENT_TYPE, (asn1.integer(1),))
+
+
+def test_content_type_value_that_is_not_an_oid_is_the_wrong_type(key_1024, ident):
+    _, private = key_1024
+    with pytest.raises(WrongContentType):
+        sign_data(make_data(b"m"), private, ident, (NOT_AN_OID,), seeded(b"s"))
+    with pytest.raises(WrongContentType):
+        authenticate_data(make_data(b"m"), b"k", (NOT_AN_OID,))
+
+
+def test_received_content_type_value_that_is_not_an_oid_is_refused(key_1024, ident, monkeypatch):
+    public, private = key_1024
+    inner = make_data(b"m")
+    monkeypatch.setattr(cms, "_is_content_type", lambda attribute, content_type: True)
+    signed = sign_data(inner, private, ident, (NOT_AN_OID,), seeded(b"s")).to_der()
+    maced = authenticate_data(inner, b"mac key", (NOT_AN_OID,)).to_der()
+    monkeypatch.undo()
+    with pytest.raises(SignatureInvalid):
+        verify_signed(ContentInfo.from_der(signed), public)
+    assert not check_auth(ContentInfo.from_der(maced), b"mac key")
+
+
 def test_signed_der_round_trip_byte_identical(key_1024, ident):
     _, private = key_1024
     signed = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s"))

@@ -62,6 +62,46 @@ def test_corrupted_key_body_fails_invariants():
         decode_private_key(der_encode(broken))
 
 
+def _with_body_fields(private: rsa.RsaPrivateKey, edit) -> bytes:
+    """The .p8 encoding of ``private`` with its key body's five fields
+    (version, n, e, d, triples) replaced by ``edit(fields)``."""
+    root = der_decode(encode_private_key(private))
+    fields = list(der_decode(root.children[2].as_octet_string()).children)
+    body = asn1.sequence(*edit(fields))
+    return der_encode(asn1.sequence(root.children[0], root.children[1],
+                                    asn1.octet_string(der_encode(body))))
+
+
+def test_first_triple_with_a_coefficient_other_than_one_is_malformed():
+    _, private = rsa.key_from_primes((3, 5, 7), 5)
+
+    def first_coefficient_two(fields):
+        first, *rest = fields[4].children
+        r_v, d_v, _ = first.children
+        return fields[:4] + [asn1.sequence(asn1.sequence(r_v, d_v, asn1.integer(2)), *rest)]
+
+    with pytest.raises(MalformedKey, match="coefficient"):
+        decode_private_key(_with_body_fields(private, first_coefficient_two))
+
+
+@pytest.mark.parametrize("primes,version", [((5, 11), 1), ((3, 5, 7), 0)])
+def test_body_version_that_disagrees_with_the_prime_count_is_malformed(primes, version):
+    _, private = rsa.key_from_primes(primes, 3 if len(primes) == 2 else 5)
+    edited = _with_body_fields(private, lambda fields: [asn1.integer(version)] + fields[1:])
+    with pytest.raises(MalformedKey, match="version"):
+        decode_private_key(edited)
+
+
+def test_private_key_info_fourth_field_must_be_context_zero():
+    _, private = rsa.key_from_primes((3, 5, 7), 5)
+    attributes = (attribute_make("friendlyName", "k"),)
+    root = der_decode(PrivateKeyInfo(private, attributes).to_der())
+    *first_three, attrs_v = root.children
+    for fourth in (asn1.context(1, attrs_v.children), asn1.set_value(*attrs_v.children)):
+        with pytest.raises(MalformedKey, match="trailing"):
+            PrivateKeyInfo.from_der(der_encode(asn1.sequence(*first_three, fourth)))
+
+
 def test_unsupported_key_algorithm():
     _, private = rsa.key_from_primes((3, 5, 7), 5)
     root = der_decode(encode_private_key(private))

@@ -227,6 +227,17 @@ def test_bag_type_validation(material):
         SafeBag("cert", info, ())  # wrong value type for the bag
 
 
+def test_pfx_version_other_than_three_is_unsupported(material):
+    bags, credentials, _ = material
+    built = pfx_create(bags, "public_key", "password", credentials, seeded(b"version"))
+    _, *rest = asn1.der_decode(built.to_der()).children
+    for version in (7, 2):
+        edited = asn1.der_encode(asn1.sequence(asn1.integer(version), *rest))
+        with pytest.raises(UnsupportedAlgorithm, match="version"):
+            PfxPdu.from_der(edited)
+    assert PfxPdu.from_der(built.to_der()).version == 3
+
+
 def test_mac_iteration_count_above_cap_fails_before_pbkdf2(material, monkeypatch):
     bags, credentials, _ = material
     built = pfx_create(bags, "public_key", "password", credentials, seeded(b"mac-cap"))

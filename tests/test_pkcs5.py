@@ -159,11 +159,6 @@ def test_pbmac1_flipped_tag_bit():
     assert not pbmac1_verify(b"message", bytes(tag), PASSWORD, SALT, 50)
 
 
-def test_pbmac1_key_length_parameter():
-    assert pbmac1_tag(b"m", PASSWORD, SALT, 50, 16) != \
-        pbmac1_tag(b"m", PASSWORD, SALT, 50, 32)
-
-
 def test_uniform_decryption_drops_the_cause():
     for failure in (ValueError("bad padding"), IndexError(0), DecryptionError()):
         with pytest.raises(DecryptionError) as info:

@@ -23,8 +23,7 @@ def test_three_prime_toy_key():
     public, private = rsa.key_from_primes((3, 5, 7), 5)
     assert private.d == 5
     assert private.crt_exponents == (1, 1, 5)
-    assert private.crt_coefficients == (2, 1)   # 3*2 = 1 mod 5, 15 = 1 mod 7
-    assert private.prime_products == (3, 15)
+    assert private.crt_coefficients == (1, 2, 1)   # t_1 = 1, 3*2 = 1 mod 5, 15 = 1 mod 7
     assert private.version == 1
 
 
@@ -92,12 +91,10 @@ def test_private_key_invariants_checked():
     _, private = rsa.key_from_primes((5, 11), 3)
     with pytest.raises(ValueError):
         rsa.RsaPrivateKey(0, private.n, private.e, private.d + 1, private.primes,
-                          private.crt_exponents, private.crt_coefficients,
-                          private.prime_products)
+                          private.crt_exponents, private.crt_coefficients)
     with pytest.raises(ValueError):
         rsa.RsaPrivateKey(1, private.n, private.e, private.d, private.primes,
-                          private.crt_exponents, private.crt_coefficients,
-                          private.prime_products)  # version must match u
+                          private.crt_exponents, private.crt_coefficients)  # version must match u
 
 
 # -- prime generation ----------------------------------------------------------

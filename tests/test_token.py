@@ -46,6 +46,23 @@ def test_init_user_pin_requires_so():
     token.init_user_pin(session, "user-pin")
 
 
+@pytest.mark.parametrize("close", ["close_session", "close_all", "device_removed"])
+def test_session_objects_go_with_their_session(close):
+    token = fresh_token(b"session-objects")
+    session = token.open_session(rw=True)
+    other = token.open_session(rw=False)
+    kept = token.create_object(session, CLASS_DATA, {CKA_VALUE: b"token"})
+    mine = token.create_object(session, CLASS_DATA, {CKA_VALUE: b"mine", CKA_TOKEN: False})
+    theirs = token.create_object(other, CLASS_DATA, {CKA_VALUE: b"theirs", CKA_TOKEN: False})
+    assert token.object_handles() == (kept, mine, theirs)
+    if close == "close_session":
+        token.close_session(session)
+        assert token.object_handles() == (kept, theirs)
+    else:
+        getattr(token, close)()
+        assert token.object_handles() == (kept,)
+
+
 def test_initialize_wipes_objects():
     token = Token("wipe", seeded(b"wipe"))
     token.initialize("so")
