@@ -3,19 +3,28 @@
 Only definite lengths are produced or accepted (DER, the canonical subset of
 BER).  Values are modeled as ``DerValue`` trees: primitive values carry raw
 content octets, constructed values carry an ordered tuple of child values.
-The constructor rejects what DER forbids and puts SET children in canonical
-order (``set_order``, X.690 §11.6), which the decoder requires.  A value keeps
-its DER octets: a view of those it was decoded from, or its first encoding.
-Decoding nests at most ``MAX_DEPTH`` values deep.
+A value keeps its DER octets: a view of those it was decoded from, or its
+first encoding.  Decoding nests at most ``MAX_DEPTH`` values deep.
+
+DER's rules for single values live in one table, ``_RULES``, keyed by the
+identifier octet of a universal tag: a form DER forbids (a constructed
+INTEGER, a primitive SET, ...), or a check of a primitive's content octets
+(INTEGER, BOOLEAN, NULL, BIT STRING, OBJECT IDENTIFIER).  The constructor
+looks a built value's identifier up there, and so does the decoder, which
+creates each value directly and runs only the rule its identifier has.
+SET OF order (X.690 §11.6) is set where a SET is built: the constructor
+sorts its children (``set_order``).  It is checked where a SET is received:
+``_check_set_order`` compares the received encodings of neighbouring
+children in one pass, for every decoded SET and for the attribute sets
+that ``keystore`` reads.
 
 Decoding does each piece of work once.  An OID encoding is parsed once: the
 parse behind ``octets_to_oid`` has a bounded memo (512 encodings of at most
-``_OID_MEMO_OCTETS`` octets), so the constructor's check, every ``as_oid``
-and the container parsers share one immutable ``Oid`` per encoding; a bad
-encoding is not kept and raises on every call.  The decoder reads the common
-header, a one-octet tag and a short-form length, inline; ``_decode_tag`` and
-``_decode_length`` read, and check, every other form.  The constructor stays
-the one validity check for built and decoded values alike.
+``_OID_MEMO_OCTETS`` octets), so the content rule, every ``as_oid`` and the
+container parsers share one immutable ``Oid`` per encoding; a bad encoding
+is not kept and raises on every call.  The decoder reads the common header,
+a one-octet tag and a short-form length, inline; ``_decode_tag`` and
+``_decode_length`` read, and check, every other form.
 """
 
 from __future__ import annotations
@@ -176,30 +185,30 @@ class DerValue:
 
     def __init__(self, tag_class: TagClass, constructed: bool, tag_number: int,
                  content: bytes | tuple["DerValue", ...]):
-        """Every check DER asks of a value, built or decoded.  The fields are
-        written to the instance dict once: the generated frozen ``__init__``
-        writes each through ``object.__setattr__``, half the cost of a value."""
+        """A built value: its fields' types, the rule ``_RULES`` has for its
+        identifier (the decoder's rules too), and SET children put in
+        canonical order.  The fields are written to the instance dict once: the
+        generated frozen ``__init__`` writes each through ``object.__setattr__``."""
         universal = tag_class == _UNIVERSAL
         if tag_number < 0:
             raise ValueError("negative tag number")
         if constructed:
             if isinstance(content, (bytes, bytearray)):
                 raise ValueError("constructed value must carry child values")
-            if universal and tag_number in _ALWAYS_PRIMITIVE:
-                raise NonCanonical(f"universal tag {tag_number} must be primitive")
+        elif isinstance(content, (bytes, bytearray)):
+            content = bytes(content)
+        else:
+            raise ValueError("primitive value must carry octets")
+        if universal and tag_number < 0x1F:
+            rule = _RULES.get(tag_number | 0x20 if constructed else tag_number)
+            if rule is not None:
+                rule(content)
+        if constructed:
             content = tuple(content)
             if universal and tag_number == SET:
                 # SETs are canonical by construction, so every round trip is
                 # structure- and octet-exact
                 content = set_order(content)
-        else:
-            if not isinstance(content, (bytes, bytearray)):
-                raise ValueError("primitive value must carry octets")
-            content = bytes(content)
-            if universal:
-                if tag_number in _ALWAYS_CONSTRUCTED:
-                    raise NonCanonical(f"universal tag {tag_number} must be constructed")
-                _check_primitive_canonical(tag_number, content)
         fields = self.__dict__
         fields["tag_class"] = tag_class
         fields["constructed"] = constructed
@@ -258,7 +267,7 @@ class DerValue:
         return self.octets[1:]
 
     def _expect_primitive(self, tag_number: int, what: str) -> None:
-        if self.constructed or not self.is_universal(tag_number):
+        if self.constructed or self.tag_number != tag_number or self.tag_class != _UNIVERSAL:
             raise NonCanonical(f"value is not a primitive {what}")
 
 
@@ -421,44 +430,86 @@ def _encode_length(length: int) -> bytes:
     return bytes([0x80 | len(body)]) + body
 
 
-def _check_primitive_canonical(tag: int, content: bytes) -> None:
-    if tag == INTEGER:
-        if not content:
-            raise NonCanonical("INTEGER with empty content")
-        if len(content) > 1 and (
-            (content[0] == 0x00 and content[1] < 0x80)
-            or (content[0] == 0xFF and content[1] >= 0x80)
-        ):
-            raise NonCanonical("INTEGER with redundant leading octet")
-    elif tag == BOOLEAN:
-        if content not in (b"\x00", b"\xff"):
-            raise NonCanonical("BOOLEAN content must be 0x00 or 0xff")
-    elif tag == NULL:
-        if content:
-            raise NonCanonical("NULL must have empty content")
-    elif tag == BIT_STRING:
-        if not content:
-            raise NonCanonical("BIT STRING needs an unused-bit-count octet")
-        if content[0] > 7 or (len(content) == 1 and content[0] != 0):
-            raise NonCanonical("invalid BIT STRING unused-bit count")
-    elif tag == OBJECT_IDENTIFIER:
-        _parse_oid(content)  # validates arc structure, and memoizes the Oid
+def _check_integer(content: bytes) -> None:
+    if not content:
+        raise NonCanonical("INTEGER with empty content")
+    if len(content) > 1 and (
+        (content[0] == 0x00 and content[1] < 0x80)
+        or (content[0] == 0xFF and content[1] >= 0x80)
+    ):
+        raise NonCanonical("INTEGER with redundant leading octet")
+
+
+def _check_boolean(content: bytes) -> None:
+    if content not in (b"\x00", b"\xff"):
+        raise NonCanonical("BOOLEAN content must be 0x00 or 0xff")
+
+
+def _check_null(content: bytes) -> None:
+    if content:
+        raise NonCanonical("NULL must have empty content")
+
+
+def _check_bit_string(content: bytes) -> None:
+    if not content:
+        raise NonCanonical("BIT STRING needs an unused-bit-count octet")
+    if content[0] > 7 or (len(content) == 1 and content[0] != 0):
+        raise NonCanonical("invalid BIT STRING unused-bit count")
+
+
+def _wrong_form(message: str):
+    def rule(content) -> None:
+        raise NonCanonical(message)
+    return rule
+
+
+# DER's rule for a universal tag that has one, by identifier octet (0x20 marks
+# the constructed form): the form DER forbids, or a check of primitive content.
+# _parse_oid validates the arc structure and memoizes the Oid.
+_RULES = {INTEGER: _check_integer, BOOLEAN: _check_boolean, NULL: _check_null,
+          BIT_STRING: _check_bit_string, OBJECT_IDENTIFIER: _parse_oid}
+_RULES.update({0x20 | tag: _wrong_form(f"universal tag {tag} must be primitive")
+               for tag in _ALWAYS_PRIMITIVE})
+_RULES.update({tag: _wrong_form(f"universal tag {tag} must be constructed")
+               for tag in _ALWAYS_CONSTRUCTED})
 
 
 def set_order(items, to_value=lambda value: value) -> tuple:
     """``items`` in canonical SET OF order (X.690 §11.6), by DER of ``to_value(item)``."""
-    return tuple(sorted(items, key=lambda item: der_encode(to_value(item))))
+    items = tuple(items)
+    if len(items) < 2:
+        return items
+    return tuple(sorted(items, key=lambda item: bytes(_encoding(to_value(item)))))
+
+
+def _check_set_order(values: tuple[DerValue, ...], what: str) -> None:
+    """NonCanonical unless received ``values`` are in SET OF order: in one pass,
+    each one's encoding, as received, is no less than its neighbour's before it."""
+    if len(values) < 2:
+        return
+    previous = bytes(_encoding(values[0]))
+    for value in values[1:]:
+        encoding = bytes(_encoding(value))
+        if encoding < previous:
+            raise NonCanonical(f"{what} not in canonical order")
+        previous = encoding
+
+
+def _encoding(value: DerValue) -> bytes | memoryview:
+    """The DER octets a value keeps: those it was decoded from, or its first encoding."""
+    der = value._der
+    if der is None:
+        if value.constructed:
+            body = b"".join([_encoding(child) for child in value.content])
+        else:
+            body = value.content
+        der = value.__dict__["_der"] = _encode_tag(value) + _encode_length(len(body)) + body
+    return der
 
 
 def der_encode(value: DerValue) -> bytes:
     """DER octets of a value tree, kept from decoding or from the first call."""
-    if value._der is None:
-        if value.constructed:
-            body = b"".join([der_encode(child) for child in value.content])
-        else:
-            body = value.content
-        object.__setattr__(value, "_der", _encode_tag(value) + _encode_length(len(body)) + body)
-    return bytes(value._der)
+    return bytes(_encoding(value))
 
 
 def encode_sequence(*elements: bytes) -> bytes:
@@ -516,6 +567,11 @@ def _decode_length(data: memoryview, pos: int, end: int) -> tuple[int, int]:
     return length, pos
 
 
+# What the decoder creates values with: it applies DER's rules itself, so a
+# decoded value skips the constructor and its fields are written as they are.
+_new_value = object.__new__
+
+
 def _decode_value(data: memoryview, pos: int, end: int, depth: int) -> tuple[DerValue, int]:
     if depth > MAX_DEPTH:
         raise TooDeep(f"values nested more than {MAX_DEPTH} deep")
@@ -523,10 +579,11 @@ def _decode_value(data: memoryview, pos: int, end: int, depth: int) -> tuple[Der
     # a one-octet tag and a short-form length are read here; _decode_tag and
     # _decode_length take, and check, every other form
     if pos < end and (first := data[pos]) & 0x1F != 0x1F:
-        tag_class, constructed, number = _TAG_CLASSES[first >> 6], first & 0x20, first & 0x1F
+        tag_class, number = _TAG_CLASSES[first >> 6], first & 0x1F
         pos += 1
     else:
-        tag_class, constructed, number, pos = _decode_tag(data, pos, end)
+        tag_class, _, number, pos = _decode_tag(data, pos, end)
+        first = data[start]  # high tag form: no entry in _RULES
     if pos < end and (length := data[pos]) < 0x80:
         pos += 1
     else:
@@ -534,18 +591,27 @@ def _decode_value(data: memoryview, pos: int, end: int, depth: int) -> tuple[Der
     stop = pos + length
     if stop > end:
         raise Truncated("content shorter than announced length")
+    constructed = first & 0x20 != 0
     if constructed:
         children = []
         while pos < stop:
             child, pos = _decode_value(data, pos, stop, depth + 1)
             children.append(child)
-        children = tuple(children)
-        value = DerValue(tag_class, True, number, children)
-        if value.content != children:  # the constructor reorders a SET
-            raise NonCanonical("SET children not in canonical order")
+        content = tuple(children)
+        if first == 0x20 | SET:
+            _check_set_order(content, "SET children")
     else:
-        value = DerValue(tag_class, False, number, bytes(data[pos:stop]))
-    object.__setattr__(value, "_der", data[start:stop])  # a view of the octets received
+        content = bytes(data[pos:stop])
+    rule = _RULES.get(first)
+    if rule is not None:
+        rule(content)
+    value = _new_value(DerValue)
+    fields = value.__dict__
+    fields["tag_class"] = tag_class
+    fields["constructed"] = constructed
+    fields["tag_number"] = number
+    fields["content"] = content
+    fields["_der"] = data[start:stop]  # a view of the octets received
     return value, stop
 
 

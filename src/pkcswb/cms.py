@@ -137,30 +137,34 @@ def _attr_message(attrs_v: DerValue) -> bytes:
     return bytes([0x20 | asn1.SET]) + der_encode(attrs_v)[1:]
 
 
-def _find_attr(attributes: tuple[Attribute, ...], oid: Oid) -> Attribute | None:
-    for attribute in attributes:
-        if attribute.attr_type == oid:
-            return attribute
-    return None
+def _find_attr(attributes: tuple[Attribute, ...], oid: Oid,
+               duplicate: type[Exception]) -> Attribute | None:
+    """The attribute of type ``oid``, or None; ``duplicate`` is raised for a
+    second one (contentType and messageDigest appear once, RFC 5652 §11.1, §11.2)."""
+    found = [attribute for attribute in attributes if attribute.attr_type == oid]
+    if len(found) > 1:
+        raise duplicate(f"more than one {oid} attribute")
+    return found[0] if found else None
 
 
 def _covered(encap: ContentInfo,
              attrs: tuple[Attribute, ...]) -> tuple[DerValue, tuple[DerValue, ...], bytes]:
     """(encapsulated content, a tuple of none or one [0] attribute set, octets a
     signature or MAC covers); attributes gain contentType and messageDigest if
-    absent, and given ones must be the content's (WrongContentType, DigestMismatch)."""
+    absent, and given ones must be the content's (WrongContentType, DigestMismatch)
+    and appear once (ValueError)."""
     encap_v = encap.to_der_value()
     content_der = der_encode(encap_v)
     attrs = tuple(attrs)
     if not attrs:
         return encap_v, (), content_der
-    content_type = _find_attr(attrs, oids.AT_CONTENT_TYPE)
+    content_type = _find_attr(attrs, oids.AT_CONTENT_TYPE, ValueError)
     if content_type is None:
         attrs += (attribute_make("contentType", encap.content_type),)
     elif not _is_content_type(content_type, encap.content_type):
         raise WrongContentType("contentType attribute is not the encapsulated content's type")
     digest = SHA256.digest(content_der)
-    message_digest = _find_attr(attrs, oids.AT_MESSAGE_DIGEST)
+    message_digest = _find_attr(attrs, oids.AT_MESSAGE_DIGEST, ValueError)
     if message_digest is None:
         attrs += (attribute_make("messageDigest", digest),)
     elif not _is_digest(message_digest, digest):
@@ -195,14 +199,15 @@ def _is_digest(attribute: Attribute, digest: bytes) -> bool:
 def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
     """The octets a received signature or MAC covers: the encapsulated content
     as received, or the received [0] attribute set, which must hold the
-    content's type as contentType and a messageDigest of that content
-    (RFC 5652 §5.3, §9.2, §11.1, §11.2).  Raises SignatureInvalid or DigestMismatch."""
+    content's type as its one contentType and a digest of that content as its
+    one messageDigest (RFC 5652 §5.3, §9.2, §11.1, §11.2).  Raises
+    SignatureInvalid or DigestMismatch."""
     content_der = encap.to_der()
     if attrs_v is None:
         return content_der
     attributes = _attributes_from_der(asn1.require(attrs_v, 0, tag_class=asn1.TagClass.CONTEXT))
-    md = _find_attr(attributes, oids.AT_MESSAGE_DIGEST)
-    content_type = _find_attr(attributes, oids.AT_CONTENT_TYPE)
+    md = _find_attr(attributes, oids.AT_MESSAGE_DIGEST, SignatureInvalid)
+    content_type = _find_attr(attributes, oids.AT_CONTENT_TYPE, SignatureInvalid)
     if md is None or content_type is None:
         raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
     if not _is_content_type(content_type, encap.content_type):

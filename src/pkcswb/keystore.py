@@ -302,8 +302,7 @@ def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
 
 
 def _attributes_from_der(value: DerValue) -> tuple[Attribute, ...]:
-    if asn1.set_order(value.children) != value.children:
-        raise asn1.NonCanonical("attribute set not in canonical order")
+    asn1._check_set_order(value.children, "attribute set")
     return tuple(Attribute.from_der_value(child) for child in value.children)
 
 

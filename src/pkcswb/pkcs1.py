@@ -7,7 +7,9 @@ with the raw modular operations.
 Every decryption failure - wrong leading octets, bad delimiter, short
 padding, out-of-range representative - raises the same DecryptionError value
 so that callers cannot be turned into a format oracle.  Signature
-verification is a plain boolean and never reveals which check failed.
+verification is a plain boolean and never reveals which check failed.  It
+reads public octets only, so unlike the two decryption decoders, which scan
+every octet of a secret encoded message, it is not constant time.
 """
 
 from __future__ import annotations
@@ -233,17 +235,11 @@ def pss_verify_encoding(message: bytes, em: bytes, params: PssParams) -> bool:
     keep = 0xFF >> params.cleared_bits
     ok &= em[0] & ~keep & 0xFF == 0
     db = _xor(masked_db, mgf(h, k - k0 - 1, alg))
-    db = bytes([db[0] & keep]) + db[1:]
-    sep = -1
-    for i, b in enumerate(db):
-        if b != 0 and sep < 0:
-            sep = i
-    ok &= sep >= 0
-    if sep < 0 or db[sep] != 0x01:
-        ok = False
-        salt = b""
-    else:
-        salt = db[sep + 1:]
+    # EM is public, so DB is read with bytes operations, not a constant-time scan:
+    # PS is zeros up to the 0x01 separator, and the salt follows it
+    db = (bytes([db[0] & keep]) + db[1:]).lstrip(b"\x00")
+    ok &= db[:1] == b"\x01"
+    salt = db[1:]
     m_prime = b"\x00" * 8 + alg.digest(message) + salt
     ok &= ct_equal(alg.digest(m_prime), h)
     return bool(ok)

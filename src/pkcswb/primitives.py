@@ -89,12 +89,10 @@ def mgf(seed: bytes, out_len: int, alg: HashAlg = SHA256) -> bytes:
         raise ValueError("negative output length")
     if out_len > (1 << 32) * alg.output_len:
         raise ValueError("mask longer than the MGF can produce")
-    out = bytearray()
-    counter = 0
-    while len(out) < out_len:
-        out += alg.digest(bytes(seed) + counter.to_bytes(4, "big"))
-        counter += 1
-    return bytes(out[:out_len])
+    seed = bytes(seed)
+    blocks = -(-out_len // alg.output_len)
+    return b"".join([alg.digest(seed + counter.to_bytes(4, "big"))
+                     for counter in range(blocks)])[:out_len]
 
 
 def ct_equal(a: bytes, b: bytes) -> bool:

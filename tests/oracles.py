@@ -125,3 +125,38 @@ def der_tlv_count(octets: bytes, tag: int | None = None) -> int:
             count += tag is None or first == tag
             pos += length
     return count
+
+
+def mgf1_oracle(seed: bytes, length: int,
+                hash_fn=lambda data: hashlib.sha256(data).digest()) -> bytes:
+    """RFC 8017 §B.2.1 MGF1: T = Hash(seed || C) for C = 0, 1, ... as four octets."""
+    t, counter = b"", 0
+    while len(t) < length:
+        t += hash_fn(seed + struct.pack(">I", counter))
+        counter += 1
+    return t[:length]
+
+
+def pss_verify_oracle(message: bytes, em: bytes, em_bits: int, s_len: int) -> bool:
+    """RFC 8017 §9.1.2 EMSA-PSS-VERIFY with SHA-256 and MGF1-SHA-256, step by
+    step: True for "consistent", False for "inconsistent"."""
+    h_len = 32
+    m_hash = hashlib.sha256(message).digest()                       # step 2
+    em_len = (em_bits + 7) // 8
+    if len(em) != em_len or em_len < h_len + s_len + 2:             # step 3
+        return False
+    if em[-1] != 0xBC:                                              # step 4
+        return False
+    masked_db, h = em[:em_len - h_len - 1], em[em_len - h_len - 1:-1]  # step 5
+    zero_bits = 8 * em_len - em_bits
+    if zero_bits and masked_db[0] >> (8 - zero_bits):               # step 6
+        return False
+    db_mask = mgf1_oracle(h, em_len - h_len - 1)                    # step 7
+    db = bytearray(a ^ b for a, b in zip(masked_db, db_mask))       # step 8
+    db[0] &= 0xFF >> zero_bits                                      # step 9
+    ps_len = em_len - h_len - s_len - 2
+    if any(db[:ps_len]) or db[ps_len] != 0x01:                      # step 10
+        return False
+    salt = bytes(db[len(db) - s_len:]) if s_len else b""            # step 11
+    m_prime = bytes(8) + m_hash + salt                              # step 12
+    return hashlib.sha256(m_prime).digest() == h                    # steps 13-14

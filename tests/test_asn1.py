@@ -402,3 +402,66 @@ def test_values_are_encoded_at_most_once(monkeypatch):
     assert len(tags) == 4
     # the kept octets take no part in equality
     assert decoded == rebuilt(decoded)
+
+
+# ---------------------------------------------------------------------------
+# the decoder applies the constructor's rules
+
+
+U = TagClass.UNIVERSAL
+
+
+@pytest.mark.parametrize("fields, encoded", [
+    ((U, True, asn1.INTEGER, (asn1.integer(1),)), "2203020101"),
+    ((U, True, asn1.OCTET_STRING, (asn1.octet_string(b"a"),)), "2403040161"),
+    ((U, True, asn1.OBJECT_IDENTIFIER, (asn1.oid_value("1.2.3"),)), "260406022a03"),
+    ((U, False, asn1.SEQUENCE, b""), "1000"),
+    ((U, False, asn1.SET, b"\x05\x00"), "11020500"),
+    ((U, False, asn1.INTEGER, b""), "0200"),
+    ((U, False, asn1.INTEGER, b"\x00\x7f"), "0202007f"),
+    ((U, False, asn1.INTEGER, b"\xff\x80"), "0202ff80"),
+    ((U, False, asn1.BOOLEAN, b"\x01"), "010101"),
+    ((U, False, asn1.BOOLEAN, b""), "0100"),
+    ((U, False, asn1.NULL, b"\x00"), "050100"),
+    ((U, False, asn1.BIT_STRING, b""), "0300"),
+    ((U, False, asn1.BIT_STRING, b"\x08\x00"), "03020800"),
+    ((U, False, asn1.BIT_STRING, b"\x01"), "030101"),
+    ((U, False, asn1.OBJECT_IDENTIFIER, b""), "0600"),
+    ((U, False, asn1.OBJECT_IDENTIFIER, b"\x80\x01"), "06028001"),
+    ((U, False, asn1.OBJECT_IDENTIFIER, b"\x2a\x86"), "06022a86"),
+], ids=["constructed-integer", "constructed-octet-string", "constructed-oid",
+        "primitive-sequence", "primitive-set", "empty-integer", "integer-leading-00",
+        "integer-leading-ff", "boolean-01", "empty-boolean", "null-content",
+        "empty-bit-string", "unused-bits-8", "unused-bits-without-octets",
+        "empty-oid", "oid-leading-80", "oid-unterminated"])
+def test_decoding_refuses_what_building_refuses_with_the_same_error(fields, encoded):
+    with pytest.raises(asn1.DerError) as built:
+        DerValue(*fields)
+    for octets in (bytes.fromhex(encoded), asn1.encode_sequence(bytes.fromhex(encoded))):
+        with pytest.raises(asn1.DerError) as decoded:
+            der_decode(octets)
+        assert type(decoded.value) is type(built.value)
+
+
+def test_set_of_equal_children_decodes():
+    encoded = bytes.fromhex("3106020105020105")
+    value = der_decode(encoded)
+    assert value.children == (asn1.integer(5), asn1.integer(5))
+    assert der_encode(value) == encoded == der_encode(asn1.set_value(*value.children))
+
+
+@pytest.mark.parametrize("depth", [1, 5])
+def test_set_out_of_order_is_non_canonical_at_any_depth(depth):
+    # INTEGER 2 before INTEGER 1, the third of three children, inside depth - 1 SEQUENCEs
+    unordered = nested_sequences(depth - 1, bytes.fromhex("3109020101020102020101"))
+    with pytest.raises(NonCanonical):
+        der_decode(unordered)
+    ordered = nested_sequences(depth - 1, bytes.fromhex("3109020101020101020102"))
+    assert der_encode(der_decode(ordered)) == ordered
+
+
+def test_set_order_returns_fewer_than_two_items_as_they_are(monkeypatch):
+    monkeypatch.setattr(asn1, "_encoding", None)  # nothing is encoded to order them
+    assert asn1.set_order([]) == ()
+    only = asn1.integer(1)
+    assert asn1.set_order(iter([only])) == (only,)

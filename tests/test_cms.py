@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import asn1, cms, oids
+from pkcswb import asn1, cms, csr, keystore, oids
 from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIdent,
                         WrongContentType,
                         authenticate_data, authenticated_content, cert_fields,
@@ -233,6 +233,47 @@ def test_received_content_type_value_that_is_not_an_oid_is_refused(key_1024, ide
     assert not check_auth(ContentInfo.from_der(maced), b"mac key")
 
 
+def _second_instance(kind: str, inner: ContentInfo) -> tuple[Attribute, Attribute]:
+    """Two attributes of one type, the first the content's own (RFC 5652 §11.1,
+    §11.2 allow one): its digest and ff..ff, or id-data and id-signedData."""
+    if kind == "messageDigest":
+        return (attribute_make(kind, SHA256.digest(inner.to_der())),
+                attribute_make(kind, b"\xff" * 32))
+    return attribute_make(kind, oids.CT_DATA), attribute_make(kind, oids.CT_SIGNED_DATA)
+
+
+@pytest.mark.parametrize("kind", ["messageDigest", "contentType"])
+def test_a_second_content_type_or_message_digest_is_not_written(key_1024, ident, kind):
+    _, private = key_1024
+    inner = make_data(b"m")
+    attrs = _second_instance(kind, inner)
+    with pytest.raises(ValueError, match="more than one"):
+        sign_data(inner, private, ident, attrs, seeded(b"s"))
+    with pytest.raises(ValueError, match="more than one"):
+        authenticate_data(inner, b"mac key", attrs)
+
+
+@pytest.mark.parametrize("kind", ["messageDigest", "contentType"])
+def test_a_received_second_content_type_or_message_digest_is_refused(key_1024, ident, kind,
+                                                                    monkeypatch):
+    # signed and MACed correctly over both attributes, the way the first one
+    # found used to be the only one looked at
+    public, private = key_1024
+    inner = make_data(b"m")
+    attrs = _second_instance(kind, inner)
+    monkeypatch.setattr(cms, "_find_attr", lambda attributes, oid, duplicate: next(
+        (a for a in attributes if a.attr_type == oid), None))
+    signed = sign_data(inner, private, ident, attrs, seeded(b"s")).to_der()
+    maced = authenticate_data(inner, b"mac key", attrs).to_der()
+    monkeypatch.undo()
+    signer = ContentInfo.from_der(signed).content.children[3].children[0]
+    written = [Attribute.from_der_value(c).attr_type for c in signer.children[3].children]
+    assert written.count(attrs[0].attr_type) == 2
+    with pytest.raises(SignatureInvalid):
+        verify_signed(ContentInfo.from_der(signed), public)
+    assert not check_auth(ContentInfo.from_der(maced), b"mac key")
+
+
 def test_signed_der_round_trip_byte_identical(key_1024, ident):
     _, private = key_1024
     signed = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s"))
@@ -248,14 +289,32 @@ def test_decoding_builds_one_value_per_tlv_and_verifying_none(key_1024, ident, m
     public, private = key_1024
     octets = sign_data(make_data(b"m" * 300), private, ident, (SIGNING_TIME,),
                        seeded(b"s")).to_der()
+    # values come from the constructor when built and from asn1._new_value when decoded
     built = []
-    real_init = asn1.DerValue.__init__
+    real_init, real_new = asn1.DerValue.__init__, asn1._new_value
     monkeypatch.setattr(asn1.DerValue, "__init__",
                         lambda value, *fields: built.append(value) or real_init(value, *fields))
+    monkeypatch.setattr(asn1, "_new_value", lambda cls: built.append(cls) or real_new(cls))
     signed = ContentInfo.from_der(octets)
     assert len(built) == der_tlv_count(octets) > 30
     assert verify_signed(signed, public)[1]
     assert len(built) == der_tlv_count(octets)
+
+
+def test_verifying_decoded_signed_data_encodes_at_most_three_times(key_1024, ident,
+                                                                     monkeypatch):
+    # the read-side partner of test_asn1's test_values_are_encoded_at_most_once:
+    # received SETs and attribute sets are checked without encoding anything
+    public, private = key_1024
+    octets = sign_data(make_data(b"m"), private, ident,
+                       (SIGNING_TIME, attribute_make("sequenceNumber", 3)), seeded(b"s")).to_der()
+    calls = []
+    real_encode = asn1.der_encode
+    for module in (asn1, cms, csr, keystore):
+        monkeypatch.setattr(module, "der_encode",
+                            lambda value: calls.append(value) or real_encode(value))
+    assert verify_signed(ContentInfo.from_der(octets), public)[1]
+    assert 0 < len(calls) <= 3
 
 
 def test_decoding_the_same_signed_data_again_parses_no_oid(key_1024, ident):

@@ -237,6 +237,20 @@ def test_attribute_der_round_trip_order_insensitive():
     assert recoded.values[0].octets == b"aa"  # canonical order
 
 
+def test_received_attribute_set_out_of_order_is_non_canonical():
+    # a [0] IMPLICIT SET OF Attribute is not a universal SET, so its order is
+    # checked where it is read, by the same neighbour comparison
+    low, high = sorted((der_encode(attribute_make("signingTime", "200101120000Z").to_der_value()),
+                        der_encode(attribute_make("sequenceNumber", 7).to_der_value())))
+    for children, ok in ((low + high, True), (high + low, False), (low + low, True)):
+        received = der_decode(bytes([0xA0, len(children)]) + children)
+        if ok:
+            assert len(keystore._attributes_from_der(received)) == len(received.children)
+        else:
+            with pytest.raises(asn1.NonCanonical):
+                keystore._attributes_from_der(received)
+
+
 def test_natural_person_bundle():
     bundle = natural_person_bundle(email_address="a@example.org",
                                    country_of_citizenship="US",

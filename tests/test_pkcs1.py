@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from pkcswb import pkcs1, rsa
@@ -8,6 +10,7 @@ from pkcswb.pkcs1 import (EncodingError, MessageTooLong, ModulusTooSmall,
                           oaep_encode, os2ip, pss_encode, pss_verify_encoding)
 from pkcswb.primitives import SHA256, ConstantSource
 from conftest import seeded, tiny_hash
+from oracles import mgf1_oracle, pss_verify_oracle
 
 
 def _error_shape(exc: BaseException):
@@ -178,6 +181,46 @@ def test_pss_bad_trailer_rejected():
     em = bytearray(pss_encode(b"m", params, seeded(b"t")))
     em[-1] = 0xBB
     assert not pss_verify_encoding(b"m", bytes(em), params)
+
+
+def _crafted_em(message: bytes, salt: bytes, em_bits: int, *, db: bytes | None = None,
+                top_bits: bool = False, trailer: int = 0xBC) -> bytes:
+    """An EMSA-PSS encoding built from RFC 8017 §9.1.1 with the oracle's MGF1 and
+    one defect at a time: another DB, the cleared top bits set, another trailer."""
+    em_len = (em_bits + 7) // 8
+    h = hashlib.sha256(bytes(8) + hashlib.sha256(message).digest() + salt).digest()
+    if db is None:
+        db = bytes(em_len - 32 - len(salt) - 2) + b"\x01" + salt
+    masked_db = bytearray(a ^ b for a, b in zip(db, mgf1_oracle(h, em_len - 33)))
+    zero_bits = 8 * em_len - em_bits
+    masked_db[0] &= 0xFF >> zero_bits
+    if top_bits:
+        masked_db[0] |= 0xFF << (8 - zero_bits) & 0xFF
+    return bytes(masked_db) + h + bytes([trailer])
+
+
+_SALT = bytes(range(1, 33))
+
+
+@pytest.mark.parametrize("modulus_bits", [1024, 2335])
+@pytest.mark.parametrize("case, salt, accepted", [
+    ("valid", _SALT, True),
+    ("empty salt", b"", True),
+    ("all-zero DB", _SALT, False),
+    ("first non-zero DB octet is 0x02", _SALT, False),
+    ("top bits set", _SALT, False),
+    ("trailer 0xbd", _SALT, False),
+])
+def test_pss_verify_agrees_with_the_rfc_verifier(modulus_bits, case, salt, accepted):
+    em_bits = modulus_bits - 1
+    db_len = (em_bits + 7) // 8 - 33
+    db = {"all-zero DB": bytes(db_len),
+          "first non-zero DB octet is 0x02": bytes(db_len - len(salt) - 1) + b"\x02" + salt}
+    em = _crafted_em(b"message", salt, em_bits, db=db.get(case), top_bits=case == "top bits set",
+                     trailer=0xBD if case == "trailer 0xbd" else 0xBC)
+    params = PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=len(salt))
+    assert pss_verify_oracle(b"message", em, em_bits, len(salt)) is accepted
+    assert pss_verify_encoding(b"message", em, params) is accepted
 
 
 def test_pss_no_room_is_encoding_error():

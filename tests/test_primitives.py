@@ -3,7 +3,7 @@ import hashlib
 import pytest
 
 from pkcswb import primitives
-from oracles import hmac_sha256_oracle, sha256_oracle
+from oracles import hmac_sha256_oracle, mgf1_oracle, sha256_oracle
 from pkcswb.primitives import (SHA256, BadLength, BadPadding, ConstantSource,
                                ExhaustibleSource, RngExhausted, SeededSource,
                                aes128_decrypt_block, aes128_encrypt_block,
@@ -85,6 +85,24 @@ def test_mgf_respects_custom_hash():
     assert mgf(b"s", 9, alg) == (alg.digest(b"s" + bytes(4))
                                  + alg.digest(b"s" + b"\x00\x00\x00\x01")
                                  + alg.digest(b"s" + b"\x00\x00\x00\x02")[:1])
+
+
+# SHA-256 of the MGF1 outputs of lengths 0, 1, 31, 32, 33 and 259 from the seed
+# b"mgf seed", joined, under each truncated hash (as the block-by-block loop gave them)
+_MGF_OUTPUTS = {
+    1: "3af4408e4f84eb6f46901213013ede5a5a1e9ffdd815711c8e414b7d36ab7ffa",
+    20: "48682423689eb941353b267d5d4b46863469a03692480f8f7c6a5f2aa717ec6c",
+    32: "908dc6b2337005738fa061888e8b44ce2b1d508b6cf76767369e4428c4b643b9",
+}
+
+
+@pytest.mark.parametrize("hash_len", sorted(_MGF_OUTPUTS))
+def test_mgf_under_a_truncated_hash_matches_the_oracle_and_earlier_outputs(hash_len):
+    alg = tiny_hash(hash_len)
+    outputs = [mgf(b"mgf seed", n, alg) for n in (0, 1, 31, 32, 33, 259)]
+    for out, n in zip(outputs, (0, 1, 31, 32, 33, 259)):
+        assert out == mgf1_oracle(b"mgf seed", n, alg.raw)
+    assert hashlib.sha256(b"".join(outputs)).hexdigest() == _MGF_OUTPUTS[hash_len]
 
 
 # -- AES / CBC --------------------------------------------------------------
