@@ -1,7 +1,7 @@
 """Password-based cryptography: PBKDF2 derivation, PBES2 encryption, PBMAC1.
 
-The pseudorandom function is HMAC-SHA-256 through the stdlib ``hmac``, keyed
-by the password once per derivation.  Block i of the derived key is
+The pseudorandom function is HMAC-SHA-256 keyed by the password, built once
+per derivation by ``primitives.keyed_hmac``.  Block i of the derived key is
 T_i = U_1 xor ... xor U_c with U_1 = PRF(P, S || INT(i)) and
 U_j = PRF(P, U_{j-1}), INT(i) being the four-octet big-endian encoding of the
 block index starting at 1.  PBES2 encrypts with AES-128-CBC.
@@ -12,12 +12,11 @@ implemented; decoding such an algorithm identifier fails loudly instead.
 
 from __future__ import annotations
 
-import hashlib
-import hmac as _hmac
 from dataclasses import dataclass
 
 from .errors import uniform_decryption
-from .primitives import RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest
+from .primitives import (RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest,
+                         keyed_hmac)
 
 __all__ = [
     "DerivedKeyTooLong",
@@ -84,13 +83,7 @@ class Pbkdf2Params:
 
 def pbkdf2(password: bytes, params: Pbkdf2Params) -> bytes:
     """Derive params.dk_len octets from the password."""
-    keyed = _hmac.new(bytes(password), digestmod=hashlib.sha256)
-
-    def prf(msg: bytes) -> bytes:
-        h = keyed.copy()
-        h.update(msg)
-        return h.digest()
-
+    prf = keyed_hmac(password)
     blocks = -(-params.dk_len // _H_LEN)
     out = bytearray()
     for i in range(1, blocks + 1):

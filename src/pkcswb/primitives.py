@@ -3,7 +3,10 @@
 ``HashAlg`` (SHA-256 by default, hashlib-backed) is the hash parameter of
 MGF1 and of the OAEP and PSS encodings; an instance with another function,
 such as a truncated SHA-256, keeps the padding layers testable at small
-output sizes.  HMAC is HMAC-SHA-256 through the stdlib ``hmac``.  AES-128 is
+output sizes.  HMAC-SHA-256 follows RFC 2104 §4: ``keyed_hmac`` hashes the
+key's two padded blocks (K xor ipad, K xor opad) once and returns a MAC that
+copies those two SHA-256 states for each message, so PBKDF2 and the seeded
+source pay for the key once, not once per block.  AES-128 is
 implemented here from the FIPS 197 construction so that the package stays
 self-contained and octet-for-octet testable.  Its rounds are table-driven
 (32-bit T-tables derived at import, four column words of state); decryption
@@ -23,6 +26,7 @@ from typing import Callable
 __all__ = [
     "HashAlg",
     "SHA256",
+    "keyed_hmac",
     "hmac_digest",
     "mgf",
     "ct_equal",
@@ -78,9 +82,35 @@ class HashAlg:
 SHA256 = HashAlg("sha256", 32, lambda data: hashlib.sha256(data).digest())
 
 
+_HMAC_BLOCK = 64  # SHA-256 block length, the B of RFC 2104
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+def keyed_hmac(key: bytes) -> Callable[[bytes], bytes]:
+    """HMAC-SHA-256 (RFC 2104) under ``key``, as a function of the message.
+
+    A key longer than the 64-octet block is hashed first."""
+    key = bytes(key)
+    if len(key) > _HMAC_BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_HMAC_BLOCK, b"\x00")
+    inner_copy = hashlib.sha256(key.translate(_IPAD)).copy
+    outer_copy = hashlib.sha256(key.translate(_OPAD)).copy
+
+    def mac(msg: bytes) -> bytes:
+        inner = inner_copy()
+        inner.update(msg)
+        outer = outer_copy()
+        outer.update(inner.digest())
+        return outer.digest()
+
+    return mac
+
+
 def hmac_digest(key: bytes, msg: bytes) -> bytes:
-    """HMAC-SHA-256 (RFC 2104) through the stdlib ``hmac``."""
-    return _hmac.digest(key, msg, "sha256")
+    """HMAC-SHA-256 of one message."""
+    return keyed_hmac(key)(msg)
 
 
 def mgf(seed: bytes, out_len: int, alg: HashAlg = SHA256) -> bytes:
@@ -335,15 +365,14 @@ class SeededSource(RandomSource):
     """Deterministic stream: HMAC(seed, counter) blocks, 4-octet big-endian counter."""
 
     def __init__(self, seed: bytes):
-        self._seed = bytes(seed)
+        self._mac = keyed_hmac(seed)
         self._counter = 0
         self._buffer = b""
 
     def read(self, n: int) -> bytes:
         while len(self._buffer) < n:
-            block = hmac_digest(self._seed, self._counter.to_bytes(4, "big"))
+            self._buffer += self._mac(self._counter.to_bytes(4, "big"))
             self._counter += 1
-            self._buffer += block
         out, self._buffer = self._buffer[:n], self._buffer[n:]
         return out
 

@@ -16,6 +16,26 @@ def tiny_hash(out_len: int) -> HashAlg:
                    raw=lambda data: hashlib.sha256(data).digest()[:out_len])
 
 
+def count_sha256_constructions(monkeypatch) -> list[bytes]:
+    """Initial data of every ``hashlib.sha256`` object made from now on; a
+    copied state is not counted."""
+    made = []
+    construct = hashlib.sha256
+
+    def counting(data=b"", **kwargs):
+        made.append(bytes(data))
+        return construct(data, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting)
+    return made
+
+
+def hmac_pads(key: bytes) -> list[bytes]:
+    """The two blocks K xor ipad, K xor opad of a key of at most 64 octets."""
+    key = key.ljust(64, b"\x00")
+    return [bytes(b ^ 0x36 for b in key), bytes(b ^ 0x5C for b in key)]
+
+
 @pytest.fixture(scope="session")
 def key_1024():
     return rsa.generate_key(1024, 2, 65537, seeded(b"fixture/1024"))

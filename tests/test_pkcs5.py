@@ -9,7 +9,7 @@ from pkcswb.errors import DecryptionError, uniform_decryption
 from pkcswb.pkcs5 import (MAX_ITERATIONS, DerivedKeyTooLong, Pbes2Params, Pbkdf2Params,
                           TooManyIterations, check_iterations, pbes2_decrypt,
                           pbes2_encrypt, pbkdf2, pbmac1_tag, pbmac1_verify)
-from conftest import seeded
+from conftest import count_sha256_constructions, hmac_pads, seeded
 
 PASSWORD = b"correct horse"
 SALT = b"\x00" * 8
@@ -39,6 +39,22 @@ def test_matches_stdlib():
     for iterations, dk_len in ((1, 32), (77, 48), (1000, 69)):
         assert pbkdf2(PASSWORD, Pbkdf2Params(SALT, iterations, dk_len)) == \
             hashlib.pbkdf2_hmac("sha256", PASSWORD, SALT, iterations, dk_len)
+
+
+@pytest.mark.parametrize("password_len", [0, 1, 63, 64, 65, 131])
+def test_passwords_across_the_hmac_block_size(password_len):
+    # a password longer than the 64-octet block is hashed to 32 octets first
+    password = seeded(b"password").read(password_len)
+    for iterations, dk_len in ((1, 32), (2, 69), (100, 32)):
+        ours = pbkdf2(password, Pbkdf2Params(SALT, iterations, dk_len))
+        assert ours == naive_pbkdf2(password, SALT, iterations, dk_len)
+        assert ours == hashlib.pbkdf2_hmac("sha256", password, SALT, iterations, dk_len)
+
+
+def test_derivation_hashes_the_password_pads_once(monkeypatch):
+    made = count_sha256_constructions(monkeypatch)
+    pbkdf2(PASSWORD, Pbkdf2Params(SALT, 1000, 69))
+    assert made == hmac_pads(PASSWORD)
 
 
 def test_prefix_property():

@@ -1,4 +1,5 @@
 import hashlib
+import hmac
 
 import pytest
 
@@ -8,8 +9,8 @@ from pkcswb.primitives import (SHA256, BadLength, BadPadding, ConstantSource,
                                ExhaustibleSource, RngExhausted, SeededSource,
                                aes128_decrypt_block, aes128_encrypt_block,
                                cbc_decrypt, cbc_encrypt, ct_equal,
-                               hmac_digest, mgf)
-from conftest import seeded, tiny_hash
+                               hmac_digest, keyed_hmac, mgf)
+from conftest import count_sha256_constructions, hmac_pads, seeded, tiny_hash
 
 
 # -- hash -------------------------------------------------------------------
@@ -52,6 +53,41 @@ def test_hmac_long_key_prehash_and_lengths():
         key, message = rng.read(key_len), rng.read(37)
         assert hmac_digest(key, message) == hmac_sha256_oracle(key, message)
         assert len(hmac_digest(key, message)) == 32
+
+
+# RFC 4231 §4, HMAC-SHA-256 of test cases 1-4, 6 and 7 (case 5 truncates the
+# output).  Cases 6 and 7 share a 131-octet key, which is hashed first.
+_RFC4231 = (
+    (b"\x0b" * 20, b"Hi There",
+     "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"),
+    (b"Jefe", b"what do ya want for nothing?",
+     "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"),
+    (b"\xaa" * 20, b"\xdd" * 50,
+     "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"),
+    (bytes(range(1, 26)), b"\xcd" * 50,
+     "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"),
+    (b"\xaa" * 131, b"Test Using Larger Than Block-Size Key - Hash Key First",
+     "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"),
+    (b"\xaa" * 131, b"This is a test using a larger than block-size key and a larger "
+     b"than block-size data. The key needs to be hashed before being used by the "
+     b"HMAC algorithm.",
+     "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"),
+)
+
+
+@pytest.mark.parametrize("key, message, expected", _RFC4231)
+def test_hmac_rfc4231_vectors(key, message, expected):
+    assert hmac_digest(key, message).hex() == expected
+
+
+def test_keyed_hmac_carries_no_state_between_messages():
+    # one keyed MAC per key, each called on other messages between its checks
+    macs = {key: keyed_hmac(key) for key, _, _ in _RFC4231}
+    for key, message, expected in _RFC4231 + _RFC4231[::-1] + _RFC4231:
+        for other_key, other_message, _ in _RFC4231:
+            macs[other_key](other_message)
+        assert macs[key](message).hex() == expected
+        assert macs[key](message).hex() == expected
 
 
 # -- MGF1 -------------------------------------------------------------------
@@ -290,6 +326,25 @@ def test_seeded_source_matches_definition():
         hmac.new(b"seed", counter.to_bytes(4, "big"), hashlib.sha256).digest()
         for counter in range(3))
     assert SeededSource(b"seed").read(80) == blocks[:80]
+
+
+@pytest.mark.parametrize("seed", [b"seed", bytes(range(100))])
+def test_seeded_source_stream_across_uneven_reads(seed):
+    # reads straddle block boundaries; 277 blocks, so the counter reaches two
+    # octets; the second seed is longer than the 64-octet HMAC block
+    sizes = (1, 31, 32, 33, 64, 72, 0, 95, 8192, 330)
+    blocks = -(-sum(sizes) // 32)
+    assert blocks > 256
+    stream = b"".join(hmac.new(seed, counter.to_bytes(4, "big"), hashlib.sha256).digest()
+                      for counter in range(blocks))
+    source = SeededSource(seed)
+    assert b"".join(source.read(n) for n in sizes) == stream[:sum(sizes)]
+
+
+def test_seeded_source_hashes_the_seed_pads_once(monkeypatch):
+    made = count_sha256_constructions(monkeypatch)
+    SeededSource(b"seed").read(4096)
+    assert made == hmac_pads(b"seed")
 
 
 def test_exhaustible_source():
