@@ -257,7 +257,10 @@ class DerValue:
         if self.constructed or self.tag_class != _UNIVERSAL \
                 or self.tag_number not in _STRING_TAGS:
             raise NonCanonical("value is not a supported string type")
-        return self.octets.decode("utf-8" if self.tag_number == UTF8_STRING else "ascii")
+        try:
+            return self.octets.decode("utf-8" if self.tag_number == UTF8_STRING else "ascii")
+        except UnicodeDecodeError:
+            raise NonCanonical("string octets are not valid for their type") from None
 
     def as_bit_string(self) -> bytes:
         """Content of a BIT STRING with no unused bits."""

@@ -94,9 +94,7 @@ def _cmd_rsa_decrypt(args) -> int:
 
 def _cmd_sign(args) -> int:
     rng = _build_rng(args)
-    key = _load_private(args.key)
-    params = pkcs1.PssParams.for_key(key, salt_len=csr_mod.pss_salt_len_for(key))
-    _write(args.out, pkcs1.sign(_read(args.infile), key, rng, params))
+    _write(args.out, pkcs1.sign(_read(args.infile), _load_private(args.key), rng))
     return 0
 
 
@@ -326,7 +324,6 @@ FAULT_POINTS = ("transport", "pfx", "challenge")
 _ALICE_PASSWORD = b"alice-card-pin"
 _TRANSFER_PRIVACY = b"transfer-privacy"
 _TRANSFER_INTEGRITY = b"transfer-integrity"
-_SIGNING_TIME = "200601021504Z"
 
 
 def _fingerprint(data: bytes) -> str:

@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 from . import asn1, oids, pkcs1
 from .asn1 import DerValue, Oid, der_decode, der_encode
 from .csr import (CertificationRequest, Name, decode_public_key_info,
-                  encode_public_key_info, pss_salt_len_for, verify_csr)
+                  encode_public_key_info, verify_csr)
 from .errors import DecryptionError, uniform_decryption
 from .keystore import (AlgorithmIdentifier, Attribute, _attributes_from_der,
                        _attributes_to_der, attribute_make)
-from .pkcs1 import ModulusTooSmall, PssParams
+from .pkcs1 import ModulusTooSmall
 from .primitives import SHA256, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest
 from .rsa import RsaPrivateKey, RsaPublicKey
 
@@ -223,8 +223,7 @@ def sign_data(inner: ContentInfo, signer_key: RsaPrivateKey, signer_ident: Signe
     with contentType and messageDigest and the signature covers the attribute
     set; with no attributes the signature covers the encapsulated DER."""
     encap_v, attrs_set, message = _covered(inner, signed_attrs)
-    params = PssParams.for_key(signer_key, salt_len=pss_salt_len_for(signer_key))
-    signature = pkcs1.sign(message, signer_key, rng, params)
+    signature = pkcs1.sign(message, signer_key, rng)
     signer_info = asn1.sequence(
         asn1.integer(1),
         signer_ident.to_der_value(),
@@ -468,6 +467,6 @@ def cert_fields(cert: ContentInfo) -> tuple[Name, RsaPublicKey, int, Name]:
     must check the certificate with verify_signed before trusting these."""
     encap_v, *_ = _parse_signed(cert)
     inner = der_decode(data_payload(ContentInfo.from_der_value(encap_v)))
-    subject_v, spki_v, serial_v, issuer_v = asn1.require(inner, asn1.SEQUENCE).children
+    subject_v, spki_v, serial_v, issuer_v = asn1._fields(inner, 4)
     return (Name.from_der_value(subject_v), decode_public_key_info(spki_v),
             serial_v.as_integer(), Name.from_der_value(issuer_v))

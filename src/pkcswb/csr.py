@@ -3,8 +3,6 @@
 A request is the DER of CertificationRequestInfo (version, subject name,
 subject public key info, attributes) signed with the subject's own private
 key under RSASSA-PSS, so verification needs nothing but the request itself.
-The salt length is clamped to what the key's modulus can accommodate, which
-keeps small desk-scale keys usable.
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ from . import asn1, oids, pkcs1
 from .asn1 import DerValue, der_decode, der_encode
 from .keystore import (AlgorithmIdentifier, Attribute, attribute_check,
                        _attributes_from_der, _attributes_to_der)
-from .pkcs1 import ModulusTooSmall, PssParams
+from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey, check_key_caps
 
@@ -87,13 +85,16 @@ class Name:
     def from_der_value(cls, value: DerValue) -> "Name":
         pairs = []
         for rdn in asn1.require(value, asn1.SEQUENCE).children:
-            (pair,) = asn1.require(rdn, asn1.SET).children
-            oid_v, text_v = asn1.require(pair, asn1.SEQUENCE).children
+            (pair,) = asn1._fields(rdn, 1, tag_number=asn1.SET)
+            oid_v, text_v = asn1._fields(pair, 2)
             field = _NAME_FIELDS_BY_OID.get(oid_v.as_oid())
             if field is None:
                 raise MalformedRequest(f"unsupported name component {oid_v.as_oid()}")
             pairs.append((field, text_v.as_text()))
-        return cls(tuple(pairs))
+        try:
+            return cls(tuple(pairs))
+        except ValueError as exc:  # a missing commonName, a bad country, an empty value
+            raise MalformedRequest(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +110,17 @@ def encode_public_key_info(pk: RsaPublicKey) -> DerValue:
 
 
 def decode_public_key_info(value: DerValue) -> RsaPublicKey:
-    alg_v, key_v = asn1.require(value, asn1.SEQUENCE).children
+    alg_v, key_v = asn1._fields(value, 2)
     algorithm = AlgorithmIdentifier.from_der_value(alg_v)
     if algorithm.oid != oids.RSA_ENCRYPTION:
         raise MalformedRequest(f"unsupported key algorithm {algorithm.oid}")
-    wrapped = asn1.require(der_decode(key_v.as_bit_string()), asn1.SEQUENCE)
-    n_v, e_v = wrapped.children
+    n_v, e_v = asn1._fields(der_decode(key_v.as_bit_string()), 2)
     n, e = n_v.as_integer(), e_v.as_integer()
-    check_key_caps(n, e)
-    return RsaPublicKey(n, e)
+    try:
+        check_key_caps(n, e)
+        return RsaPublicKey(n, e)
+    except ValueError as exc:  # KeyTooLarge, or n or e out of range
+        raise MalformedRequest(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +132,7 @@ class CertificationRequestInfo:
     subject: Name
     public_key: RsaPublicKey
     attributes: tuple[Attribute, ...] = ()
-    version: int = 0
+    version = 0  # the one version written and read (RFC 2986 §4.1)
 
     def __post_init__(self):
         object.__setattr__(self, "attributes",
@@ -145,11 +148,13 @@ class CertificationRequestInfo:
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "CertificationRequestInfo":
-        version_v, subject_v, spki_v, attrs_v = asn1.require(value, asn1.SEQUENCE).children
+        version_v, subject_v, spki_v, attrs_v = asn1._fields(value, 4)
+        if version_v.as_integer() != cls.version:
+            raise MalformedRequest(f"unsupported request version {version_v.as_integer()}")
         if not attrs_v.is_context(0):
             raise MalformedRequest("attribute set must be [0] tagged")
         return cls(Name.from_der_value(subject_v), decode_public_key_info(spki_v),
-                   _attributes_from_der(attrs_v), version_v.as_integer())
+                   _attributes_from_der(attrs_v))
 
 
 @dataclass(frozen=True)
@@ -182,15 +187,6 @@ class CertificationRequest:
             raise MalformedRequest(str(exc)) from None
 
 
-def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
-    """Largest salt up to the hash length that the modulus leaves room for."""
-    k0 = pkcs1.SHA256.output_len
-    room = key.modulus_octets - k0 - 2
-    if room < 0:
-        raise ModulusTooSmall("modulus cannot carry a PSS encoding at all")
-    return min(k0, room)
-
-
 def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
               attributes: tuple[Attribute, ...], rng: RandomSource) -> CertificationRequest:
     """Construct the info object, then self-sign its DER with the subject key."""
@@ -202,8 +198,7 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
             raise ValueError(f"attribute {attribute.attr_type} fails its syntax check")
     info = CertificationRequestInfo(subject, public, tuple(attributes))
     info_der = der_encode(info.to_der_value())
-    params = PssParams.for_key(private, salt_len=pss_salt_len_for(private))
-    signature = pkcs1.sign(info_der, private, rng, params)
+    signature = pkcs1.sign(info_der, private, rng)
     return CertificationRequest(info, AlgorithmIdentifier(oids.RSASSA_PSS),
                                 signature, info_der)
 

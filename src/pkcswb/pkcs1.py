@@ -10,11 +10,15 @@ so that callers cannot be turned into a format oracle.  Signature
 verification is a plain boolean and never reveals which check failed.  It
 reads public octets only, so unlike the two decryption decoders, which scan
 every octet of a secret encoded message, it is not constant time.
+
+RSASSA-PSS has one salt rule, pss_salt_len_for: sLen = min(hLen,
+emLen - hLen - 2).  sign and verify both default to it, and verification
+refuses a recovered salt of any other length (RFC 8017 §9.1.2 step 10).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 from .errors import DecryptionError
 from .primitives import SHA256, HashAlg, RandomSource, ct_equal, mgf
@@ -27,6 +31,7 @@ __all__ = [
     "ModulusTooSmall",
     "OaepParams",
     "PssParams",
+    "pss_salt_len_for",
     "os2ip",
     "i2osp",
     "eme_v15_pad",
@@ -98,6 +103,12 @@ class OaepParams:
         return self.k - 2 * self.k0 - 3
 
 
+def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
+    """The one RSASSA-PSS salt rule, min(hLen, emLen - hLen - 2), or 0 if none fits."""
+    h_len = SHA256.output_len
+    return max(0, min(h_len, (key.n.bit_length() + 6) // 8 - h_len - 2))
+
+
 @dataclass(frozen=True)
 class PssParams:
     """EMSA-PSS geometry: hash (output k0), salt length, k, and |n| in bits."""
@@ -105,11 +116,10 @@ class PssParams:
     k: int
     modulus_bits: int
     hash_alg: HashAlg = SHA256
-    salt_len: int | None = None
+    _: KW_ONLY
+    salt_len: int
 
     def __post_init__(self):
-        if self.salt_len is None:
-            object.__setattr__(self, "salt_len", self.hash_alg.output_len)
         if self.salt_len < 0:
             raise ValueError("negative salt length")
         if (self.modulus_bits + 7) // 8 != self.k:
@@ -125,12 +135,12 @@ class PssParams:
         return 8 * self.k - self.modulus_bits + 1
 
     def fits(self) -> bool:
-        return self.k - self.k0 - 1 >= self.salt_len + 1
+        # emLen >= hLen + sLen + 2, emLen = ceil((|n| - 1) / 8): k - 1 if |n| = 8k - 7
+        return (self.modulus_bits + 6) // 8 >= self.k0 + self.salt_len + 2
 
     @classmethod
-    def for_key(cls, key: RsaPublicKey | RsaPrivateKey,
-                salt_len: int | None = None) -> "PssParams":
-        return cls(key.modulus_octets, key.n.bit_length(), salt_len=salt_len)
+    def for_key(cls, key: RsaPublicKey | RsaPrivateKey) -> "PssParams":
+        return cls(key.modulus_octets, key.n.bit_length(), salt_len=pss_salt_len_for(key))
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +238,7 @@ def pss_encode(message: bytes, params: PssParams, rng: RandomSource) -> bytes:
 
 def pss_verify_encoding(message: bytes, em: bytes, params: PssParams) -> bool:
     alg, k, k0 = params.hash_alg, params.k, params.k0
-    if len(em) != k or k - k0 - 2 < 0:
+    if len(em) != k or not params.fits():
         return False
     ok = em[-1] == 0xBC
     masked_db, h = em[:k - k0 - 1], em[k - k0 - 1:k - 1]
@@ -240,6 +250,7 @@ def pss_verify_encoding(message: bytes, em: bytes, params: PssParams) -> bool:
     db = (bytes([db[0] & keep]) + db[1:]).lstrip(b"\x00")
     ok &= db[:1] == b"\x01"
     salt = db[1:]
+    ok &= len(salt) == params.salt_len  # RFC 8017 §9.1.2 step 10: sLen is fixed
     m_prime = b"\x00" * 8 + alg.digest(message) + salt
     ok &= ct_equal(alg.digest(m_prime), h)
     return bool(ok)
@@ -280,11 +291,9 @@ def decrypt(ciphertext: bytes, sk: RsaPrivateKey, scheme: str,
 
 def sign(message: bytes, sk: RsaPrivateKey, rng: RandomSource,
          params: PssParams | None = None) -> bytes:
-    """RSASSA-PSS signature; params default to the key's geometry with
-    salt_len = hash output length."""
-    if params is None:
-        params = PssParams.for_key(sk)
-    elif params.k != sk.modulus_octets or params.modulus_bits != sk.n.bit_length():
+    """RSASSA-PSS signature; params default to PssParams.for_key, as in verify."""
+    params = params or PssParams.for_key(sk)
+    if params.modulus_bits != sk.n.bit_length():  # k follows from |n|
         raise ValueError("params do not match the signing key")
     if not params.fits():
         raise ModulusTooSmall("modulus too small for these PSS parameters")
@@ -294,8 +303,7 @@ def sign(message: bytes, sk: RsaPrivateKey, rng: RandomSource,
 
 def verify(message: bytes, signature: bytes, pk: RsaPublicKey,
            params: PssParams | None = None) -> bool:
-    if params is None:
-        params = PssParams.for_key(pk)
+    params = params or PssParams.for_key(pk)
     k = pk.modulus_octets
     if params.k != k or len(signature) != k:
         return False

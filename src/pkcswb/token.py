@@ -75,8 +75,6 @@ CKA_SIGN = "CKA_SIGN"
 CKA_VERIFY = "CKA_VERIFY"
 CKA_WRAP = "CKA_WRAP"
 CKA_LOCAL = "CKA_LOCAL"
-CKA_START_DATE = "CKA_START_DATE"
-CKA_END_DATE = "CKA_END_DATE"
 
 _DEFAULTS = {
     CKA_TOKEN: True,
@@ -458,9 +456,7 @@ class Token:
     def sign(self, session: Session, handle: int, message: bytes) -> bytes:
         self._require_open(session)
         obj = self._usable_key(session, handle, CKA_SIGN, "private")
-        key = self._private_key(obj)
-        params = pkcs1.PssParams.for_key(key, salt_len=csr_mod.pss_salt_len_for(key))
-        return pkcs1.sign(message, key, self._rng, params)
+        return pkcs1.sign(message, self._private_key(obj), self._rng)
 
     @_serialized
     def verify(self, session: Session, handle: int, message: bytes,

@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import asn1, cms, csr, keystore, oids
+from pkcswb import asn1, cms, csr, keystore, oids, rsa
 from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIdent,
                         WrongContentType,
                         authenticate_data, authenticated_content, cert_fields,
@@ -508,22 +508,64 @@ def test_auth_content_tamper_detected():
 # -- readers refuse a wrong field count ----------------------------------------------
 
 _SHORT_BODY = asn1.sequence(asn1.integer(0), AlgorithmIdentifier(oids.SHA256).to_der_value())
+_CN = asn1.sequence(asn1.oid_value(oids.CN), asn1.utf8_string("Subject"))
+_SUBJECT = asn1.sequence(asn1.set_value(_CN))
+_SPKI = csr.encode_public_key_info(rsa.RsaPublicKey(2**1023 + 1, 65537))
 
 
-@pytest.mark.parametrize("read", [
-    lambda: ContentInfo.from_der_value(asn1.sequence(
+def _toy_cert(*fields) -> ContentInfo:
+    """A signed-data laid out as toy_issue writes it, around a payload of the
+    given fields; cert_fields reads it without checking the signature."""
+    signer = asn1.sequence(
+        asn1.integer(1), SignerIdent(Name((("commonName", "CA"),)), b"ca").to_der_value(),
+        AlgorithmIdentifier(oids.SHA256).to_der_value(),
+        AlgorithmIdentifier(oids.RSASSA_PSS).to_der_value(), asn1.octet_string(bytes(128)))
+    payload = make_data(asn1.der_encode(asn1.sequence(*fields)))
+    return ContentInfo(oids.CT_SIGNED_DATA, asn1.sequence(
+        asn1.integer(1), asn1.set_value(AlgorithmIdentifier(oids.SHA256).to_der_value()),
+        payload.to_der_value(), asn1.set_value(signer)))
+
+
+def test_toy_cert_reads_with_four_fields():
+    subject, public, serial, issuer = cert_fields(_toy_cert(_SUBJECT, _SPKI, asn1.integer(7),
+                                                           _SUBJECT))
+    assert (subject.get("commonName"), public.e, serial) == ("Subject", 65537, 7)
+    assert issuer == subject
+
+
+@pytest.mark.parametrize("read, error", [
+    (lambda: ContentInfo.from_der_value(asn1.sequence(
         asn1.oid_value(oids.CT_DATA), asn1.explicit(0, asn1.octet_string(b"m")), asn1.null())),
-    lambda: ContentInfo.from_der_value(asn1.sequence(
+     asn1.NonCanonical),
+    (lambda: ContentInfo.from_der_value(asn1.sequence(
         asn1.oid_value(oids.CT_DATA), asn1.context(0, (asn1.null(), asn1.null())))),
-    lambda: check_digest(ContentInfo(oids.CT_DIGESTED_DATA, _SHORT_BODY)),
-    lambda: digested_content(ContentInfo(oids.CT_DIGESTED_DATA, _SHORT_BODY)),
-    lambda: authenticated_content(ContentInfo(oids.CT_AUTHENTICATED_DATA, _SHORT_BODY)),
-    lambda: Attribute.from_der_value(asn1.sequence(asn1.oid_value(oids.AT_SIGNING_TIME),
-                                                   asn1.set_value())),
+     asn1.NonCanonical),
+    (lambda: check_digest(ContentInfo(oids.CT_DIGESTED_DATA, _SHORT_BODY)), asn1.NonCanonical),
+    (lambda: digested_content(ContentInfo(oids.CT_DIGESTED_DATA, _SHORT_BODY)),
+     asn1.NonCanonical),
+    (lambda: authenticated_content(ContentInfo(oids.CT_AUTHENTICATED_DATA, _SHORT_BODY)),
+     asn1.NonCanonical),
+    (lambda: Attribute.from_der_value(asn1.sequence(asn1.oid_value(oids.AT_SIGNING_TIME),
+                                                    asn1.set_value())), asn1.NonCanonical),
+    (lambda: cert_fields(_toy_cert(_SUBJECT, _SPKI, asn1.integer(7))), asn1.NonCanonical),
+    (lambda: csr.decode_public_key_info(asn1.sequence(*_SPKI.children, asn1.null())),
+     asn1.NonCanonical),
+    (lambda: csr.decode_public_key_info(asn1.sequence(_SPKI.children[0], asn1.bit_string(
+        asn1.der_encode(asn1.sequence(asn1.integer(2**1023 + 1), asn1.integer(3),
+                                      asn1.integer(5)))))), asn1.NonCanonical),
+    (lambda: Name.from_der_value(asn1.sequence(asn1.set_value(
+        _CN, asn1.sequence(asn1.oid_value(oids.COUNTRY), asn1.printable_string("US"))))),
+     asn1.NonCanonical),
+    (lambda: Name.from_der_value(asn1.sequence(asn1.set_value(
+        asn1.sequence(*_CN.children, asn1.null())))), asn1.NonCanonical),
+    (lambda: cert_fields(_toy_cert(asn1.sequence(asn1.set_value(asn1.sequence(
+        asn1.oid_value(oids.ORGANIZATION), asn1.utf8_string("Example")))),
+        _SPKI, asn1.integer(7), _SUBJECT)), csr.MalformedRequest),
 ], ids=["content-info-3", "content-info-[0]-2", "check_digest", "digested_content",
-        "authenticated_content", "attribute-no-values"])
-def test_wrong_field_count_is_non_canonical(read):
-    with pytest.raises(asn1.NonCanonical):
+        "authenticated_content", "attribute-no-values", "cert-payload-3", "spki-3",
+        "spki-key-3", "name-rdn-2", "name-pair-3", "subject-without-common-name"])
+def test_wrong_field_count_is_non_canonical(read, error):
+    with pytest.raises(error):
         read()
 
 

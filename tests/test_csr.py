@@ -1,9 +1,10 @@
 import pytest
 
-from pkcswb import asn1, oids, rsa
+from pkcswb import asn1, oids, pkcs1, rsa
 from pkcswb.asn1 import der_encode
 from pkcswb.csr import (CertificationRequest, CertificationRequestInfo,
-                        MalformedRequest, Name, build_csr, verify_csr)
+                        MalformedRequest, Name, build_csr, decode_public_key_info,
+                        encode_public_key_info, verify_csr)
 from pkcswb.keystore import AlgorithmIdentifier, attribute_make
 from conftest import seeded
 
@@ -156,3 +157,42 @@ def test_public_exponent_above_cap_is_malformed_request():
     with pytest.raises(MalformedRequest, match="modulus"):
         CertificationRequest.from_der(
             _request_der(rsa.RsaPublicKey(2**rsa.MAX_MODULUS_BITS + 1, 65537)))
+
+
+def test_request_version_other_than_0_is_refused(key_1024):
+    public, private = key_1024
+    info_v = CertificationRequestInfo(_alice_name(), public).to_der_value()
+    algorithm = der_encode(AlgorithmIdentifier(oids.RSASSA_PSS).to_der_value())
+    for version in (0, 1, 5):
+        info_der = der_encode(asn1.sequence(asn1.integer(version), *info_v.children[1:]))
+        signature = pkcs1.sign(info_der, private, seeded(b"v%d" % version))
+        der = asn1.encode_sequence(info_der, algorithm, der_encode(asn1.bit_string(signature)))
+        if version == 0:  # correctly signed: only the version differs in the others
+            assert verify_csr(CertificationRequest.from_der(der))
+            continue
+        with pytest.raises(MalformedRequest, match="version"):
+            CertificationRequest.from_der(der)
+        with pytest.raises(MalformedRequest, match="version"):
+            CertificationRequestInfo.from_der_value(asn1.der_decode(info_der))
+
+
+def test_name_and_key_readers_raise_only_declared_errors():
+    bad_text = asn1.DerValue(asn1.TagClass.UNIVERSAL, False, asn1.UTF8_STRING, b"\xff")
+    with pytest.raises(asn1.NonCanonical):
+        Name.from_der_value(asn1.sequence(asn1.set_value(
+            asn1.sequence(asn1.oid_value(oids.CN), bad_text))))
+    with pytest.raises(MalformedRequest, match="country"):
+        Name.from_der_value(asn1.sequence(asn1.set_value(
+            asn1.sequence(asn1.oid_value(oids.CN), asn1.utf8_string("x"))), asn1.set_value(
+            asn1.sequence(asn1.oid_value(oids.COUNTRY), asn1.printable_string("USA")))))
+    spki = encode_public_key_info(rsa.RsaPublicKey(2**1023 + 1, 65537))
+    for n, e in ((2**1023 + 1, 2), (1, 65537), (2**rsa.MAX_MODULUS_BITS + 1, 65537)):
+        wrapped = asn1.bit_string(der_encode(asn1.sequence(asn1.integer(n), asn1.integer(e))))
+        with pytest.raises(MalformedRequest):
+            decode_public_key_info(asn1.sequence(spki.children[0], wrapped))
+
+
+def test_build_csr_needs_room_for_pss():
+    public, private = rsa.generate_key(200, 2, 65537, seeded(b"200"))
+    with pytest.raises(pkcs1.ModulusTooSmall):
+        build_csr(_alice_name(), (public, private), (), seeded(b"c"))

@@ -1,5 +1,6 @@
 """The layers import downward only: each module of the package imports only
-the modules listed before it in LAYERS (the order bench/tracer.py assumes)."""
+the modules listed before it in LAYERS (the order bench/tracer.py assumes).
+One decision sits in one layer: only pkcs1 names PssParams."""
 
 import ast
 from pathlib import Path
@@ -38,3 +39,21 @@ def test_each_layer_imports_only_the_layers_before_it():
               for name in _package_imports(PACKAGE / f"{layer}.py")
               if name not in LAYERS[:index]]
     assert upward == []
+
+
+def _identifiers(path: Path):
+    """Every name, attribute and imported name that ``path`` spells."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_pkcs1_names_pss_params():
+    # the salt rule is pkcs1's: signers call pkcs1.sign and never build PSS parameters
+    naming = sorted(path.stem for path in PACKAGE.glob("*.py")
+                    if path.stem != "pkcs1" and "PssParams" in set(_identifiers(path)))
+    assert naming == []

@@ -7,7 +7,8 @@ from pkcswb.errors import DecryptionError
 from pkcswb.pkcs1 import (EncodingError, MessageTooLong, ModulusTooSmall,
                           OaepParams, PssParams, SCHEME_OAEP, SCHEME_V15,
                           eme_v15_pad, eme_v15_unpad, i2osp, oaep_decode,
-                          oaep_encode, os2ip, pss_encode, pss_verify_encoding)
+                          oaep_encode, os2ip, pss_encode, pss_salt_len_for,
+                          pss_verify_encoding)
 from pkcswb.primitives import SHA256, ConstantSource
 from conftest import seeded, tiny_hash
 from oracles import mgf1_oracle, pss_verify_oracle
@@ -210,16 +211,18 @@ _SALT = bytes(range(1, 33))
     ("first non-zero DB octet is 0x02", _SALT, False),
     ("top bits set", _SALT, False),
     ("trailer 0xbd", _SALT, False),
+    ("20-octet salt under sLen 32", _SALT[:20], False),
 ])
 def test_pss_verify_agrees_with_the_rfc_verifier(modulus_bits, case, salt, accepted):
+    s_len = 32 if case == "20-octet salt under sLen 32" else len(salt)
     em_bits = modulus_bits - 1
     db_len = (em_bits + 7) // 8 - 33
     db = {"all-zero DB": bytes(db_len),
           "first non-zero DB octet is 0x02": bytes(db_len - len(salt) - 1) + b"\x02" + salt}
     em = _crafted_em(b"message", salt, em_bits, db=db.get(case), top_bits=case == "top bits set",
                      trailer=0xBD if case == "trailer 0xbd" else 0xBC)
-    params = PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=len(salt))
-    assert pss_verify_oracle(b"message", em, em_bits, len(salt)) is accepted
+    params = PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=s_len)
+    assert pss_verify_oracle(b"message", em, em_bits, s_len) is accepted
     assert pss_verify_encoding(b"message", em, params) is accepted
 
 
@@ -304,12 +307,12 @@ def test_verify_rejects_out_of_range_signature(key_1024):
 def test_sign_salt_too_large_for_modulus(key_512):
     _, private = key_512
     with pytest.raises(ModulusTooSmall):
-        pkcs1.sign(b"m", private, seeded(b"s"))  # default salt 32 needs k >= 66
+        pkcs1.sign(b"m", private, seeded(b"s"), PssParams(64, 512, salt_len=32))  # needs k >= 66
 
 
 def test_sign_zero_salt_is_deterministic(key_1024):
     public, private = key_1024
-    params = PssParams.for_key(private, salt_len=0)
+    params = PssParams(128, 1024, salt_len=0)
     first = pkcs1.sign(b"stable", private, seeded(b"a"), params)
     second = pkcs1.sign(b"stable", private, seeded(b"b"), params)
     assert first == second
@@ -318,11 +321,39 @@ def test_sign_zero_salt_is_deterministic(key_1024):
 
 def test_sign_512_with_reduced_salt(key_512):
     public, private = key_512
-    params = PssParams.for_key(private, salt_len=30)
+    params = PssParams(64, 512, salt_len=30)  # min(32, 64 - 32 - 2)
     signature = pkcs1.sign(b"m", private, seeded(b"s"), params)
     assert pkcs1.verify(b"m", signature, public, params)
-    # the verifier recovers the salt by scanning, so default params work too
+    # the default is the signer's own salt rule, so default params work too
+    assert PssParams.for_key(private) == params
     assert pkcs1.verify(b"m", signature, public)
+    assert signature == pkcs1.sign(b"m", private, seeded(b"s"))
+
+
+def test_sign_and_verify_use_one_salt_rule(key_1024):
+    public, private = key_1024
+    assert [pss_salt_len_for(public), PssParams.for_key(private).salt_len] == [32, 32]
+    signature = pkcs1.sign(b"m", private, seeded(b"s"), PssParams(128, 1024, salt_len=20))
+    assert pkcs1.verify(b"m", signature, public, PssParams(128, 1024, salt_len=20))
+    assert not pkcs1.verify(b"m", signature, public)  # sLen 20 is not the rule's 32
+
+
+@pytest.mark.parametrize("bits, salt_len", [(513, 30), (514, 31), (520, 31), (521, 31),
+                                             (529, 32)])
+def test_default_salt_fits_every_modulus_size(bits, salt_len):
+    # at |n| = 8k - 7 the leading octet of EM is all cleared bits, so emLen = k - 1
+    public, private = rsa.generate_key(bits, 2, 65537, seeded(b"size%d" % bits))
+    assert pss_salt_len_for(public) == salt_len
+    assert pkcs1.verify(b"m", pkcs1.sign(b"m", private, seeded(b"s")), public)
+
+
+def test_no_room_for_pss_signs_never_and_verifies_false():
+    public, private = rsa.generate_key(200, 2, 65537, seeded(b"200"))
+    assert PssParams.for_key(public).salt_len == 0
+    with pytest.raises(ModulusTooSmall):
+        pkcs1.sign(b"m", private, seeded(b"s"))
+    assert not pkcs1.verify(b"m", bytes(25), public)
+    assert not pkcs1.verify(b"m", i2osp(rsa.rsa_private_op(5, private), 25), public)
 
 
 def test_os2ip_i2osp_fixed_width():
