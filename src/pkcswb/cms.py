@@ -381,22 +381,34 @@ def digested_content(ci: ContentInfo) -> ContentInfo:
 # encrypted-data (pre-shared key, no key transport)
 
 
+def _encrypted_data(content_type: Oid, algorithm: AlgorithmIdentifier,
+                    ciphertext: bytes) -> ContentInfo:
+    """EncryptedData: version 0 and an EncryptedContentInfo.  Encrypted-data
+    and PFX password privacy both carry it."""
+    return ContentInfo(oids.CT_ENCRYPTED_DATA, asn1.sequence(
+        asn1.integer(0), _encrypted_content_value(content_type, algorithm, ciphertext)))
+
+
+def _parse_encrypted_data(ci: ContentInfo) -> tuple[AlgorithmIdentifier, bytes]:
+    """(content-encryption algorithm, ciphertext) of an EncryptedData, which
+    must be version 0.  Callers run it inside uniform_decryption."""
+    version_v, econtent_v = asn1._fields(ci.content, 2)
+    if version_v.as_integer() != 0:
+        raise DecryptionError()
+    return _parse_encrypted_content(econtent_v)
+
+
 def encrypt_data(inner: ContentInfo, key: bytes, rng: RandomSource) -> ContentInfo:
     iv = rng.read(_IV_LEN)
-    body = asn1.sequence(
-        asn1.integer(0),
-        _encrypted_content_value(inner.content_type,
-                                 AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv)),
-                                 cbc_encrypt(key, iv, inner.to_der())),
-    )
-    return ContentInfo(oids.CT_ENCRYPTED_DATA, body)
+    return _encrypted_data(inner.content_type,
+                           AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv)),
+                           cbc_encrypt(key, iv, inner.to_der()))
 
 
 def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
     _expect_type(ci, oids.CT_ENCRYPTED_DATA, "encrypted-data")
     with uniform_decryption():
-        _version, econtent_v = asn1.require(ci.content, asn1.SEQUENCE).children
-        algorithm, ciphertext = _parse_encrypted_content(econtent_v)
+        algorithm, ciphertext = _parse_encrypted_data(ci)
         return ContentInfo.from_der(cbc_decrypt(key, _aes_iv(algorithm), ciphertext))
 
 

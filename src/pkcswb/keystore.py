@@ -212,12 +212,11 @@ class AttributeSpec:
     name: str
     oid: Oid
     syntax: Callable[[DerValue], bool] = field(compare=False)
-    make: Callable[[object], DerValue] = field(compare=False)
+    # builds the value from a Python-native one; None: only a built DerValue
+    make: Callable[[object], DerValue] | None = field(compare=False)
 
 
 def _make_time(value) -> DerValue:
-    if isinstance(value, DerValue):
-        return value
     text = str(value)
     if re.fullmatch(r"\d{12}Z", text):
         return asn1.utc_time(text)
@@ -227,50 +226,35 @@ def _make_time(value) -> DerValue:
 
 
 def _make_directory_string(value) -> DerValue:
-    if isinstance(value, DerValue):
-        return value
     try:
         return asn1.printable_string(value)
     except ValueError:
         return asn1.utf8_string(value)
 
 
-def _make_octets(value) -> DerValue:
-    return value if isinstance(value, DerValue) else asn1.octet_string(value)
-
-
-def _make_passthrough(value) -> DerValue:
-    if not isinstance(value, DerValue):
-        raise SyntaxViolation("expected an already-built value")
-    return value
-
-
 _SPECS = [
     AttributeSpec("contentType", oids.AT_CONTENT_TYPE,
-                  lambda v: _is_primitive(v, asn1.OBJECT_IDENTIFIER),
-                  lambda v: v if isinstance(v, DerValue) else asn1.oid_value(v)),
+                  lambda v: _is_primitive(v, asn1.OBJECT_IDENTIFIER), asn1.oid_value),
     AttributeSpec("messageDigest", oids.AT_MESSAGE_DIGEST,
-                  lambda v: _is_primitive(v, asn1.OCTET_STRING), _make_octets),
+                  lambda v: _is_primitive(v, asn1.OCTET_STRING), asn1.octet_string),
     AttributeSpec("signingTime", oids.AT_SIGNING_TIME, _check_time, _make_time),
     AttributeSpec("sequenceNumber", oids.AT_SEQUENCE_NUMBER,
                   lambda v: _is_primitive(v, asn1.INTEGER) and v.as_integer() >= 1,
-                  lambda v: v if isinstance(v, DerValue) else asn1.integer(int(v))),
+                  lambda v: asn1.integer(int(v))),
     AttributeSpec("randomNonce", oids.AT_RANDOM_NONCE,
                   lambda v: _is_primitive(v, asn1.OCTET_STRING) and len(v.octets) >= 4,
-                  _make_octets),
+                  asn1.octet_string),
     AttributeSpec("counterSignature", oids.AT_COUNTER_SIGNATURE,
-                  lambda v: v.constructed and v.is_universal(asn1.SEQUENCE),
-                  _make_passthrough),
+                  lambda v: v.constructed and v.is_universal(asn1.SEQUENCE), None),
     AttributeSpec("challengePassword", oids.AT_CHALLENGE_PASSWORD,
                   _check_directory_string, _make_directory_string),
     AttributeSpec("extensionRequest", oids.AT_EXTENSION_REQUEST,
-                  lambda v: v.constructed and v.is_universal(asn1.SEQUENCE),
-                  _make_passthrough),
+                  lambda v: v.constructed and v.is_universal(asn1.SEQUENCE), None),
     AttributeSpec("friendlyName", oids.AT_FRIENDLY_NAME,
                   lambda v: _is_primitive(v, asn1.UTF8_STRING) and len(v.octets) > 0,
-                  lambda v: v if isinstance(v, DerValue) else asn1.utf8_string(v)),
+                  asn1.utf8_string),
     AttributeSpec("localKeyId", oids.AT_LOCAL_KEY_ID,
-                  lambda v: _is_primitive(v, asn1.OCTET_STRING), _make_octets),
+                  lambda v: _is_primitive(v, asn1.OCTET_STRING), asn1.octet_string),
 ]
 
 ATTRIBUTE_REGISTRY: dict[str, AttributeSpec] = {s.name: s for s in _SPECS}
@@ -282,7 +266,12 @@ def attribute_make(type_name: str, value) -> Attribute:
     spec = ATTRIBUTE_REGISTRY.get(type_name)
     if spec is None:
         raise UnknownAttributeType(type_name)
-    der_value = spec.make(value)
+    if isinstance(value, DerValue):
+        der_value = value
+    elif spec.make is None:
+        raise SyntaxViolation("expected an already-built value")
+    else:
+        der_value = spec.make(value)
     if not spec.syntax(der_value):
         raise SyntaxViolation(f"value does not match the {type_name} syntax")
     return Attribute(spec.oid, (der_value,))

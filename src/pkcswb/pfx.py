@@ -174,9 +174,7 @@ def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
         salt = rng.read(_SALT_LEN)
         params, ciphertext = pbes2_encrypt(contents, credentials.privacy_password,
                                            salt, _PRIVACY_ITERATIONS, rng)
-        body = asn1.sequence(asn1.integer(0), cms._encrypted_content_value(
-            oids.CT_DATA, pbes2_algorithm(params), ciphertext))
-        return ContentInfo(oids.CT_ENCRYPTED_DATA, body)
+        return cms._encrypted_data(oids.CT_DATA, pbes2_algorithm(params), ciphertext)
     if privacy == PRIVACY_PUBLIC_KEY:
         if credentials.destination_pub is None:
             raise MissingCredential("public-key privacy needs the destination public key")
@@ -189,8 +187,7 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> bytes:
         if credentials.privacy_password is None:
             raise MissingCredential("password privacy needs a privacy password")
         with uniform_decryption():
-            _version, ecinfo = asn1.require(element.content, asn1.SEQUENCE).children
-            algorithm, ciphertext = cms._parse_encrypted_content(ecinfo)
+            algorithm, ciphertext = cms._parse_encrypted_data(element)
             return pbes2_decrypt(pbes2_params_from_algorithm(algorithm), ciphertext,
                                  credentials.privacy_password)
     if element.content_type == oids.CT_ENVELOPED_DATA:

@@ -11,10 +11,14 @@ Once set, neither flag can be observed false again on the object or any copy.
 
 All operations are serialized behind one lock; the token behaves as a single
 logical actor, so callers on any number of threads observe a linear history.
+Each call that takes a session takes the lock and checks that the session is
+open on this token in one place.  Closing the last session ends the login;
+C_Finalize, C_CloseAllSessions and the removal of the device are one operation.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 
@@ -43,6 +47,7 @@ __all__ = [
     "KeyUnextractable",
     "TemplateIncomplete",
     "UnknownObject",
+    "AttributeTypeInvalid",
     "CLASS_DATA",
     "CLASS_CERTIFICATE",
     "CLASS_KEY",
@@ -164,11 +169,14 @@ class UnknownObject(TokenError):
     pass
 
 
+class AttributeTypeInvalid(TokenError):
+    """The object has no attribute of the requested type."""
+
+
 @dataclass
 class Session:
     handle: int
     rw: bool
-    open: bool = True
 
 
 @dataclass
@@ -180,11 +188,21 @@ class TokenObject:
 
 
 def _serialized(method):
+    @functools.wraps(method)
     def wrapper(self, *args, **kwargs):
         with self._lock:
             return method(self, *args, **kwargs)
-    wrapper.__name__ = method.__name__
-    wrapper.__doc__ = method.__doc__
+    return wrapper
+
+
+def _in_session(method):
+    """Serialize the method and refuse a session not open on this token."""
+    @functools.wraps(method)
+    def wrapper(self, session: Session, *args, **kwargs):
+        with self._lock:
+            if self._sessions.get(session.handle) is not session:
+                raise SessionClosed("session is not open on this token")
+            return method(self, session, *args, **kwargs)
     return wrapper
 
 
@@ -199,7 +217,6 @@ class Token:
         self.label = label
         self._rng = rng if rng is not None else SystemRandomSource()
         self._lock = threading.RLock()
-        self.initialized = False
         self._so_pin: tuple[bytes, bytes] | None = None     # (salt, hash)
         self._user_pin: tuple[bytes, bytes] | None = None
         self.login_state: str | None = None                  # None | "so" | "user"
@@ -214,91 +231,63 @@ class Token:
         salt = self._rng.read(8)
         return salt, SHA256.digest(salt + pin.encode())
 
-    @staticmethod
-    def _pin_matches(record: tuple[bytes, bytes], pin: str) -> bool:
-        salt, digest = record
-        return ct_equal(SHA256.digest(salt + pin.encode()), digest)
-
     # -- lifecycle -------------------------------------------------------
 
     @_serialized
     def initialize(self, so_pin: str) -> None:
         """Set the SO credential and wipe the object store."""
-        if self.initialized:
+        if self._so_pin is not None:
             raise AlreadyInitialized("token is already initialized")
         self._so_pin = self._pin_record(so_pin)
         self._user_pin = None
         self._objects.clear()
-        self.initialized = True
 
-    @_serialized
+    @_in_session
     def init_user_pin(self, session: Session, user_pin: str) -> None:
-        self._require_open(session)
         if self.login_state != USER_SO:
             raise NotLoggedInAsSO("setting the user PIN requires the SO")
         self._user_pin = self._pin_record(user_pin)
-
-    @_serialized
-    def finalize(self) -> None:
-        """Close every session; the application stops being a token client."""
-        self._close_all_sessions()
 
     # -- sessions --------------------------------------------------------
 
     @_serialized
     def open_session(self, rw: bool) -> Session:
-        if not self.initialized:
+        if self._so_pin is None:
             raise NotInitialized("initialize the token first")
         session = Session(self._next_session, rw)
         self._next_session += 1
         self._sessions[session.handle] = session
         return session
 
-    @_serialized
+    @_in_session
     def close_session(self, session: Session) -> None:
-        self._require_open(session)
-        self._close_one(session)
-        if not any(s.open for s in self._sessions.values()):
-            self.login_state = None
+        self._close((session.handle,))
 
     @_serialized
     def close_all(self) -> None:
-        self._close_all_sessions()
+        """C_CloseAllSessions; C_Finalize and device removal are the same operation."""
+        self._close(tuple(self._sessions))
 
-    @_serialized
-    def device_removed(self) -> None:
-        """The device underlying the token left its slot."""
-        self._close_all_sessions()
+    finalize = close_all
+    device_removed = close_all
 
-    def _close_all_sessions(self) -> None:
-        for session in list(self._sessions.values()):
-            if session.open:
-                self._close_one(session)
-        self.login_state = None
-
-    def _close_one(self, session: Session) -> None:
-        session.open = False
-        doomed = [h for h, obj in self._objects.items()
-                  if obj.owning_session == session.handle]
-        for handle in doomed:
-            del self._objects[handle]
-
-    def _require_open(self, session: Session) -> None:
-        known = self._sessions.get(session.handle)
-        if known is not session or not session.open:
-            raise SessionClosed("session is not open on this token")
+    def _close(self, handles: tuple[int, ...]) -> None:
+        """Drop the sessions and their objects; the last one closed ends the login."""
+        for handle in handles:
+            del self._sessions[handle]
+        self._objects = {h: obj for h, obj in self._objects.items()
+                         if obj.owning_session not in handles}
+        if not self._sessions:
+            self.login_state = None
 
     @property
     def open_session_count(self) -> int:
-        return sum(1 for s in self._sessions.values() if s.open)
+        return len(self._sessions)
 
     # -- users -----------------------------------------------------------
 
-    @_serialized
+    @_in_session
     def login(self, session: Session, user_type: str, pin: str) -> None:
-        self._require_open(session)
-        if not self.initialized:
-            raise NotInitialized("initialize the token first")
         if user_type not in (USER_SO, USER_NORMAL):
             raise ValueError(f"unknown user type {user_type!r}")
         if self.login_state is not None:
@@ -306,25 +295,28 @@ class Token:
         record = self._so_pin if user_type == USER_SO else self._user_pin
         if record is None:
             raise UserPinNotInitialized("the SO has not set this PIN")
-        if not self._pin_matches(record, pin):
+        salt, digest = record
+        if not ct_equal(SHA256.digest(salt + pin.encode()), digest):
             raise PinIncorrect("PIN does not match")
         self.login_state = user_type
 
-    @_serialized
+    @_in_session
     def logout(self, session: Session) -> None:
-        self._require_open(session)
         if self.login_state is None:
             raise NotLoggedIn("no user is logged in")
         self.login_state = None
 
     # -- object management ------------------------------------------------
 
+    def _visible(self, attrs: dict) -> bool:
+        """Private objects exist only for the logged-in normal user."""
+        return not attrs[CKA_PRIVATE] or self.login_state == USER_NORMAL
+
     def _lookup(self, handle: int) -> TokenObject:
         obj = self._objects.get(handle)
         if obj is None:
             raise UnknownObject(f"no object with handle {handle}")
-        if obj.attrs[CKA_PRIVATE] and self.login_state != USER_NORMAL:
-            # private objects stay invisible outside a user session
+        if not self._visible(obj.attrs):
             raise NotLoggedIn("private objects need the normal user")
         return obj
 
@@ -332,14 +324,9 @@ class Token:
         if token_resident and not session.rw:
             raise ReadOnlySession("token objects cannot be modified in a R/O session")
 
-    @_serialized
-    def create_object(self, session: Session, obj_class: str, template: dict) -> int:
-        self._require_open(session)
-        if obj_class not in _REQUIRED:
-            raise ValueError(f"unknown object class {obj_class!r}")
-        attrs = dict(_DEFAULTS)
-        attrs.update(template)
-        if attrs[CKA_PRIVATE] and self.login_state != USER_NORMAL:
+    def _store(self, session: Session, obj_class: str, attrs: dict) -> int:
+        """Add an object: privacy, then session writability, then a complete template."""
+        if not self._visible(attrs):
             raise NotLoggedIn("creating a private object needs the normal user")
         self._require_writable(session, attrs[CKA_TOKEN])
         missing = _REQUIRED[obj_class] - set(attrs)
@@ -351,47 +338,40 @@ class Token:
         self._objects[obj.handle] = obj
         return obj.handle
 
-    @_serialized
+    @_in_session
+    def create_object(self, session: Session, obj_class: str, template: dict) -> int:
+        if obj_class not in _REQUIRED:
+            raise ValueError(f"unknown object class {obj_class!r}")
+        return self._store(session, obj_class, {**_DEFAULTS, **template})
+
+    @_in_session
     def destroy_object(self, session: Session, handle: int) -> None:
-        self._require_open(session)
         obj = self._lookup(handle)
         self._require_writable(session, obj.attrs[CKA_TOKEN])
         del self._objects[handle]
 
-    @_serialized
+    @_in_session
     def copy_object(self, session: Session, handle: int, overrides: dict | None = None) -> int:
-        self._require_open(session)
         source = self._lookup(handle)
-        overrides = dict(overrides or {})
+        overrides = overrides or {}
         if source.attrs[CKA_SENSITIVE] and overrides.get(CKA_SENSITIVE) is False:
             raise AttributeReadOnly("CKA_SENSITIVE cannot be cleared on a copy")
         if not source.attrs[CKA_EXTRACTABLE] and overrides.get(CKA_EXTRACTABLE) is True:
             raise AttributeReadOnly("CKA_EXTRACTABLE cannot be set on a copy")
-        attrs = dict(source.attrs)
-        attrs.update(overrides)
-        if attrs[CKA_PRIVATE] and self.login_state != USER_NORMAL:
-            raise NotLoggedIn("creating a private object needs the normal user")
-        self._require_writable(session, attrs[CKA_TOKEN])
-        obj = TokenObject(self._next_object, source.obj_class, attrs,
-                          None if attrs[CKA_TOKEN] else session.handle)
-        self._next_object += 1
-        self._objects[obj.handle] = obj
-        return obj.handle
+        return self._store(session, source.obj_class, {**source.attrs, **overrides})
 
-    @_serialized
+    @_in_session
     def get_attribute(self, session: Session, handle: int, name: str):
-        self._require_open(session)
         obj = self._lookup(handle)
         if name == CKA_VALUE and obj.obj_class == CLASS_KEY and (
                 obj.attrs[CKA_SENSITIVE] or not obj.attrs[CKA_EXTRACTABLE]):
             raise AttributeSensitive("sensitive keys cannot be read in plaintext")
         if name not in obj.attrs:
-            raise KeyError(name)
+            raise AttributeTypeInvalid(f"object {handle} has no {name}")
         return obj.attrs[name]
 
-    @_serialized
+    @_in_session
     def set_attribute(self, session: Session, handle: int, name: str, value) -> None:
-        self._require_open(session)
         obj = self._lookup(handle)
         self._require_writable(session, obj.attrs[CKA_TOKEN])
         if name in _IMMUTABLE:
@@ -405,14 +385,11 @@ class Token:
     @_serialized
     def object_handles(self) -> tuple[int, ...]:
         """Handles of the objects visible at the current login state."""
-        return tuple(sorted(
-            h for h, obj in self._objects.items()
-            if not obj.attrs[CKA_PRIVATE] or self.login_state == USER_NORMAL))
+        return tuple(sorted(h for h, obj in self._objects.items() if self._visible(obj.attrs)))
 
     # -- cryptographic operations -----------------------------------------
 
-    def _usable_key(self, session: Session, handle: int, usage: str,
-                    kind: str) -> TokenObject:
+    def _usable_key(self, handle: int, usage: str, kind: str) -> TokenObject:
         obj = self._lookup(handle)
         if obj.obj_class != CLASS_KEY or obj.attrs.get(CKA_KEY_KIND) != kind:
             raise KeyUsageViolation(f"object {handle} is not a {kind} key")
@@ -427,11 +404,10 @@ class Token:
     def _public_key(obj: TokenObject):
         return csr_mod.decode_public_key_info(der_decode(obj.attrs[CKA_VALUE]))
 
-    @_serialized
+    @_in_session
     def generate_key_pair(self, session: Session, bits: int, u: int = 2,
                           e: int = 65537, label: str = "") -> tuple[int, int]:
         """Generate an RSA pair on the token; the private half never leaves it."""
-        self._require_open(session)
         if self.login_state != USER_NORMAL:
             raise NotLoggedIn("key generation stores a private object")
         self._require_writable(session, True)
@@ -452,36 +428,31 @@ class Token:
         })
         return pub_handle, priv_handle
 
-    @_serialized
+    @_in_session
     def sign(self, session: Session, handle: int, message: bytes) -> bytes:
-        self._require_open(session)
-        obj = self._usable_key(session, handle, CKA_SIGN, "private")
+        obj = self._usable_key(handle, CKA_SIGN, "private")
         return pkcs1.sign(message, self._private_key(obj), self._rng)
 
-    @_serialized
+    @_in_session
     def verify(self, session: Session, handle: int, message: bytes,
                signature: bytes) -> bool:
-        self._require_open(session)
-        obj = self._usable_key(session, handle, CKA_VERIFY, "public")
+        obj = self._usable_key(handle, CKA_VERIFY, "public")
         return pkcs1.verify(message, signature, self._public_key(obj))
 
-    @_serialized
+    @_in_session
     def encrypt(self, session: Session, handle: int, message: bytes) -> bytes:
-        self._require_open(session)
-        obj = self._usable_key(session, handle, CKA_ENCRYPT, "public")
+        obj = self._usable_key(handle, CKA_ENCRYPT, "public")
         return pkcs1.encrypt(message, self._public_key(obj), pkcs1.SCHEME_OAEP, self._rng)
 
-    @_serialized
+    @_in_session
     def decrypt(self, session: Session, handle: int, ciphertext: bytes) -> bytes:
-        self._require_open(session)
-        obj = self._usable_key(session, handle, CKA_DECRYPT, "private")
+        obj = self._usable_key(handle, CKA_DECRYPT, "private")
         return pkcs1.decrypt(ciphertext, self._private_key(obj), pkcs1.SCHEME_OAEP)
 
-    @_serialized
+    @_in_session
     def wrap_key(self, session: Session, wrapping_handle: int, handle: int) -> bytes:
         """Export a key encrypted to a wrapping key; refused for unextractable keys."""
-        self._require_open(session)
-        wrapping = self._usable_key(session, wrapping_handle, CKA_WRAP, "public")
+        wrapping = self._usable_key(wrapping_handle, CKA_WRAP, "public")
         target = self._lookup(handle)
         if target.obj_class != CLASS_KEY:
             raise KeyUsageViolation("only keys can be wrapped")
@@ -491,14 +462,12 @@ class Token:
                                self._public_key(wrapping), self._rng)
         return wrapped.to_der()
 
-    @_serialized
+    @_in_session
     def digest(self, session: Session, message: bytes) -> bytes:
-        self._require_open(session)
         return SHA256.digest(message)
 
-    @_serialized
+    @_in_session
     def random(self, session: Session, n: int) -> bytes:
-        self._require_open(session)
         return self._rng.read(n)
 
 

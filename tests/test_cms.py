@@ -446,6 +446,16 @@ def test_encrypt_data_wrong_key():
         decrypt_data(wrapped, b"j" * 16)
 
 
+def test_encrypted_data_version_other_than_0_is_refused():
+    wrapped = encrypt_data(make_data(b"m"), b"k" * 16, seeded(b"iv"))
+    _version, ecinfo = wrapped.content.children
+    for version in (7, 1):
+        edited = ContentInfo(oids.CT_ENCRYPTED_DATA, asn1.sequence(asn1.integer(version), ecinfo))
+        with pytest.raises(DecryptionError):
+            decrypt_data(ContentInfo.from_der(edited.to_der()), b"k" * 16)
+    assert decrypt_data(wrapped, b"k" * 16) == make_data(b"m")
+
+
 def test_encrypt_data_iv_recorded_in_params():
     wrapped = encrypt_data(make_data(b"m"), b"k" * 16, seeded(b"iv"))
     _version, ecinfo = wrapped.content.children

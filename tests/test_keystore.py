@@ -202,6 +202,25 @@ def test_friendly_name_must_be_non_empty():
     assert attribute_check(attribute_make("friendlyName", "display name"))
 
 
+def test_built_values_pass_through_every_type():
+    built = {"contentType": asn1.oid_value(oids.CT_DATA),
+             "messageDigest": asn1.octet_string(bytes(32)),
+             "signingTime": asn1.utc_time("200101120000Z"),
+             "sequenceNumber": asn1.integer(3),
+             "randomNonce": asn1.octet_string(b"\x01\x02\x03\x04"),
+             "counterSignature": asn1.sequence(asn1.integer(1)),
+             "challengePassword": asn1.utf8_string("pw"),
+             "extensionRequest": asn1.sequence(),
+             "friendlyName": asn1.utf8_string("k"),
+             "localKeyId": asn1.octet_string(b"\x01")}
+    assert set(built) == set(ATTRIBUTE_REGISTRY)
+    for name, value in built.items():
+        assert attribute_make(name, value).values == (value,)
+    for name in ("counterSignature", "extensionRequest"):
+        with pytest.raises(SyntaxViolation, match="already-built"):
+            attribute_make(name, b"\x30\x00")
+
+
 def test_unknown_attribute_type():
     with pytest.raises(UnknownAttributeType):
         attribute_make("nonexistent", 1)

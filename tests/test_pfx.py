@@ -227,6 +227,22 @@ def test_bag_type_validation(material):
         SafeBag("cert", info, ())  # wrong value type for the bag
 
 
+def test_password_privacy_version_other_than_0_is_refused(material):
+    bags, credentials, _ = material
+    rng = seeded(b"privacy-version")
+    element = pfx._privacy_wrap(pfx._safe_contents_der(bags), "password", credentials, rng)
+    _version, ecinfo = element.content.children
+    for version in (9, 1):
+        edited = cms.ContentInfo(oids.CT_ENCRYPTED_DATA,
+                                 asn1.sequence(asn1.integer(version), ecinfo))
+        with pytest.raises(DecryptionError):
+            pfx._privacy_unwrap(edited, credentials)
+        # MACed with the right password, so only the privacy layer can refuse it
+        with pytest.raises(DecryptionError):
+            pfx_open(PfxPdu.from_der(_macced_pfx(edited, credentials, rng)), credentials)
+    assert pfx._privacy_unwrap(element, credentials) == pfx._safe_contents_der(bags)
+
+
 def test_pfx_version_other_than_three_is_unsupported(material):
     bags, credentials, _ = material
     built = pfx_create(bags, "public_key", "password", credentials, seeded(b"version"))

@@ -1,3 +1,5 @@
+import inspect
+
 import pytest
 
 from pkcswb import keystore, rsa, token as tk
@@ -88,6 +90,60 @@ def test_finalize_closes_all_sessions():
 
 
 # -- sessions ----------------------------------------------------------------------
+
+
+def test_open_session_before_initialize():
+    token = Token("blank", seeded(b"blank"))
+    with pytest.raises(tk.NotInitialized):
+        token.open_session(rw=True)
+    token.initialize("so-pin")
+    assert token.open_session(rw=True).handle == 1
+
+
+_SESSION_METHODS = sorted(
+    name for name, member in vars(Token).items()
+    if not name.startswith("_") and inspect.isfunction(member)
+    and list(inspect.signature(member).parameters)[1:2] == ["session"])
+
+
+def test_every_session_call_is_found():
+    assert set(_SESSION_METHODS) >= {
+        "init_user_pin", "close_session", "login", "logout", "create_object",
+        "destroy_object", "copy_object", "get_attribute", "set_attribute",
+        "generate_key_pair", "sign", "verify", "encrypt", "decrypt", "wrap_key",
+        "digest", "random"}
+
+
+def _guarded_token():
+    """A token with the normal user logged in, two objects, and a closed session."""
+    token = fresh_token(b"guard")
+    session = user_session(token)
+    token.create_object(session, CLASS_DATA, {CKA_VALUE: b"public"})
+    token.create_object(session, CLASS_DATA, {CKA_VALUE: b"private", CKA_PRIVATE: True})
+    closed = token.open_session(rw=True)
+    token.close_session(closed)
+    return token, session, closed
+
+
+@pytest.mark.parametrize("stranger", ["closed", "other token"])
+@pytest.mark.parametrize("name", _SESSION_METHODS)
+def test_every_session_call_refuses_a_session_not_open_here(name, stranger):
+    token, session, closed = _guarded_token()
+    twin, twin_session, _ = _guarded_token()
+    if stranger == "closed":
+        refused = closed
+    else:
+        refused = fresh_token(b"elsewhere").open_session(rw=True)
+        assert refused.handle == session.handle
+    method = getattr(token, name)
+    # the guard runs before any argument after the session is read
+    rest = [None for p in list(inspect.signature(method).parameters.values())[1:]
+            if p.default is inspect.Parameter.empty]
+    with pytest.raises(tk.SessionClosed):
+        method(refused, *rest)
+    assert token.object_handles() == twin.object_handles()
+    assert token.login_state == twin.login_state == tk.USER_NORMAL
+    assert token.random(session, 16) == twin.random(twin_session, 16)
 
 
 def test_session_handles_unique():
@@ -278,6 +334,16 @@ def _attempt(token, session, obj_class, private, handles, operation):
 
 
 # -- object semantics --------------------------------------------------------------------
+
+
+def test_absent_attribute_is_a_token_error():
+    token = fresh_token(b"absent")
+    session = token.open_session(rw=True)
+    handle = token.create_object(session, CLASS_DATA, {CKA_VALUE: b"v"})
+    with pytest.raises(tk.AttributeTypeInvalid) as raised:
+        token.get_attribute(session, handle, CKA_SUBJECT)
+    assert isinstance(raised.value, tk.TokenError)
+    assert "AttributeTypeInvalid" in tk.__all__
 
 
 def test_objects_always_well_formed():
