@@ -6,9 +6,14 @@ certification request, enveloped transport to the CA, toy issuance, PBES2
 key wrapping, PFX transfer, token provisioning with a PKCS#15 directory
 export, and a final challenge-response against the provisioned token.
 
-Exit codes: 0 success, 1 cryptographic/verification failure, 2 usage or I/O
-error.  Binary outputs are raw DER files; diagnostics go to stderr as plain
-hex dumps.  Set --seed or PKCSWB_SEED for fully deterministic runs.
+Exit codes: 0 success; 1 a cryptographic or verification failure (a wrong
+password, key or tag, a tampered file); 2 a usage or I/O error, which
+includes a malformed input file and an AES key that is not 16 octets.
+Options that several subcommands take (``--in``, ``--out``, ``--key``, ...)
+are each defined once, as an argparse parent parser.  ``cms-digest`` and
+``cms-auth`` take exactly one of ``--out`` (make) and ``--check`` (check).
+Binary outputs are raw DER files; diagnostics go to stderr as plain hex
+dumps.  Set --seed or PKCSWB_SEED for fully deterministic runs.
 """
 
 from __future__ import annotations
@@ -22,24 +27,25 @@ from . import asn1, cms, csr as csr_mod, keystore, pfx as pfx_mod, pkcs1, \
 from .asn1 import der_decode, der_encode, hex_dump
 from .errors import (DecryptionError, IntegrityFailure, MissingCredential,
                      UnsupportedAlgorithm)
-from .primitives import SHA256, RandomSource, SeededSource, SystemRandomSource
+from .primitives import SHA256, BadLength, RandomSource, SeededSource, SystemRandomSource
 from .token import Token, export_pkcs15_layout
 
 __all__ = ["main", "run_scenario", "ScenarioStepFailed", "SCENARIO_STEPS", "FAULT_POINTS"]
 
 
 class ScenarioStepFailed(Exception):
-    def __init__(self, step: str, reason: str):
-        super().__init__(f"{step}: {reason}")
-        self.step = step
-        self.reason = reason
+    """A scenario step's own check failed; the message is the reported reason."""
+
+
+def _seed(args) -> bytes | None:
+    """The octets of --seed, else of PKCSWB_SEED; None when neither is set."""
+    text = args.seed or os.environ.get("PKCSWB_SEED")
+    return _hex_arg(text) if text else None
 
 
 def _build_rng(args) -> RandomSource:
-    seed = args.seed or os.environ.get("PKCSWB_SEED")
-    if seed:
-        return SeededSource(bytes.fromhex(seed.removeprefix("0x")))
-    return SystemRandomSource()
+    seed = _seed(args)
+    return SystemRandomSource() if seed is None else SeededSource(seed)
 
 
 def _read(path: str) -> bytes:
@@ -200,8 +206,6 @@ def _cmd_cms_digest(args) -> int:
         ok = cms.check_digest(cms.ContentInfo.from_der(_read(args.infile)))
         print("digest ok" if ok else "digest mismatch")
         return 0 if ok else 1
-    if not args.out:
-        raise ValueError("--out is required unless --check is given")
     _write(args.out, cms.digest_data(cms.make_data(_read(args.infile))).to_der())
     return 0
 
@@ -223,8 +227,6 @@ def _cmd_cms_auth(args) -> int:
         ok = cms.check_auth(cms.ContentInfo.from_der(_read(args.infile)), key)
         print("tag ok" if ok else "tag mismatch")
         return 0 if ok else 1
-    if not args.out:
-        raise ValueError("--out is required unless --check is given")
     _write(args.out, cms.authenticate_data(cms.make_data(_read(args.infile)), key).to_der())
     return 0
 
@@ -234,10 +236,10 @@ def _cmd_cms_auth(args) -> int:
 
 
 def _pfx_credentials(args) -> pfx_mod.PfxCredentials:
+    integrity = args.integrity_password or args.password
     return pfx_mod.PfxCredentials(
         privacy_password=args.password.encode() if args.password else None,
-        integrity_password=(args.integrity_password or args.password).encode()
-        if (args.integrity_password or args.password) else None,
+        integrity_password=integrity.encode() if integrity else None,
         destination_pub=_load_public(args.dest_pub) if getattr(args, "dest_pub", None) else None,
         destination_priv=_load_private(args.dest_key) if getattr(args, "dest_key", None) else None,
         source_sign_key=_load_private(args.sign_key) if getattr(args, "sign_key", None) else None,
@@ -288,15 +290,22 @@ def _cmd_pfx_unpack(args) -> int:
 # token demo
 
 
-def _cmd_token_demo(args) -> int:
-    rng = _build_rng(args)
-    token = Token("demo-token", rng)
-    token.initialize("so-pin")
+def _personal_token(label: str, rng: RandomSource, so_pin: str,
+                    user_pin: str) -> tuple[Token, token_mod.Session]:
+    """A fresh token, initialized under ``so_pin``, whose SO has set the user
+    PIN and handed over: the user is logged in on the returned R/W session."""
+    token = Token(label, rng)
+    token.initialize(so_pin)
     session = token.open_session(rw=True)
-    token.login(session, token_mod.USER_SO, "so-pin")
-    token.init_user_pin(session, "user-pin")
+    token.login(session, token_mod.USER_SO, so_pin)
+    token.init_user_pin(session, user_pin)
     token.logout(session)
-    token.login(session, token_mod.USER_NORMAL, "user-pin")
+    token.login(session, token_mod.USER_NORMAL, user_pin)
+    return token, session
+
+
+def _cmd_token_demo(args) -> int:
+    token, session = _personal_token("demo-token", _build_rng(args), "so-pin", "user-pin")
     pub_h, priv_h = token.generate_key_pair(session, 1024, label="demo")
     challenge = token.random(session, 16)
     signature = token.sign(session, priv_h, challenge)
@@ -322,8 +331,8 @@ def _cmd_strength(args) -> int:
 FAULT_POINTS = ("transport", "pfx", "challenge")
 
 _ALICE_PASSWORD = b"alice-card-pin"
-_TRANSFER_PRIVACY = b"transfer-privacy"
-_TRANSFER_INTEGRITY = b"transfer-integrity"
+_TRANSFER_CREDENTIALS = pfx_mod.PfxCredentials(privacy_password=b"transfer-privacy",
+                                               integrity_password=b"transfer-integrity")
 
 
 def _fingerprint(data: bytes) -> str:
@@ -346,12 +355,9 @@ def run_scenario(seed: bytes, fault: str | None = None) -> tuple[str, bool]:
     for index, (name, step) in enumerate(_SCENARIO, start=1):
         try:
             detail = step(state, rng, fault)
-        except ScenarioStepFailed as exc:
-            lines.append(f"step {index}/9 {name:<26} FAIL  {exc.reason}")
-            failed_at = name
-            break
         except Exception as exc:
-            lines.append(f"step {index}/9 {name:<26} FAIL  {type(exc).__name__}: {exc}")
+            reason = exc if isinstance(exc, ScenarioStepFailed) else f"{type(exc).__name__}: {exc}"
+            lines.append(f"step {index}/9 {name:<26} FAIL  {reason}")
             failed_at = name
             break
         lines.append(f"step {index}/9 {name:<26} PASS  {detail}")
@@ -370,7 +376,7 @@ def _step_keypair(state, rng, fault):
     public, private = rsa.generate_key(1024, 2, 65537, rng)
     probe = 0x1234567890ABCDEF
     if rsa.rsa_private_op(rsa.rsa_public_op(probe, public), private) != probe:
-        raise ScenarioStepFailed("keypair-generation", "operation identity failed")
+        raise ScenarioStepFailed("operation identity failed")
     state["alice_pub"], state["alice_priv"] = public, private
     state["ca_pub"], state["ca_priv"] = rsa.generate_key(1024, 2, 65537, rng)
     return f"|n|={public.n.bit_length()} bits, u={private.u}, e={public.e}"
@@ -388,7 +394,7 @@ def _step_attributes(state, rng, fault):
         recoded = keystore.Attribute.from_der_value(
             der_decode(der_encode(attribute.to_der_value())))
         if recoded != attribute:
-            raise ScenarioStepFailed("natural-person-attributes", "attribute round-trip failed")
+            raise ScenarioStepFailed("attribute round-trip failed")
     state["bundle"] = bundle
     return f"{len(bundle)} attributes"
 
@@ -404,7 +410,7 @@ def _step_csr(state, rng, fault):
         subject, (state["alice_pub"], state["alice_priv"]),
         (keystore.attribute_make("challengePassword", "revoke-me-not"),), rng)
     if not csr_mod.verify_csr(request):
-        raise ScenarioStepFailed("certification-request", "self-signature failed")
+        raise ScenarioStepFailed("self-signature failed")
     state["subject"], state["request"] = subject, request
     return f"csr={_fingerprint(request.to_der())}"
 
@@ -421,9 +427,9 @@ def _step_transport(state, rng, fault):
         request = csr_mod.CertificationRequest.from_der(cms.data_payload(received))
         ok = csr_mod.verify_csr(request)
     except Exception as exc:
-        raise ScenarioStepFailed("enveloped-transport", f"CA could not open: {type(exc).__name__}")
+        raise ScenarioStepFailed(f"CA could not open: {type(exc).__name__}")
     if not ok:
-        raise ScenarioStepFailed("enveloped-transport", "request invalid after transport")
+        raise ScenarioStepFailed("request invalid after transport")
     state["ca_request"] = request
     return f"envelope={_fingerprint(bytes(wire))}"
 
@@ -434,7 +440,7 @@ def _step_issue(state, rng, fault):
     cms.verify_signed(certificate, state["ca_pub"])
     subject, public, serial, issuer = cms.cert_fields(certificate)
     if subject != state["subject"] or public != state["alice_pub"]:
-        raise ScenarioStepFailed("certificate-issuance", "certificate binds the wrong identity")
+        raise ScenarioStepFailed("certificate binds the wrong identity")
     state["certificate"] = certificate
     return f"serial={serial} cert={_fingerprint(certificate.to_der())}"
 
@@ -443,8 +449,8 @@ def _step_wrap(state, rng, fault):
     info = keystore.PrivateKeyInfo(state["alice_priv"], state["bundle"])
     epki = keystore.encrypt_private_key(info, _ALICE_PASSWORD, rng.read(8), 2048, rng)
     if keystore.decrypt_private_key(epki, _ALICE_PASSWORD) != info:
-        raise ScenarioStepFailed("private-key-wrapping", "wrap/unwrap mismatch")
-    state["info"], state["epki"] = info, epki
+        raise ScenarioStepFailed("wrap/unwrap mismatch")
+    state["epki"] = epki
     return f"epki={_fingerprint(epki.to_der())}"
 
 
@@ -456,10 +462,8 @@ def _step_pfx(state, rng, fault):
         pfx_mod.SafeBag("cert", state["certificate"],
                         (key_id, keystore.attribute_make("friendlyName", "alice-cert"))),
     )
-    credentials = pfx_mod.PfxCredentials(privacy_password=_TRANSFER_PRIVACY,
-                                         integrity_password=_TRANSFER_INTEGRITY)
     pdu = pfx_mod.pfx_create(bags, pfx_mod.PRIVACY_PASSWORD,
-                             pfx_mod.INTEGRITY_PASSWORD, credentials, rng)
+                             pfx_mod.INTEGRITY_PASSWORD, _TRANSFER_CREDENTIALS, rng)
     state["bags"], state["pfx_der"] = bags, pdu.to_der()
     return f"pfx={_fingerprint(state['pfx_der'])} bags={len(bags)}"
 
@@ -468,26 +472,19 @@ def _step_provision(state, rng, fault):
     wire = bytearray(state["pfx_der"])
     if fault == "pfx":
         wire[len(wire) // 2] ^= 0x01
-    credentials = pfx_mod.PfxCredentials(privacy_password=_TRANSFER_PRIVACY,
-                                         integrity_password=_TRANSFER_INTEGRITY)
     try:
-        bags = pfx_mod.pfx_open(pfx_mod.PfxPdu.from_der(bytes(wire)), credentials)
+        bags = pfx_mod.pfx_open(pfx_mod.PfxPdu.from_der(bytes(wire)), _TRANSFER_CREDENTIALS)
     except IntegrityFailure:
-        raise ScenarioStepFailed("token-provisioning", "PFX integrity check failed")
+        raise ScenarioStepFailed("PFX integrity check failed")
     except Exception as exc:
-        raise ScenarioStepFailed("token-provisioning", f"PFX unusable: {type(exc).__name__}")
+        raise ScenarioStepFailed(f"PFX unusable: {type(exc).__name__}")
     if bags != state["bags"]:
-        raise ScenarioStepFailed("token-provisioning", "bags arrived altered")
+        raise ScenarioStepFailed("bags arrived altered")
     shrouded = next(b for b in bags if b.bag_type == "shroudedKey")
     cert_bag = next(b for b in bags if b.bag_type == "cert")
     info = keystore.decrypt_private_key(shrouded.value, _ALICE_PASSWORD)
-    token = Token("alice-card", rng)
-    token.initialize("so-factory-pin")
-    session = token.open_session(rw=True)
-    token.login(session, token_mod.USER_SO, "so-factory-pin")
-    token.init_user_pin(session, _ALICE_PASSWORD.decode())
-    token.logout(session)
-    token.login(session, token_mod.USER_NORMAL, _ALICE_PASSWORD.decode())
+    token, session = _personal_token("alice-card", rng, "so-factory-pin",
+                                     _ALICE_PASSWORD.decode())
     key_handle = token.create_object(session, token_mod.CLASS_KEY, {
         token_mod.CKA_VALUE: keystore.encode_private_key(info.key),
         token_mod.CKA_KEY_TYPE: "rsa", token_mod.CKA_KEY_KIND: "private",
@@ -507,7 +504,7 @@ def _step_provision(state, rng, fault):
     manifest = export_pkcs15_layout(token)
     for required in ("EF(PrKDF): 1", "EF(CDF): 1", "EF(DODF): 1"):
         if required not in manifest:
-            raise ScenarioStepFailed("token-provisioning", "directory export incomplete")
+            raise ScenarioStepFailed("directory export incomplete")
     state["token"], state["session"], state["key_handle"] = token, session, key_handle
     state["manifest"] = manifest
     return "card initialized, 3 objects stored"
@@ -521,7 +518,7 @@ def _step_challenge(state, rng, fault):
         signature[0] ^= 0x01
     _subject, public, _serial, _issuer = cms.cert_fields(state["certificate"])
     if not pkcs1.verify(challenge, bytes(signature), public):
-        raise ScenarioStepFailed("challenge-response", "signature rejected by verifier")
+        raise ScenarioStepFailed("signature rejected by verifier")
     return f"challenge={challenge[:8].hex()} sig={_fingerprint(bytes(signature))}"
 
 
@@ -541,9 +538,8 @@ SCENARIO_STEPS = tuple(name for name, _step in _SCENARIO)
 
 
 def _cmd_scenario(args) -> int:
-    seed = bytes.fromhex((args.seed or os.environ.get("PKCSWB_SEED")
-                          or "000102030405060708090a0b0c0d0e0f").removeprefix("0x"))
-    report, ok = run_scenario(seed, args.fault)
+    seed = _seed(args)
+    report, ok = run_scenario(bytes(range(16)) if seed is None else seed, args.fault)
     print(report, end="")
     return 0 if ok else 1
 
@@ -559,156 +555,104 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", default=None,
                         help="hex seed for a deterministic random source "
                         "(or set PKCSWB_SEED)")
-    # accepted on either side of the subcommand; SUPPRESS keeps the
-    # subcommand-level flag from clobbering a top-level value
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    # each option that several subcommands take is defined once, in a parent
+    # parser; --seed is accepted on either side of the subcommand, and
+    # SUPPRESS keeps the subcommand-level flag from clobbering a top-level value
+    seed, infile, out, key, password, iterations, pfx_passwords, out_or_check = (
+        argparse.ArgumentParser(add_help=False) for _ in range(8))
+    seed.add_argument("--seed", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    infile.add_argument("--in", dest="infile", required=True)
+    out.add_argument("--out", required=True)
+    key.add_argument("--key", required=True)
+    password.add_argument("--password", required=True)
+    iterations.add_argument("--iter", dest="iterations", type=int,
+                            default=pkcs5.DEFAULT_ITERATIONS)
+    pfx_passwords.add_argument("--password")
+    pfx_passwords.add_argument("--integrity-password")
+    make_or_check = out_or_check.add_mutually_exclusive_group(required=True)
+    make_or_check.add_argument("--out")
+    make_or_check.add_argument("--check", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("keygen", parents=[common], help="generate a multiprime RSA key")
+    def command(name, func, summary, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[seed, *parents], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("keygen", _cmd_keygen, "generate a multiprime RSA key", out)
     p.add_argument("--bits", type=int, default=1024)
     p.add_argument("--primes", type=int, default=2)
     p.add_argument("--e", type=int, default=65537)
-    p.add_argument("--out", required=True)
     p.add_argument("--pub")
-    p.set_defaults(func=_cmd_keygen)
 
     for name, func in (("rsa-encrypt", _cmd_rsa_encrypt), ("rsa-decrypt", _cmd_rsa_decrypt)):
-        p = sub.add_parser(name, parents=[common], help=f"{name.split('-')[1]} with v1_5 or OAEP padding")
-        p.add_argument("--key", required=True)
-        p.add_argument("--in", dest="infile", required=True)
-        p.add_argument("--out", required=True)
+        p = command(name, func, f"{name.split('-')[1]} with v1_5 or OAEP padding",
+                    key, infile, out)
         p.add_argument("--scheme", choices=[pkcs1.SCHEME_V15, pkcs1.SCHEME_OAEP],
                        default=pkcs1.SCHEME_OAEP)
-        p.set_defaults(func=func)
 
-    p = sub.add_parser("sign", parents=[common], help="RSASSA-PSS signature")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sign)
-
-    p = sub.add_parser("verify", parents=[common], help="verify an RSASSA-PSS signature")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    command("sign", _cmd_sign, "RSASSA-PSS signature", key, infile, out)
+    p = command("verify", _cmd_verify, "verify an RSASSA-PSS signature", key, infile)
     p.add_argument("--sig", required=True)
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("kdf", parents=[common], help="PBKDF2 key derivation")
-    p.add_argument("--password", required=True)
+    p = command("kdf", _cmd_kdf, "PBKDF2 key derivation", password, iterations)
     p.add_argument("--salt", required=True, help="hex, 0x prefix allowed")
-    p.add_argument("--iter", dest="iterations", type=int, default=pkcs5.DEFAULT_ITERATIONS)
     p.add_argument("--len", dest="length", type=int, default=32)
-    p.set_defaults(func=_cmd_kdf)
 
-    p = sub.add_parser("p8-wrap", parents=[common], help="encrypt a private key (PBES2)")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--password", required=True)
-    p.add_argument("--iter", dest="iterations", type=int, default=pkcs5.DEFAULT_ITERATIONS)
+    p = command("p8-wrap", _cmd_p8_wrap, "encrypt a private key (PBES2)",
+                infile, password, iterations, out)
     p.add_argument("--salt-len", type=int, default=pkcs5.DEFAULT_SALT_LEN)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_p8_wrap)
+    command("p8-unwrap", _cmd_p8_unwrap, "decrypt an encrypted private key",
+            infile, password, out)
 
-    p = sub.add_parser("p8-unwrap", parents=[common], help="decrypt an encrypted private key")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--password", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_p8_unwrap)
-
-    p = sub.add_parser("csr-new", parents=[common], help="build a self-signed certification request")
-    p.add_argument("--key", required=True)
+    p = command("csr-new", _cmd_csr_new, "build a self-signed certification request",
+                key, out)
     p.add_argument("--cn", required=True)
     p.add_argument("--org")
     p.add_argument("--country")
     p.add_argument("--email")
     p.add_argument("--challenge")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_csr_new)
+    command("csr-verify", _cmd_csr_verify, "verify a certification request", infile)
 
-    p = sub.add_parser("csr-verify", parents=[common], help="verify a certification request")
-    p.add_argument("--in", dest="infile", required=True)
-    p.set_defaults(func=_cmd_csr_verify)
-
-    p = sub.add_parser("cms-sign", parents=[common], help="wrap a file in signed-data")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
+    p = command("cms-sign", _cmd_cms_sign, "wrap a file in signed-data", key, infile, out)
     p.add_argument("--cn", default="CLI Signer")
     p.add_argument("--signing-time", help="YYMMDDHHMMSSZ attribute value")
-    p.set_defaults(func=_cmd_cms_sign)
-
-    p = sub.add_parser("cms-verify", parents=[common], help="verify signed-data")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
+    p = command("cms-verify", _cmd_cms_verify, "verify signed-data", key, infile)
     p.add_argument("--out")
-    p.set_defaults(func=_cmd_cms_verify)
-
-    p = sub.add_parser("cms-envelope", parents=[common], help="wrap a file in enveloped-data")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_cms_envelope)
-
-    p = sub.add_parser("cms-open", parents=[common], help="open enveloped-data")
-    p.add_argument("--key", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_cms_open)
-
-    p = sub.add_parser("cms-digest", parents=[common], help="make or check digested-data")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=_cmd_cms_digest)
-
-    p = sub.add_parser("cms-encrypt", parents=[common], help="encrypted-data under a pre-shared key")
+    command("cms-envelope", _cmd_cms_envelope, "wrap a file in enveloped-data",
+            key, infile, out)
+    command("cms-open", _cmd_cms_open, "open enveloped-data", key, infile, out)
+    command("cms-digest", _cmd_cms_digest, "make or check digested-data",
+            infile, out_or_check)
+    p = command("cms-encrypt", _cmd_cms_encrypt, "encrypted-data under a pre-shared key",
+                infile, out)
     p.add_argument("--key-hex", required=True, help="16-octet AES key, hex")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--decrypt", action="store_true")
-    p.set_defaults(func=_cmd_cms_encrypt)
-
-    p = sub.add_parser("cms-auth", parents=[common], help="authenticated-data under a pre-shared key")
+    p = command("cms-auth", _cmd_cms_auth, "authenticated-data under a pre-shared key",
+                infile, out_or_check)
     p.add_argument("--key-hex", required=True)
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out")
-    p.add_argument("--check", action="store_true")
-    p.set_defaults(func=_cmd_cms_auth)
 
-    p = sub.add_parser("pfx-pack", parents=[common], help="pack key/cert bags into a PFX")
+    p = command("pfx-pack", _cmd_pfx_pack, "pack key/cert bags into a PFX", pfx_passwords, out)
     p.add_argument("--privacy", choices=["password", "public-key"], required=True)
     p.add_argument("--integrity", choices=["password", "public-key"], required=True)
     p.add_argument("--key", help="private key to shroud and carry")
     p.add_argument("--cert", help="toy certificate (CMS signed-data file)")
-    p.add_argument("--password")
-    p.add_argument("--integrity-password")
     p.add_argument("--dest-pub")
     p.add_argument("--sign-key")
     p.add_argument("--source-cn")
     p.add_argument("--allow-plain-keys", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_pfx_pack)
-
-    p = sub.add_parser("pfx-unpack", parents=[common], help="open a PFX and write its bags out")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--password")
-    p.add_argument("--integrity-password")
+    p = command("pfx-unpack", _cmd_pfx_unpack, "open a PFX and write its bags out",
+                infile, pfx_passwords)
     p.add_argument("--dest-key")
     p.add_argument("--source-pub")
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_pfx_unpack)
 
-    p = sub.add_parser("token-demo", parents=[common], help="exercise the software token")
-    p.set_defaults(func=_cmd_token_demo)
-
-    p = sub.add_parser("strength", parents=[common], help="symmetric-equivalent strength lookup")
+    command("token-demo", _cmd_token_demo, "exercise the software token")
+    p = command("strength", _cmd_strength, "symmetric-equivalent strength lookup")
     p.add_argument("--bits", type=int, required=True)
     p.add_argument("--primes", type=int, required=True)
-    p.set_defaults(func=_cmd_strength)
-
-    p = sub.add_parser("scenario", parents=[common], help="replay the enrollment scenario")
+    p = command("scenario", _cmd_scenario, "replay the enrollment scenario")
     p.add_argument("--fault", choices=list(FAULT_POINTS))
-    p.set_defaults(func=_cmd_scenario)
 
     return parser
 
@@ -722,7 +666,7 @@ def main(argv=None) -> int:
             cms.SignatureInvalid, token_mod.TokenError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (OSError, MissingCredential, UnsupportedAlgorithm, ValueError,
+    except (OSError, BadLength, MissingCredential, UnsupportedAlgorithm, ValueError,
             keystore.MalformedKey, csr_mod.MalformedRequest, asn1.DerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -340,9 +340,10 @@ def envelope(inner: ContentInfo, recipient_pub: RsaPublicKey,
 def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo:
     _expect_type(ci, oids.CT_ENVELOPED_DATA, "enveloped-data")
     with uniform_decryption():
-        _version, recipient_v, econtent_v = asn1.require(ci.content, asn1.SEQUENCE).children
-        _rver, kea_v, ek_v = asn1.require(recipient_v, asn1.SEQUENCE).children
-        if AlgorithmIdentifier.from_der_value(kea_v).oid != oids.RSAES_OAEP:
+        version_v, recipient_v, econtent_v = asn1._fields(ci.content, 3)
+        rversion_v, kea_v, ek_v = asn1._fields(recipient_v, 3)
+        if (version_v.as_integer() != 0 or rversion_v.as_integer() != 0
+                or AlgorithmIdentifier.from_der_value(kea_v).oid != oids.RSAES_OAEP):
             raise DecryptionError()
         algorithm, ciphertext = _parse_encrypted_content(econtent_v)
         iv = _aes_iv(algorithm)
@@ -366,8 +367,8 @@ def digest_data(inner: ContentInfo) -> ContentInfo:
 
 def check_digest(ci: ContentInfo) -> bool:
     _expect_type(ci, oids.CT_DIGESTED_DATA, "digested-data")
-    _version, alg_v, encap_v, digest_v = asn1._fields(ci.content, 4)
-    if AlgorithmIdentifier.from_der_value(alg_v).oid != oids.SHA256:
+    version_v, alg_v, encap_v, digest_v = asn1._fields(ci.content, 4)
+    if version_v.as_integer() != 0 or AlgorithmIdentifier.from_der_value(alg_v).oid != oids.SHA256:
         return False
     return ct_equal(SHA256.digest(der_encode(encap_v)), digest_v.as_octet_string())
 
@@ -431,17 +432,19 @@ def authenticate_data(inner: ContentInfo, key: bytes,
     return ContentInfo(oids.CT_AUTHENTICATED_DATA, body)
 
 
-def _parse_auth(ci: ContentInfo) -> tuple[DerValue, DerValue, DerValue | None, DerValue]:
-    """(MAC algorithm, encapsulated content, [0] attributes or None, MAC) of an
-    authenticated-data as authenticate_data writes it."""
+def _parse_auth(ci: ContentInfo) -> tuple[DerValue, DerValue, DerValue, DerValue | None,
+                                          DerValue]:
+    """(version, MAC algorithm, encapsulated content, [0] attributes or None,
+    MAC) of an authenticated-data as authenticate_data writes it."""
     _expect_type(ci, oids.CT_AUTHENTICATED_DATA, "authenticated-data")
     kids = asn1._fields(ci.content, 4, 5)
-    return kids[1], kids[2], kids[3] if len(kids) == 5 else None, kids[-1]
+    return kids[0], kids[1], kids[2], kids[3] if len(kids) == 5 else None, kids[-1]
 
 
 def check_auth(ci: ContentInfo, key: bytes) -> bool:
-    alg_v, encap_v, attrs_v, mac_v = _parse_auth(ci)
-    if AlgorithmIdentifier.from_der_value(alg_v).oid != oids.HMAC_WITH_SHA256:
+    version_v, alg_v, encap_v, attrs_v, mac_v = _parse_auth(ci)
+    if (version_v.as_integer() != 0
+            or AlgorithmIdentifier.from_der_value(alg_v).oid != oids.HMAC_WITH_SHA256):
         return False
     try:
         message = _covered_as_received(ContentInfo.from_der_value(encap_v), attrs_v)
@@ -451,7 +454,7 @@ def check_auth(ci: ContentInfo, key: bytes) -> bool:
 
 
 def authenticated_content(ci: ContentInfo) -> ContentInfo:
-    return ContentInfo.from_der_value(_parse_auth(ci)[1])
+    return ContentInfo.from_der_value(_parse_auth(ci)[2])
 
 
 # ---------------------------------------------------------------------------

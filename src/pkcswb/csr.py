@@ -178,7 +178,7 @@ class CertificationRequest:
     @classmethod
     def from_der(cls, octets: bytes) -> "CertificationRequest":
         try:
-            info_v, alg_v, sig_v = der_decode(octets).children
+            info_v, alg_v, sig_v = asn1._fields(der_decode(octets), 3)
             return cls(CertificationRequestInfo.from_der_value(info_v),
                        AlgorithmIdentifier.from_der_value(alg_v),
                        sig_v.as_bit_string(),

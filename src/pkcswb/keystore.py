@@ -126,7 +126,7 @@ def pbes2_params_from_algorithm(alg: AlgorithmIdentifier) -> Pbes2Params:
     with _as_malformed_key():
         if alg.params is None:
             raise MalformedKey("PBES2 header lacks parameters")
-        kdf_value, enc_value = alg.params.children
+        kdf_value, enc_value = asn1._fields(alg.params, 2)
         kdf = AlgorithmIdentifier.from_der_value(kdf_value)
         enc = AlgorithmIdentifier.from_der_value(enc_value)
         if kdf.oid != oids.PBKDF2:
@@ -135,7 +135,7 @@ def pbes2_params_from_algorithm(alg: AlgorithmIdentifier) -> Pbes2Params:
             raise UnsupportedAlgorithm(f"unsupported cipher {enc.oid}")
         if kdf.params is None or enc.params is None:
             raise MalformedKey("PBKDF2 or cipher identifier lacks parameters")
-        salt_v, iter_v, prf_v = kdf.params.children
+        salt_v, iter_v, prf_v = asn1._fields(kdf.params, 3)
         prf = AlgorithmIdentifier.from_der_value(prf_v)
         if prf.oid != oids.HMAC_WITH_SHA256:
             raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")

@@ -1,8 +1,9 @@
+import argparse
 import os
 
 import pytest
 
-from pkcswb.cli import FAULT_POINTS, main, run_scenario
+from pkcswb.cli import FAULT_POINTS, _build_parser, main, run_scenario
 
 SEED = "000102030405060708090a0b0c0d0e0f"
 
@@ -252,3 +253,154 @@ def test_p8_wrap_refuses_a_count_the_reader_refuses(workdir, capsys, monkeypatch
                   "--password", "pw", "--iter", "2000000", "--out", target)
     assert code == 2
     assert not target.exists()
+
+
+def test_wrong_length_aes_key_is_a_usage_error(workdir, capsys):
+    target = workdir / "short-key.cms"
+    code = main(["--seed", SEED, "cms-encrypt", "--key-hex", "00",
+                 "--in", str(workdir / "message.bin"), "--out", str(target)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("command", ["cms-digest", "cms-auth"])
+def test_out_and_check_are_exactly_one_of_two(workdir, capsys, command):
+    key = ["--key-hex", "aa" * 16] if command == "cms-auth" else []
+    for choice in ([], ["--check", "--out", str(workdir / "both.cms")]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *key, "--in", str(workdir / "message.bin"), *choice])
+        assert exit_info.value.code == 2
+    assert "one of the arguments --out --check is required" in capsys.readouterr().err
+    assert not (workdir / "both.cms").exists()
+
+
+# subcommand: (handler, {option: (dest, required, default, type, choices)})
+OPTION_SURFACE = {
+    "keygen": ("_cmd_keygen", {
+        "--bits": ("bits", False, 1024, "int", None),
+        "--primes": ("primes", False, 2, "int", None),
+        "--e": ("e", False, 65537, "int", None),
+        "--out": ("out", True, None, None, None),
+        "--pub": ("pub", False, None, None, None)}),
+    "rsa-encrypt": ("_cmd_rsa_encrypt", {
+        "--key": ("key", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", True, None, None, None),
+        "--scheme": ("scheme", False, "oaep", None, ["v1_5", "oaep"])}),
+    "rsa-decrypt": ("_cmd_rsa_decrypt", {
+        "--key": ("key", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", True, None, None, None),
+        "--scheme": ("scheme", False, "oaep", None, ["v1_5", "oaep"])}),
+    "sign": ("_cmd_sign", {
+        "--key": ("key", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", True, None, None, None)}),
+    "verify": ("_cmd_verify", {
+        "--key": ("key", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--sig": ("sig", True, None, None, None)}),
+    "kdf": ("_cmd_kdf", {
+        "--password": ("password", True, None, None, None),
+        "--salt": ("salt", True, None, None, None),
+        "--iter": ("iterations", False, 10000, "int", None),
+        "--len": ("length", False, 32, "int", None)}),
+    "p8-wrap": ("_cmd_p8_wrap", {
+        "--in": ("infile", True, None, None, None),
+        "--password": ("password", True, None, None, None),
+        "--iter": ("iterations", False, 10000, "int", None),
+        "--salt-len": ("salt_len", False, 8, "int", None),
+        "--out": ("out", True, None, None, None)}),
+    "p8-unwrap": ("_cmd_p8_unwrap", {
+        "--in": ("infile", True, None, None, None),
+        "--password": ("password", True, None, None, None),
+        "--out": ("out", True, None, None, None)}),
+    "csr-new": ("_cmd_csr_new", {
+        "--key": ("key", True, None, None, None),
+        "--cn": ("cn", True, None, None, None),
+        "--org": ("org", False, None, None, None),
+        "--country": ("country", False, None, None, None),
+        "--email": ("email", False, None, None, None),
+        "--challenge": ("challenge", False, None, None, None),
+        "--out": ("out", True, None, None, None)}),
+    "csr-verify": ("_cmd_csr_verify", {
+        "--in": ("infile", True, None, None, None)}),
+    "cms-sign": ("_cmd_cms_sign", {
+        "--key": ("key", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", True, None, None, None),
+        "--cn": ("cn", False, "CLI Signer", None, None),
+        "--signing-time": ("signing_time", False, None, None, None)}),
+    "cms-verify": ("_cmd_cms_verify", {
+        "--key": ("key", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", False, None, None, None)}),
+    "cms-envelope": ("_cmd_cms_envelope", {
+        "--key": ("key", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", True, None, None, None)}),
+    "cms-open": ("_cmd_cms_open", {
+        "--key": ("key", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", True, None, None, None)}),
+    "cms-digest": ("_cmd_cms_digest", {
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+        "--check": ("check", False, False, None, None)}),
+    "cms-encrypt": ("_cmd_cms_encrypt", {
+        "--key-hex": ("key_hex", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", True, None, None, None),
+        "--decrypt": ("decrypt", False, False, None, None)}),
+    "cms-auth": ("_cmd_cms_auth", {
+        "--key-hex": ("key_hex", True, None, None, None),
+        "--in": ("infile", True, None, None, None),
+        "--out": ("out", False, None, None, None),
+        "--check": ("check", False, False, None, None)}),
+    "pfx-pack": ("_cmd_pfx_pack", {
+        "--privacy": ("privacy", True, None, None, ["password", "public-key"]),
+        "--integrity": ("integrity", True, None, None, ["password", "public-key"]),
+        "--key": ("key", False, None, None, None),
+        "--cert": ("cert", False, None, None, None),
+        "--password": ("password", False, None, None, None),
+        "--integrity-password": ("integrity_password", False, None, None, None),
+        "--dest-pub": ("dest_pub", False, None, None, None),
+        "--sign-key": ("sign_key", False, None, None, None),
+        "--source-cn": ("source_cn", False, None, None, None),
+        "--allow-plain-keys": ("allow_plain_keys", False, False, None, None),
+        "--out": ("out", True, None, None, None)}),
+    "pfx-unpack": ("_cmd_pfx_unpack", {
+        "--in": ("infile", True, None, None, None),
+        "--password": ("password", False, None, None, None),
+        "--integrity-password": ("integrity_password", False, None, None, None),
+        "--dest-key": ("dest_key", False, None, None, None),
+        "--source-pub": ("source_pub", False, None, None, None),
+        "--out-dir": ("out_dir", True, None, None, None)}),
+    "token-demo": ("_cmd_token_demo", {}),
+    "strength": ("_cmd_strength", {
+        "--bits": ("bits", True, None, "int", None),
+        "--primes": ("primes", True, None, "int", None)}),
+    "scenario": ("_cmd_scenario", {
+        "--fault": ("fault", False, None, None, ["transport", "pfx", "challenge"])}),
+}
+
+
+def test_option_surface_is_pinned():
+    """Every subcommand's options, as the parser defines them; --seed is also
+    accepted after any subcommand, and --out/--check are one of two where
+    --out is optional."""
+    sub = next(a for a in _build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    surface = {}
+    for name, parser in sub.choices.items():
+        options = {a.option_strings[0]: (a.dest, a.required, a.default,
+                                         a.type and a.type.__name__, a.choices)
+                   for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+        assert options.pop("--seed") == ("seed", False, argparse.SUPPRESS, None, None)
+        surface[name] = (parser.get_default("func").__name__, options)
+        groups = [(sorted(a.dest for a in g._group_actions), g.required)
+                  for g in parser._mutually_exclusive_groups]
+        assert groups == ([(["check", "out"], True)] if name in ("cms-digest", "cms-auth")
+                          else [])
+    assert surface == OPTION_SURFACE

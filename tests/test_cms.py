@@ -351,6 +351,20 @@ def test_envelope_wrong_key_twenty_trials(key_1024, key_1024_b):
             open_envelope(sealed, wrong_private)
 
 
+def test_envelope_versions_other_than_0_are_refused(key_1024):
+    public, private = key_1024
+    sealed = envelope(make_data(b"m"), public, seeded(b"e"))
+    version, recipient, ecinfo = sealed.content.children
+    _rversion, *recipient_rest = recipient.children
+    for edited in (asn1.sequence(asn1.integer(7), recipient, ecinfo),
+                   asn1.sequence(version, asn1.sequence(asn1.integer(2), *recipient_rest),
+                                 ecinfo)):
+        received = ContentInfo.from_der(ContentInfo(oids.CT_ENVELOPED_DATA, edited).to_der())
+        with pytest.raises(DecryptionError):
+            open_envelope(received, private)
+    assert open_envelope(sealed, private) == make_data(b"m")
+
+
 def test_envelope_modulus_too_small():
     import pkcswb.rsa as rsa
     public, _ = rsa.generate_key(256, 2, 65537, seeded(b"tiny"))
@@ -429,6 +443,13 @@ def test_digest_payload_mutation_detected():
     forged = ContentInfo(oids.CT_DIGESTED_DATA, asn1.sequence(
         version, alg, make_data(b"digest mE").to_der_value(), digest))
     assert not check_digest(forged)
+
+
+def test_digest_version_other_than_0_is_refused():
+    wrapped = digest_data(make_data(b"digest me"))
+    _version, *rest = wrapped.content.children
+    edited = ContentInfo(oids.CT_DIGESTED_DATA, asn1.sequence(asn1.integer(5), *rest))
+    assert not check_digest(ContentInfo.from_der(edited.to_der()))
 
 
 # -- encrypted-data --------------------------------------------------------------------
@@ -513,6 +534,13 @@ def test_auth_content_tamper_detected():
     kids[2] = make_data(b"M").to_der_value()
     forged = ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(*kids))
     assert not check_auth(forged, b"mac key")
+
+
+def test_auth_version_other_than_0_is_refused():
+    wrapped = authenticate_data(make_data(b"m"), b"mac key")
+    _version, *rest = wrapped.content.children
+    edited = ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(asn1.integer(9), *rest))
+    assert not check_auth(ContentInfo.from_der(edited.to_der()), b"mac key")
 
 
 # -- readers refuse a wrong field count ----------------------------------------------

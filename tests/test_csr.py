@@ -142,6 +142,14 @@ def test_malformed_request_decode():
         CertificationRequest.from_der(b"")
 
 
+def test_request_under_another_outer_tag_is_malformed(key_512):
+    public, private = key_512
+    der = build_csr(_alice_name(), (public, private), (), seeded(b"outer")).to_der()
+    assert der[0] == 0x30 and verify_csr(CertificationRequest.from_der(der))
+    with pytest.raises(MalformedRequest):
+        CertificationRequest.from_der(b"\xa0" + der[1:])
+
+
 def _request_der(public: rsa.RsaPublicKey) -> bytes:
     info = CertificationRequestInfo(_alice_name(), public)
     return CertificationRequest(info, AlgorithmIdentifier(oids.RSASSA_PSS), bytes(8),

@@ -312,6 +312,22 @@ def test_pbes2_identifiers_without_parameters_are_malformed():
             decrypt_private_key(epki, b"pw")
 
 
+@pytest.mark.parametrize("field", ["PBES2", "PBKDF2"])
+def test_pbes2_parameters_under_another_tag_are_malformed(key_512, field):
+    _, private = key_512
+    epki = encrypt_private_key(PrivateKeyInfo(private), b"pw", b"saltsalt", 64,
+                               seeded(b"iv-tag"))
+    params = epki.algorithm.params
+    if field == "PBKDF2":
+        params = params.children[0].children[1]
+    der = epki.to_der()
+    at = der.index(der_encode(params))
+    assert der[at] == 0x30 and decrypt_private_key(epki, b"pw") == PrivateKeyInfo(private)
+    edited = EncryptedPrivateKeyInfo.from_der(der[:at] + b"\xa0" + der[at + 1:])
+    with pytest.raises(MalformedKey):
+        decrypt_private_key(edited, b"pw")
+
+
 def test_p8e_iteration_count_above_cap_fails_before_pbkdf2(key_512, monkeypatch):
     _, private = key_512
     epki = encrypt_private_key(PrivateKeyInfo(private), b"pw", b"saltsalt", 64,
