@@ -34,6 +34,8 @@ import functools
 import re
 from dataclasses import dataclass, field
 
+from .errors import PkcsError
+
 __all__ = [
     "TagClass",
     "DerValue",
@@ -94,7 +96,7 @@ _ALWAYS_CONSTRUCTED = {SEQUENCE, SET}
 _PRINTABLE_RE = re.compile(r"[A-Za-z0-9 '()+,\-./:=?]*\Z")
 
 
-class DerError(ValueError):
+class DerError(PkcsError, ValueError):
     """Base class for DER encoding/decoding failures."""
 
 

@@ -6,9 +6,10 @@ certification request, enveloped transport to the CA, toy issuance, PBES2
 key wrapping, PFX transfer, token provisioning with a PKCS#15 directory
 export, and a final challenge-response against the provisioned token.
 
-Exit codes: 0 success; 1 a cryptographic or verification failure (a wrong
-password, key or tag, a tampered file); 2 a usage or I/O error, which
-includes a malformed input file and an AES key that is not 16 octets.
+Exit codes: 0 success; otherwise the raised ``PkcsError.exit_code``, 1 for a
+cryptographic or verification failure (a wrong password, key or tag, a
+tampered file) and 2 for bad input (a malformed file or option value), or 2
+for an I/O error.
 Options that several subcommands take (``--in``, ``--out``, ``--key``, ...)
 are each defined once, as an argparse parent parser.  ``cms-digest`` and
 ``cms-auth`` take exactly one of ``--out`` (make) and ``--check`` (check).
@@ -22,19 +23,20 @@ import argparse
 import os
 import sys
 
-from . import asn1, cms, csr as csr_mod, keystore, pfx as pfx_mod, pkcs1, \
-    pkcs5, rsa, token as token_mod
+from . import cms, csr as csr_mod, keystore, pfx as pfx_mod, pkcs1, pkcs5, rsa, \
+    token as token_mod
 from .asn1 import der_decode, der_encode, hex_dump
-from .errors import (DecryptionError, IntegrityFailure, MissingCredential,
-                     UnsupportedAlgorithm)
-from .primitives import SHA256, BadLength, RandomSource, SeededSource, SystemRandomSource
+from .errors import BadParameter, IntegrityFailure, PkcsError
+from .primitives import SHA256, RandomSource, SeededSource, SystemRandomSource
 from .token import Token, export_pkcs15_layout
 
 __all__ = ["main", "run_scenario", "ScenarioStepFailed", "SCENARIO_STEPS", "FAULT_POINTS"]
 
 
-class ScenarioStepFailed(Exception):
+class ScenarioStepFailed(PkcsError):
     """A scenario step's own check failed; the message is the reported reason."""
+
+    exit_code = 1
 
 
 def _seed(args) -> bytes | None:
@@ -60,7 +62,10 @@ def _write(path: str, data: bytes) -> None:
 
 
 def _hex_arg(text: str) -> bytes:
-    return bytes.fromhex(text.removeprefix("0x"))
+    try:
+        return bytes.fromhex(text.removeprefix("0x"))
+    except ValueError:
+        raise BadParameter(f"not a hex string: {text!r}") from None
 
 
 def _load_private(path: str) -> rsa.RsaPrivateKey:
@@ -111,12 +116,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kdf(args) -> int:
-    params = pkcs5.Pbkdf2Params(_hex_arg(args.salt), args.iterations, args.length)
+    params = pkcs5.Pbkdf2Params(_hex_arg(args.salt), pkcs5.check_iterations(args.iterations),
+                                args.length)
     print(pkcs5.pbkdf2(args.password.encode(), params).hex())
     return 0
 
 
 def _cmd_p8_wrap(args) -> int:
+    if args.salt_len < 1:
+        raise BadParameter("salt length must be positive")
     rng = _build_rng(args)
     info = keystore.PrivateKeyInfo.from_der(_read(args.infile))
     epki = keystore.encrypt_private_key(info, args.password.encode(),
@@ -175,11 +183,7 @@ def _cmd_cms_sign(args) -> int:
 
 def _cmd_cms_verify(args) -> int:
     ci = cms.ContentInfo.from_der(_read(args.infile))
-    try:
-        inner, _ = cms.verify_signed(ci, _load_public(args.key))
-    except (cms.DigestMismatch, cms.SignatureInvalid) as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 1
+    inner, _ = cms.verify_signed(ci, _load_public(args.key))
     if args.out:
         _write(args.out, cms.data_payload(inner))
     print("verified")
@@ -658,16 +662,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DecryptionError, IntegrityFailure, cms.DigestMismatch,
-            cms.SignatureInvalid, token_mod.TokenError) as exc:
+    except PkcsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, BadLength, MissingCredential, UnsupportedAlgorithm, ValueError,
-            keystore.MalformedKey, csr_mod.MalformedRequest, asn1.DerError) as exc:
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

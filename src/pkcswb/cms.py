@@ -19,9 +19,9 @@ from . import asn1, oids, pkcs1
 from .asn1 import DerValue, Oid, der_decode, der_encode
 from .csr import (CertificationRequest, Name, decode_public_key_info,
                   encode_public_key_info, verify_csr)
-from .errors import DecryptionError, uniform_decryption
-from .keystore import (AlgorithmIdentifier, Attribute, _attributes_from_der,
-                       _attributes_to_der, attribute_make)
+from .errors import DecryptionError, IntegrityFailure, PkcsError, uniform_decryption
+from .keystore import (AlgorithmIdentifier, Attribute, SyntaxViolation,
+                       _attributes_from_der, _attributes_to_der, attribute_make)
 from .pkcs1 import ModulusTooSmall
 from .primitives import SHA256, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest
 from .rsa import RsaPrivateKey, RsaPublicKey
@@ -52,15 +52,15 @@ _CEK_LEN = 16
 _IV_LEN = 16
 
 
-class DigestMismatch(Exception):
+class DigestMismatch(IntegrityFailure):
     """The messageDigest attribute does not match the encapsulated content."""
 
 
-class SignatureInvalid(Exception):
+class SignatureInvalid(IntegrityFailure):
     """The signature (or the signed attribute set) does not verify."""
 
 
-class WrongContentType(ValueError):
+class WrongContentType(PkcsError, ValueError):
     """A ContentInfo does not carry the content type the caller expects."""
 
 
@@ -138,7 +138,7 @@ def _attr_message(attrs_v: DerValue) -> bytes:
 
 
 def _find_attr(attributes: tuple[Attribute, ...], oid: Oid,
-               duplicate: type[Exception]) -> Attribute | None:
+               duplicate: type[PkcsError]) -> Attribute | None:
     """The attribute of type ``oid``, or None; ``duplicate`` is raised for a
     second one (contentType and messageDigest appear once, RFC 5652 §11.1, §11.2)."""
     found = [attribute for attribute in attributes if attribute.attr_type == oid]
@@ -152,19 +152,19 @@ def _covered(encap: ContentInfo,
     """(encapsulated content, a tuple of none or one [0] attribute set, octets a
     signature or MAC covers); attributes gain contentType and messageDigest if
     absent, and given ones must be the content's (WrongContentType, DigestMismatch)
-    and appear once (ValueError)."""
+    and appear once (SyntaxViolation)."""
     encap_v = encap.to_der_value()
     content_der = der_encode(encap_v)
     attrs = tuple(attrs)
     if not attrs:
         return encap_v, (), content_der
-    content_type = _find_attr(attrs, oids.AT_CONTENT_TYPE, ValueError)
+    content_type = _find_attr(attrs, oids.AT_CONTENT_TYPE, SyntaxViolation)
     if content_type is None:
         attrs += (attribute_make("contentType", encap.content_type),)
     elif not _is_content_type(content_type, encap.content_type):
         raise WrongContentType("contentType attribute is not the encapsulated content's type")
     digest = SHA256.digest(content_der)
-    message_digest = _find_attr(attrs, oids.AT_MESSAGE_DIGEST, ValueError)
+    message_digest = _find_attr(attrs, oids.AT_MESSAGE_DIGEST, SyntaxViolation)
     if message_digest is None:
         attrs += (attribute_make("messageDigest", digest),)
     elif not _is_digest(message_digest, digest):
@@ -448,7 +448,7 @@ def check_auth(ci: ContentInfo, key: bytes) -> bool:
         return False
     try:
         message = _covered_as_received(ContentInfo.from_der_value(encap_v), attrs_v)
-    except (asn1.DerError, DigestMismatch, SignatureInvalid):
+    except (asn1.DerError, IntegrityFailure):
         return False
     return ct_equal(hmac_digest(key, message), mac_v.as_octet_string())
 

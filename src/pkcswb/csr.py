@@ -11,11 +11,12 @@ from dataclasses import dataclass
 
 from . import asn1, oids, pkcs1
 from .asn1 import DerValue, der_decode, der_encode
-from .keystore import (AlgorithmIdentifier, Attribute, attribute_check,
-                       _attributes_from_der, _attributes_to_der)
+from .errors import PkcsError
+from .keystore import (AlgorithmIdentifier, Attribute, SyntaxViolation, attribute_check,
+                       _RSA_ALG, _attributes_from_der, _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
-from .rsa import RsaPrivateKey, RsaPublicKey, check_key_caps
+from .rsa import InvalidKey, RsaPrivateKey, RsaPublicKey, check_key_caps
 
 __all__ = [
     "MalformedRequest",
@@ -38,7 +39,7 @@ _NAME_FIELDS = {
 _NAME_FIELDS_BY_OID = {oid: name for name, oid in _NAME_FIELDS.items()}
 
 
-class MalformedRequest(ValueError):
+class MalformedRequest(PkcsError, ValueError):
     pass
 
 
@@ -55,12 +56,14 @@ class Name:
         if unknown:
             raise ValueError(f"unsupported name fields: {sorted(unknown)}")
         if "commonName" not in fields:
-            raise ValueError("commonName is required")
+            raise MalformedRequest("commonName is required")
         for key, value in self.pairs:
-            if key == "country" and not (len(value) == 2 and value.isalpha()):
-                raise ValueError("country must be a two-letter code")
+            if key == "country" and not (len(value) == 2 and value.isascii() and value.isalpha()):
+                raise MalformedRequest("country must be a two-letter code")
+            if key == "emailAddress" and not value.isascii():
+                raise MalformedRequest("emailAddress must be ASCII")
             if not value:
-                raise ValueError(f"{key} must be non-empty")
+                raise MalformedRequest(f"{key} must be non-empty")
 
     def get(self, field: str) -> str | None:
         for key, value in self.pairs:
@@ -91,10 +94,7 @@ class Name:
             if field is None:
                 raise MalformedRequest(f"unsupported name component {oid_v.as_oid()}")
             pairs.append((field, text_v.as_text()))
-        try:
-            return cls(tuple(pairs))
-        except ValueError as exc:  # a missing commonName, a bad country, an empty value
-            raise MalformedRequest(str(exc)) from None
+        return cls(tuple(pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -103,10 +103,7 @@ class Name:
 
 def encode_public_key_info(pk: RsaPublicKey) -> DerValue:
     key_der = der_encode(asn1.sequence(asn1.integer(pk.n), asn1.integer(pk.e)))
-    return asn1.sequence(
-        AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null()).to_der_value(),
-        asn1.bit_string(key_der),
-    )
+    return asn1.sequence(_RSA_ALG.to_der_value(), asn1.bit_string(key_der))
 
 
 def decode_public_key_info(value: DerValue) -> RsaPublicKey:
@@ -114,12 +111,14 @@ def decode_public_key_info(value: DerValue) -> RsaPublicKey:
     algorithm = AlgorithmIdentifier.from_der_value(alg_v)
     if algorithm.oid != oids.RSA_ENCRYPTION:
         raise MalformedRequest(f"unsupported key algorithm {algorithm.oid}")
+    if algorithm.params not in (None, _RSA_ALG.params):  # RFC 3279 §2.3.1
+        raise MalformedRequest("rsaEncryption parameters must be NULL")
     n_v, e_v = asn1._fields(der_decode(key_v.as_bit_string()), 2)
     n, e = n_v.as_integer(), e_v.as_integer()
     try:
         check_key_caps(n, e)
         return RsaPublicKey(n, e)
-    except ValueError as exc:  # KeyTooLarge, or n or e out of range
+    except InvalidKey as exc:  # KeyTooLarge, or n or e out of range
         raise MalformedRequest(str(exc)) from None
 
 
@@ -183,7 +182,7 @@ class CertificationRequest:
                        AlgorithmIdentifier.from_der_value(alg_v),
                        sig_v.as_bit_string(),
                        der_encode(info_v))  # the received octets
-        except (asn1.DerError, ValueError) as exc:
+        except asn1.DerError as exc:
             raise MalformedRequest(str(exc)) from None
 
 
@@ -195,7 +194,7 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
         raise ValueError("public key does not match the private key")
     for attribute in attributes:
         if not attribute_check(attribute):
-            raise ValueError(f"attribute {attribute.attr_type} fails its syntax check")
+            raise SyntaxViolation(f"attribute {attribute.attr_type} fails its syntax check")
     info = CertificationRequestInfo(subject, public, tuple(attributes))
     info_der = der_encode(info.to_der_value())
     signature = pkcs1.sign(info_der, private, rng)

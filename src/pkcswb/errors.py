@@ -3,6 +3,8 @@
 from contextlib import contextmanager
 
 __all__ = [
+    "PkcsError",
+    "BadParameter",
     "DecryptionError",
     "uniform_decryption",
     "UnsupportedAlgorithm",
@@ -11,13 +13,27 @@ __all__ = [
 ]
 
 
-class DecryptionError(Exception):
+class PkcsError(Exception):
+    """Root of every declared failure (a caller's programming error stays a raw
+    ValueError); ``exit_code`` is the command line's: 2 bad input, 1 a
+    cryptographic failure."""
+
+    exit_code = 2
+
+
+class BadParameter(PkcsError, ValueError):
+    """A size, count, length or hex text an operator chose is out of range."""
+
+
+class DecryptionError(PkcsError):
     """Single uniform failure for every decryption error shape.
 
     The constructor takes no arguments so that all raise sites produce the
     identical error value: an attacker distinguishing padding failures from
     other failures gets a format oracle for free.
     """
+
+    exit_code = 1
 
     def __init__(self):
         super().__init__("decryption failed")
@@ -35,13 +51,15 @@ def uniform_decryption():
         raise DecryptionError() from None
 
 
-class UnsupportedAlgorithm(ValueError):
+class UnsupportedAlgorithm(PkcsError, ValueError):
     """An algorithm identifier this toolkit refuses to process (e.g. legacy PBES1)."""
 
 
-class IntegrityFailure(Exception):
+class IntegrityFailure(PkcsError):
     """A MAC or signature protecting a container did not verify."""
 
+    exit_code = 1
 
-class MissingCredential(ValueError):
+
+class MissingCredential(PkcsError, ValueError):
     """The selected protection mode needs a password or key that was not supplied."""

@@ -25,11 +25,10 @@ from typing import Callable
 
 from . import asn1, oids
 from .asn1 import DerValue, Oid, der_decode, der_encode
-from .errors import UnsupportedAlgorithm, uniform_decryption
-from .pkcs5 import (Pbes2Params, TooManyIterations, check_iterations, pbes2_decrypt,
-                    pbes2_encrypt)
+from .errors import MissingCredential, PkcsError, UnsupportedAlgorithm, uniform_decryption
+from .pkcs5 import Pbes2Params, check_iterations, pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
-from .rsa import RsaPrivateKey, check_key_caps
+from .rsa import InvalidKey, RsaPrivateKey, check_key_caps
 
 __all__ = [
     "MalformedKey",
@@ -53,26 +52,24 @@ __all__ = [
 ]
 
 
-class MalformedKey(ValueError):
+class MalformedKey(PkcsError, ValueError):
     pass
 
 
-class UnknownAttributeType(KeyError):
+class UnknownAttributeType(PkcsError, KeyError):
     pass
 
 
-class SyntaxViolation(ValueError):
+class SyntaxViolation(PkcsError, ValueError):
     pass
 
 
 @contextmanager
 def _as_malformed_key():
-    """Report a DER or shape failure inside the block as MalformedKey."""
+    """Report a DER failure or a refused key inside the block as MalformedKey."""
     try:
         yield
-    except (UnsupportedAlgorithm, MalformedKey, TooManyIterations):
-        raise
-    except (asn1.DerError, ValueError) as exc:
+    except (asn1.DerError, InvalidKey) as exc:
         raise MalformedKey(str(exc)) from None
 
 
@@ -93,9 +90,7 @@ class AlgorithmIdentifier:
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "AlgorithmIdentifier":
-        kids = asn1.require(value, asn1.SEQUENCE).children
-        if not 1 <= len(kids) <= 2:
-            raise asn1.NonCanonical("AlgorithmIdentifier must have one or two fields")
+        kids = asn1._fields(value, 1, 2)
         return cls(kids[0].as_oid(), kids[1] if len(kids) == 2 else None)
 
 
@@ -139,7 +134,10 @@ def pbes2_params_from_algorithm(alg: AlgorithmIdentifier) -> Pbes2Params:
         prf = AlgorithmIdentifier.from_der_value(prf_v)
         if prf.oid != oids.HMAC_WITH_SHA256:
             raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
-        return Pbes2Params(*_pbkdf2_fields(salt_v, iter_v), enc.params.as_octet_string())
+        iv = enc.params.as_octet_string()
+        if len(iv) != 16:
+            raise MalformedKey("AES-128-CBC IV must be 16 octets")
+        return Pbes2Params(*_pbkdf2_fields(salt_v, iter_v), iv)
 
 
 def _pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
@@ -147,10 +145,10 @@ def _pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
     before any derivation: an empty salt or a count below one is MalformedKey,
     a count above MAX_ITERATIONS is TooManyIterations."""
     with _as_malformed_key():
-        salt = salt_v.as_octet_string()
-        if not salt:
-            raise MalformedKey("PBKDF2 salt is empty")
-        return salt, check_iterations(iter_v.as_integer())
+        salt, count = salt_v.as_octet_string(), iter_v.as_integer()
+    if not salt or count < 1:
+        raise MalformedKey("PBKDF2 salt is empty or count is not positive")
+    return salt, check_iterations(count)
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +216,17 @@ class AttributeSpec:
 
 def _make_time(value) -> DerValue:
     text = str(value)
-    if re.fullmatch(r"\d{12}Z", text):
+    if re.fullmatch(r"[0-9]{12}Z", text):
         return asn1.utc_time(text)
-    if re.fullmatch(r"\d{14}Z", text):
+    if re.fullmatch(r"[0-9]{14}Z", text):
         return asn1.generalized_time(text)
     raise SyntaxViolation("time must look like YYMMDDHHMMSSZ or YYYYMMDDHHMMSSZ")
 
 
 def _make_directory_string(value) -> DerValue:
-    try:
+    if asn1._PRINTABLE_RE.match(value):
         return asn1.printable_string(value)
-    except ValueError:
-        return asn1.utf8_string(value)
+    return asn1.utf8_string(value)
 
 
 _SPECS = [
@@ -359,13 +356,13 @@ def _key_body(key: RsaPrivateKey) -> DerValue:
 
 
 def _key_from_body(body: DerValue) -> RsaPrivateKey:
-    version_v, n_v, e_v, d_v, triples_v = asn1.require(body, asn1.SEQUENCE).children
+    version_v, n_v, e_v, d_v, triples_v = asn1._fields(body, 5)
     asn1.require(triples_v, asn1.SEQUENCE)
     n, e = n_v.as_integer(), e_v.as_integer()
     check_key_caps(n, e, len(triples_v.children))
     primes, exponents, coefficients = [], [], []
     for triple in triples_v.children:
-        r_v, d_i_v, t_i_v = asn1.require(triple, asn1.SEQUENCE).children
+        r_v, d_i_v, t_i_v = asn1._fields(triple, 3)
         primes.append(r_v.as_integer())
         exponents.append(d_i_v.as_integer())
         coefficients.append(t_i_v.as_integer())
@@ -405,6 +402,8 @@ class PrivateKeyInfo:
             algorithm = AlgorithmIdentifier.from_der_value(kids[1])
             if algorithm.oid != oids.RSA_ENCRYPTION:
                 raise UnsupportedAlgorithm(f"unsupported key algorithm {algorithm.oid}")
+            if algorithm.params not in (None, _RSA_ALG.params):  # RFC 3279 §2.3.1
+                raise MalformedKey("rsaEncryption parameters must be NULL")
             key = _key_from_body(der_decode(kids[2].as_octet_string()))
             attributes = ()
             if len(kids) == 4:
@@ -445,7 +444,7 @@ class EncryptedPrivateKeyInfo:
     @classmethod
     def from_der_value(cls, value: DerValue) -> "EncryptedPrivateKeyInfo":
         with _as_malformed_key():
-            alg_v, data_v = asn1.require(value, asn1.SEQUENCE).children
+            alg_v, data_v = asn1._fields(value, 2)
             return cls(AlgorithmIdentifier.from_der_value(alg_v), data_v.as_octet_string())
 
     @classmethod
@@ -457,7 +456,7 @@ class EncryptedPrivateKeyInfo:
 def encrypt_private_key(info: PrivateKeyInfo, password: bytes, salt: bytes,
                         iterations: int, rng: RandomSource) -> EncryptedPrivateKeyInfo:
     if not password:
-        raise ValueError("password must be non-empty")
+        raise MissingCredential("password must be non-empty")
     params, ciphertext = pbes2_encrypt(info.to_der(), password, salt, iterations, rng)
     return EncryptedPrivateKeyInfo(pbes2_algorithm(params), ciphertext)
 

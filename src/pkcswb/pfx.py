@@ -241,10 +241,8 @@ def pfx_open(pfx: PfxPdu, credentials: PfxCredentials) -> tuple[SafeBag, ...]:
     elif pfx.auth_safe.content_type == oids.CT_SIGNED_DATA:
         if credentials.source_verify_key is None:
             raise MissingCredential("public-key integrity needs the source public key")
-        try:
-            content, _ = cms.verify_signed(pfx.auth_safe, credentials.source_verify_key)
-        except (cms.DigestMismatch, cms.SignatureInvalid) as exc:
-            raise IntegrityFailure(str(exc)) from None
+        # DigestMismatch and SignatureInvalid are IntegrityFailures
+        content, _ = cms.verify_signed(pfx.auth_safe, credentials.source_verify_key)
     else:
         raise IntegrityFailure("PFX carries no integrity protection")
     elements = asn1.require(der_decode(cms.data_payload(content)), asn1.SEQUENCE).children

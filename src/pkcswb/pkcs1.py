@@ -20,13 +20,12 @@ from __future__ import annotations
 
 from dataclasses import KW_ONLY, dataclass
 
-from .errors import DecryptionError
+from .errors import DecryptionError, PkcsError
 from .primitives import SHA256, HashAlg, RandomSource, ct_equal, mgf
 from .rsa import RsaPrivateKey, RsaPublicKey, rsa_private_op, rsa_public_op
 
 __all__ = [
     "MessageTooLong",
-    "LabelTooLong",
     "EncodingError",
     "ModulusTooSmall",
     "OaepParams",
@@ -55,19 +54,15 @@ SCHEME_OAEP = "oaep"
 _MAX_HASH_INPUT = 2**61 - 1
 
 
-class MessageTooLong(ValueError):
-    pass
+class MessageTooLong(PkcsError, ValueError):
+    """The message, or the OAEP label, needs more room than the scheme allows."""
 
 
-class LabelTooLong(ValueError):
-    pass
-
-
-class EncodingError(ValueError):
+class EncodingError(PkcsError, ValueError):
     """The PSS parameters leave no room for PS || 0x01 || salt."""
 
 
-class ModulusTooSmall(ValueError):
+class ModulusTooSmall(PkcsError, ValueError):
     pass
 
 
@@ -182,7 +177,7 @@ def oaep_encode(message: bytes, params: OaepParams, rng: RandomSource) -> bytes:
     """EM = 0x00 || (r xor MGF(maskedDB, k0)) || (DB xor MGF(r, k-k0-1))."""
     k, k0 = params.k, params.k0
     if len(params.label) > _MAX_HASH_INPUT:
-        raise LabelTooLong("label beyond the hash input limit")
+        raise MessageTooLong("label beyond the hash input limit")
     if len(message) > params.max_message_len:
         raise MessageTooLong("message too long for OAEP under this modulus")
     lhash = params.hash_alg.digest(params.label)

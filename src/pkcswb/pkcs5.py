@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import uniform_decryption
+from .errors import BadParameter, PkcsError, uniform_decryption
 from .primitives import (RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest,
                          keyed_hmac)
 
@@ -45,11 +45,11 @@ _IV_LEN = 16
 _H_LEN = 32  # HMAC-SHA-256 output
 
 
-class DerivedKeyTooLong(ValueError):
+class DerivedKeyTooLong(PkcsError, ValueError):
     pass
 
 
-class TooManyIterations(ValueError):
+class TooManyIterations(PkcsError, ValueError):
     """An iteration count read or written exceeds MAX_ITERATIONS."""
 
 
@@ -57,7 +57,7 @@ def check_iterations(count: int) -> int:
     """``count`` if in [1, MAX_ITERATIONS]; called on a count read from a
     file or about to be written to one, before any key derivation."""
     if count < 1:
-        raise ValueError(f"iteration count {count} is not positive")
+        raise BadParameter(f"iteration count {count} is not positive")
     if count > MAX_ITERATIONS:
         raise TooManyIterations(f"iteration count {count} exceeds {MAX_ITERATIONS}")
     return count
@@ -72,11 +72,11 @@ class Pbkdf2Params:
     def __post_init__(self):
         object.__setattr__(self, "salt", bytes(self.salt))
         if len(self.salt) < 1:
-            raise ValueError("salt must be at least one octet")
+            raise BadParameter("salt must be at least one octet")
         if self.iterations < 1:
-            raise ValueError("iteration count must be positive")
+            raise BadParameter("iteration count must be positive")
         if self.dk_len < 1:
-            raise ValueError("derived key length must be positive")
+            raise BadParameter("derived key length must be positive")
         if self.dk_len > (2**32 - 1) * _H_LEN:
             raise DerivedKeyTooLong("derived key length beyond the PRF block limit")
 
@@ -107,8 +107,6 @@ class Pbes2Params:
     def __post_init__(self):
         object.__setattr__(self, "salt", bytes(self.salt))
         object.__setattr__(self, "iv", bytes(self.iv))
-        if len(self.iv) != _IV_LEN:
-            raise ValueError("IV must be 16 octets")
 
 
 def pbes2_encrypt(message: bytes, password: bytes, salt: bytes, iterations: int,

@@ -23,6 +23,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
+from .errors import PkcsError
+
 __all__ = [
     "HashAlg",
     "SHA256",
@@ -45,18 +47,20 @@ __all__ = [
 ]
 
 
-class BadPadding(Exception):
+class BadPadding(PkcsError):
     """Uniform block-padding failure; carries no detail on purpose."""
+
+    exit_code = 1
 
     def __init__(self):
         super().__init__("bad padding")
 
 
-class BadLength(Exception):
+class BadLength(PkcsError):
     """Key, IV, or ciphertext length does not fit the cipher geometry."""
 
 
-class RngExhausted(Exception):
+class RngExhausted(PkcsError):
     """A finite deterministic random source ran dry."""
 
 

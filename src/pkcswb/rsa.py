@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
+from .errors import BadParameter, PkcsError
 from .primitives import RandomSource, RngExhausted
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "CiphertextRepresentativeOutOfRange",
     "BadExponent",
     "DuplicatePrime",
+    "InvalidKey",
     "KeyTooLarge",
     "MAX_MODULUS_BITS",
     "MAX_PRIMES",
@@ -48,23 +50,27 @@ __all__ = [
 ]
 
 
-class MessageRepresentativeOutOfRange(ValueError):
+class MessageRepresentativeOutOfRange(PkcsError, ValueError):
     pass
 
 
-class CiphertextRepresentativeOutOfRange(ValueError):
+class CiphertextRepresentativeOutOfRange(PkcsError, ValueError):
     pass
 
 
-class BadExponent(ValueError):
+class BadExponent(PkcsError, ValueError):
     """gcd(e, r_i - 1) != 1 persisted past the retry budget."""
 
 
-class DuplicatePrime(ValueError):
+class DuplicatePrime(PkcsError, ValueError):
     """The source kept producing an already-used prime."""
 
 
-class KeyTooLarge(ValueError):
+class InvalidKey(PkcsError, ValueError):
+    """Key material that is not a valid RSA key: the refusals of the key checks."""
+
+
+class KeyTooLarge(InvalidKey):
     """A key read from a file exceeds one of the size caps below."""
 
 
@@ -94,9 +100,9 @@ class RsaPublicKey:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError("modulus too small")
+            raise InvalidKey("modulus too small")
         if self.e < 3 or self.e % 2 == 0:
-            raise ValueError("encryption exponent must be odd and >= 3")
+            raise InvalidKey("encryption exponent must be odd and >= 3")
 
     @property
     def modulus_bits(self) -> int:
@@ -111,9 +117,9 @@ def _check_primes(primes: tuple[int, ...]) -> None:
     """At least two primes, each odd and >= 3; checked before any arithmetic
     on them, since a prime of 1 makes lcm(r_i - 1) zero."""
     if len(primes) < 2:
-        raise ValueError("at least two primes required")
+        raise InvalidKey("at least two primes required")
     if any(r < 3 or r % 2 == 0 for r in primes):
-        raise ValueError("primes must be odd and >= 3")
+        raise InvalidKey("primes must be odd and >= 3")
 
 
 @dataclass(frozen=True)
@@ -155,24 +161,24 @@ class RsaPrivateKey:
         _check_primes(self.primes)
         u = len(self.primes)
         if len(set(self.primes)) != u:
-            raise ValueError("primes must be distinct")
+            raise InvalidKey("primes must be distinct")
         if self.version != (0 if u == 2 else 1):
-            raise ValueError("version must be 0 for two primes, 1 otherwise")
+            raise InvalidKey("version must be 0 for two primes, 1 otherwise")
         if len(self.crt_exponents) != u or len(self.crt_coefficients) != u:
-            raise ValueError("one CRT exponent and coefficient per prime required")
+            raise InvalidKey("one CRT exponent and coefficient per prime required")
         n = math.prod(self.primes)
         if n != self.n:
-            raise ValueError("modulus is not the product of the primes")
+            raise InvalidKey("modulus is not the product of the primes")
         chi = math.lcm(*[r - 1 for r in self.primes])
         if (self.e * self.d) % chi != 1:
-            raise ValueError("e*d != 1 modulo lcm(r_i - 1)")
+            raise InvalidKey("e*d != 1 modulo lcm(r_i - 1)")
         for r, d_i in zip(self.primes, self.crt_exponents):
             if (self.e * d_i) % (r - 1) != 1:
-                raise ValueError("bad CRT exponent")
+                raise InvalidKey("bad CRT exponent")
         product = 1
         for r, t in zip(self.primes, self.crt_coefficients):
             if not 0 < t < r or (product * t) % r != 1:
-                raise ValueError("bad CRT coefficient")
+                raise InvalidKey("bad CRT coefficient")
             product *= r
 
 
@@ -280,7 +286,7 @@ def generate_prime(bits: int, rng: RandomSource, u: int = 2) -> int:
     gcd instead of a modular exponentiation.
     """
     if bits < 8:
-        raise ValueError("need at least 8 bits")
+        raise BadParameter("need at least 8 bits")
     low = _prime_floor(bits, u)
     span = (1 << bits) - low
     width = (bits + 7) // 8 + 8
@@ -320,11 +326,11 @@ def generate_key(modulus_bits: int, u: int, e: int,
     gcd(e, r - 1) != 1 or it repeats an earlier one.
     """
     if u < 2:
-        raise ValueError("u must be at least 2")
+        raise BadParameter("u must be at least 2")
     if modulus_bits // u < 16:
-        raise ValueError("primes would fall below 16 bits")
+        raise BadParameter("primes would fall below 16 bits")
     if e < 3 or e % 2 == 0:
-        raise ValueError("encryption exponent must be odd and >= 3")
+        raise BadParameter("encryption exponent must be odd and >= 3")
     base, extra = divmod(modulus_bits, u)
     primes: list[int] = []
     for bits in [base + 1] * extra + [base] * (u - extra):
@@ -405,7 +411,7 @@ def nfs_advisory_estimate(modulus_bits: int) -> float:
     strength table and can sit several bits away from the tabulated rows.
     """
     if modulus_bits < 256:
-        raise ValueError("estimate is meaningless below 256 bits")
+        raise BadParameter("estimate is meaningless below 256 bits")
     ln_n = modulus_bits * math.log(2)
     work = (64 / 9) ** (1 / 3) * ln_n ** (1 / 3) * math.log(ln_n) ** (2 / 3)
     return work / math.log(2)

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from . import cms, csr as csr_mod, keystore, pkcs1
 from .asn1 import der_decode, der_encode
+from .errors import PkcsError
 from .primitives import SHA256, RandomSource, SystemRandomSource, ct_equal
 from .rsa import generate_key
 
@@ -105,8 +106,8 @@ _REQUIRED = {
 _IMMUTABLE = {CKA_VALUE, CKA_KEY_TYPE, CKA_KEY_KIND, CKA_LOCAL, CKA_TOKEN, CKA_PRIVATE}
 
 
-class TokenError(Exception):
-    pass
+class TokenError(PkcsError):
+    exit_code = 1
 
 
 class NotInitialized(TokenError):

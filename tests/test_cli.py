@@ -404,3 +404,161 @@ def test_option_surface_is_pinned():
         assert groups == ([(["check", "out"], True)] if name in ("cms-digest", "cms-auth")
                           else [])
     assert surface == OPTION_SURFACE
+
+
+# each bad value exits 2 with an "error:" line; "{dir}" is the workdir and
+# "{out}" an output file that must not appear
+USAGE_ERRORS = {
+    "cms-encrypt --key-hex zz": ["cms-encrypt", "--key-hex", "zz",
+                                 "--in", "{dir}/message.bin", "--out", "{out}"],
+    "--seed zz": ["--seed", "zz", "scenario"],
+    "PKCSWB_SEED=zz": ["scenario"],
+    "keygen --bits 8": ["keygen", "--bits", "8", "--out", "{out}"],
+    "kdf --len 0": ["kdf", "--password", "x", "--salt", "00", "--len", "0"],
+    "kdf --iter 0": ["kdf", "--password", "x", "--salt", "00", "--iter", "0"],
+    "kdf --salt ''": ["kdf", "--password", "x", "--salt", ""],
+    "csr-new --country USA": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",
+                              "--country", "USA", "--out", "{out}"],
+    "p8-wrap --password ''": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "",
+                              "--out", "{out}"],
+    "p8-wrap --iter 0": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw",
+                         "--iter", "0", "--out", "{out}"],
+    "cms-sign --signing-time bad": ["cms-sign", "--key", "{dir}/alice.p8",
+                                    "--in", "{dir}/message.bin", "--signing-time", "bad",
+                                    "--out", "{out}"],
+    # values that reach an encoder or the system random source
+    "csr-new --country ÜS": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",
+                             "--country", "ÜS", "--out", "{out}"],
+    "csr-new --email é@x": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",
+                            "--email", "é@x", "--out", "{out}"],
+    "cms-sign --signing-time in Arabic-Indic digits": [
+        "cms-sign", "--key", "{dir}/alice.p8", "--in", "{dir}/message.bin",
+        "--signing-time", "٢٠٠١٠١١٢٠٠٠٠Z", "--out", "{out}"],
+    "p8-wrap --salt-len -1, no seed": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw",
+                                       "--salt-len", "-1", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("case", list(USAGE_ERRORS))
+def test_bad_values_are_usage_errors(workdir, tmp_path, capsys, monkeypatch, case):
+    monkeypatch.setenv("PKCSWB_SEED", "zz" if case == "PKCSWB_SEED=zz" else SEED)
+    if case.endswith("no seed"):
+        monkeypatch.delenv("PKCSWB_SEED")
+    out = tmp_path / "out"
+    code = main([arg.format(dir=workdir, out=out) for arg in USAGE_ERRORS[case]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_kdf_refuses_a_count_the_reader_refuses(capsys, monkeypatch):
+    from pkcswb import pkcs5
+
+    def no_pbkdf2(*args):
+        raise AssertionError("PBKDF2 ran on an over-cap iteration count")
+
+    monkeypatch.setattr(pkcs5, "pbkdf2", no_pbkdf2)
+    code, _ = run(capsys, "kdf", "--password", "pw", "--salt", "00", "--iter", "2000000")
+    assert code == 2
+
+
+def test_public_key_with_non_null_parameters_is_a_usage_error(workdir, capsys):
+    from pkcswb import asn1, oids
+    from pkcswb.keystore import AlgorithmIdentifier
+    _, key_v = asn1.der_decode((workdir / "alice.spki").read_bytes()).children
+    alg = AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.octet_string(b""))
+    bad = workdir / "octet-params.spki"
+    bad.write_bytes(asn1.der_encode(asn1.sequence(alg.to_der_value(), key_v)))
+    run(capsys, "sign", "--key", workdir / "alice.p8", "--in", workdir / "message.bin",
+        "--out", workdir / "null.sig")
+    code, _ = run(capsys, "verify", "--key", bad, "--in", workdir / "message.bin",
+                  "--sig", workdir / "null.sig")
+    assert code == 2
+
+
+# subcommand: (the file its mutants replace, its argv; "{in}" is the mutant,
+# "{dir}" the totality fixture's directory, "{out}" an output path)
+READERS = {
+    "verify": ("alice.spki", ["verify", "--key", "{in}", "--in", "{dir}/message.bin",
+                              "--sig", "{dir}/message.sig"]),
+    "sign": ("alice.p8", ["sign", "--key", "{in}", "--in", "{dir}/message.bin",
+                          "--out", "{out}"]),
+    "p8-unwrap": ("alice.p8e", ["p8-unwrap", "--in", "{in}", "--password", "pw",
+                                "--out", "{out}"]),
+    "csr-verify": ("alice.csr", ["csr-verify", "--in", "{in}"]),
+    "cms-verify": ("signed.cms", ["cms-verify", "--key", "{dir}/alice.spki", "--in", "{in}"]),
+    "cms-open": ("sealed.cms", ["cms-open", "--key", "{dir}/alice.p8", "--in", "{in}",
+                                "--out", "{out}"]),
+    "cms-digest --check": ("digested.cms", ["cms-digest", "--check", "--in", "{in}"]),
+    "cms-encrypt --decrypt": ("encrypted.cms", ["cms-encrypt", "--decrypt", "--key-hex",
+                                                "aa" * 16, "--in", "{in}", "--out", "{out}"]),
+    "cms-auth --check": ("authenticated.cms", ["cms-auth", "--check", "--key-hex", "aa" * 16,
+                                               "--in", "{in}"]),
+    "pfx-unpack": ("alice.pfxw", ["pfx-unpack", "--in", "{in}", "--password", "pw",
+                                  "--out-dir", "{out}"]),
+}
+CLI_MUTANTS = 200
+
+
+@pytest.fixture(scope="module")
+def readable(workdir, tmp_path_factory):
+    """A directory holding one valid input of each reading subcommand; PBKDF2
+    counts are 2 or 3, so that a mutant costs microseconds."""
+    from pkcswb import pfx
+    path = tmp_path_factory.mktemp("readable")
+    for name in ("alice.p8", "alice.spki", "message.bin"):
+        (path / name).write_bytes((workdir / name).read_bytes())
+
+    def make(*argv):
+        assert main(["--seed", SEED, *(arg.format(dir=path) for arg in argv)]) == 0
+
+    make("sign", "--key", "{dir}/alice.p8", "--in", "{dir}/message.bin",
+         "--out", "{dir}/message.sig")
+    make("p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw", "--iter", "2",
+         "--out", "{dir}/alice.p8e")
+    make("csr-new", "--key", "{dir}/alice.p8", "--cn", "Alice", "--challenge", "pw",
+         "--out", "{dir}/alice.csr")
+    make("cms-sign", "--key", "{dir}/alice.p8", "--in", "{dir}/message.bin",
+         "--signing-time", "200101120000Z", "--out", "{dir}/signed.cms")
+    make("cms-envelope", "--key", "{dir}/alice.spki", "--in", "{dir}/message.bin",
+         "--out", "{dir}/sealed.cms")
+    make("cms-digest", "--in", "{dir}/message.bin", "--out", "{dir}/digested.cms")
+    make("cms-encrypt", "--key-hex", "aa" * 16, "--in", "{dir}/message.bin",
+         "--out", "{dir}/encrypted.cms")
+    make("cms-auth", "--key-hex", "aa" * 16, "--in", "{dir}/message.bin",
+         "--out", "{dir}/authenticated.cms")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pfx, "_MAC_ITERATIONS", 2)
+        patch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
+        make("pfx-pack", "--privacy", "password", "--integrity", "password",
+             "--cert", "{dir}/signed.cms", "--password", "pw", "--out", "{dir}/alice.pfxw")
+    return path
+
+
+@pytest.mark.parametrize("command", list(READERS))
+def test_reading_subcommands_are_total(readable, tmp_path, capsys, monkeypatch, command):
+    """Seeded one-edit mutants of each reading subcommand's input, run through
+    main, exit 0, 1 or 2 and raise nothing.  The parser is built once."""
+    import itertools
+    import random
+    from pkcswb import cli
+    from test_mutation import _mutants
+
+    parser = _build_parser()
+    monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+    source, argv = READERS[command]
+    mutant = tmp_path / "mutant"
+    argv = [arg.format(dir=readable, **{"in": mutant, "out": tmp_path / "out"})
+            for arg in argv]
+    octets = (readable / source).read_bytes()
+    mutant.write_bytes(octets)
+    assert main(["--seed", SEED, *argv]) == 0  # the input itself reads
+    rng = random.Random(f"cli/{command}")
+    for edited in itertools.islice(_mutants(octets, rng), CLI_MUTANTS):
+        mutant.write_bytes(edited)
+        try:
+            code = main(["--seed", SEED, *argv])
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__} escaped from {command} on {edited.hex()}: {exc}")
+        assert code in (0, 1, 2), edited.hex()
+        capsys.readouterr()

@@ -204,3 +204,17 @@ def test_build_csr_needs_room_for_pss():
     public, private = rsa.generate_key(200, 2, 65537, seeded(b"200"))
     with pytest.raises(pkcs1.ModulusTooSmall):
         build_csr(_alice_name(), (public, private), (), seeded(b"c"))
+
+
+def test_rsa_encryption_parameters_other_than_null_are_malformed(key_512):
+    # RFC 3279 §2.3.1: the parameters are NULL; absent ones stay accepted
+    public, _ = key_512
+    key_v = encode_public_key_info(public).children[1]
+
+    def spki(params):
+        alg = AlgorithmIdentifier(oids.RSA_ENCRYPTION, params).to_der_value()
+        return asn1.der_decode(der_encode(asn1.sequence(alg, key_v)))
+
+    with pytest.raises(MalformedRequest, match="NULL"):
+        decode_public_key_info(spki(asn1.octet_string(b"")))
+    assert decode_public_key_info(spki(None)) == public

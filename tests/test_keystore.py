@@ -407,3 +407,37 @@ def test_private_key_prime_of_one_is_malformed():
     # primes (1, 15) multiply to n = 15, and lcm(r_i - 1) would be zero
     with pytest.raises(MalformedKey, match="primes"):
         PrivateKeyInfo.from_der(_pki_der(15, 3, (1, 15)))
+
+
+def test_key_body_and_triple_with_too_few_fields_are_malformed():
+    _, private = rsa.key_from_primes((3, 5, 7), 5)
+
+    def short_triple(fields):
+        first, *rest = fields[4].children
+        return fields[:4] + [asn1.sequence(asn1.sequence(*first.children[:2]), *rest)]
+
+    for edit in (lambda fields: fields[:2], short_triple):
+        with pytest.raises(MalformedKey, match="fields"):
+            decode_private_key(_with_body_fields(private, edit))
+
+
+def test_encrypted_private_key_info_with_a_third_field_is_malformed(key_512):
+    _, private = key_512
+    epki = encrypt_private_key(PrivateKeyInfo(private), b"pw", b"saltsalt", 2, seeded(b"3"))
+    extra = asn1.sequence(*epki.to_der_value().children, asn1.null())
+    with pytest.raises(MalformedKey, match="fields"):
+        EncryptedPrivateKeyInfo.from_der(der_encode(extra))
+
+
+def test_rsa_encryption_parameters_other_than_null_are_malformed():
+    # RFC 3279 §2.3.1: the parameters are NULL; absent ones stay accepted
+    _, private = rsa.key_from_primes((3, 5, 7), 5)
+    version_v, _, body_v = der_decode(encode_private_key(private)).children
+
+    def pki(params):
+        alg = AlgorithmIdentifier(oids.RSA_ENCRYPTION, params).to_der_value()
+        return der_encode(asn1.sequence(version_v, alg, body_v))
+
+    with pytest.raises(MalformedKey, match="NULL"):
+        PrivateKeyInfo.from_der(pki(asn1.octet_string(b"")))
+    assert PrivateKeyInfo.from_der(pki(None)).key == private

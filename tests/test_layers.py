@@ -6,7 +6,7 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pkcswb"
-LAYERS = ("asn1", "oids", "errors", "primitives", "pkcs5", "rsa", "pkcs1",
+LAYERS = ("errors", "asn1", "oids", "primitives", "pkcs5", "rsa", "pkcs1",
           "keystore", "csr", "cms", "pfx", "token", "cli")
 
 
