@@ -34,7 +34,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 
-from .errors import PkcsError
+from .errors import BadParameter, PkcsError
 
 __all__ = [
     "TagClass",
@@ -54,6 +54,7 @@ __all__ = [
     "der_decode",
     "oid_to_octets",
     "octets_to_oid",
+    "text_octets",
     "hex_dump",
 ]
 
@@ -311,8 +312,16 @@ def bit_string(data: bytes, unused_bits: int = 0) -> DerValue:
     return DerValue(_UNIVERSAL, False, BIT_STRING, bytes([unused_bits]) + bytes(data))
 
 
+def text_octets(text: str, encoding: str = "utf-8") -> bytes:
+    """``text`` in ``encoding``; text it cannot hold (a lone surrogate, say) is BadParameter."""
+    try:
+        return text.encode(encoding)
+    except UnicodeEncodeError:
+        raise BadParameter(f"text cannot be encoded as {encoding}") from None
+
+
 def utf8_string(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, False, UTF8_STRING, text.encode("utf-8"))
+    return DerValue(_UNIVERSAL, False, UTF8_STRING, text_octets(text))
 
 
 def printable_string(text: str) -> DerValue:
@@ -322,7 +331,7 @@ def printable_string(text: str) -> DerValue:
 
 
 def ia5_string(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, False, IA5_STRING, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, False, IA5_STRING, text_octets(text, "ascii"))
 
 
 def utc_time(text: str) -> DerValue:

@@ -25,7 +25,7 @@ import sys
 
 from . import cms, csr as csr_mod, keystore, pfx as pfx_mod, pkcs1, pkcs5, rsa, \
     token as token_mod
-from .asn1 import der_decode, der_encode, hex_dump
+from .asn1 import der_decode, der_encode, hex_dump, text_octets
 from .errors import BadParameter, IntegrityFailure, PkcsError
 from .primitives import SHA256, RandomSource, SeededSource, SystemRandomSource
 from .token import Token, export_pkcs15_layout
@@ -118,7 +118,7 @@ def _cmd_verify(args) -> int:
 def _cmd_kdf(args) -> int:
     params = pkcs5.Pbkdf2Params(_hex_arg(args.salt), pkcs5.check_iterations(args.iterations),
                                 args.length)
-    print(pkcs5.pbkdf2(args.password.encode(), params).hex())
+    print(pkcs5.pbkdf2(text_octets(args.password), params).hex())
     return 0
 
 
@@ -127,7 +127,7 @@ def _cmd_p8_wrap(args) -> int:
         raise BadParameter("salt length must be positive")
     rng = _build_rng(args)
     info = keystore.PrivateKeyInfo.from_der(_read(args.infile))
-    epki = keystore.encrypt_private_key(info, args.password.encode(),
+    epki = keystore.encrypt_private_key(info, text_octets(args.password),
                                         rng.read(args.salt_len), args.iterations, rng)
     _write(args.out, epki.to_der())
     return 0
@@ -135,7 +135,7 @@ def _cmd_p8_wrap(args) -> int:
 
 def _cmd_p8_unwrap(args) -> int:
     epki = keystore.EncryptedPrivateKeyInfo.from_der(_read(args.infile))
-    info = keystore.decrypt_private_key(epki, args.password.encode())
+    info = keystore.decrypt_private_key(epki, text_octets(args.password))
     _write(args.out, info.to_der())
     return 0
 
@@ -242,8 +242,8 @@ def _cmd_cms_auth(args) -> int:
 def _pfx_credentials(args) -> pfx_mod.PfxCredentials:
     integrity = args.integrity_password or args.password
     return pfx_mod.PfxCredentials(
-        privacy_password=args.password.encode() if args.password else None,
-        integrity_password=integrity.encode() if integrity else None,
+        privacy_password=text_octets(args.password) if args.password else None,
+        integrity_password=text_octets(integrity) if integrity else None,
         destination_pub=_load_public(args.dest_pub) if getattr(args, "dest_pub", None) else None,
         destination_priv=_load_private(args.dest_key) if getattr(args, "dest_key", None) else None,
         source_sign_key=_load_private(args.sign_key) if getattr(args, "sign_key", None) else None,
@@ -260,7 +260,7 @@ def _cmd_pfx_pack(args) -> int:
     if args.key:
         info = keystore.PrivateKeyInfo.from_der(_read(args.key))
         if args.password:
-            epki = keystore.encrypt_private_key(info, args.password.encode(),
+            epki = keystore.encrypt_private_key(info, text_octets(args.password),
                                                 rng.read(8), pkcs5.DEFAULT_ITERATIONS, rng)
             bags.append(pfx_mod.SafeBag("shroudedKey", epki, (key_id,)))
         else:

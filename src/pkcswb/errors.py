@@ -22,7 +22,8 @@ class PkcsError(Exception):
 
 
 class BadParameter(PkcsError, ValueError):
-    """A size, count, length or hex text an operator chose is out of range."""
+    """A size, count, length or text an operator chose is out of range, or
+    text that does not parse as hex or that its encoding cannot hold."""
 
 
 class DecryptionError(PkcsError):

@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import PkcsError
+from .errors import BadParameter, PkcsError
 
 __all__ = [
     "HashAlg",
@@ -348,9 +348,16 @@ class RandomSource:
         raise NotImplementedError
 
 
+def _octet_count(n: int) -> int:
+    """``n``, the count a source is asked to read, unless it is negative."""
+    if n < 0:
+        raise BadParameter(f"cannot read {n} octets")
+    return n
+
+
 class SystemRandomSource(RandomSource):
     def read(self, n: int) -> bytes:
-        return os.urandom(n)
+        return os.urandom(_octet_count(n))
 
 
 class ConstantSource(RandomSource):
@@ -362,7 +369,7 @@ class ConstantSource(RandomSource):
         self._octet = octet
 
     def read(self, n: int) -> bytes:
-        return bytes([self._octet]) * n
+        return bytes([self._octet]) * _octet_count(n)
 
 
 class SeededSource(RandomSource):
@@ -374,6 +381,7 @@ class SeededSource(RandomSource):
         self._buffer = b""
 
     def read(self, n: int) -> bytes:
+        n = _octet_count(n)
         while len(self._buffer) < n:
             self._buffer += self._mac(self._counter.to_bytes(4, "big"))
             self._counter += 1
@@ -389,7 +397,7 @@ class ExhaustibleSource(RandomSource):
         self._pos = 0
 
     def read(self, n: int) -> bytes:
-        if self._pos + n > len(self._data):
+        if self._pos + _octet_count(n) > len(self._data):
             raise RngExhausted(f"needed {n} octets, {len(self._data) - self._pos} left")
         out = self._data[self._pos:self._pos + n]
         self._pos += n

@@ -436,6 +436,14 @@ USAGE_ERRORS = {
         "--signing-time", "٢٠٠١٠١١٢٠٠٠٠Z", "--out", "{out}"],
     "p8-wrap --salt-len -1, no seed": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw",
                                        "--salt-len", "-1", "--out", "{out}"],
+    # text that is not UTF-8: argv octets that did not decode arrive as lone surrogates
+    "kdf --password \\udcff": ["kdf", "--password", "\udcff", "--salt", "00"],
+    "p8-wrap --password \\udcff": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "\udcff",
+                                   "--out", "{out}"],
+    "csr-new --cn \\udcff": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "\udcff",
+                             "--out", "{out}"],
+    "csr-new --challenge \\udcff": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",
+                                    "--challenge", "\udcff", "--out", "{out}"],
 }
 
 

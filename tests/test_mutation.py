@@ -12,12 +12,12 @@ import random
 
 import pytest
 
-from pkcswb import cms, pfx
+from pkcswb import asn1, cms, pfx
 from pkcswb.cms import ContentInfo
 from pkcswb.csr import CertificationRequest, Name, build_csr, verify_csr
 from pkcswb.errors import PkcsError
-from pkcswb.keystore import (EncryptedPrivateKeyInfo, PrivateKeyInfo, attribute_make,
-                             decrypt_private_key, encrypt_private_key)
+from pkcswb.keystore import (EncryptedPrivateKeyInfo, MalformedKey, PrivateKeyInfo,
+                             attribute_make, decrypt_private_key, encrypt_private_key)
 from pkcswb.pfx import PfxCredentials, PfxPdu, SafeBag, pfx_create, pfx_open
 from conftest import seeded
 
@@ -118,3 +118,34 @@ def test_one_edit_mutants_raise_only_declared_errors(targets, name):
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} escaped from {name} mutant "
                         f"{mutant.hex()}: {exc}")
+
+
+def _triples_edited(edit):
+    """A key body edit that replaces the first triple's fields by ``edit(fields)``."""
+    def body_edit(fields):
+        first, *rest = fields[4].children
+        return fields[:4] + [asn1.sequence(asn1.sequence(*edit(list(first.children))), *rest)]
+    return body_edit
+
+
+# a .p8 whose key body (version, n, e, d, triples) or first (r, d, t) triple
+# has one field too few or too many
+WRONG_FIELD_COUNTS = {
+    "body with 4 fields": lambda fields: fields[:4],
+    "body with 6 fields": lambda fields: fields + [asn1.integer(0)],
+    "triple with 2 fields": _triples_edited(lambda fields: fields[:2]),
+    "triple with 4 fields": _triples_edited(lambda fields: fields + [asn1.integer(1)]),
+}
+
+
+@pytest.mark.parametrize("case", list(WRONG_FIELD_COUNTS))
+def test_key_body_or_triple_with_a_wrong_field_count_is_malformed_key(toy_keys, case):
+    root = asn1.der_decode(PrivateKeyInfo(toy_keys[3][1]).to_der())
+    version_v, algorithm_v, body_v = root.children
+    fields = list(asn1.der_decode(body_v.as_octet_string()).children)
+    body = asn1.sequence(*WRONG_FIELD_COUNTS[case](fields))
+    octets = asn1.der_encode(asn1.sequence(version_v, algorithm_v,
+                                           asn1.octet_string(asn1.der_encode(body))))
+    with pytest.raises(PkcsError) as raised:
+        PrivateKeyInfo.from_der(octets)
+    assert raised.type is MalformedKey

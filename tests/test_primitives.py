@@ -5,8 +5,10 @@ import pytest
 
 from pkcswb import primitives
 from oracles import hmac_sha256_oracle, mgf1_oracle, sha256_oracle
+from pkcswb.errors import BadParameter
 from pkcswb.primitives import (SHA256, BadLength, BadPadding, ConstantSource,
                                ExhaustibleSource, RngExhausted, SeededSource,
+                               SystemRandomSource,
                                aes128_decrypt_block, aes128_encrypt_block,
                                cbc_decrypt, cbc_encrypt, ct_equal,
                                hmac_digest, keyed_hmac, mgf)
@@ -352,6 +354,29 @@ def test_exhaustible_source():
     assert source.read(3) == b"abc"
     with pytest.raises(RngExhausted):
         source.read(2)
+
+
+SOURCES = {
+    "SeededSource": lambda: SeededSource(b"seed"),
+    "ConstantSource": ConstantSource,
+    "ExhaustibleSource": lambda: ExhaustibleSource(bytes(range(32))),
+    "SystemRandomSource": SystemRandomSource,
+}
+
+
+@pytest.mark.parametrize("name", list(SOURCES))
+@pytest.mark.parametrize("count", [-1, -3])
+def test_negative_read_count_is_refused_and_reads_nothing(name, count):
+    source, twin = SOURCES[name](), SOURCES[name]()
+    source.read(5)
+    twin.read(5)
+    with pytest.raises(BadParameter):
+        source.read(count)
+    # a deterministic source goes on with the octets its twin gives next
+    after = source.read(7)
+    assert len(after) == 7
+    if name != "SystemRandomSource":
+        assert after == twin.read(7)
 
 
 def test_ct_equal():
