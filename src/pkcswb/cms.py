@@ -348,7 +348,7 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
         algorithm, ciphertext = _parse_encrypted_content(econtent_v)
         iv = _aes_iv(algorithm)
         cek = pkcs1.decrypt(ek_v.as_octet_string(), recipient_priv, pkcs1.SCHEME_OAEP)
-        return ContentInfo.from_der(cbc_decrypt(cek, iv, ciphertext))
+        return cbc_decrypt(cek, iv, ciphertext, ContentInfo.from_der)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
     _expect_type(ci, oids.CT_ENCRYPTED_DATA, "encrypted-data")
     with uniform_decryption():
         algorithm, ciphertext = _parse_encrypted_data(ci)
-        return ContentInfo.from_der(cbc_decrypt(key, _aes_iv(algorithm), ciphertext))
+        return cbc_decrypt(key, _aes_iv(algorithm), ciphertext, ContentInfo.from_der)
 
 
 # ---------------------------------------------------------------------------

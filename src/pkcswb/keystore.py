@@ -25,7 +25,7 @@ from typing import Callable
 
 from . import asn1, oids
 from .asn1 import DerValue, Oid, der_decode, der_encode
-from .errors import MissingCredential, PkcsError, UnsupportedAlgorithm, uniform_decryption
+from .errors import MissingCredential, PkcsError, UnsupportedAlgorithm
 from .pkcs5 import Pbes2Params, check_iterations, pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
 from .rsa import InvalidKey, RsaPrivateKey, check_key_caps
@@ -463,7 +463,5 @@ def encrypt_private_key(info: PrivateKeyInfo, password: bytes, salt: bytes,
 
 def decrypt_private_key(epki: EncryptedPrivateKeyInfo, password: bytes) -> PrivateKeyInfo:
     params = pbes2_params_from_algorithm(epki.algorithm)
-    plaintext = pbes2_decrypt(params, epki.encrypted_data, password)
     # a wrong password that slips past the padding check must look the same
-    with uniform_decryption():
-        return PrivateKeyInfo.from_der(plaintext)
+    return pbes2_decrypt(params, epki.encrypted_data, password, PrivateKeyInfo.from_der)

@@ -161,9 +161,8 @@ def _safe_contents_der(bags: tuple[SafeBag, ...]) -> bytes:
     return der_encode(asn1.sequence(*(bag.to_der_value() for bag in bags)))
 
 
-def _bags_from_safe_contents(octets: bytes) -> tuple[SafeBag, ...]:
-    root = asn1.require(der_decode(octets), asn1.SEQUENCE)
-    return tuple(SafeBag.from_der_value(child) for child in root.children)
+def _safe_contents(octets: bytes) -> DerValue:
+    return asn1.require(der_decode(octets), asn1.SEQUENCE)
 
 
 def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
@@ -182,18 +181,19 @@ def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
     raise ValueError(f"unknown privacy mode {privacy!r}")
 
 
-def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> bytes:
+def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerValue:
     if element.content_type == oids.CT_ENCRYPTED_DATA:
         if credentials.privacy_password is None:
             raise MissingCredential("password privacy needs a privacy password")
         with uniform_decryption():
             algorithm, ciphertext = cms._parse_encrypted_data(element)
             return pbes2_decrypt(pbes2_params_from_algorithm(algorithm), ciphertext,
-                                 credentials.privacy_password)
+                                 credentials.privacy_password, _safe_contents)
     if element.content_type == oids.CT_ENVELOPED_DATA:
         if credentials.destination_priv is None:
             raise MissingCredential("public-key privacy needs the destination private key")
-        return cms.data_payload(cms.open_envelope(element, credentials.destination_priv))
+        return _safe_contents(cms.data_payload(
+            cms.open_envelope(element, credentials.destination_priv)))
     raise UnsupportedAlgorithm(f"unsupported authenticated-safe element {element.content_type}")
 
 
@@ -249,5 +249,6 @@ def pfx_open(pfx: PfxPdu, credentials: PfxCredentials) -> tuple[SafeBag, ...]:
     bags = ()
     for element_v in elements:  # each element carries its own SafeContents
         element = ContentInfo.from_der_value(element_v)
-        bags += _bags_from_safe_contents(_privacy_unwrap(element, credentials))
+        bags += tuple(SafeBag.from_der_value(child)
+                      for child in _privacy_unwrap(element, credentials).children)
     return bags

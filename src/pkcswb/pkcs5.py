@@ -4,7 +4,8 @@ The pseudorandom function is HMAC-SHA-256 keyed by the password, built once
 per derivation by ``primitives.keyed_hmac``.  Block i of the derived key is
 T_i = U_1 xor ... xor U_c with U_1 = PRF(P, S || INT(i)) and
 U_j = PRF(P, U_{j-1}), INT(i) being the four-octet big-endian encoding of the
-block index starting at 1.  PBES2 encrypts with AES-128-CBC.
+block index starting at 1.  PBES2 encrypts with AES-128-CBC and decrypts
+through ``primitives.cbc_decrypt``, passing the caller's reader on to it.
 
 PBES1 (and the rest of the legacy password-based encryption family) is not
 implemented; decoding such an algorithm identifier fails loudly instead.
@@ -13,8 +14,9 @@ implemented; decoding such an algorithm identifier fails loudly instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Callable
 
-from .errors import BadParameter, PkcsError, uniform_decryption
+from .errors import BadParameter, PkcsError
 from .primitives import (RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest,
                          keyed_hmac)
 
@@ -121,11 +123,11 @@ def pbes2_encrypt(message: bytes, password: bytes, salt: bytes, iterations: int,
     return params, cbc_encrypt(dk, params.iv, message)
 
 
-def pbes2_decrypt(params: Pbes2Params, ciphertext: bytes, password: bytes) -> bytes:
+def pbes2_decrypt(params: Pbes2Params, ciphertext: bytes, password: bytes,
+                  read: Callable[[bytes], Any] = bytes) -> Any:
+    """``read`` of the plaintext; a wrong password is cbc_decrypt's one DecryptionError."""
     dk = pbkdf2(password, Pbkdf2Params(params.salt, params.iterations, AES128_KEY_LEN))
-    # wrong password and mangled ciphertext are indistinguishable on purpose
-    with uniform_decryption():
-        return cbc_decrypt(dk, params.iv, ciphertext)
+    return cbc_decrypt(dk, params.iv, ciphertext, read)
 
 
 def pbmac1_tag(message: bytes, password: bytes, salt: bytes, iterations: int) -> bytes:

@@ -11,8 +11,9 @@ implemented here from the FIPS 197 construction so that the package stays
 self-contained and octet-for-octet testable.  Its rounds are table-driven
 (32-bit T-tables derived at import, four column words of state); decryption
 is the equivalent inverse cipher.  CBC expands the key once per message and
-chains on 128-bit ints.  Table lookups are indexed by secret-dependent
-state, so AES here is not constant time.
+chains on 128-bit ints.  ``cbc_decrypt`` is the one CBC decryption path: every
+failure, padding or the caller's reader, is the one ``DecryptionError``.  Table
+lookups are indexed by secret-dependent state, so AES here is not constant time.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ import hashlib
 import hmac as _hmac
 import os
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
-from .errors import BadParameter, PkcsError
+from .errors import BadParameter, DecryptionError, PkcsError, uniform_decryption
 
 __all__ = [
     "HashAlg",
@@ -36,7 +37,6 @@ __all__ = [
     "aes128_decrypt_block",
     "cbc_encrypt",
     "cbc_decrypt",
-    "BadPadding",
     "BadLength",
     "RngExhausted",
     "RandomSource",
@@ -45,15 +45,6 @@ __all__ = [
     "SeededSource",
     "ExhaustibleSource",
 ]
-
-
-class BadPadding(PkcsError):
-    """Uniform block-padding failure; carries no detail on purpose."""
-
-    exit_code = 1
-
-    def __init__(self):
-        super().__init__("bad padding")
 
 
 class BadLength(PkcsError):
@@ -314,11 +305,12 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
     return bytes(out)
 
 
-def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
-    if len(iv) != BLOCK_LEN:
-        raise BadLength("IV must be 16 octets")
-    if not ciphertext or len(ciphertext) % BLOCK_LEN:
-        raise BadLength("ciphertext must be a positive multiple of 16 octets")
+def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
+                read: Callable[[bytes], Any] = bytes) -> Any:
+    """``read`` of the unpadded AES-128-CBC plaintext.  A wrong IV or ciphertext
+    length, bad padding and ``read`` refusing the octets are one DecryptionError."""
+    if len(iv) != BLOCK_LEN or not ciphertext or len(ciphertext) % BLOCK_LEN:
+        raise DecryptionError()
     dk = _inverse_keys(_expand_key(key))
     out = bytearray()
     prev = int.from_bytes(iv, "big")
@@ -333,8 +325,9 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes) -> bytes:
         in_pad = int(i <= pad)
         bad |= in_pad & int(out[-i] != pad)
     if bad:
-        raise BadPadding()
-    return bytes(out[:-pad])
+        raise DecryptionError()
+    with uniform_decryption():
+        return read(bytes(out[:-pad]))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import threading
 from dataclasses import dataclass
 
 from . import cms, csr as csr_mod, keystore, pkcs1
-from .asn1 import der_decode, der_encode
+from .asn1 import der_decode, der_encode, text_octets
 from .errors import PkcsError
 from .primitives import SHA256, RandomSource, SystemRandomSource, ct_equal
 from .rsa import generate_key
@@ -228,9 +228,14 @@ class Token:
 
     # -- credentials ----------------------------------------------------
 
+    @staticmethod
+    def _pin_digest(salt: bytes, pin: bytes) -> bytes:
+        return SHA256.digest(salt + pin)
+
     def _pin_record(self, pin: str) -> tuple[bytes, bytes]:
+        octets = text_octets(pin)  # a PIN UTF-8 cannot hold is refused before a salt is drawn
         salt = self._rng.read(8)
-        return salt, SHA256.digest(salt + pin.encode())
+        return salt, self._pin_digest(salt, octets)
 
     # -- lifecycle -------------------------------------------------------
 
@@ -297,7 +302,7 @@ class Token:
         if record is None:
             raise UserPinNotInitialized("the SO has not set this PIN")
         salt, digest = record
-        if not ct_equal(SHA256.digest(salt + pin.encode()), digest):
+        if not ct_equal(self._pin_digest(salt, text_octets(pin)), digest):
             raise PinIncorrect("PIN does not match")
         self.login_state = user_type
 

@@ -1,0 +1,86 @@
+"""Every CBC reader fails the same way: bad padding, good padding over octets
+that are not DER, a ciphertext of the wrong length and a wrong key or
+password each raise the one DecryptionError, with no cause attached."""
+
+import pytest
+
+from pkcswb import asn1, cms, oids
+from pkcswb.asn1 import der_encode
+from pkcswb.errors import DecryptionError
+from pkcswb.keystore import (AlgorithmIdentifier, EncryptedPrivateKeyInfo, PrivateKeyInfo,
+                             decrypt_private_key, pbes2_algorithm)
+from pkcswb.pfx import MacData, PfxCredentials, PfxPdu, pfx_open
+from pkcswb.pkcs5 import AES128_KEY_LEN, Pbes2Params, Pbkdf2Params, pbkdf2, pbmac1_tag
+from pkcswb.primitives import cbc_encrypt
+from conftest import seeded
+
+IV = b"i" * 16
+AES_CBC = AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(IV))
+PBES2 = pbes2_algorithm(Pbes2Params(b"saltsalt", 16, IV))
+PASSWORD = b"right-pw"
+PASSWORD_KEY = pbkdf2(PASSWORD, Pbkdf2Params(b"saltsalt", 16, AES128_KEY_LEN))
+
+
+def _decrypt_data(right, ciphertext):
+    sealed = cms._encrypted_data(oids.CT_DATA, AES_CBC, ciphertext)
+    return cms.decrypt_data(sealed, b"k" * 16 if right else b"j" * 16)
+
+
+def _open_envelope(keys, right, ciphertext):
+    (public, private), (_, wrong_private) = keys
+    version_v, recipient_v, _ = asn1._fields(
+        cms.envelope(cms.make_data(b"m"), public, seeded(b"matrix")).content, 3)
+    sealed = cms.ContentInfo(oids.CT_ENVELOPED_DATA, asn1.sequence(
+        version_v, recipient_v, cms._encrypted_content_value(oids.CT_DATA, AES_CBC, ciphertext)))
+    return cms.open_envelope(sealed, private if right else wrong_private)
+
+
+def _decrypt_private_key(right, ciphertext):
+    return decrypt_private_key(EncryptedPrivateKeyInfo(PBES2, ciphertext),
+                               PASSWORD if right else b"wrong-pw")
+
+
+def _pfx_open(right, ciphertext):
+    """A PFX under password privacy whose MAC verifies, so decryption runs."""
+    element = cms._encrypted_data(oids.CT_DATA, PBES2, ciphertext)
+    auth_safe = cms.make_data(der_encode(asn1.sequence(element.to_der_value())))
+    tag = pbmac1_tag(auth_safe.to_der(), b"integrity-pw", b"mac-salt", 16)
+    return pfx_open(PfxPdu(auth_safe, MacData(tag, b"mac-salt", 16)),
+                    PfxCredentials(privacy_password=PASSWORD if right else b"wrong-pw",
+                                   integrity_password=b"integrity-pw"))
+
+
+@pytest.fixture(params=["decrypt_data", "open_envelope", "decrypt_private_key", "pfx_open"])
+def reader(request):
+    """(content-encryption key, a plaintext the reader accepts, open(right, ciphertext))."""
+    if request.param == "decrypt_data":
+        return b"k" * 16, cms.make_data(b"m").to_der(), _decrypt_data
+    if request.param == "open_envelope":
+        keys = request.getfixturevalue("key_1024"), request.getfixturevalue("key_1024_b")
+        cek = seeded(b"matrix").read(16)  # envelope draws the content key first
+        return (cek, cms.make_data(b"m").to_der(),
+                lambda right, ciphertext: _open_envelope(keys, right, ciphertext))
+    if request.param == "decrypt_private_key":
+        info = PrivateKeyInfo(request.getfixturevalue("key_512")[1])
+        return PASSWORD_KEY, info.to_der(), _decrypt_private_key
+    return PASSWORD_KEY, der_encode(asn1.sequence()), _pfx_open
+
+
+def test_each_reader_fails_one_way_on_every_malformation(reader):
+    key, plaintext, read = reader
+    sealed = cbc_encrypt(key, IV, plaintext)
+    read(True, sealed)  # the matrix builds a ciphertext the reader accepts
+    cases = {
+        "bad padding": (True, cbc_encrypt(key, IV, bytes(16))[:16]),
+        "good padding, not DER": (True, cbc_encrypt(key, IV, b"not DER")),
+        "length not a multiple of 16": (True, sealed[:-1]),
+        "wrong key or password": (False, sealed),
+    }
+    shapes = set()
+    for right, ciphertext in cases.values():
+        with pytest.raises(DecryptionError) as info:
+            read(right, ciphertext)
+        assert info.value.args == ("decryption failed",)
+        assert info.value.__cause__ is None
+        shapes.add((type(info.value), info.value.args, info.value.__cause__))
+    assert len(shapes) == 1

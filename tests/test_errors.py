@@ -95,6 +95,6 @@ def test_exit_code_is_1_exactly_for_cryptographic_failures():
     failures = {cls.__name__ for cls in _declared_classes() if cls.exit_code == 1}
     token_errors = {cls.__name__ for cls in _declared_classes(pkcswb.token.TokenError)}
     assert failures == token_errors | {
-        "TokenError", "DecryptionError", "BadPadding", "IntegrityFailure",
+        "TokenError", "DecryptionError", "IntegrityFailure",
         "DigestMismatch", "SignatureInvalid", "ScenarioStepFailed"}
     assert {cls.exit_code for cls in _declared_classes()} == {1, 2}

@@ -1,6 +1,8 @@
 """The layers import downward only: each module of the package imports only
 the modules listed before it in LAYERS (the order bench/tracer.py assumes).
-One decision sits in one layer: only pkcs1 names PssParams."""
+One decision sits in one layer: only pkcs1 names PssParams, and only
+primitives (CBC decryption), cms and pfx (their headers) enter
+uniform_decryption."""
 
 import ast
 from pathlib import Path
@@ -57,3 +59,11 @@ def test_only_pkcs1_names_pss_params():
     naming = sorted(path.stem for path in PACKAGE.glob("*.py")
                     if path.stem != "pkcs1" and "PssParams" in set(_identifiers(path)))
     assert naming == []
+
+
+def test_only_primitives_cms_and_pfx_enter_uniform_decryption():
+    # the CBC decryption rule is cbc_decrypt's: pkcs5 and keystore pass a reader to it
+    entering = sorted(path.stem for path in PACKAGE.glob("*.py")
+                      if path.stem != "errors"
+                      and "uniform_decryption" in set(_identifiers(path)))
+    assert entering == ["cms", "pfx", "primitives"]

@@ -240,7 +240,8 @@ def test_password_privacy_version_other_than_0_is_refused(material):
         # MACed with the right password, so only the privacy layer can refuse it
         with pytest.raises(DecryptionError):
             pfx_open(PfxPdu.from_der(_macced_pfx(edited, credentials, rng)), credentials)
-    assert pfx._privacy_unwrap(element, credentials) == pfx._safe_contents_der(bags)
+    assert (asn1.der_encode(pfx._privacy_unwrap(element, credentials))
+            == pfx._safe_contents_der(bags))
 
 
 def test_pfx_version_other_than_three_is_unsupported(material):

@@ -5,8 +5,8 @@ import pytest
 
 from pkcswb import primitives
 from oracles import hmac_sha256_oracle, mgf1_oracle, sha256_oracle
-from pkcswb.errors import BadParameter
-from pkcswb.primitives import (SHA256, BadLength, BadPadding, ConstantSource,
+from pkcswb.errors import BadParameter, DecryptionError
+from pkcswb.primitives import (SHA256, BadLength, ConstantSource,
                                ExhaustibleSource, RngExhausted, SeededSource,
                                SystemRandomSource,
                                aes128_decrypt_block, aes128_encrypt_block,
@@ -285,10 +285,19 @@ def test_cbc_bad_padding_is_uniform():
     for forged_tail in (b"\x00", b"\x11", b"\x05"):
         block = b"a" * (16 - len(forged_tail)) + forged_tail
         ciphertext = aes128_encrypt_block(key, bytes(a ^ b for a, b in zip(block, iv)))
-        with pytest.raises(BadPadding) as info:
+        with pytest.raises(DecryptionError) as info:
             cbc_decrypt(key, iv, ciphertext)
         seen.append((type(info.value), info.value.args))
     assert len(set(seen)) == 1
+
+
+def test_cbc_decrypt_returns_what_read_makes_of_the_plaintext():
+    key, iv = b"k" * 16, b"i" * 16
+    ciphertext = cbc_encrypt(key, iv, b"attack at dawn")
+    assert cbc_decrypt(key, iv, ciphertext, read=bytes.upper) == b"ATTACK AT DAWN"
+    with pytest.raises(DecryptionError) as info:
+        cbc_decrypt(key, iv, ciphertext, read=int)
+    assert info.value.__cause__ is None
 
 
 def test_cbc_expands_the_key_once_per_message(monkeypatch):
@@ -303,10 +312,12 @@ def test_cbc_expands_the_key_once_per_message(monkeypatch):
 
 
 def test_cbc_bad_length():
-    with pytest.raises(BadLength):
+    with pytest.raises(DecryptionError):
         cbc_decrypt(b"k" * 16, b"i" * 16, b"x" * 17)
-    with pytest.raises(BadLength):
+    with pytest.raises(DecryptionError):
         cbc_decrypt(b"k" * 16, b"i" * 16, b"")
+    with pytest.raises(DecryptionError):
+        cbc_decrypt(b"k" * 16, b"i" * 15, b"x" * 16)
 
 
 # -- random sources ----------------------------------------------------------

@@ -3,6 +3,7 @@ import inspect
 import pytest
 
 from pkcswb import keystore, rsa, token as tk
+from pkcswb.errors import BadParameter
 from pkcswb.token import (CKA_DECRYPT, CKA_EXTRACTABLE, CKA_ID, CKA_KEY_KIND,
                           CKA_KEY_TYPE, CKA_LABEL, CKA_LOCAL, CKA_PRIVATE,
                           CKA_SENSITIVE, CKA_SIGN, CKA_SUBJECT, CKA_TOKEN,
@@ -202,6 +203,31 @@ def test_wrong_pin_leaves_state_unchanged():
     with pytest.raises(tk.PinIncorrect):
         token.login(session, tk.USER_SO, "wrong")
     assert token.login_state is None
+
+
+def test_a_pin_utf8_cannot_hold_is_refused_and_leaves_state_unchanged():
+    unencodable = "\udcff"
+    rng = seeded(b"refused-pin")
+    token = Token("unit-token", rng)
+    with pytest.raises(BadParameter):
+        token.initialize(unencodable)
+    with pytest.raises(tk.NotInitialized):
+        token.open_session(rw=True)
+    token.initialize("so-pin")
+    session = token.open_session(rw=True)
+    with pytest.raises(BadParameter):
+        token.login(session, tk.USER_SO, unencodable)
+    assert token.login_state is None
+    token.login(session, tk.USER_SO, "so-pin")
+    with pytest.raises(BadParameter):
+        token.init_user_pin(session, unencodable)
+    token.logout(session)
+    with pytest.raises(tk.UserPinNotInitialized):
+        token.login(session, tk.USER_NORMAL, unencodable)
+    # the refused PINs drew no salt: only the SO PIN's 8 octets are gone
+    expected = seeded(b"refused-pin")
+    expected.read(8)
+    assert rng.read(16) == expected.read(16)
 
 
 def test_logout_event():
