@@ -123,8 +123,6 @@ def _cmd_kdf(args) -> int:
 
 
 def _cmd_p8_wrap(args) -> int:
-    if args.salt_len < 1:
-        raise BadParameter("salt length must be positive")
     rng = _build_rng(args)
     info = keystore.PrivateKeyInfo.from_der(_read(args.infile))
     epki = keystore.encrypt_private_key(info, text_octets(args.password),

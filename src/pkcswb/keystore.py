@@ -6,8 +6,11 @@ key octets, optional attribute set) and EncryptedPrivateKeyInfo (PBES2
 algorithm header plus ciphertext).  The RSA key body inside PrivateKeyInfo is
 a SEQUENCE of version, n, e, d, followed by one (r_i, d_i, t_i) triple per
 prime; the first prime carries the trivial coefficient t_1 = 1 so that all
-primes share one shape, the one ``rsa.RsaPrivateKey`` holds, and the triples
-map one to one.  Multiprime keys use body version 1, two-prime keys version 0.
+primes share one shape, the one ``rsa.RsaPrivateKey`` derives, and the
+triples map one to one.  Multiprime keys use body version 1, two-prime keys
+version 0.  The reader builds the key from the body's e, d and primes, refuses
+a body whose n, version or triples differ from those they derive, and keeps d
+as received (OpenSSL may write it modulo phi(n)).
 
 The attribute registry holds exactly the ten types the other standards pull
 in: contentType, messageDigest, signingTime, sequenceNumber, randomNonce,
@@ -18,6 +21,7 @@ with no directory-schema machinery behind them.
 
 from __future__ import annotations
 
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -360,14 +364,19 @@ def _key_from_body(body: DerValue) -> RsaPrivateKey:
     asn1.require(triples_v, asn1.SEQUENCE)
     n, e = n_v.as_integer(), e_v.as_integer()
     check_key_caps(n, e, len(triples_v.children))
-    primes, exponents, coefficients = [], [], []
-    for triple in triples_v.children:
-        r_v, d_i_v, t_i_v = asn1._fields(triple, 3)
-        primes.append(r_v.as_integer())
-        exponents.append(d_i_v.as_integer())
-        coefficients.append(t_i_v.as_integer())
-    return RsaPrivateKey(version_v.as_integer(), n, e, d_v.as_integer(),
-                         primes, exponents, coefficients)
+    triples = [tuple(v.as_integer() for v in asn1._fields(triple, 3))
+               for triple in triples_v.children]
+    primes = [r for r, _, _ in triples]
+    # a prime longer than n cannot divide it: refused before the product,
+    # whose cost grows faster than the file, so the caps bound the work
+    if any(r.bit_length() > n.bit_length() for r in primes) or math.prod(primes) != n:
+        raise MalformedKey("modulus is not the product of the primes")
+    key = RsaPrivateKey(e, d_v.as_integer(), primes)
+    if version_v.as_integer() != key.version:
+        raise MalformedKey("version must be 0 for two primes, 1 otherwise")
+    if triples != list(zip(key.primes, key.crt_exponents, key.crt_coefficients)):
+        raise MalformedKey("a CRT exponent or coefficient is not the one the primes give")
+    return key
 
 
 @dataclass(frozen=True)

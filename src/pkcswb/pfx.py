@@ -185,16 +185,18 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerVal
     if element.content_type == oids.CT_ENCRYPTED_DATA:
         if credentials.privacy_password is None:
             raise MissingCredential("password privacy needs a privacy password")
-        with uniform_decryption():
+    elif element.content_type == oids.CT_ENVELOPED_DATA:
+        if credentials.destination_priv is None:
+            raise MissingCredential("public-key privacy needs the destination private key")
+    else:
+        raise UnsupportedAlgorithm(f"unsupported authenticated-safe element {element.content_type}")
+    with uniform_decryption():
+        if element.content_type == oids.CT_ENCRYPTED_DATA:
             algorithm, ciphertext = cms._parse_encrypted_data(element)
             return pbes2_decrypt(pbes2_params_from_algorithm(algorithm), ciphertext,
                                  credentials.privacy_password, _safe_contents)
-    if element.content_type == oids.CT_ENVELOPED_DATA:
-        if credentials.destination_priv is None:
-            raise MissingCredential("public-key privacy needs the destination private key")
         return _safe_contents(cms.data_payload(
             cms.open_envelope(element, credentials.destination_priv)))
-    raise UnsupportedAlgorithm(f"unsupported authenticated-safe element {element.content_type}")
 
 
 def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,

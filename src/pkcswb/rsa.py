@@ -1,18 +1,19 @@
 """Multiprime RSA: key material, prime generation, raw modular operations.
 
 Keys are products of u >= 2 distinct primes of roughly equal size.  The
-decryption exponent is taken modulo lcm(r_i - 1).  A private key holds one
-(r_i, d_i, t_i) triple per prime, as its PKCS #8 body does: d_i = e^-1 mod
-(r_i - 1), and t_i is the inverse modulo r_i of the partial product
-R_i = r_1 * ... * r_{i-1}, so t_1 = 1 (R_1 is the empty product).  The private
-operation recombines the per-prime exponentiations with Garner's step, one
-loop over the triples.
+decryption exponent is taken modulo lcm(r_i - 1).  A private key is e, d and
+its primes, from which it derives n and one (r_i, d_i, t_i) triple per prime,
+as its PKCS #8 body holds them: d_i = d mod (r_i - 1), and t_i is the inverse
+modulo r_i of the partial product R_i = r_1 * ... * r_{i-1}, so t_1 = 1 (R_1
+is the empty product).  The private operation recombines the per-prime
+exponentiations with Garner's step, one loop over the triples.
 
 Desk-scale keys are first class: nothing below enforces a minimum modulus
 beyond arithmetic validity, so exhaustive sweeps over toy moduli stay cheap.
 A key read from a file is held to maximum sizes instead (``check_key_caps``),
 because its modulus, public exponent and prime count set the cost of the
-work done with it.
+work done with it, and key generation holds to the same caps, so it never
+writes a key the readers refuse.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import BadParameter, PkcsError
 from .primitives import RandomSource, RngExhausted
@@ -58,16 +59,17 @@ class CiphertextRepresentativeOutOfRange(PkcsError, ValueError):
     pass
 
 
-class BadExponent(PkcsError, ValueError):
-    """gcd(e, r_i - 1) != 1 persisted past the retry budget."""
-
-
 class DuplicatePrime(PkcsError, ValueError):
     """The source kept producing an already-used prime."""
 
 
 class InvalidKey(PkcsError, ValueError):
     """Key material that is not a valid RSA key: the refusals of the key checks."""
+
+
+class BadExponent(InvalidKey):
+    """gcd(e, r_i - 1) != 1 for some prime: no d exists.  Key generation
+    raises it when no prime it draws fits e within the retry budget."""
 
 
 class KeyTooLarge(InvalidKey):
@@ -113,41 +115,52 @@ class RsaPublicKey:
         return (self.n.bit_length() + 7) // 8
 
 
-def _check_primes(primes: tuple[int, ...]) -> None:
-    """At least two primes, each odd and >= 3; checked before any arithmetic
-    on them, since a prime of 1 makes lcm(r_i - 1) zero."""
-    if len(primes) < 2:
-        raise InvalidKey("at least two primes required")
-    if any(r < 3 or r % 2 == 0 for r in primes):
-        raise InvalidKey("primes must be odd and >= 3")
-
-
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """Multiprime private key with CRT material.
+    """Multiprime private key: e, d and the primes, checked, from which the
+    constructor derives n and the CRT material once.
 
     ``primes``, ``crt_exponents`` and ``crt_coefficients`` are aligned: index
-    j holds r_i, d_i = e^-1 mod (r_i - 1) and t_i = R_i^-1 mod r_i for prime
+    j holds r_i, d_i = d mod (r_i - 1) and t_i = R_i^-1 mod r_i for prime
     i = j + 1, with R_i = r_1 * ... * r_{i-1}, so the first coefficient is 1.
     """
 
-    version: int
-    n: int
     e: int
     d: int
     primes: tuple[int, ...]
-    crt_exponents: tuple[int, ...]
-    crt_coefficients: tuple[int, ...]
+    n: int = field(init=False)
+    crt_exponents: tuple[int, ...] = field(init=False)
+    crt_coefficients: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "primes", tuple(self.primes))
-        object.__setattr__(self, "crt_exponents", tuple(self.crt_exponents))
-        object.__setattr__(self, "crt_coefficients", tuple(self.crt_coefficients))
-        self.check()
+        primes = tuple(self.primes)
+        if len(primes) < 2:
+            raise InvalidKey("at least two primes required")
+        # before any arithmetic: a prime of 1 makes lcm(r_i - 1) zero
+        if any(r < 3 or r % 2 == 0 for r in primes):
+            raise InvalidKey("primes must be odd and >= 3")
+        n = math.prod(primes)
+        if math.lcm(*primes) != n:
+            raise InvalidKey("primes must be distinct and pairwise coprime")
+        chi = math.lcm(*[r - 1 for r in primes])
+        if math.gcd(self.e, chi) != 1:
+            raise BadExponent("gcd(e, r_i - 1) != 1 for some prime")
+        if self.e * self.d % chi != 1:
+            raise InvalidKey("e*d != 1 modulo lcm(r_i - 1)")
+        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "crt_exponents", tuple(self.d % (r - 1) for r in primes))
+        object.__setattr__(self, "crt_coefficients", tuple(
+            pow(math.prod(primes[:i]), -1, r) for i, r in enumerate(primes)))
 
     @property
     def u(self) -> int:
         return len(self.primes)
+
+    @property
+    def version(self) -> int:
+        """The PKCS #8 body version: 0 for two primes, 1 for more."""
+        return 0 if self.u == 2 else 1
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -156,30 +169,6 @@ class RsaPrivateKey:
     @property
     def modulus_octets(self) -> int:
         return (self.n.bit_length() + 7) // 8
-
-    def check(self) -> None:
-        _check_primes(self.primes)
-        u = len(self.primes)
-        if len(set(self.primes)) != u:
-            raise InvalidKey("primes must be distinct")
-        if self.version != (0 if u == 2 else 1):
-            raise InvalidKey("version must be 0 for two primes, 1 otherwise")
-        if len(self.crt_exponents) != u or len(self.crt_coefficients) != u:
-            raise InvalidKey("one CRT exponent and coefficient per prime required")
-        n = math.prod(self.primes)
-        if n != self.n:
-            raise InvalidKey("modulus is not the product of the primes")
-        chi = math.lcm(*[r - 1 for r in self.primes])
-        if (self.e * self.d) % chi != 1:
-            raise InvalidKey("e*d != 1 modulo lcm(r_i - 1)")
-        for r, d_i in zip(self.primes, self.crt_exponents):
-            if (self.e * d_i) % (r - 1) != 1:
-                raise InvalidKey("bad CRT exponent")
-        product = 1
-        for r, t in zip(self.primes, self.crt_coefficients):
-            if not 0 < t < r or (product * t) % r != 1:
-                raise InvalidKey("bad CRT coefficient")
-            product *= r
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +291,11 @@ def generate_prime(bits: int, rng: RandomSource, u: int = 2) -> int:
 def key_from_primes(primes, e: int) -> tuple[RsaPublicKey, RsaPrivateKey]:
     """Build a key pair from explicitly chosen distinct odd primes."""
     primes = tuple(primes)
-    _check_primes(primes)
-    exponents, coefficients = [], []
-    product = 1
-    for r in primes:
-        if math.gcd(e, r - 1) != 1:
-            raise BadExponent(f"gcd(e, {r} - 1) != 1")
-        exponents.append(pow(e, -1, r - 1))
-        coefficients.append(pow(product, -1, r))
-        product *= r
-    d = pow(e, -1, math.lcm(*[r - 1 for r in primes]))
-    private = RsaPrivateKey(0 if len(primes) == 2 else 1, product, e, d,
-                            primes, exponents, coefficients)
+    try:
+        d = pow(e, -1, math.lcm(*[r - 1 for r in primes]))
+    except ValueError:  # no inverse: the constructor names the reason
+        d = 0
+    private = RsaPrivateKey(e, d, primes)
     return private.public_key, private
 
 
@@ -331,6 +313,9 @@ def generate_key(modulus_bits: int, u: int, e: int,
         raise BadParameter("primes would fall below 16 bits")
     if e < 3 or e % 2 == 0:
         raise BadParameter("encryption exponent must be odd and >= 3")
+    if modulus_bits > MAX_MODULUS_BITS or u > MAX_PRIMES or e.bit_length() > MAX_EXPONENT_BITS:
+        raise BadParameter(f"{modulus_bits} bits, {u} primes or a {e.bit_length()}-bit e exceed "
+                           f"the caps of {MAX_MODULUS_BITS}, {MAX_PRIMES} and {MAX_EXPONENT_BITS}")
     base, extra = divmod(modulus_bits, u)
     primes: list[int] = []
     for bits in [base + 1] * extra + [base] * (u - extra):

@@ -414,6 +414,10 @@ USAGE_ERRORS = {
     "--seed zz": ["--seed", "zz", "scenario"],
     "PKCSWB_SEED=zz": ["scenario"],
     "keygen --bits 8": ["keygen", "--bits", "8", "--out", "{out}"],
+    # a key the readers would refuse is never written
+    "keygen --primes 17": ["keygen", "--bits", "1024", "--primes", "17", "--out", "{out}"],
+    "keygen --e 2**300+1": ["keygen", "--bits", "512", "--e", str(2**300 + 1),
+                            "--out", "{out}"],
     "kdf --len 0": ["kdf", "--password", "x", "--salt", "00", "--len", "0"],
     "kdf --iter 0": ["kdf", "--password", "x", "--salt", "00", "--iter", "0"],
     "kdf --salt ''": ["kdf", "--password", "x", "--salt", ""],
@@ -436,6 +440,10 @@ USAGE_ERRORS = {
         "--signing-time", "٢٠٠١٠١١٢٠٠٠٠Z", "--out", "{out}"],
     "p8-wrap --salt-len -1, no seed": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw",
                                        "--salt-len", "-1", "--out", "{out}"],
+    "p8-wrap --salt-len 0": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw",
+                             "--salt-len", "0", "--out", "{out}"],
+    "p8-wrap --salt-len 0, no seed": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw",
+                                      "--salt-len", "0", "--out", "{out}"],
     # text that is not UTF-8: argv octets that did not decode arrive as lone surrogates
     "kdf --password \\udcff": ["kdf", "--password", "\udcff", "--salt", "00"],
     "p8-wrap --password \\udcff": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "\udcff",

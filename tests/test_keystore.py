@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from pkcswb import asn1, keystore, oids, pkcs5, rsa
@@ -90,6 +92,35 @@ def test_body_version_that_disagrees_with_the_prime_count_is_malformed(primes, v
     edited = _with_body_fields(private, lambda fields: [asn1.integer(version)] + fields[1:])
     with pytest.raises(MalformedKey, match="version"):
         decode_private_key(edited)
+
+
+@pytest.mark.parametrize("primes,e", [((5, 11), 3), ((3, 5, 7), 5)])
+def test_body_with_d_modulo_phi_decodes_and_re_encodes_as_received(primes, e):
+    # OpenSSL writes d = e^-1 mod phi(n), which lcm(r_i - 1) divides
+    _, private = rsa.key_from_primes(primes, e)
+    d_phi = pow(private.e, -1, math.prod(r - 1 for r in private.primes))
+    assert d_phi != private.d
+    edited = _with_body_fields(private, lambda fields: fields[:3] + [asn1.integer(d_phi)]
+                               + fields[4:])
+    decoded = decode_private_key(edited)
+    assert decoded.d == d_phi and decoded.crt_exponents == private.crt_exponents
+    assert encode_private_key(decoded) == edited
+
+
+@pytest.mark.parametrize("i", [0, 1, 2])
+def test_body_with_a_crt_exponent_not_reduced_is_malformed(i):
+    # RFC 8017 §A.1.2: exponent1 is d mod (p - 1); d_i + (r_i - 1) is refused
+    _, private = rsa.key_from_primes((3, 5, 7), 5)
+
+    def unreduced(fields):
+        triples = list(fields[4].children)
+        r_v, d_v, t_v = triples[i].children
+        r = r_v.as_integer()
+        triples[i] = asn1.sequence(r_v, asn1.integer(d_v.as_integer() + r - 1), t_v)
+        return fields[:4] + [asn1.sequence(*triples)]
+
+    with pytest.raises(MalformedKey, match="exponent"):
+        decode_private_key(_with_body_fields(private, unreduced))
 
 
 def test_private_key_info_fourth_field_must_be_context_zero():
@@ -366,12 +397,12 @@ def test_p8e_nonpositive_count_or_empty_salt_is_malformed(key_512, monkeypatch, 
 # -- size caps on keys read from a file -------------------------------------------
 
 
-def _pki_der(n: int, e: int, primes: tuple[int, ...]) -> bytes:
+def _pki_der(n: int, e: int, primes: tuple[int, ...], d: int = 3) -> bytes:
     """PrivateKeyInfo around a key body that is only the right shape."""
     triples = [asn1.sequence(asn1.integer(r), asn1.integer(1), asn1.integer(1))
                for r in primes]
     body = asn1.sequence(asn1.integer(0), asn1.integer(n), asn1.integer(e),
-                         asn1.integer(3), asn1.sequence(*triples))
+                         asn1.integer(d), asn1.sequence(*triples))
     return der_encode(asn1.sequence(
         asn1.integer(0),
         AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null()).to_der_value(),
@@ -401,6 +432,33 @@ def test_private_key_prime_count_above_cap_is_malformed(no_key_built):
     with pytest.raises(DecryptionError) as info:
         decrypt_private_key(epki, b"pw")
     assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
+def test_private_key_modulus_not_the_product_of_the_primes_is_malformed(no_key_built):
+    # compared before the key, and so any inverse, is computed
+    with pytest.raises(MalformedKey, match="modulus"):
+        PrivateKeyInfo.from_der(_pki_der(5 * 11 + 2, 3, (5, 11)))
+
+
+def test_private_key_prime_longer_than_the_modulus_is_malformed(monkeypatch):
+    # refused before any product: its cost grows faster than the file's size
+    def refuse(*args):
+        raise AssertionError("the primes were multiplied")
+
+    monkeypatch.setattr(math, "prod", refuse)
+    with pytest.raises(MalformedKey, match="modulus"):
+        PrivateKeyInfo.from_der(_pki_der(5 * 11, 3, (5, 2**64 + 1)))
+
+
+@pytest.mark.parametrize("primes,e,d", [
+    ((3, 5, 15), 3, 19),   # 15 shares 3 and 5 with the others; 3 * 19 = 1 mod 28
+    ((9, 15), 3, 19),      # 9 and 15 share 3; 3 * 19 = 1 mod 56
+    ((5, 11), 5, 1),       # gcd(5, 11 - 1) = 5: no d exists
+])
+def test_private_key_primes_not_coprime_to_each_other_or_e_are_malformed(primes, e, d):
+    # n is the product of the primes, so only the key's own checks can refuse
+    with pytest.raises(MalformedKey):
+        PrivateKeyInfo.from_der(_pki_der(math.prod(primes), e, primes, d))
 
 
 def test_private_key_prime_of_one_is_malformed():

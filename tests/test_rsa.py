@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from oracles import is_prime_by_trial_division
 from pkcswb import rsa
+from pkcswb.errors import BadParameter
 from pkcswb.primitives import ConstantSource, ExhaustibleSource, RngExhausted, SeededSource
 from conftest import seeded
 
@@ -89,12 +91,26 @@ def test_round_trip_identities_generated_key(key_512):
 
 def test_private_key_invariants_checked():
     _, private = rsa.key_from_primes((5, 11), 3)
-    with pytest.raises(ValueError):
-        rsa.RsaPrivateKey(0, private.n, private.e, private.d + 1, private.primes,
-                          private.crt_exponents, private.crt_coefficients)
-    with pytest.raises(ValueError):
-        rsa.RsaPrivateKey(1, private.n, private.e, private.d, private.primes,
-                          private.crt_exponents, private.crt_coefficients)  # version must match u
+    with pytest.raises(rsa.InvalidKey):
+        rsa.RsaPrivateKey(private.e, private.d + 1, private.primes)
+    # d taken modulo phi(n) = 40 instead of lcm(4, 10) = 20 is the same key
+    same = rsa.RsaPrivateKey(3, 27, (5, 11))
+    assert (same.n, same.crt_exponents, same.crt_coefficients) == (
+        private.n, private.crt_exponents, private.crt_coefficients)
+
+
+@pytest.mark.parametrize("primes,e", [((3, 5, 15), 3), ((9, 15), 3), ((5, 11), 5)])
+def test_private_key_primes_must_be_coprime_to_each_other_and_e(primes, e):
+    with pytest.raises(rsa.InvalidKey):
+        rsa.RsaPrivateKey(e, 1, primes)
+    with pytest.raises(rsa.InvalidKey):
+        rsa.key_from_primes(primes, e)
+
+
+def test_private_key_is_e_d_and_its_primes():
+    # n, the version and the CRT triples are derived, never passed in
+    assert [f.name for f in dataclasses.fields(rsa.RsaPrivateKey) if f.init] == [
+        "e", "d", "primes"]
 
 
 # -- prime generation ----------------------------------------------------------
@@ -290,6 +306,17 @@ def test_prime_floor_is_the_ceiling_of_the_u_th_root(bits, u):
         assert low == math.isqrt(target) + 1  # the FIPS 186-4 §B.3.1 √2 bound
     for tag in (b"a", b"b"):
         assert low <= rsa.generate_prime(bits, seeded(b"floor/%d/" % u + tag), u) < 2**bits
+
+
+@pytest.mark.parametrize("bits,u,e", [
+    (1024, rsa.MAX_PRIMES + 1, 65537),
+    (rsa.MAX_MODULUS_BITS + 1, 2, 65537),
+    (512, 2, (1 << rsa.MAX_EXPONENT_BITS) + 1),
+])
+def test_generate_key_refuses_a_key_over_the_reader_caps(bits, u, e):
+    # refused before any random octet is read: the empty source is never touched
+    with pytest.raises(BadParameter):
+        rsa.generate_key(bits, u, e, ExhaustibleSource(b""))
 
 
 def test_generate_key_determinism():
