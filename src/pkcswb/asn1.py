@@ -25,6 +25,9 @@ container parsers share one immutable ``Oid`` per encoding; a bad encoding
 is not kept and raises on every call.  The decoder reads the common header,
 a one-octet tag and a short-form length, inline; ``_decode_tag`` and
 ``_decode_length`` read, and check, every other form.
+
+``AlgorithmIdentifier``, RFC 5280's (OID, optional parameters) pair, lives
+here, below every layer that names an algorithm.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "TagClass",
     "DerValue",
     "Oid",
+    "AlgorithmIdentifier",
     "DerError",
     "OversizeTag",
     "NonCanonical",
@@ -658,6 +662,27 @@ def _fields(value: DerValue, *counts: int, tag_number: int = SEQUENCE,
     if len(kids) not in counts:
         raise NonCanonical(f"expected {' or '.join(map(str, counts))} fields, got {len(kids)}")
     return kids
+
+
+# ---------------------------------------------------------------------------
+# AlgorithmIdentifier
+
+
+@dataclass(frozen=True)
+class AlgorithmIdentifier:
+    oid: Oid
+    params: DerValue | None = None
+
+    def to_der_value(self) -> DerValue:
+        children = [oid_value(self.oid)]
+        if self.params is not None:
+            children.append(self.params)
+        return sequence(*children)
+
+    @classmethod
+    def from_der_value(cls, value: DerValue) -> "AlgorithmIdentifier":
+        kids = _fields(value, 1, 2)
+        return cls(kids[0].as_oid(), kids[1] if len(kids) == 2 else None)
 
 
 def hex_dump(octets: bytes) -> str:

@@ -16,14 +16,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import asn1, oids, pkcs1
-from .asn1 import DerValue, Oid, der_decode, der_encode
+from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
 from .csr import (CertificationRequest, Name, decode_public_key_info,
                   encode_public_key_info, verify_csr)
 from .errors import DecryptionError, IntegrityFailure, PkcsError, uniform_decryption
-from .keystore import (AlgorithmIdentifier, Attribute, SyntaxViolation,
-                       _attributes_from_der, _attributes_to_der, attribute_make)
+from .keystore import (Attribute, SyntaxViolation, _attributes_from_der, _attributes_to_der,
+                       attribute_make)
 from .pkcs1 import ModulusTooSmall
-from .primitives import SHA256, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest
+from .primitives import (SHA256, BadLength, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal,
+                         hmac_digest)
 from .rsa import RsaPrivateKey, RsaPublicKey
 
 __all__ = [
@@ -408,6 +409,8 @@ def encrypt_data(inner: ContentInfo, key: bytes, rng: RandomSource) -> ContentIn
 
 def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
     _expect_type(ci, oids.CT_ENCRYPTED_DATA, "encrypted-data")
+    if len(key) != _CEK_LEN:  # the caller's key, not the wire's: no oracle
+        raise BadLength("AES-128 key must be 16 octets")
     with uniform_decryption():
         algorithm, ciphertext = _parse_encrypted_data(ci)
         return cbc_decrypt(key, _aes_iv(algorithm), ciphertext, ContentInfo.from_der)

@@ -10,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import asn1, oids, pkcs1
-from .asn1 import DerValue, der_decode, der_encode
+from .asn1 import AlgorithmIdentifier, DerValue, der_decode, der_encode
 from .errors import PkcsError
-from .keystore import (AlgorithmIdentifier, Attribute, SyntaxViolation, attribute_check,
-                       _RSA_ALG, _attributes_from_der, _attributes_to_der)
+from .keystore import (Attribute, SyntaxViolation, attribute_check, _RSA_ALG,
+                       _attributes_from_der, _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
 from .rsa import InvalidKey, RsaPrivateKey, RsaPublicKey, check_key_caps

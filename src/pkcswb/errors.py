@@ -10,6 +10,7 @@ __all__ = [
     "UnsupportedAlgorithm",
     "IntegrityFailure",
     "MissingCredential",
+    "MalformedKey",
 ]
 
 
@@ -64,3 +65,7 @@ class IntegrityFailure(PkcsError):
 
 class MissingCredential(PkcsError, ValueError):
     """The selected protection mode needs a password or key that was not supplied."""
+
+
+class MalformedKey(PkcsError, ValueError):
+    """A private key, or a PBES2 or MacData header, that does not hold together."""

@@ -3,7 +3,7 @@ container modules.
 
 Two DER objects are produced here: PrivateKeyInfo (version, key algorithm,
 key octets, optional attribute set) and EncryptedPrivateKeyInfo (PBES2
-algorithm header plus ciphertext).  The RSA key body inside PrivateKeyInfo is
+header from ``pkcs5``, ciphertext).  The RSA key body inside PrivateKeyInfo is
 a SEQUENCE of version, n, e, d, followed by one (r_i, d_i, t_i) triple per
 prime; the first prime carries the trivial coefficient t_1 = 1 so that all
 primes share one shape, the one ``rsa.RsaPrivateKey`` derives, and the
@@ -28,17 +28,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import asn1, oids
-from .asn1 import DerValue, Oid, der_decode, der_encode
-from .errors import MissingCredential, PkcsError, UnsupportedAlgorithm
-from .pkcs5 import Pbes2Params, check_iterations, pbes2_decrypt, pbes2_encrypt
+from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
+from .errors import MalformedKey, MissingCredential, PkcsError, UnsupportedAlgorithm
+from .pkcs5 import pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
 from .rsa import InvalidKey, RsaPrivateKey, check_key_caps
 
 __all__ = [
-    "MalformedKey",
     "UnknownAttributeType",
     "SyntaxViolation",
-    "AlgorithmIdentifier",
     "Attribute",
     "attribute_make",
     "attribute_check",
@@ -49,15 +47,9 @@ __all__ = [
     "decode_private_key",
     "encrypt_private_key",
     "decrypt_private_key",
-    "pbes2_algorithm",
-    "pbes2_params_from_algorithm",
     "natural_person_bundle",
     "pkcs_entity_bundle",
 ]
-
-
-class MalformedKey(PkcsError, ValueError):
-    pass
 
 
 class UnknownAttributeType(PkcsError, KeyError):
@@ -75,84 +67,6 @@ def _as_malformed_key():
         yield
     except (asn1.DerError, InvalidKey) as exc:
         raise MalformedKey(str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# AlgorithmIdentifier
-
-
-@dataclass(frozen=True)
-class AlgorithmIdentifier:
-    oid: Oid
-    params: DerValue | None = None
-
-    def to_der_value(self) -> DerValue:
-        children = [asn1.oid_value(self.oid)]
-        if self.params is not None:
-            children.append(self.params)
-        return asn1.sequence(*children)
-
-    @classmethod
-    def from_der_value(cls, value: DerValue) -> "AlgorithmIdentifier":
-        kids = asn1._fields(value, 1, 2)
-        return cls(kids[0].as_oid(), kids[1] if len(kids) == 2 else None)
-
-
-_RSA_ALG = AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null())
-
-
-def pbes2_algorithm(params: Pbes2Params) -> AlgorithmIdentifier:
-    """PBES2 AlgorithmIdentifier carrying (salt, count, PRF id, cipher id, IV)."""
-    kdf = AlgorithmIdentifier(
-        oids.PBKDF2,
-        asn1.sequence(
-            asn1.octet_string(params.salt),
-            asn1.integer(params.iterations),
-            AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value(),
-        ),
-    )
-    enc = AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(params.iv))
-    return AlgorithmIdentifier(
-        oids.PBES2, asn1.sequence(kdf.to_der_value(), enc.to_der_value())
-    )
-
-
-def pbes2_params_from_algorithm(alg: AlgorithmIdentifier) -> Pbes2Params:
-    if alg.oid in oids.LEGACY_PBE:
-        raise UnsupportedAlgorithm(f"legacy password-based scheme {alg.oid} not supported")
-    if alg.oid != oids.PBES2:
-        raise UnsupportedAlgorithm(f"unsupported encryption algorithm {alg.oid}")
-    with _as_malformed_key():
-        if alg.params is None:
-            raise MalformedKey("PBES2 header lacks parameters")
-        kdf_value, enc_value = asn1._fields(alg.params, 2)
-        kdf = AlgorithmIdentifier.from_der_value(kdf_value)
-        enc = AlgorithmIdentifier.from_der_value(enc_value)
-        if kdf.oid != oids.PBKDF2:
-            raise UnsupportedAlgorithm(f"unsupported key derivation {kdf.oid}")
-        if enc.oid != oids.AES128_CBC:
-            raise UnsupportedAlgorithm(f"unsupported cipher {enc.oid}")
-        if kdf.params is None or enc.params is None:
-            raise MalformedKey("PBKDF2 or cipher identifier lacks parameters")
-        salt_v, iter_v, prf_v = asn1._fields(kdf.params, 3)
-        prf = AlgorithmIdentifier.from_der_value(prf_v)
-        if prf.oid != oids.HMAC_WITH_SHA256:
-            raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
-        iv = enc.params.as_octet_string()
-        if len(iv) != 16:
-            raise MalformedKey("AES-128-CBC IV must be 16 octets")
-        return Pbes2Params(*_pbkdf2_fields(salt_v, iter_v), iv)
-
-
-def _pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
-    """Salt and iteration count of a PBKDF2 header read from a file, checked
-    before any derivation: an empty salt or a count below one is MalformedKey,
-    a count above MAX_ITERATIONS is TooManyIterations."""
-    with _as_malformed_key():
-        salt, count = salt_v.as_octet_string(), iter_v.as_integer()
-    if not salt or count < 1:
-        raise MalformedKey("PBKDF2 salt is empty or count is not positive")
-    return salt, check_iterations(count)
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +258,8 @@ def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
 # ---------------------------------------------------------------------------
 # PrivateKeyInfo
 
+_RSA_ALG = AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null())
+
 
 def _key_body(key: RsaPrivateKey) -> DerValue:
     triples = [
@@ -466,11 +382,12 @@ def encrypt_private_key(info: PrivateKeyInfo, password: bytes, salt: bytes,
                         iterations: int, rng: RandomSource) -> EncryptedPrivateKeyInfo:
     if not password:
         raise MissingCredential("password must be non-empty")
-    params, ciphertext = pbes2_encrypt(info.to_der(), password, salt, iterations, rng)
-    return EncryptedPrivateKeyInfo(pbes2_algorithm(params), ciphertext)
+    return EncryptedPrivateKeyInfo(*pbes2_encrypt(info.to_der(), password, salt,
+                                                  iterations, rng))
 
 
 def decrypt_private_key(epki: EncryptedPrivateKeyInfo, password: bytes) -> PrivateKeyInfo:
-    params = pbes2_params_from_algorithm(epki.algorithm)
     # a wrong password that slips past the padding check must look the same
-    return pbes2_decrypt(params, epki.encrypted_data, password, PrivateKeyInfo.from_der)
+    with _as_malformed_key():  # a DER fault in the PBES2 header
+        return pbes2_decrypt(epki.algorithm, epki.encrypted_data, password,
+                             PrivateKeyInfo.from_der)

@@ -25,9 +25,8 @@ from .asn1 import DerValue, der_decode, der_encode
 from .cms import ContentInfo, SignerIdent
 from .csr import Name
 from .errors import IntegrityFailure, MissingCredential, UnsupportedAlgorithm, uniform_decryption
-from .keystore import (Attribute, EncryptedPrivateKeyInfo, PrivateKeyInfo,
-                       pbes2_algorithm, pbes2_params_from_algorithm, _pbkdf2_fields)
-from .pkcs5 import pbes2_decrypt, pbes2_encrypt, pbmac1_tag, pbmac1_verify
+from .keystore import Attribute, EncryptedPrivateKeyInfo, PrivateKeyInfo
+from .pkcs5 import pbes2_decrypt, pbes2_encrypt, pbkdf2_fields, pbmac1_tag, pbmac1_verify
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey
 
@@ -120,7 +119,7 @@ class MacData:
     @classmethod
     def from_der_value(cls, value: DerValue) -> "MacData":
         tag_v, salt_v, iter_v = asn1._fields(value, 3)
-        return cls(tag_v.as_octet_string(), *_pbkdf2_fields(salt_v, iter_v))
+        return cls(tag_v.as_octet_string(), *pbkdf2_fields(salt_v, iter_v))
 
 
 @dataclass(frozen=True)
@@ -171,9 +170,8 @@ def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
         if credentials.privacy_password is None:
             raise MissingCredential("password privacy needs a privacy password")
         salt = rng.read(_SALT_LEN)
-        params, ciphertext = pbes2_encrypt(contents, credentials.privacy_password,
-                                           salt, _PRIVACY_ITERATIONS, rng)
-        return cms._encrypted_data(oids.CT_DATA, pbes2_algorithm(params), ciphertext)
+        return cms._encrypted_data(oids.CT_DATA, *pbes2_encrypt(
+            contents, credentials.privacy_password, salt, _PRIVACY_ITERATIONS, rng))
     if privacy == PRIVACY_PUBLIC_KEY:
         if credentials.destination_pub is None:
             raise MissingCredential("public-key privacy needs the destination public key")
@@ -192,8 +190,7 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerVal
         raise UnsupportedAlgorithm(f"unsupported authenticated-safe element {element.content_type}")
     with uniform_decryption():
         if element.content_type == oids.CT_ENCRYPTED_DATA:
-            algorithm, ciphertext = cms._parse_encrypted_data(element)
-            return pbes2_decrypt(pbes2_params_from_algorithm(algorithm), ciphertext,
+            return pbes2_decrypt(*cms._parse_encrypted_data(element),
                                  credentials.privacy_password, _safe_contents)
         return _safe_contents(cms.data_payload(
             cms.open_envelope(element, credentials.destination_priv)))

@@ -7,6 +7,11 @@ U_j = PRF(P, U_{j-1}), INT(i) being the four-octet big-endian encoding of the
 block index starting at 1.  PBES2 encrypts with AES-128-CBC and decrypts
 through ``primitives.cbc_decrypt``, passing the caller's reader on to it.
 
+The PBES2 header (RFC 8018 §A.2, §A.4) is written and read here:
+``pbes2_encrypt`` returns it, ``pbes2_decrypt`` checks it before any
+derivation, and ``pbkdf2_fields`` is the one salt and count check, which the
+PFX MacData shares too.
+
 PBES1 (and the rest of the legacy password-based encryption family) is not
 implemented; decoding such an algorithm identifier fails loudly instead.
 """
@@ -16,7 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from .errors import BadParameter, PkcsError
+from . import asn1, oids
+from .asn1 import AlgorithmIdentifier, DerValue
+from .errors import BadParameter, MalformedKey, PkcsError, UnsupportedAlgorithm
 from .primitives import (RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest,
                          keyed_hmac)
 
@@ -24,8 +31,10 @@ __all__ = [
     "DerivedKeyTooLong",
     "TooManyIterations",
     "Pbkdf2Params",
-    "Pbes2Params",
     "pbkdf2",
+    "pbkdf2_fields",
+    "pbes2_algorithm",
+    "pbes2_fields",
     "pbes2_encrypt",
     "pbes2_decrypt",
     "pbmac1_tag",
@@ -98,36 +107,73 @@ def pbkdf2(password: bytes, params: Pbkdf2Params) -> bytes:
     return bytes(out[:params.dk_len])
 
 
-@dataclass(frozen=True)
-class Pbes2Params:
-    """Self-describing PBES2 header: everything needed to re-derive and decrypt."""
+def pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
+    """Salt and count of a PBKDF2 header read from a file, checked before any
+    derivation: a field of the wrong type, an empty salt or a count below one
+    is MalformedKey, a count above MAX_ITERATIONS is TooManyIterations."""
+    try:
+        salt, count = salt_v.as_octet_string(), iter_v.as_integer()
+    except asn1.DerError as exc:
+        raise MalformedKey(str(exc)) from None
+    if not salt or count < 1:
+        raise MalformedKey("PBKDF2 salt is empty or count is not positive")
+    return salt, check_iterations(count)
 
-    salt: bytes
-    iterations: int
-    iv: bytes
 
-    def __post_init__(self):
-        object.__setattr__(self, "salt", bytes(self.salt))
-        object.__setattr__(self, "iv", bytes(self.iv))
+def pbes2_algorithm(salt: bytes, iterations: int, iv: bytes) -> AlgorithmIdentifier:
+    """PBES2 AlgorithmIdentifier carrying (salt, count, PRF id, cipher id, IV)."""
+    kdf = AlgorithmIdentifier(oids.PBKDF2, asn1.sequence(
+        asn1.octet_string(salt), asn1.integer(iterations),
+        AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value()))
+    enc = AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv))
+    return AlgorithmIdentifier(oids.PBES2, asn1.sequence(kdf.to_der_value(), enc.to_der_value()))
+
+
+def pbes2_fields(algorithm: AlgorithmIdentifier) -> tuple[bytes, int, bytes]:
+    """(salt, count, IV) of a PBES2 header, checked before any derivation; a
+    DER fault in it is left for the caller to report."""
+    if algorithm.oid in oids.LEGACY_PBE:
+        raise UnsupportedAlgorithm(f"legacy password-based scheme {algorithm.oid} not supported")
+    if algorithm.oid != oids.PBES2:
+        raise UnsupportedAlgorithm(f"unsupported encryption algorithm {algorithm.oid}")
+    if algorithm.params is None:
+        raise MalformedKey("PBES2 header lacks parameters")
+    kdf, enc = map(AlgorithmIdentifier.from_der_value, asn1._fields(algorithm.params, 2))
+    if kdf.oid != oids.PBKDF2:
+        raise UnsupportedAlgorithm(f"unsupported key derivation {kdf.oid}")
+    if enc.oid != oids.AES128_CBC:
+        raise UnsupportedAlgorithm(f"unsupported cipher {enc.oid}")
+    if kdf.params is None or enc.params is None:
+        raise MalformedKey("PBKDF2 or cipher identifier lacks parameters")
+    salt_v, iter_v, prf_v = asn1._fields(kdf.params, 3)
+    prf = AlgorithmIdentifier.from_der_value(prf_v)
+    if prf.oid != oids.HMAC_WITH_SHA256:
+        raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
+    iv = enc.params.as_octet_string()
+    if len(iv) != _IV_LEN:
+        raise MalformedKey("AES-128-CBC IV must be 16 octets")
+    return (*pbkdf2_fields(salt_v, iter_v), iv)
 
 
 def pbes2_encrypt(message: bytes, password: bytes, salt: bytes, iterations: int,
-                  rng: RandomSource) -> tuple[Pbes2Params, bytes]:
-    """Encrypt under PBKDF2(password) -> AES-128-CBC with a fresh random IV.
+                  rng: RandomSource) -> tuple[AlgorithmIdentifier, bytes]:
+    """(PBES2 header, ciphertext) under PBKDF2(password) -> AES-128-CBC with a
+    fresh random IV.
 
     The count is held to MAX_ITERATIONS, as on the reading side, so nothing
     is written that the reader would refuse."""
     check_iterations(iterations)
-    params = Pbes2Params(salt, iterations, rng.read(_IV_LEN))
+    iv = rng.read(_IV_LEN)
     dk = pbkdf2(password, Pbkdf2Params(salt, iterations, AES128_KEY_LEN))
-    return params, cbc_encrypt(dk, params.iv, message)
+    return pbes2_algorithm(salt, iterations, iv), cbc_encrypt(dk, iv, message)
 
 
-def pbes2_decrypt(params: Pbes2Params, ciphertext: bytes, password: bytes,
+def pbes2_decrypt(algorithm: AlgorithmIdentifier, ciphertext: bytes, password: bytes,
                   read: Callable[[bytes], Any] = bytes) -> Any:
     """``read`` of the plaintext; a wrong password is cbc_decrypt's one DecryptionError."""
-    dk = pbkdf2(password, Pbkdf2Params(params.salt, params.iterations, AES128_KEY_LEN))
-    return cbc_decrypt(dk, params.iv, ciphertext, read)
+    salt, iterations, iv = pbes2_fields(algorithm)
+    dk = pbkdf2(password, Pbkdf2Params(salt, iterations, AES128_KEY_LEN))
+    return cbc_decrypt(dk, iv, ciphertext, read)
 
 
 def pbmac1_tag(message: bytes, password: bytes, salt: bytes, iterations: int) -> bytes:

@@ -145,6 +145,9 @@ class RsaPrivateKey:
         chi = math.lcm(*[r - 1 for r in primes])
         if math.gcd(self.e, chi) != 1:
             raise BadExponent("gcd(e, r_i - 1) != 1 for some prime")
+        # RFC 8017 §3.2: d is positive, and any d an encoder reduces is below n
+        if not 0 < self.d < n:
+            raise InvalidKey("d must lie in [1, n)")
         if self.e * self.d % chi != 1:
             raise InvalidKey("e*d != 1 modulo lcm(r_i - 1)")
         object.__setattr__(self, "primes", primes)

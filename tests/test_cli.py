@@ -38,6 +38,8 @@ def workdir(tmp_path_factory):
     assert main(["--seed", "ff" + SEED, "keygen", "--bits", "1024",
                  "--out", str(path / "other.p8"), "--pub", str(path / "other.spki")]) == 0
     (path / "message.bin").write_bytes(b"the quick brown fox\n")
+    assert main(["--seed", SEED, "cms-encrypt", "--key-hex", "00" * 16,
+                 "--in", str(path / "message.bin"), "--out", str(path / "message.p7e")]) == 0
     return path
 
 
@@ -411,6 +413,9 @@ def test_option_surface_is_pinned():
 USAGE_ERRORS = {
     "cms-encrypt --key-hex zz": ["cms-encrypt", "--key-hex", "zz",
                                  "--in", "{dir}/message.bin", "--out", "{out}"],
+    # the key is the caller's: its length is named, not hidden in "decryption failed"
+    "cms-encrypt --decrypt --key-hex 00": ["cms-encrypt", "--decrypt", "--key-hex", "00",
+                                           "--in", "{dir}/message.p7e", "--out", "{out}"],
     "--seed zz": ["--seed", "zz", "scenario"],
     "PKCSWB_SEED=zz": ["scenario"],
     "keygen --bits 8": ["keygen", "--bits", "8", "--out", "{out}"],
@@ -480,7 +485,7 @@ def test_kdf_refuses_a_count_the_reader_refuses(capsys, monkeypatch):
 
 def test_public_key_with_non_null_parameters_is_a_usage_error(workdir, capsys):
     from pkcswb import asn1, oids
-    from pkcswb.keystore import AlgorithmIdentifier
+    from pkcswb.asn1 import AlgorithmIdentifier
     _, key_v = asn1.der_decode((workdir / "alice.spki").read_bytes()).children
     alg = AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.octet_string(b""))
     bad = workdir / "octet-params.spki"

@@ -1,6 +1,7 @@
 import pytest
 
 from pkcswb import asn1, cms, csr, keystore, oids, rsa
+from pkcswb.asn1 import AlgorithmIdentifier
 from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIdent,
                         WrongContentType,
                         authenticate_data, authenticated_content, cert_fields,
@@ -10,9 +11,9 @@ from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIde
                         verify_signed)
 from pkcswb.csr import Name, build_csr
 from pkcswb.errors import DecryptionError
-from pkcswb.keystore import AlgorithmIdentifier, Attribute, _attributes_to_der, attribute_make
+from pkcswb.keystore import Attribute, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
-from pkcswb.primitives import SHA256, hmac_digest
+from pkcswb.primitives import SHA256, BadLength, hmac_digest
 from conftest import seeded
 from oracles import der_tlv_count
 
@@ -465,6 +466,14 @@ def test_encrypt_data_wrong_key():
     wrapped = encrypt_data(make_data(b"m"), b"k" * 16, seeded(b"iv"))
     with pytest.raises(DecryptionError):
         decrypt_data(wrapped, b"j" * 16)
+
+
+@pytest.mark.parametrize("key", [b"", b"k", b"k" * 15, b"k" * 17, b"k" * 32])
+def test_decrypt_data_key_of_another_length_is_bad_length(key):
+    # the key is the caller's, not the wire's: naming its length tells an attacker nothing
+    wrapped = encrypt_data(make_data(b"m"), b"k" * 16, seeded(b"iv"))
+    with pytest.raises(BadLength):
+        decrypt_data(wrapped, key)
 
 
 def test_encrypted_data_version_other_than_0_is_refused():

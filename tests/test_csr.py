@@ -1,11 +1,11 @@
 import pytest
 
 from pkcswb import asn1, oids, pkcs1, rsa
-from pkcswb.asn1 import der_encode
+from pkcswb.asn1 import AlgorithmIdentifier, der_encode
 from pkcswb.csr import (CertificationRequest, CertificationRequestInfo,
                         MalformedRequest, Name, build_csr, decode_public_key_info,
                         encode_public_key_info, verify_csr)
-from pkcswb.keystore import AlgorithmIdentifier, attribute_make
+from pkcswb.keystore import attribute_make
 from conftest import seeded
 
 

@@ -5,18 +5,17 @@ password each raise the one DecryptionError, with no cause attached."""
 import pytest
 
 from pkcswb import asn1, cms, oids
-from pkcswb.asn1 import der_encode
+from pkcswb.asn1 import AlgorithmIdentifier, der_encode
 from pkcswb.errors import DecryptionError
-from pkcswb.keystore import (AlgorithmIdentifier, EncryptedPrivateKeyInfo, PrivateKeyInfo,
-                             decrypt_private_key, pbes2_algorithm)
+from pkcswb.keystore import EncryptedPrivateKeyInfo, PrivateKeyInfo, decrypt_private_key
 from pkcswb.pfx import MacData, PfxCredentials, PfxPdu, pfx_open
-from pkcswb.pkcs5 import AES128_KEY_LEN, Pbes2Params, Pbkdf2Params, pbkdf2, pbmac1_tag
+from pkcswb.pkcs5 import AES128_KEY_LEN, Pbkdf2Params, pbes2_algorithm, pbkdf2, pbmac1_tag
 from pkcswb.primitives import cbc_encrypt
 from conftest import seeded
 
 IV = b"i" * 16
 AES_CBC = AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(IV))
-PBES2 = pbes2_algorithm(Pbes2Params(b"saltsalt", 16, IV))
+PBES2 = pbes2_algorithm(b"saltsalt", 16, IV)
 PASSWORD = b"right-pw"
 PASSWORD_KEY = pbkdf2(PASSWORD, Pbkdf2Params(b"saltsalt", 16, AES128_KEY_LEN))
 

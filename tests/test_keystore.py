@@ -3,17 +3,16 @@ import math
 import pytest
 
 from pkcswb import asn1, keystore, oids, pkcs5, rsa
-from pkcswb.asn1 import Oid, der_decode, der_encode
-from pkcswb.errors import DecryptionError, UnsupportedAlgorithm
-from pkcswb.keystore import (ATTRIBUTE_REGISTRY, AlgorithmIdentifier, Attribute,
-                             EncryptedPrivateKeyInfo, MalformedKey, PrivateKeyInfo,
+from pkcswb.asn1 import AlgorithmIdentifier, Oid, der_decode, der_encode
+from pkcswb.errors import DecryptionError, MalformedKey, UnsupportedAlgorithm
+from pkcswb.keystore import (ATTRIBUTE_REGISTRY, Attribute,
+                             EncryptedPrivateKeyInfo, PrivateKeyInfo,
                              SyntaxViolation, UnknownAttributeType, attribute_check,
                              attribute_make, decode_private_key,
                              decrypt_private_key,
                              encode_private_key, encrypt_private_key,
-                             natural_person_bundle, pbes2_algorithm,
-                             pbes2_params_from_algorithm, pkcs_entity_bundle)
-from pkcswb.pkcs5 import Pbes2Params
+                             natural_person_bundle, pkcs_entity_bundle)
+from pkcswb.pkcs5 import pbes2_algorithm, pbes2_fields
 from conftest import seeded
 
 
@@ -105,6 +104,18 @@ def test_body_with_d_modulo_phi_decodes_and_re_encodes_as_received(primes, e):
     decoded = decode_private_key(edited)
     assert decoded.d == d_phi and decoded.crt_exponents == private.crt_exponents
     assert encode_private_key(decoded) == edited
+
+
+@pytest.mark.parametrize("u", [2, 3])
+def test_body_with_d_outside_one_to_n_is_malformed(toy_keys, u):
+    # the triples still match: lcm(r_i - 1) is a multiple of every r_i - 1
+    private = toy_keys[u][1]
+    lam = math.lcm(*(r - 1 for r in private.primes))
+    for d in (private.d - 3 * lam, private.d + (private.n // lam + 1) * lam):
+        edited = _with_body_fields(private, lambda fields: fields[:3] + [asn1.integer(d)]
+                                   + fields[4:])
+        with pytest.raises(MalformedKey, match=r"\[1, n\)"):
+            decode_private_key(edited)
 
 
 @pytest.mark.parametrize("i", [0, 1, 2])
@@ -363,10 +374,9 @@ def test_p8e_iteration_count_above_cap_fails_before_pbkdf2(key_512, monkeypatch)
     _, private = key_512
     epki = encrypt_private_key(PrivateKeyInfo(private), b"pw", b"saltsalt", 64,
                                seeded(b"iv-cap"))
-    params = pbes2_params_from_algorithm(epki.algorithm)
-    edited = EncryptedPrivateKeyInfo(
-        pbes2_algorithm(Pbes2Params(params.salt, 2**40, params.iv)),
-        epki.encrypted_data).to_der()
+    salt, _, iv = pbes2_fields(epki.algorithm)
+    edited = EncryptedPrivateKeyInfo(pbes2_algorithm(salt, 2**40, iv),
+                                     epki.encrypted_data).to_der()
 
     def no_pbkdf2(*args):
         raise AssertionError("PBKDF2 ran on an over-cap iteration count")
@@ -382,9 +392,9 @@ def test_p8e_nonpositive_count_or_empty_salt_is_malformed(key_512, monkeypatch, 
     _, private = key_512
     epki = encrypt_private_key(PrivateKeyInfo(private), b"pw", b"saltsalt", 64,
                                seeded(b"iv-low"))
-    params = pbes2_params_from_algorithm(epki.algorithm)
-    edited = EncryptedPrivateKeyInfo(
-        pbes2_algorithm(Pbes2Params(salt, count, params.iv)), epki.encrypted_data).to_der()
+    _, _, iv = pbes2_fields(epki.algorithm)
+    edited = EncryptedPrivateKeyInfo(pbes2_algorithm(salt, count, iv),
+                                     epki.encrypted_data).to_der()
 
     def no_pbkdf2(*args):
         raise AssertionError("PBKDF2 ran on a malformed header")
@@ -427,8 +437,8 @@ def test_private_key_prime_count_above_cap_is_malformed(no_key_built):
     with pytest.raises(MalformedKey, match="primes"):
         PrivateKeyInfo.from_der(over)
     # wrapped under a password, the same key is one more decryption failure
-    params, ciphertext = pkcs5.pbes2_encrypt(over, b"pw", b"saltsalt", 64, seeded(b"iv-u"))
-    epki = EncryptedPrivateKeyInfo(pbes2_algorithm(params), ciphertext)
+    epki = EncryptedPrivateKeyInfo(*pkcs5.pbes2_encrypt(over, b"pw", b"saltsalt", 64,
+                                                        seeded(b"iv-u")))
     with pytest.raises(DecryptionError) as info:
         decrypt_private_key(epki, b"pw")
     assert info.value.__cause__ is None and info.value.__suppress_context__

@@ -1,7 +1,8 @@
 """The layers import downward only: each module of the package imports only
 the modules listed before it in LAYERS (the order bench/tracer.py assumes).
-One decision sits in one layer: only pkcs1 names PssParams, and only
-primitives (CBC decryption), cms and pfx (their headers) enter
+One decision sits in one layer: only pkcs1 names PssParams, only pkcs5
+names the password-based OIDs, AlgorithmIdentifier is defined in asn1 alone,
+and only primitives (CBC decryption), cms and pfx (their headers) enter
 uniform_decryption."""
 
 import ast
@@ -59,6 +60,22 @@ def test_only_pkcs1_names_pss_params():
     naming = sorted(path.stem for path in PACKAGE.glob("*.py")
                     if path.stem != "pkcs1" and "PssParams" in set(_identifiers(path)))
     assert naming == []
+
+
+def test_only_pkcs5_names_the_password_based_oids():
+    # the PBES2 and PBKDF2 headers are pkcs5's: keystore and pfx pass identifiers through
+    naming = sorted(path.stem for path in PACKAGE.glob("*.py")
+                    if path.stem not in ("oids", "pkcs5")
+                    and {"PBES2", "PBKDF2", "LEGACY_PBE"} & set(_identifiers(path)))
+    assert naming == []
+
+
+def test_algorithm_identifier_is_defined_only_in_asn1():
+    # RFC 5280's generic type sits below pkcs1, so every layer can name it
+    defining = sorted(path.stem for path in PACKAGE.glob("*.py")
+                      if any(isinstance(node, ast.ClassDef) and node.name == "AlgorithmIdentifier"
+                             for node in ast.walk(ast.parse(path.read_text(), str(path)))))
+    assert defining == ["asn1"]
 
 
 def test_only_primitives_cms_and_pfx_enter_uniform_decryption():

@@ -4,10 +4,9 @@ import pytest
 
 from pkcswb import asn1, cms, oids, pfx, pkcs5
 from pkcswb.csr import Name, build_csr
-from pkcswb.errors import (DecryptionError, IntegrityFailure, MissingCredential,
+from pkcswb.errors import (DecryptionError, IntegrityFailure, MalformedKey, MissingCredential,
                            UnsupportedAlgorithm)
-from pkcswb.keystore import (MalformedKey, PrivateKeyInfo, attribute_make,
-                             encrypt_private_key)
+from pkcswb.keystore import PrivateKeyInfo, attribute_make, encrypt_private_key
 from pkcswb.pfx import (MacData, PfxCredentials, PfxPdu, PfxSecurityWarning,
                         SafeBag, pfx_create, pfx_open)
 from conftest import seeded
@@ -281,10 +280,10 @@ def test_mac_nonpositive_count_or_empty_salt_is_malformed(material, salt, count)
 @pytest.mark.parametrize("salt,count", [(b"saltsalt", 0), (b"saltsalt", -1), (b"", 2048)])
 def test_privacy_nonpositive_count_or_empty_salt_is_uniform(material, monkeypatch, salt, count):
     bags, credentials, _ = material
-    real = pfx.pbes2_algorithm
+    real = pkcs5.pbes2_algorithm
     # the edited header is MACed, so only the privacy layer can refuse it
-    monkeypatch.setattr(pfx, "pbes2_algorithm",
-                        lambda params: real(pkcs5.Pbes2Params(salt, count, params.iv)))
+    monkeypatch.setattr(pkcs5, "pbes2_algorithm",
+                        lambda _salt, _count, iv: real(salt, count, iv))
     built = pfx_create(bags, "password", "password", credentials, seeded(b"priv-low"))
     with pytest.raises(DecryptionError):
         pfx_open(PfxPdu.from_der(built.to_der()), credentials)

@@ -6,9 +6,9 @@ import pytest
 
 from oracles import naive_pbkdf2
 from pkcswb.errors import DecryptionError, uniform_decryption
-from pkcswb.pkcs5 import (MAX_ITERATIONS, DerivedKeyTooLong, Pbes2Params, Pbkdf2Params,
-                          TooManyIterations, check_iterations, pbes2_decrypt,
-                          pbes2_encrypt, pbkdf2, pbmac1_tag, pbmac1_verify)
+from pkcswb.pkcs5 import (MAX_ITERATIONS, DerivedKeyTooLong, Pbkdf2Params, TooManyIterations,
+                          check_iterations, pbes2_algorithm, pbes2_decrypt, pbes2_encrypt,
+                          pbes2_fields, pbkdf2, pbmac1_tag, pbmac1_verify)
 from conftest import count_sha256_constructions, hmac_pads, seeded
 
 PASSWORD = b"correct horse"
@@ -112,45 +112,55 @@ def test_check_iterations_bounds():
 
 
 def test_pbes2_round_trip():
-    params, ciphertext = pbes2_encrypt(b"attack at dawn", PASSWORD, SALT, 100,
-                                       seeded(b"iv"))
-    assert pbes2_decrypt(params, ciphertext, PASSWORD) == b"attack at dawn"
+    algorithm, ciphertext = pbes2_encrypt(b"attack at dawn", PASSWORD, SALT, 100,
+                                          seeded(b"iv"))
+    assert pbes2_decrypt(algorithm, ciphertext, PASSWORD) == b"attack at dawn"
 
 
 def test_pbes2_wrong_password_fifty_trials():
-    params, ciphertext = pbes2_encrypt(b"attack at dawn", PASSWORD, SALT, 100,
-                                       seeded(b"iv2"))
+    algorithm, ciphertext = pbes2_encrypt(b"attack at dawn", PASSWORD, SALT, 100,
+                                          seeded(b"iv2"))
     for index in range(50):
         with pytest.raises(DecryptionError):
-            pbes2_decrypt(params, ciphertext, b"wrong-%04d" % index)
+            pbes2_decrypt(algorithm, ciphertext, b"wrong-%04d" % index)
 
 
 def test_pbes2_iteration_count_feeds_derivation():
     a, _ = pbes2_encrypt(b"m", PASSWORD, SALT, 1, seeded(b"same-iv"))
     b, _ = pbes2_encrypt(b"m", PASSWORD, SALT, 10000, seeded(b"same-iv"))
-    key_a = pbkdf2(PASSWORD, Pbkdf2Params(SALT, a.iterations, 16))
-    key_b = pbkdf2(PASSWORD, Pbkdf2Params(SALT, b.iterations, 16))
+    key_a = pbkdf2(PASSWORD, Pbkdf2Params(SALT, pbes2_fields(a)[1], 16))
+    key_b = pbkdf2(PASSWORD, Pbkdf2Params(SALT, pbes2_fields(b)[1], 16))
     assert key_a != key_b
 
 
 def test_pbes2_params_self_describing():
-    params, ciphertext = pbes2_encrypt(b"payload", PASSWORD, b"othersalt", 123,
-                                       seeded(b"iv3"))
-    assert params.salt == b"othersalt" and params.iterations == 123
-    assert len(params.iv) == 16
-    rebuilt = Pbes2Params(params.salt, params.iterations, params.iv)
+    algorithm, ciphertext = pbes2_encrypt(b"payload", PASSWORD, b"othersalt", 123,
+                                          seeded(b"iv3"))
+    salt, iterations, iv = pbes2_fields(algorithm)
+    assert salt == b"othersalt" and iterations == 123
+    assert len(iv) == 16
+    rebuilt = pbes2_algorithm(salt, iterations, iv)
     assert pbes2_decrypt(rebuilt, ciphertext, PASSWORD) == b"payload"
 
 
+def test_pbes2_header_round_trip():
+    rng = seeded(b"pbes2-header")
+    for _ in range(20):
+        salt = rng.read(1 + rng.read(1)[0] % 32)
+        count = 1 + int.from_bytes(rng.read(3), "big") % MAX_ITERATIONS
+        iv = rng.read(16)
+        assert pbes2_fields(pbes2_algorithm(salt, count, iv)) == (salt, count, iv)
+
+
 def test_pbes2_tampered_ciphertext_uniform_error():
-    params, ciphertext = pbes2_encrypt(b"payload", PASSWORD, SALT, 100, seeded(b"iv4"))
+    algorithm, ciphertext = pbes2_encrypt(b"payload", PASSWORD, SALT, 100, seeded(b"iv4"))
     shapes = set()
     for tampered in (ciphertext[:-1] + b"\x00", b"\x00" * len(ciphertext),
                      ciphertext[:16]):
         if tampered == ciphertext:
             continue
         with pytest.raises(DecryptionError) as info:
-            pbes2_decrypt(params, tampered, PASSWORD)
+            pbes2_decrypt(algorithm, tampered, PASSWORD)
         shapes.add((type(info.value), info.value.args))
     assert len(shapes) == 1
 

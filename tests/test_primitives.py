@@ -146,6 +146,11 @@ def test_mgf_under_a_truncated_hash_matches_the_oracle_and_earlier_outputs(hash_
 # -- AES / CBC --------------------------------------------------------------
 
 
+def _needs_cryptography():
+    """Skip where the optional ``test`` extra (``pip install .[test]``) is absent."""
+    pytest.importorskip("cryptography", reason="cryptography comes with the 'test' extra")
+
+
 def _pyca_ecb(key, block, decrypt=False):
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
     cipher = Cipher(algorithms.AES(key), modes.ECB())
@@ -154,6 +159,7 @@ def _pyca_ecb(key, block, decrypt=False):
 
 
 def test_aes_block_against_independent_implementation():
+    _needs_cryptography()
     rng = seeded(b"aes")
     for _ in range(50):
         key, block = rng.read(16), rng.read(16)
@@ -209,7 +215,7 @@ def test_cbc_sp800_38a_vectors():
 
 
 def test_known_answer_vectors_match_cryptography():
-    pytest.importorskip("cryptography")
+    _needs_cryptography()
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
     key, plaintext, ciphertext = FIPS197_C1
     assert _pyca_ecb(key, plaintext) == ciphertext
@@ -269,6 +275,7 @@ def test_cbc_round_trip_all_lengths():
 
 
 def test_cbc_matches_independent_implementation():
+    _needs_cryptography()
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
     rng = seeded(b"cbc2")
     for n in (0, 1, 15, 16, 17, 64):

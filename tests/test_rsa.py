@@ -99,6 +99,16 @@ def test_private_key_invariants_checked():
         private.n, private.crt_exponents, private.crt_coefficients)
 
 
+@pytest.mark.parametrize("u", [2, 3])
+def test_private_key_d_outside_one_to_n_is_invalid(toy_keys, u):
+    # e*d = 1 mod lcm(r_i - 1) holds for both: only the range refuses them
+    private = toy_keys[u][1]
+    lam = math.lcm(*(r - 1 for r in private.primes))
+    for d in (private.d - 3 * lam, private.d + (private.n // lam + 1) * lam):
+        with pytest.raises(rsa.InvalidKey, match=r"\[1, n\)"):
+            rsa.RsaPrivateKey(private.e, d, private.primes)
+
+
 @pytest.mark.parametrize("primes,e", [((3, 5, 15), 3), ((9, 15), 3), ((5, 11), 5)])
 def test_private_key_primes_must_be_coprime_to_each_other_and_e(primes, e):
     with pytest.raises(rsa.InvalidKey):
