@@ -59,7 +59,6 @@ __all__ = [
     "oid_to_octets",
     "octets_to_oid",
     "text_octets",
-    "hex_dump",
 ]
 
 # Universal tag numbers handled with typed constructors/accessors.  Anything
@@ -683,8 +682,3 @@ class AlgorithmIdentifier:
     def from_der_value(cls, value: DerValue) -> "AlgorithmIdentifier":
         kids = _fields(value, 1, 2)
         return cls(kids[0].as_oid(), kids[1] if len(kids) == 2 else None)
-
-
-def hex_dump(octets: bytes) -> str:
-    """Diagnostic rendering: lowercase hex, two chars per octet, no separators."""
-    return bytes(octets).hex()

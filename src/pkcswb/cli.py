@@ -13,8 +13,9 @@ for an I/O error.
 Options that several subcommands take (``--in``, ``--out``, ``--key``, ...)
 are each defined once, as an argparse parent parser.  ``cms-digest`` and
 ``cms-auth`` take exactly one of ``--out`` (make) and ``--check`` (check).
-Binary outputs are raw DER files; diagnostics go to stderr as plain hex
-dumps.  Set --seed or PKCSWB_SEED for fully deterministic runs.
+Binary outputs are raw DER files; each written file is echoed to stderr as
+its path, its length and a short SHA-256 fingerprint, never its octets.
+Set --seed or PKCSWB_SEED for fully deterministic runs.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 from . import cms, csr as csr_mod, keystore, pfx as pfx_mod, pkcs1, pkcs5, rsa, \
     token as token_mod
-from .asn1 import der_decode, der_encode, hex_dump, text_octets
+from .asn1 import der_decode, der_encode, text_octets
 from .errors import BadParameter, IntegrityFailure, PkcsError
 from .primitives import SHA256, RandomSource, SeededSource, SystemRandomSource
 from .token import Token, export_pkcs15_layout
@@ -55,10 +56,16 @@ def _read(path: str) -> bytes:
         return handle.read()
 
 
+def _fingerprint(data: bytes) -> str:
+    return SHA256.digest(data)[:8].hex()
+
+
 def _write(path: str, data: bytes) -> None:
+    """Write ``data``; stderr names it by fingerprint, never by its octets,
+    which may be a plaintext key."""
     with open(path, "wb") as handle:
         handle.write(data)
-    print(f"{path} ({len(data)} octets): {hex_dump(data)}", file=sys.stderr)
+    print(f"{path} ({len(data)} octets): {_fingerprint(data)}", file=sys.stderr)
 
 
 def _hex_arg(text: str) -> bytes:
@@ -330,6 +337,17 @@ def _cmd_strength(args) -> int:
 # ---------------------------------------------------------------------------
 # the end-to-end scenario
 
+SCENARIO_STEPS = (
+    "keypair-generation",
+    "natural-person-attributes",
+    "certification-request",
+    "enveloped-transport",
+    "certificate-issuance",
+    "private-key-wrapping",
+    "pfx-transfer",
+    "token-provisioning",
+    "challenge-response",
+)
 FAULT_POINTS = ("transport", "pfx", "challenge")
 
 _ALICE_PASSWORD = b"alice-card-pin"
@@ -337,26 +355,22 @@ _TRANSFER_CREDENTIALS = pfx_mod.PfxCredentials(privacy_password=b"transfer-priva
                                                integrity_password=b"transfer-integrity")
 
 
-def _fingerprint(data: bytes) -> str:
-    return SHA256.digest(data)[:8].hex()
-
-
 def run_scenario(seed: bytes, fault: str | None = None) -> tuple[str, bool]:
     """Replay the enrollment flow; returns (report, all_steps_passed)."""
     if fault is not None and fault not in FAULT_POINTS:
         raise ValueError(f"unknown fault point {fault!r}")
-    rng = SeededSource(seed)
     lines = [
         "smart-card enrollment scenario",
         f"seed={seed.hex()}",
         f"fault={fault or 'none'}",
     ]
-    state: dict = {}
+    directory: list[str] = []
+    steps = _scenario(SeededSource(seed), fault, directory)
     passed = 0
     failed_at = None
-    for index, (name, step) in enumerate(_SCENARIO, start=1):
+    for index, name in enumerate(SCENARIO_STEPS, start=1):
         try:
-            detail = step(state, rng, fault)
+            detail = next(steps)
         except Exception as exc:
             reason = exc if isinstance(exc, ScenarioStepFailed) else f"{type(exc).__name__}: {exc}"
             lines.append(f"step {index}/9 {name:<26} FAIL  {reason}")
@@ -368,23 +382,25 @@ def run_scenario(seed: bytes, fault: str | None = None) -> tuple[str, bool]:
         lines.append(f"result: {passed}/9 steps passed")
     else:
         lines.append(f"result: {passed}/9 steps passed, failed at {failed_at}")
-    if "manifest" in state:
+    if directory:
         lines.append("token directory:")
-        lines.append(state["manifest"].rstrip("\n"))
+        lines.append(directory[0].rstrip("\n"))
     return "\n".join(lines) + "\n", failed_at is None
 
 
-def _step_keypair(state, rng, fault):
-    public, private = rsa.generate_key(1024, 2, 65537, rng)
+def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
+    """The steps of SCENARIO_STEPS in order: yields each one's report detail,
+    raises where one fails, and appends the provisioned token's PKCS #15
+    directory to ``directory``."""
+    # keypair-generation
+    alice_pub, alice_priv = rsa.generate_key(1024, 2, 65537, rng)
     probe = 0x1234567890ABCDEF
-    if rsa.rsa_private_op(rsa.rsa_public_op(probe, public), private) != probe:
+    if rsa.rsa_private_op(rsa.rsa_public_op(probe, alice_pub), alice_priv) != probe:
         raise ScenarioStepFailed("operation identity failed")
-    state["alice_pub"], state["alice_priv"] = public, private
-    state["ca_pub"], state["ca_priv"] = rsa.generate_key(1024, 2, 65537, rng)
-    return f"|n|={public.n.bit_length()} bits, u={private.u}, e={public.e}"
+    ca_pub, ca_priv = rsa.generate_key(1024, 2, 65537, rng)
+    yield f"|n|={alice_pub.n.bit_length()} bits, u={alice_priv.u}, e={alice_pub.e}"
 
-
-def _step_attributes(state, rng, fault):
+    # natural-person-attributes
     bundle = keystore.natural_person_bundle(
         email_address="alice@example.org",
         country_of_citizenship="US",
@@ -397,11 +413,9 @@ def _step_attributes(state, rng, fault):
             der_decode(der_encode(attribute.to_der_value())))
         if recoded != attribute:
             raise ScenarioStepFailed("attribute round-trip failed")
-    state["bundle"] = bundle
-    return f"{len(bundle)} attributes"
+    yield f"{len(bundle)} attributes"
 
-
-def _step_csr(state, rng, fault):
+    # certification-request
     subject = csr_mod.Name((
         ("commonName", "Alice Example"),
         ("organization", "Example Credit Union"),
@@ -409,86 +423,74 @@ def _step_csr(state, rng, fault):
         ("emailAddress", "alice@example.org"),
     ))
     request = csr_mod.build_csr(
-        subject, (state["alice_pub"], state["alice_priv"]),
+        subject, (alice_pub, alice_priv),
         (keystore.attribute_make("challengePassword", "revoke-me-not"),), rng)
     if not csr_mod.verify_csr(request):
         raise ScenarioStepFailed("self-signature failed")
-    state["subject"], state["request"] = subject, request
-    return f"csr={_fingerprint(request.to_der())}"
+    request_der = request.to_der()
+    yield f"csr={_fingerprint(request_der)}"
 
-
-def _step_transport(state, rng, fault):
-    enveloped = cms.envelope(cms.make_data(state["request"].to_der()),
-                             state["ca_pub"], rng)
-    wire = bytearray(enveloped.to_der())
+    # enveloped-transport
+    wire = bytearray(cms.envelope(cms.make_data(request_der), ca_pub, rng).to_der())
     if fault == "transport":
         wire[len(wire) // 2] ^= 0x01
     try:
-        received = cms.open_envelope(cms.ContentInfo.from_der(bytes(wire)),
-                                     state["ca_priv"])
-        request = csr_mod.CertificationRequest.from_der(cms.data_payload(received))
-        ok = csr_mod.verify_csr(request)
+        received = cms.open_envelope(cms.ContentInfo.from_der(bytes(wire)), ca_priv)
+        ca_request = csr_mod.CertificationRequest.from_der(cms.data_payload(received))
+        ok = csr_mod.verify_csr(ca_request)
     except Exception as exc:
         raise ScenarioStepFailed(f"CA could not open: {type(exc).__name__}")
     if not ok:
         raise ScenarioStepFailed("request invalid after transport")
-    state["ca_request"] = request
-    return f"envelope={_fingerprint(bytes(wire))}"
+    yield f"envelope={_fingerprint(bytes(wire))}"
 
-
-def _step_issue(state, rng, fault):
+    # certificate-issuance
     ca_name = csr_mod.Name((("commonName", "Toy Issuing CA"), ("country", "US")))
-    certificate = cms.toy_issue(state["ca_request"], state["ca_priv"], ca_name, 1001, rng)
-    cms.verify_signed(certificate, state["ca_pub"])
-    subject, public, serial, issuer = cms.cert_fields(certificate)
-    if subject != state["subject"] or public != state["alice_pub"]:
+    certificate = cms.toy_issue(ca_request, ca_priv, ca_name, 1001, rng)
+    cms.verify_signed(certificate, ca_pub)
+    cert_subject, cert_public, serial, _issuer = cms.cert_fields(certificate)
+    if cert_subject != subject or cert_public != alice_pub:
         raise ScenarioStepFailed("certificate binds the wrong identity")
-    state["certificate"] = certificate
-    return f"serial={serial} cert={_fingerprint(certificate.to_der())}"
+    yield f"serial={serial} cert={_fingerprint(certificate.to_der())}"
 
-
-def _step_wrap(state, rng, fault):
-    info = keystore.PrivateKeyInfo(state["alice_priv"], state["bundle"])
+    # private-key-wrapping
+    info = keystore.PrivateKeyInfo(alice_priv, bundle)
     epki = keystore.encrypt_private_key(info, _ALICE_PASSWORD, rng.read(8), 2048, rng)
     if keystore.decrypt_private_key(epki, _ALICE_PASSWORD) != info:
         raise ScenarioStepFailed("wrap/unwrap mismatch")
-    state["epki"] = epki
-    return f"epki={_fingerprint(epki.to_der())}"
+    yield f"epki={_fingerprint(epki.to_der())}"
 
-
-def _step_pfx(state, rng, fault):
+    # pfx-transfer
     key_id = keystore.attribute_make("localKeyId", b"\x01")
     bags = (
-        pfx_mod.SafeBag("shroudedKey", state["epki"],
+        pfx_mod.SafeBag("shroudedKey", epki,
                         (key_id, keystore.attribute_make("friendlyName", "alice-key"))),
-        pfx_mod.SafeBag("cert", state["certificate"],
+        pfx_mod.SafeBag("cert", certificate,
                         (key_id, keystore.attribute_make("friendlyName", "alice-cert"))),
     )
-    pdu = pfx_mod.pfx_create(bags, pfx_mod.PRIVACY_PASSWORD,
-                             pfx_mod.INTEGRITY_PASSWORD, _TRANSFER_CREDENTIALS, rng)
-    state["bags"], state["pfx_der"] = bags, pdu.to_der()
-    return f"pfx={_fingerprint(state['pfx_der'])} bags={len(bags)}"
+    pfx_der = pfx_mod.pfx_create(bags, pfx_mod.PRIVACY_PASSWORD, pfx_mod.INTEGRITY_PASSWORD,
+                                 _TRANSFER_CREDENTIALS, rng).to_der()
+    yield f"pfx={_fingerprint(pfx_der)} bags={len(bags)}"
 
-
-def _step_provision(state, rng, fault):
-    wire = bytearray(state["pfx_der"])
+    # token-provisioning
+    wire = bytearray(pfx_der)
     if fault == "pfx":
         wire[len(wire) // 2] ^= 0x01
     try:
-        bags = pfx_mod.pfx_open(pfx_mod.PfxPdu.from_der(bytes(wire)), _TRANSFER_CREDENTIALS)
+        arrived = pfx_mod.pfx_open(pfx_mod.PfxPdu.from_der(bytes(wire)), _TRANSFER_CREDENTIALS)
     except IntegrityFailure:
         raise ScenarioStepFailed("PFX integrity check failed")
     except Exception as exc:
         raise ScenarioStepFailed(f"PFX unusable: {type(exc).__name__}")
-    if bags != state["bags"]:
+    if arrived != bags:
         raise ScenarioStepFailed("bags arrived altered")
-    shrouded = next(b for b in bags if b.bag_type == "shroudedKey")
-    cert_bag = next(b for b in bags if b.bag_type == "cert")
-    info = keystore.decrypt_private_key(shrouded.value, _ALICE_PASSWORD)
+    shrouded = next(b for b in arrived if b.bag_type == "shroudedKey")
+    cert_bag = next(b for b in arrived if b.bag_type == "cert")
+    unwrapped = keystore.decrypt_private_key(shrouded.value, _ALICE_PASSWORD)
     token, session = _personal_token("alice-card", rng, "so-factory-pin",
                                      _ALICE_PASSWORD.decode())
     key_handle = token.create_object(session, token_mod.CLASS_KEY, {
-        token_mod.CKA_VALUE: keystore.encode_private_key(info.key),
+        token_mod.CKA_VALUE: keystore.encode_private_key(unwrapped.key),
         token_mod.CKA_KEY_TYPE: "rsa", token_mod.CKA_KEY_KIND: "private",
         token_mod.CKA_ID: b"\x01", token_mod.CKA_LABEL: "alice-key",
         token_mod.CKA_PRIVATE: True, token_mod.CKA_SENSITIVE: True,
@@ -507,36 +509,17 @@ def _step_provision(state, rng, fault):
     for required in ("EF(PrKDF): 1", "EF(CDF): 1", "EF(DODF): 1"):
         if required not in manifest:
             raise ScenarioStepFailed("directory export incomplete")
-    state["token"], state["session"], state["key_handle"] = token, session, key_handle
-    state["manifest"] = manifest
-    return "card initialized, 3 objects stored"
+    directory.append(manifest)
+    yield "card initialized, 3 objects stored"
 
-
-def _step_challenge(state, rng, fault):
+    # challenge-response
     challenge = rng.read(32)
-    signature = bytearray(state["token"].sign(state["session"], state["key_handle"],
-                                              challenge))
+    signature = bytearray(token.sign(session, key_handle, challenge))
     if fault == "challenge":
         signature[0] ^= 0x01
-    _subject, public, _serial, _issuer = cms.cert_fields(state["certificate"])
-    if not pkcs1.verify(challenge, bytes(signature), public):
+    if not pkcs1.verify(challenge, bytes(signature), cert_public):
         raise ScenarioStepFailed("signature rejected by verifier")
-    return f"challenge={challenge[:8].hex()} sig={_fingerprint(bytes(signature))}"
-
-
-# (name, step) in the order the scenario runs them
-_SCENARIO = (
-    ("keypair-generation", _step_keypair),
-    ("natural-person-attributes", _step_attributes),
-    ("certification-request", _step_csr),
-    ("enveloped-transport", _step_transport),
-    ("certificate-issuance", _step_issue),
-    ("private-key-wrapping", _step_wrap),
-    ("pfx-transfer", _step_pfx),
-    ("token-provisioning", _step_provision),
-    ("challenge-response", _step_challenge),
-)
-SCENARIO_STEPS = tuple(name for name, _step in _SCENARIO)
+    yield f"challenge={challenge[:8].hex()} sig={_fingerprint(bytes(signature))}"
 
 
 def _cmd_scenario(args) -> int:

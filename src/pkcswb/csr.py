@@ -149,7 +149,7 @@ class CertificationRequestInfo:
     def from_der_value(cls, value: DerValue) -> "CertificationRequestInfo":
         version_v, subject_v, spki_v, attrs_v = asn1._fields(value, 4)
         if version_v.as_integer() != cls.version:
-            raise MalformedRequest(f"unsupported request version {version_v.as_integer()}")
+            raise MalformedRequest(f"unsupported request version, not {cls.version}")
         if not attrs_v.is_context(0):
             raise MalformedRequest("attribute set must be [0] tagged")
         return cls(Name.from_der_value(subject_v), decode_public_key_info(spki_v),

@@ -18,7 +18,7 @@ deployed PKCS#12 files use, so these files are written with a distinct
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import asn1, cms, oids
 from .asn1 import DerValue, der_decode, der_encode
@@ -138,20 +138,21 @@ class PfxPdu:
     def from_der(cls, octets: bytes) -> "PfxPdu":
         kids = asn1._fields(der_decode(octets), 2, 3)
         if kids[0].as_integer() != cls.version:
-            raise UnsupportedAlgorithm(f"unsupported PFX version {kids[0].as_integer()}")
+            raise UnsupportedAlgorithm(f"unsupported PFX version, not {cls.version}")
         mac = MacData.from_der_value(kids[2]) if len(kids) == 3 else None
         return cls(ContentInfo.from_der_value(kids[1]), mac)
 
 
 @dataclass(frozen=True)
 class PfxCredentials:
-    """Whatever the chosen modes require; unused fields stay None."""
+    """Whatever the chosen modes require; unused fields stay None.  The
+    passwords and private keys are left out of the repr."""
 
-    privacy_password: bytes | None = None
-    integrity_password: bytes | None = None
+    privacy_password: bytes | None = field(default=None, repr=False)
+    integrity_password: bytes | None = field(default=None, repr=False)
     destination_pub: RsaPublicKey | None = None
-    destination_priv: RsaPrivateKey | None = None
-    source_sign_key: RsaPrivateKey | None = None
+    destination_priv: RsaPrivateKey | None = field(default=None, repr=False)
+    source_sign_key: RsaPrivateKey | None = field(default=None, repr=False)
     source_verify_key: RsaPublicKey | None = None
     source_name: Name | None = None
 

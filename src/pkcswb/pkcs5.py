@@ -66,11 +66,13 @@ class TooManyIterations(PkcsError, ValueError):
 
 def check_iterations(count: int) -> int:
     """``count`` if in [1, MAX_ITERATIONS]; called on a count read from a
-    file or about to be written to one, before any key derivation."""
+    file or about to be written to one, before any key derivation.  A wire
+    count may be too long to print in decimal, so no message prints it."""
     if count < 1:
-        raise BadParameter(f"iteration count {count} is not positive")
+        raise BadParameter("iteration count is not positive")
     if count > MAX_ITERATIONS:
-        raise TooManyIterations(f"iteration count {count} exceeds {MAX_ITERATIONS}")
+        raise TooManyIterations(
+            f"iteration count of {count.bit_length()} bits exceeds {MAX_ITERATIONS}")
     return count
 
 

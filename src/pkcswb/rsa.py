@@ -156,6 +156,10 @@ class RsaPrivateKey:
         object.__setattr__(self, "crt_coefficients", tuple(
             pow(math.prod(primes[:i]), -1, r) for i, r in enumerate(primes)))
 
+    def __repr__(self) -> str:
+        # d, the primes and the CRT values are secret: only public facts print
+        return f"RsaPrivateKey(e={self.e}, n=<{self.n.bit_length()} bits>, u={self.u})"
+
     @property
     def u(self) -> int:
         return len(self.primes)

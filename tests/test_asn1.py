@@ -6,7 +6,7 @@ from pkcswb import asn1
 from pkcswb.asn1 import (ArcOverflow, DerValue, IndefiniteLength, NonCanonical,
                          NonMinimalLength, Oid, OversizeTag, TagClass,
                          TrailingOctets, Truncated, der_decode, der_encode,
-                         hex_dump, octets_to_oid, oid_to_octets)
+                         octets_to_oid, oid_to_octets)
 
 
 def test_integer_zero():
@@ -222,10 +222,6 @@ def test_require_names_what_it_found():
         asn1.require(asn1.integer(5), asn1.SEQUENCE)
     assert str(raised.value) == ("expected constructed UNIVERSAL tag 16, "
                                  "got primitive UNIVERSAL tag 2")
-
-
-def test_hex_dump():
-    assert hex_dump(bytes([0x9D, 0x00, 0xFF])) == "9d00ff"
 
 
 def test_bit_string_unused_bits():

@@ -1,11 +1,19 @@
 import argparse
+import hashlib
 import os
 
 import pytest
 
-from pkcswb.cli import FAULT_POINTS, _build_parser, main, run_scenario
+from pkcswb.cli import FAULT_POINTS, _build_parser, _fingerprint, main, run_scenario
 
 SEED = "000102030405060708090a0b0c0d0e0f"
+# SHA-256 of the scenario report for SEED, by fault point
+SCENARIO_REPORTS = {
+    None: "7429627a9c60e84a79d11d48130b4918ab6394adf0d499995d56ff43ca8df547",
+    "transport": "1bd346e394776fb5a3ecc4700edf844fd919afdf5e8c490a24a47466008683ec",
+    "pfx": "6848127446533b6be75442f5dce952731ebbf491095b8c953665aa49f84e8e6f",
+    "challenge": "021c4c1e6ba075543e86ecef95d694715076b3125736d5de414cf2249d61ac8b",
+}
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -212,6 +220,10 @@ def test_scenario_byte_reproducible():
     a, ok_a = run_scenario(bytes.fromhex(SEED))
     b, ok_b = run_scenario(bytes.fromhex(SEED))
     assert ok_a and ok_b and a == b
+    for fault, digest in SCENARIO_REPORTS.items():
+        report, ok = (a, ok_a) if fault is None else run_scenario(bytes.fromhex(SEED), fault)
+        assert ok == (fault is None)
+        assert hashlib.sha256(report.encode()).hexdigest() == digest, fault
 
 
 def test_scenario_fault_points(capsys):
@@ -225,6 +237,53 @@ def test_scenario_fault_points(capsys):
         code, out = run(capsys, "scenario", "--fault", fault)
         assert code == 1
         assert f"failed at {failing_step}" in out
+
+
+def test_written_files_are_echoed_by_fingerprint(workdir, readable, tmp_path, capsys,
+                                                 monkeypatch):
+    """stderr names each written file by path, length and fingerprint, and
+    never gives its octets: here plaintext keys and messages."""
+    from pkcswb import pfx
+    monkeypatch.setattr(pfx, "_MAC_ITERATIONS", 2)
+    monkeypatch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    for argv in (
+            ["rsa-encrypt", "--key", "{dir}/alice.spki", "--in", "{dir}/message.bin",
+             "--out", "{tmp}/ct.bin"],
+            ["cms-envelope", "--key", "{dir}/alice.spki", "--in", "{dir}/message.bin",
+             "--out", "{tmp}/sealed.cms"],
+            ["pfx-pack", "--privacy", "password", "--integrity", "password",
+             "--key", "{dir}/alice.p8", "--cert", "{readable}/signed.cms", "--password", "pw",
+             "--out", "{tmp}/alice.pfxw"]):
+        assert main(["--seed", SEED, *(arg.format(dir=workdir, readable=readable, tmp=inputs)
+                                       for arg in argv)]) == 0
+    writers = {
+        "keygen": ["keygen", "--bits", "512", "--out", "{out}/key.p8"],
+        "rsa-decrypt": ["rsa-decrypt", "--key", "{dir}/alice.p8", "--in", "{tmp}/ct.bin",
+                        "--out", "{out}/message.bin"],
+        "p8-unwrap": ["p8-unwrap", "--in", "{readable}/alice.p8e", "--password", "pw",
+                      "--out", "{out}/key.p8"],
+        "cms-open": ["cms-open", "--key", "{dir}/alice.p8", "--in", "{tmp}/sealed.cms",
+                     "--out", "{out}/message.bin"],
+        "cms-encrypt --decrypt": ["cms-encrypt", "--decrypt", "--key-hex", "00" * 16,
+                                  "--in", "{dir}/message.p7e", "--out", "{out}/message.bin"],
+        "pfx-unpack": ["pfx-unpack", "--in", "{tmp}/alice.pfxw", "--password", "pw",
+                       "--out-dir", "{out}"],
+    }
+    capsys.readouterr()
+    for command, argv in writers.items():
+        out = tmp_path / command.replace(" ", "")
+        out.mkdir()
+        assert main(["--seed", SEED, *(arg.format(dir=workdir, readable=readable, tmp=inputs,
+                                                  out=out) for arg in argv)]) == 0
+        err = capsys.readouterr().err
+        written = sorted(out.iterdir())
+        assert written, command
+        for path in written:
+            octets = path.read_bytes()
+            assert octets.hex() not in err, command
+            assert f"{path} ({len(octets)} octets): {_fingerprint(octets)}" in err.splitlines()
 
 
 def test_environment_seed(tmp_path, capsys, monkeypatch):
@@ -554,6 +613,34 @@ def readable(workdir, tmp_path_factory):
         make("pfx-pack", "--privacy", "password", "--integrity", "password",
              "--cert", "{dir}/signed.cms", "--password", "pw", "--out", "{dir}/alice.pfxw")
     return path
+
+
+# the path of child indices to a wire INTEGER in a reading subcommand's
+# input: the PBKDF2 count, the PFX version and the request version
+INTEGER_AT = {"p8-unwrap": (0, 1, 0, 1, 1), "pfx-unpack": (0,), "csr-verify": (0, 0)}
+
+
+@pytest.mark.parametrize("command", list(INTEGER_AT))
+def test_an_integer_too_long_for_decimal_is_a_usage_error(readable, tmp_path, capsys, command):
+    """CPython prints at most 4300 digits of an int; a wire INTEGER of 5001
+    digits is refused with an error line, not a raw ValueError."""
+    from pkcswb import asn1
+
+    def with_huge_integer(value, path):
+        if not path:
+            return asn1.integer(10**5000)
+        kids = list(value.children)
+        kids[path[0]] = with_huge_integer(kids[path[0]], path[1:])
+        return asn1.sequence(*kids)
+
+    source, argv = READERS[command]
+    edited = tmp_path / "edited"
+    original = asn1.der_decode((readable / source).read_bytes())
+    edited.write_bytes(asn1.der_encode(with_huge_integer(original, INTEGER_AT[command])))
+    argv = [arg.format(dir=readable, **{"in": edited, "out": tmp_path / "out"}) for arg in argv]
+    code = main(["--seed", SEED, *argv])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: ") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", list(READERS))

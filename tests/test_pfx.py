@@ -247,11 +247,31 @@ def test_pfx_version_other_than_three_is_unsupported(material):
     bags, credentials, _ = material
     built = pfx_create(bags, "public_key", "password", credentials, seeded(b"version"))
     _, *rest = asn1.der_decode(built.to_der()).children
-    for version in (7, 2):
+    # 10**5000 has more digits than CPython prints (4300)
+    for version in (7, 2, 10**5000):
         edited = asn1.der_encode(asn1.sequence(asn1.integer(version), *rest))
         with pytest.raises(UnsupportedAlgorithm, match="version"):
             PfxPdu.from_der(edited)
     assert PfxPdu.from_der(built.to_der()).version == 3
+
+
+def test_reprs_print_no_secret(key_1024, key_1024_b):
+    """d, the primes and the CRT values of a key, and the passwords of PFX
+    credentials, appear in no repr; n's size, u and e do."""
+    public, private = key_1024
+    secrets = [private.d, *private.primes, *private.crt_exponents, *private.crt_coefficients[1:]]
+    info = PrivateKeyInfo(private)
+    texts = [repr(private), repr(info), repr(SafeBag("key", info))]
+    for text in texts:
+        assert not any(str(value) in text for value in secrets), text
+    assert "1024 bits" in texts[0] and "u=2" in texts[0] and "e=65537" in texts[0]
+    passwords = (b"privacy-secret", b"integrity-secret")
+    credentials = repr(PfxCredentials(*passwords, destination_pub=key_1024_b[0],
+                                      destination_priv=key_1024_b[1],
+                                      source_sign_key=private, source_verify_key=public))
+    for password in passwords:
+        assert password.decode() not in credentials and password.hex() not in credentials
+    assert str(key_1024_b[1].d) not in credentials and str(private.d) not in credentials
 
 
 def test_mac_iteration_count_above_cap_fails_before_pbkdf2(material, monkeypatch):

@@ -104,8 +104,10 @@ def test_check_iterations_bounds():
     for count in (0, -1):
         with pytest.raises(ValueError, match="not positive"):
             check_iterations(count)
-    with pytest.raises(TooManyIterations):
-        check_iterations(MAX_ITERATIONS + 1)
+    # 10**5000 has more digits than CPython prints (4300): its size is given
+    for count in (MAX_ITERATIONS + 1, 10**5000):
+        with pytest.raises(TooManyIterations, match=f"{count.bit_length()} bits"):
+            check_iterations(count)
 
 
 # -- PBES2 -------------------------------------------------------------------
