@@ -12,11 +12,12 @@ INTEGER, a primitive SET, ...), or a check of a primitive's content octets
 (INTEGER, BOOLEAN, NULL, BIT STRING, OBJECT IDENTIFIER).  The constructor
 looks a built value's identifier up there, and so does the decoder, which
 creates each value directly and runs only the rule its identifier has.
-SET OF order (X.690 §11.6) is set where a SET is built: the constructor
-sorts its children (``set_order``).  It is checked where a SET is received:
-``_check_set_order`` compares the received encodings of neighbouring
-children in one pass, for every decoded SET and for the attribute sets
-that ``keystore`` reads.
+SET OF order (X.690 §11.6) on the wire is set only where a SET is built: the
+constructor sorts its children (``set_order``), and an implicitly tagged SET
+OF is written as the re-tagged children of a built SET.  It is checked where
+a SET is received: ``_check_set_order`` compares the received encodings of
+neighbouring children in one pass, for every decoded SET and for the
+attribute sets that ``keystore`` reads.
 
 Decoding does each piece of work once.  An OID encoding is parsed once: the
 parse behind ``octets_to_oid`` has a bounded memo (512 encodings of at most
@@ -527,12 +528,6 @@ def _encoding(value: DerValue) -> bytes | memoryview:
 def der_encode(value: DerValue) -> bytes:
     """DER octets of a value tree, kept from decoding or from the first call."""
     return bytes(_encoding(value))
-
-
-def encode_sequence(*elements: bytes) -> bytes:
-    """DER of a SEQUENCE of elements given as DER octets, used as they are."""
-    body = b"".join(elements)
-    return bytes([0x20 | SEQUENCE]) + _encode_length(len(body)) + body
 
 
 # ---------------------------------------------------------------------------

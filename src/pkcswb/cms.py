@@ -9,6 +9,8 @@ SignatureInvalid) because a verifier is not a decryption oracle; the
 decryption-side operations collapse every failure into the shared uniform
 DecryptionError.  Wherever a digest or signature is checked, the octets
 hashed are the ones received on the wire, never a re-normalized encoding.
+``keystore`` writes and reads the attribute sets; a contentType or
+messageDigest attribute holds one value, of the registry's syntax.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .csr import (CertificationRequest, Name, decode_public_key_info,
                   encode_public_key_info, verify_csr)
 from .errors import DecryptionError, IntegrityFailure, PkcsError, uniform_decryption
 from .keystore import (Attribute, SyntaxViolation, _attributes_from_der, _attributes_to_der,
-                       attribute_make)
+                       attribute_check, attribute_make)
 from .pkcs1 import ModulusTooSmall
 from .primitives import (SHA256, BadLength, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal,
                          hmac_digest)
@@ -174,27 +176,18 @@ def _covered(encap: ContentInfo,
     return encap_v, (attrs_v,), _attr_message(attrs_v)
 
 
-def _sole_value(attribute: Attribute, tag: int) -> DerValue | None:
-    """An attribute's value if it has exactly one and that is a primitive of
-    universal ``tag``, else None."""
-    value = attribute.values[0]
-    if len(attribute.values) == 1 and value.is_universal(tag) and not value.constructed:
-        return value
-    return None
-
-
 def _is_content_type(attribute: Attribute, content_type: Oid) -> bool:
     """Whether a contentType attribute holds exactly ``content_type``, as its
-    one OBJECT IDENTIFIER value (RFC 5652 §11.1)."""
-    value = _sole_value(attribute, asn1.OBJECT_IDENTIFIER)
-    return value is not None and value.as_oid() == content_type
+    one value, of the registry's syntax (RFC 5652 §11.1)."""
+    return (len(attribute.values) == 1 and attribute_check(attribute)
+            and attribute.values[0].as_oid() == content_type)
 
 
 def _is_digest(attribute: Attribute, digest: bytes) -> bool:
     """Whether a messageDigest attribute holds exactly ``digest``, as its one
-    OCTET STRING value (RFC 5652 §11.2)."""
-    value = _sole_value(attribute, asn1.OCTET_STRING)
-    return value is not None and ct_equal(value.octets, digest)
+    value, of the registry's syntax (RFC 5652 §11.2)."""
+    return (len(attribute.values) == 1 and attribute_check(attribute)
+            and ct_equal(attribute.values[0].octets, digest))
 
 
 def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
@@ -206,7 +199,7 @@ def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
     content_der = encap.to_der()
     if attrs_v is None:
         return content_der
-    attributes = _attributes_from_der(asn1.require(attrs_v, 0, tag_class=asn1.TagClass.CONTEXT))
+    attributes = _attributes_from_der(attrs_v)
     md = _find_attr(attributes, oids.AT_MESSAGE_DIGEST, SignatureInvalid)
     content_type = _find_attr(attributes, oids.AT_CONTENT_TYPE, SignatureInvalid)
     if md is None or content_type is None:

@@ -3,11 +3,13 @@
 A request is the DER of CertificationRequestInfo (version, subject name,
 subject public key info, attributes) signed with the subject's own private
 key under RSASSA-PSS, so verification needs nothing but the request itself.
+``build_csr`` signs and ``verify_csr`` checks the DER of the value the info
+object keeps, so a received request is verified over the octets received.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerValue, der_decode, der_encode
@@ -128,9 +130,12 @@ def decode_public_key_info(value: DerValue) -> RsaPublicKey:
 
 @dataclass(frozen=True)
 class CertificationRequestInfo:
+    """What a request signs; like a ContentInfo, it keeps its decoded or first built value."""
+
     subject: Name
     public_key: RsaPublicKey
     attributes: tuple[Attribute, ...] = ()
+    _value: DerValue | None = field(default=None, init=False, repr=False, compare=False)
     version = 0  # the one version written and read (RFC 2986 §4.1)
 
     def __post_init__(self):
@@ -138,41 +143,38 @@ class CertificationRequestInfo:
                            asn1.set_order(self.attributes, Attribute.to_der_value))
 
     def to_der_value(self) -> DerValue:
-        return asn1.sequence(
-            asn1.integer(self.version),
-            self.subject.to_der_value(),
-            encode_public_key_info(self.public_key),
-            _attributes_to_der(self.attributes),
-        )
+        if self._value is None:
+            object.__setattr__(self, "_value", asn1.sequence(
+                asn1.integer(self.version),
+                self.subject.to_der_value(),
+                encode_public_key_info(self.public_key),
+                _attributes_to_der(self.attributes),
+            ))
+        return self._value
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "CertificationRequestInfo":
         version_v, subject_v, spki_v, attrs_v = asn1._fields(value, 4)
         if version_v.as_integer() != cls.version:
             raise MalformedRequest(f"unsupported request version, not {cls.version}")
-        if not attrs_v.is_context(0):
-            raise MalformedRequest("attribute set must be [0] tagged")
-        return cls(Name.from_der_value(subject_v), decode_public_key_info(spki_v),
+        info = cls(Name.from_der_value(subject_v), decode_public_key_info(spki_v),
                    _attributes_from_der(attrs_v))
+        object.__setattr__(info, "_value", value)
+        return info
 
 
 @dataclass(frozen=True)
 class CertificationRequest:
-    """Signed request.  ``info_der`` is the exact octet string the signature
-    covers; it is kept verbatim so that verification never runs over a
-    re-normalized encoding of a tampered request."""
+    """Signed request: the signature covers the DER of ``info``'s kept value."""
 
     info: CertificationRequestInfo
     signature_algorithm: AlgorithmIdentifier
     signature: bytes
-    info_der: bytes
 
     def to_der(self) -> bytes:
-        return asn1.encode_sequence(
-            self.info_der,
-            der_encode(self.signature_algorithm.to_der_value()),
-            der_encode(asn1.bit_string(self.signature)),
-        )
+        return der_encode(asn1.sequence(self.info.to_der_value(),
+                                        self.signature_algorithm.to_der_value(),
+                                        asn1.bit_string(self.signature)))
 
     @classmethod
     def from_der(cls, octets: bytes) -> "CertificationRequest":
@@ -180,8 +182,7 @@ class CertificationRequest:
             info_v, alg_v, sig_v = asn1._fields(der_decode(octets), 3)
             return cls(CertificationRequestInfo.from_der_value(info_v),
                        AlgorithmIdentifier.from_der_value(alg_v),
-                       sig_v.as_bit_string(),
-                       der_encode(info_v))  # the received octets
+                       sig_v.as_bit_string())
         except asn1.DerError as exc:
             raise MalformedRequest(str(exc)) from None
 
@@ -196,14 +197,12 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
         if not attribute_check(attribute):
             raise SyntaxViolation(f"attribute {attribute.attr_type} fails its syntax check")
     info = CertificationRequestInfo(subject, public, tuple(attributes))
-    info_der = der_encode(info.to_der_value())
-    signature = pkcs1.sign(info_der, private, rng)
-    return CertificationRequest(info, AlgorithmIdentifier(oids.RSASSA_PSS),
-                                signature, info_der)
+    signature = pkcs1.sign(der_encode(info.to_der_value()), private, rng)
+    return CertificationRequest(info, AlgorithmIdentifier(oids.RSASSA_PSS), signature)
 
 
 def verify_csr(csr: CertificationRequest) -> bool:
     """Self-signature check under the public key embedded in the request."""
     if csr.signature_algorithm.oid != oids.RSASSA_PSS:
         return False
-    return pkcs1.verify(csr.info_der, csr.signature, csr.info.public_key)
+    return pkcs1.verify(der_encode(csr.info.to_der_value()), csr.signature, csr.info.public_key)

@@ -17,6 +17,10 @@ in: contentType, messageDigest, signingTime, sequenceNumber, randomNonce,
 counterSignature, challengePassword, extensionRequest, friendlyName, and
 localKeyId.  naturalPerson/pkcsEntity groupings are plain attribute bundles
 with no directory-schema machinery behind them.
+
+The [0] IMPLICIT SET OF Attribute that PKCS #8, #10 and CMS carry is written,
+read and checked here alone: the writer re-tags a built SET's children, the
+reader checks the tag, then the order, then each Attribute.
 """
 
 from __future__ import annotations
@@ -201,13 +205,16 @@ def attribute_check(attribute: Attribute) -> bool:
 
 
 def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
-    """[0] IMPLICIT SET OF Attribute in canonical order."""
-    return asn1.context(0, asn1.set_order(a.to_der_value() for a in attributes))
+    """[0] IMPLICIT SET OF Attribute: the SET constructor's order, re-tagged."""
+    return asn1.context(0, asn1.set_value(*(a.to_der_value() for a in attributes)).children)
 
 
 def _attributes_from_der(value: DerValue) -> tuple[Attribute, ...]:
-    asn1._check_set_order(value.children, "attribute set")
-    return tuple(Attribute.from_der_value(child) for child in value.children)
+    """The attributes of a received [0] IMPLICIT SET OF Attribute: its tag,
+    then its order, then each Attribute (NonCanonical if one is wrong)."""
+    children = asn1.require(value, 0, tag_class=asn1.TagClass.CONTEXT).children
+    asn1._check_set_order(children, "attribute set")
+    return tuple(Attribute.from_der_value(child) for child in children)
 
 
 # ---------------------------------------------------------------------------
@@ -330,11 +337,7 @@ class PrivateKeyInfo:
             if algorithm.params not in (None, _RSA_ALG.params):  # RFC 3279 §2.3.1
                 raise MalformedKey("rsaEncryption parameters must be NULL")
             key = _key_from_body(der_decode(kids[2].as_octet_string()))
-            attributes = ()
-            if len(kids) == 4:
-                if not kids[3].is_context(0):
-                    raise MalformedKey("unexpected trailing field")
-                attributes = _attributes_from_der(kids[3])
+            attributes = _attributes_from_der(kids[3]) if len(kids) == 4 else ()
             return cls(key, attributes, algorithm)
 
     @classmethod

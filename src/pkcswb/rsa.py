@@ -106,9 +106,9 @@ class RsaPublicKey:
         if self.e < 3 or self.e % 2 == 0:
             raise InvalidKey("encryption exponent must be odd and >= 3")
 
-    @property
-    def modulus_bits(self) -> int:
-        return self.n.bit_length()
+    def __repr__(self) -> str:
+        # n in decimal can exceed the digits CPython prints (4300)
+        return f"RsaPublicKey(e={self.e}, n=<{self.n.bit_length()} bits>)"
 
     @property
     def modulus_octets(self) -> int:

@@ -294,10 +294,15 @@ def test_fuzz_malformed_corpus_always_errors():
 # nesting depth
 
 
+def sequence_around(encoded: bytes) -> bytes:
+    """A SEQUENCE header and ``encoded``, used as it is, whether DER or not."""
+    return bytes([0x30]) + asn1._encode_length(len(encoded)) + encoded
+
+
 def nested_sequences(count: int, encoded: bytes = bytes.fromhex("0500")) -> bytes:
     """``count`` SEQUENCEs around a value (a NULL), encoded from the inside out."""
     for _ in range(count):
-        encoded = asn1.encode_sequence(encoded)
+        encoded = sequence_around(encoded)
     return encoded
 
 
@@ -433,7 +438,7 @@ U = TagClass.UNIVERSAL
 def test_decoding_refuses_what_building_refuses_with_the_same_error(fields, encoded):
     with pytest.raises(asn1.DerError) as built:
         DerValue(*fields)
-    for octets in (bytes.fromhex(encoded), asn1.encode_sequence(bytes.fromhex(encoded))):
+    for octets in (bytes.fromhex(encoded), sequence_around(bytes.fromhex(encoded))):
         with pytest.raises(asn1.DerError) as decoded:
             der_decode(octets)
         assert type(decoded.value) is type(built.value)
@@ -461,3 +466,11 @@ def test_set_order_returns_fewer_than_two_items_as_they_are(monkeypatch):
     assert asn1.set_order([]) == ()
     only = asn1.integer(1)
     assert asn1.set_order(iter([only])) == (only,)
+
+
+@pytest.mark.parametrize("value,accessor", [(asn1.integer(1), "children"),
+                                            (asn1.sequence(), "octets")],
+                         ids=["children-of-a-primitive", "octets-of-a-constructed"])
+def test_content_accessor_of_the_other_form_is_non_canonical(value, accessor):
+    with pytest.raises(NonCanonical):
+        getattr(value, accessor)

@@ -666,6 +666,6 @@ def test_toy_issue_rejects_bad_request(key_1024, key_1024_b):
                         (subject_public, subject_private), (), seeded(b"m"))
     from pkcswb.csr import CertificationRequest
     forged = CertificationRequest(request.info, request.signature_algorithm,
-                                  bytes(len(request.signature)), request.info_der)
+                                  bytes(len(request.signature)))
     with pytest.raises(SignatureInvalid):
         toy_issue(forged, ca_private, Name((("commonName", "CA"),)), 1, seeded(b"m2"))

@@ -111,7 +111,7 @@ def test_every_single_octet_mutation_of_info_defeats_verification(key_512):
     # the info section sits right after the outer SEQUENCE header
     start = 2 + (encoded[1] & 0x7F if encoded[1] & 0x80 else 0)
     surviving = 0
-    for offset in range(start, start + len(request.info_der)):
+    for offset in range(start, start + len(der_encode(request.info.to_der_value()))):
         for bit in (0x01, 0x80):
             tampered = bytearray(encoded)
             tampered[offset] ^= bit
@@ -131,7 +131,7 @@ def test_key_substitution_defeats_verification(key_512, key_1024):
     forged = CertificationRequest(
         CertificationRequestInfo(request.info.subject, other_public,
                                  request.info.attributes),
-        request.signature_algorithm, request.signature, request.info_der)
+        request.signature_algorithm, request.signature)
     assert not verify_csr(forged)
 
 
@@ -152,8 +152,7 @@ def test_request_under_another_outer_tag_is_malformed(key_512):
 
 def _request_der(public: rsa.RsaPublicKey) -> bytes:
     info = CertificationRequestInfo(_alice_name(), public)
-    return CertificationRequest(info, AlgorithmIdentifier(oids.RSASSA_PSS), bytes(8),
-                                der_encode(info.to_der_value())).to_der()
+    return CertificationRequest(info, AlgorithmIdentifier(oids.RSASSA_PSS), bytes(8)).to_der()
 
 
 def test_public_exponent_above_cap_is_malformed_request():
@@ -170,12 +169,13 @@ def test_public_exponent_above_cap_is_malformed_request():
 def test_request_version_other_than_0_is_refused(key_1024):
     public, private = key_1024
     info_v = CertificationRequestInfo(_alice_name(), public).to_der_value()
-    algorithm = der_encode(AlgorithmIdentifier(oids.RSASSA_PSS).to_der_value())
+    algorithm = AlgorithmIdentifier(oids.RSASSA_PSS).to_der_value()
     # 10**5000 has more digits than CPython prints (4300)
     for version in (0, 1, 5, 10**5000):
-        info_der = der_encode(asn1.sequence(asn1.integer(version), *info_v.children[1:]))
+        versioned = asn1.sequence(asn1.integer(version), *info_v.children[1:])
+        info_der = der_encode(versioned)
         signature = pkcs1.sign(info_der, private, seeded(b"version"))
-        der = asn1.encode_sequence(info_der, algorithm, der_encode(asn1.bit_string(signature)))
+        der = der_encode(asn1.sequence(versioned, algorithm, asn1.bit_string(signature)))
         if version == 0:  # correctly signed: only the version differs in the others
             assert verify_csr(CertificationRequest.from_der(der))
             continue
@@ -219,3 +219,9 @@ def test_rsa_encryption_parameters_other_than_null_are_malformed(key_512):
     with pytest.raises(MalformedRequest, match="NULL"):
         decode_public_key_info(spki(asn1.octet_string(b"")))
     assert decode_public_key_info(spki(None)) == public
+
+
+@pytest.mark.parametrize("field", ["commonName", "organization", "emailAddress"])
+def test_name_component_must_be_non_empty(field):
+    with pytest.raises(MalformedRequest, match=f"{field} must be non-empty"):
+        Name((("commonName", "c"), (field, "")))

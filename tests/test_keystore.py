@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pkcswb import asn1, keystore, oids, pkcs5, rsa
+from pkcswb import asn1, cms, csr, keystore, oids, pkcs5, rsa
 from pkcswb.asn1 import AlgorithmIdentifier, Oid, der_decode, der_encode
 from pkcswb.errors import DecryptionError, MalformedKey, UnsupportedAlgorithm
 from pkcswb.keystore import (ATTRIBUTE_REGISTRY, Attribute,
@@ -134,14 +134,69 @@ def test_body_with_a_crt_exponent_not_reduced_is_malformed(i):
         decode_private_key(_with_body_fields(private, unreduced))
 
 
-def test_private_key_info_fourth_field_must_be_context_zero():
-    _, private = rsa.key_from_primes((3, 5, 7), 5)
-    attributes = (attribute_make("friendlyName", "k"),)
-    root = der_decode(PrivateKeyInfo(private, attributes).to_der())
-    *first_three, attrs_v = root.children
-    for fourth in (asn1.context(1, attrs_v.children), asn1.set_value(*attrs_v.children)):
-        with pytest.raises(MalformedKey, match="trailing"):
-            PrivateKeyInfo.from_der(der_encode(asn1.sequence(*first_three, fourth)))
+def _with_child(value, index, child):
+    """``value`` with its child at ``index`` replaced by ``child``."""
+    kids = list(value.children)
+    kids[index] = child
+    return asn1.DerValue(value.tag_class, True, value.tag_number, tuple(kids))
+
+
+_SIGNING_TIME = attribute_make("signingTime", "260101120000Z")
+
+
+def _read_private_key_info(retag, keypair):
+    root = PrivateKeyInfo(keypair[1], (attribute_make("friendlyName", "k"),)).to_der_value()
+    return PrivateKeyInfo.from_der(der_encode(_with_child(root, 3, retag(root.children[3]))))
+
+
+def _read_request(retag, keypair):
+    request = csr.build_csr(csr.Name((("commonName", "c"),)), keypair,
+                            (attribute_make("challengePassword", "pw"),), seeded(b"[0] csr"))
+    root = der_decode(request.to_der())
+    info_v = root.children[0]
+    info_v = _with_child(info_v, 3, retag(info_v.children[3]))
+    der = der_encode(_with_child(root, 0, info_v))
+    return csr.verify_csr(csr.CertificationRequest.from_der(der))
+
+
+def _read_signed_data(retag, keypair):
+    ident = cms.SignerIdent(csr.Name((("commonName", "s"),)), b"kid")
+    signed = cms.sign_data(cms.make_data(b"m"), keypair[1], ident, (_SIGNING_TIME,),
+                           seeded(b"[0] signed")).content
+    (signer,) = signed.children[3].children
+    signer = _with_child(signer, 3, retag(signer.children[3]))
+    signed = _with_child(signed, 3, asn1.set_value(signer))
+    return cms.verify_signed(cms.ContentInfo(oids.CT_SIGNED_DATA, signed), keypair[0])[1]
+
+
+def _read_authenticated_data(retag, keypair):
+    body = cms.authenticate_data(cms.make_data(b"m"), bytes(16), (_SIGNING_TIME,)).content
+    body = _with_child(body, 3, retag(body.children[3]))
+    return cms.check_auth(cms.ContentInfo(oids.CT_AUTHENTICATED_DATA, body), bytes(16))
+
+
+# every reader of a [0] IMPLICIT SET OF Attribute, and what it does with a set
+# under another tag: raise that class, or return False
+_ATTRIBUTE_SET_READERS = {
+    "private-key-info": (_read_private_key_info, MalformedKey),
+    "request": (_read_request, csr.MalformedRequest),
+    "signed-data": (_read_signed_data, asn1.NonCanonical),
+    "authenticated-data": (_read_authenticated_data, False),
+}
+
+
+@pytest.mark.parametrize("retag", [lambda v: asn1.context(1, v.children),
+                                   lambda v: asn1.set_value(*v.children)],
+                         ids=["context-1", "universal-set"])
+@pytest.mark.parametrize("reader", list(_ATTRIBUTE_SET_READERS))
+def test_every_reader_refuses_an_attribute_set_not_tagged_context_zero(reader, retag, key_512):
+    read, refused = _ATTRIBUTE_SET_READERS[reader]
+    assert read(lambda v: v, key_512)  # under [0], the same set is read
+    if refused is False:
+        assert read(retag, key_512) is False
+    else:
+        with pytest.raises(refused, match="CONTEXT tag 0"):
+            read(retag, key_512)
 
 
 def test_unsupported_key_algorithm():

@@ -1,8 +1,9 @@
+import dataclasses
 import warnings
 
 import pytest
 
-from pkcswb import asn1, cms, oids, pfx, pkcs5
+from pkcswb import asn1, cms, oids, pfx, pkcs5, rsa
 from pkcswb.csr import Name, build_csr
 from pkcswb.errors import (DecryptionError, IntegrityFailure, MalformedKey, MissingCredential,
                            UnsupportedAlgorithm)
@@ -323,3 +324,20 @@ def test_mac_covers_the_auth_safe_octets_as_received(material, monkeypatch):
     assert pfx_open(decoded, credentials) == bags
     # the MAC ran over the received octets, and nothing was encoded to get them
     assert macced == [(received, 0)]
+
+
+@pytest.mark.parametrize("privacy,integrity,missing,message", [
+    ("public_key", "password", "destination_priv", "destination private key"),
+    ("password", "public_key", "source_sign_key", "source signing key"),
+    ("password", "public_key", "source_verify_key", "source public key"),
+], ids=["_privacy_unwrap", "pfx_create", "pfx_open"])
+def test_public_key_modes_need_their_credentials(material, privacy, integrity, missing, message):
+    bags, credentials, _ = material
+    lacking = dataclasses.replace(credentials, **{missing: None})
+    with pytest.raises(MissingCredential, match=message):
+        pfx_open(pfx_create(bags, privacy, integrity, lacking, seeded(b"lacking")), lacking)
+
+
+def test_credentials_repr_names_the_size_of_a_large_public_key():
+    public = rsa.RsaPublicKey(2**16383 + 1, 65537)  # 4933 decimal digits
+    assert "n=<16384 bits>" in repr(PfxCredentials(destination_pub=public))

@@ -369,3 +369,10 @@ def test_xor_is_octet_wise_at_every_length():
         b = rng.read(length)
         assert pkcs1._xor(a, b) == bytes(x ^ y for x, y in zip(a, b))
         assert len(pkcs1._xor(a, a)) == length
+
+
+@pytest.mark.parametrize("k,em_len", [(128, 127), (128, 129), (64, 64)],
+                         ids=["short", "long", "modulus-below-2-hlen-plus-2"])
+def test_oaep_decode_refuses_an_em_of_the_wrong_length(k, em_len):
+    with pytest.raises(DecryptionError):
+        oaep_decode(bytes(em_len), OaepParams(k))

@@ -5,7 +5,9 @@ import time
 import pytest
 
 from oracles import naive_pbkdf2
-from pkcswb.errors import DecryptionError, uniform_decryption
+from pkcswb import oids
+from pkcswb.asn1 import AlgorithmIdentifier
+from pkcswb.errors import DecryptionError, MalformedKey, uniform_decryption
 from pkcswb.pkcs5 import (MAX_ITERATIONS, DerivedKeyTooLong, Pbkdf2Params, TooManyIterations,
                           check_iterations, pbes2_algorithm, pbes2_decrypt, pbes2_encrypt,
                           pbes2_fields, pbkdf2, pbmac1_tag, pbmac1_verify)
@@ -195,3 +197,13 @@ def test_uniform_decryption_drops_the_cause():
         assert info.value.args == ("decryption failed",)
         assert info.value.__cause__ is None
         assert info.value.__suppress_context__ or info.value is failure
+
+
+@pytest.mark.parametrize("algorithm", [
+    AlgorithmIdentifier(oids.PBES2),
+    pbes2_algorithm(b"saltsalt", 1000, bytes(15)),
+    pbes2_algorithm(b"saltsalt", 1000, bytes(17)),
+], ids=["no-parameters", "iv-15", "iv-17"])
+def test_pbes2_header_without_parameters_or_a_16_octet_iv_is_malformed(algorithm):
+    with pytest.raises(MalformedKey):
+        pbes2_fields(algorithm)

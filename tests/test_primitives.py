@@ -400,3 +400,9 @@ def test_negative_read_count_is_refused_and_reads_nothing(name, count):
 def test_ct_equal():
     assert ct_equal(b"same", b"same")
     assert not ct_equal(b"same", b"diff")
+
+
+@pytest.mark.parametrize("iv_len", [0, 15, 17])
+def test_cbc_encrypt_refuses_an_iv_that_is_not_16_octets(iv_len):
+    with pytest.raises(BadLength):
+        cbc_encrypt(bytes(16), bytes(iv_len), b"m")

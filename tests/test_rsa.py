@@ -384,3 +384,15 @@ def test_key_caps_hold_at_their_limits():
             rsa.check_key_caps(n, e, u)
     assert rsa.MAX_MODULUS_BITS > max(bits for bits, _ in rsa.STRENGTH_TABLE)
     assert rsa.MAX_PRIMES > max(u for _, u in rsa.STRENGTH_TABLE)
+
+
+@pytest.mark.parametrize("e", [4, 65536])
+def test_generate_key_refuses_an_even_exponent(e):
+    with pytest.raises(BadParameter, match="odd"):
+        rsa.generate_key(64, 2, e, ExhaustibleSource(b""))
+
+
+def test_public_key_repr_names_e_and_the_modulus_size():
+    # n in decimal would have 4933 digits, more than CPython prints (4300)
+    public = rsa.RsaPublicKey(2**16383 + 1, 65537)
+    assert repr(public) == "RsaPublicKey(e=65537, n=<16384 bits>)"

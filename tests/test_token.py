@@ -589,3 +589,23 @@ def test_manifest_lists_label_and_id():
         CKA_VALUE: b"v", CKA_LABEL: "wallet", CKA_ID: b"\xab"})
     manifest = export_pkcs15_layout(token)
     assert "id=ab label=wallet" in manifest
+
+
+@pytest.mark.parametrize("call,refused,message", [
+    (lambda t, s, pub, data: t.get_attribute(s, 10**6, CKA_LABEL), tk.UnknownObject,
+     "no object"),
+    (lambda t, s, pub, data: t.set_attribute(s, data, CKA_VALUE, b"e"), tk.AttributeReadOnly,
+     "fixed at creation"),
+    (lambda t, s, pub, data: t.sign(s, pub, b"m"), tk.KeyUsageViolation, "not a private key"),
+    (lambda t, s, pub, data: t.wrap_key(s, pub, data), tk.KeyUsageViolation, "only keys"),
+    (lambda t, s, pub, data: (t.logout(s), t.generate_key_pair(s, 512)), tk.NotLoggedIn,
+     "key generation"),
+], ids=["unknown-handle", "set-value", "sign-with-a-public-key", "wrap-a-non-key",
+        "generate-without-the-user"])
+def test_refused_calls_raise_their_declared_errors(call, refused, message):
+    token = fresh_token(b"refused")
+    session = user_session(token)
+    pub, _priv = token.generate_key_pair(session, 512)
+    data = token.create_object(session, CLASS_DATA, {CKA_VALUE: b"d"})
+    with pytest.raises(refused, match=message):
+        call(token, session, pub, data)
