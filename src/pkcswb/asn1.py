@@ -36,9 +36,8 @@ from __future__ import annotations
 import enum
 import functools
 import re
-from dataclasses import dataclass, field
 
-from .errors import BadParameter, PkcsError
+from .errors import BadParameter, Frozen, PkcsError
 
 __all__ = [
     "TagClass",
@@ -151,15 +150,13 @@ _UNIVERSAL = TagClass.UNIVERSAL
 _CONTEXT = TagClass.CONTEXT
 
 
-@dataclass(frozen=True)
-class Oid:
+class Oid(Frozen):
     """Object identifier as a tuple of non-negative integer arcs."""
 
-    arcs: tuple[int, ...]
+    _fields = ("arcs",)
 
-    def __post_init__(self):
-        arcs = tuple(self.arcs)
-        object.__setattr__(self, "arcs", arcs)
+    def __init__(self, arcs: tuple[int, ...]):
+        arcs = tuple(arcs)
         if len(arcs) < 2:
             raise ValueError("OID needs at least two arcs")
         if any(a < 0 for a in arcs):
@@ -168,6 +165,17 @@ class Oid:
             raise ValueError("first OID arc must be 0, 1 or 2")
         if arcs[0] < 2 and arcs[1] > 39:
             raise ValueError("second OID arc must be <= 39 when first arc < 2")
+        self.__dict__["arcs"] = arcs
+
+    # OIDs key the registries and are compared on every parse, so they compare
+    # their one field directly instead of through the base's field getter
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.arcs == other.arcs
+
+    def __hash__(self):
+        return hash(self.arcs)
 
     @classmethod
     def parse(cls, dotted: str) -> "Oid":
@@ -180,22 +188,17 @@ class Oid:
         return self.dotted()
 
 
-@dataclass(frozen=True, init=False)
-class DerValue:
+class DerValue(Frozen):
     """One ASN.1 value: primitive (octets) or constructed (children)."""
 
-    tag_class: TagClass
-    constructed: bool
-    tag_number: int
-    content: bytes | tuple["DerValue", ...]
-    _der: bytes | memoryview | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("tag_class", "constructed", "tag_number", "content")
+    _der: bytes | memoryview | None = None  # its DER octets, once known
 
     def __init__(self, tag_class: TagClass, constructed: bool, tag_number: int,
                  content: bytes | tuple["DerValue", ...]):
         """A built value: its fields' types, the rule ``_RULES`` has for its
         identifier (the decoder's rules too), and SET children put in
-        canonical order.  The fields are written to the instance dict once: the
-        generated frozen ``__init__`` writes each through ``object.__setattr__``."""
+        canonical order.  The fields are written to the instance dict once."""
         universal = tag_class == _UNIVERSAL
         if tag_number < 0:
             raise ValueError("negative tag number")
@@ -662,10 +665,11 @@ def _fields(value: DerValue, *counts: int, tag_number: int = SEQUENCE,
 # AlgorithmIdentifier
 
 
-@dataclass(frozen=True)
-class AlgorithmIdentifier:
-    oid: Oid
-    params: DerValue | None = None
+class AlgorithmIdentifier(Frozen):
+    _fields = ("oid", "params")
+
+    def __init__(self, oid: Oid, params: DerValue | None = None):
+        self.__dict__.update(oid=oid, params=params)
 
     def to_der_value(self) -> DerValue:
         children = [oid_value(self.oid)]

@@ -72,7 +72,8 @@ def _hex_arg(text: str) -> bytes:
     try:
         return bytes.fromhex(text.removeprefix("0x"))
     except ValueError:
-        raise BadParameter(f"not a hex string: {text!r}") from None
+        # the text may be a key or a seed with a typo: name its length only
+        raise BadParameter(f"not a hex string ({len(text)} characters)") from None
 
 
 def _load_private(path: str) -> rsa.RsaPrivateKey:

@@ -15,13 +15,11 @@ messageDigest attribute holds one value, of the registry's syntax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
 from .csr import (CertificationRequest, Name, decode_public_key_info,
                   encode_public_key_info, verify_csr)
-from .errors import DecryptionError, IntegrityFailure, PkcsError, uniform_decryption
+from .errors import DecryptionError, Frozen, IntegrityFailure, PkcsError, uniform_decryption
 from .keystore import (Attribute, SyntaxViolation, _attributes_from_der, _attributes_to_der,
                        attribute_check, attribute_make)
 from .pkcs1 import ModulusTooSmall
@@ -67,8 +65,7 @@ class WrongContentType(PkcsError, ValueError):
     """A ContentInfo does not carry the content type the caller expects."""
 
 
-@dataclass(frozen=True)
-class ContentInfo:
+class ContentInfo(Frozen):
     """contentType plus content; the type OID fixes the content's shape.
 
     A decoded ContentInfo keeps the value it was decoded from, and a built one
@@ -76,9 +73,11 @@ class ContentInfo:
     received (the PFX MAC covers them) and are encoded at most once.
     """
 
-    content_type: Oid
-    content: DerValue
-    _value: DerValue | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("content_type", "content")
+    _value: DerValue | None = None
+
+    def __init__(self, content_type: Oid, content: DerValue):
+        self.__dict__.update(content_type=content_type, content=content)
 
     def to_der_value(self) -> DerValue:
         if self._value is None:
@@ -102,12 +101,13 @@ class ContentInfo:
         return cls.from_der_value(der_decode(octets))
 
 
-@dataclass(frozen=True)
-class SignerIdent:
+class SignerIdent(Frozen):
     """Who signed: a distinguished name plus an opaque key identifier."""
 
-    name: Name
-    key_id: bytes
+    _fields = ("name", "key_id")
+
+    def __init__(self, name: Name, key_id: bytes):
+        self.__dict__.update(name=name, key_id=key_id)
 
     def to_der_value(self) -> DerValue:
         return asn1.sequence(self.name.to_der_value(), asn1.octet_string(self.key_id))

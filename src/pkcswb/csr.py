@@ -9,11 +9,9 @@ object keeps, so a received request is verified over the octets received.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerValue, der_decode, der_encode
-from .errors import PkcsError
+from .errors import Frozen, PkcsError
 from .keystore import (Attribute, SyntaxViolation, attribute_check, _RSA_ALG,
                        _attributes_from_der, _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
@@ -45,27 +43,27 @@ class MalformedRequest(PkcsError, ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Name:
+class Name(Frozen):
     """Ordered distinguished-name pairs; commonName is mandatory."""
 
-    pairs: tuple[tuple[str, str], ...]
+    _fields = ("pairs",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((k, v) for k, v in self.pairs))
-        fields = [k for k, _ in self.pairs]
-        unknown = set(fields) - set(_NAME_FIELDS)
+    def __init__(self, pairs: tuple[tuple[str, str], ...]):
+        pairs = tuple((k, v) for k, v in pairs)
+        names = [k for k, _ in pairs]
+        unknown = set(names) - set(_NAME_FIELDS)
         if unknown:
             raise ValueError(f"unsupported name fields: {sorted(unknown)}")
-        if "commonName" not in fields:
+        if "commonName" not in names:
             raise MalformedRequest("commonName is required")
-        for key, value in self.pairs:
+        for key, value in pairs:
             if key == "country" and not (len(value) == 2 and value.isascii() and value.isalpha()):
                 raise MalformedRequest("country must be a two-letter code")
             if key == "emailAddress" and not value.isascii():
                 raise MalformedRequest("emailAddress must be ASCII")
             if not value:
                 raise MalformedRequest(f"{key} must be non-empty")
+        self.__dict__["pairs"] = pairs
 
     def get(self, field: str) -> str | None:
         for key, value in self.pairs:
@@ -128,19 +126,17 @@ def decode_public_key_info(value: DerValue) -> RsaPublicKey:
 # request objects
 
 
-@dataclass(frozen=True)
-class CertificationRequestInfo:
+class CertificationRequestInfo(Frozen):
     """What a request signs; like a ContentInfo, it keeps its decoded or first built value."""
 
-    subject: Name
-    public_key: RsaPublicKey
-    attributes: tuple[Attribute, ...] = ()
-    _value: DerValue | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("subject", "public_key", "attributes")
+    _value: DerValue | None = None
     version = 0  # the one version written and read (RFC 2986 §4.1)
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributes",
-                           asn1.set_order(self.attributes, Attribute.to_der_value))
+    def __init__(self, subject: Name, public_key: RsaPublicKey,
+                 attributes: tuple[Attribute, ...] = ()):
+        self.__dict__.update(subject=subject, public_key=public_key,
+                             attributes=asn1.set_order(attributes, Attribute.to_der_value))
 
     def to_der_value(self) -> DerValue:
         if self._value is None:
@@ -163,13 +159,15 @@ class CertificationRequestInfo:
         return info
 
 
-@dataclass(frozen=True)
-class CertificationRequest:
+class CertificationRequest(Frozen):
     """Signed request: the signature covers the DER of ``info``'s kept value."""
 
-    info: CertificationRequestInfo
-    signature_algorithm: AlgorithmIdentifier
-    signature: bytes
+    _fields = ("info", "signature_algorithm", "signature")
+
+    def __init__(self, info: CertificationRequestInfo, signature_algorithm: AlgorithmIdentifier,
+                 signature: bytes):
+        self.__dict__.update(info=info, signature_algorithm=signature_algorithm,
+                             signature=signature)
 
     def to_der(self) -> bytes:
         return der_encode(asn1.sequence(self.info.to_der_value(),

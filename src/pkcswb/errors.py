@@ -1,5 +1,7 @@
-"""Failure types shared across the scheme and container layers."""
+"""Failure types shared across the scheme and container layers, and
+``Frozen``, the base of the package's immutable value classes."""
 
+import operator
 from contextlib import contextmanager
 
 __all__ = [
@@ -69,3 +71,35 @@ class MissingCredential(PkcsError, ValueError):
 
 class MalformedKey(PkcsError, ValueError):
     """A private key, or a PBES2 or MacData header, that does not hold together."""
+
+
+class Frozen:
+    """Base of an immutable value class, whose ``__init__`` writes the instance
+    dict: no attribute can be set or deleted.  Equality (with an instance of
+    the same class only) and the hash cover the class's ``_fields``; the repr
+    shows ``_repr_fields``, by default the same, as ``Class(name=value, ...)``."""
+
+    _fields: tuple[str, ...] = ()
+    _repr_fields: tuple[str, ...] | None = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._key = operator.attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._repr_fields or self._fields)
+        return f"{type(self).__qualname__}({shown})"

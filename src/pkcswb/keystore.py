@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Callable
 
 from . import asn1, oids
 from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
-from .errors import MalformedKey, MissingCredential, PkcsError, UnsupportedAlgorithm
+from .errors import Frozen, MalformedKey, MissingCredential, PkcsError, UnsupportedAlgorithm
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
 from .rsa import InvalidKey, RsaPrivateKey, check_key_caps
@@ -77,8 +76,7 @@ def _as_malformed_key():
 # attributes
 
 
-@dataclass(frozen=True)
-class Attribute:
+class Attribute(Frozen):
     """attrType plus a set of values, held in canonical (encoded) order.
 
     Like a ContentInfo, a decoded Attribute keeps the value it was decoded
@@ -86,15 +84,14 @@ class Attribute:
     attributes by their DER builds and encodes nothing again.
     """
 
-    attr_type: Oid
-    values: tuple[DerValue, ...]
-    _value: DerValue | None = field(default=None, init=False, repr=False, compare=False)
+    _fields = ("attr_type", "values")
+    _value: DerValue | None = None
 
-    def __post_init__(self):
-        ordered = asn1.set_order(self.values)
+    def __init__(self, attr_type: Oid, values: tuple[DerValue, ...]):
+        ordered = asn1.set_order(values)
         if not ordered:
             raise asn1.NonCanonical("attribute needs at least one value")
-        object.__setattr__(self, "values", ordered)
+        self.__dict__.update(attr_type=attr_type, values=ordered)
 
     def to_der_value(self) -> DerValue:
         if self._value is None:
@@ -127,13 +124,16 @@ def _check_directory_string(value: DerValue) -> bool:
             or _is_primitive(value, asn1.UTF8_STRING)) and len(value.octets) > 0
 
 
-@dataclass(frozen=True)
-class AttributeSpec:
-    name: str
-    oid: Oid
-    syntax: Callable[[DerValue], bool] = field(compare=False)
-    # builds the value from a Python-native one; None: only a built DerValue
-    make: Callable[[object], DerValue] | None = field(compare=False)
+class AttributeSpec(Frozen):
+    """A registered attribute type; equality leaves its two functions out."""
+
+    _fields = ("name", "oid")
+    _repr_fields = ("name", "oid", "syntax", "make")
+
+    def __init__(self, name: str, oid: Oid, syntax: Callable[[DerValue], bool],
+                 make: Callable[[object], DerValue] | None):
+        # make builds the value from a Python-native one; None: only a built DerValue
+        self.__dict__.update(name=name, oid=oid, syntax=syntax, make=make)
 
 
 def _make_time(value) -> DerValue:
@@ -302,15 +302,14 @@ def _key_from_body(body: DerValue) -> RsaPrivateKey:
     return key
 
 
-@dataclass(frozen=True)
-class PrivateKeyInfo:
-    key: RsaPrivateKey
-    attributes: tuple[Attribute, ...] = ()
-    algorithm: AlgorithmIdentifier = _RSA_ALG
+class PrivateKeyInfo(Frozen):
+    _fields = ("key", "attributes", "algorithm")
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributes",
-                           asn1.set_order(self.attributes, Attribute.to_der_value))
+    def __init__(self, key: RsaPrivateKey, attributes: tuple[Attribute, ...] = (),
+                 algorithm: AlgorithmIdentifier = _RSA_ALG):
+        self.__dict__.update(key=key,
+                             attributes=asn1.set_order(attributes, Attribute.to_der_value),
+                             algorithm=algorithm)
 
     def to_der_value(self) -> DerValue:
         children = [
@@ -358,10 +357,11 @@ def decode_private_key(octets: bytes) -> RsaPrivateKey:
 # EncryptedPrivateKeyInfo
 
 
-@dataclass(frozen=True)
-class EncryptedPrivateKeyInfo:
-    algorithm: AlgorithmIdentifier
-    encrypted_data: bytes
+class EncryptedPrivateKeyInfo(Frozen):
+    _fields = ("algorithm", "encrypted_data")
+
+    def __init__(self, algorithm: AlgorithmIdentifier, encrypted_data: bytes):
+        self.__dict__.update(algorithm=algorithm, encrypted_data=encrypted_data)
 
     def to_der_value(self) -> DerValue:
         return asn1.sequence(self.algorithm.to_der_value(), asn1.octet_string(self.encrypted_data))

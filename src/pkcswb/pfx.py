@@ -18,13 +18,13 @@ deployed PKCS#12 files use, so these files are written with a distinct
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 from . import asn1, cms, oids
 from .asn1 import DerValue, der_decode, der_encode
 from .cms import ContentInfo, SignerIdent
 from .csr import Name
-from .errors import IntegrityFailure, MissingCredential, UnsupportedAlgorithm, uniform_decryption
+from .errors import (Frozen, IntegrityFailure, MissingCredential, UnsupportedAlgorithm,
+                     uniform_decryption)
 from .keystore import Attribute, EncryptedPrivateKeyInfo, PrivateKeyInfo
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt, pbkdf2_fields, pbmac1_tag, pbmac1_verify
 from .primitives import RandomSource
@@ -67,22 +67,21 @@ class PfxSecurityWarning(UserWarning):
     """Raised for permitted-but-unwise mode combinations."""
 
 
-@dataclass(frozen=True)
-class SafeBag:
+class SafeBag(Frozen):
     """One item of personal identity information plus its attributes."""
 
-    bag_type: str
-    value: PrivateKeyInfo | EncryptedPrivateKeyInfo | ContentInfo
-    attributes: tuple[Attribute, ...] = ()
+    _fields = ("bag_type", "value", "attributes")
 
-    def __post_init__(self):
-        if self.bag_type not in _BAG_OIDS:
-            raise ValueError(f"unknown bag type {self.bag_type!r}")
-        expected = _BAG_CLASSES[self.bag_type]
-        if not isinstance(self.value, expected):
-            raise ValueError(f"{self.bag_type} bag must hold {expected.__name__}")
-        object.__setattr__(self, "attributes",
-                           asn1.set_order(self.attributes, Attribute.to_der_value))
+    def __init__(self, bag_type: str,
+                 value: PrivateKeyInfo | EncryptedPrivateKeyInfo | ContentInfo,
+                 attributes: tuple[Attribute, ...] = ()):
+        if bag_type not in _BAG_OIDS:
+            raise ValueError(f"unknown bag type {bag_type!r}")
+        expected = _BAG_CLASSES[bag_type]
+        if not isinstance(value, expected):
+            raise ValueError(f"{bag_type} bag must hold {expected.__name__}")
+        self.__dict__.update(bag_type=bag_type, value=value,
+                             attributes=asn1.set_order(attributes, Attribute.to_der_value))
 
     def to_der_value(self) -> DerValue:
         children = [asn1.oid_value(_BAG_OIDS[self.bag_type]),
@@ -106,11 +105,11 @@ class SafeBag:
         return cls(bag_type, bag_value, attributes)
 
 
-@dataclass(frozen=True)
-class MacData:
-    tag: bytes
-    salt: bytes
-    iterations: int
+class MacData(Frozen):
+    _fields = ("tag", "salt", "iterations")
+
+    def __init__(self, tag: bytes, salt: bytes, iterations: int):
+        self.__dict__.update(tag=tag, salt=salt, iterations=iterations)
 
     def to_der_value(self) -> DerValue:
         return asn1.sequence(asn1.octet_string(self.tag), asn1.octet_string(self.salt),
@@ -122,11 +121,12 @@ class MacData:
         return cls(tag_v.as_octet_string(), *pbkdf2_fields(salt_v, iter_v))
 
 
-@dataclass(frozen=True)
-class PfxPdu:
-    auth_safe: ContentInfo
-    mac_data: MacData | None = None
+class PfxPdu(Frozen):
+    _fields = ("auth_safe", "mac_data")
     version = 3  # the one version written and read (RFC 7292 §4)
+
+    def __init__(self, auth_safe: ContentInfo, mac_data: MacData | None = None):
+        self.__dict__.update(auth_safe=auth_safe, mac_data=mac_data)
 
     def to_der(self) -> bytes:
         children = [asn1.integer(self.version), self.auth_safe.to_der_value()]
@@ -143,18 +143,25 @@ class PfxPdu:
         return cls(ContentInfo.from_der_value(kids[1]), mac)
 
 
-@dataclass(frozen=True)
-class PfxCredentials:
+class PfxCredentials(Frozen):
     """Whatever the chosen modes require; unused fields stay None.  The
     passwords and private keys are left out of the repr."""
 
-    privacy_password: bytes | None = field(default=None, repr=False)
-    integrity_password: bytes | None = field(default=None, repr=False)
-    destination_pub: RsaPublicKey | None = None
-    destination_priv: RsaPrivateKey | None = field(default=None, repr=False)
-    source_sign_key: RsaPrivateKey | None = field(default=None, repr=False)
-    source_verify_key: RsaPublicKey | None = None
-    source_name: Name | None = None
+    _fields = ("privacy_password", "integrity_password", "destination_pub", "destination_priv",
+               "source_sign_key", "source_verify_key", "source_name")
+    _repr_fields = ("destination_pub", "source_verify_key", "source_name")
+
+    def __init__(self, privacy_password: bytes | None = None,
+                 integrity_password: bytes | None = None,
+                 destination_pub: RsaPublicKey | None = None,
+                 destination_priv: RsaPrivateKey | None = None,
+                 source_sign_key: RsaPrivateKey | None = None,
+                 source_verify_key: RsaPublicKey | None = None, source_name: Name | None = None):
+        self.__dict__.update(
+            privacy_password=privacy_password, integrity_password=integrity_password,
+            destination_pub=destination_pub, destination_priv=destination_priv,
+            source_sign_key=source_sign_key, source_verify_key=source_verify_key,
+            source_name=source_name)
 
 
 def _safe_contents_der(bags: tuple[SafeBag, ...]) -> bytes:

@@ -18,9 +18,7 @@ refuses a recovered salt of any other length (RFC 8017 §9.1.2 step 10).
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
-
-from .errors import DecryptionError, PkcsError
+from .errors import DecryptionError, Frozen, PkcsError
 from .primitives import SHA256, HashAlg, RandomSource, ct_equal, mgf
 from .rsa import RsaPrivateKey, RsaPublicKey, rsa_private_op, rsa_public_op
 
@@ -80,13 +78,13 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-@dataclass(frozen=True)
-class OaepParams:
+class OaepParams(Frozen):
     """EME-OAEP geometry: hash (output k0), optional label, modulus octets k."""
 
-    k: int
-    hash_alg: HashAlg = SHA256
-    label: bytes = b""
+    _fields = ("k", "hash_alg", "label")
+
+    def __init__(self, k: int, hash_alg: HashAlg = SHA256, label: bytes = b""):
+        self.__dict__.update(k=k, hash_alg=hash_alg, label=label)
 
     @property
     def k0(self) -> int:
@@ -104,21 +102,18 @@ def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
     return max(0, min(h_len, (key.n.bit_length() + 6) // 8 - h_len - 2))
 
 
-@dataclass(frozen=True)
-class PssParams:
+class PssParams(Frozen):
     """EMSA-PSS geometry: hash (output k0), salt length, k, and |n| in bits."""
 
-    k: int
-    modulus_bits: int
-    hash_alg: HashAlg = SHA256
-    _: KW_ONLY
-    salt_len: int
+    _fields = ("k", "modulus_bits", "hash_alg", "salt_len")
 
-    def __post_init__(self):
-        if self.salt_len < 0:
+    def __init__(self, k: int, modulus_bits: int, hash_alg: HashAlg = SHA256, *,
+                 salt_len: int):
+        if salt_len < 0:
             raise ValueError("negative salt length")
-        if (self.modulus_bits + 7) // 8 != self.k:
+        if (modulus_bits + 7) // 8 != k:
             raise ValueError("k must be the octet length of the modulus")
+        self.__dict__.update(k=k, modulus_bits=modulus_bits, hash_alg=hash_alg, salt_len=salt_len)
 
     @property
     def k0(self) -> int:

@@ -18,12 +18,11 @@ implemented; decoding such an algorithm identifier fails loudly instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable
+from collections.abc import Callable
 
 from . import asn1, oids
 from .asn1 import AlgorithmIdentifier, DerValue
-from .errors import BadParameter, MalformedKey, PkcsError, UnsupportedAlgorithm
+from .errors import BadParameter, Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
 from .primitives import (RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest,
                          keyed_hmac)
 
@@ -76,22 +75,20 @@ def check_iterations(count: int) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class Pbkdf2Params:
-    salt: bytes
-    iterations: int
-    dk_len: int
+class Pbkdf2Params(Frozen):
+    _fields = ("salt", "iterations", "dk_len")
 
-    def __post_init__(self):
-        object.__setattr__(self, "salt", bytes(self.salt))
-        if len(self.salt) < 1:
+    def __init__(self, salt: bytes, iterations: int, dk_len: int):
+        salt = bytes(salt)
+        if len(salt) < 1:
             raise BadParameter("salt must be at least one octet")
-        if self.iterations < 1:
+        if iterations < 1:
             raise BadParameter("iteration count must be positive")
-        if self.dk_len < 1:
+        if dk_len < 1:
             raise BadParameter("derived key length must be positive")
-        if self.dk_len > (2**32 - 1) * _H_LEN:
+        if dk_len > (2**32 - 1) * _H_LEN:
             raise DerivedKeyTooLong("derived key length beyond the PRF block limit")
+        self.__dict__.update(salt=salt, iterations=iterations, dk_len=dk_len)
 
 
 def pbkdf2(password: bytes, params: Pbkdf2Params) -> bytes:
@@ -171,7 +168,7 @@ def pbes2_encrypt(message: bytes, password: bytes, salt: bytes, iterations: int,
 
 
 def pbes2_decrypt(algorithm: AlgorithmIdentifier, ciphertext: bytes, password: bytes,
-                  read: Callable[[bytes], Any] = bytes) -> Any:
+                  read: Callable[[bytes], object] = bytes) -> object:
     """``read`` of the plaintext; a wrong password is cbc_decrypt's one DecryptionError."""
     salt, iterations, iv = pbes2_fields(algorithm)
     dk = pbkdf2(password, Pbkdf2Params(salt, iterations, AES128_KEY_LEN))

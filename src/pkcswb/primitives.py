@@ -18,13 +18,15 @@ lookups are indexed by secret-dependent state, so AES here is not constant time.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import hmac as _hmac
+import operator
 import os
-from dataclasses import dataclass, field
-from typing import Any, Callable
+import struct
+from collections.abc import Callable
 
-from .errors import BadParameter, DecryptionError, PkcsError, uniform_decryption
+from .errors import BadParameter, DecryptionError, Frozen, PkcsError, uniform_decryption
 
 __all__ = [
     "HashAlg",
@@ -59,13 +61,13 @@ class RngExhausted(PkcsError):
 # hashes and MACs
 
 
-@dataclass(frozen=True)
-class HashAlg:
+class HashAlg(Frozen):
     """A hash function: name, output length (octets), and the function."""
 
-    name: str
-    output_len: int
-    raw: Callable[[bytes], bytes] = field(compare=False, repr=False)
+    _fields = ("name", "output_len")
+
+    def __init__(self, name: str, output_len: int, raw: Callable[[bytes], bytes]):
+        self.__dict__.update(name=name, output_len=output_len, raw=raw)
 
     def digest(self, data: bytes) -> bytes:
         out = self.raw(bytes(data))
@@ -166,14 +168,7 @@ _SBOX, _INV_SBOX = _build_tables()
 _WORD = 0xFFFFFFFF
 
 
-def _gmul(a: int, b: int) -> int:
-    out = 0
-    while b:
-        if b & 1:
-            out ^= a
-        a = _xtime(a)
-        b >>= 1
-    return out
+_XTIME = bytes(_xtime(a) for a in range(256))  # multiplication by 2 as a translate table
 
 
 def _round_tables(box: bytes, coef: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
@@ -182,10 +177,23 @@ def _round_tables(box: bytes, coef: tuple[int, ...]) -> tuple[tuple[int, ...], .
     Table j maps a state octet x in row j to the 32-bit column word that
     SubBytes (``box``) then MixColumns (first column ``coef``) make of it:
     table 0 holds coef * box[x], table j is table 0 rotated right by 8j bits.
+    Each product c * box is the XOR of the doublings 2^i * box (one
+    ``translate`` each) for the bits i of c; table j interleaves the four
+    product strings, octet i of each word from product i - j, into one
+    ``struct.unpack``.
     """
-    t0 = tuple(int.from_bytes(bytes(_gmul(s, c) for c in coef), "big") for s in box)
-    return (t0,) + tuple(tuple((w >> 8 * j | w << 32 - 8 * j) & _WORD for w in t0)
-                         for j in (1, 2, 3))
+    doublings = []
+    for _ in range(4):
+        doublings.append(int.from_bytes(box, "big"))
+        box = box.translate(_XTIME)
+    columns = [functools.reduce(operator.xor, [d for i, d in enumerate(doublings) if c >> i & 1])
+               .to_bytes(256, "big") for c in coef]
+    words = bytearray(1024)
+    tables = []
+    for j in range(4):
+        words[0::4], words[1::4], words[2::4], words[3::4] = columns[-j:] + columns[:-j]
+        tables.append(struct.unpack(">256I", words))
+    return tuple(tables)
 
 
 _TE = _round_tables(_SBOX, (2, 1, 1, 3))       # SubBytes, MixColumns
@@ -306,7 +314,7 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
 
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
-                read: Callable[[bytes], Any] = bytes) -> Any:
+                read: Callable[[bytes], object] = bytes) -> object:
     """``read`` of the unpadded AES-128-CBC plaintext.  A wrong IV or ciphertext
     length, bad padding and ``read`` refusing the octets are one DecryptionError."""
     if len(iv) != BLOCK_LEN or not ciphertext or len(ciphertext) % BLOCK_LEN:

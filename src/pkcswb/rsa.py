@@ -21,9 +21,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 
-from .errors import BadParameter, PkcsError
+from .errors import BadParameter, Frozen, PkcsError
 from .primitives import RandomSource, RngExhausted
 
 __all__ = [
@@ -95,16 +94,15 @@ def check_key_caps(n: int, e: int, u: int = 2) -> None:
         raise KeyTooLarge(f"{u} primes exceed {MAX_PRIMES}")
 
 
-@dataclass(frozen=True)
-class RsaPublicKey:
-    n: int
-    e: int
+class RsaPublicKey(Frozen):
+    _fields = ("n", "e")
 
-    def __post_init__(self):
-        if self.n < 3:
+    def __init__(self, n: int, e: int):
+        if n < 3:
             raise InvalidKey("modulus too small")
-        if self.e < 3 or self.e % 2 == 0:
+        if e < 3 or e % 2 == 0:
             raise InvalidKey("encryption exponent must be odd and >= 3")
+        self.__dict__.update(n=n, e=e)
 
     def __repr__(self) -> str:
         # n in decimal can exceed the digits CPython prints (4300)
@@ -115,8 +113,7 @@ class RsaPublicKey:
         return (self.n.bit_length() + 7) // 8
 
 
-@dataclass(frozen=True)
-class RsaPrivateKey:
+class RsaPrivateKey(Frozen):
     """Multiprime private key: e, d and the primes, checked, from which the
     constructor derives n and the CRT material once.
 
@@ -125,15 +122,10 @@ class RsaPrivateKey:
     i = j + 1, with R_i = r_1 * ... * r_{i-1}, so the first coefficient is 1.
     """
 
-    e: int
-    d: int
-    primes: tuple[int, ...]
-    n: int = field(init=False)
-    crt_exponents: tuple[int, ...] = field(init=False)
-    crt_coefficients: tuple[int, ...] = field(init=False)
+    _fields = ("e", "d", "primes", "n", "crt_exponents", "crt_coefficients")
 
-    def __post_init__(self):
-        primes = tuple(self.primes)
+    def __init__(self, e: int, d: int, primes: tuple[int, ...]):
+        primes = tuple(primes)
         if len(primes) < 2:
             raise InvalidKey("at least two primes required")
         # before any arithmetic: a prime of 1 makes lcm(r_i - 1) zero
@@ -143,18 +135,17 @@ class RsaPrivateKey:
         if math.lcm(*primes) != n:
             raise InvalidKey("primes must be distinct and pairwise coprime")
         chi = math.lcm(*[r - 1 for r in primes])
-        if math.gcd(self.e, chi) != 1:
+        if math.gcd(e, chi) != 1:
             raise BadExponent("gcd(e, r_i - 1) != 1 for some prime")
         # RFC 8017 §3.2: d is positive, and any d an encoder reduces is below n
-        if not 0 < self.d < n:
+        if not 0 < d < n:
             raise InvalidKey("d must lie in [1, n)")
-        if self.e * self.d % chi != 1:
+        if e * d % chi != 1:
             raise InvalidKey("e*d != 1 modulo lcm(r_i - 1)")
-        object.__setattr__(self, "primes", primes)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "crt_exponents", tuple(self.d % (r - 1) for r in primes))
-        object.__setattr__(self, "crt_coefficients", tuple(
-            pow(math.prod(primes[:i]), -1, r) for i, r in enumerate(primes)))
+        self.__dict__.update(e=e, d=d, primes=primes, n=n,
+                             crt_exponents=tuple(d % (r - 1) for r in primes),
+                             crt_coefficients=tuple(pow(math.prod(primes[:i]), -1, r)
+                                                    for i, r in enumerate(primes)))
 
     def __repr__(self) -> str:
         # d, the primes and the CRT values are secret: only public facts print

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
 
 from . import cms, csr as csr_mod, keystore, pkcs1
 from .asn1 import der_decode, der_encode, text_octets
@@ -174,18 +173,19 @@ class AttributeTypeInvalid(TokenError):
     """The object has no attribute of the requested type."""
 
 
-@dataclass
 class Session:
-    handle: int
-    rw: bool
+    def __init__(self, handle: int, rw: bool):
+        self.handle = handle
+        self.rw = rw
 
 
-@dataclass
 class TokenObject:
-    handle: int
-    obj_class: str
-    attrs: dict
-    owning_session: int | None = None   # set for session objects only
+    def __init__(self, handle: int, obj_class: str, attrs: dict,
+                 owning_session: int | None = None):  # set for session objects only
+        self.handle = handle
+        self.obj_class = obj_class
+        self.attrs = attrs
+        self.owning_session = owning_session
 
 
 def _serialized(method):

@@ -1,8 +1,8 @@
 """One declared-error root.  Every class that pkcswb raises derives from
 ``errors.PkcsError``, except the programming-error raises listed in
 PROGRAMMING_ERRORS (an unknown scheme, mode, bag type or fault point, a
-DerValue built from the wrong types, ...), and ``exit_code`` is 1 exactly for
-the cryptographic failures."""
+DerValue built from the wrong types, an attribute set on an immutable value,
+...), and ``exit_code`` is 1 exactly for the cryptographic failures."""
 
 import ast
 import builtins
@@ -16,7 +16,8 @@ PACKAGE = Path(pkcswb.__file__).resolve().parent
 
 # "module.function": the builtin class it raises for a caller's mistake
 PROGRAMMING_ERRORS = {
-    "asn1.Oid.__post_init__": ValueError,
+    "errors.Frozen.__setattr__": AttributeError,
+    "asn1.Oid.__init__": ValueError,
     "asn1.DerValue.__init__": ValueError,
     "asn1.bit_string": ValueError,
     "asn1.printable_string": ValueError,
@@ -24,13 +25,13 @@ PROGRAMMING_ERRORS = {
     "primitives.mgf": ValueError,
     "primitives.RandomSource.read": NotImplementedError,
     "primitives.ConstantSource.__init__": ValueError,
-    "pkcs1.PssParams.__post_init__": ValueError,
+    "pkcs1.PssParams.__init__": ValueError,
     "pkcs1.encrypt": ValueError,
     "pkcs1.decrypt": ValueError,
     "pkcs1.sign": ValueError,
-    "csr.Name.__post_init__": ValueError,
+    "csr.Name.__init__": ValueError,
     "csr.build_csr": ValueError,
-    "pfx.SafeBag.__post_init__": ValueError,
+    "pfx.SafeBag.__init__": ValueError,
     "pfx._privacy_wrap": ValueError,
     "pfx.pfx_create": ValueError,
     "token.Token.login": ValueError,

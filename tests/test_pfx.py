@@ -1,4 +1,3 @@
-import dataclasses
 import warnings
 
 import pytest
@@ -333,7 +332,10 @@ def test_mac_covers_the_auth_safe_octets_as_received(material, monkeypatch):
 ], ids=["_privacy_unwrap", "pfx_create", "pfx_open"])
 def test_public_key_modes_need_their_credentials(material, privacy, integrity, missing, message):
     bags, credentials, _ = material
-    lacking = dataclasses.replace(credentials, **{missing: None})
+    lacking = PfxCredentials(**{
+        name: None if name == missing else getattr(credentials, name)
+        for name in ("privacy_password", "integrity_password", "destination_pub",
+                     "destination_priv", "source_sign_key", "source_verify_key", "source_name")})
     with pytest.raises(MissingCredential, match=message):
         pfx_open(pfx_create(bags, privacy, integrity, lacking, seeded(b"lacking")), lacking)
 

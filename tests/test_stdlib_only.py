@@ -1,4 +1,6 @@
-"""The runtime stays stdlib-only: no import outside the standard library."""
+"""The runtime stays stdlib-only: no import outside the standard library, and
+no code generated at import: neither ``dataclasses`` nor ``typing`` is
+imported and nothing calls ``exec``, ``eval`` or ``compile``."""
 
 import ast
 import sys
@@ -29,3 +31,16 @@ def test_package_imports_only_the_standard_library():
         return
     with open(ROOT / "pyproject.toml", "rb") as handle:
         assert tomllib.load(handle)["project"]["dependencies"] == []
+
+
+def test_package_generates_no_code():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        where = path.relative_to(PACKAGE)
+        found += [f"{where}: import {name}" for name in _imported_modules(path)
+                  if name.partition(".")[0] in ("dataclasses", "typing")]
+        found += [f"{where}:{node.lineno}: {node.func.id}()"
+                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in ("exec", "eval", "compile")]
+    assert found == []
