@@ -230,9 +230,6 @@ class DerValue(Frozen):
     def is_universal(self, tag_number: int) -> bool:
         return self.tag_number == tag_number and self.tag_class == _UNIVERSAL
 
-    def is_context(self, tag_number: int) -> bool:
-        return self.tag_number == tag_number and self.tag_class == _CONTEXT
-
     @property
     def children(self) -> tuple["DerValue", ...]:
         if not self.constructed:
@@ -313,10 +310,8 @@ def oid_value(oid: Oid | str) -> DerValue:
     return DerValue(_UNIVERSAL, False, OBJECT_IDENTIFIER, oid_to_octets(oid))
 
 
-def bit_string(data: bytes, unused_bits: int = 0) -> DerValue:
-    if not 0 <= unused_bits <= 7:
-        raise ValueError("unused bit count must be 0..7")
-    return DerValue(_UNIVERSAL, False, BIT_STRING, bytes([unused_bits]) + bytes(data))
+def bit_string(data: bytes) -> DerValue:
+    return DerValue(_UNIVERSAL, False, BIT_STRING, b"\x00" + bytes(data))
 
 
 def text_octets(text: str, encoding: str = "utf-8") -> bytes:

@@ -9,22 +9,22 @@ SignatureInvalid) because a verifier is not a decryption oracle; the
 decryption-side operations collapse every failure into the shared uniform
 DecryptionError.  Wherever a digest or signature is checked, the octets
 hashed are the ones received on the wire, never a re-normalized encoding.
-``keystore`` writes and reads the attribute sets; a contentType or
-messageDigest attribute holds one value, of the registry's syntax.
+``keystore`` writes and reads the attribute sets, and ``pkcs1`` and ``pkcs5``
+the algorithm identifiers but SHA-256's; a contentType or messageDigest
+attribute holds one value, of the registry's syntax.
 """
 
 from __future__ import annotations
 
-from . import asn1, oids, pkcs1
+from . import asn1, oids, pkcs1, pkcs5
 from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
 from .csr import (CertificationRequest, Name, decode_public_key_info,
                   encode_public_key_info, verify_csr)
 from .errors import DecryptionError, Frozen, IntegrityFailure, PkcsError, uniform_decryption
 from .keystore import (Attribute, SyntaxViolation, _attributes_from_der, _attributes_to_der,
                        attribute_check, attribute_make)
-from .pkcs1 import ModulusTooSmall
-from .primitives import (SHA256, BadLength, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal,
-                         hmac_digest)
+from .primitives import (BLOCK_LEN, SHA256, BadLength, RandomSource, cbc_decrypt, cbc_encrypt,
+                         ct_equal, hmac_digest)
 from .rsa import RsaPrivateKey, RsaPublicKey
 
 __all__ = [
@@ -48,10 +48,6 @@ __all__ = [
     "toy_issue",
     "cert_fields",
 ]
-
-_CEK_LEN = 16
-_IV_LEN = 16
-
 
 class DigestMismatch(IntegrityFailure):
     """The messageDigest attribute does not match the encapsulated content."""
@@ -223,7 +219,7 @@ def sign_data(inner: ContentInfo, signer_key: RsaPrivateKey, signer_ident: Signe
         signer_ident.to_der_value(),
         AlgorithmIdentifier(oids.SHA256).to_der_value(),
         *attrs_set,
-        AlgorithmIdentifier(oids.RSASSA_PSS).to_der_value(),
+        pkcs1.PSS_ALGORITHM.to_der_value(),
         asn1.octet_string(signature),
     )
     signed = asn1.sequence(
@@ -266,7 +262,7 @@ def verify_signed(ci: ContentInfo,
     encap_v, _sid, digest_alg_v, attrs_v, sig_alg_v, sig_v = _parse_signed(ci)
     if AlgorithmIdentifier.from_der_value(digest_alg_v).oid != oids.SHA256:
         raise SignatureInvalid("unsupported digest algorithm")
-    if AlgorithmIdentifier.from_der_value(sig_alg_v).oid != oids.RSASSA_PSS:
+    if not pkcs1.is_pss(AlgorithmIdentifier.from_der_value(sig_alg_v)):
         raise SignatureInvalid("unsupported signature algorithm")
     inner = ContentInfo.from_der_value(encap_v)
     message = _covered_as_received(inner, attrs_v)
@@ -298,36 +294,21 @@ def _parse_encrypted_content(value: DerValue) -> tuple[AlgorithmIdentifier, byte
     return AlgorithmIdentifier.from_der_value(alg_v), ct_v.content
 
 
-def _aes_iv(algorithm: AlgorithmIdentifier) -> bytes:
-    """The IV of an AES-128-CBC identifier; any other identifier fails decryption."""
-    if algorithm.oid != oids.AES128_CBC or algorithm.params is None:
-        raise DecryptionError()
-    return algorithm.params.as_octet_string()
-
-
 def envelope(inner: ContentInfo, recipient_pub: RsaPublicKey,
              rng: RandomSource) -> ContentInfo:
     """Key transport: fresh CEK, AES-128-CBC payload, CEK wrapped with OAEP."""
-    cek = rng.read(_CEK_LEN)
-    iv = rng.read(_IV_LEN)
+    cek = rng.read(pkcs5.AES128_KEY_LEN)
+    iv = rng.read(BLOCK_LEN)
     ciphertext = cbc_encrypt(cek, iv, inner.to_der())
     try:
         encrypted_key = pkcs1.encrypt(cek, recipient_pub, pkcs1.SCHEME_OAEP, rng)
     except pkcs1.MessageTooLong:
-        raise ModulusTooSmall(
+        raise pkcs1.ModulusTooSmall(
             "recipient modulus cannot carry an OAEP-wrapped content key") from None
-    recipient = asn1.sequence(
-        asn1.integer(0),
-        AlgorithmIdentifier(oids.RSAES_OAEP).to_der_value(),
-        asn1.octet_string(encrypted_key),
-    )
-    enveloped = asn1.sequence(
-        asn1.integer(0),
-        recipient,
-        _encrypted_content_value(inner.content_type,
-                                 AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv)),
-                                 ciphertext),
-    )
+    recipient = asn1.sequence(asn1.integer(0), pkcs1.OAEP_ALGORITHM.to_der_value(),
+                              asn1.octet_string(encrypted_key))
+    enveloped = asn1.sequence(asn1.integer(0), recipient, _encrypted_content_value(
+        inner.content_type, pkcs5.aes128_cbc_algorithm(iv), ciphertext))
     return ContentInfo(oids.CT_ENVELOPED_DATA, enveloped)
 
 
@@ -337,10 +318,10 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
         version_v, recipient_v, econtent_v = asn1._fields(ci.content, 3)
         rversion_v, kea_v, ek_v = asn1._fields(recipient_v, 3)
         if (version_v.as_integer() != 0 or rversion_v.as_integer() != 0
-                or AlgorithmIdentifier.from_der_value(kea_v).oid != oids.RSAES_OAEP):
+                or not pkcs1.is_oaep(AlgorithmIdentifier.from_der_value(kea_v))):
             raise DecryptionError()
         algorithm, ciphertext = _parse_encrypted_content(econtent_v)
-        iv = _aes_iv(algorithm)
+        iv = pkcs5.aes128_cbc_iv(algorithm)
         cek = pkcs1.decrypt(ek_v.as_octet_string(), recipient_priv, pkcs1.SCHEME_OAEP)
         return cbc_decrypt(cek, iv, ciphertext, ContentInfo.from_der)
 
@@ -394,19 +375,18 @@ def _parse_encrypted_data(ci: ContentInfo) -> tuple[AlgorithmIdentifier, bytes]:
 
 
 def encrypt_data(inner: ContentInfo, key: bytes, rng: RandomSource) -> ContentInfo:
-    iv = rng.read(_IV_LEN)
-    return _encrypted_data(inner.content_type,
-                           AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv)),
+    iv = rng.read(BLOCK_LEN)
+    return _encrypted_data(inner.content_type, pkcs5.aes128_cbc_algorithm(iv),
                            cbc_encrypt(key, iv, inner.to_der()))
 
 
 def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
     _expect_type(ci, oids.CT_ENCRYPTED_DATA, "encrypted-data")
-    if len(key) != _CEK_LEN:  # the caller's key, not the wire's: no oracle
+    if len(key) != pkcs5.AES128_KEY_LEN:  # the caller's key, not the wire's: no oracle
         raise BadLength("AES-128 key must be 16 octets")
     with uniform_decryption():
         algorithm, ciphertext = _parse_encrypted_data(ci)
-        return cbc_decrypt(key, _aes_iv(algorithm), ciphertext, ContentInfo.from_der)
+        return cbc_decrypt(key, pkcs5.aes128_cbc_iv(algorithm), ciphertext, ContentInfo.from_der)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +400,7 @@ def authenticate_data(inner: ContentInfo, key: bytes,
     encap_v, attrs_set, message = _covered(inner, auth_attrs)
     body = asn1.sequence(
         asn1.integer(0),
-        AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value(),
+        pkcs5.HMAC_SHA256_ALGORITHM.to_der_value(),
         encap_v,
         *attrs_set,
         asn1.octet_string(hmac_digest(key, message)),
@@ -440,7 +420,7 @@ def _parse_auth(ci: ContentInfo) -> tuple[DerValue, DerValue, DerValue, DerValue
 def check_auth(ci: ContentInfo, key: bytes) -> bool:
     version_v, alg_v, encap_v, attrs_v, mac_v = _parse_auth(ci)
     if (version_v.as_integer() != 0
-            or AlgorithmIdentifier.from_der_value(alg_v).oid != oids.HMAC_WITH_SHA256):
+            or not pkcs5.is_hmac_sha256(AlgorithmIdentifier.from_der_value(alg_v))):
         return False
     try:
         message = _covered_as_received(ContentInfo.from_der_value(encap_v), attrs_v)

@@ -5,15 +5,16 @@ subject public key info, attributes) signed with the subject's own private
 key under RSASSA-PSS, so verification needs nothing but the request itself.
 ``build_csr`` signs and ``verify_csr`` checks the DER of the value the info
 object keeps, so a received request is verified over the octets received.
+``pkcs1`` writes and reads the key and signature identifiers.
 """
 
 from __future__ import annotations
 
 from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerValue, der_decode, der_encode
-from .errors import Frozen, PkcsError
-from .keystore import (Attribute, SyntaxViolation, attribute_check, _RSA_ALG,
-                       _attributes_from_der, _attributes_to_der)
+from .errors import Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
+from .keystore import (Attribute, SyntaxViolation, attribute_check, _attributes_from_der,
+                       _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
 from .rsa import InvalidKey, RsaPrivateKey, RsaPublicKey, check_key_caps
@@ -30,13 +31,14 @@ __all__ = [
     "pss_salt_len_for",
 ]
 
+# name field -> (attribute type, the string type of its value)
 _NAME_FIELDS = {
-    "commonName": oids.CN,
-    "organization": oids.ORGANIZATION,
-    "country": oids.COUNTRY,
-    "emailAddress": oids.AT_EMAIL_ADDRESS,
+    "commonName": (oids.CN, asn1.utf8_string),
+    "organization": (oids.ORGANIZATION, asn1.utf8_string),
+    "country": (oids.COUNTRY, asn1.printable_string),
+    "emailAddress": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string),
 }
-_NAME_FIELDS_BY_OID = {oid: name for name, oid in _NAME_FIELDS.items()}
+_NAME_FIELDS_BY_OID = {oid: name for name, (oid, _) in _NAME_FIELDS.items()}
 
 
 class MalformedRequest(PkcsError, ValueError):
@@ -74,14 +76,8 @@ class Name(Frozen):
     def to_der_value(self) -> DerValue:
         rdns = []
         for key, value in self.pairs:
-            if key == "country":
-                encoded = asn1.printable_string(value)
-            elif key == "emailAddress":
-                encoded = asn1.ia5_string(value)
-            else:
-                encoded = asn1.utf8_string(value)
-            pair = asn1.sequence(asn1.oid_value(_NAME_FIELDS[key]), encoded)
-            rdns.append(asn1.set_value(pair))
+            oid, make = _NAME_FIELDS[key]
+            rdns.append(asn1.set_value(asn1.sequence(asn1.oid_value(oid), make(value))))
         return asn1.sequence(*rdns)
 
     @classmethod
@@ -103,22 +99,19 @@ class Name(Frozen):
 
 def encode_public_key_info(pk: RsaPublicKey) -> DerValue:
     key_der = der_encode(asn1.sequence(asn1.integer(pk.n), asn1.integer(pk.e)))
-    return asn1.sequence(_RSA_ALG.to_der_value(), asn1.bit_string(key_der))
+    return asn1.sequence(pkcs1.RSA_KEY_ALGORITHM.to_der_value(), asn1.bit_string(key_der))
 
 
 def decode_public_key_info(value: DerValue) -> RsaPublicKey:
+    """A refused key identifier, KeyTooLarge, or n or e out of range is MalformedRequest."""
     alg_v, key_v = asn1._fields(value, 2)
-    algorithm = AlgorithmIdentifier.from_der_value(alg_v)
-    if algorithm.oid != oids.RSA_ENCRYPTION:
-        raise MalformedRequest(f"unsupported key algorithm {algorithm.oid}")
-    if algorithm.params not in (None, _RSA_ALG.params):  # RFC 3279 §2.3.1
-        raise MalformedRequest("rsaEncryption parameters must be NULL")
-    n_v, e_v = asn1._fields(der_decode(key_v.as_bit_string()), 2)
-    n, e = n_v.as_integer(), e_v.as_integer()
     try:
+        pkcs1.rsa_key_algorithm(alg_v)
+        n_v, e_v = asn1._fields(der_decode(key_v.as_bit_string()), 2)
+        n, e = n_v.as_integer(), e_v.as_integer()
         check_key_caps(n, e)
         return RsaPublicKey(n, e)
-    except InvalidKey as exc:  # KeyTooLarge, or n or e out of range
+    except (UnsupportedAlgorithm, MalformedKey, InvalidKey) as exc:
         raise MalformedRequest(str(exc)) from None
 
 
@@ -196,11 +189,10 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
             raise SyntaxViolation(f"attribute {attribute.attr_type} fails its syntax check")
     info = CertificationRequestInfo(subject, public, tuple(attributes))
     signature = pkcs1.sign(der_encode(info.to_der_value()), private, rng)
-    return CertificationRequest(info, AlgorithmIdentifier(oids.RSASSA_PSS), signature)
+    return CertificationRequest(info, pkcs1.PSS_ALGORITHM, signature)
 
 
 def verify_csr(csr: CertificationRequest) -> bool:
     """Self-signature check under the public key embedded in the request."""
-    if csr.signature_algorithm.oid != oids.RSASSA_PSS:
-        return False
-    return pkcs1.verify(der_encode(csr.info.to_der_value()), csr.signature, csr.info.public_key)
+    return pkcs1.is_pss(csr.signature_algorithm) and pkcs1.verify(
+        der_encode(csr.info.to_der_value()), csr.signature, csr.info.public_key)

@@ -30,9 +30,9 @@ import re
 from collections.abc import Callable
 from contextlib import contextmanager
 
-from . import asn1, oids
+from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
-from .errors import Frozen, MalformedKey, MissingCredential, PkcsError, UnsupportedAlgorithm
+from .errors import Frozen, MalformedKey, MissingCredential, PkcsError
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
 from .rsa import InvalidKey, RsaPrivateKey, check_key_caps
@@ -265,8 +265,6 @@ def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
 # ---------------------------------------------------------------------------
 # PrivateKeyInfo
 
-_RSA_ALG = AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null())
-
 
 def _key_body(key: RsaPrivateKey) -> DerValue:
     triples = [
@@ -306,7 +304,7 @@ class PrivateKeyInfo(Frozen):
     _fields = ("key", "attributes", "algorithm")
 
     def __init__(self, key: RsaPrivateKey, attributes: tuple[Attribute, ...] = (),
-                 algorithm: AlgorithmIdentifier = _RSA_ALG):
+                 algorithm: AlgorithmIdentifier = pkcs1.RSA_KEY_ALGORITHM):
         self.__dict__.update(key=key,
                              attributes=asn1.set_order(attributes, Attribute.to_der_value),
                              algorithm=algorithm)
@@ -330,11 +328,7 @@ class PrivateKeyInfo(Frozen):
             kids = asn1.require(value, asn1.SEQUENCE).children
             if len(kids) not in (3, 4) or kids[0].as_integer() != 0:
                 raise MalformedKey("unrecognized PrivateKeyInfo shape")
-            algorithm = AlgorithmIdentifier.from_der_value(kids[1])
-            if algorithm.oid != oids.RSA_ENCRYPTION:
-                raise UnsupportedAlgorithm(f"unsupported key algorithm {algorithm.oid}")
-            if algorithm.params not in (None, _RSA_ALG.params):  # RFC 3279 §2.3.1
-                raise MalformedKey("rsaEncryption parameters must be NULL")
+            algorithm = pkcs1.rsa_key_algorithm(kids[1])
             key = _key_from_body(der_decode(kids[2].as_octet_string()))
             attributes = _attributes_from_der(kids[3]) if len(kids) == 4 else ()
             return cls(key, attributes, algorithm)

@@ -53,14 +53,13 @@ _MAC_ITERATIONS = 2048
 _PRIVACY_ITERATIONS = 2048
 _SALT_LEN = 8
 
-_BAG_OIDS = {
-    "key": oids.KEY_BAG,
-    "shroudedKey": oids.SHROUDED_KEY_BAG,
-    "cert": oids.CERT_BAG,
+# bag type -> (its OID, the class of the value it holds)
+_BAGS = {
+    "key": (oids.KEY_BAG, PrivateKeyInfo),
+    "shroudedKey": (oids.SHROUDED_KEY_BAG, EncryptedPrivateKeyInfo),
+    "cert": (oids.CERT_BAG, ContentInfo),
 }
-_BAG_TYPES = {oid: name for name, oid in _BAG_OIDS.items()}
-_BAG_CLASSES = {"key": PrivateKeyInfo, "shroudedKey": EncryptedPrivateKeyInfo,
-                "cert": ContentInfo}
+_BAG_TYPES = {oid: name for name, (oid, _) in _BAGS.items()}
 
 
 class PfxSecurityWarning(UserWarning):
@@ -75,16 +74,16 @@ class SafeBag(Frozen):
     def __init__(self, bag_type: str,
                  value: PrivateKeyInfo | EncryptedPrivateKeyInfo | ContentInfo,
                  attributes: tuple[Attribute, ...] = ()):
-        if bag_type not in _BAG_OIDS:
+        if bag_type not in _BAGS:
             raise ValueError(f"unknown bag type {bag_type!r}")
-        expected = _BAG_CLASSES[bag_type]
+        expected = _BAGS[bag_type][1]
         if not isinstance(value, expected):
             raise ValueError(f"{bag_type} bag must hold {expected.__name__}")
         self.__dict__.update(bag_type=bag_type, value=value,
                              attributes=asn1.set_order(attributes, Attribute.to_der_value))
 
     def to_der_value(self) -> DerValue:
-        children = [asn1.oid_value(_BAG_OIDS[self.bag_type]),
+        children = [asn1.oid_value(_BAGS[self.bag_type][0]),
                     asn1.explicit(0, self.value.to_der_value())]
         if self.attributes:
             children.append(asn1.set_value(*(a.to_der_value() for a in self.attributes)))
@@ -97,7 +96,7 @@ class SafeBag(Frozen):
         if bag_type is None:  # crlBag, secretBag and safeContentsBag are not modelled
             raise UnsupportedAlgorithm(f"unsupported bag type {kids[0].as_oid()}")
         (inner,) = asn1._fields(kids[1], 1, tag_number=0, tag_class=asn1.TagClass.CONTEXT)
-        bag_value = _BAG_CLASSES[bag_type].from_der_value(inner)
+        bag_value = _BAGS[bag_type][1].from_der_value(inner)
         attributes = ()
         if len(kids) == 3:
             attrs_v = asn1.require(kids[2], asn1.SET)
@@ -191,17 +190,16 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerVal
     if element.content_type == oids.CT_ENCRYPTED_DATA:
         if credentials.privacy_password is None:
             raise MissingCredential("password privacy needs a privacy password")
-    elif element.content_type == oids.CT_ENVELOPED_DATA:
-        if credentials.destination_priv is None:
-            raise MissingCredential("public-key privacy needs the destination private key")
-    else:
-        raise UnsupportedAlgorithm(f"unsupported authenticated-safe element {element.content_type}")
-    with uniform_decryption():
-        if element.content_type == oids.CT_ENCRYPTED_DATA:
+        with uniform_decryption():
             return pbes2_decrypt(*cms._parse_encrypted_data(element),
                                  credentials.privacy_password, _safe_contents)
-        return _safe_contents(cms.data_payload(
-            cms.open_envelope(element, credentials.destination_priv)))
+    if element.content_type == oids.CT_ENVELOPED_DATA:
+        if credentials.destination_priv is None:
+            raise MissingCredential("public-key privacy needs the destination private key")
+        with uniform_decryption():
+            return _safe_contents(cms.data_payload(
+                cms.open_envelope(element, credentials.destination_priv)))
+    raise UnsupportedAlgorithm(f"unsupported authenticated-safe element {element.content_type}")
 
 
 def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,

@@ -14,11 +14,14 @@ every octet of a secret encoded message, it is not constant time.
 RSASSA-PSS has one salt rule, pss_salt_len_for: sLen = min(hLen,
 emLen - hLen - 2).  sign and verify both default to it, and verification
 refuses a recovered salt of any other length (RFC 8017 §9.1.2 step 10).
+The RSA algorithm identifiers (RFC 8017 §A.1-A.2) are written and read here
+alone; RSASSA-PSS and RSAES-OAEP carry no parameters and are read by OID.
 """
 
 from __future__ import annotations
 
-from .errors import DecryptionError, Frozen, PkcsError
+from . import asn1, oids
+from .errors import DecryptionError, Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
 from .primitives import SHA256, HashAlg, RandomSource, ct_equal, mgf
 from .rsa import RsaPrivateKey, RsaPublicKey, rsa_private_op, rsa_public_op
 
@@ -47,6 +50,10 @@ __all__ = [
 
 SCHEME_V15 = "v1_5"
 SCHEME_OAEP = "oaep"
+
+RSA_KEY_ALGORITHM = asn1.AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null())
+PSS_ALGORITHM = asn1.AlgorithmIdentifier(oids.RSASSA_PSS)
+OAEP_ALGORITHM = asn1.AlgorithmIdentifier(oids.RSAES_OAEP)
 
 # SHA-256 accepts inputs below 2^61 octets; longer labels are unhashable.
 _MAX_HASH_INPUT = 2**61 - 1
@@ -131,6 +138,23 @@ class PssParams(Frozen):
     @classmethod
     def for_key(cls, key: RsaPublicKey | RsaPrivateKey) -> "PssParams":
         return cls(key.modulus_octets, key.n.bit_length(), salt_len=pss_salt_len_for(key))
+
+
+def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:
+    algorithm = asn1.AlgorithmIdentifier.from_der_value(value)
+    if algorithm.oid != oids.RSA_ENCRYPTION:
+        raise UnsupportedAlgorithm(f"unsupported key algorithm {algorithm.oid}")
+    if algorithm.params not in (None, RSA_KEY_ALGORITHM.params):  # RFC 3279 §2.3.1
+        raise MalformedKey("rsaEncryption parameters must be NULL")
+    return algorithm
+
+
+def is_pss(algorithm: asn1.AlgorithmIdentifier) -> bool:
+    return algorithm.oid == oids.RSASSA_PSS
+
+
+def is_oaep(algorithm: asn1.AlgorithmIdentifier) -> bool:
+    return algorithm.oid == oids.RSAES_OAEP
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ through ``primitives.cbc_decrypt``, passing the caller's reader on to it.
 The PBES2 header (RFC 8018 §A.2, §A.4) is written and read here:
 ``pbes2_encrypt`` returns it, ``pbes2_decrypt`` checks it before any
 derivation, and ``pbkdf2_fields`` is the one salt and count check, which the
-PFX MacData shares too.
+PFX MacData shares too.  So are the hmacWithSHA256 and AES-128-CBC
+identifiers inside it (RFC 8018 §B.1.2, §B.2.5), which CMS carries as well.
 
 PBES1 (and the rest of the legacy password-based encryption family) is not
 implemented; decoding such an algorithm identifier fails loudly instead.
@@ -23,8 +24,8 @@ from collections.abc import Callable
 from . import asn1, oids
 from .asn1 import AlgorithmIdentifier, DerValue
 from .errors import BadParameter, Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
-from .primitives import (RandomSource, cbc_decrypt, cbc_encrypt, ct_equal, hmac_digest,
-                         keyed_hmac)
+from .primitives import (BLOCK_LEN, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal,
+                         hmac_digest, keyed_hmac)
 
 __all__ = [
     "DerivedKeyTooLong",
@@ -51,8 +52,8 @@ DEFAULT_SALT_LEN = 8
 MAX_ITERATIONS = 1_000_000
 
 AES128_KEY_LEN = 16
-_IV_LEN = 16
 _H_LEN = 32  # HMAC-SHA-256 output
+HMAC_SHA256_ALGORITHM = AlgorithmIdentifier(oids.HMAC_WITH_SHA256)
 
 
 class DerivedKeyTooLong(PkcsError, ValueError):
@@ -119,13 +120,30 @@ def pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
     return salt, check_iterations(count)
 
 
+def is_hmac_sha256(algorithm: AlgorithmIdentifier) -> bool:
+    return algorithm.oid == oids.HMAC_WITH_SHA256
+
+
+def aes128_cbc_algorithm(iv: bytes) -> AlgorithmIdentifier:
+    return AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv))
+
+
+def aes128_cbc_iv(algorithm: AlgorithmIdentifier) -> bytes:
+    """The IV of an AES-128-CBC identifier; a DER fault in it is left for the caller."""
+    if algorithm.oid != oids.AES128_CBC:
+        raise UnsupportedAlgorithm(f"unsupported cipher {algorithm.oid}")
+    iv = b"" if algorithm.params is None else algorithm.params.as_octet_string()
+    if len(iv) != BLOCK_LEN:
+        raise MalformedKey("AES-128-CBC IV must be 16 octets")
+    return iv
+
+
 def pbes2_algorithm(salt: bytes, iterations: int, iv: bytes) -> AlgorithmIdentifier:
     """PBES2 AlgorithmIdentifier carrying (salt, count, PRF id, cipher id, IV)."""
     kdf = AlgorithmIdentifier(oids.PBKDF2, asn1.sequence(
-        asn1.octet_string(salt), asn1.integer(iterations),
-        AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value()))
-    enc = AlgorithmIdentifier(oids.AES128_CBC, asn1.octet_string(iv))
-    return AlgorithmIdentifier(oids.PBES2, asn1.sequence(kdf.to_der_value(), enc.to_der_value()))
+        asn1.octet_string(salt), asn1.integer(iterations), HMAC_SHA256_ALGORITHM.to_der_value()))
+    return AlgorithmIdentifier(oids.PBES2, asn1.sequence(
+        kdf.to_der_value(), aes128_cbc_algorithm(iv).to_der_value()))
 
 
 def pbes2_fields(algorithm: AlgorithmIdentifier) -> tuple[bytes, int, bytes]:
@@ -140,17 +158,13 @@ def pbes2_fields(algorithm: AlgorithmIdentifier) -> tuple[bytes, int, bytes]:
     kdf, enc = map(AlgorithmIdentifier.from_der_value, asn1._fields(algorithm.params, 2))
     if kdf.oid != oids.PBKDF2:
         raise UnsupportedAlgorithm(f"unsupported key derivation {kdf.oid}")
-    if enc.oid != oids.AES128_CBC:
-        raise UnsupportedAlgorithm(f"unsupported cipher {enc.oid}")
-    if kdf.params is None or enc.params is None:
-        raise MalformedKey("PBKDF2 or cipher identifier lacks parameters")
+    iv = aes128_cbc_iv(enc)
+    if kdf.params is None:
+        raise MalformedKey("PBKDF2 identifier lacks parameters")
     salt_v, iter_v, prf_v = asn1._fields(kdf.params, 3)
     prf = AlgorithmIdentifier.from_der_value(prf_v)
-    if prf.oid != oids.HMAC_WITH_SHA256:
+    if not is_hmac_sha256(prf):
         raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
-    iv = enc.params.as_octet_string()
-    if len(iv) != _IV_LEN:
-        raise MalformedKey("AES-128-CBC IV must be 16 octets")
     return (*pbkdf2_fields(salt_v, iter_v), iv)
 
 
@@ -162,7 +176,7 @@ def pbes2_encrypt(message: bytes, password: bytes, salt: bytes, iterations: int,
     The count is held to MAX_ITERATIONS, as on the reading side, so nothing
     is written that the reader would refuse."""
     check_iterations(iterations)
-    iv = rng.read(_IV_LEN)
+    iv = rng.read(BLOCK_LEN)
     dk = pbkdf2(password, Pbkdf2Params(salt, iterations, AES128_KEY_LEN))
     return pbes2_algorithm(salt, iterations, iv), cbc_encrypt(dk, iv, message)
 

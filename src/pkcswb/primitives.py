@@ -383,10 +383,11 @@ class SeededSource(RandomSource):
 
     def read(self, n: int) -> bytes:
         n = _octet_count(n)
-        while len(self._buffer) < n:
-            self._buffer += self._mac(self._counter.to_bytes(4, "big"))
-            self._counter += 1
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
+        short = max(0, n - len(self._buffer))
+        counters = range(self._counter, self._counter + -(-short // SHA256.output_len))
+        self._counter = counters.stop
+        stream = self._buffer + b"".join(self._mac(c.to_bytes(4, "big")) for c in counters)
+        out, self._buffer = stream[:n], stream[n:]
         return out
 
 

@@ -500,19 +500,20 @@ def export_pkcs15_layout(token: Token) -> str:
     deterministic for identical token state.
     """
     files: dict[str, list[str]] = {name: [] for name in _DIRECTORY_ORDER}
-    if token._so_pin is not None:
-        files["AODF"].append("  handle=0 id=00 label=so-pin")
-    if token._user_pin is not None:
-        files["AODF"].append("  handle=0 id=01 label=user-pin")
-    for handle in sorted(token._objects):
-        obj = token._objects[handle]
-        if obj.obj_class == CLASS_KEY:
-            target = "PrKDF" if obj.attrs.get(CKA_KEY_KIND) == "private" else "PuKDF"
-        elif obj.obj_class == CLASS_CERTIFICATE:
-            target = "CDF"
-        else:
-            target = "DODF"
-        files[target].append(_object_line(obj))
+    with token._lock:  # one snapshot of the token, like any other operation
+        if token._so_pin is not None:
+            files["AODF"].append("  handle=0 id=00 label=so-pin")
+        if token._user_pin is not None:
+            files["AODF"].append("  handle=0 id=01 label=user-pin")
+        for handle in sorted(token._objects):
+            obj = token._objects[handle]
+            if obj.obj_class == CLASS_KEY:
+                target = "PrKDF" if obj.attrs.get(CKA_KEY_KIND) == "private" else "PuKDF"
+            elif obj.obj_class == CLASS_CERTIFICATE:
+                target = "CDF"
+            else:
+                target = "DODF"
+            files[target].append(_object_line(obj))
     lines = [
         "MF",
         "DF(PKCS15)",

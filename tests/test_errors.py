@@ -19,7 +19,6 @@ PROGRAMMING_ERRORS = {
     "errors.Frozen.__setattr__": AttributeError,
     "asn1.Oid.__init__": ValueError,
     "asn1.DerValue.__init__": ValueError,
-    "asn1.bit_string": ValueError,
     "asn1.printable_string": ValueError,
     "primitives.HashAlg.digest": ValueError,
     "primitives.mgf": ValueError,

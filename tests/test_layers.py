@@ -1,12 +1,14 @@
 """The layers import downward only: each module of the package imports only
 the modules listed before it in LAYERS (the order bench/tracer.py assumes).
-One decision sits in one layer: only pkcs1 names PssParams, only pkcs5
-names the password-based OIDs, AlgorithmIdentifier is defined in asn1 alone,
-and only primitives (CBC decryption), cms and pfx (their headers) enter
-uniform_decryption."""
+One decision sits in one layer: only pkcs1 names PssParams, each algorithm
+OID is named by the one module that writes and reads its identifier,
+AlgorithmIdentifier is defined in asn1 alone, and only primitives (CBC
+decryption), cms and pfx (their headers) enter uniform_decryption."""
 
 import ast
 from pathlib import Path
+
+from pkcswb import oids
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pkcswb"
 LAYERS = ("errors", "asn1", "oids", "primitives", "pkcs5", "rsa", "pkcs1",
@@ -62,11 +64,42 @@ def test_only_pkcs1_names_pss_params():
     assert naming == []
 
 
-def test_only_pkcs5_names_the_password_based_oids():
-    # the PBES2 and PBKDF2 headers are pkcs5's: keystore and pfx pass identifiers through
-    naming = sorted(path.stem for path in PACKAGE.glob("*.py")
-                    if path.stem not in ("oids", "pkcs5")
-                    and {"PBES2", "PBKDF2", "LEGACY_PBE"} & set(_identifiers(path)))
+# each algorithm OID of oids.py -> the one module that writes and reads its
+# identifier: the standard that defines it (RFC 8017 §A.1-A.2, RFC 8018 §A-B),
+# and cms for the digest algorithm
+OID_OWNERS = {
+    "RSA_ENCRYPTION": "pkcs1", "RSASSA_PSS": "pkcs1", "RSAES_OAEP": "pkcs1", "MGF1": "pkcs1",
+    "PBES2": "pkcs5", "PBKDF2": "pkcs5", "LEGACY_PBE": "pkcs5", "AES128_CBC": "pkcs5",
+    "HMAC_WITH_SHA256": "pkcs5",
+    "SHA256": "cms",
+}
+
+
+def _oid_names(path: Path):
+    """The names of oids.py that ``path`` spells, as ``oids.NAME`` or imported
+    from oids; a bare SHA256 is primitives' hash function, not the OID."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "oids"):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("oids"):
+            yield from (alias.name for alias in node.names)
+
+
+def test_the_owner_table_holds_every_algorithm_oid():
+    # the rest of oids.py: content types, attribute types, name parts, bag types
+    others = ("CT_", "AT_", "CN", "COUNTRY", "ORGANIZATION", "KEY_BAG", "SHROUDED_KEY_BAG",
+              "CERT_BAG")
+    algorithms = {name for name in vars(oids) if name.isupper() and not name.startswith(others)}
+    assert algorithms == set(OID_OWNERS)
+
+
+def test_each_algorithm_oid_is_named_only_by_its_owner():
+    # keystore, csr and pfx pass identifiers through; cms names only SHA-256
+    naming = sorted(f"{path.stem} names {name}" for path in PACKAGE.glob("*.py")
+                    if path.stem != "oids"
+                    for name in set(_oid_names(path)) & set(OID_OWNERS)
+                    if OID_OWNERS[name] != path.stem)
     assert naming == []
 
 

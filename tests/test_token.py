@@ -582,6 +582,36 @@ def test_manifest_golden():
         "EF(UnusedSpace): 0\n")
 
 
+def test_manifest_reads_the_token_state_under_its_lock():
+    # another thread may create or destroy objects meanwhile: the export
+    # must take the token's lock before it reads the PINs or the objects
+    token = fresh_token(b"export-lock")
+    session = user_session(token)
+    token.create_object(session, CLASS_DATA, {CKA_VALUE: b"v"})
+    held, reads = [], []
+
+    class RecordingLock:
+        def __enter__(self):
+            held.append(True)
+
+        def __exit__(self, *exc_info):
+            held.pop()
+
+    class RecordingObjects(dict):
+        def __iter__(self):
+            reads.append(bool(held))
+            return super().__iter__()
+
+        def __getitem__(self, handle):
+            reads.append(bool(held))
+            return super().__getitem__(handle)
+
+    token._lock = RecordingLock()
+    token._objects = RecordingObjects(token._objects)
+    assert "EF(DODF): 1" in export_pkcs15_layout(token)
+    assert reads and all(reads)
+
+
 def test_manifest_lists_label_and_id():
     token = fresh_token(b"label")
     session = user_session(token)
