@@ -337,11 +337,11 @@ def ia5_string(text: str) -> DerValue:
 
 
 def utc_time(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, False, UTC_TIME, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, False, UTC_TIME, text_octets(text, "ascii"))
 
 
 def generalized_time(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, False, GENERALIZED_TIME, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, False, GENERALIZED_TIME, text_octets(text, "ascii"))
 
 
 def sequence(*children: DerValue) -> DerValue:

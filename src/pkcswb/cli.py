@@ -81,7 +81,7 @@ def _load_private(path: str) -> rsa.RsaPrivateKey:
 
 
 def _load_public(path: str) -> rsa.RsaPublicKey:
-    return csr_mod.decode_public_key_info(der_decode(_read(path)))
+    return pkcs1.decode_public_key_info(der_decode(_read(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +93,7 @@ def _cmd_keygen(args) -> int:
     public, private = rsa.generate_key(args.bits, args.primes, args.e, rng)
     _write(args.out, keystore.encode_private_key(private))
     if args.pub:
-        _write(args.pub, der_encode(csr_mod.encode_public_key_info(public)))
+        _write(args.pub, der_encode(pkcs1.encode_public_key_info(public)))
     return 0
 
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from . import asn1, oids, pkcs1, pkcs5
 from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
-from .csr import (CertificationRequest, Name, decode_public_key_info,
-                  encode_public_key_info, verify_csr)
+from .csr import CertificationRequest, Name, verify_csr
 from .errors import DecryptionError, Frozen, IntegrityFailure, PkcsError, uniform_decryption
 from .keystore import (Attribute, SyntaxViolation, _attributes_from_der, _attributes_to_der,
                        attribute_check, attribute_make)
@@ -48,6 +47,13 @@ __all__ = [
     "toy_issue",
     "cert_fields",
 ]
+
+SHA256_ALGORITHM = AlgorithmIdentifier(oids.SHA256)  # written without parameters
+
+
+def is_sha256(algorithm: AlgorithmIdentifier) -> bool:
+    return algorithm.oid == oids.SHA256  # read by OID alone
+
 
 class DigestMismatch(IntegrityFailure):
     """The messageDigest attribute does not match the encapsulated content."""
@@ -217,14 +223,14 @@ def sign_data(inner: ContentInfo, signer_key: RsaPrivateKey, signer_ident: Signe
     signer_info = asn1.sequence(
         asn1.integer(1),
         signer_ident.to_der_value(),
-        AlgorithmIdentifier(oids.SHA256).to_der_value(),
+        SHA256_ALGORITHM.to_der_value(),
         *attrs_set,
         pkcs1.PSS_ALGORITHM.to_der_value(),
         asn1.octet_string(signature),
     )
     signed = asn1.sequence(
         asn1.integer(1),
-        asn1.set_value(AlgorithmIdentifier(oids.SHA256).to_der_value()),
+        asn1.set_value(SHA256_ALGORITHM.to_der_value()),
         encap_v,
         asn1.set_value(signer_info),
     )
@@ -245,8 +251,8 @@ def _parse_signed(ci: ContentInfo):
     sig_alg_v, sig_v = kids[-2:]
     if version_v.as_integer() != 1 or signer_version_v.as_integer() != 1:
         raise SignatureInvalid("SignedData and SignerInfo must be version 1")
-    if [AlgorithmIdentifier.from_der_value(v).oid
-            for v in asn1.require(algs_v, asn1.SET).children] != [oids.SHA256]:
+    if [is_sha256(AlgorithmIdentifier.from_der_value(v))
+            for v in asn1.require(algs_v, asn1.SET).children] != [True]:
         raise SignatureInvalid("digestAlgorithms must be exactly SHA-256")
     return encap_v, sid_v, digest_alg_v, attrs_v, sig_alg_v, sig_v
 
@@ -260,7 +266,7 @@ def verify_signed(ci: ContentInfo,
     when the signature itself fails.
     """
     encap_v, _sid, digest_alg_v, attrs_v, sig_alg_v, sig_v = _parse_signed(ci)
-    if AlgorithmIdentifier.from_der_value(digest_alg_v).oid != oids.SHA256:
+    if not is_sha256(AlgorithmIdentifier.from_der_value(digest_alg_v)):
         raise SignatureInvalid("unsupported digest algorithm")
     if not pkcs1.is_pss(AlgorithmIdentifier.from_der_value(sig_alg_v)):
         raise SignatureInvalid("unsupported signature algorithm")
@@ -333,7 +339,7 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
 def digest_data(inner: ContentInfo) -> ContentInfo:
     body = asn1.sequence(
         asn1.integer(0),
-        AlgorithmIdentifier(oids.SHA256).to_der_value(),
+        SHA256_ALGORITHM.to_der_value(),
         inner.to_der_value(),
         asn1.octet_string(SHA256.digest(inner.to_der())),
     )
@@ -343,7 +349,7 @@ def digest_data(inner: ContentInfo) -> ContentInfo:
 def check_digest(ci: ContentInfo) -> bool:
     _expect_type(ci, oids.CT_DIGESTED_DATA, "digested-data")
     version_v, alg_v, encap_v, digest_v = asn1._fields(ci.content, 4)
-    if version_v.as_integer() != 0 or AlgorithmIdentifier.from_der_value(alg_v).oid != oids.SHA256:
+    if version_v.as_integer() != 0 or not is_sha256(AlgorithmIdentifier.from_der_value(alg_v)):
         return False
     return ct_equal(SHA256.digest(der_encode(encap_v)), digest_v.as_octet_string())
 
@@ -445,7 +451,7 @@ def toy_issue(request: CertificationRequest, ca_key: RsaPrivateKey, ca_name: Nam
         raise SignatureInvalid("request self-signature does not verify")
     payload = der_encode(asn1.sequence(
         request.info.subject.to_der_value(),
-        encode_public_key_info(request.info.public_key),
+        pkcs1.encode_public_key_info(request.info.public_key),
         asn1.integer(serial),
         ca_name.to_der_value(),
     ))
@@ -459,5 +465,5 @@ def cert_fields(cert: ContentInfo) -> tuple[Name, RsaPublicKey, int, Name]:
     encap_v, *_ = _parse_signed(cert)
     inner = der_decode(data_payload(ContentInfo.from_der_value(encap_v)))
     subject_v, spki_v, serial_v, issuer_v = asn1._fields(inner, 4)
-    return (Name.from_der_value(subject_v), decode_public_key_info(spki_v),
+    return (Name.from_der_value(subject_v), pkcs1.decode_public_key_info(spki_v),
             serial_v.as_integer(), Name.from_der_value(issuer_v))

@@ -5,7 +5,7 @@ subject public key info, attributes) signed with the subject's own private
 key under RSASSA-PSS, so verification needs nothing but the request itself.
 ``build_csr`` signs and ``verify_csr`` checks the DER of the value the info
 object keeps, so a received request is verified over the octets received.
-``pkcs1`` writes and reads the key and signature identifiers.
+``pkcs1`` writes and reads the subject key info and the signature identifier.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from .keystore import (Attribute, SyntaxViolation, attribute_check, _attributes_
                        _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
-from .rsa import InvalidKey, RsaPrivateKey, RsaPublicKey, check_key_caps
+from .rsa import InvalidKey, RsaPrivateKey, RsaPublicKey
 
 __all__ = [
     "MalformedRequest",
@@ -26,8 +26,6 @@ __all__ = [
     "CertificationRequest",
     "build_csr",
     "verify_csr",
-    "encode_public_key_info",
-    "decode_public_key_info",
     "pss_salt_len_for",
 ]
 
@@ -94,28 +92,6 @@ class Name(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# SubjectPublicKeyInfo
-
-
-def encode_public_key_info(pk: RsaPublicKey) -> DerValue:
-    key_der = der_encode(asn1.sequence(asn1.integer(pk.n), asn1.integer(pk.e)))
-    return asn1.sequence(pkcs1.RSA_KEY_ALGORITHM.to_der_value(), asn1.bit_string(key_der))
-
-
-def decode_public_key_info(value: DerValue) -> RsaPublicKey:
-    """A refused key identifier, KeyTooLarge, or n or e out of range is MalformedRequest."""
-    alg_v, key_v = asn1._fields(value, 2)
-    try:
-        pkcs1.rsa_key_algorithm(alg_v)
-        n_v, e_v = asn1._fields(der_decode(key_v.as_bit_string()), 2)
-        n, e = n_v.as_integer(), e_v.as_integer()
-        check_key_caps(n, e)
-        return RsaPublicKey(n, e)
-    except (UnsupportedAlgorithm, MalformedKey, InvalidKey) as exc:
-        raise MalformedRequest(str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
 # request objects
 
 
@@ -136,7 +112,7 @@ class CertificationRequestInfo(Frozen):
             object.__setattr__(self, "_value", asn1.sequence(
                 asn1.integer(self.version),
                 self.subject.to_der_value(),
-                encode_public_key_info(self.public_key),
+                pkcs1.encode_public_key_info(self.public_key),
                 _attributes_to_der(self.attributes),
             ))
         return self._value
@@ -146,7 +122,7 @@ class CertificationRequestInfo(Frozen):
         version_v, subject_v, spki_v, attrs_v = asn1._fields(value, 4)
         if version_v.as_integer() != cls.version:
             raise MalformedRequest(f"unsupported request version, not {cls.version}")
-        info = cls(Name.from_der_value(subject_v), decode_public_key_info(spki_v),
+        info = cls(Name.from_der_value(subject_v), pkcs1.decode_public_key_info(spki_v),
                    _attributes_from_der(attrs_v))
         object.__setattr__(info, "_value", value)
         return info
@@ -174,7 +150,7 @@ class CertificationRequest(Frozen):
             return cls(CertificationRequestInfo.from_der_value(info_v),
                        AlgorithmIdentifier.from_der_value(alg_v),
                        sig_v.as_bit_string())
-        except asn1.DerError as exc:
+        except (asn1.DerError, UnsupportedAlgorithm, MalformedKey, InvalidKey) as exc:
             raise MalformedRequest(str(exc)) from None
 
 

@@ -3,14 +3,8 @@ container modules.
 
 Two DER objects are produced here: PrivateKeyInfo (version, key algorithm,
 key octets, optional attribute set) and EncryptedPrivateKeyInfo (PBES2
-header from ``pkcs5``, ciphertext).  The RSA key body inside PrivateKeyInfo is
-a SEQUENCE of version, n, e, d, followed by one (r_i, d_i, t_i) triple per
-prime; the first prime carries the trivial coefficient t_1 = 1 so that all
-primes share one shape, the one ``rsa.RsaPrivateKey`` derives, and the
-triples map one to one.  Multiprime keys use body version 1, two-prime keys
-version 0.  The reader builds the key from the body's e, d and primes, refuses
-a body whose n, version or triples differ from those they derive, and keeps d
-as received (OpenSSL may write it modulo phi(n)).
+header from ``pkcs5``, ciphertext).  ``pkcs1`` writes and reads the key
+algorithm and the RSA key body inside PrivateKeyInfo.
 
 The attribute registry holds exactly the ten types the other standards pull
 in: contentType, messageDigest, signingTime, sequenceNumber, randomNonce,
@@ -25,7 +19,6 @@ reader checks the tag, then the order, then each Attribute.
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -35,7 +28,7 @@ from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
 from .errors import Frozen, MalformedKey, MissingCredential, PkcsError
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
-from .rsa import InvalidKey, RsaPrivateKey, check_key_caps
+from .rsa import InvalidKey, RsaPrivateKey
 
 __all__ = [
     "UnknownAttributeType",
@@ -266,40 +259,6 @@ def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
 # PrivateKeyInfo
 
 
-def _key_body(key: RsaPrivateKey) -> DerValue:
-    triples = [
-        asn1.sequence(asn1.integer(r), asn1.integer(d_i), asn1.integer(t_i))
-        for r, d_i, t_i in zip(key.primes, key.crt_exponents, key.crt_coefficients)
-    ]
-    return asn1.sequence(
-        asn1.integer(key.version),
-        asn1.integer(key.n),
-        asn1.integer(key.e),
-        asn1.integer(key.d),
-        asn1.sequence(*triples),
-    )
-
-
-def _key_from_body(body: DerValue) -> RsaPrivateKey:
-    version_v, n_v, e_v, d_v, triples_v = asn1._fields(body, 5)
-    asn1.require(triples_v, asn1.SEQUENCE)
-    n, e = n_v.as_integer(), e_v.as_integer()
-    check_key_caps(n, e, len(triples_v.children))
-    triples = [tuple(v.as_integer() for v in asn1._fields(triple, 3))
-               for triple in triples_v.children]
-    primes = [r for r, _, _ in triples]
-    # a prime longer than n cannot divide it: refused before the product,
-    # whose cost grows faster than the file, so the caps bound the work
-    if any(r.bit_length() > n.bit_length() for r in primes) or math.prod(primes) != n:
-        raise MalformedKey("modulus is not the product of the primes")
-    key = RsaPrivateKey(e, d_v.as_integer(), primes)
-    if version_v.as_integer() != key.version:
-        raise MalformedKey("version must be 0 for two primes, 1 otherwise")
-    if triples != list(zip(key.primes, key.crt_exponents, key.crt_coefficients)):
-        raise MalformedKey("a CRT exponent or coefficient is not the one the primes give")
-    return key
-
-
 class PrivateKeyInfo(Frozen):
     _fields = ("key", "attributes", "algorithm")
 
@@ -313,7 +272,7 @@ class PrivateKeyInfo(Frozen):
         children = [
             asn1.integer(0),
             self.algorithm.to_der_value(),
-            asn1.octet_string(der_encode(_key_body(self.key))),
+            asn1.octet_string(der_encode(pkcs1.key_body(self.key))),
         ]
         if self.attributes:
             children.append(_attributes_to_der(self.attributes))
@@ -329,7 +288,7 @@ class PrivateKeyInfo(Frozen):
             if len(kids) not in (3, 4) or kids[0].as_integer() != 0:
                 raise MalformedKey("unrecognized PrivateKeyInfo shape")
             algorithm = pkcs1.rsa_key_algorithm(kids[1])
-            key = _key_from_body(der_decode(kids[2].as_octet_string()))
+            key = pkcs1.key_from_body(der_decode(kids[2].as_octet_string()))
             attributes = _attributes_from_der(kids[3]) if len(kids) == 4 else ()
             return cls(key, attributes, algorithm)
 
@@ -339,8 +298,8 @@ class PrivateKeyInfo(Frozen):
             return cls.from_der_value(der_decode(octets))
 
 
-def encode_private_key(key: RsaPrivateKey, attributes: tuple[Attribute, ...] = ()) -> bytes:
-    return PrivateKeyInfo(key, attributes).to_der()
+def encode_private_key(key: RsaPrivateKey) -> bytes:
+    return PrivateKeyInfo(key).to_der()
 
 
 def decode_private_key(octets: bytes) -> RsaPrivateKey:

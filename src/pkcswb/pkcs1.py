@@ -14,16 +14,26 @@ every octet of a secret encoded message, it is not constant time.
 RSASSA-PSS has one salt rule, pss_salt_len_for: sLen = min(hLen,
 emLen - hLen - 2).  sign and verify both default to it, and verification
 refuses a recovered salt of any other length (RFC 8017 §9.1.2 step 10).
-The RSA algorithm identifiers (RFC 8017 §A.1-A.2) are written and read here
-alone; RSASSA-PSS and RSAES-OAEP carry no parameters and are read by OID.
+The RSA algorithm identifiers and key layouts (RFC 8017 §A.1-A.2) are written
+and read here alone; RSASSA-PSS and RSAES-OAEP carry no parameters and are
+read by OID.  The private key body that PKCS #8 carries is a SEQUENCE of
+version, n, e, d, followed by one (r_i, d_i, t_i) triple per prime; the first
+prime carries the trivial coefficient t_1 = 1 so that all primes share one
+shape, the one ``rsa.RsaPrivateKey`` derives, and the triples map one to one.
+Multiprime keys use body version 1, two-prime keys version 0.  The reader
+builds the key from the body's e, d and primes, refuses a body whose n,
+version or triples differ from those they derive, and keeps d as received
+(OpenSSL may write it modulo phi(n)).
 """
 
 from __future__ import annotations
 
+import math
+
 from . import asn1, oids
 from .errors import DecryptionError, Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
 from .primitives import SHA256, HashAlg, RandomSource, ct_equal, mgf
-from .rsa import RsaPrivateKey, RsaPublicKey, rsa_private_op, rsa_public_op
+from .rsa import RsaPrivateKey, RsaPublicKey, check_key_caps, rsa_private_op, rsa_public_op
 
 __all__ = [
     "MessageTooLong",
@@ -155,6 +165,52 @@ def is_pss(algorithm: asn1.AlgorithmIdentifier) -> bool:
 
 def is_oaep(algorithm: asn1.AlgorithmIdentifier) -> bool:
     return algorithm.oid == oids.RSAES_OAEP
+
+
+# ---------------------------------------------------------------------------
+# key layouts
+
+
+def encode_public_key_info(pk: RsaPublicKey) -> asn1.DerValue:
+    key_der = asn1.der_encode(asn1.sequence(asn1.integer(pk.n), asn1.integer(pk.e)))
+    return asn1.sequence(RSA_KEY_ALGORITHM.to_der_value(), asn1.bit_string(key_der))
+
+
+def decode_public_key_info(value: asn1.DerValue) -> RsaPublicKey:
+    """A refused key identifier, KeyTooLarge, or n or e out of range raises its own class."""
+    alg_v, key_v = asn1._fields(value, 2)
+    rsa_key_algorithm(alg_v)
+    n_v, e_v = asn1._fields(asn1.der_decode(key_v.as_bit_string()), 2)
+    n, e = n_v.as_integer(), e_v.as_integer()
+    check_key_caps(n, e)
+    return RsaPublicKey(n, e)
+
+
+def key_body(key: RsaPrivateKey) -> asn1.DerValue:
+    triples = [asn1.sequence(*map(asn1.integer, triple))
+               for triple in zip(key.primes, key.crt_exponents, key.crt_coefficients)]
+    return asn1.sequence(*map(asn1.integer, (key.version, key.n, key.e, key.d)),
+                         asn1.sequence(*triples))
+
+
+def key_from_body(body: asn1.DerValue) -> RsaPrivateKey:
+    version_v, n_v, e_v, d_v, triples_v = asn1._fields(body, 5)
+    asn1.require(triples_v, asn1.SEQUENCE)
+    n, e = n_v.as_integer(), e_v.as_integer()
+    check_key_caps(n, e, len(triples_v.children))
+    triples = [tuple(v.as_integer() for v in asn1._fields(triple, 3))
+               for triple in triples_v.children]
+    primes = [r for r, _, _ in triples]
+    # a prime longer than n cannot divide it: refused before the product,
+    # whose cost grows faster than the file, so the caps bound the work
+    if any(r.bit_length() > n.bit_length() for r in primes) or math.prod(primes) != n:
+        raise MalformedKey("modulus is not the product of the primes")
+    key = RsaPrivateKey(e, d_v.as_integer(), primes)
+    if version_v.as_integer() != key.version:
+        raise MalformedKey("version must be 0 for two primes, 1 otherwise")
+    if triples != list(zip(key.primes, key.crt_exponents, key.crt_coefficients)):
+        raise MalformedKey("a CRT exponent or coefficient is not the one the primes give")
+    return key
 
 
 # ---------------------------------------------------------------------------

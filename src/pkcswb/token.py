@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import threading
 
-from . import cms, csr as csr_mod, keystore, pkcs1
+from . import cms, keystore, pkcs1
 from .asn1 import der_decode, der_encode, text_octets
 from .errors import PkcsError
 from .primitives import SHA256, RandomSource, SystemRandomSource, ct_equal
@@ -408,7 +408,7 @@ class Token:
 
     @staticmethod
     def _public_key(obj: TokenObject):
-        return csr_mod.decode_public_key_info(der_decode(obj.attrs[CKA_VALUE]))
+        return pkcs1.decode_public_key_info(der_decode(obj.attrs[CKA_VALUE]))
 
     @_in_session
     def generate_key_pair(self, session: Session, bits: int, u: int = 2,
@@ -419,7 +419,7 @@ class Token:
         self._require_writable(session, True)
         public, private = generate_key(bits, u, e, self._rng)
         key_id = self._rng.read(4)
-        pub_der = der_encode(csr_mod.encode_public_key_info(public))
+        pub_der = der_encode(pkcs1.encode_public_key_info(public))
         pub_handle = self.create_object(session, CLASS_KEY, {
             CKA_VALUE: pub_der, CKA_KEY_TYPE: "rsa", CKA_KEY_KIND: "public",
             CKA_ID: key_id, CKA_LABEL: label, CKA_LOCAL: True,

@@ -7,6 +7,7 @@ from pkcswb.asn1 import (ArcOverflow, DerValue, IndefiniteLength, NonCanonical,
                          NonMinimalLength, Oid, OversizeTag, TagClass,
                          TrailingOctets, Truncated, der_decode, der_encode,
                          octets_to_oid, oid_to_octets)
+from pkcswb.errors import BadParameter
 
 
 def test_integer_zero():
@@ -211,6 +212,16 @@ def test_text_types_round_trip():
                           (asn1.generalized_time, "20200101120000Z")]:
         value = factory(text)
         assert der_decode(der_encode(value)).as_text() == text
+
+
+@pytest.mark.parametrize("factory, text", [
+    (asn1.utf8_string, "\udcff"), (asn1.ia5_string, "é@x"),
+    (asn1.utc_time, "20010112000éZ"), (asn1.generalized_time, "1980é"),
+], ids=["utf8-lone-surrogate", "ia5-non-ascii", "utc-time-non-ascii",
+        "generalized-time-non-ascii"])
+def test_text_a_string_type_cannot_hold_is_bad_parameter(factory, text):
+    with pytest.raises(BadParameter, match="cannot be encoded"):
+        factory(text)
 
 
 def test_require_names_what_it_found():

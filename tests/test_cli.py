@@ -52,10 +52,10 @@ def workdir(tmp_path_factory):
 
 
 def test_keygen_outputs_reload(workdir):
-    from pkcswb import csr as csr_mod, keystore
+    from pkcswb import keystore, pkcs1
     from pkcswb.asn1 import der_decode
     private = keystore.decode_private_key((workdir / "alice.p8").read_bytes())
-    public = csr_mod.decode_public_key_info(der_decode((workdir / "alice.spki").read_bytes()))
+    public = pkcs1.decode_public_key_info(der_decode((workdir / "alice.spki").read_bytes()))
     assert private.public_key == public
 
 

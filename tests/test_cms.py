@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import asn1, cms, csr, keystore, oids, rsa
+from pkcswb import asn1, cms, csr, keystore, oids, pkcs1, rsa
 from pkcswb.asn1 import AlgorithmIdentifier
 from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIdent,
                         WrongContentType,
@@ -557,7 +557,7 @@ def test_auth_version_other_than_0_is_refused():
 _SHORT_BODY = asn1.sequence(asn1.integer(0), AlgorithmIdentifier(oids.SHA256).to_der_value())
 _CN = asn1.sequence(asn1.oid_value(oids.CN), asn1.utf8_string("Subject"))
 _SUBJECT = asn1.sequence(asn1.set_value(_CN))
-_SPKI = csr.encode_public_key_info(rsa.RsaPublicKey(2**1023 + 1, 65537))
+_SPKI = pkcs1.encode_public_key_info(rsa.RsaPublicKey(2**1023 + 1, 65537))
 
 
 def _toy_cert(*fields) -> ContentInfo:
@@ -595,9 +595,9 @@ def test_toy_cert_reads_with_four_fields():
     (lambda: Attribute.from_der_value(asn1.sequence(asn1.oid_value(oids.AT_SIGNING_TIME),
                                                     asn1.set_value())), asn1.NonCanonical),
     (lambda: cert_fields(_toy_cert(_SUBJECT, _SPKI, asn1.integer(7))), asn1.NonCanonical),
-    (lambda: csr.decode_public_key_info(asn1.sequence(*_SPKI.children, asn1.null())),
+    (lambda: pkcs1.decode_public_key_info(asn1.sequence(*_SPKI.children, asn1.null())),
      asn1.NonCanonical),
-    (lambda: csr.decode_public_key_info(asn1.sequence(_SPKI.children[0], asn1.bit_string(
+    (lambda: pkcs1.decode_public_key_info(asn1.sequence(_SPKI.children[0], asn1.bit_string(
         asn1.der_encode(asn1.sequence(asn1.integer(2**1023 + 1), asn1.integer(3),
                                       asn1.integer(5)))))), asn1.NonCanonical),
     (lambda: Name.from_der_value(asn1.sequence(asn1.set_value(

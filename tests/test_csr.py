@@ -3,8 +3,8 @@ import pytest
 from pkcswb import asn1, oids, pkcs1, rsa
 from pkcswb.asn1 import AlgorithmIdentifier, der_encode
 from pkcswb.csr import (CertificationRequest, CertificationRequestInfo,
-                        MalformedRequest, Name, build_csr, decode_public_key_info,
-                        encode_public_key_info, verify_csr)
+                        MalformedRequest, Name, build_csr, verify_csr)
+from pkcswb.errors import MalformedKey
 from pkcswb.keystore import attribute_make
 from conftest import seeded
 
@@ -194,11 +194,25 @@ def test_name_and_key_readers_raise_only_declared_errors():
         Name.from_der_value(asn1.sequence(asn1.set_value(
             asn1.sequence(asn1.oid_value(oids.CN), asn1.utf8_string("x"))), asn1.set_value(
             asn1.sequence(asn1.oid_value(oids.COUNTRY), asn1.printable_string("USA")))))
-    spki = encode_public_key_info(rsa.RsaPublicKey(2**1023 + 1, 65537))
-    for n, e in ((2**1023 + 1, 2), (1, 65537), (2**rsa.MAX_MODULUS_BITS + 1, 65537)):
+    spki = pkcs1.encode_public_key_info(rsa.RsaPublicKey(2**1023 + 1, 65537))
+    for n, e, error in ((2**1023 + 1, 2, rsa.InvalidKey), (1, 65537, rsa.InvalidKey),
+                        (2**rsa.MAX_MODULUS_BITS + 1, 65537, rsa.KeyTooLarge)):
         wrapped = asn1.bit_string(der_encode(asn1.sequence(asn1.integer(n), asn1.integer(e))))
-        with pytest.raises(MalformedRequest):
-            decode_public_key_info(asn1.sequence(spki.children[0], wrapped))
+        _assert_refused(asn1.sequence(spki.children[0], wrapped), error)
+
+
+def _assert_refused(spki, error, match=None):
+    """The key reader raises exactly ``error``; read inside a request, the
+    same refusal is MalformedRequest with the same text."""
+    with pytest.raises(error, match=match) as raised:
+        pkcs1.decode_public_key_info(spki)
+    assert raised.type is error
+    info = asn1.sequence(asn1.integer(0), _alice_name().to_der_value(), spki, asn1.context(0, ()))
+    request = der_encode(asn1.sequence(info, pkcs1.PSS_ALGORITHM.to_der_value(),
+                                       asn1.bit_string(b"")))
+    with pytest.raises(MalformedRequest) as in_request:
+        CertificationRequest.from_der(request)
+    assert str(in_request.value) == str(raised.value)
 
 
 def test_build_csr_needs_room_for_pss():
@@ -210,15 +224,14 @@ def test_build_csr_needs_room_for_pss():
 def test_rsa_encryption_parameters_other_than_null_are_malformed(key_512):
     # RFC 3279 §2.3.1: the parameters are NULL; absent ones stay accepted
     public, _ = key_512
-    key_v = encode_public_key_info(public).children[1]
+    key_v = pkcs1.encode_public_key_info(public).children[1]
 
     def spki(params):
         alg = AlgorithmIdentifier(oids.RSA_ENCRYPTION, params).to_der_value()
         return asn1.der_decode(der_encode(asn1.sequence(alg, key_v)))
 
-    with pytest.raises(MalformedRequest, match="NULL"):
-        decode_public_key_info(spki(asn1.octet_string(b"")))
-    assert decode_public_key_info(spki(None)) == public
+    _assert_refused(spki(asn1.octet_string(b"")), MalformedKey, match="NULL")
+    assert pkcs1.decode_public_key_info(spki(None)) == public
 
 
 @pytest.mark.parametrize("field", ["commonName", "organization", "emailAddress"])

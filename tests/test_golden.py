@@ -16,8 +16,9 @@ import pytest
 
 from pkcswb import asn1, cms, pfx
 from pkcswb.cli import run_scenario
-from pkcswb.csr import Name, build_csr, encode_public_key_info
+from pkcswb.csr import Name, build_csr
 from pkcswb.keystore import PrivateKeyInfo, attribute_make, encrypt_private_key
+from pkcswb.pkcs1 import encode_public_key_info
 from conftest import seeded
 
 GOLDEN = "974adc40e563fc4c4efc7704922302e564e7a158facff3678a090c52de12c4a1"

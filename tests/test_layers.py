@@ -1,9 +1,11 @@
 """The layers import downward only: each module of the package imports only
 the modules listed before it in LAYERS (the order bench/tracer.py assumes).
 One decision sits in one layer: only pkcs1 names PssParams, each algorithm
-OID is named by the one module that writes and reads its identifier,
-AlgorithmIdentifier is defined in asn1 alone, and only primitives (CBC
-decryption), cms and pfx (their headers) enter uniform_decryption."""
+OID is named by the one module that writes and reads its identifier, only
+pkcs1, which writes and reads the RSA key layouts, calls rsa's
+check_key_caps, token reads a public key without csr, AlgorithmIdentifier is
+defined in asn1 alone, and only primitives (CBC decryption), cms and pfx
+(their headers) enter uniform_decryption."""
 
 import ast
 from pathlib import Path
@@ -101,6 +103,15 @@ def test_each_algorithm_oid_is_named_only_by_its_owner():
                     for name in set(_oid_names(path)) & set(OID_OWNERS)
                     if OID_OWNERS[name] != path.stem)
     assert naming == []
+
+
+def test_only_pkcs1_checks_key_caps_and_token_does_not_import_csr():
+    # the key layouts are PKCS #1 syntax (RFC 8017 §A.1); PKCS #8 and #10 only carry them
+    naming = sorted(path.stem for path in PACKAGE.glob("*.py")
+                    if path.stem not in ("rsa", "pkcs1")
+                    and "check_key_caps" in set(_identifiers(path)))
+    token_imports_csr = "csr" in set(_package_imports(PACKAGE / "token.py"))
+    assert (naming, token_imports_csr) == ([], False)
 
 
 def test_algorithm_identifier_is_defined_only_in_asn1():

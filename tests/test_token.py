@@ -443,10 +443,10 @@ def test_sign_verify_with_exported_public_key():
     signature = token.sign(session, priv, message)
     assert token.verify(session, pub, message, signature)
     # verify outside the token with the exported public key value
-    from pkcswb import csr as csr_mod, pkcs1
+    from pkcswb import pkcs1
     from pkcswb.asn1 import der_decode
     spki = token.get_attribute(session, pub, CKA_VALUE)
-    public = csr_mod.decode_public_key_info(der_decode(spki))
+    public = pkcs1.decode_public_key_info(der_decode(spki))
     assert pkcs1.verify(message, signature, public)
 
 

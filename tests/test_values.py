@@ -233,7 +233,7 @@ def test_a_decoded_value_equals_its_built_twin(key_1024):
                                                               asn1.boolean(True))))),
         (algorithm, asn1.AlgorithmIdentifier.from_der_value(_twin(algorithm.to_der_value()))),
         (attribute, keystore.Attribute.from_der_value(_twin(attribute.to_der_value()))),
-        (public, csr.decode_public_key_info(_twin(csr.encode_public_key_info(public)))),
+        (public, pkcs1.decode_public_key_info(_twin(pkcs1.encode_public_key_info(public)))),
         (private, keystore.decode_private_key(keystore.encode_private_key(private))),
         (info, keystore.PrivateKeyInfo.from_der(info.to_der())),
         (epki, keystore.EncryptedPrivateKeyInfo.from_der(epki.to_der())),
