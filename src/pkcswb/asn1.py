@@ -19,16 +19,21 @@ a SET is received: ``_check_set_order`` compares the received encodings of
 neighbouring children in one pass, for every decoded SET and for the
 attribute sets that ``keystore`` reads.
 
-Decoding does each piece of work once.  An OID encoding is parsed once: the
-parse behind ``octets_to_oid`` has a bounded memo (512 encodings of at most
-``_OID_MEMO_OCTETS`` octets), so the content rule, every ``as_oid`` and the
+An OID is parsed once and encoded once, both behind bounded memos.  The
+parse behind ``octets_to_oid`` keeps 512 encodings of at most
+``_OID_MEMO_OCTETS`` octets, so the content rule, every ``as_oid`` and the
 container parsers share one immutable ``Oid`` per encoding; a bad encoding
-is not kept and raises on every call.  The decoder reads the common header,
+is not kept and raises on every call.  Its twin behind ``oid_value`` keeps
+512 OIDs of at most ``_OID_MEMO_ARCS`` arcs, so every writer shares one
+immutable value per OID, and that value keeps its DER octets once encoded.
+Decoding does each piece of work once: the decoder reads the common header,
 a one-octet tag and a short-form length, inline; ``_decode_tag`` and
 ``_decode_length`` read, and check, every other form.
 
 ``AlgorithmIdentifier``, RFC 5280's (OID, optional parameters) pair, lives
-here, below every layer that names an algorithm.
+here, below every layer that names an algorithm.  A built one keeps its
+value, so the module constants that name the algorithms pkcswb writes are
+built and encoded once per process.
 """
 
 from __future__ import annotations
@@ -80,9 +85,11 @@ GENERALIZED_TIME = 0x18
 # Largest tag number we encode/decode: three base-128 octets in high-tag form.
 _MAX_TAG_NUMBER = 2**21 - 1
 
-# Longest OID encoding the parse memo keeps; with its 512 entries this bounds
-# the memo to under 1 MiB whatever the input.  Real OIDs take under 30 octets.
+# Longest OID encoding the parse memo keeps, and most arcs of an OID the encode
+# memo keeps; with 512 entries each, this bounds each memo to under 1 MiB
+# whatever the input.  Real OIDs take under 30 octets and at most 10 arcs.
 _OID_MEMO_OCTETS = 64
+_OID_MEMO_ARCS = 16
 
 # Most values on one root-to-leaf path that the decoder accepts.  Each signed-,
 # digested- or authenticated-data layer adds three levels, and the structures
@@ -305,8 +312,18 @@ def null() -> DerValue:
 
 
 def oid_value(oid: Oid | str) -> DerValue:
+    """The OBJECT IDENTIFIER value of ``oid``.  An OID of at most
+    ``_OID_MEMO_ARCS`` arcs is encoded once and shares one immutable value; a
+    longer one is encoded on every call, and an arc above 2**63 raises."""
     if isinstance(oid, str):
         oid = Oid.parse(oid)
+    if len(oid.arcs) <= _OID_MEMO_ARCS:
+        return _memo_oid_value(oid)
+    return _memo_oid_value.__wrapped__(oid)
+
+
+@functools.lru_cache(maxsize=512)
+def _memo_oid_value(oid: Oid) -> DerValue:
     return DerValue(_UNIVERSAL, False, OBJECT_IDENTIFIER, oid_to_octets(oid))
 
 
@@ -661,16 +678,23 @@ def _fields(value: DerValue, *counts: int, tag_number: int = SEQUENCE,
 
 
 class AlgorithmIdentifier(Frozen):
+    """RFC 5280's (OID, optional parameters) pair.  An identifier keeps the
+    value of its first ``to_der_value``, so a module constant is built and
+    encoded once; ``from_der_value`` keeps nothing, so reading costs no more."""
+
     _fields = ("oid", "params")
+    _value: DerValue | None = None
 
     def __init__(self, oid: Oid, params: DerValue | None = None):
         self.__dict__.update(oid=oid, params=params)
 
     def to_der_value(self) -> DerValue:
-        children = [oid_value(self.oid)]
-        if self.params is not None:
-            children.append(self.params)
-        return sequence(*children)
+        if self._value is None:
+            children = [oid_value(self.oid)]
+            if self.params is not None:
+                children.append(self.params)
+            object.__setattr__(self, "_value", sequence(*children))
+        return self._value
 
     @classmethod
     def from_der_value(cls, value: DerValue) -> "AlgorithmIdentifier":

@@ -45,13 +45,16 @@ class DecryptionError(PkcsError):
 
 @contextmanager
 def uniform_decryption():
-    """Let DecryptionError through and turn any other failure inside the
-    block into DecryptionError(), with no cause attached."""
+    """Let DecryptionError through and turn any other declared failure
+    (``PkcsError``) inside the block into DecryptionError(), with no cause
+    attached.  A programming error (a raw ValueError, IndexError, ...) escapes
+    as itself: masking it would hide it from the totality tests, and no wire
+    input should reach one."""
     try:
         yield
     except DecryptionError:
         raise
-    except Exception:
+    except PkcsError:
         raise DecryptionError() from None
 
 

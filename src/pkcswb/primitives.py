@@ -316,7 +316,8 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes) -> bytes:
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes,
                 read: Callable[[bytes], object] = bytes) -> object:
     """``read`` of the unpadded AES-128-CBC plaintext.  A wrong IV or ciphertext
-    length, bad padding and ``read`` refusing the octets are one DecryptionError."""
+    length, bad padding and ``read`` refusing the octets with a declared error are
+    one DecryptionError; a raw error from ``read`` escapes as itself."""
     if len(iv) != BLOCK_LEN or not ciphertext or len(ciphertext) % BLOCK_LEN:
         raise DecryptionError()
     dk = _inverse_keys(_expand_key(key))

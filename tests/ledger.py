@@ -1,0 +1,112 @@
+"""The outcome ledger: how each reader ends on the one-edit mutants of the
+totality nets, pinned.
+
+``tests/test_mutation.py`` and ``test_reading_subcommands_are_total`` in
+``tests/test_cli.py`` record one line per mutant, ``<class>: <detail>``:
+
+* a raised declared error: its class name, and its message;
+* a returned value: ``value``, with the bool of the check the opener makes
+  (``value True``, ``value False``), and no detail;
+* a subcommand: ``exit <code>``, and its ``error:`` line, with the temporary
+  directories written as ``{dir}`` and ``{tmp}``.
+
+``MUTANT_OUTCOMES`` and ``CLI_OUTCOMES`` hold, per target, the SHA-256 of its
+lines and the count of each class.  Like ``GOLDEN``, the table pins behaviour,
+not correctness: a change that moves an outcome on purpose (an error class, a
+message, a check) updates the entry, and the counts show which classes moved.
+"""
+
+import hashlib
+from collections import Counter
+
+
+def ledger(lines: list[str]) -> tuple[str, dict[str, int]]:
+    """The SHA-256 of ``lines`` and the count of each line's class."""
+    counts = Counter(line.split(":", 1)[0] for line in lines)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest(), dict(sorted(counts.items()))
+
+
+MUTANT_OUTCOMES = {
+    "PrivateKeyInfo": (
+        "c2478fbaeeb22c7db43a3f70aac456f5b233654278e19c8a460efa73f4d95d10",
+        {"MalformedKey": 466, "UnsupportedAlgorithm": 11, "value": 23}),
+    "EncryptedPrivateKeyInfo": (
+        "39e75e9aa8a71078703d1e6218be76f7a9a1f96921a3a91540e6b8c066b158dd",
+        {"DecryptionError": 128, "MalformedKey": 343, "UnsupportedAlgorithm": 28, "value": 1}),
+    "CertificationRequest": (
+        "3d00a6cf22751e71db4baf03ebfd58350e2dfb16b9ddf02df46822781de02cbc",
+        {"MalformedRequest": 329, "value False": 170, "value True": 1}),
+    "data": (
+        "bd1d611273d39e55d1f65aece782bf7787439df594a71a5bc16ba62505913084",
+        {"ArcOverflow": 3, "NonCanonical": 26, "TrailingOctets": 48, "Truncated": 276,
+         "WrongContentType": 46, "value": 101}),
+    "signed-data": (
+        "0b8b006f258c651b4afec0a5ef61f02577ac821740c7287db5255fe7bbb5d06e",
+        {"ArcOverflow": 4, "DigestMismatch": 29, "IndefiniteLength": 1, "NonCanonical": 11,
+         "OversizeTag": 11, "SignatureInvalid": 127, "TrailingOctets": 32, "Truncated": 269,
+         "WrongContentType": 4, "value": 12}),
+    "enveloped-data": (
+        "c4039513de007835ed37d5840efcac487ccb9411188ffe2c72802ce187fe08ef",
+        {"ArcOverflow": 2, "DecryptionError": 176, "IndefiniteLength": 8, "NonCanonical": 10,
+         "NonMinimalLength": 1, "TrailingOctets": 13, "Truncated": 272, "WrongContentType": 5,
+         "value": 13}),
+    "digested-data": (
+        "4c22ae3b5de122e04cafe2978fa6ae6f172129abc258de42a0af3fe8e36cdb77",
+        {"ArcOverflow": 4, "IndefiniteLength": 1, "NonCanonical": 39, "TrailingOctets": 35,
+         "Truncated": 283, "WrongContentType": 20, "value False": 118}),
+    "encrypted-data": (
+        "b6c21fbdb16a100359481be51043601e15322ddd34964f858fe051b3a96acac1",
+        {"ArcOverflow": 4, "DecryptionError": 119, "IndefiniteLength": 19, "NonCanonical": 16,
+         "TrailingOctets": 37, "Truncated": 253, "WrongContentType": 16, "value": 36}),
+    "authenticated-data": (
+        "7186759a3fc370eec5d2d220c8c9ac6070c8e1dd83e377c840f9b7cf41f76122",
+        {"ArcOverflow": 6, "IndefiniteLength": 2, "NonCanonical": 20, "NonMinimalLength": 1,
+         "TrailingOctets": 15, "Truncated": 308, "WrongContentType": 9, "value False": 139}),
+    "pfx-password-password": (
+        "a1c81886b070d757a1878aae92bc8b548ef778abc8fd4096fabc3007c9d1d4f9",
+        {"IntegrityFailure": 184, "NonCanonical": 6, "TrailingOctets": 1, "Truncated": 309}),
+    "pfx-password-public_key": (
+        "172bf212c53036b54e6a8fe43a4d9bedc354a12ec6e05b4402e68f503395d7d6",
+        {"IntegrityFailure": 2, "NonCanonical": 8, "NonMinimalLength": 2,
+         "SignatureInvalid": 189, "TrailingOctets": 16, "Truncated": 279, "value": 4}),
+    "pfx-public_key-password": (
+        "378eb1a1aff7686c877e767f59d343d2b66de7e1fe7fde97f95183ca71d0af41",
+        {"IntegrityFailure": 186, "MalformedKey": 1, "Truncated": 312, "value": 1}),
+    "pfx-public_key-public_key": (
+        "718c83464047bff7285e227beb762cb78148d82a3f4622b68dcfc57b20f14d8b",
+        {"IntegrityFailure": 1, "NonCanonical": 92, "NonMinimalLength": 2,
+         "SignatureInvalid": 181, "TrailingOctets": 16, "Truncated": 205, "value": 3}),
+}
+
+CLI_OUTCOMES = {
+    "verify": (
+        "02a15dad30a77cc38d0b662bbb23e027eba93853acc3f9ed250326c70eb1b6ad",
+        {"exit 1": 72, "exit 2": 128}),
+    "sign": (
+        "89e3b4b3ed1d258f1c27aaa0bce038bb3cb3dd780e1a00f510657b5a143b4aac",
+        {"exit 2": 200}),
+    "p8-unwrap": (
+        "e3e1899ce8dfb1e5bb49d2a5bb889089383e345708f77d473e65a74a0575b099",
+        {"exit 1": 77, "exit 2": 123}),
+    "csr-verify": (
+        "cb353786bd17879cec9cfa28ec7857fd5f47be578b3c7ff60faaa89c61bd2b3f",
+        {"exit 1": 71, "exit 2": 129}),
+    "cms-verify": (
+        "0231f85a9a4ba927753fe022f78916fd7827ab3bcc07ca1f45bbfa28c2a566e1",
+        {"exit 0": 2, "exit 1": 55, "exit 2": 143}),
+    "cms-open": (
+        "fb2513d5684a3e51ed7b0d724337a1fce94d322a2165d2d52b8686624bbf0dfe",
+        {"exit 0": 1, "exit 1": 73, "exit 2": 126}),
+    "cms-digest --check": (
+        "f7fb9f0edd71096ef20971386a4dd0e5761930cc31b57abfec61cf6b102960c2",
+        {"exit 1": 56, "exit 2": 144}),
+    "cms-encrypt --decrypt": (
+        "04fa74c64528d7bf9a27b9a89520b7b2b49bced77b3b7bcf6b6256e57452c04e",
+        {"exit 0": 2, "exit 1": 60, "exit 2": 138}),
+    "cms-auth --check": (
+        "4dcc77313f83aa44068660f52aef53c9af0bcc36f3d6172f7f338a32399ab45b",
+        {"exit 0": 1, "exit 1": 46, "exit 2": 153}),
+    "pfx-unpack": (
+        "1c551eea315476c891283e5af4632294fc6af1b23c0419eb104f3295f863601f",
+        {"exit 1": 75, "exit 2": 125}),
+}

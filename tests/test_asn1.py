@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from pkcswb import asn1
+from pkcswb import asn1, cms, oids, pkcs1, pkcs5
 from pkcswb.asn1 import (ArcOverflow, DerValue, IndefiniteLength, NonCanonical,
                          NonMinimalLength, Oid, OversizeTag, TagClass,
                          TrailingOctets, Truncated, der_decode, der_encode,
@@ -176,6 +176,55 @@ def test_oid_longer_than_the_memo_keeps_parses_alike():
     with pytest.raises(ArcOverflow):
         octets_to_oid(octets[:-1])
     assert asn1._memo_oid.cache_info() == before  # parsed, and not kept
+
+
+# every OID constant of the registry, the refused legacy PBE ones included
+OID_CONSTANTS = [value for value in vars(oids).values() if isinstance(value, Oid)] + \
+    sorted(oids.LEGACY_PBE, key=lambda oid: oid.arcs)
+
+
+def test_oid_value_is_one_shared_value_per_oid():
+    for oid in OID_CONSTANTS:
+        fresh = oid_to_octets(Oid.parse(oid.dotted()))
+        value = asn1.oid_value(oid)
+        assert der_encode(value) == bytes([asn1.OBJECT_IDENTIFIER, len(fresh)]) + fresh
+        assert asn1.oid_value(oid) is value
+    assert asn1.oid_value("1.2.3") == asn1.oid_value(Oid.parse("1.2.3"))
+
+
+def test_oid_value_memo_keeps_at_most_its_cap():
+    many = [Oid((1, 3, 6, 1, 4, 1, 32473, n)) for n in range(600)]
+    values = [asn1.oid_value(oid) for oid in many]
+    info = asn1._memo_oid_value.cache_info()
+    assert info.currsize <= info.maxsize == 512
+    for oid, value in zip(many, values):
+        assert der_decode(der_encode(value)).as_oid() == oid
+        assert asn1.oid_value(oid) == value
+
+
+def test_oid_with_more_arcs_than_the_memo_keeps_encodes_alike():
+    oid = Oid((1, 2) + tuple(range(asn1._OID_MEMO_ARCS)))
+    before = asn1._memo_oid_value.cache_info()
+    first = asn1.oid_value(oid)
+    assert first == asn1.oid_value(oid) and first is not asn1.oid_value(oid)
+    assert first.octets == oid_to_octets(oid)
+    assert asn1._memo_oid_value.cache_info() == before  # encoded, and not kept
+    for _ in range(2):  # an arc above 2**63 raises on every call
+        with pytest.raises(ArcOverflow):
+            asn1.oid_value(Oid((1, 2, 2**64)))
+
+
+@pytest.mark.parametrize("constant", [
+    cms.SHA256_ALGORITHM, pkcs1.PSS_ALGORITHM, pkcs1.OAEP_ALGORITHM, pkcs1.RSA_KEY_ALGORITHM,
+    pkcs5.HMAC_SHA256_ALGORITHM], ids=lambda constant: constant.oid.dotted())
+def test_algorithm_identifier_constant_is_built_once(constant):
+    value = constant.to_der_value()
+    assert constant.to_der_value() is value
+    fresh = asn1.AlgorithmIdentifier(constant.oid, constant.params)
+    assert fresh == constant and hash(fresh) == hash(constant)
+    assert der_encode(fresh.to_der_value()) == der_encode(value)
+    decoded = asn1.AlgorithmIdentifier.from_der_value(der_decode(der_encode(value)))
+    assert decoded == constant and hash(decoded) == hash(constant)
 
 
 def test_boolean_content_rule():

@@ -646,10 +646,12 @@ def test_an_integer_too_long_for_decimal_is_a_usage_error(readable, tmp_path, ca
 @pytest.mark.parametrize("command", list(READERS))
 def test_reading_subcommands_are_total(readable, tmp_path, capsys, monkeypatch, command):
     """Seeded one-edit mutants of each reading subcommand's input, run through
-    main, exit 0, 1 or 2 and raise nothing.  The parser is built once."""
+    main, exit 0, 1 or 2 and raise nothing; each exit code and ``error:``
+    line is pinned in ``ledger.CLI_OUTCOMES``.  The parser is built once."""
     import itertools
     import random
     from pkcswb import cli
+    from ledger import CLI_OUTCOMES, ledger
     from test_mutation import _mutants
 
     parser = _build_parser()
@@ -662,6 +664,7 @@ def test_reading_subcommands_are_total(readable, tmp_path, capsys, monkeypatch, 
     mutant.write_bytes(octets)
     assert main(["--seed", SEED, *argv]) == 0  # the input itself reads
     rng = random.Random(f"cli/{command}")
+    lines = []
     for edited in itertools.islice(_mutants(octets, rng), CLI_MUTANTS):
         mutant.write_bytes(edited)
         try:
@@ -669,4 +672,7 @@ def test_reading_subcommands_are_total(readable, tmp_path, capsys, monkeypatch, 
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} escaped from {command} on {edited.hex()}: {exc}")
         assert code in (0, 1, 2), edited.hex()
-        capsys.readouterr()
+        err = capsys.readouterr().err.strip()
+        lines.append(f"exit {code}: " + err.replace(str(readable), "{dir}")
+                     .replace(str(tmp_path), "{tmp}"))
+    assert ledger(lines) == CLI_OUTCOMES[command]

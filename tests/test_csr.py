@@ -33,6 +33,7 @@ def test_name_round_trip_preserves_order():
     recoded = Name.from_der_value(name.to_der_value())
     assert recoded == name
     assert recoded.get("commonName") == "Alice"
+    assert Name((("commonName", "Alice"),)).get("country") is None
 
 
 def test_build_and_verify_512(key_512):

@@ -334,6 +334,8 @@ def test_signing_time_syntax():
     assert attribute_check(attribute_make("signingTime", "20200101120000Z"))
     with pytest.raises(SyntaxViolation):
         attribute_make("signingTime", "not a time")
+    # a value that is neither UTCTime nor GeneralizedTime
+    assert not attribute_check(Attribute(oids.AT_SIGNING_TIME, (asn1.integer(200101120000),)))
 
 
 def test_sequence_number_and_nonce():

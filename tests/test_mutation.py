@@ -5,7 +5,8 @@ fixed seed: a bit flip, a truncation, one octet inserted or deleted, or one
 octet replaced.  Only declared errors (``PkcsError``) may escape; a bare
 ValueError, IndexError, AttributeError or ZeroDivisionError fails the test.
 PBKDF2 counts are set to 2 or 3 when the targets are built, so that a mutant
-costs microseconds, not the milliseconds of a real count.
+costs microseconds, not the milliseconds of a real count.  Each mutant's end
+is recorded, and the lines are pinned in ``ledger.MUTANT_OUTCOMES``.
 """
 
 import random
@@ -20,6 +21,7 @@ from pkcswb.keystore import (EncryptedPrivateKeyInfo, MalformedKey, PrivateKeyIn
                              attribute_make, decrypt_private_key, encrypt_private_key)
 from pkcswb.pfx import PfxCredentials, PfxPdu, SafeBag, pfx_create, pfx_open
 from conftest import seeded
+from ledger import MUTANT_OUTCOMES, ledger
 
 DECLARED = PkcsError
 MUTANTS = 500
@@ -65,12 +67,14 @@ def targets(key_1024, key_1024_b, toy_keys):
         return lambda octets: opener(ContentInfo.from_der(octets))
 
     def digested(value):
-        cms.check_digest(value)
+        ok = cms.check_digest(value)
         cms.digested_content(value)
+        return ok
 
     def authenticated(value):
-        cms.check_auth(value, b"mac key")
+        ok = cms.check_auth(value, b"mac key")
         cms.authenticated_content(value)
+        return ok
 
     out = {
         "PrivateKeyInfo": (info.to_der(), PrivateKeyInfo.from_der),
@@ -110,14 +114,18 @@ def test_one_edit_mutants_raise_only_declared_errors(targets, name):
     octets, opener = targets[name]
     opener(octets)  # the target itself opens
     rng = random.Random(f"mutation/{name}")
+    lines = []
     for mutant in _mutants(octets, rng):
         try:
-            opener(mutant)
-        except DECLARED:
-            pass
+            result = opener(mutant)
+        except DECLARED as exc:
+            lines.append(f"{type(exc).__name__}: {exc}")
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} escaped from {name} mutant "
                         f"{mutant.hex()}: {exc}")
+        else:
+            lines.append(f"value {result}" if isinstance(result, bool) else "value")
+    assert ledger(lines) == MUTANT_OUTCOMES[name]
 
 
 def _triples_edited(edit):

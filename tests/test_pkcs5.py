@@ -190,13 +190,20 @@ def test_pbmac1_flipped_tag_bit():
 
 
 def test_uniform_decryption_drops_the_cause():
-    for failure in (ValueError("bad padding"), IndexError(0), DecryptionError()):
+    """A declared failure becomes the one cause-free DecryptionError; a
+    programming error escapes as itself, so the totality tests can see it."""
+    for failure in (MalformedKey("bad body"), TooManyIterations("count"), DecryptionError()):
         with pytest.raises(DecryptionError) as info:
             with uniform_decryption():
                 raise failure
         assert info.value.args == ("decryption failed",)
         assert info.value.__cause__ is None
         assert info.value.__suppress_context__ or info.value is failure
+    for failure in (ValueError("bad padding"), IndexError(0), AttributeError("x")):
+        with pytest.raises(type(failure)) as info:
+            with uniform_decryption():
+                raise failure
+        assert info.value is failure
 
 
 @pytest.mark.parametrize("algorithm", [

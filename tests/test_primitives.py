@@ -312,12 +312,20 @@ def test_cbc_bad_padding_is_uniform():
 
 
 def test_cbc_decrypt_returns_what_read_makes_of_the_plaintext():
+    """A declared error from ``read`` is the uniform DecryptionError; a raw
+    one is a programming error, and escapes as itself."""
+    def refuse(plaintext):
+        raise BadParameter("not a key body")
+
     key, iv = b"k" * 16, b"i" * 16
     ciphertext = cbc_encrypt(key, iv, b"attack at dawn")
     assert cbc_decrypt(key, iv, ciphertext, read=bytes.upper) == b"ATTACK AT DAWN"
     with pytest.raises(DecryptionError) as info:
-        cbc_decrypt(key, iv, ciphertext, read=int)
+        cbc_decrypt(key, iv, ciphertext, read=refuse)
     assert info.value.__cause__ is None
+    with pytest.raises(ValueError) as raw:
+        cbc_decrypt(key, iv, ciphertext, read=int)
+    assert raw.type is ValueError
 
 
 def test_cbc_expands_the_key_once_per_message(monkeypatch):

@@ -171,6 +171,15 @@ def test_duplicate_prime_detected():
         rsa.generate_key(32, 2, 65537, ConstantSource(0x06))
 
 
+def test_bad_exponent_after_200_attempts():
+    # constant 0x07 forces candidate 48157, a prime ≡ 1 mod 3, so with e = 3
+    # every one of the 200 attempts has gcd(e, r - 1) = 3
+    assert _forced_candidate(0x07, 16) == 48157 and 48157 % 3 == 1
+    assert is_prime_by_trial_division(48157)
+    with pytest.raises(rsa.BadExponent):
+        rsa.generate_key(32, 2, 3, ConstantSource(0x07))
+
+
 def test_non_prime_constant_source_trips_candidate_budget():
     assert _forced_candidate(0xC5, 16) == 53547 == 3 * 17849
     with pytest.raises(RngExhausted):
