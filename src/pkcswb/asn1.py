@@ -30,10 +30,10 @@ Decoding does each piece of work once: the decoder reads the common header,
 a one-octet tag and a short-form length, inline; ``_decode_tag`` and
 ``_decode_length`` read, and check, every other form.
 
-``AlgorithmIdentifier``, RFC 5280's (OID, optional parameters) pair, lives
-here, below every layer that names an algorithm.  A built one keeps its
-value, so the module constants that name the algorithms pkcswb writes are
-built and encoded once per process.
+Every container class keeps its value through one mixin, ``DerForm``, so
+its octets are the ones received, or are built and encoded once.
+``AlgorithmIdentifier``, RFC 5280's (OID, optional parameters) pair, is one,
+and lives here, below every layer that names an algorithm.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ __all__ = [
     "TagClass",
     "DerValue",
     "Oid",
+    "DerForm",
     "AlgorithmIdentifier",
     "DerError",
     "OversizeTag",
@@ -674,29 +675,52 @@ def _fields(value: DerValue, *counts: int, tag_number: int = SEQUENCE,
 
 
 # ---------------------------------------------------------------------------
-# AlgorithmIdentifier
+# containers
 
 
-class AlgorithmIdentifier(Frozen):
-    """RFC 5280's (OID, optional parameters) pair.  An identifier keeps the
-    value of its first ``to_der_value``, so a module constant is built and
-    encoded once; ``from_der_value`` keeps nothing, so reading costs no more."""
+class DerForm:
+    """The codec of a container class, which defines ``_build`` (its value from
+    its fields) and the classmethod ``_parse`` (an instance from a value).  An
+    instance keeps the value it was decoded from, or its first build; equality,
+    over the fields alone, ignores it."""
+
+    _value: DerValue | None = None
+
+    def to_der_value(self) -> DerValue:
+        value = self._value
+        if value is None:
+            value = self.__dict__["_value"] = self._build()
+        return value
+
+    def to_der(self) -> bytes:
+        return der_encode(self.to_der_value())
+
+    @classmethod
+    def from_der_value(cls, value: DerValue):
+        form = cls._parse(value)
+        form.__dict__["_value"] = value
+        return form
+
+    @classmethod
+    def from_der(cls, octets: bytes):
+        return cls.from_der_value(der_decode(octets))
+
+
+class AlgorithmIdentifier(DerForm, Frozen):
+    """RFC 5280's (OID, optional parameters) pair.  The module constants that
+    name the algorithms pkcswb writes are built and encoded once per process."""
 
     _fields = ("oid", "params")
-    _value: DerValue | None = None
 
     def __init__(self, oid: Oid, params: DerValue | None = None):
         self.__dict__.update(oid=oid, params=params)
 
-    def to_der_value(self) -> DerValue:
-        if self._value is None:
-            children = [oid_value(self.oid)]
-            if self.params is not None:
-                children.append(self.params)
-            object.__setattr__(self, "_value", sequence(*children))
-        return self._value
+    def _build(self) -> DerValue:
+        if self.params is None:
+            return sequence(oid_value(self.oid))
+        return sequence(oid_value(self.oid), self.params)
 
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "AlgorithmIdentifier":
+    def _parse(cls, value: DerValue) -> "AlgorithmIdentifier":
         kids = _fields(value, 1, 2)
         return cls(kids[0].as_oid(), kids[1] if len(kids) == 2 else None)

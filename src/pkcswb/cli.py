@@ -357,7 +357,8 @@ _TRANSFER_CREDENTIALS = pfx_mod.PfxCredentials(privacy_password=b"transfer-priva
 
 
 def run_scenario(seed: bytes, fault: str | None = None) -> tuple[str, bool]:
-    """Replay the enrollment flow; returns (report, all_steps_passed)."""
+    """Replay the enrollment flow; returns (report, all_steps_passed).  A step's
+    declared failure (PkcsError) is its FAIL line; a programming error escapes."""
     if fault is not None and fault not in FAULT_POINTS:
         raise ValueError(f"unknown fault point {fault!r}")
     lines = [
@@ -372,7 +373,7 @@ def run_scenario(seed: bytes, fault: str | None = None) -> tuple[str, bool]:
     for index, name in enumerate(SCENARIO_STEPS, start=1):
         try:
             detail = next(steps)
-        except Exception as exc:
+        except PkcsError as exc:
             reason = exc if isinstance(exc, ScenarioStepFailed) else f"{type(exc).__name__}: {exc}"
             lines.append(f"step {index}/9 {name:<26} FAIL  {reason}")
             failed_at = name
@@ -410,8 +411,7 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
         gender="F",
     )
     for attribute in bundle:
-        recoded = keystore.Attribute.from_der_value(
-            der_decode(der_encode(attribute.to_der_value())))
+        recoded = keystore.Attribute.from_der(attribute.to_der())
         if recoded != attribute:
             raise ScenarioStepFailed("attribute round-trip failed")
     yield f"{len(bundle)} attributes"
@@ -439,7 +439,7 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
         received = cms.open_envelope(cms.ContentInfo.from_der(bytes(wire)), ca_priv)
         ca_request = csr_mod.CertificationRequest.from_der(cms.data_payload(received))
         ok = csr_mod.verify_csr(ca_request)
-    except Exception as exc:
+    except PkcsError as exc:
         raise ScenarioStepFailed(f"CA could not open: {type(exc).__name__}")
     if not ok:
         raise ScenarioStepFailed("request invalid after transport")
@@ -481,7 +481,7 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
         arrived = pfx_mod.pfx_open(pfx_mod.PfxPdu.from_der(bytes(wire)), _TRANSFER_CREDENTIALS)
     except IntegrityFailure:
         raise ScenarioStepFailed("PFX integrity check failed")
-    except Exception as exc:
+    except PkcsError as exc:
         raise ScenarioStepFailed(f"PFX unusable: {type(exc).__name__}")
     if arrived != bags:
         raise ScenarioStepFailed("bags arrived altered")

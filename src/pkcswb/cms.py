@@ -17,7 +17,7 @@ attribute holds one value, of the registry's syntax.
 from __future__ import annotations
 
 from . import asn1, oids, pkcs1, pkcs5
-from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
+from .asn1 import AlgorithmIdentifier, DerForm, DerValue, Oid, der_decode, der_encode
 from .csr import CertificationRequest, Name, verify_csr
 from .errors import DecryptionError, Frozen, IntegrityFailure, PkcsError, uniform_decryption
 from .keystore import (Attribute, SyntaxViolation, _attributes_from_der, _attributes_to_der,
@@ -67,43 +67,26 @@ class WrongContentType(PkcsError, ValueError):
     """A ContentInfo does not carry the content type the caller expects."""
 
 
-class ContentInfo(Frozen):
-    """contentType plus content; the type OID fixes the content's shape.
-
-    A decoded ContentInfo keeps the value it was decoded from, and a built one
-    the value of its first ``to_der_value``, so its octets are the ones
-    received (the PFX MAC covers them) and are encoded at most once.
-    """
+class ContentInfo(DerForm, Frozen):
+    """contentType plus content; the type OID fixes the content's shape.  Its
+    kept value makes its octets the ones received (the PFX MAC covers them)."""
 
     _fields = ("content_type", "content")
-    _value: DerValue | None = None
 
     def __init__(self, content_type: Oid, content: DerValue):
         self.__dict__.update(content_type=content_type, content=content)
 
-    def to_der_value(self) -> DerValue:
-        if self._value is None:
-            object.__setattr__(self, "_value", asn1.sequence(
-                asn1.oid_value(self.content_type), asn1.explicit(0, self.content)))
-        return self._value
-
-    def to_der(self) -> bytes:
-        return der_encode(self.to_der_value())
+    def _build(self) -> DerValue:
+        return asn1.sequence(asn1.oid_value(self.content_type), asn1.explicit(0, self.content))
 
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "ContentInfo":
+    def _parse(cls, value: DerValue) -> "ContentInfo":
         type_v, wrapper = asn1._fields(value, 2)
         (content,) = asn1._fields(wrapper, 1, tag_number=0, tag_class=asn1.TagClass.CONTEXT)
-        ci = cls(type_v.as_oid(), content)
-        object.__setattr__(ci, "_value", value)
-        return ci
-
-    @classmethod
-    def from_der(cls, octets: bytes) -> "ContentInfo":
-        return cls.from_der_value(der_decode(octets))
+        return cls(type_v.as_oid(), content)
 
 
-class SignerIdent(Frozen):
+class SignerIdent(DerForm, Frozen):
     """Who signed: a distinguished name plus an opaque key identifier."""
 
     _fields = ("name", "key_id")
@@ -111,8 +94,13 @@ class SignerIdent(Frozen):
     def __init__(self, name: Name, key_id: bytes):
         self.__dict__.update(name=name, key_id=key_id)
 
-    def to_der_value(self) -> DerValue:
+    def _build(self) -> DerValue:
         return asn1.sequence(self.name.to_der_value(), asn1.octet_string(self.key_id))
+
+    @classmethod
+    def _parse(cls, value: DerValue) -> "SignerIdent":
+        name_v, key_id_v = asn1._fields(value, 2)
+        return cls(Name.from_der_value(name_v), key_id_v.as_octet_string())
 
 
 def _expect_type(ci: ContentInfo, content_type: Oid, what: str) -> None:

@@ -11,7 +11,7 @@ object keeps, so a received request is verified over the octets received.
 from __future__ import annotations
 
 from . import asn1, oids, pkcs1
-from .asn1 import AlgorithmIdentifier, DerValue, der_decode, der_encode
+from .asn1 import AlgorithmIdentifier, DerForm, DerValue
 from .errors import Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
 from .keystore import (Attribute, SyntaxViolation, attribute_check, _attributes_from_der,
                        _attributes_to_der)
@@ -43,7 +43,7 @@ class MalformedRequest(PkcsError, ValueError):
     pass
 
 
-class Name(Frozen):
+class Name(DerForm, Frozen):
     """Ordered distinguished-name pairs; commonName is mandatory."""
 
     _fields = ("pairs",)
@@ -71,7 +71,7 @@ class Name(Frozen):
                 return value
         return None
 
-    def to_der_value(self) -> DerValue:
+    def _build(self) -> DerValue:
         rdns = []
         for key, value in self.pairs:
             oid, make = _NAME_FIELDS[key]
@@ -79,7 +79,7 @@ class Name(Frozen):
         return asn1.sequence(*rdns)
 
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "Name":
+    def _parse(cls, value: DerValue) -> "Name":
         pairs = []
         for rdn in asn1.require(value, asn1.SEQUENCE).children:
             (pair,) = asn1._fields(rdn, 1, tag_number=asn1.SET)
@@ -95,11 +95,10 @@ class Name(Frozen):
 # request objects
 
 
-class CertificationRequestInfo(Frozen):
-    """What a request signs; like a ContentInfo, it keeps its decoded or first built value."""
+class CertificationRequestInfo(DerForm, Frozen):
+    """What a request signs: the DER of its kept value, as received or built."""
 
     _fields = ("subject", "public_key", "attributes")
-    _value: DerValue | None = None
     version = 0  # the one version written and read (RFC 2986 §4.1)
 
     def __init__(self, subject: Name, public_key: RsaPublicKey,
@@ -107,29 +106,25 @@ class CertificationRequestInfo(Frozen):
         self.__dict__.update(subject=subject, public_key=public_key,
                              attributes=asn1.set_order(attributes, Attribute.to_der_value))
 
-    def to_der_value(self) -> DerValue:
-        if self._value is None:
-            object.__setattr__(self, "_value", asn1.sequence(
-                asn1.integer(self.version),
-                self.subject.to_der_value(),
-                pkcs1.encode_public_key_info(self.public_key),
-                _attributes_to_der(self.attributes),
-            ))
-        return self._value
+    def _build(self) -> DerValue:
+        return asn1.sequence(
+            asn1.integer(self.version),
+            self.subject.to_der_value(),
+            pkcs1.encode_public_key_info(self.public_key),
+            _attributes_to_der(self.attributes),
+        )
 
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "CertificationRequestInfo":
+    def _parse(cls, value: DerValue) -> "CertificationRequestInfo":
         version_v, subject_v, spki_v, attrs_v = asn1._fields(value, 4)
         if version_v.as_integer() != cls.version:
             raise MalformedRequest(f"unsupported request version, not {cls.version}")
-        info = cls(Name.from_der_value(subject_v), pkcs1.decode_public_key_info(spki_v),
+        return cls(Name.from_der_value(subject_v), pkcs1.decode_public_key_info(spki_v),
                    _attributes_from_der(attrs_v))
-        object.__setattr__(info, "_value", value)
-        return info
 
 
-class CertificationRequest(Frozen):
-    """Signed request: the signature covers the DER of ``info``'s kept value."""
+class CertificationRequest(DerForm, Frozen):
+    """Signed request: the signature covers the DER of ``info``; a bad one is MalformedRequest."""
 
     _fields = ("info", "signature_algorithm", "signature")
 
@@ -138,18 +133,20 @@ class CertificationRequest(Frozen):
         self.__dict__.update(info=info, signature_algorithm=signature_algorithm,
                              signature=signature)
 
-    def to_der(self) -> bytes:
-        return der_encode(asn1.sequence(self.info.to_der_value(),
-                                        self.signature_algorithm.to_der_value(),
-                                        asn1.bit_string(self.signature)))
+    def _build(self) -> DerValue:
+        return asn1.sequence(self.info.to_der_value(), self.signature_algorithm.to_der_value(),
+                             asn1.bit_string(self.signature))
+
+    @classmethod
+    def _parse(cls, value: DerValue) -> "CertificationRequest":
+        info_v, alg_v, sig_v = asn1._fields(value, 3)
+        return cls(CertificationRequestInfo.from_der_value(info_v),
+                   AlgorithmIdentifier.from_der_value(alg_v), sig_v.as_bit_string())
 
     @classmethod
     def from_der(cls, octets: bytes) -> "CertificationRequest":
         try:
-            info_v, alg_v, sig_v = asn1._fields(der_decode(octets), 3)
-            return cls(CertificationRequestInfo.from_der_value(info_v),
-                       AlgorithmIdentifier.from_der_value(alg_v),
-                       sig_v.as_bit_string())
+            return super().from_der(octets)
         except (asn1.DerError, UnsupportedAlgorithm, MalformedKey, InvalidKey) as exc:
             raise MalformedRequest(str(exc)) from None
 
@@ -164,11 +161,11 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
         if not attribute_check(attribute):
             raise SyntaxViolation(f"attribute {attribute.attr_type} fails its syntax check")
     info = CertificationRequestInfo(subject, public, tuple(attributes))
-    signature = pkcs1.sign(der_encode(info.to_der_value()), private, rng)
+    signature = pkcs1.sign(info.to_der(), private, rng)
     return CertificationRequest(info, pkcs1.PSS_ALGORITHM, signature)
 
 
 def verify_csr(csr: CertificationRequest) -> bool:
     """Self-signature check under the public key embedded in the request."""
     return pkcs1.is_pss(csr.signature_algorithm) and pkcs1.verify(
-        der_encode(csr.info.to_der_value()), csr.signature, csr.info.public_key)
+        csr.info.to_der(), csr.signature, csr.info.public_key)

@@ -4,7 +4,8 @@ container modules.
 Two DER objects are produced here: PrivateKeyInfo (version, key algorithm,
 key octets, optional attribute set) and EncryptedPrivateKeyInfo (PBES2
 header from ``pkcs5``, ciphertext).  ``pkcs1`` writes and reads the key
-algorithm and the RSA key body inside PrivateKeyInfo.
+algorithm and the RSA key body inside PrivateKeyInfo.  Both are DerForms,
+like Attribute, and report every fault they read as MalformedKey.
 
 The attribute registry holds exactly the ten types the other standards pull
 in: contentType, messageDigest, signingTime, sequenceNumber, randomNonce,
@@ -24,7 +25,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 
 from . import asn1, oids, pkcs1
-from .asn1 import AlgorithmIdentifier, DerValue, Oid, der_decode, der_encode
+from .asn1 import AlgorithmIdentifier, DerForm, DerValue, Oid, der_decode, der_encode
 from .errors import Frozen, MalformedKey, MissingCredential, PkcsError
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
@@ -69,16 +70,12 @@ def _as_malformed_key():
 # attributes
 
 
-class Attribute(Frozen):
-    """attrType plus a set of values, held in canonical (encoded) order.
-
-    Like a ContentInfo, a decoded Attribute keeps the value it was decoded
-    from and a built one the value of its first ``to_der_value``, so sorting
-    attributes by their DER builds and encodes nothing again.
-    """
+class Attribute(DerForm, Frozen):
+    """attrType plus a set of values, held in canonical (encoded) order.  Its
+    kept value makes sorting attributes by their DER build and encode nothing
+    again."""
 
     _fields = ("attr_type", "values")
-    _value: DerValue | None = None
 
     def __init__(self, attr_type: Oid, values: tuple[DerValue, ...]):
         ordered = asn1.set_order(values)
@@ -86,18 +83,13 @@ class Attribute(Frozen):
             raise asn1.NonCanonical("attribute needs at least one value")
         self.__dict__.update(attr_type=attr_type, values=ordered)
 
-    def to_der_value(self) -> DerValue:
-        if self._value is None:
-            object.__setattr__(self, "_value", asn1.sequence(
-                asn1.oid_value(self.attr_type), asn1.set_value(*self.values)))
-        return self._value
+    def _build(self) -> DerValue:
+        return asn1.sequence(asn1.oid_value(self.attr_type), asn1.set_value(*self.values))
 
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "Attribute":
+    def _parse(cls, value: DerValue) -> "Attribute":
         type_v, set_v = asn1._fields(value, 2)
-        attribute = cls(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
-        object.__setattr__(attribute, "_value", value)
-        return attribute
+        return cls(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
 
 
 def _is_primitive(value: DerValue, tag: int) -> bool:
@@ -259,7 +251,7 @@ def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
 # PrivateKeyInfo
 
 
-class PrivateKeyInfo(Frozen):
+class PrivateKeyInfo(DerForm, Frozen):
     _fields = ("key", "attributes", "algorithm")
 
     def __init__(self, key: RsaPrivateKey, attributes: tuple[Attribute, ...] = (),
@@ -268,7 +260,7 @@ class PrivateKeyInfo(Frozen):
                              attributes=asn1.set_order(attributes, Attribute.to_der_value),
                              algorithm=algorithm)
 
-    def to_der_value(self) -> DerValue:
+    def _build(self) -> DerValue:
         children = [
             asn1.integer(0),
             self.algorithm.to_der_value(),
@@ -278,11 +270,8 @@ class PrivateKeyInfo(Frozen):
             children.append(_attributes_to_der(self.attributes))
         return asn1.sequence(*children)
 
-    def to_der(self) -> bytes:
-        return der_encode(self.to_der_value())
-
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "PrivateKeyInfo":
+    def _parse(cls, value: DerValue) -> "PrivateKeyInfo":
         with _as_malformed_key():
             kids = asn1.require(value, asn1.SEQUENCE).children
             if len(kids) not in (3, 4) or kids[0].as_integer() != 0:
@@ -295,7 +284,7 @@ class PrivateKeyInfo(Frozen):
     @classmethod
     def from_der(cls, octets: bytes) -> "PrivateKeyInfo":
         with _as_malformed_key():
-            return cls.from_der_value(der_decode(octets))
+            return super().from_der(octets)
 
 
 def encode_private_key(key: RsaPrivateKey) -> bytes:
@@ -310,20 +299,17 @@ def decode_private_key(octets: bytes) -> RsaPrivateKey:
 # EncryptedPrivateKeyInfo
 
 
-class EncryptedPrivateKeyInfo(Frozen):
+class EncryptedPrivateKeyInfo(DerForm, Frozen):
     _fields = ("algorithm", "encrypted_data")
 
     def __init__(self, algorithm: AlgorithmIdentifier, encrypted_data: bytes):
         self.__dict__.update(algorithm=algorithm, encrypted_data=encrypted_data)
 
-    def to_der_value(self) -> DerValue:
+    def _build(self) -> DerValue:
         return asn1.sequence(self.algorithm.to_der_value(), asn1.octet_string(self.encrypted_data))
 
-    def to_der(self) -> bytes:
-        return der_encode(self.to_der_value())
-
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "EncryptedPrivateKeyInfo":
+    def _parse(cls, value: DerValue) -> "EncryptedPrivateKeyInfo":
         with _as_malformed_key():
             alg_v, data_v = asn1._fields(value, 2)
             return cls(AlgorithmIdentifier.from_der_value(alg_v), data_v.as_octet_string())
@@ -331,7 +317,7 @@ class EncryptedPrivateKeyInfo(Frozen):
     @classmethod
     def from_der(cls, octets: bytes) -> "EncryptedPrivateKeyInfo":
         with _as_malformed_key():
-            return cls.from_der_value(der_decode(octets))
+            return super().from_der(octets)
 
 
 def encrypt_private_key(info: PrivateKeyInfo, password: bytes, salt: bytes,

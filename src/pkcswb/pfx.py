@@ -20,7 +20,7 @@ from __future__ import annotations
 import warnings
 
 from . import asn1, cms, oids
-from .asn1 import DerValue, der_decode, der_encode
+from .asn1 import DerForm, DerValue, der_decode, der_encode
 from .cms import ContentInfo, SignerIdent
 from .csr import Name
 from .errors import (Frozen, IntegrityFailure, MissingCredential, UnsupportedAlgorithm,
@@ -66,7 +66,7 @@ class PfxSecurityWarning(UserWarning):
     """Raised for permitted-but-unwise mode combinations."""
 
 
-class SafeBag(Frozen):
+class SafeBag(DerForm, Frozen):
     """One item of personal identity information plus its attributes."""
 
     _fields = ("bag_type", "value", "attributes")
@@ -82,7 +82,7 @@ class SafeBag(Frozen):
         self.__dict__.update(bag_type=bag_type, value=value,
                              attributes=asn1.set_order(attributes, Attribute.to_der_value))
 
-    def to_der_value(self) -> DerValue:
+    def _build(self) -> DerValue:
         children = [asn1.oid_value(_BAGS[self.bag_type][0]),
                     asn1.explicit(0, self.value.to_der_value())]
         if self.attributes:
@@ -90,7 +90,7 @@ class SafeBag(Frozen):
         return asn1.sequence(*children)
 
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "SafeBag":
+    def _parse(cls, value: DerValue) -> "SafeBag":
         kids = asn1._fields(value, 2, 3)
         bag_type = _BAG_TYPES.get(kids[0].as_oid())
         if bag_type is None:  # crlBag, secretBag and safeContentsBag are not modelled
@@ -104,38 +104,38 @@ class SafeBag(Frozen):
         return cls(bag_type, bag_value, attributes)
 
 
-class MacData(Frozen):
+class MacData(DerForm, Frozen):
     _fields = ("tag", "salt", "iterations")
 
     def __init__(self, tag: bytes, salt: bytes, iterations: int):
         self.__dict__.update(tag=tag, salt=salt, iterations=iterations)
 
-    def to_der_value(self) -> DerValue:
+    def _build(self) -> DerValue:
         return asn1.sequence(asn1.octet_string(self.tag), asn1.octet_string(self.salt),
                              asn1.integer(self.iterations))
 
     @classmethod
-    def from_der_value(cls, value: DerValue) -> "MacData":
+    def _parse(cls, value: DerValue) -> "MacData":
         tag_v, salt_v, iter_v = asn1._fields(value, 3)
         return cls(tag_v.as_octet_string(), *pbkdf2_fields(salt_v, iter_v))
 
 
-class PfxPdu(Frozen):
+class PfxPdu(DerForm, Frozen):
     _fields = ("auth_safe", "mac_data")
     version = 3  # the one version written and read (RFC 7292 §4)
 
     def __init__(self, auth_safe: ContentInfo, mac_data: MacData | None = None):
         self.__dict__.update(auth_safe=auth_safe, mac_data=mac_data)
 
-    def to_der(self) -> bytes:
+    def _build(self) -> DerValue:
         children = [asn1.integer(self.version), self.auth_safe.to_der_value()]
         if self.mac_data is not None:
             children.append(self.mac_data.to_der_value())
-        return der_encode(asn1.sequence(*children))
+        return asn1.sequence(*children)
 
     @classmethod
-    def from_der(cls, octets: bytes) -> "PfxPdu":
-        kids = asn1._fields(der_decode(octets), 2, 3)
+    def _parse(cls, value: DerValue) -> "PfxPdu":
+        kids = asn1._fields(value, 2, 3)
         if kids[0].as_integer() != cls.version:
             raise UnsupportedAlgorithm(f"unsupported PFX version, not {cls.version}")
         mac = MacData.from_der_value(kids[2]) if len(kids) == 3 else None
@@ -237,7 +237,7 @@ def pfx_open(pfx: PfxPdu, credentials: PfxCredentials) -> tuple[SafeBag, ...]:
     if pfx.mac_data is not None:
         if credentials.integrity_password is None:
             raise MissingCredential("password integrity needs an integrity password")
-        # a decoded ContentInfo keeps its value: these are the octets received
+        # every decoded container keeps its value: these are the octets received
         if not pbmac1_verify(pfx.auth_safe.to_der(), pfx.mac_data.tag,
                              credentials.integrity_password, pfx.mac_data.salt,
                              pfx.mac_data.iterations):

@@ -32,7 +32,7 @@ import math
 
 from . import asn1, oids
 from .errors import DecryptionError, Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
-from .primitives import SHA256, HashAlg, RandomSource, ct_equal, mgf
+from .primitives import SHA256, HashAlg, RandomSource, RngExhausted, ct_equal, mgf
 from .rsa import RsaPrivateKey, RsaPublicKey, check_key_caps, rsa_private_op, rsa_public_op
 
 __all__ = [
@@ -218,15 +218,19 @@ def key_from_body(body: asn1.DerValue) -> RsaPrivateKey:
 
 
 def eme_v15_pad(message: bytes, k: int, rng: RandomSource) -> bytes:
-    """0x00 || 0x02 || PS || 0x00 || M with at least eight nonzero PS octets."""
+    """0x00 || 0x02 || PS || 0x00 || M with at least eight nonzero PS octets;
+    RngExhausted if 256 draws from ``rng`` do not fill PS."""
     if len(message) > k - 11:
         raise MessageTooLong("message needs more room than the modulus allows")
     ps_len = k - 3 - len(message)
     ps = bytearray()
-    while len(ps) < ps_len:
-        chunk = rng.read(ps_len - len(ps))
-        ps += bytes(b for b in chunk if b != 0)
-    return b"\x00\x02" + bytes(ps) + b"\x00" + bytes(message)
+    # a uniform source fills PS in a few draws: the budget trips only for one
+    # that keeps yielding zeros
+    for _ in range(256):
+        ps += bytes(b for b in rng.read(ps_len - len(ps)) if b != 0)
+        if len(ps) == ps_len:
+            return b"\x00\x02" + bytes(ps) + b"\x00" + bytes(message)
+    raise RngExhausted("source never produced the nonzero padding octets")
 
 
 def eme_v15_unpad(em: bytes, k: int) -> bytes:

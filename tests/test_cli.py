@@ -4,7 +4,9 @@ import os
 
 import pytest
 
+from pkcswb import cli
 from pkcswb.cli import FAULT_POINTS, _build_parser, _fingerprint, main, run_scenario
+from pkcswb.csr import MalformedRequest
 
 SEED = "000102030405060708090a0b0c0d0e0f"
 # SHA-256 of the scenario report for SEED, by fault point
@@ -237,6 +239,31 @@ def test_scenario_fault_points(capsys):
         code, out = run(capsys, "scenario", "--fault", fault)
         assert code == 1
         assert f"failed at {failing_step}" in out
+
+
+def _raising(error):
+    def step(*args, **kwargs):
+        raise error
+    return step
+
+
+@pytest.mark.parametrize("module, name", [
+    (cli.csr_mod, "build_csr"),  # caught by run_scenario alone
+    (cli.cms, "open_envelope"),  # caught by the transport step first
+    (cli.pfx_mod, "pfx_open"),  # caught by the PFX step first
+])
+def test_a_programming_error_in_a_step_escapes_the_scenario(monkeypatch, module, name):
+    monkeypatch.setattr(module, name, _raising(IndexError("step bug")))
+    with pytest.raises(IndexError, match="step bug"):
+        run_scenario(bytes.fromhex(SEED))
+
+
+def test_a_declared_error_in_a_step_is_its_fail_line(monkeypatch):
+    monkeypatch.setattr(cli.csr_mod, "build_csr", _raising(MalformedRequest("no request")))
+    report, ok = run_scenario(bytes.fromhex(SEED))
+    assert not ok
+    assert "step 3/9 certification-request      FAIL  MalformedRequest: no request\n" in report
+    assert "result: 2/9 steps passed, failed at certification-request\n" in report
 
 
 def test_written_files_are_echoed_by_fingerprint(workdir, readable, tmp_path, capsys,

@@ -9,7 +9,7 @@ from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIde
                         digest_data, digested_content, encrypt_data, envelope,
                         make_data, open_envelope, sign_data, toy_issue,
                         verify_signed)
-from pkcswb.csr import Name, build_csr
+from pkcswb.csr import CertificationRequest, Name, build_csr
 from pkcswb.errors import DecryptionError
 from pkcswb.keystore import Attribute, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
@@ -311,7 +311,7 @@ def test_verifying_decoded_signed_data_encodes_at_most_three_times(key_1024, ide
                        (SIGNING_TIME, attribute_make("sequenceNumber", 3)), seeded(b"s")).to_der()
     calls = []
     real_encode = asn1.der_encode
-    for module in (asn1, cms, csr, keystore):
+    for module in (asn1, cms, keystore):  # csr encodes only through asn1's DerForm.to_der
         monkeypatch.setattr(module, "der_encode",
                             lambda value: calls.append(value) or real_encode(value))
     assert verify_signed(ContentInfo.from_der(octets), public)[1]
@@ -657,6 +657,25 @@ def test_toy_issue_and_fields(key_1024, key_1024_b):
     got_subject, got_public, serial, issuer = cert_fields(certificate)
     assert got_subject == subject and got_public == subject_public
     assert serial == 42 and issuer == ca_name
+
+
+def test_toy_issue_carries_a_received_subject_as_received(key_1024, key_1024_b):
+    # a commonName as a PrintableString: Name writes it as a UTF8String
+    subject_public, subject_private = key_1024
+    ca_public, ca_private = key_1024_b
+    subject_v = asn1.sequence(asn1.set_value(asn1.sequence(
+        asn1.oid_value(oids.CN), asn1.printable_string("Alice"))))
+    info_v = asn1.sequence(asn1.integer(0), subject_v,
+                           pkcs1.encode_public_key_info(subject_public), _attributes_to_der(()))
+    signature = pkcs1.sign(asn1.der_encode(info_v), subject_private, seeded(b"p"))
+    request = CertificationRequest.from_der(asn1.der_encode(asn1.sequence(
+        info_v, pkcs1.PSS_ALGORITHM.to_der_value(), asn1.bit_string(signature))))
+    assert request.info.subject == Name((("commonName", "Alice"),))
+
+    certificate = toy_issue(request, ca_private, Name((("commonName", "CA"),)), 7, seeded(b"q"))
+    inner, _ = verify_signed(certificate, ca_public)
+    issued_subject_v = asn1._fields(asn1.der_decode(data_payload(inner)), 4)[0]
+    assert asn1.der_encode(issued_subject_v) == asn1.der_encode(subject_v)
 
 
 def test_toy_issue_rejects_bad_request(key_1024, key_1024_b):

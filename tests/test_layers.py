@@ -4,8 +4,9 @@ One decision sits in one layer: only pkcs1 names PssParams, each algorithm
 OID is named by the one module that writes and reads its identifier, only
 pkcs1, which writes and reads the RSA key layouts, calls rsa's
 check_key_caps, token reads a public key without csr, AlgorithmIdentifier is
-defined in asn1 alone, and only primitives (CBC decryption), cms and pfx
-(their headers) enter uniform_decryption."""
+defined in asn1 alone, only asn1 keeps a container's value and defines its
+codec, and only primitives (CBC decryption), cms and pfx (their headers)
+enter uniform_decryption."""
 
 import ast
 from pathlib import Path
@@ -120,6 +121,31 @@ def test_algorithm_identifier_is_defined_only_in_asn1():
                       if any(isinstance(node, ast.ClassDef) and node.name == "AlgorithmIdentifier"
                              for node in ast.walk(ast.parse(path.read_text(), str(path)))))
     assert defining == ["asn1"]
+
+
+# the from_der overrides that translate a reader's faults into the layer's error
+FROM_DER_OVERRIDES = {"keystore.PrivateKeyInfo", "keystore.EncryptedPrivateKeyInfo",
+                      "csr.CertificationRequest"}
+
+
+def test_only_asn1_keeps_a_container_value_and_defines_its_codec():
+    # every container builds through _build and parses through _parse; asn1's
+    # DerForm alone keeps the value and defines to_der_value, to_der,
+    # from_der_value and from_der
+    keeping, defining = [], set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "asn1":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Attribute) and node.attr == "_value"
+                    or isinstance(node, ast.Constant) and node.value == "_value"):
+                keeping.append(f"{path.stem}:{node.lineno}")
+            elif isinstance(node, ast.ClassDef):
+                defining |= {f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                             if isinstance(item, ast.FunctionDef) and item.name in
+                             ("to_der_value", "to_der", "from_der_value", "from_der")}
+    assert keeping == []
+    assert defining == {f"{owner}.from_der" for owner in FROM_DER_OVERRIDES}
 
 
 def test_only_primitives_cms_and_pfx_enter_uniform_decryption():

@@ -9,7 +9,7 @@ from pkcswb.pkcs1 import (EncodingError, MessageTooLong, ModulusTooSmall,
                           eme_v15_pad, eme_v15_unpad, i2osp, oaep_decode,
                           oaep_encode, os2ip, pss_encode, pss_salt_len_for,
                           pss_verify_encoding)
-from pkcswb.primitives import SHA256, ConstantSource
+from pkcswb.primitives import SHA256, ConstantSource, RngExhausted
 from conftest import seeded, tiny_hash
 from oracles import mgf1_oracle, pss_verify_oracle
 
@@ -42,6 +42,31 @@ def test_v15_ps_never_contains_zero():
         em = eme_v15_pad(b"zz", 32, rng)
         ps = em[2:em.index(b"\x00", 2)]
         assert len(ps) == 32 - 3 - 2 and 0 not in ps
+
+
+def test_v15_pad_ends_on_a_source_of_zeros(key_512):
+    public, _ = key_512
+    with pytest.raises(RngExhausted):
+        pkcs1.encrypt(b"m", public, SCHEME_V15, ConstantSource(0x00))
+
+
+class _ZerosFirst(ConstantSource):
+    """All zeros on the first read, then 0x5a octets; records each read's size."""
+
+    def __init__(self):
+        super().__init__(0x5A)
+        self.reads = []
+
+    def read(self, n):
+        self.reads.append(n)
+        return bytes(n) if len(self.reads) == 1 else super().read(n)
+
+
+def test_v15_pad_draws_again_after_a_read_of_zeros():
+    rng = _ZerosFirst()
+    em = eme_v15_pad(b"zz", 32, rng)
+    assert em == b"\x00\x02" + b"\x5a" * 27 + b"\x00zz"
+    assert rng.reads == [27, 27]
 
 
 def test_v15_unpad_inverse():

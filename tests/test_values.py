@@ -200,12 +200,21 @@ def test_kept_encodings_and_functions_do_not_affect_equality(values):
     assert "_der" in built.__dict__ and "_der" not in fresh.__dict__
     assert built == fresh == decoded and hash(built) == hash(fresh) == hash(decoded)
 
-    for cls in (cms.ContentInfo, keystore.Attribute, csr.CertificationRequestInfo):
+    forms = asn1.DerForm.__subclasses__()
+    assert len(forms) == 12 and set(forms) <= set(values)
+    for cls in forms:
         make, _ = values[cls]
         kept, plain = make(), make()
-        kept.to_der_value()
+        built = kept.to_der_value()
+        assert kept.to_der_value() is built, cls.__name__  # built once, then kept
         assert "_value" in kept.__dict__ and "_value" not in plain.__dict__
         assert kept == plain and hash(kept) == hash(plain), cls.__name__
+        received = der_decode(kept.to_der())
+        decoded = cls.from_der_value(received)
+        assert decoded.to_der_value() is received, cls.__name__
+        assert decoded == kept and hash(decoded) == hash(kept), cls.__name__
+        octets = kept.to_der()
+        assert cls.from_der(octets).to_der() == octets, cls.__name__
 
     make, _ = values[primitives.HashAlg]
     assert make(raw=lambda data: b"") == make() and hash(make(raw=len)) == hash(make())
