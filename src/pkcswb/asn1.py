@@ -10,8 +10,9 @@ DER's rules for single values live in one table, ``_RULES``, keyed by the
 identifier octet of a universal tag: a form DER forbids (a constructed
 INTEGER, a primitive SET, ...), or a check of a primitive's content octets
 (INTEGER, BOOLEAN, NULL, BIT STRING, OBJECT IDENTIFIER).  The constructor
-looks a built value's identifier up there, and so does the decoder, which
-creates each value directly and runs only the rule its identifier has.
+looks a built value's identifier up there, and so does the decoder, through
+``_IDENTIFIERS``, built from it; it creates each value directly and runs only
+the rule its identifier has.
 SET OF order (X.690 §11.6) on the wire is set only where a SET is built: the
 constructor sorts its children (``set_order``), and an implicitly tagged SET
 OF is written as the re-tagged children of a built SET.  It is checked where
@@ -26,9 +27,17 @@ container parsers share one immutable ``Oid`` per encoding; a bad encoding
 is not kept and raises on every call.  Its twin behind ``oid_value`` keeps
 512 OIDs of at most ``_OID_MEMO_ARCS`` arcs, so every writer shares one
 immutable value per OID, and that value keeps its DER octets once encoded.
-Decoding does each piece of work once: the decoder reads the common header,
-a one-octet tag and a short-form length, inline; ``_decode_tag`` and
-``_decode_length`` read, and check, every other form.
+
+Decoding does each piece of work once.  The decoder reads its input as
+``bytes``, copied only from another bytes-like type, so each primitive's
+content is one slice of it; a ``memoryview`` of it serves only as each
+value's kept octets.  It reads the common header inline: one lookup in
+``_IDENTIFIERS`` gives a one-octet tag's class, form, number and content
+check, and a short-form length is one octet; ``_decode_tag`` and
+``_decode_length`` read, and check, every other form.  One loop reads the
+values side by side in a content and recurses only into constructed ones.
+The readers built on it test a value's shape once: ``_fields`` and the typed
+accessors reach the message of a refusal only for a value they refuse.
 
 Every container class keeps its value through one mixin, ``DerForm``, so
 its octets are the ones received, or are built and encoded once.
@@ -253,19 +262,26 @@ class DerValue(Frozen):
     # -- typed accessors -----------------------------------------------
 
     def as_integer(self) -> int:
-        self._expect_primitive(INTEGER, "INTEGER")
-        return int.from_bytes(self.octets, "big", signed=True)
+        if self.constructed or self.tag_number != INTEGER or self.tag_class != _UNIVERSAL:
+            _not_primitive("INTEGER")
+        return int.from_bytes(self.content, "big", signed=True)
 
     def as_boolean(self) -> bool:
-        self._expect_primitive(BOOLEAN, "BOOLEAN")
-        return self.octets != b"\x00"
+        if self.constructed or self.tag_number != BOOLEAN or self.tag_class != _UNIVERSAL:
+            _not_primitive("BOOLEAN")
+        return self.content != b"\x00"
 
     def as_octet_string(self) -> bytes:
-        self._expect_primitive(OCTET_STRING, "OCTET STRING")
-        return self.octets
+        if self.constructed or self.tag_number != OCTET_STRING or self.tag_class != _UNIVERSAL:
+            _not_primitive("OCTET STRING")
+        return self.content
 
     def as_oid(self) -> Oid:
-        self._expect_primitive(OBJECT_IDENTIFIER, "OBJECT IDENTIFIER")
+        """The Oid of the content: one the decoder's content rule put in the
+        parse memo, if it has at most ``_OID_MEMO_OCTETS`` octets."""
+        if self.constructed or self.tag_number != OBJECT_IDENTIFIER \
+                or self.tag_class != _UNIVERSAL:
+            _not_primitive("OBJECT IDENTIFIER")
         return _parse_oid(self.content)
 
     def as_text(self) -> str:
@@ -273,20 +289,23 @@ class DerValue(Frozen):
                 or self.tag_number not in _STRING_TAGS:
             raise NonCanonical("value is not a supported string type")
         try:
-            return self.octets.decode("utf-8" if self.tag_number == UTF8_STRING else "ascii")
+            return self.content.decode("utf-8" if self.tag_number == UTF8_STRING else "ascii")
         except UnicodeDecodeError:
             raise NonCanonical("string octets are not valid for their type") from None
 
     def as_bit_string(self) -> bytes:
         """Content of a BIT STRING with no unused bits."""
-        self._expect_primitive(BIT_STRING, "BIT STRING")
-        if not self.octets or self.octets[0] != 0:
+        content = self.content
+        if self.constructed or self.tag_number != BIT_STRING or self.tag_class != _UNIVERSAL:
+            _not_primitive("BIT STRING")
+        if not content or content[0] != 0:
             raise NonCanonical("only BIT STRING values with zero unused bits are used here")
-        return self.octets[1:]
+        return content[1:]
 
-    def _expect_primitive(self, tag_number: int, what: str) -> None:
-        if self.constructed or self.tag_number != tag_number or self.tag_class != _UNIVERSAL:
-            raise NonCanonical(f"value is not a primitive {what}")
+
+def _not_primitive(what: str) -> None:
+    """Refuse a value that a typed accessor does not read."""
+    raise NonCanonical(f"value is not a primitive {what}")
 
 
 # ---------------------------------------------------------------------------
@@ -550,10 +569,8 @@ def der_encode(value: DerValue) -> bytes:
 # decoding
 
 
-def _decode_tag(data: memoryview, pos: int, end: int) -> tuple[TagClass, bool, int, int]:
-    """A tag in the high-number form, whose first octet ends in 0x1F."""
-    if pos >= end:
-        raise Truncated("input ended inside a tag")
+def _decode_tag(data: bytes, pos: int, end: int) -> tuple[TagClass, bool, int, int]:
+    """A tag in the high-number form, whose first octet, at ``pos``, ends in 0x1F."""
     first = data[pos]
     pos += 1
     number = 0
@@ -574,7 +591,7 @@ def _decode_tag(data: memoryview, pos: int, end: int) -> tuple[TagClass, bool, i
     return _TAG_CLASSES[first >> 6], bool(first & 0x20), number, pos
 
 
-def _decode_length(data: memoryview, pos: int, end: int) -> tuple[int, int]:
+def _decode_length(data: bytes, pos: int, end: int) -> tuple[int, int]:
     """A length in the long form, whose first octet is 0x80 or above."""
     if pos >= end:
         raise Truncated("input ended before length")
@@ -585,69 +602,85 @@ def _decode_length(data: memoryview, pos: int, end: int) -> tuple[int, int]:
     count = first & 0x7F
     if pos + count > end:
         raise Truncated("input ended inside length octets")
-    body = data[pos:pos + count]
-    pos += count
-    if body[0] == 0:
+    if data[pos] == 0:
         raise NonMinimalLength("length has a leading zero octet")
-    length = int.from_bytes(body, "big")
+    length = int.from_bytes(data[pos:pos + count], "big")
     if length < 0x80:
         raise NonMinimalLength("long length form used for a short length")
-    return length, pos
+    return length, pos + count
 
+
+# What the decoder reads from a one-octet identifier, a low tag number: the
+# class, the form, the number, and the check the content needs, if any (the
+# rule _RULES has, or the order of a universal SET's children).  None marks
+# the high tag form, which _decode_tag reads; no rule has such an identifier.
+_IDENTIFIERS = tuple(
+    None if first & 0x1F == 0x1F else
+    (_TAG_CLASSES[first >> 6], first & 0x20 != 0, first & 0x1F,
+     functools.partial(_check_set_order, what="SET children") if first == 0x20 | SET
+     else _RULES.get(first))
+    for first in range(256))
 
 # What the decoder creates values with: it applies DER's rules itself, so a
 # decoded value skips the constructor and its fields are written as they are.
 _new_value = object.__new__
 
 
-def _decode_value(data: memoryview, pos: int, end: int, depth: int) -> tuple[DerValue, int]:
-    if depth > MAX_DEPTH:
+def _decode_values(data: bytes, view: memoryview, pos: int, stop: int,
+                   depth: int) -> tuple[DerValue, ...]:
+    """The values encoded in ``data[pos:stop]``, each nested ``depth`` deep;
+    at depth 1, the top, only the first one, as what follows it is trailing.
+    Each value keeps a view of its octets in ``view``, the view of ``data``."""
+    if depth > MAX_DEPTH and pos < stop:
         raise TooDeep(f"values nested more than {MAX_DEPTH} deep")
-    start = pos
-    # a one-octet tag and a short-form length are read here; _decode_tag and
-    # _decode_length take, and check, every other form
-    if pos < end and (first := data[pos]) & 0x1F != 0x1F:
-        tag_class, number = _TAG_CLASSES[first >> 6], first & 0x1F
-        pos += 1
-    else:
-        tag_class, _, number, pos = _decode_tag(data, pos, end)
-        first = data[start]  # high tag form: no entry in _RULES
-    if pos < end and (length := data[pos]) < 0x80:
-        pos += 1
-    else:
-        length, pos = _decode_length(data, pos, end)
-    stop = pos + length
-    if stop > end:
-        raise Truncated("content shorter than announced length")
-    constructed = first & 0x20 != 0
-    if constructed:
-        children = []
-        while pos < stop:
-            child, pos = _decode_value(data, pos, stop, depth + 1)
-            children.append(child)
-        content = tuple(children)
-        if first == 0x20 | SET:
-            _check_set_order(content, "SET children")
-    else:
-        content = bytes(data[pos:stop])
-    rule = _RULES.get(first)
-    if rule is not None:
-        rule(content)
-    value = _new_value(DerValue)
-    fields = value.__dict__
-    fields["tag_class"] = tag_class
-    fields["constructed"] = constructed
-    fields["tag_number"] = number
-    fields["content"] = content
-    fields["_der"] = data[start:stop]  # a view of the octets received
-    return value, stop
+    values = []
+    while pos < stop:
+        start = pos
+        # a one-octet tag and a short-form length are read here; _decode_tag and
+        # _decode_length take, and check, every other form
+        if (identifier := _IDENTIFIERS[data[pos]]) is not None:
+            tag_class, constructed, number, check = identifier
+            pos += 1
+        else:
+            tag_class, constructed, number, pos = _decode_tag(data, pos, stop)
+            check = None
+        if pos < stop and (length := data[pos]) < 0x80:
+            pos += 1
+        else:
+            length, pos = _decode_length(data, pos, stop)
+        end = pos + length
+        if end > stop:
+            raise Truncated("content shorter than announced length")
+        if constructed:
+            content = _decode_values(data, view, pos, end, depth + 1)
+        else:
+            content = data[pos:end]
+        if check is not None:
+            check(content)
+        value = _new_value(DerValue)
+        fields = value.__dict__
+        fields["tag_class"] = tag_class
+        fields["constructed"] = constructed
+        fields["tag_number"] = number
+        fields["content"] = content
+        fields["_der"] = view[start:end]  # a view of the octets received
+        values.append(value)
+        if depth == 1:
+            break
+        pos = end
+    return tuple(values)
 
 
 def der_decode(data: bytes) -> DerValue:
-    """Decode exactly one DER value spanning the whole input."""
-    value, pos = _decode_value(memoryview(bytes(data)), 0, len(data), 1)
-    if pos != len(data):
-        raise TrailingOctets(f"{len(data) - pos} octets after the value")
+    """Decode exactly one DER value spanning the whole input (bytes-like; a
+    copy is read unless it is ``bytes``, so the caller may reuse its buffer)."""
+    data = bytes(data)
+    if not data:
+        raise Truncated("input ended inside a tag")
+    (value,) = _decode_values(data, memoryview(data), 0, len(data), 1)
+    trailing = len(data) - len(value._der)
+    if trailing:
+        raise TrailingOctets(f"{trailing} octets after the value")
     return value
 
 
@@ -668,8 +701,10 @@ def _fields(value: DerValue, *counts: int, tag_number: int = SEQUENCE,
             tag_class: TagClass = TagClass.UNIVERSAL) -> tuple[DerValue, ...]:
     """The children of a constructed value of the given tag, which must number
     one of ``counts``: a container parser's shape check, NonCanonical if not."""
-    kids = require(value, tag_number, tag_class=tag_class).children
-    if len(kids) not in counts:
+    kids = value.content
+    if (not value.constructed or value.tag_number != tag_number or value.tag_class != tag_class
+            or len(kids) not in counts):
+        require(value, tag_number, tag_class=tag_class)  # a wrong shape raises here
         raise NonCanonical(f"expected {' or '.join(map(str, counts))} fields, got {len(kids)}")
     return kids
 

@@ -434,12 +434,13 @@ def authenticated_content(ci: ContentInfo) -> ContentInfo:
 def toy_issue(request: CertificationRequest, ca_key: RsaPrivateKey, ca_name: Name,
               serial: int, rng: RandomSource) -> ContentInfo:
     """Turn a verified request into a stand-in certificate: a signed-data
-    envelope over (subject, public key, serial, issuer)."""
+    envelope over (subject, public key, serial, issuer).  The subject and its
+    key info are carried as the request holds them, which is as received."""
     if not verify_csr(request):
         raise SignatureInvalid("request self-signature does not verify")
     payload = der_encode(asn1.sequence(
         request.info.subject.to_der_value(),
-        pkcs1.encode_public_key_info(request.info.public_key),
+        asn1._fields(request.info.to_der_value(), 4)[2],
         asn1.integer(serial),
         ca_name.to_der_value(),
     ))

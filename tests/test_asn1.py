@@ -534,3 +534,109 @@ def test_set_order_returns_fewer_than_two_items_as_they_are(monkeypatch):
 def test_content_accessor_of_the_other_form_is_non_canonical(value, accessor):
     with pytest.raises(NonCanonical):
         getattr(value, accessor)
+
+
+def unchecked(tag_class: TagClass, constructed: bool, number: int, content) -> DerValue:
+    """A value written field by field, as the decoder writes one, so that it can
+    take a form the constructor refuses (a constructed INTEGER, say)."""
+    value = object.__new__(DerValue)
+    value.__dict__.update(tag_class=tag_class, constructed=constructed, tag_number=number,
+                          content=content)
+    return value
+
+
+C, A = TagClass.CONTEXT, TagClass.APPLICATION
+_CONTEXT_0 = {"tag_number": 0, "tag_class": C}
+
+
+# (accessor, value, the message it raises): each value is wrong in one way
+@pytest.mark.parametrize("read, value, message", [
+    (lambda v: asn1.require(v, 0, tag_class=C), asn1.context(1, ()),
+     "expected constructed CONTEXT tag 0, got constructed CONTEXT tag 1"),
+    (lambda v: asn1.require(v, 0, tag_class=C), DerValue(A, True, 0, ()),
+     "expected constructed CONTEXT tag 0, got constructed APPLICATION tag 0"),
+    (lambda v: asn1.require(v, 0, tag_class=C), asn1.context(0, b"", constructed=False),
+     "expected constructed CONTEXT tag 0, got primitive CONTEXT tag 0"),
+    (lambda v: asn1.require(v, asn1.INTEGER, constructed=False), asn1.octet_string(b""),
+     "expected primitive UNIVERSAL tag 2, got primitive UNIVERSAL tag 4"),
+    (lambda v: asn1._fields(v, 1, **_CONTEXT_0), asn1.context(1, ()),
+     "expected constructed CONTEXT tag 0, got constructed CONTEXT tag 1"),
+    (lambda v: asn1._fields(v, 1, **_CONTEXT_0), DerValue(A, True, 0, ()),
+     "expected constructed CONTEXT tag 0, got constructed APPLICATION tag 0"),
+    (lambda v: asn1._fields(v, 1, **_CONTEXT_0), asn1.context(0, b"", constructed=False),
+     "expected constructed CONTEXT tag 0, got primitive CONTEXT tag 0"),
+    (lambda v: asn1._fields(v, 2), asn1.set_value(),
+     "expected constructed UNIVERSAL tag 16, got constructed UNIVERSAL tag 17"),
+    (lambda v: asn1._fields(v, 2), asn1.integer(0),
+     "expected constructed UNIVERSAL tag 16, got primitive UNIVERSAL tag 2"),
+    (lambda v: asn1._fields(v, 2), asn1.sequence(asn1.null()), "expected 2 fields, got 1"),
+    (lambda v: asn1._fields(v, 5, 6), asn1.sequence(), "expected 5 or 6 fields, got 0"),
+    (lambda v: asn1._fields(v, 5, 6), asn1.context(16, b"", constructed=False),
+     "expected constructed UNIVERSAL tag 16, got primitive CONTEXT tag 16"),
+    (DerValue.as_integer, asn1.octet_string(b"\x01"), "value is not a primitive INTEGER"),
+    (DerValue.as_integer, asn1.context(asn1.INTEGER, b"\x01", constructed=False),
+     "value is not a primitive INTEGER"),
+    (DerValue.as_integer, unchecked(TagClass.UNIVERSAL, True, asn1.INTEGER, ()),
+     "value is not a primitive INTEGER"),
+    (DerValue.as_octet_string, asn1.integer(1), "value is not a primitive OCTET STRING"),
+    (DerValue.as_octet_string, asn1.context(asn1.OCTET_STRING, b"", constructed=False),
+     "value is not a primitive OCTET STRING"),
+    (DerValue.as_octet_string, unchecked(TagClass.UNIVERSAL, True, asn1.OCTET_STRING, ()),
+     "value is not a primitive OCTET STRING"),
+    (DerValue.as_oid, asn1.octet_string(b"\x2a"), "value is not a primitive OBJECT IDENTIFIER"),
+    (DerValue.as_oid, asn1.context(asn1.OBJECT_IDENTIFIER, b"\x2a", constructed=False),
+     "value is not a primitive OBJECT IDENTIFIER"),
+    (DerValue.as_oid, unchecked(TagClass.UNIVERSAL, True, asn1.OBJECT_IDENTIFIER, ()),
+     "value is not a primitive OBJECT IDENTIFIER"),
+    (DerValue.as_bit_string, asn1.octet_string(b"\x00"), "value is not a primitive BIT STRING"),
+    (DerValue.as_bit_string, asn1.context(asn1.BIT_STRING, b"\x00", constructed=False),
+     "value is not a primitive BIT STRING"),
+    (DerValue.as_bit_string, unchecked(TagClass.UNIVERSAL, True, asn1.BIT_STRING, ()),
+     "value is not a primitive BIT STRING"),
+    (DerValue.as_bit_string, der_decode(bytes.fromhex("030201ff")),
+     "only BIT STRING values with zero unused bits are used here"),
+    (lambda v: v.children, asn1.integer(1), "primitive value has no children"),
+    (lambda v: v.children, asn1.context(0, b"", constructed=False),
+     "primitive value has no children"),
+    (lambda v: v.octets, asn1.sequence(), "constructed value has no content octets"),
+    (lambda v: v.octets, asn1.context(0, ()), "constructed value has no content octets"),
+], ids=["require-number", "require-class", "require-form", "require-primitive",
+        "fields-number", "fields-class", "fields-form", "fields-set", "fields-primitive",
+        "fields-count", "fields-counts", "fields-class-and-form", "integer-number",
+        "integer-class", "integer-form", "octet-string-number", "octet-string-class",
+        "octet-string-form", "oid-number", "oid-class", "oid-form", "bit-string-number",
+        "bit-string-class", "bit-string-form", "bit-string-unused-bits", "children",
+        "children-context", "octets", "octets-context"])
+def test_accessor_refusals_keep_their_messages(read, value, message):
+    with pytest.raises(NonCanonical) as raised:
+        read(value)
+    assert str(raised.value) == message
+
+
+def flattened(value: DerValue, start: int = 0):
+    """(value, offset of its encoding in the whole) for ``value`` and each value inside it."""
+    yield value, start
+    if value.constructed:
+        pos = start + len(der_encode(value)) - sum(len(der_encode(c)) for c in value.children)
+        for child in value.children:
+            yield from flattened(child, pos)
+            pos += len(der_encode(child))
+
+
+def test_decoding_bytes_bytearray_or_memoryview_gives_equal_values_of_their_own():
+    encoded = der_encode(asn1.sequence(
+        asn1.set_value(asn1.integer(2), asn1.integer(1)), asn1.octet_string(b"x" * 200),
+        asn1.oid_value("1.2.840.113549.1.7.1"), asn1.context(0, b"\x01", constructed=False),
+        asn1.explicit(3, asn1.bit_string(b"abc"))))
+    caller = bytearray(encoded)
+    decoded = [der_decode(encoded), der_decode(caller), der_decode(memoryview(caller))]
+    assert decoded[0] == decoded[1] == decoded[2]
+    for value in decoded:
+        for part, offset in flattened(value):
+            assert bytes(part._der) == encoded[offset:offset + len(part._der)]
+            if not part.constructed:
+                assert type(part.content) is bytes
+    caller[:] = bytes(len(caller))  # the caller reuses its buffer
+    for value in decoded:
+        assert der_encode(value) == encoded
+        assert value == decoded[0] and value.children[1].octets == b"x" * 200

@@ -318,6 +318,35 @@ def test_verifying_decoded_signed_data_encodes_at_most_three_times(key_1024, ide
     assert 0 < len(calls) <= 3
 
 
+def test_verifying_received_content_builds_no_value_and_encodes_no_tag(key_1024, ident,
+                                                                     monkeypatch):
+    # the read path reads what it received: it neither builds a DerValue nor
+    # writes a tag, whether it accepts the input or refuses it
+    public, private = key_1024
+    signed = sign_data(make_data(b"payload"), private, ident, (SIGNING_TIME,),
+                       seeded(b"s")).to_der()
+    content_flipped = signed.replace(b"payload", b"payloaD")
+    signature_flipped = signed[:-1] + bytes([signed[-1] ^ 1])
+    request = build_csr(Name((("commonName", "Subject"),)), key_1024,
+                        (attribute_make("challengePassword", "pw"),), seeded(b"r")).to_der()
+    digested = digest_data(make_data(b"m")).to_der()
+    authenticated = authenticate_data(make_data(b"m"), b"mac", (SIGNING_TIME,)).to_der()
+    built, tags = [], []
+    real_init, real_encode_tag = asn1.DerValue.__init__, asn1._encode_tag
+    monkeypatch.setattr(asn1.DerValue, "__init__",
+                        lambda self, *args: built.append(args) or real_init(self, *args))
+    monkeypatch.setattr(asn1, "_encode_tag", lambda v: tags.append(v) or real_encode_tag(v))
+    assert verify_signed(ContentInfo.from_der(signed), public)[1]
+    with pytest.raises(DigestMismatch):
+        verify_signed(ContentInfo.from_der(content_flipped), public)
+    with pytest.raises(SignatureInvalid):
+        verify_signed(ContentInfo.from_der(signature_flipped), public)
+    assert csr.verify_csr(CertificationRequest.from_der(request))
+    assert check_digest(ContentInfo.from_der(digested))
+    assert check_auth(ContentInfo.from_der(authenticated), b"mac")
+    assert (built, tags) == ([], [])
+
+
 def test_decoding_the_same_signed_data_again_parses_no_oid(key_1024, ident):
     public, private = key_1024
     octets = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s")).to_der()
@@ -676,6 +705,27 @@ def test_toy_issue_carries_a_received_subject_as_received(key_1024, key_1024_b):
     inner, _ = verify_signed(certificate, ca_public)
     issued_subject_v = asn1._fields(asn1.der_decode(data_payload(inner)), 4)[0]
     assert asn1.der_encode(issued_subject_v) == asn1.der_encode(subject_v)
+
+
+def test_toy_issue_carries_a_received_key_info_as_received(key_1024, key_1024_b):
+    # rsaEncryption without parameters: the writer puts NULL parameters there
+    subject_public, subject_private = key_1024
+    ca_public, ca_private = key_1024_b
+    written = pkcs1.encode_public_key_info(subject_public)
+    spki_v = asn1.sequence(asn1.sequence(asn1.oid_value(oids.RSA_ENCRYPTION)),
+                           written.children[1])
+    info_v = asn1.sequence(asn1.integer(0), Name((("commonName", "Alice"),)).to_der_value(),
+                           spki_v, _attributes_to_der(()))
+    signature = pkcs1.sign(asn1.der_encode(info_v), subject_private, seeded(b"p"))
+    request = CertificationRequest.from_der(asn1.der_encode(asn1.sequence(
+        info_v, pkcs1.PSS_ALGORITHM.to_der_value(), asn1.bit_string(signature))))
+    assert request.info.public_key == subject_public
+
+    certificate = toy_issue(request, ca_private, Name((("commonName", "CA"),)), 7, seeded(b"q"))
+    inner, _ = verify_signed(certificate, ca_public)
+    issued_spki_v = asn1._fields(asn1.der_decode(data_payload(inner)), 4)[1]
+    assert asn1.der_encode(issued_spki_v) == asn1.der_encode(spki_v)
+    assert cert_fields(certificate)[1] == subject_public
 
 
 def test_toy_issue_rejects_bad_request(key_1024, key_1024_b):
