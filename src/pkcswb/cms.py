@@ -440,7 +440,7 @@ def toy_issue(request: CertificationRequest, ca_key: RsaPrivateKey, ca_name: Nam
         raise SignatureInvalid("request self-signature does not verify")
     payload = der_encode(asn1.sequence(
         request.info.subject.to_der_value(),
-        asn1._fields(request.info.to_der_value(), 4)[2],
+        request.info.key_info_value(),
         asn1.integer(serial),
         ca_name.to_der_value(),
     ))

@@ -114,6 +114,10 @@ class CertificationRequestInfo(DerForm, Frozen):
             _attributes_to_der(self.attributes),
         )
 
+    def key_info_value(self) -> DerValue:
+        """The subjectPKInfo field of the kept value: as received, or as built."""
+        return asn1._fields(self.to_der_value(), 4)[2]
+
     @classmethod
     def _parse(cls, value: DerValue) -> "CertificationRequestInfo":
         version_v, subject_v, spki_v, attrs_v = asn1._fields(value, 4)

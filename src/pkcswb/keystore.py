@@ -78,10 +78,7 @@ class Attribute(DerForm, Frozen):
     _fields = ("attr_type", "values")
 
     def __init__(self, attr_type: Oid, values: tuple[DerValue, ...]):
-        self._hold(attr_type, asn1.set_order(values))
-
-    def _hold(self, attr_type: Oid, ordered: tuple[DerValue, ...]) -> None:
-        """Write the fields, given values already in canonical order."""
+        ordered = asn1.set_order(values)
         if not ordered:
             raise asn1.NonCanonical("attribute needs at least one value")
         self.__dict__.update(attr_type=attr_type, values=ordered)
@@ -92,11 +89,7 @@ class Attribute(DerForm, Frozen):
     @classmethod
     def _parse(cls, value: DerValue) -> "Attribute":
         type_v, set_v = asn1._fields(value, 2)
-        attribute = cls.__new__(cls)
-        # a SET value's children are in canonical order: sorted when it was
-        # built, checked when it was decoded
-        attribute._hold(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
-        return attribute
+        return cls(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
 
 
 def _is_primitive(value: DerValue, tag: int) -> bool:
@@ -193,7 +186,7 @@ def attribute_check(attribute: Attribute) -> bool:
     spec = _REGISTRY_BY_OID.get(attribute.attr_type)
     if spec is None:
         return False
-    return all(map(spec.syntax, attribute.values))
+    return all(spec.syntax(v) for v in attribute.values)
 
 
 def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
@@ -206,7 +199,7 @@ def _attributes_from_der(value: DerValue) -> tuple[Attribute, ...]:
     then its order, then each Attribute (NonCanonical if one is wrong)."""
     children = asn1.require(value, 0, tag_class=asn1.TagClass.CONTEXT).children
     asn1._check_set_order(children, "attribute set")
-    return tuple([Attribute.from_der_value(child) for child in children])
+    return tuple(Attribute.from_der_value(child) for child in children)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ version or triples differ from those they derive, and keeps d as received
 
 from __future__ import annotations
 
-import functools
 import math
 
 from . import asn1, oids
@@ -116,7 +115,8 @@ class OaepParams(Frozen):
 
 def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
     """The one RSASSA-PSS salt rule, min(hLen, emLen - hLen - 2), or 0 if none fits."""
-    return PssParams.for_key(key).salt_len
+    h_len = SHA256.output_len
+    return max(0, min(h_len, (key.n.bit_length() + 6) // 8 - h_len - 2))
 
 
 class PssParams(Frozen):
@@ -147,18 +147,7 @@ class PssParams(Frozen):
 
     @classmethod
     def for_key(cls, key: RsaPublicKey | RsaPrivateKey) -> "PssParams":
-        """The default geometry, which the modulus size alone sets."""
-        return _pss_params_for_size(key.n.bit_length())
-
-
-@functools.lru_cache(maxsize=64)
-def _pss_params_for_size(modulus_bits: int) -> PssParams:
-    """PssParams.for_key of a modulus of ``modulus_bits`` bits, under the salt rule:
-    built once per size and shared.  A size is public, so the memo holds nothing
-    secret; it keeps 64 sizes."""
-    h_len = SHA256.output_len
-    salt_len = max(0, min(h_len, (modulus_bits + 6) // 8 - h_len - 2))
-    return PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=salt_len)
+        return cls(key.modulus_octets, key.n.bit_length(), salt_len=pss_salt_len_for(key))
 
 
 def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:

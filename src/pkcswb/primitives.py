@@ -116,15 +116,10 @@ def mgf(seed: bytes, out_len: int, alg: HashAlg = SHA256) -> bytes:
         raise ValueError("negative output length")
     if out_len > (1 << 32) * alg.output_len:
         raise ValueError("mask longer than the MGF can produce")
-    seed, raw, block_len = bytes(seed), alg.raw, alg.output_len
-    blocks = -(-out_len // block_len)
-    # the hash function itself on each block: HashAlg.digest's length check is
-    # made once, on the whole mask
-    mask = b"".join([raw(seed + counter.to_bytes(4, "big")) for counter in range(blocks)])
-    if len(mask) != blocks * block_len:
-        raise ValueError(f"{alg.name} produced {len(mask)} octets in {blocks} blocks, "
-                         f"expected {blocks * block_len}")
-    return mask[:out_len]
+    seed = bytes(seed)
+    blocks = -(-out_len // alg.output_len)
+    return b"".join([alg.digest(seed + counter.to_bytes(4, "big"))
+                     for counter in range(blocks)])[:out_len]
 
 
 def ct_equal(a: bytes, b: bytes) -> bool:
