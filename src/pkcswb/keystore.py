@@ -205,17 +205,22 @@ def _attributes_from_der(value: DerValue) -> tuple[Attribute, ...]:
 # ---------------------------------------------------------------------------
 # attribute bundles (directory object classes, flattened)
 
-_NATURAL_PERSON_FIELDS: dict[str, tuple[Oid, Callable[[str], DerValue]]] = {
-    "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string),
-    "country_of_citizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, asn1.printable_string),
-    "country_of_residence": (oids.AT_COUNTRY_OF_RESIDENCE, asn1.printable_string),
-    "pseudonym": (oids.AT_PSEUDONYM, asn1.utf8_string),
-    "place_of_birth": (oids.AT_PLACE_OF_BIRTH, asn1.utf8_string),
-    "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string),
-    "unstructured_address": (oids.AT_UNSTRUCTURED_ADDRESS, asn1.utf8_string),
-    "unstructured_name": (oids.AT_UNSTRUCTURED_NAME, asn1.utf8_string),
-    "gender": (oids.AT_GENDER, asn1.printable_string),
-    "date_of_birth": (oids.AT_DATE_OF_BIRTH, asn1.generalized_time),
+# name: (type, value builder, pattern the text must match or None).  The
+# patterns are the syntaxes of RFC 2985 §5.2 and RFC 3739 §3.2: a two-letter
+# country code, gender M, F, m or f, and dateOfBirth as a GeneralizedTime
+# YYYYMMDDHHMMSSZ.
+_COUNTRY = "[A-Za-z]{2}"
+_NATURAL_PERSON_FIELDS: dict[str, tuple[Oid, Callable[[str], DerValue], str | None]] = {
+    "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, None),
+    "country_of_citizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, asn1.printable_string, _COUNTRY),
+    "country_of_residence": (oids.AT_COUNTRY_OF_RESIDENCE, asn1.printable_string, _COUNTRY),
+    "pseudonym": (oids.AT_PSEUDONYM, asn1.utf8_string, None),
+    "place_of_birth": (oids.AT_PLACE_OF_BIRTH, asn1.utf8_string, None),
+    "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string, None),
+    "unstructured_address": (oids.AT_UNSTRUCTURED_ADDRESS, asn1.utf8_string, None),
+    "unstructured_name": (oids.AT_UNSTRUCTURED_NAME, asn1.utf8_string, None),
+    "gender": (oids.AT_GENDER, asn1.printable_string, "[MFmf]"),
+    "date_of_birth": (oids.AT_DATE_OF_BIRTH, asn1.generalized_time, "[0-9]{14}Z"),
 }
 
 _PKCS_ENTITY_FIELDS: dict[str, Oid] = {
@@ -227,12 +232,15 @@ _PKCS_ENTITY_FIELDS: dict[str, Oid] = {
 
 
 def natural_person_bundle(**fields: str) -> tuple[Attribute, ...]:
-    """Personal attributes as a flat bundle, one attribute per supplied field."""
+    """Personal attributes as a flat bundle, one attribute per supplied field;
+    SyntaxViolation for a value outside its field's syntax."""
     out = []
     for name, value in fields.items():
         if name not in _NATURAL_PERSON_FIELDS:
             raise UnknownAttributeType(name)
-        oid, make = _NATURAL_PERSON_FIELDS[name]
+        oid, make, pattern = _NATURAL_PERSON_FIELDS[name]
+        if pattern is not None and re.fullmatch(pattern, value) is None:
+            raise SyntaxViolation(f"{name} does not match its syntax")
         out.append(Attribute(oid, (make(value),)))
     return tuple(out)
 

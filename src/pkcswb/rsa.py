@@ -198,18 +198,39 @@ _SMALL_PRIMES = frozenset(_primes_below(1000))
 _SMALL_PRODUCT = math.prod(_SMALL_PRIMES)
 _PRODUCT = _product(_primes_below(1 << 14)[len(_SMALL_PRIMES):])
 
-# Miller-Rabin rounds per candidate that passes trial division.
+# Random-witness Miller-Rabin rounds per candidate that passes the three
+# refusal steps of _is_probable_prime.
 MILLER_RABIN_ROUNDS = 40
 
 
+def _is_strong_probable_prime(a: int, n: int, d: int, s: int) -> bool:
+    """One Miller-Rabin round: is n a strong probable prime to base a, where
+    n - 1 = d * 2^s with d odd?"""
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = pow(x, 2, n)
+        if x == n - 1:
+            return True
+    return False
+
+
 def _is_probable_prime(n: int, rng: RandomSource) -> bool:
+    """Is n prime, to MILLER_RABIN_ROUNDS rounds with witnesses from rng?
+
+    Exact below 997^2, where no octet is read.  Above it a candidate is
+    refused by the first of three steps that finds it composite: the gcd with
+    the primes below 1000, then, once the first witness is drawn, the gcd with
+    the primes in [1000, 2^14) and a strong test to base 2.  A candidate that
+    passes all three must pass MILLER_RABIN_ROUNDS random-witness rounds.
+    """
     if n < 2:
         return False
     if math.gcd(n, _SMALL_PRODUCT) != 1:
         return n in _SMALL_PRIMES
     if n < 997 ** 2:
         return True
-    # Miller-Rabin with witnesses drawn from the supplied source
     d = n - 1
     s = 0
     while d % 2 == 0:
@@ -218,19 +239,14 @@ def _is_probable_prime(n: int, rng: RandomSource) -> bool:
     width = (n.bit_length() + 7) // 8
     for i in range(MILLER_RABIN_ROUNDS):
         a = 2 + int.from_bytes(rng.read(width), "big") % (n - 3)
-        # The second stage runs after the first witness is drawn, so the
-        # source is read exactly as by Miller-Rabin alone.  Here n >= 997^2
-        # exceeds every prime of the product: a gcd above 1 is a proper factor.
-        if i == 0 and math.gcd(n, _PRODUCT) != 1:
+        # Both steps run after the first witness is drawn, so the source is
+        # read as by Miller-Rabin alone unless n is composite and a strong
+        # liar for that witness.  Here n >= 997^2 exceeds every prime of the
+        # product: a gcd above 1 is a proper factor.
+        if i == 0 and (math.gcd(n, _PRODUCT) != 1
+                       or not _is_strong_probable_prime(2, n, d, s)):
             return False
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = pow(x, 2, n)
-            if x == n - 1:
-                break
-        else:
+        if not _is_strong_probable_prime(a, n, d, s):
             return False
     return True
 
@@ -261,16 +277,19 @@ def generate_prime(bits: int, rng: RandomSource, u: int = 2) -> int:
     least 2^(Σb_i − 1) and below 2^Σb_i, so it has exactly Σb_i bits and no
     prime is ever thrown away for a short modulus.  Candidates are odd and
     drawn almost uniformly from the range (64 spare random bits reduced
-    modulo its width); each must pass trial division and
-    MILLER_RABIN_ROUNDS rounds of Miller-Rabin.
+    modulo its width); each must pass MILLER_RABIN_ROUNDS rounds of
+    Miller-Rabin, as _is_probable_prime runs them.
 
-    Trial division has two stages, each one gcd with a product of primes.
-    The primes below 1000 are tried before any witness is drawn.  The primes
-    in [1000, 2^14) are tried after the first witness is drawn and before
-    its exponentiation: the source is then read exactly as by Miller-Rabin
-    alone, so a seed gives the same primes as without the stage, and about
-    a third of the composites that reach Miller-Rabin are rejected by the
-    gcd instead of a modular exponentiation.
+    A composite is refused by the first of three steps that finds it out: a
+    gcd with the primes below 1000, before any witness is drawn; then, after
+    the first witness is drawn and before its exponentiation, a gcd with the
+    primes in [1000, 2^14), and a strong test to base 2.  Base 2 costs about
+    0.8 of a random witness in CPython's windowed pow, whose table of odd
+    powers 2, 2^3, ..., 2^31 then holds numbers of one or two digits.  The
+    three steps read no octet, so a seed gives the same primes as
+    Miller-Rabin alone, except where a composite that is a strong liar for
+    the drawn witness is refused by the second or third step: it reads one
+    witness, where Miller-Rabin alone would read more.
     """
     if bits < 8:
         raise BadParameter("need at least 8 bits")

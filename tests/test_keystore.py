@@ -382,6 +382,31 @@ def test_natural_person_bundle():
         natural_person_bundle(shoe_size="44")
 
 
+
+@pytest.mark.parametrize("field,value", [
+    ("date_of_birth", "1980"),
+    ("date_of_birth", "198001010000Z"),           # UTCTime, not GeneralizedTime
+    ("date_of_birth", "19800101000000"),
+    ("gender", "Female"),
+    ("gender", "X"),
+    ("gender", "F\n"),
+    ("country_of_citizenship", "USA"),
+    ("country_of_citizenship", "U"),
+    ("country_of_residence", "1"),
+    ("country_of_residence", "U1"),
+])
+def test_natural_person_bundle_refuses_a_value_outside_its_syntax(field, value):
+    # RFC 2985 §5.2 and RFC 3739 §3.2: dateOfBirth is a GeneralizedTime
+    # YYYYMMDDHHMMSSZ, gender one of M, F, m and f, a country two letters
+    with pytest.raises(SyntaxViolation):
+        natural_person_bundle(**{field: value})
+
+
+def test_natural_person_bundle_takes_each_letter_case():
+    bundle = natural_person_bundle(gender="m", country_of_citizenship="fr",
+                                   country_of_residence="DE")
+    assert [a.values[0].octets for a in bundle] == [b"m", b"fr", b"DE"]
+
 def test_pkcs_entity_bundle():
     bundle = pkcs_entity_bundle(encrypted_private_key_info=asn1.octet_string(b"blob"))
     assert bundle[0].attr_type == oids.AT_ENCRYPTED_PRIVATE_KEY_INFO

@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import math
 import random
@@ -186,7 +187,7 @@ def test_non_prime_constant_source_trips_candidate_budget():
         rsa.generate_prime(16, ConstantSource(0xC5))
 
 
-# -- the two trial-division stages ------------------------------------------------
+# -- the three refusal steps --------------------------------------------------------
 
 
 class _CountingSource(SeededSource):
@@ -199,17 +200,24 @@ class _CountingSource(SeededSource):
         return super().read(n)
 
 
-def _count_exponentiations(monkeypatch) -> list[int]:
-    """Exponents of the modular exponentiations rsa runs from now on, bar squarings."""
-    exponents = []
+def _count_exponentiations(monkeypatch) -> list[tuple[int, int]]:
+    """(base, exponent) of the modular exponentiations rsa runs from now on,
+    bar squarings."""
+    calls = []
 
     def counting(base, exponent, modulus=None):
         if exponent != 2:
-            exponents.append(exponent)
+            calls.append((base, exponent))
         return pow(base, exponent, modulus)
 
     monkeypatch.setattr(rsa, "pow", counting, raising=False)
-    return exponents
+    return calls
+
+
+def _odd_part(n: int) -> int:
+    """d with n - 1 = d * 2^s and d odd: the exponent of a Miller-Rabin round."""
+    d = n - 1
+    return d >> ((d & -d).bit_length() - 1)
 
 
 def test_stage_products_hold_the_primes_of_their_ranges():
@@ -242,14 +250,14 @@ def test_factor_below_2_14_rejected_with_one_witness_and_no_exponentiation(monke
     assert factors[:2] == [1009, 16381]
     cofactors = [rsa.generate_prime(bits, seeded(b"cofactor/%d" % bits)) for bits in (21, 64, 512)]
     assert all(r > 2**20 for r in cofactors)
-    exponents = _count_exponentiations(monkeypatch)
+    calls = _count_exponentiations(monkeypatch)
     for q in factors:
         for r in cofactors:
             rng = _CountingSource(b"%d*%d" % (q, r))
             assert not rsa._is_probable_prime(q * r, rng)
             # the first witness is drawn, as Miller-Rabin alone would, and not used
             assert rng.reads == [((q * r).bit_length() + 7) // 8]
-    assert exponents == []
+    assert calls == []
 
 
 # Generated before the second stage existed: a change to how the random
@@ -268,13 +276,67 @@ def test_seeded_key_primes_are_pinned():
 
 
 def test_seeded_prime_spends_a_pinned_count_of_exponentiations(monkeypatch):
-    exponents = _count_exponentiations(monkeypatch)
+    calls = _count_exponentiations(monkeypatch)
     p = rsa.generate_prime(512, seeded(b"stream guard/512"))
     assert p == int("c6b141cb3aebefd31ac67a8db0053de0b17f531ed81df22a696177bf5b6c39cf"
                     "3a2ae58e441969ecb09163caa4e10383d5ca6f5489032a0b86b38a008b5eab67", 16)
-    # 40 rounds on the prime and 9 first rounds on composites; Miller-Rabin
-    # alone spent 51, two on composites with a factor in [1000, 2^14)
-    assert len(exponents) == rsa.MILLER_RABIN_ROUNDS + 9 == 49
+    # 9 composites reach an exponentiation and base 2 refuses each with one;
+    # Miller-Rabin alone spent 49 random-witness ones, 9 of them on composites
+    composites, prime = calls[:9], calls[9:]
+    assert [base for base, _ in composites] == [2] * 9
+    assert len({exponent for _, exponent in composites}) == 9
+    assert prime[0] == (2, _odd_part(p))
+    assert [exponent for _, exponent in prime] == [_odd_part(p)] * (1 + rsa.MILLER_RABIN_ROUNDS)
+    assert all(base != 2 for base, _ in prime[1:])
+    assert len(calls) == 1 + rsa.MILLER_RABIN_ROUNDS + 9 == 50
+
+
+def test_strong_base_2_pseudoprime_is_refused_by_the_random_witnesses(monkeypatch):
+    # the least kind of composite the three steps pass: no factor below 2^14
+    # and a strong liar for base 2
+    n = 579956653
+    assert n == 17029 * 34057 and 2**14 < 17029
+    assert is_prime_by_trial_division(17029) and is_prime_by_trial_division(34057)
+    d = _odd_part(n)
+    assert rsa._is_strong_probable_prime(2, n, d, 2)
+    calls = _count_exponentiations(monkeypatch)
+    rng = _CountingSource(b"spsp2/10")
+    assert not rsa._is_probable_prime(n, rng)
+    # the first two witnesses lie too, and the third refuses n: base 2 only
+    # ever refuses a candidate, never accepts one
+    assert rng.reads == [4, 4, 4]
+    assert calls[0] == (2, d)
+    assert [exponent for _, exponent in calls] == [d] * 4
+    assert all(base != 2 for base, _ in calls[1:])
+
+
+def test_composite_refused_by_base_2_reads_one_witness_and_no_random_exponentiation(monkeypatch):
+    primes = [rsa.generate_prime(bits, seeded(b"base 2/%d" % bits)) for bits in (15, 21, 64, 512)]
+    assert all(r > 2**14 for r in primes)
+    calls = _count_exponentiations(monkeypatch)
+    for i, q in enumerate(primes):
+        for r in primes[i:]:
+            rng = _CountingSource(b"%d*%d" % (q, r))
+            calls.clear()
+            assert not rsa._is_probable_prime(q * r, rng)
+            # the first witness is drawn, as Miller-Rabin alone would, and not used
+            assert rng.reads == [((q * r).bit_length() + 7) // 8]
+            assert calls == [(2, _odd_part(q * r))]
+
+
+# SHA-256 of the primes of the three benchmark key shapes, generated before
+# base 2 refused composites: the 341- and 778-bit searches of the multiprime
+# shapes are guarded as well as the 512-bit one above.
+_BENCH_SHAPES_DIGEST = "b066f74969ef414f72cbb013df2c3b2024561d971bebc363a838319985f329ea"
+
+
+def test_seeded_bench_shape_primes_are_pinned():
+    primes = []
+    for bits, u in ((1024, 2), (1024, 3), (2335, 3)):
+        rng = SeededSource(hashlib.sha256(b"pkcswb benchmark keys" + b"%d-u%d" % (bits, u)).digest())
+        primes += rsa.generate_key(bits, u, 65537, rng)[1].primes
+    text = " ".join(format(r, "x") for r in primes)
+    assert hashlib.sha256(text.encode()).hexdigest() == _BENCH_SHAPES_DIGEST
 
 
 # -- key generation -------------------------------------------------------------
