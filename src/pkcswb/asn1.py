@@ -33,8 +33,10 @@ Decoding does each piece of work once.  The decoder reads its input as
 content is one slice of it; a ``memoryview`` of it serves only as each
 value's kept octets.  It reads the common header inline: one lookup in
 ``_IDENTIFIERS`` gives a one-octet tag's class, form, number and content
-check, and a short-form length is one octet; ``_decode_tag`` and
-``_decode_length`` read, and check, every other form.  One loop reads the
+check; a length is read inline when it is minimal as it stands: the short
+form, ``0x81 xx`` with xx >= 0x80, or ``0x82 xx yy`` with xx nonzero, inside
+the content.  ``_decode_tag`` and ``_decode_length`` read, and check, every
+other form and every case those conditions refuse.  One loop reads the
 values side by side in a content and recurses only into constructed ones.
 The readers built on it test a value's shape once: ``_fields`` and the typed
 accessors reach the message of a refusal only for a value they refuse.
@@ -42,7 +44,8 @@ accessors reach the message of a refusal only for a value they refuse.
 Every container class keeps its value through one mixin, ``DerForm``, so
 its octets are the ones received, or are built and encoded once.
 ``AlgorithmIdentifier``, RFC 5280's (OID, optional parameters) pair, is one,
-and lives here, below every layer that names an algorithm.
+and lives here, below every layer that names an algorithm; ``algorithm_oid``
+reads a received one's OID, with the same checks, and builds no object.
 """
 
 from __future__ import annotations
@@ -115,6 +118,7 @@ _ALWAYS_PRIMITIVE = {BOOLEAN, INTEGER, NULL, OBJECT_IDENTIFIER, OCTET_STRING,
 _ALWAYS_CONSTRUCTED = {SEQUENCE, SET}
 
 _PRINTABLE_RE = re.compile(r"[A-Za-z0-9 '()+,\-./:=?]*\Z")
+_DOTTED_OID = re.compile(r"[0-9]+(?:\.[0-9]+)+")
 
 
 class DerError(PkcsError, ValueError):
@@ -175,13 +179,13 @@ class Oid(Frozen):
     def __init__(self, arcs: tuple[int, ...]):
         arcs = tuple(arcs)
         if len(arcs) < 2:
-            raise ValueError("OID needs at least two arcs")
+            raise BadParameter("OID needs at least two arcs")
         if any(a < 0 for a in arcs):
-            raise ValueError("OID arcs must be non-negative")
+            raise BadParameter("OID arcs must be non-negative")
         if arcs[0] > 2:
-            raise ValueError("first OID arc must be 0, 1 or 2")
+            raise BadParameter("first OID arc must be 0, 1 or 2")
         if arcs[0] < 2 and arcs[1] > 39:
-            raise ValueError("second OID arc must be <= 39 when first arc < 2")
+            raise BadParameter("second OID arc must be <= 39 when first arc < 2")
         self.__dict__["arcs"] = arcs
 
     # OIDs key the registries and are compared on every parse, so they compare
@@ -196,7 +200,14 @@ class Oid(Frozen):
 
     @classmethod
     def parse(cls, dotted: str) -> "Oid":
-        return cls(tuple(int(part) for part in dotted.split(".")))
+        """The Oid of dotted text: two or more arcs of ASCII digits, or BadParameter."""
+        if _DOTTED_OID.fullmatch(dotted) is None:
+            raise BadParameter("OID text must be two or more dot-separated decimal arcs")
+        try:
+            arcs = tuple(map(int, dotted.split(".")))
+        except ValueError:  # an arc of more digits than int() reads from text
+            raise BadParameter("OID arc has too many digits") from None
+        return cls(arcs)
 
     def dotted(self) -> str:
         return ".".join(str(a) for a in self.arcs)
@@ -365,7 +376,7 @@ def utf8_string(text: str) -> DerValue:
 
 def printable_string(text: str) -> DerValue:
     if not _PRINTABLE_RE.match(text):
-        raise ValueError("text outside the PrintableString repertoire")
+        raise BadParameter("text outside the PrintableString repertoire")
     return DerValue(_UNIVERSAL, False, PRINTABLE_STRING, text.encode("ascii"))
 
 
@@ -636,8 +647,8 @@ def _decode_values(data: bytes, view: memoryview, pos: int, stop: int,
     values = []
     while pos < stop:
         start = pos
-        # a one-octet tag and a short-form length are read here; _decode_tag and
-        # _decode_length take, and check, every other form
+        # a one-octet tag, and a length that is short, 0x81 xx with xx >= 0x80 or 0x82 xx yy
+        # with xx != 0, are read here; _decode_tag and _decode_length take every other form
         if (identifier := _IDENTIFIERS[data[pos]]) is not None:
             tag_class, constructed, number, check = identifier
             pos += 1
@@ -646,6 +657,10 @@ def _decode_values(data: bytes, view: memoryview, pos: int, stop: int,
             check = None
         if pos < stop and (length := data[pos]) < 0x80:
             pos += 1
+        elif pos + 1 < stop and length == 0x81 and data[pos + 1] >= 0x80:
+            length, pos = data[pos + 1], pos + 2
+        elif pos + 2 < stop and length == 0x82 and data[pos + 1]:
+            length, pos = data[pos + 1] << 8 | data[pos + 2], pos + 3
         else:
             length, pos = _decode_length(data, pos, stop)
         end = pos + length
@@ -757,5 +772,10 @@ class AlgorithmIdentifier(DerForm, Frozen):
 
     @classmethod
     def _parse(cls, value: DerValue) -> "AlgorithmIdentifier":
-        kids = _fields(value, 1, 2)
-        return cls(kids[0].as_oid(), kids[1] if len(kids) == 2 else None)
+        oid = algorithm_oid(value)
+        return cls(oid, value.content[1] if len(value.content) == 2 else None)
+
+
+def algorithm_oid(value: DerValue) -> Oid:
+    """The OID of a received AlgorithmIdentifier, checked as ``_parse`` checks it."""
+    return _fields(value, 1, 2)[0].as_oid()

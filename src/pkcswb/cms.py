@@ -51,8 +51,9 @@ __all__ = [
 SHA256_ALGORITHM = AlgorithmIdentifier(oids.SHA256)  # written without parameters
 
 
-def is_sha256(algorithm: AlgorithmIdentifier) -> bool:
-    return algorithm.oid == oids.SHA256  # read by OID alone
+def is_sha256(oid: Oid) -> bool:
+    """Whether an AlgorithmIdentifier's OID is SHA-256: the OID alone is read."""
+    return oid == oids.SHA256
 
 
 class DigestMismatch(IntegrityFailure):
@@ -239,7 +240,7 @@ def _parse_signed(ci: ContentInfo):
     sig_alg_v, sig_v = kids[-2:]
     if version_v.as_integer() != 1 or signer_version_v.as_integer() != 1:
         raise SignatureInvalid("SignedData and SignerInfo must be version 1")
-    if [is_sha256(AlgorithmIdentifier.from_der_value(v))
+    if [is_sha256(asn1.algorithm_oid(v))
             for v in asn1.require(algs_v, asn1.SET).children] != [True]:
         raise SignatureInvalid("digestAlgorithms must be exactly SHA-256")
     return encap_v, sid_v, digest_alg_v, attrs_v, sig_alg_v, sig_v
@@ -254,9 +255,9 @@ def verify_signed(ci: ContentInfo,
     when the signature itself fails.
     """
     encap_v, _sid, digest_alg_v, attrs_v, sig_alg_v, sig_v = _parse_signed(ci)
-    if not is_sha256(AlgorithmIdentifier.from_der_value(digest_alg_v)):
+    if not is_sha256(asn1.algorithm_oid(digest_alg_v)):
         raise SignatureInvalid("unsupported digest algorithm")
-    if not pkcs1.is_pss(AlgorithmIdentifier.from_der_value(sig_alg_v)):
+    if not pkcs1.is_pss(asn1.algorithm_oid(sig_alg_v)):
         raise SignatureInvalid("unsupported signature algorithm")
     inner = ContentInfo.from_der_value(encap_v)
     message = _covered_as_received(inner, attrs_v)
@@ -312,7 +313,7 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
         version_v, recipient_v, econtent_v = asn1._fields(ci.content, 3)
         rversion_v, kea_v, ek_v = asn1._fields(recipient_v, 3)
         if (version_v.as_integer() != 0 or rversion_v.as_integer() != 0
-                or not pkcs1.is_oaep(AlgorithmIdentifier.from_der_value(kea_v))):
+                or not pkcs1.is_oaep(asn1.algorithm_oid(kea_v))):
             raise DecryptionError()
         algorithm, ciphertext = _parse_encrypted_content(econtent_v)
         iv = pkcs5.aes128_cbc_iv(algorithm)
@@ -337,7 +338,7 @@ def digest_data(inner: ContentInfo) -> ContentInfo:
 def check_digest(ci: ContentInfo) -> bool:
     _expect_type(ci, oids.CT_DIGESTED_DATA, "digested-data")
     version_v, alg_v, encap_v, digest_v = asn1._fields(ci.content, 4)
-    if version_v.as_integer() != 0 or not is_sha256(AlgorithmIdentifier.from_der_value(alg_v)):
+    if version_v.as_integer() != 0 or not is_sha256(asn1.algorithm_oid(alg_v)):
         return False
     return ct_equal(SHA256.digest(der_encode(encap_v)), digest_v.as_octet_string())
 
@@ -414,7 +415,7 @@ def _parse_auth(ci: ContentInfo) -> tuple[DerValue, DerValue, DerValue, DerValue
 def check_auth(ci: ContentInfo, key: bytes) -> bool:
     version_v, alg_v, encap_v, attrs_v, mac_v = _parse_auth(ci)
     if (version_v.as_integer() != 0
-            or not pkcs5.is_hmac_sha256(AlgorithmIdentifier.from_der_value(alg_v))):
+            or not pkcs5.is_hmac_sha256(asn1.algorithm_oid(alg_v))):
         return False
     try:
         message = _covered_as_received(ContentInfo.from_der_value(encap_v), attrs_v)

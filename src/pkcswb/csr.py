@@ -171,5 +171,5 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
 
 def verify_csr(csr: CertificationRequest) -> bool:
     """Self-signature check under the public key embedded in the request."""
-    return pkcs1.is_pss(csr.signature_algorithm) and pkcs1.verify(
+    return pkcs1.is_pss(csr.signature_algorithm.oid) and pkcs1.verify(
         csr.info.to_der(), csr.signature, csr.info.public_key)

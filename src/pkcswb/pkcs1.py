@@ -28,6 +28,7 @@ version or triples differ from those they derive, and keeps d as received
 
 from __future__ import annotations
 
+import functools
 import math
 
 from . import asn1, oids
@@ -147,7 +148,12 @@ class PssParams(Frozen):
 
     @classmethod
     def for_key(cls, key: RsaPublicKey | RsaPrivateKey) -> "PssParams":
-        return cls(key.modulus_octets, key.n.bit_length(), salt_len=pss_salt_len_for(key))
+        """One value per modulus size, built once, with pss_salt_len_for's salt."""
+        return _shared_pss_params(key.modulus_octets, key.n.bit_length(),
+                                  salt_len=pss_salt_len_for(key))
+
+
+_shared_pss_params = functools.lru_cache(maxsize=64)(PssParams)
 
 
 def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:
@@ -159,12 +165,14 @@ def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:
     return algorithm
 
 
-def is_pss(algorithm: asn1.AlgorithmIdentifier) -> bool:
-    return algorithm.oid == oids.RSASSA_PSS
+def is_pss(oid: asn1.Oid) -> bool:
+    """Whether an AlgorithmIdentifier's OID is RSASSA-PSS: the OID alone is read."""
+    return oid == oids.RSASSA_PSS
 
 
-def is_oaep(algorithm: asn1.AlgorithmIdentifier) -> bool:
-    return algorithm.oid == oids.RSAES_OAEP
+def is_oaep(oid: asn1.Oid) -> bool:
+    """Whether an AlgorithmIdentifier's OID is RSAES-OAEP: the OID alone is read."""
+    return oid == oids.RSAES_OAEP
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from . import asn1, oids
-from .asn1 import AlgorithmIdentifier, DerValue
+from .asn1 import AlgorithmIdentifier, DerValue, Oid
 from .errors import BadParameter, Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
 from .primitives import (BLOCK_LEN, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal,
                          hmac_digest, keyed_hmac)
@@ -120,8 +120,9 @@ def pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
     return salt, check_iterations(count)
 
 
-def is_hmac_sha256(algorithm: AlgorithmIdentifier) -> bool:
-    return algorithm.oid == oids.HMAC_WITH_SHA256
+def is_hmac_sha256(oid: Oid) -> bool:
+    """Whether an AlgorithmIdentifier's OID is hmacWithSHA256: the OID alone is read."""
+    return oid == oids.HMAC_WITH_SHA256
 
 
 def aes128_cbc_algorithm(iv: bytes) -> AlgorithmIdentifier:
@@ -163,7 +164,7 @@ def pbes2_fields(algorithm: AlgorithmIdentifier) -> tuple[bytes, int, bytes]:
         raise MalformedKey("PBKDF2 identifier lacks parameters")
     salt_v, iter_v, prf_v = asn1._fields(kdf.params, 3)
     prf = AlgorithmIdentifier.from_der_value(prf_v)
-    if not is_hmac_sha256(prf):
+    if not is_hmac_sha256(prf.oid):
         raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
     return (*pbkdf2_fields(salt_v, iter_v), iv)
 

@@ -96,6 +96,8 @@ def test_reject_non_minimal_length():
         der_decode(bytes.fromhex("02810105"))
     with pytest.raises(NonMinimalLength):
         der_decode(bytes.fromhex("0282000105"))
+    with pytest.raises(NonMinimalLength, match="leading zero"):
+        der_decode(bytes.fromhex("048200ff") + b"z" * 255)
 
 
 def test_reject_trailing_octets():
@@ -112,10 +114,11 @@ def test_reject_oversize_tag():
 
 
 # ---------------------------------------------------------------------------
-# headers at the edges of the inline form (one tag octet, short-form length)
+# headers at the edges of the inline forms (one tag octet; a short-form, 81 or 82 length)
 
 
-@pytest.mark.parametrize("header,length", [("047f", 127), ("048180", 128)])
+@pytest.mark.parametrize("header,length", [("047f", 127), ("048180", 128), ("0481ff", 255),
+                                           ("04820100", 256)])
 def test_length_at_the_short_form_boundary_decodes(header, length):
     value = der_decode(bytes.fromhex(header) + b"z" * length)
     assert value.as_octet_string() == b"z" * length
@@ -138,10 +141,13 @@ def test_high_tag_form_for_a_low_number_is_non_canonical():
         der_decode(bytes.fromhex("9f1e00"))
 
 
-@pytest.mark.parametrize("encoded", ["", "04", "0405", "0481", "9f", "9f81", "3003"])
+@pytest.mark.parametrize("encoded", ["", "04", "0405", "0481", "0482", "048201", "9f", "9f81",
+                                     "3003"])
 def test_input_ending_inside_or_right_after_a_header_is_truncated(encoded):
-    with pytest.raises(Truncated):
+    with pytest.raises(Truncated) as raised:
         der_decode(bytes.fromhex(encoded))
+    if encoded.startswith("048"):  # ends inside a long-form length, as _decode_length says
+        assert str(raised.value) == "input ended inside length octets"
 
 
 # ---------------------------------------------------------------------------

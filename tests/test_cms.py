@@ -347,6 +347,20 @@ def test_verifying_received_content_builds_no_value_and_encodes_no_tag(key_1024,
     assert (built, tags) == ([], [])
 
 
+def test_verifying_signed_data_builds_no_algorithm_identifier(key_1024, ident, monkeypatch):
+    # the three identifiers a signer lists (digestAlgorithms, digestAlgorithm,
+    # signatureAlgorithm) are checked by their OID alone
+    public, private = key_1024
+    signed = ContentInfo.from_der(sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,),
+                                            seeded(b"s")).to_der())
+    parsed = []
+    real_parse = AlgorithmIdentifier._parse.__func__
+    monkeypatch.setattr(AlgorithmIdentifier, "_parse", classmethod(
+        lambda cls, value: parsed.append(value) or real_parse(cls, value)))
+    assert verify_signed(signed, public)[1]
+    assert parsed == []
+
+
 def test_decoding_the_same_signed_data_again_parses_no_oid(key_1024, ident):
     public, private = key_1024
     octets = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s")).to_der()

@@ -9,17 +9,18 @@ import builtins
 import importlib
 from pathlib import Path
 
+import pytest
+
 import pkcswb
-from pkcswb.errors import PkcsError
+from pkcswb import asn1, csr, keystore
+from pkcswb.errors import BadParameter, PkcsError
 
 PACKAGE = Path(pkcswb.__file__).resolve().parent
 
 # "module.function": the builtin class it raises for a caller's mistake
 PROGRAMMING_ERRORS = {
     "errors.Frozen.__setattr__": AttributeError,
-    "asn1.Oid.__init__": ValueError,
     "asn1.DerValue.__init__": ValueError,
-    "asn1.printable_string": ValueError,
     "primitives.HashAlg.digest": ValueError,
     "primitives.mgf": ValueError,
     "primitives.RandomSource.read": NotImplementedError,
@@ -98,3 +99,44 @@ def test_exit_code_is_1_exactly_for_cryptographic_failures():
         "TokenError", "DecryptionError", "IntegrityFailure",
         "DigestMismatch", "SignatureInvalid", "ScenarioStepFailed"}
     assert {cls.exit_code for cls in _declared_classes()} == {1, 2}
+
+
+# Text a user may type, outside the syntax of the builders below: empty, a
+# character PrintableString lacks, NUL, non-ASCII, a lone surrogate, a very
+# long string, malformed dotted OIDs and malformed times; then dotted text
+# that int() would read as another OID's arcs.
+FOREIGN_TEXT = ["", "a_b", "\x00", "é", "\udcff", "x" * 70_000, "1", "1..2", "3.1", "1.2.",
+                "2024-01-01T00:00:00Z", "991332250000Z"]
+LOOSE_DOTTED = ["1.2.\u0661", " 1.2", "1.+2", "1.2_0"]
+
+# every public builder of a value from caller text
+TEXT_BUILDERS = {
+    **{f"asn1.{f.__name__}": f for f in (asn1.utf8_string, asn1.printable_string,
+                                         asn1.ia5_string, asn1.utc_time,
+                                         asn1.generalized_time, asn1.oid_value)},
+    **{f"attribute_make.{name}": (lambda text, name=name: keystore.attribute_make(name, text))
+       for name in ("contentType", "signingTime", "challengePassword", "friendlyName")},
+    **{f"natural_person_bundle.{field}": (
+        lambda text, field=field: keystore.natural_person_bundle(**{field: text}))
+       for field in keystore._NATURAL_PERSON_FIELDS},
+    **{f"csr.Name.{field}": (
+        lambda text, field=field: csr.Name((("commonName", "x"), (field, text))).to_der())
+       for field in csr._NAME_FIELDS},
+}
+
+
+@pytest.mark.parametrize("text", FOREIGN_TEXT + LOOSE_DOTTED,
+                         ids=lambda text: ascii(text[:16]))
+@pytest.mark.parametrize("builder", TEXT_BUILDERS)
+def test_text_builders_give_a_value_or_a_declared_error(builder, text):
+    try:
+        TEXT_BUILDERS[builder](text)
+    except PkcsError:
+        pass
+
+
+@pytest.mark.parametrize("text", LOOSE_DOTTED + ["", "1", "1..2", "1.2.", "1." + "2" * 5000],
+                         ids=lambda text: ascii(text[:16]))
+def test_dotted_text_outside_ascii_digit_arcs_is_bad_parameter(text):
+    with pytest.raises(BadParameter):
+        asn1.Oid.parse(text)
