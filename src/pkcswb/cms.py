@@ -11,7 +11,9 @@ DecryptionError.  Wherever a digest or signature is checked, the octets
 hashed are the ones received on the wire, never a re-normalized encoding.
 ``keystore`` writes and reads the attribute sets, and ``pkcs1`` and ``pkcs5``
 the algorithm identifiers but SHA-256's; a contentType or messageDigest
-attribute holds one value, of the registry's syntax.
+attribute holds one value, of the registry's syntax.  Verification reads a
+received attribute set in place, through keystore's one reader, as (type,
+values) pairs; it builds no Attribute.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from . import asn1, oids, pkcs1, pkcs5
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue, Oid, der_decode, der_encode
 from .csr import CertificationRequest, Name, verify_csr
 from .errors import DecryptionError, Frozen, IntegrityFailure, PkcsError, uniform_decryption
-from .keystore import (Attribute, SyntaxViolation, _attributes_from_der, _attributes_to_der,
-                       attribute_check, attribute_make)
+from .keystore import (Attribute, SyntaxViolation, _attribute_pair, _attributes_from_der,
+                       _attributes_to_der, _values_check, attribute_make)
 from .primitives import (BLOCK_LEN, SHA256, BadLength, RandomSource, cbc_decrypt, cbc_encrypt,
                          ct_equal, hmac_digest)
 from .rsa import RsaPrivateKey, RsaPublicKey
@@ -131,11 +133,11 @@ def _attr_message(attrs_v: DerValue) -> bytes:
     return bytes([0x20 | asn1.SET]) + der_encode(attrs_v)[1:]
 
 
-def _find_attr(attributes: tuple[Attribute, ...], oid: Oid,
-               duplicate: type[PkcsError]) -> Attribute | None:
-    """The attribute of type ``oid``, or None; ``duplicate`` is raised for a
-    second one (contentType and messageDigest appear once, RFC 5652 §11.1, §11.2)."""
-    found = [attribute for attribute in attributes if attribute.attr_type == oid]
+def _find_attr(pairs: tuple[tuple[Oid, tuple[DerValue, ...]], ...], oid: Oid,
+               duplicate: type[PkcsError]) -> tuple[DerValue, ...] | None:
+    """The values of the (type, values) pair of type ``oid``, or None; ``duplicate`` for
+    a second one (contentType and messageDigest appear once, RFC 5652 §11.1, §11.2)."""
+    found = [values for attr_type, values in pairs if attr_type == oid]
     if len(found) > 1:
         raise duplicate(f"more than one {oid} attribute")
     return found[0] if found else None
@@ -152,13 +154,14 @@ def _covered(encap: ContentInfo,
     attrs = tuple(attrs)
     if not attrs:
         return encap_v, (), content_der
-    content_type = _find_attr(attrs, oids.AT_CONTENT_TYPE, SyntaxViolation)
+    pairs = tuple((attribute.attr_type, attribute.values) for attribute in attrs)
+    content_type = _find_attr(pairs, oids.AT_CONTENT_TYPE, SyntaxViolation)
     if content_type is None:
         attrs += (attribute_make("contentType", encap.content_type),)
     elif not _is_content_type(content_type, encap.content_type):
         raise WrongContentType("contentType attribute is not the encapsulated content's type")
     digest = SHA256.digest(content_der)
-    message_digest = _find_attr(attrs, oids.AT_MESSAGE_DIGEST, SyntaxViolation)
+    message_digest = _find_attr(pairs, oids.AT_MESSAGE_DIGEST, SyntaxViolation)
     if message_digest is None:
         attrs += (attribute_make("messageDigest", digest),)
     elif not _is_digest(message_digest, digest):
@@ -167,32 +170,33 @@ def _covered(encap: ContentInfo,
     return encap_v, (attrs_v,), _attr_message(attrs_v)
 
 
-def _is_content_type(attribute: Attribute, content_type: Oid) -> bool:
-    """Whether a contentType attribute holds exactly ``content_type``, as its
-    one value, of the registry's syntax (RFC 5652 §11.1)."""
-    return (len(attribute.values) == 1 and attribute_check(attribute)
-            and attribute.values[0].as_oid() == content_type)
+def _is_content_type(values: tuple[DerValue, ...], content_type: Oid) -> bool:
+    """Whether a contentType attribute's values are exactly ``content_type``, as
+    one value of the registry's syntax (RFC 5652 §11.1)."""
+    return (len(values) == 1 and _values_check(oids.AT_CONTENT_TYPE, values)
+            and values[0].as_oid() == content_type)
 
 
-def _is_digest(attribute: Attribute, digest: bytes) -> bool:
-    """Whether a messageDigest attribute holds exactly ``digest``, as its one
-    value, of the registry's syntax (RFC 5652 §11.2)."""
-    return (len(attribute.values) == 1 and attribute_check(attribute)
-            and ct_equal(attribute.values[0].octets, digest))
+def _is_digest(values: tuple[DerValue, ...], digest: bytes) -> bool:
+    """Whether a messageDigest attribute's values are exactly ``digest``, as one
+    value of the registry's syntax (RFC 5652 §11.2)."""
+    return (len(values) == 1 and _values_check(oids.AT_MESSAGE_DIGEST, values)
+            and ct_equal(values[0].octets, digest))
 
 
 def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
     """The octets a received signature or MAC covers: the encapsulated content
     as received, or the received [0] attribute set, which must hold the
     content's type as its one contentType and a digest of that content as its
-    one messageDigest (RFC 5652 §5.3, §9.2, §11.1, §11.2).  Raises
-    SignatureInvalid or DigestMismatch."""
+    one messageDigest (RFC 5652 §5.3, §9.2, §11.1, §11.2).  The set is read in
+    place, as keystore's reader gives it: (type, values) pairs, no Attribute.
+    Raises NonCanonical, SignatureInvalid or DigestMismatch."""
     content_der = encap.to_der()
     if attrs_v is None:
         return content_der
-    attributes = _attributes_from_der(attrs_v)
-    md = _find_attr(attributes, oids.AT_MESSAGE_DIGEST, SignatureInvalid)
-    content_type = _find_attr(attributes, oids.AT_CONTENT_TYPE, SignatureInvalid)
+    pairs = _attributes_from_der(attrs_v, _attribute_pair)
+    md = _find_attr(pairs, oids.AT_MESSAGE_DIGEST, SignatureInvalid)
+    content_type = _find_attr(pairs, oids.AT_CONTENT_TYPE, SignatureInvalid)
     if md is None or content_type is None:
         raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
     if not _is_content_type(content_type, encap.content_type):

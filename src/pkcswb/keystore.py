@@ -15,7 +15,8 @@ with no directory-schema machinery behind them.
 
 The [0] IMPLICIT SET OF Attribute that PKCS #8, #10 and CMS carry is written,
 read and checked here alone: the writer re-tags a built SET's children, the
-reader checks the tag, then the order, then each Attribute.
+reader checks the tag, then the order, then each Attribute, and gives each as
+an Attribute or, to verification, in place as a (type, values) pair.
 """
 
 from __future__ import annotations
@@ -88,8 +89,17 @@ class Attribute(DerForm, Frozen):
 
     @classmethod
     def _parse(cls, value: DerValue) -> "Attribute":
-        type_v, set_v = asn1._fields(value, 2)
-        return cls(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
+        return cls(*_attribute_pair(value))
+
+
+def _attribute_pair(value: DerValue) -> tuple[Oid, tuple[DerValue, ...]]:
+    """(type, values) of a received Attribute, read in place: NonCanonical
+    unless a SEQUENCE of an OID and a SET of at least one value."""
+    type_v, set_v = asn1._fields(value, 2)
+    attr_type, values = type_v.as_oid(), asn1.require(set_v, asn1.SET).children
+    if not values:
+        raise asn1.NonCanonical("attribute needs at least one value")
+    return attr_type, values
 
 
 def _is_primitive(value: DerValue, tag: int) -> bool:
@@ -121,8 +131,16 @@ class AttributeSpec(Frozen):
         self.__dict__.update(name=name, oid=oid, syntax=syntax, make=make)
 
 
-def _make_time(value) -> DerValue:
-    text = str(value)
+def _taking(kind: type | tuple[type, ...], make: Callable[[object], DerValue]):
+    """``make`` for a value of ``kind`` alone (no bool); SyntaxViolation for any other."""
+    def build(value) -> DerValue:
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise SyntaxViolation(f"a {type(value).__name__} value does not fit this attribute")
+        return make(value)
+    return build
+
+
+def _make_time(text: str) -> DerValue:
     if re.fullmatch(r"[0-9]{12}Z", text):
         return asn1.utc_time(text)
     if re.fullmatch(r"[0-9]{14}Z", text):
@@ -130,35 +148,37 @@ def _make_time(value) -> DerValue:
     raise SyntaxViolation("time must look like YYMMDDHHMMSSZ or YYYYMMDDHHMMSSZ")
 
 
-def _make_directory_string(value) -> DerValue:
+def _make_directory_string(value: str) -> DerValue:
     if asn1._PRINTABLE_RE.match(value):
         return asn1.printable_string(value)
     return asn1.utf8_string(value)
 
 
+_make_octet_string = _taking((bytes, bytearray, memoryview), asn1.octet_string)
 _SPECS = [
     AttributeSpec("contentType", oids.AT_CONTENT_TYPE,
-                  lambda v: _is_primitive(v, asn1.OBJECT_IDENTIFIER), asn1.oid_value),
+                  lambda v: _is_primitive(v, asn1.OBJECT_IDENTIFIER),
+                  _taking((Oid, str), asn1.oid_value)),
     AttributeSpec("messageDigest", oids.AT_MESSAGE_DIGEST,
-                  lambda v: _is_primitive(v, asn1.OCTET_STRING), asn1.octet_string),
-    AttributeSpec("signingTime", oids.AT_SIGNING_TIME, _check_time, _make_time),
+                  lambda v: _is_primitive(v, asn1.OCTET_STRING), _make_octet_string),
+    AttributeSpec("signingTime", oids.AT_SIGNING_TIME, _check_time, _taking(str, _make_time)),
     AttributeSpec("sequenceNumber", oids.AT_SEQUENCE_NUMBER,
                   lambda v: _is_primitive(v, asn1.INTEGER) and v.as_integer() >= 1,
-                  lambda v: asn1.integer(int(v))),
+                  _taking(int, asn1.integer)),
     AttributeSpec("randomNonce", oids.AT_RANDOM_NONCE,
                   lambda v: _is_primitive(v, asn1.OCTET_STRING) and len(v.octets) >= 4,
-                  asn1.octet_string),
+                  _make_octet_string),
     AttributeSpec("counterSignature", oids.AT_COUNTER_SIGNATURE,
                   lambda v: v.constructed and v.is_universal(asn1.SEQUENCE), None),
     AttributeSpec("challengePassword", oids.AT_CHALLENGE_PASSWORD,
-                  _check_directory_string, _make_directory_string),
+                  _check_directory_string, _taking(str, _make_directory_string)),
     AttributeSpec("extensionRequest", oids.AT_EXTENSION_REQUEST,
                   lambda v: v.constructed and v.is_universal(asn1.SEQUENCE), None),
     AttributeSpec("friendlyName", oids.AT_FRIENDLY_NAME,
                   lambda v: _is_primitive(v, asn1.UTF8_STRING) and len(v.octets) > 0,
-                  asn1.utf8_string),
+                  _taking(str, asn1.utf8_string)),
     AttributeSpec("localKeyId", oids.AT_LOCAL_KEY_ID,
-                  lambda v: _is_primitive(v, asn1.OCTET_STRING), asn1.octet_string),
+                  lambda v: _is_primitive(v, asn1.OCTET_STRING), _make_octet_string),
 ]
 
 ATTRIBUTE_REGISTRY: dict[str, AttributeSpec] = {s.name: s for s in _SPECS}
@@ -183,10 +203,13 @@ def attribute_make(type_name: str, value) -> Attribute:
 
 def attribute_check(attribute: Attribute) -> bool:
     """Total check: True iff the type is registered and every value conforms."""
-    spec = _REGISTRY_BY_OID.get(attribute.attr_type)
-    if spec is None:
-        return False
-    return all(spec.syntax(v) for v in attribute.values)
+    return _values_check(attribute.attr_type, attribute.values)
+
+
+def _values_check(attr_type: Oid, values: tuple[DerValue, ...]) -> bool:
+    """attribute_check over a (type, values) pair, as a received set is read."""
+    spec = _REGISTRY_BY_OID.get(attr_type)
+    return spec is not None and all(map(spec.syntax, values))
 
 
 def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
@@ -194,12 +217,14 @@ def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
     return asn1.context(0, asn1.set_value(*(a.to_der_value() for a in attributes)).children)
 
 
-def _attributes_from_der(value: DerValue) -> tuple[Attribute, ...]:
+def _attributes_from_der(value: DerValue, read=Attribute.from_der_value) -> tuple:
     """The attributes of a received [0] IMPLICIT SET OF Attribute: its tag,
-    then its order, then each Attribute (NonCanonical if one is wrong)."""
+    then its order, then each Attribute (NonCanonical if one is wrong), each
+    given by ``read``.  The one reader of such a set: verification reads it in
+    place, as ``_attribute_pair``'s (type, values) pairs."""
     children = asn1.require(value, 0, tag_class=asn1.TagClass.CONTEXT).children
     asn1._check_set_order(children, "attribute set")
-    return tuple(Attribute.from_der_value(child) for child in children)
+    return tuple(map(read, children))
 
 
 # ---------------------------------------------------------------------------

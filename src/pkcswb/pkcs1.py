@@ -11,7 +11,7 @@ verification is a plain boolean and never reveals which check failed.  It
 reads public octets only, so unlike the two decryption decoders, which scan
 every octet of a secret encoded message, it is not constant time.
 
-RSASSA-PSS has one salt rule, pss_salt_len_for: sLen = min(hLen,
+RSASSA-PSS has one salt rule, over the modulus bit length: sLen = min(hLen,
 emLen - hLen - 2).  sign and verify both default to it, and verification
 refuses a recovered salt of any other length (RFC 8017 §9.1.2 step 10).
 The RSA algorithm identifiers and key layouts (RFC 8017 §A.1-A.2) are written
@@ -114,10 +114,15 @@ class OaepParams(Frozen):
         return self.k - 2 * self.k0 - 3
 
 
-def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
+def _salt_len(modulus_bits: int) -> int:
     """The one RSASSA-PSS salt rule, min(hLen, emLen - hLen - 2), or 0 if none fits."""
     h_len = SHA256.output_len
-    return max(0, min(h_len, (key.n.bit_length() + 6) // 8 - h_len - 2))
+    return max(0, min(h_len, (modulus_bits + 6) // 8 - h_len - 2))
+
+
+def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
+    """The salt rule for the size of ``key``'s modulus."""
+    return _salt_len(key.n.bit_length())
 
 
 class PssParams(Frozen):
@@ -148,12 +153,14 @@ class PssParams(Frozen):
 
     @classmethod
     def for_key(cls, key: RsaPublicKey | RsaPrivateKey) -> "PssParams":
-        """One value per modulus size, built once, with pss_salt_len_for's salt."""
-        return _shared_pss_params(key.modulus_octets, key.n.bit_length(),
-                                  salt_len=pss_salt_len_for(key))
+        """One value per modulus size, keyed by |n| in bits alone, so a public
+        and a private key of one size share it; its salt is the salt rule's."""
+        return _pss_params_for_bits(key.n.bit_length())
 
 
-_shared_pss_params = functools.lru_cache(maxsize=64)(PssParams)
+@functools.lru_cache(maxsize=64)
+def _pss_params_for_bits(modulus_bits: int) -> PssParams:
+    return PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=_salt_len(modulus_bits))
 
 
 def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:

@@ -262,8 +262,8 @@ def test_a_received_second_content_type_or_message_digest_is_refused(key_1024, i
     public, private = key_1024
     inner = make_data(b"m")
     attrs = _second_instance(kind, inner)
-    monkeypatch.setattr(cms, "_find_attr", lambda attributes, oid, duplicate: next(
-        (a for a in attributes if a.attr_type == oid), None))
+    monkeypatch.setattr(cms, "_find_attr", lambda pairs, oid, duplicate: next(
+        (values for attr_type, values in pairs if attr_type == oid), None))
     signed = sign_data(inner, private, ident, attrs, seeded(b"s")).to_der()
     maced = authenticate_data(inner, b"mac key", attrs).to_der()
     monkeypatch.undo()
@@ -273,6 +273,127 @@ def test_a_received_second_content_type_or_message_digest_is_refused(key_1024, i
     with pytest.raises(SignatureInvalid):
         verify_signed(ContentInfo.from_der(signed), public)
     assert not check_auth(ContentInfo.from_der(maced), b"mac key")
+
+
+# -- received attribute sets, rebuilt by hand -----------------------------------------
+
+
+def _attribute(type_v: asn1.DerValue, *values: asn1.DerValue) -> asn1.DerValue:
+    return asn1.sequence(type_v, asn1.set_value(*values))
+
+
+def _content_type(*types) -> asn1.DerValue:
+    return _attribute(asn1.oid_value(oids.AT_CONTENT_TYPE), *map(asn1.oid_value, types))
+
+
+def _message_digest(*values: asn1.DerValue) -> asn1.DerValue:
+    return _attribute(asn1.oid_value(oids.AT_MESSAGE_DIGEST), *values)
+
+
+_INNER = make_data(b"m")
+_CT = _content_type(oids.CT_DATA)
+_DIGEST = SHA256.digest(_INNER.to_der())
+_MD = _message_digest(asn1.octet_string(_DIGEST))
+_TIME = SIGNING_TIME.to_der_value()
+_OTHER_MD = _message_digest(asn1.octet_string(SHA256.digest(b"other content")))
+_EMPTY = _attribute(asn1.oid_value(oids.AT_SIGNING_TIME))
+_MORE_THAN_ONE = "more than one {} attribute"
+_MANDATORY = "contentType/messageDigest attributes are mandatory"
+_NOT_THE_TYPE = "contentType attribute is not the encapsulated content's type"
+_NOT_THE_DIGEST = "messageDigest attribute does not match the content"
+
+# name: (the [0] set's members, in SET OF order unless the name says otherwise;
+# the class and message verify_signed raises, or None where it verifies)
+RECEIVED_SETS = {
+    "as signed": ([_CT, _MD, _TIME], None),
+    "two messageDigest": ([_CT, _MD, _message_digest(asn1.octet_string(b"\xff" * 32))],
+                          (SignatureInvalid, _MORE_THAN_ONE.format(oids.AT_MESSAGE_DIGEST))),
+    "two contentType": ([_CT, _content_type(oids.CT_SIGNED_DATA), _MD],
+                        (SignatureInvalid, _MORE_THAN_ONE.format(oids.AT_CONTENT_TYPE))),
+    "no contentType": ([_MD, _TIME], (SignatureInvalid, _MANDATORY)),
+    "no messageDigest": ([_CT, _TIME], (SignatureInvalid, _MANDATORY)),
+    "contentType of another type": ([_content_type(oids.CT_ENVELOPED_DATA), _MD],
+                                    (SignatureInvalid, _NOT_THE_TYPE)),
+    "contentType with two values": ([_content_type(oids.CT_DATA, oids.CT_ENVELOPED_DATA), _MD],
+                                    (SignatureInvalid, _NOT_THE_TYPE)),
+    "messageDigest as an INTEGER": (
+        [_CT, _message_digest(asn1.integer(int.from_bytes(_DIGEST, "big")))],
+        (DigestMismatch, _NOT_THE_DIGEST)),
+    "messageDigest of other content": ([_CT, _OTHER_MD], (DigestMismatch, _NOT_THE_DIGEST)),
+    "an empty value SET": ([_CT, _MD, _EMPTY],
+                           (asn1.NonCanonical, "attribute needs at least one value")),
+    "an Attribute that is not a SEQUENCE of two": (
+        [_CT, _MD, asn1.sequence(asn1.oid_value(oids.AT_SIGNING_TIME))],
+        (asn1.NonCanonical, "expected 2 fields, got 1")),
+    "a type that is not an OID": (
+        [_CT, _MD, _attribute(asn1.integer(3), asn1.utc_time("200101120000Z"))],
+        (asn1.NonCanonical, "value is not a primitive OBJECT IDENTIFIER")),
+    "members out of SET OF order": ([_TIME, _MD, _CT],
+                                    (asn1.NonCanonical, "attribute set not in canonical order")),
+    # where faults meet: every member's shape, then a second messageDigest, then a second
+    # contentType, then a missing one, then the contentType, and last the digest
+    "two of each, and an empty value SET": (
+        [_CT, _content_type(oids.CT_SIGNED_DATA), _MD, _OTHER_MD, _EMPTY],
+        (asn1.NonCanonical, "attribute needs at least one value")),
+    "two of each": ([_CT, _content_type(oids.CT_SIGNED_DATA), _MD, _OTHER_MD],
+                    (SignatureInvalid, _MORE_THAN_ONE.format(oids.AT_MESSAGE_DIGEST))),
+    "two contentType, no messageDigest": ([_CT, _content_type(oids.CT_SIGNED_DATA)],
+                                          (SignatureInvalid,
+                                           _MORE_THAN_ONE.format(oids.AT_CONTENT_TYPE))),
+    "wrong contentType and wrong messageDigest": (
+        [_content_type(oids.CT_ENVELOPED_DATA), _OTHER_MD], (SignatureInvalid, _NOT_THE_TYPE)),
+}
+
+
+def _with_attributes(ci: ContentInfo, members: list) -> ContentInfo:
+    """A received signed-data or authenticated-data, decoded again with its [0]
+    set holding ``members`` in the order given, every other field as received."""
+    attrs_v = asn1.context(0, tuple(members))
+    kids = ci.content.children
+    if ci.content_type == oids.CT_SIGNED_DATA:
+        signer = kids[3].children[0].children
+        body = asn1.sequence(*kids[:3], asn1.set_value(
+            asn1.sequence(*signer[:3], attrs_v, *signer[4:])))
+    else:
+        body = asn1.sequence(*kids[:3], attrs_v, *kids[4:])
+    return ContentInfo.from_der(ContentInfo(ci.content_type, body).to_der())
+
+
+@pytest.mark.parametrize("case", RECEIVED_SETS)
+def test_every_received_attribute_set_outcome(key_1024, ident, case):
+    public, private = key_1024
+    members, outcome = RECEIVED_SETS[case]
+    if "order" not in case:
+        members = sorted(members, key=asn1.der_encode)
+    signed = ContentInfo.from_der(
+        sign_data(_INNER, private, ident, (SIGNING_TIME,), seeded(b"s")).to_der())
+    maced = ContentInfo.from_der(authenticate_data(_INNER, b"mac key", (SIGNING_TIME,)).to_der())
+    assert len(signed.content.children[3].children[0].children[3].children) == 3
+    signed, maced = _with_attributes(signed, members), _with_attributes(maced, members)
+    if outcome is None:
+        assert verify_signed(signed, public) == (_INNER, True)
+        assert check_auth(maced, b"mac key")
+        return
+    error, message = outcome
+    with pytest.raises(error) as raised:
+        verify_signed(signed, public)
+    assert type(raised.value) is error and str(raised.value) == message
+    assert check_auth(maced, b"mac key") is False
+
+
+def test_verifying_builds_no_attribute(key_1024, ident, monkeypatch):
+    # the received [0] set is read in place, as (type, values) pairs
+    public, private = key_1024
+    signed = ContentInfo.from_der(
+        sign_data(_INNER, private, ident, (SIGNING_TIME,), seeded(b"s")).to_der())
+    maced = ContentInfo.from_der(authenticate_data(_INNER, b"mac key", (SIGNING_TIME,)).to_der())
+    built = []
+    real_init = Attribute.__init__
+    monkeypatch.setattr(Attribute, "__init__",
+                        lambda attribute, *fields: built.append(attribute) or real_init(
+                            attribute, *fields))
+    assert verify_signed(signed, public)[1] and check_auth(maced, b"mac key")
+    assert built == []
 
 
 def test_signed_der_round_trip_byte_identical(key_1024, ident):

@@ -4,7 +4,7 @@ import pytest
 
 from pkcswb import asn1, cms, csr, keystore, oids, pkcs5, rsa
 from pkcswb.asn1 import AlgorithmIdentifier, Oid, der_decode, der_encode
-from pkcswb.errors import DecryptionError, MalformedKey, UnsupportedAlgorithm
+from pkcswb.errors import DecryptionError, MalformedKey, PkcsError, UnsupportedAlgorithm
 from pkcswb.keystore import (ATTRIBUTE_REGISTRY, Attribute,
                              EncryptedPrivateKeyInfo, PrivateKeyInfo,
                              SyntaxViolation, UnknownAttributeType, attribute_check,
@@ -316,6 +316,29 @@ def test_built_values_pass_through_every_type():
     for name in ("counterSignature", "extensionRequest"):
         with pytest.raises(SyntaxViolation, match="already-built"):
             attribute_make(name, b"\x30\x00")
+
+
+# the Python type each builder takes (None: only a built value); 5 used to give five
+# zero octets, 3.7 the integer 3, True the integer 1 or one zero octet, and the rest
+# Python's own ValueError, TypeError or AttributeError
+BUILDER_TYPES = {"contentType": str, "messageDigest": bytes, "signingTime": str,
+                 "sequenceNumber": int, "randomNonce": bytes, "counterSignature": None,
+                 "challengePassword": str, "extensionRequest": None, "friendlyName": str,
+                 "localKeyId": bytes}
+
+
+@pytest.mark.parametrize("value", ["a_b", 5, 3.7, b"\x01\x02\x03\x04", None, True], ids=repr)
+@pytest.mark.parametrize("name", BUILDER_TYPES)
+def test_attribute_builders_take_only_their_own_type(name, value):
+    assert set(BUILDER_TYPES) == set(ATTRIBUTE_REGISTRY)
+    if type(value) is not BUILDER_TYPES[name]:
+        with pytest.raises(SyntaxViolation):
+            attribute_make(name, value)
+        return
+    try:
+        assert attribute_check(attribute_make(name, value))
+    except PkcsError:
+        pass
 
 
 def test_unknown_attribute_type():

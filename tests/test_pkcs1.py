@@ -374,11 +374,14 @@ def test_default_salt_fits_every_modulus_size(bits, salt_len):
 
 def test_pss_params_are_built_once_per_modulus_size(key_1024, key_1024_b, toy_keys):
     assert PssParams.for_key(key_1024[0]) is PssParams.for_key(key_1024_b[1])
+    # keyed by the modulus size alone: a public and a private key of one size share it
+    assert PssParams.for_key(key_1024[0]) is PssParams.for_key(key_1024[1])
     sizes = [rsa.RsaPublicKey((1 << bits - 1) | 1, 65537) for bits in range(49, 4097)]
     for key in [public for public, _ in toy_keys.values()] + sizes:
         bits = key.n.bit_length()
         assert PssParams.for_key(key) == PssParams((bits + 7) // 8, bits,
                                                    salt_len=pss_salt_len_for(key))
+        assert pss_salt_len_for(key) == PssParams.for_key(key).salt_len
 
 
 def test_no_room_for_pss_signs_never_and_verifies_false():
