@@ -230,10 +230,10 @@ def _attributes_from_der(value: DerValue, read=Attribute.from_der_value) -> tupl
 # ---------------------------------------------------------------------------
 # attribute bundles (directory object classes, flattened)
 
-# name: (type, value builder, pattern the text must match or None).  The
+# name: (type, value builder, pattern the value must match or None).  The
 # patterns are the syntaxes of RFC 2985 §5.2 and RFC 3739 §3.2: a two-letter
 # country code, gender M, F, m or f, and dateOfBirth as a GeneralizedTime
-# YYYYMMDDHHMMSSZ.
+# YYYYMMDDHHMMSSZ.  A pkcsEntity value is a built DerValue, carried as it is.
 _COUNTRY = "[A-Za-z]{2}"
 _NATURAL_PERSON_FIELDS: dict[str, tuple[Oid, Callable[[str], DerValue], str | None]] = {
     "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, None),
@@ -248,36 +248,38 @@ _NATURAL_PERSON_FIELDS: dict[str, tuple[Oid, Callable[[str], DerValue], str | No
     "date_of_birth": (oids.AT_DATE_OF_BIRTH, asn1.generalized_time, "[0-9]{14}Z"),
 }
 
-_PKCS_ENTITY_FIELDS: dict[str, Oid] = {
+_PKCS_ENTITY_FIELDS = {name: (oid, lambda value: value, None) for name, oid in {
     "pkcs7_pdu": oids.AT_PKCS7_PDU,
     "user_pkcs12": oids.AT_USER_PKCS12,
     "pkcs15_token": oids.AT_PKCS15_TOKEN,
     "encrypted_private_key_info": oids.AT_ENCRYPTED_PRIVATE_KEY_INFO,
-}
+}.items()}
 
 
-def natural_person_bundle(**fields: str) -> tuple[Attribute, ...]:
-    """Personal attributes as a flat bundle, one attribute per supplied field;
-    SyntaxViolation for a value outside its field's syntax."""
+def _bundle(table: dict[str, tuple], kind: type, fields: dict) -> tuple[Attribute, ...]:
+    """One attribute per field of ``table``; SyntaxViolation for a value not
+    of ``kind`` or outside its field's pattern."""
     out = []
     for name, value in fields.items():
-        if name not in _NATURAL_PERSON_FIELDS:
+        if name not in table:
             raise UnknownAttributeType(name)
-        oid, make, pattern = _NATURAL_PERSON_FIELDS[name]
-        if pattern is not None and re.fullmatch(pattern, value) is None:
+        oid, make, pattern = table[name]
+        if not isinstance(value, kind) or pattern and not re.fullmatch(pattern, value):
             raise SyntaxViolation(f"{name} does not match its syntax")
         out.append(Attribute(oid, (make(value),)))
     return tuple(out)
 
 
+def natural_person_bundle(**fields: str) -> tuple[Attribute, ...]:
+    """Personal attributes as a flat bundle, one attribute per supplied field;
+    SyntaxViolation for a value that is not text or is outside its field's syntax."""
+    return _bundle(_NATURAL_PERSON_FIELDS, str, fields)
+
+
 def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
-    """PKCS-document attributes (CMS PDU, PFX, wrapped key) as a flat bundle."""
-    out = []
-    for name, value in fields.items():
-        if name not in _PKCS_ENTITY_FIELDS:
-            raise UnknownAttributeType(name)
-        out.append(Attribute(_PKCS_ENTITY_FIELDS[name], (value,)))
-    return tuple(out)
+    """PKCS-document attributes (CMS PDU, PFX, wrapped key) as a flat bundle;
+    SyntaxViolation for a value that is not a built DerValue."""
+    return _bundle(_PKCS_ENTITY_FIELDS, DerValue, fields)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ reads public octets only, so unlike the two decryption decoders, which scan
 every octet of a secret encoded message, it is not constant time.
 
 RSASSA-PSS has one salt rule, over the modulus bit length: sLen = min(hLen,
-emLen - hLen - 2).  sign and verify both default to it, and verification
+emLen - hLen - 2).  sign uses it, verify defaults to it, and verification
 refuses a recovered salt of any other length (RFC 8017 §9.1.2 step 10).
 The RSA algorithm identifiers and key layouts (RFC 8017 §A.1-A.2) are written
 and read here alone; RSASSA-PSS and RSAES-OAEP carry no parameters and are
@@ -114,15 +114,9 @@ class OaepParams(Frozen):
         return self.k - 2 * self.k0 - 3
 
 
-def _salt_len(modulus_bits: int) -> int:
-    """The one RSASSA-PSS salt rule, min(hLen, emLen - hLen - 2), or 0 if none fits."""
-    h_len = SHA256.output_len
-    return max(0, min(h_len, (modulus_bits + 6) // 8 - h_len - 2))
-
-
 def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
     """The salt rule for the size of ``key``'s modulus."""
-    return _salt_len(key.n.bit_length())
+    return PssParams.for_key(key).salt_len
 
 
 class PssParams(Frozen):
@@ -160,7 +154,10 @@ class PssParams(Frozen):
 
 @functools.lru_cache(maxsize=64)
 def _pss_params_for_bits(modulus_bits: int) -> PssParams:
-    return PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=_salt_len(modulus_bits))
+    """The one RSASSA-PSS salt rule, min(hLen, emLen - hLen - 2), or 0 if none fits."""
+    h_len = SHA256.output_len
+    salt_len = max(0, min(h_len, (modulus_bits + 6) // 8 - h_len - 2))
+    return PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=salt_len)
 
 
 def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:
@@ -314,7 +311,7 @@ def pss_encode(message: bytes, params: PssParams, rng: RandomSource) -> bytes:
     if not params.fits():
         raise EncodingError("no room for PS || 0x01 || salt")
     alg, k, k0 = params.hash_alg, params.k, params.k0
-    salt = rng.read(params.salt_len) if params.salt_len else b""
+    salt = rng.read(params.salt_len)
     m_prime = b"\x00" * 8 + alg.digest(message) + salt
     h = alg.digest(m_prime)
     ps = b"\x00" * (k - k0 - 2 - params.salt_len)
@@ -378,12 +375,9 @@ def decrypt(ciphertext: bytes, sk: RsaPrivateKey, scheme: str,
     return oaep_decode(em, OaepParams(k, label=label))
 
 
-def sign(message: bytes, sk: RsaPrivateKey, rng: RandomSource,
-         params: PssParams | None = None) -> bytes:
-    """RSASSA-PSS signature; params default to PssParams.for_key, as in verify."""
-    params = params or PssParams.for_key(sk)
-    if params.modulus_bits != sk.n.bit_length():  # k follows from |n|
-        raise ValueError("params do not match the signing key")
+def sign(message: bytes, sk: RsaPrivateKey, rng: RandomSource) -> bytes:
+    """RSASSA-PSS signature under PssParams.for_key, verify's default."""
+    params = PssParams.for_key(sk)
     if not params.fits():
         raise ModulusTooSmall("modulus too small for these PSS parameters")
     em = pss_encode(message, params, rng)

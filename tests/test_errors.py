@@ -28,7 +28,6 @@ PROGRAMMING_ERRORS = {
     "pkcs1.PssParams.__init__": ValueError,
     "pkcs1.encrypt": ValueError,
     "pkcs1.decrypt": ValueError,
-    "pkcs1.sign": ValueError,
     "csr.Name.__init__": ValueError,
     "csr.build_csr": ValueError,
     "pfx.SafeBag.__init__": ValueError,

@@ -341,6 +341,21 @@ def test_attribute_builders_take_only_their_own_type(name, value):
         pass
 
 
+@pytest.mark.parametrize("value", [5, 3.7, b"F", None, True], ids=repr)
+@pytest.mark.parametrize("field", keystore._NATURAL_PERSON_FIELDS)
+def test_natural_person_bundle_takes_only_text(field, value):
+    # each used to raise TypeError from the pattern match or AttributeError from the builder
+    with pytest.raises(SyntaxViolation):
+        natural_person_bundle(**{field: value})
+
+
+@pytest.mark.parametrize("value", [5, "text", b"blob", None], ids=repr)
+def test_pkcs_entity_bundle_takes_only_a_built_value(value):
+    # each used to give an Attribute that failed only when encoded, with AttributeError
+    with pytest.raises(SyntaxViolation):
+        pkcs_entity_bundle(pkcs7_pdu=value)
+
+
 def test_unknown_attribute_type():
     with pytest.raises(UnknownAttributeType):
         attribute_make("nonexistent", 1)
