@@ -124,8 +124,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_kdf(args) -> int:
-    params = pkcs5.Pbkdf2Params(_hex_arg(args.salt), pkcs5.check_iterations(args.iterations),
-                                args.length)
+    params = pkcs5.Pbkdf2Params(_hex_arg(args.salt), args.iterations, args.length)
     print(pkcs5.pbkdf2(text_octets(args.password), params).hex())
     return 0
 

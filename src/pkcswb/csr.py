@@ -57,6 +57,8 @@ class Name(DerForm, Frozen):
         if "commonName" not in names:
             raise MalformedRequest("commonName is required")
         for key, value in pairs:
+            if not isinstance(value, str):
+                raise MalformedRequest(f"{key} must be text")
             if key == "country" and not (len(value) == 2 and value.isascii() and value.isalpha()):
                 raise MalformedRequest("country must be a two-letter code")
             if key == "emailAddress" and not value.isascii():

@@ -66,7 +66,7 @@ class TooManyIterations(PkcsError, ValueError):
 
 def check_iterations(count: int) -> int:
     """``count`` if in [1, MAX_ITERATIONS]; called on a count read from a
-    file or about to be written to one, before any key derivation.  A wire
+    file and on the count of every derivation (``Pbkdf2Params``).  A wire
     count may be too long to print in decimal, so no message prints it."""
     if count < 1:
         raise BadParameter("iteration count is not positive")
@@ -83,8 +83,7 @@ class Pbkdf2Params(Frozen):
         salt = bytes(salt)
         if len(salt) < 1:
             raise BadParameter("salt must be at least one octet")
-        if iterations < 1:
-            raise BadParameter("iteration count must be positive")
+        check_iterations(iterations)
         if dk_len < 1:
             raise BadParameter("derived key length must be positive")
         if dk_len > (2**32 - 1) * _H_LEN:
@@ -174,11 +173,11 @@ def pbes2_encrypt(message: bytes, password: bytes, salt: bytes, iterations: int,
     """(PBES2 header, ciphertext) under PBKDF2(password) -> AES-128-CBC with a
     fresh random IV.
 
-    The count is held to MAX_ITERATIONS, as on the reading side, so nothing
-    is written that the reader would refuse."""
-    check_iterations(iterations)
-    iv = rng.read(BLOCK_LEN)
+    ``Pbkdf2Params`` holds the count to MAX_ITERATIONS, as on the reading
+    side, before the IV is drawn, so nothing is written that the reader
+    would refuse."""
     dk = pbkdf2(password, Pbkdf2Params(salt, iterations, AES128_KEY_LEN))
+    iv = rng.read(BLOCK_LEN)
     return pbes2_algorithm(salt, iterations, iv), cbc_encrypt(dk, iv, message)
 
 

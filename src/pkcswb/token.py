@@ -7,7 +7,10 @@ attribute set for the class, so no partially initialized object ever exists.
 
 Sensitive keys never leave the token in plaintext (their value attribute is
 unreadable) and unextractable keys cannot leave it at all, wrapped or not.
-Once set, neither flag can be observed false again on the object or any copy.
+Once set, neither flag can be observed false again on the object or any copy:
+creation, copy and set write attributes through one check.  A copy may change
+CKA_TOKEN and CKA_PRIVATE besides what a set may, and only the token sets
+CKA_LOCAL, on the pairs it generates.
 
 All operations are serialized behind one lock; the token behaves as a single
 logical actor, so callers on any number of threads observe a linear history.
@@ -101,8 +104,11 @@ _REQUIRED = {
     CLASS_KEY: {CKA_VALUE, CKA_KEY_TYPE, CKA_KEY_KIND, CKA_ID},
 }
 
-# fixed at creation time
-_IMMUTABLE = {CKA_VALUE, CKA_KEY_TYPE, CKA_KEY_KIND, CKA_LOCAL, CKA_TOKEN, CKA_PRIVATE}
+# fixed at creation time; a copy may still change CKA_TOKEN and CKA_PRIVATE
+# (PKCS #11 v2.40 §5.7)
+_IMMUTABLE = frozenset({CKA_VALUE, CKA_KEY_TYPE, CKA_KEY_KIND, CKA_LOCAL, CKA_TOKEN, CKA_PRIVATE})
+_FIXED_ON_COPY = _IMMUTABLE - {CKA_TOKEN, CKA_PRIVATE}
+_FIXED_ON_CREATE = frozenset({CKA_LOCAL})
 
 
 class TokenError(PkcsError):
@@ -186,6 +192,19 @@ class TokenObject:
         self.obj_class = obj_class
         self.attrs = attrs
         self.owning_session = owning_session
+
+
+def _written(attrs: dict, changes: dict, fixed: frozenset) -> dict:
+    """``attrs`` with ``changes`` applied: the one check of every attribute write.
+    A name in ``fixed`` is refused, and so is a one-way flag moved off its value."""
+    for name, value in changes.items():
+        if name in fixed:
+            raise AttributeReadOnly(f"{name} is fixed at creation")
+        if name == CKA_SENSITIVE and attrs[CKA_SENSITIVE] and value is not True:
+            raise AttributeReadOnly("CKA_SENSITIVE is one-way")
+        if name == CKA_EXTRACTABLE and not attrs[CKA_EXTRACTABLE] and value is not False:
+            raise AttributeReadOnly("CKA_EXTRACTABLE is one-way")
+    return {**attrs, **changes}
 
 
 def _serialized(method):
@@ -348,7 +367,7 @@ class Token:
     def create_object(self, session: Session, obj_class: str, template: dict) -> int:
         if obj_class not in _REQUIRED:
             raise ValueError(f"unknown object class {obj_class!r}")
-        return self._store(session, obj_class, {**_DEFAULTS, **template})
+        return self._store(session, obj_class, _written(_DEFAULTS, template, _FIXED_ON_CREATE))
 
     @_in_session
     def destroy_object(self, session: Session, handle: int) -> None:
@@ -359,12 +378,8 @@ class Token:
     @_in_session
     def copy_object(self, session: Session, handle: int, overrides: dict | None = None) -> int:
         source = self._lookup(handle)
-        overrides = overrides or {}
-        if source.attrs[CKA_SENSITIVE] and overrides.get(CKA_SENSITIVE) is False:
-            raise AttributeReadOnly("CKA_SENSITIVE cannot be cleared on a copy")
-        if not source.attrs[CKA_EXTRACTABLE] and overrides.get(CKA_EXTRACTABLE) is True:
-            raise AttributeReadOnly("CKA_EXTRACTABLE cannot be set on a copy")
-        return self._store(session, source.obj_class, {**source.attrs, **overrides})
+        return self._store(session, source.obj_class,
+                           _written(source.attrs, overrides or {}, _FIXED_ON_COPY))
 
     @_in_session
     def get_attribute(self, session: Session, handle: int, name: str):
@@ -380,13 +395,7 @@ class Token:
     def set_attribute(self, session: Session, handle: int, name: str, value) -> None:
         obj = self._lookup(handle)
         self._require_writable(session, obj.attrs[CKA_TOKEN])
-        if name in _IMMUTABLE:
-            raise AttributeReadOnly(f"{name} is fixed at creation")
-        if name == CKA_SENSITIVE and obj.attrs[CKA_SENSITIVE] and value is not True:
-            raise AttributeReadOnly("CKA_SENSITIVE is one-way")
-        if name == CKA_EXTRACTABLE and not obj.attrs[CKA_EXTRACTABLE] and value is not False:
-            raise AttributeReadOnly("CKA_EXTRACTABLE is one-way")
-        obj.attrs[name] = value
+        obj.attrs = _written(obj.attrs, {name: value}, _IMMUTABLE)
 
     @_serialized
     def object_handles(self) -> tuple[int, ...]:
@@ -420,13 +429,13 @@ class Token:
         public, private = generate_key(bits, u, e, self._rng)
         key_id = self._rng.read(4)
         pub_der = der_encode(pkcs1.encode_public_key_info(public))
-        pub_handle = self.create_object(session, CLASS_KEY, {
-            CKA_VALUE: pub_der, CKA_KEY_TYPE: "rsa", CKA_KEY_KIND: "public",
+        pub_handle = self._store(session, CLASS_KEY, {
+            **_DEFAULTS, CKA_VALUE: pub_der, CKA_KEY_TYPE: "rsa", CKA_KEY_KIND: "public",
             CKA_ID: key_id, CKA_LABEL: label, CKA_LOCAL: True,
             CKA_VERIFY: True, CKA_ENCRYPT: True, CKA_WRAP: True,
         })
-        priv_handle = self.create_object(session, CLASS_KEY, {
-            CKA_VALUE: keystore.encode_private_key(private),
+        priv_handle = self._store(session, CLASS_KEY, {
+            **_DEFAULTS, CKA_VALUE: keystore.encode_private_key(private),
             CKA_KEY_TYPE: "rsa", CKA_KEY_KIND: "private",
             CKA_ID: key_id, CKA_LABEL: label, CKA_LOCAL: True,
             CKA_PRIVATE: True, CKA_SENSITIVE: True, CKA_EXTRACTABLE: False,

@@ -1,9 +1,29 @@
 import hashlib
+import random
+from pathlib import Path
 
 import pytest
 
-from pkcswb import rsa
+from pkcswb import asn1, cms, oids, pfx, rsa
+from pkcswb.asn1 import AlgorithmIdentifier, der_encode
+from pkcswb.cms import ContentInfo
+from pkcswb.csr import CertificationRequest, Name, build_csr, verify_csr
+from pkcswb.keystore import (EncryptedPrivateKeyInfo, PrivateKeyInfo, attribute_make,
+                             decrypt_private_key, encrypt_private_key)
+from pkcswb.pfx import PfxCredentials, PfxPdu, SafeBag, pfx_create, pfx_open
 from pkcswb.primitives import HashAlg, SeededSource
+
+TESTS = Path(__file__).resolve().parent
+MUTANTS = 500
+
+
+def pytest_collection_modifyitems(config, items):
+    """Every test here fails on a warning it does not expect: a stray
+    PfxSecurityWarning or a deprecation.  The mark goes first, so a test's
+    own filters and ``pytest.warns`` still take precedence."""
+    for item in items:
+        if TESTS in item.path.resolve().parents:
+            item.add_marker(pytest.mark.filterwarnings("error"), append=False)
 
 
 def seeded(tag: bytes) -> SeededSource:
@@ -63,3 +83,96 @@ def toy_keys():
         u: rsa.generate_key(24 * u, u, 65537, seeded(b"fixture/toy%d" % u))
         for u in (2, 3, 4)
     }
+
+
+def _pki_der(n: int, e: int, primes: tuple[int, ...], d: int = 3) -> bytes:
+    """PrivateKeyInfo around a key body that is only the right shape."""
+    triples = [asn1.sequence(asn1.integer(r), asn1.integer(1), asn1.integer(1))
+               for r in primes]
+    body = asn1.sequence(asn1.integer(0), asn1.integer(n), asn1.integer(e),
+                         asn1.integer(d), asn1.sequence(*triples))
+    return der_encode(asn1.sequence(
+        asn1.integer(0),
+        AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null()).to_der_value(),
+        asn1.octet_string(der_encode(body))))
+
+
+# -- the seeded targets of the mutation nets ------------------------------------
+
+
+def _mutants(octets: bytes, rng: random.Random):
+    for _ in range(MUTANTS):
+        at = rng.randrange(len(octets))
+        edit = rng.randrange(5)
+        if edit == 0:
+            yield octets[:at] + bytes([octets[at] ^ 1 << rng.randrange(8)]) + octets[at + 1:]
+        elif edit == 1:
+            yield octets[:at]
+        elif edit == 2:
+            yield octets[:at] + bytes([rng.randrange(256)]) + octets[at:]
+        elif edit == 3:
+            yield octets[:at] + octets[at + 1:]
+        else:
+            yield octets[:at] + bytes([rng.randrange(256)]) + octets[at + 1:]
+
+
+@pytest.fixture(scope="module")
+def targets(key_1024, key_1024_b, toy_keys):
+    """name -> (octets, opener): opener reads the octets as its reader would."""
+    public, private = key_1024
+    other_public, other_private = key_1024_b
+    rng = seeded(b"mutation")
+    name = Name((("commonName", "Alice"),))
+    ident = cms.SignerIdent(name, b"k")
+    attrs = (attribute_make("signingTime", "200101120000Z"),)
+    key_id = attribute_make("localKeyId", b"\x01")
+    info = PrivateKeyInfo(toy_keys[3][1], (key_id, attribute_make("friendlyName", "k")))
+    epki = encrypt_private_key(info, b"pw", b"saltsalt", 2, rng)
+    csr = build_csr(name, key_1024, (attribute_make("challengePassword", "pw"),), rng)
+    inner = cms.make_data(b"mutated payload")
+    credentials = PfxCredentials(
+        privacy_password=b"privacy", integrity_password=b"integrity",
+        destination_pub=other_public, destination_priv=other_private,
+        source_sign_key=private, source_verify_key=public, source_name=name)
+    bags = (SafeBag("shroudedKey", epki, (key_id,)), SafeBag("key", info, (key_id,)))
+
+    def ci(opener):
+        return lambda octets: opener(ContentInfo.from_der(octets))
+
+    def digested(value):
+        ok = cms.check_digest(value)
+        cms.digested_content(value)
+        return ok
+
+    def authenticated(value):
+        ok = cms.check_auth(value, b"mac key")
+        cms.authenticated_content(value)
+        return ok
+
+    out = {
+        "PrivateKeyInfo": (info.to_der(), PrivateKeyInfo.from_der),
+        "EncryptedPrivateKeyInfo": (epki.to_der(), lambda octets: decrypt_private_key(
+            EncryptedPrivateKeyInfo.from_der(octets), b"pw")),
+        "CertificationRequest": (csr.to_der(), lambda octets: verify_csr(
+            CertificationRequest.from_der(octets))),
+        "data": (inner.to_der(), ci(cms.data_payload)),
+        "signed-data": (cms.sign_data(inner, private, ident, attrs, rng).to_der(),
+                        ci(lambda value: cms.verify_signed(value, public))),
+        "enveloped-data": (cms.envelope(inner, other_public, rng).to_der(),
+                           ci(lambda value: cms.open_envelope(value, other_private))),
+        "digested-data": (cms.digest_data(inner).to_der(), ci(digested)),
+        "encrypted-data": (cms.encrypt_data(inner, b"k" * 16, rng).to_der(),
+                           ci(lambda value: cms.decrypt_data(value, b"k" * 16))),
+        "authenticated-data": (cms.authenticate_data(inner, b"mac key", attrs).to_der(),
+                               ci(authenticated)),
+    }
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pfx, "_MAC_ITERATIONS", 2)
+        patch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
+        for privacy in ("password", "public_key"):
+            for integrity in ("password", "public_key"):
+                built = pfx_create(bags, privacy, integrity, credentials, rng,
+                                   allow_plain_keys=True)
+                out[f"pfx-{privacy}-{integrity}"] = (built.to_der(), lambda octets: pfx_open(
+                    PfxPdu.from_der(octets), credentials))
+    return out

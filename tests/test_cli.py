@@ -321,7 +321,7 @@ def test_environment_seed(tmp_path, capsys, monkeypatch):
 
 
 def test_key_with_a_prime_of_one_is_a_usage_error(workdir, capsys):
-    from test_keystore import _pki_der
+    from conftest import _pki_der
     bad = workdir / "prime-one.p8"
     bad.write_bytes(_pki_der(15, 3, (1, 15)))
     code, _ = run(capsys, "sign", "--key", bad, "--in", workdir / "message.bin",
@@ -679,7 +679,7 @@ def test_reading_subcommands_are_total(readable, tmp_path, capsys, monkeypatch, 
     import random
     from pkcswb import cli
     from ledger import CLI_OUTCOMES, ledger
-    from test_mutation import _mutants
+    from conftest import _mutants
 
     parser = _build_parser()
     monkeypatch.setattr(cli, "_build_parser", lambda: parser)

@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import asn1, oids, pkcs1, rsa
+from pkcswb import asn1, csr, oids, pkcs1, rsa
 from pkcswb.asn1 import AlgorithmIdentifier, der_encode
 from pkcswb.csr import (CertificationRequest, CertificationRequestInfo,
                         MalformedRequest, Name, build_csr, verify_csr)
@@ -239,3 +239,14 @@ def test_rsa_encryption_parameters_other_than_null_are_malformed(key_512):
 def test_name_component_must_be_non_empty(field):
     with pytest.raises(MalformedRequest, match=f"{field} must be non-empty"):
         Name((("commonName", "c"), (field, "")))
+
+
+@pytest.mark.parametrize("value", [5, 3.7, b"US", None, True], ids=repr)
+@pytest.mark.parametrize("field", list(csr._NAME_FIELDS))
+def test_name_takes_only_text(field, value):
+    # each used to build, then fail in to_der with AttributeError or TypeError,
+    # or raise TypeError from the country check
+    pairs = (("commonName", value),) if field == "commonName" else (
+        ("commonName", "c"), (field, value))
+    with pytest.raises(MalformedRequest, match=f"{field} must be text"):
+        Name(pairs)

@@ -13,7 +13,7 @@ from pkcswb.keystore import (ATTRIBUTE_REGISTRY, Attribute,
                              encode_private_key, encrypt_private_key,
                              natural_person_bundle, pkcs_entity_bundle)
 from pkcswb.pkcs5 import pbes2_algorithm, pbes2_fields
-from conftest import seeded
+from conftest import _pki_der, seeded
 
 
 # -- PrivateKeyInfo -------------------------------------------------------------
@@ -525,18 +525,6 @@ def test_p8e_nonpositive_count_or_empty_salt_is_malformed(key_512, monkeypatch, 
 
 
 # -- size caps on keys read from a file -------------------------------------------
-
-
-def _pki_der(n: int, e: int, primes: tuple[int, ...], d: int = 3) -> bytes:
-    """PrivateKeyInfo around a key body that is only the right shape."""
-    triples = [asn1.sequence(asn1.integer(r), asn1.integer(1), asn1.integer(1))
-               for r in primes]
-    body = asn1.sequence(asn1.integer(0), asn1.integer(n), asn1.integer(e),
-                         asn1.integer(d), asn1.sequence(*triples))
-    return der_encode(asn1.sequence(
-        asn1.integer(0),
-        AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null()).to_der_value(),
-        asn1.octet_string(der_encode(body))))
 
 
 @pytest.fixture

@@ -96,6 +96,8 @@ def test_param_validation():
         Pbkdf2Params(b"", 1, 32)
     with pytest.raises(ValueError):
         Pbkdf2Params(SALT, 0, 32)
+    with pytest.raises(TooManyIterations):  # so no derivation can cost more
+        Pbkdf2Params(SALT, MAX_ITERATIONS + 1, 32)
     with pytest.raises(DerivedKeyTooLong):
         Pbkdf2Params(SALT, 1, (2**32 - 1) * 32 + 1)
 

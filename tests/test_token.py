@@ -421,6 +421,77 @@ def test_copies_inherit_protections():
         token.get_attribute(session, copy, CKA_VALUE)
 
 
+# -- attribute writes: one rule for create, copy and set ----------------------------
+
+_WRITE_VALUES = (True, False, 0, 1, None, "")
+_ATTRIBUTES = (CKA_ID, CKA_LABEL, CKA_VALUE, CKA_KEY_TYPE, CKA_KEY_KIND, CKA_SUBJECT,
+               CKA_TOKEN, CKA_PRIVATE, CKA_SENSITIVE, CKA_EXTRACTABLE, CKA_LOCAL,
+               tk.CKA_ENCRYPT, CKA_DECRYPT, CKA_SIGN, tk.CKA_VERIFY, tk.CKA_WRAP)
+# the attributes each writer refuses; a copy may change storage and privacy
+# (PKCS #11 v2.40 §5.7), and only the token sets CKA_LOCAL
+_FIXED = {
+    "create": {CKA_LOCAL},
+    "copy": {CKA_VALUE, CKA_KEY_TYPE, CKA_KEY_KIND, CKA_LOCAL},
+    "set": {CKA_VALUE, CKA_KEY_TYPE, CKA_KEY_KIND, CKA_LOCAL, CKA_TOKEN, CKA_PRIVATE},
+}
+# (CKA_SENSITIVE, CKA_EXTRACTABLE) of the object written; creation starts open
+_STARTS = {"open": (False, True), "closed": (True, False), "closed-by-int": (1, 0)}
+# (writer, start) -> how many of its 16 x 6 writes are refused
+_REFUSED_WRITES = {
+    ("create", "open"): 6,
+    ("copy", "open"): 24, ("copy", "closed"): 34, ("copy", "closed-by-int"): 34,
+    ("set", "open"): 36, ("set", "closed"): 46, ("set", "closed-by-int"): 46,
+}
+_KEY_TEMPLATE = {CKA_VALUE: b"v", CKA_KEY_TYPE: "rsa", CKA_KEY_KIND: "public",
+                 CKA_ID: b"\x01"}
+
+
+def _write_refusal(writer, start, name, value):
+    """The message a write must be refused with, or None where it must land."""
+    sensitive, extractable = _STARTS[start]
+    if name in _FIXED[writer]:
+        return f"{name} is fixed at creation"
+    if name == CKA_SENSITIVE and sensitive and value is not True:
+        return "CKA_SENSITIVE is one-way"
+    if name == CKA_EXTRACTABLE and not extractable and value is not False:
+        return "CKA_EXTRACTABLE is one-way"
+    return None
+
+
+def _write(token, session, writer, start, name, value) -> int:
+    """The handle of the object ``writer`` wrote ``name = value`` into."""
+    if writer == "create":
+        return token.create_object(session, CLASS_KEY, {**_KEY_TEMPLATE, name: value})
+    sensitive, extractable = _STARTS[start]
+    source = token.create_object(session, CLASS_KEY, {
+        **_KEY_TEMPLATE, CKA_SENSITIVE: sensitive, CKA_EXTRACTABLE: extractable})
+    if writer == "copy":
+        return token.copy_object(session, source, {name: value})
+    token.set_attribute(session, source, name, value)
+    return source
+
+
+@pytest.mark.parametrize("writer,start", list(_REFUSED_WRITES),
+                         ids=[f"{writer}-{start}" for writer, start in _REFUSED_WRITES])
+def test_create_copy_and_set_keep_one_write_rule(writer, start):
+    token = fresh_token(b"writes")
+    session = user_session(token)
+    refused = 0
+    for name in _ATTRIBUTES:
+        for value in _WRITE_VALUES:
+            case = (writer, start, name, value)
+            expected = _write_refusal(*case)
+            try:
+                handle = _write(token, session, *case)
+            except tk.AttributeReadOnly as exc:
+                assert str(exc) == expected, case
+                refused += 1
+            else:
+                assert expected is None, case
+                assert token.get_attribute(session, handle, name) is value, case
+    assert refused == _REFUSED_WRITES[(writer, start)]
+
+
 def test_usage_flags_enforced(key_1024):
     token = fresh_token(b"usage")
     session = user_session(token)
@@ -506,6 +577,22 @@ def test_no_code_path_discloses_sensitive_key_octets(key_512):
         token.get_attribute(session, handle, CKA_VALUE)
     with pytest.raises(tk.KeyUnextractable):
         token.wrap_key(session, pub, handle)
+    # a copy is refused, or keeps both protections whatever the flags' values
+    landed = 0
+    for overrides in ({CKA_SENSITIVE: 0}, {CKA_SENSITIVE: None}, {CKA_SENSITIVE: ""},
+                      {CKA_EXTRACTABLE: 1}, {CKA_EXTRACTABLE: 1, CKA_SENSITIVE: 0},
+                      {CKA_TOKEN: False, CKA_PRIVATE: False},
+                      {CKA_SENSITIVE: True, CKA_EXTRACTABLE: False}):
+        try:
+            copy = token.copy_object(session, handle, overrides)
+        except tk.AttributeReadOnly:
+            continue
+        landed += 1
+        with pytest.raises(tk.AttributeSensitive):
+            token.get_attribute(session, copy, CKA_VALUE)
+        with pytest.raises(tk.KeyUnextractable):
+            token.wrap_key(session, pub, copy)
+    assert landed == 2
     d_octets = small.d.to_bytes((small.d.bit_length() + 7) // 8, "big")
     for blob in outputs:
         assert value not in blob
