@@ -117,10 +117,15 @@ def _cmd_sign(args) -> int:
     return 0
 
 
+def _verdict(ok: bool, passed: str, failed: str) -> int:
+    """Print a check's verdict; exit code 0 when it passed, 1 when it failed."""
+    print(passed if ok else failed)
+    return 0 if ok else 1
+
+
 def _cmd_verify(args) -> int:
     ok = pkcs1.verify(_read(args.infile), _read(args.sig), _load_public(args.key))
-    print("verified" if ok else "verification failed")
-    return 0 if ok else 1
+    return _verdict(ok, "verified", "verification failed")
 
 
 def _cmd_kdf(args) -> int:
@@ -166,8 +171,7 @@ def _cmd_csr_new(args) -> int:
 
 def _cmd_csr_verify(args) -> int:
     ok = csr_mod.verify_csr(csr_mod.CertificationRequest.from_der(_read(args.infile)))
-    print("verified" if ok else "verification failed")
-    return 0 if ok else 1
+    return _verdict(ok, "verified", "verification failed")
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +217,7 @@ def _cmd_cms_open(args) -> int:
 def _cmd_cms_digest(args) -> int:
     if args.check:
         ok = cms.check_digest(cms.ContentInfo.from_der(_read(args.infile)))
-        print("digest ok" if ok else "digest mismatch")
-        return 0 if ok else 1
+        return _verdict(ok, "digest ok", "digest mismatch")
     _write(args.out, cms.digest_data(cms.make_data(_read(args.infile))).to_der())
     return 0
 
@@ -234,8 +237,7 @@ def _cmd_cms_auth(args) -> int:
     key = _hex_arg(args.key_hex)
     if args.check:
         ok = cms.check_auth(cms.ContentInfo.from_der(_read(args.infile)), key)
-        print("tag ok" if ok else "tag mismatch")
-        return 0 if ok else 1
+        return _verdict(ok, "tag ok", "tag mismatch")
     _write(args.out, cms.authenticate_data(cms.make_data(_read(args.infile)), key).to_der())
     return 0
 
@@ -266,7 +268,8 @@ def _cmd_pfx_pack(args) -> int:
         info = keystore.PrivateKeyInfo.from_der(_read(args.key))
         if args.password:
             epki = keystore.encrypt_private_key(info, text_octets(args.password),
-                                                rng.read(8), pkcs5.DEFAULT_ITERATIONS, rng)
+                                                rng.read(pkcs5.DEFAULT_SALT_LEN),
+                                                pkcs5.DEFAULT_ITERATIONS, rng)
             bags.append(pfx_mod.SafeBag("shroudedKey", epki, (key_id,)))
         else:
             bags.append(pfx_mod.SafeBag("key", info, (key_id,)))
@@ -455,7 +458,8 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
 
     # private-key-wrapping
     info = keystore.PrivateKeyInfo(alice_priv, bundle)
-    epki = keystore.encrypt_private_key(info, _ALICE_PASSWORD, rng.read(8), 2048, rng)
+    epki = keystore.encrypt_private_key(info, _ALICE_PASSWORD, rng.read(pkcs5.DEFAULT_SALT_LEN),
+                                        2048, rng)
     if keystore.decrypt_private_key(epki, _ALICE_PASSWORD) != info:
         raise ScenarioStepFailed("wrap/unwrap mismatch")
     yield f"epki={_fingerprint(epki.to_der())}"

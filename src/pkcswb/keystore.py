@@ -4,13 +4,16 @@ container modules.
 Two DER objects are produced here: PrivateKeyInfo (version, key algorithm,
 key octets, optional attribute set) and EncryptedPrivateKeyInfo (PBES2
 header from ``pkcs5``, ciphertext).  ``pkcs1`` writes and reads the key
-algorithm and the RSA key body inside PrivateKeyInfo.  Both are DerForms,
-like Attribute, and report every fault they read as MalformedKey.
+algorithm and the RSA key body inside PrivateKeyInfo.  The algorithm is
+always rsaEncryption, so a PrivateKeyInfo holds only its key and attributes,
+and a received one with absent parameters equals its built twin.  Both are
+DerForms, like Attribute, and report every fault they read as MalformedKey.
 
 The attribute registry holds exactly the ten types the other standards pull
 in: contentType, messageDigest, signingTime, sequenceNumber, randomNonce,
 counterSignature, challengePassword, extensionRequest, friendlyName, and
-localKeyId.  naturalPerson/pkcsEntity groupings are plain attribute bundles
+localKeyId, each a plain row of its OID, native Python type, builder and
+syntax.  naturalPerson/pkcsEntity groupings are plain attribute bundles
 with no directory-schema machinery behind them.
 
 The [0] IMPLICIT SET OF Attribute that PKCS #8, #10 and CMS carry is written,
@@ -106,38 +109,24 @@ def _is_primitive(value: DerValue, tag: int) -> bool:
     return not value.constructed and value.is_universal(tag)
 
 
+# The calendar after the year, shared by both time syntaxes and dateOfBirth:
+# month 01-12, day 01-31, hour 00-23, minutes and seconds 00-59, then Z.
+_TIME_TAIL = "(0[1-9]|1[0-2])(0[1-9]|[12][0-9]|3[01])([01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]Z"
+_UTC_TIME = re.compile(f"[0-9]{{2}}{_TIME_TAIL}".encode())
+_GENERALIZED_TIME = re.compile(f"[0-9]{{4}}{_TIME_TAIL}".encode())
+
+
 def _check_time(value: DerValue) -> bool:
     if _is_primitive(value, asn1.UTC_TIME):
-        return re.fullmatch(rb"\d{12}Z", value.octets) is not None
+        return _UTC_TIME.fullmatch(value.octets) is not None
     if _is_primitive(value, asn1.GENERALIZED_TIME):
-        return re.fullmatch(rb"\d{14}Z", value.octets) is not None
+        return _GENERALIZED_TIME.fullmatch(value.octets) is not None
     return False
 
 
 def _check_directory_string(value: DerValue) -> bool:
     return (_is_primitive(value, asn1.PRINTABLE_STRING)
             or _is_primitive(value, asn1.UTF8_STRING)) and len(value.octets) > 0
-
-
-class AttributeSpec(Frozen):
-    """A registered attribute type; equality leaves its two functions out."""
-
-    _fields = ("name", "oid")
-    _repr_fields = ("name", "oid", "syntax", "make")
-
-    def __init__(self, name: str, oid: Oid, syntax: Callable[[DerValue], bool],
-                 make: Callable[[object], DerValue] | None):
-        # make builds the value from a Python-native one; None: only a built DerValue
-        self.__dict__.update(name=name, oid=oid, syntax=syntax, make=make)
-
-
-def _taking(kind: type | tuple[type, ...], make: Callable[[object], DerValue]):
-    """``make`` for a value of ``kind`` alone (no bool); SyntaxViolation for any other."""
-    def build(value) -> DerValue:
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise SyntaxViolation(f"a {type(value).__name__} value does not fit this attribute")
-        return make(value)
-    return build
 
 
 def _make_time(text: str) -> DerValue:
@@ -154,51 +143,52 @@ def _make_directory_string(value: str) -> DerValue:
     return asn1.utf8_string(value)
 
 
-_make_octet_string = _taking((bytes, bytearray, memoryview), asn1.octet_string)
-_SPECS = [
-    AttributeSpec("contentType", oids.AT_CONTENT_TYPE,
-                  lambda v: _is_primitive(v, asn1.OBJECT_IDENTIFIER),
-                  _taking((Oid, str), asn1.oid_value)),
-    AttributeSpec("messageDigest", oids.AT_MESSAGE_DIGEST,
-                  lambda v: _is_primitive(v, asn1.OCTET_STRING), _make_octet_string),
-    AttributeSpec("signingTime", oids.AT_SIGNING_TIME, _check_time, _taking(str, _make_time)),
-    AttributeSpec("sequenceNumber", oids.AT_SEQUENCE_NUMBER,
-                  lambda v: _is_primitive(v, asn1.INTEGER) and v.as_integer() >= 1,
-                  _taking(int, asn1.integer)),
-    AttributeSpec("randomNonce", oids.AT_RANDOM_NONCE,
-                  lambda v: _is_primitive(v, asn1.OCTET_STRING) and len(v.octets) >= 4,
-                  _make_octet_string),
-    AttributeSpec("counterSignature", oids.AT_COUNTER_SIGNATURE,
-                  lambda v: v.constructed and v.is_universal(asn1.SEQUENCE), None),
-    AttributeSpec("challengePassword", oids.AT_CHALLENGE_PASSWORD,
-                  _check_directory_string, _taking(str, _make_directory_string)),
-    AttributeSpec("extensionRequest", oids.AT_EXTENSION_REQUEST,
-                  lambda v: v.constructed and v.is_universal(asn1.SEQUENCE), None),
-    AttributeSpec("friendlyName", oids.AT_FRIENDLY_NAME,
-                  lambda v: _is_primitive(v, asn1.UTF8_STRING) and len(v.octets) > 0,
-                  _taking(str, asn1.utf8_string)),
-    AttributeSpec("localKeyId", oids.AT_LOCAL_KEY_ID,
-                  lambda v: _is_primitive(v, asn1.OCTET_STRING), _make_octet_string),
-]
-
-ATTRIBUTE_REGISTRY: dict[str, AttributeSpec] = {s.name: s for s in _SPECS}
-_REGISTRY_BY_OID: dict[Oid, AttributeSpec] = {s.oid: s for s in _SPECS}
+_OCTETS = (bytes, bytearray, memoryview)
+# name: (type, the Python type a native value must have or None when only a
+# built DerValue fits, the builder of a native value, the syntax every value
+# must match)
+ATTRIBUTE_REGISTRY: dict[str, tuple] = {
+    "contentType": (oids.AT_CONTENT_TYPE, (Oid, str), asn1.oid_value,
+                    lambda v: _is_primitive(v, asn1.OBJECT_IDENTIFIER)),
+    "messageDigest": (oids.AT_MESSAGE_DIGEST, _OCTETS, asn1.octet_string,
+                      lambda v: _is_primitive(v, asn1.OCTET_STRING)),
+    "signingTime": (oids.AT_SIGNING_TIME, str, _make_time, _check_time),
+    "sequenceNumber": (oids.AT_SEQUENCE_NUMBER, int, asn1.integer,
+                       lambda v: _is_primitive(v, asn1.INTEGER) and v.as_integer() >= 1),
+    "randomNonce": (oids.AT_RANDOM_NONCE, _OCTETS, asn1.octet_string,
+                    lambda v: _is_primitive(v, asn1.OCTET_STRING) and len(v.octets) >= 4),
+    "counterSignature": (oids.AT_COUNTER_SIGNATURE, None, None,
+                         lambda v: v.constructed and v.is_universal(asn1.SEQUENCE)),
+    "challengePassword": (oids.AT_CHALLENGE_PASSWORD, str, _make_directory_string,
+                          _check_directory_string),
+    "extensionRequest": (oids.AT_EXTENSION_REQUEST, None, None,
+                         lambda v: v.constructed and v.is_universal(asn1.SEQUENCE)),
+    "friendlyName": (oids.AT_FRIENDLY_NAME, str, asn1.utf8_string,
+                     lambda v: _is_primitive(v, asn1.UTF8_STRING) and len(v.octets) > 0),
+    "localKeyId": (oids.AT_LOCAL_KEY_ID, _OCTETS, asn1.octet_string,
+                   lambda v: _is_primitive(v, asn1.OCTET_STRING)),
+}
+_SYNTAX_BY_OID = {oid: syntax for oid, _, _, syntax in ATTRIBUTE_REGISTRY.values()}
 
 
 def attribute_make(type_name: str, value) -> Attribute:
-    """Build a registered attribute from a Python-native or DerValue payload."""
-    spec = ATTRIBUTE_REGISTRY.get(type_name)
-    if spec is None:
+    """Build a registered attribute from a built DerValue, or from a native
+    value of the type's own Python type (no bool)."""
+    row = ATTRIBUTE_REGISTRY.get(type_name)
+    if row is None:
         raise UnknownAttributeType(type_name)
+    oid, kind, make, syntax = row
     if isinstance(value, DerValue):
         der_value = value
-    elif spec.make is None:
+    elif kind is None:
         raise SyntaxViolation("expected an already-built value")
+    elif isinstance(value, bool) or not isinstance(value, kind):
+        raise SyntaxViolation(f"a {type(value).__name__} value does not fit this attribute")
     else:
-        der_value = spec.make(value)
-    if not spec.syntax(der_value):
+        der_value = make(value)
+    if not syntax(der_value):
         raise SyntaxViolation(f"value does not match the {type_name} syntax")
-    return Attribute(spec.oid, (der_value,))
+    return Attribute(oid, (der_value,))
 
 
 def attribute_check(attribute: Attribute) -> bool:
@@ -208,8 +198,8 @@ def attribute_check(attribute: Attribute) -> bool:
 
 def _values_check(attr_type: Oid, values: tuple[DerValue, ...]) -> bool:
     """attribute_check over a (type, values) pair, as a received set is read."""
-    spec = _REGISTRY_BY_OID.get(attr_type)
-    return spec is not None and all(map(spec.syntax, values))
+    syntax = _SYNTAX_BY_OID.get(attr_type)
+    return syntax is not None and all(map(syntax, values))
 
 
 def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
@@ -234,8 +224,8 @@ def _attributes_from_der(value: DerValue, read=Attribute.from_der_value) -> tupl
 # patterns are the syntaxes of RFC 2985 §5.2 and RFC 3739 §3.2: a two-letter
 # country code, gender M, F, m or f, and dateOfBirth as a GeneralizedTime
 # YYYYMMDDHHMMSSZ.  A pkcsEntity value is a built DerValue, carried as it is.
-_COUNTRY = "[A-Za-z]{2}"
-_NATURAL_PERSON_FIELDS: dict[str, tuple[Oid, Callable[[str], DerValue], str | None]] = {
+_COUNTRY = re.compile("[A-Za-z]{2}")
+_NATURAL_PERSON_FIELDS: dict[str, tuple[Oid, Callable[[str], DerValue], re.Pattern | None]] = {
     "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, None),
     "country_of_citizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, asn1.printable_string, _COUNTRY),
     "country_of_residence": (oids.AT_COUNTRY_OF_RESIDENCE, asn1.printable_string, _COUNTRY),
@@ -244,8 +234,9 @@ _NATURAL_PERSON_FIELDS: dict[str, tuple[Oid, Callable[[str], DerValue], str | No
     "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string, None),
     "unstructured_address": (oids.AT_UNSTRUCTURED_ADDRESS, asn1.utf8_string, None),
     "unstructured_name": (oids.AT_UNSTRUCTURED_NAME, asn1.utf8_string, None),
-    "gender": (oids.AT_GENDER, asn1.printable_string, "[MFmf]"),
-    "date_of_birth": (oids.AT_DATE_OF_BIRTH, asn1.generalized_time, "[0-9]{14}Z"),
+    "gender": (oids.AT_GENDER, asn1.printable_string, re.compile("[MFmf]")),
+    "date_of_birth": (oids.AT_DATE_OF_BIRTH, asn1.generalized_time,
+                      re.compile(f"[0-9]{{4}}{_TIME_TAIL}")),
 }
 
 _PKCS_ENTITY_FIELDS = {name: (oid, lambda value: value, None) for name, oid in {
@@ -264,7 +255,7 @@ def _bundle(table: dict[str, tuple], kind: type, fields: dict) -> tuple[Attribut
         if name not in table:
             raise UnknownAttributeType(name)
         oid, make, pattern = table[name]
-        if not isinstance(value, kind) or pattern and not re.fullmatch(pattern, value):
+        if not isinstance(value, kind) or pattern and not pattern.fullmatch(value):
             raise SyntaxViolation(f"{name} does not match its syntax")
         out.append(Attribute(oid, (make(value),)))
     return tuple(out)
@@ -287,18 +278,16 @@ def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
 
 
 class PrivateKeyInfo(DerForm, Frozen):
-    _fields = ("key", "attributes", "algorithm")
+    _fields = ("key", "attributes")
 
-    def __init__(self, key: RsaPrivateKey, attributes: tuple[Attribute, ...] = (),
-                 algorithm: AlgorithmIdentifier = pkcs1.RSA_KEY_ALGORITHM):
+    def __init__(self, key: RsaPrivateKey, attributes: tuple[Attribute, ...] = ()):
         self.__dict__.update(key=key,
-                             attributes=asn1.set_order(attributes, Attribute.to_der_value),
-                             algorithm=algorithm)
+                             attributes=asn1.set_order(attributes, Attribute.to_der_value))
 
     def _build(self) -> DerValue:
         children = [
             asn1.integer(0),
-            self.algorithm.to_der_value(),
+            pkcs1.RSA_KEY_ALGORITHM.to_der_value(),
             asn1.octet_string(der_encode(pkcs1.key_body(self.key))),
         ]
         if self.attributes:
@@ -311,10 +300,10 @@ class PrivateKeyInfo(DerForm, Frozen):
             kids = asn1.require(value, asn1.SEQUENCE).children
             if len(kids) not in (3, 4) or kids[0].as_integer() != 0:
                 raise MalformedKey("unrecognized PrivateKeyInfo shape")
-            algorithm = pkcs1.rsa_key_algorithm(kids[1])
+            pkcs1.rsa_key_algorithm(kids[1])
             key = pkcs1.key_from_body(der_decode(kids[2].as_octet_string()))
             attributes = _attributes_from_der(kids[3]) if len(kids) == 4 else ()
-            return cls(key, attributes, algorithm)
+            return cls(key, attributes)
 
     @classmethod
     def from_der(cls, octets: bytes) -> "PrivateKeyInfo":

@@ -26,7 +26,8 @@ from .csr import Name
 from .errors import (Frozen, IntegrityFailure, MissingCredential, UnsupportedAlgorithm,
                      uniform_decryption)
 from .keystore import Attribute, EncryptedPrivateKeyInfo, PrivateKeyInfo
-from .pkcs5 import pbes2_decrypt, pbes2_encrypt, pbkdf2_fields, pbmac1_tag, pbmac1_verify
+from .pkcs5 import (DEFAULT_SALT_LEN, pbes2_decrypt, pbes2_encrypt, pbkdf2_fields, pbmac1_tag,
+                    pbmac1_verify)
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey
 
@@ -51,7 +52,6 @@ INTEGRITY_PUBLIC_KEY = "public_key"
 
 _MAC_ITERATIONS = 2048
 _PRIVACY_ITERATIONS = 2048
-_SALT_LEN = 8
 
 # bag type -> (its OID, the class of the value it holds)
 _BAGS = {
@@ -176,7 +176,7 @@ def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
     if privacy == PRIVACY_PASSWORD:
         if credentials.privacy_password is None:
             raise MissingCredential("password privacy needs a privacy password")
-        salt = rng.read(_SALT_LEN)
+        salt = rng.read(DEFAULT_SALT_LEN)
         return cms._encrypted_data(oids.CT_DATA, *pbes2_encrypt(
             contents, credentials.privacy_password, salt, _PRIVACY_ITERATIONS, rng))
     if privacy == PRIVACY_PUBLIC_KEY:
@@ -218,7 +218,7 @@ def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,
     if integrity == INTEGRITY_PASSWORD:
         if credentials.integrity_password is None:
             raise MissingCredential("password integrity needs an integrity password")
-        salt = rng.read(_SALT_LEN)
+        salt = rng.read(DEFAULT_SALT_LEN)
         tag = pbmac1_tag(auth_safe.to_der(), credentials.integrity_password,
                          salt, _MAC_ITERATIONS)
         return PfxPdu(auth_safe, MacData(tag, salt, _MAC_ITERATIONS))

@@ -625,7 +625,7 @@ def test_auth_attr_tamper_detected():
     for child in kids[3].children:
         attribute = Attribute.from_der_value(child)
         if attribute.attr_type == oids.AT_SIGNING_TIME:
-            attribute = attribute_make("signingTime", "199901010000Z")
+            attribute = attribute_make("signingTime", "990101000000Z")
         replaced.append(attribute.to_der_value())
     kids[3] = asn1.context(0, tuple(sorted(replaced, key=asn1.der_encode)))
     forged = ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(*kids))

@@ -4,7 +4,7 @@ import pytest
 
 from pkcswb import asn1, cms, csr, keystore, oids, pkcs5, rsa
 from pkcswb.asn1 import AlgorithmIdentifier, Oid, der_decode, der_encode
-from pkcswb.errors import DecryptionError, MalformedKey, PkcsError, UnsupportedAlgorithm
+from pkcswb.errors import BadParameter, DecryptionError, MalformedKey, UnsupportedAlgorithm
 from pkcswb.keystore import (ATTRIBUTE_REGISTRY, Attribute,
                              EncryptedPrivateKeyInfo, PrivateKeyInfo,
                              SyntaxViolation, UnknownAttributeType, attribute_check,
@@ -271,7 +271,7 @@ def test_legacy_pbe_identifier_unsupported():
 
 def test_registry_is_a_bijection_of_exactly_ten():
     names = list(ATTRIBUTE_REGISTRY)
-    oid_list = [spec.oid for spec in ATTRIBUTE_REGISTRY.values()]
+    oid_list = [oid for oid, *_ in ATTRIBUTE_REGISTRY.values()]
     assert len(names) == 10
     assert len(set(oid_list)) == 10
     assert sorted(names) == sorted([
@@ -316,6 +316,19 @@ def test_built_values_pass_through_every_type():
     for name in ("counterSignature", "extensionRequest"):
         with pytest.raises(SyntaxViolation, match="already-built"):
             attribute_make(name, b"\x30\x00")
+    # and one valid native value of each row that takes one
+    native = [("contentType", oids.CT_DATA), ("contentType", "1.2.840.113549.1.7.1"),
+              ("messageDigest", bytes(32)), ("signingTime", "200101120000Z"),
+              ("signingTime", "20200101120000Z"), ("sequenceNumber", 3),
+              ("randomNonce", bytearray(b"\x01\x02\x03\x04")),
+              ("challengePassword", "pw"), ("friendlyName", "k"),
+              ("localKeyId", memoryview(b"\x01"))]
+    assert {name for name, _ in native} == {
+        name for name, (_, kind, _, _) in ATTRIBUTE_REGISTRY.items() if kind is not None}
+    for name, value in native:
+        attribute = attribute_make(name, value)
+        assert attribute.attr_type == ATTRIBUTE_REGISTRY[name][0], name
+        assert attribute_check(attribute), name
 
 
 # the Python type each builder takes (None: only a built value); 5 used to give five
@@ -337,7 +350,7 @@ def test_attribute_builders_take_only_their_own_type(name, value):
         return
     try:
         assert attribute_check(attribute_make(name, value))
-    except PkcsError:
+    except (BadParameter, SyntaxViolation):
         pass
 
 
@@ -370,10 +383,31 @@ def test_attribute_check_is_total():
 def test_signing_time_syntax():
     assert attribute_check(attribute_make("signingTime", "200101120000Z"))
     assert attribute_check(attribute_make("signingTime", "20200101120000Z"))
+    for text in ("000101000000Z", "991231235959Z", "00000101000000Z", "99991231235959Z"):
+        assert attribute_check(attribute_make("signingTime", text))  # the calendar's bounds
     with pytest.raises(SyntaxViolation):
         attribute_make("signingTime", "not a time")
     # a value that is neither UTCTime nor GeneralizedTime
     assert not attribute_check(Attribute(oids.AT_SIGNING_TIME, (asn1.integer(200101120000),)))
+
+
+# the calendar after the year: each field just out of its range (month 01-12, day
+# 01-31, hour 00-23, minutes and seconds 00-59), then month 13, day 32, hour 25, and
+# every digit 9
+IMPOSSIBLE_TAILS = ["0001000000Z", "1301000000Z", "0100000000Z", "0132000000Z",
+                    "0101240000Z", "0101006000Z", "0101000060Z", "1332250000Z", "9999999999Z"]
+
+
+@pytest.mark.parametrize("tail", IMPOSSIBLE_TAILS)
+def test_impossible_calendar_times_are_refused(tail):
+    utc, generalized = "99" + tail, "1999" + tail
+    for text in (utc, generalized):
+        with pytest.raises(SyntaxViolation, match="signingTime syntax"):
+            attribute_make("signingTime", text)
+    for value in (asn1.utc_time(utc), asn1.generalized_time(generalized)):
+        assert not attribute_check(Attribute(oids.AT_SIGNING_TIME, (value,)))
+    with pytest.raises(SyntaxViolation):
+        natural_person_bundle(date_of_birth=generalized)
 
 
 def test_sequence_number_and_nonce():
@@ -418,6 +452,8 @@ def test_natural_person_bundle():
         oids.AT_GENDER, oids.AT_DATE_OF_BIRTH}
     with pytest.raises(UnknownAttributeType):
         natural_person_bundle(shoe_size="44")
+    assert natural_person_bundle(date_of_birth="19991231235959Z")[0].attr_type == \
+        oids.AT_DATE_OF_BIRTH
 
 
 

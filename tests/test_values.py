@@ -71,15 +71,9 @@ def values(key_512, key_1024):
             make(keystore.Attribute, attr_type=oids.AT_FRIENDLY_NAME,
                  values=(asn1.utf8_string("alice"),)),
             [{"attr_type": oids.AT_PSEUDONYM}, {"values": (asn1.utf8_string("bob"),)}]),
-        keystore.AttributeSpec: (
-            make(keystore.AttributeSpec, name="friendlyName", oid=oids.AT_FRIENDLY_NAME,
-                 syntax=bool, make=None),
-            [{"name": "pseudonym"}, {"oid": oids.AT_PSEUDONYM}]),
         keystore.PrivateKeyInfo: (
-            make(keystore.PrivateKeyInfo, key=private, attributes=(),
-                 algorithm=info.algorithm),
-            [{"key": other_private}, {"attributes": (attribute,)},
-             {"algorithm": asn1.AlgorithmIdentifier(oids.RSA_ENCRYPTION)}]),
+            make(keystore.PrivateKeyInfo, key=private, attributes=()),
+            [{"key": other_private}, {"attributes": (attribute,)}]),
         keystore.EncryptedPrivateKeyInfo: (
             make(keystore.EncryptedPrivateKeyInfo, algorithm=epki.algorithm,
                  encrypted_data=epki.encrypted_data),
@@ -135,8 +129,7 @@ COMPARED = {
     "PssParams": ("k", "modulus_bits", "hash_alg", "salt_len"),
     "Pbkdf2Params": ("salt", "iterations", "dk_len"),
     "Attribute": ("attr_type", "values"),
-    "AttributeSpec": ("name", "oid"),
-    "PrivateKeyInfo": ("key", "attributes", "algorithm"),
+    "PrivateKeyInfo": ("key", "attributes"),
     "EncryptedPrivateKeyInfo": ("algorithm", "encrypted_data"),
     "Name": ("pairs",),
     "CertificationRequestInfo": ("subject", "public_key", "attributes"),
@@ -218,9 +211,6 @@ def test_kept_encodings_and_functions_do_not_affect_equality(values):
 
     make, _ = values[primitives.HashAlg]
     assert make(raw=lambda data: b"") == make() and hash(make(raw=len)) == hash(make())
-    make, _ = values[keystore.AttributeSpec]
-    spec = make(syntax=callable, make=str)
-    assert spec == make() and hash(spec) == hash(make())
 
 
 def test_a_decoded_value_equals_its_built_twin(key_1024):
@@ -235,6 +225,12 @@ def test_a_decoded_value_equals_its_built_twin(key_1024):
     pdu = pfx.PfxPdu(cms.make_data(b"auth safe"), pfx.MacData(b"t" * 32, b"saltsalt", 2))
     algorithm = pkcs5.pbes2_algorithm(b"saltsalt", 2, bytes(16))
     attribute = keystore.attribute_make("signingTime", "260101120000Z")
+    # rsaEncryption with absent parameters, not NULL: read alike (RFC 3279 §2.3.1)
+    kids = list(der_decode(info.to_der()).children)
+    kids[1] = asn1.AlgorithmIdentifier(oids.RSA_ENCRYPTION).to_der_value()
+    absent = der_encode(asn1.sequence(*kids))
+    absent_info = keystore.PrivateKeyInfo.from_der(absent)
+    assert absent != info.to_der() and absent_info.to_der() == absent
     pairs = [
         (oids.RSASSA_PSS, _twin(asn1.oid_value(oids.RSASSA_PSS)).as_oid()),
         (asn1.sequence(asn1.integer(-1), asn1.set_value(asn1.null(), asn1.boolean(True))),
@@ -245,6 +241,7 @@ def test_a_decoded_value_equals_its_built_twin(key_1024):
         (public, pkcs1.decode_public_key_info(_twin(pkcs1.encode_public_key_info(public)))),
         (private, keystore.decode_private_key(keystore.encode_private_key(private))),
         (info, keystore.PrivateKeyInfo.from_der(info.to_der())),
+        (info, absent_info),
         (epki, keystore.EncryptedPrivateKeyInfo.from_der(epki.to_der())),
         (name, csr.Name.from_der_value(_twin(name.to_der_value()))),
         (request.info, csr.CertificationRequestInfo.from_der_value(
