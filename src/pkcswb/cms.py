@@ -4,16 +4,18 @@ Everything is a ContentInfo (content type OID plus type-specific content) and
 any producer accepts any ContentInfo as its payload, so envelopes nest
 arbitrarily: data inside signed-data inside enveloped-data and so on.
 
-Integrity-side failures are reported distinctly (DigestMismatch vs
-SignatureInvalid) because a verifier is not a decryption oracle; the
-decryption-side operations collapse every failure into the shared uniform
-DecryptionError.  Wherever a digest or signature is checked, the octets
-hashed are the ones received on the wire, never a re-normalized encoding.
-``keystore`` writes and reads the attribute sets, and ``pkcs1`` and ``pkcs5``
-the algorithm identifiers but SHA-256's; a contentType or messageDigest
-attribute holds one value, of the registry's syntax.  Verification reads a
-received attribute set in place, through keystore's one reader, as (type,
-values) pairs; it builds no Attribute.
+verify_signed, check_digest and check_auth are the only readers of the
+content they protect: each returns the encapsulated content it verified or
+raises an IntegrityFailure.  Their failures are reported distinctly
+(DigestMismatch vs SignatureInvalid) because a verifier is not a decryption
+oracle; the decryption-side operations collapse every failure into the shared
+uniform DecryptionError.  Wherever a digest or signature is checked, the
+octets hashed are the ones received on the wire, never a re-normalized
+encoding.  ``keystore`` writes and reads the attribute sets, and ``pkcs1``
+and ``pkcs5`` the algorithm identifiers but SHA-256's; a contentType or
+messageDigest attribute holds one value, of the registry's syntax.
+Verification reads a received attribute set in place, through keystore's one
+reader, as (type, values) pairs; it builds no Attribute.
 """
 
 from __future__ import annotations
@@ -230,41 +232,32 @@ def sign_data(inner: ContentInfo, signer_key: RsaPrivateKey, signer_ident: Signe
     return ContentInfo(oids.CT_SIGNED_DATA, signed)
 
 
-def _parse_signed(ci: ContentInfo):
-    """Fields of a signed-data as sign_data writes it.  The signature does not
-    cover the versions or the digestAlgorithms SET, so they are checked here:
-    version 1 for SignedData and SignerInfo (RFC 5652 §5.1, §5.3) and exactly
-    SHA-256, or SignatureInvalid."""
+def verify_signed(ci: ContentInfo,
+                  trusted_pub: RsaPublicKey) -> tuple[ContentInfo, bool]:
+    """Check the fields the signature does not cover, then the digest binding,
+    then the signature; returns the encapsulated content.
+
+    Raises SignatureInvalid unless SignedData and SignerInfo are version 1
+    (RFC 5652 §5.1, §5.3) and digestAlgorithms is exactly SHA-256, as
+    sign_data writes them; DigestMismatch when the messageDigest attribute
+    disagrees with the received content (checked before any signature work);
+    and SignatureInvalid when the signature itself fails.
+    """
     _expect_type(ci, oids.CT_SIGNED_DATA, "signed-data")
     version_v, algs_v, encap_v, signers_v = asn1._fields(ci.content, 4)
     (signer_v,) = asn1._fields(signers_v, 1, tag_number=asn1.SET)
-    kids = asn1._fields(signer_v, 5, 6)
-    signer_version_v, sid_v, digest_alg_v = kids[:3]
-    attrs_v = kids[3] if len(kids) == 6 else None
-    sig_alg_v, sig_v = kids[-2:]
+    signer_version_v, _sid, digest_alg_v, *attrs, sig_alg_v, sig_v = asn1._fields(signer_v, 5, 6)
     if version_v.as_integer() != 1 or signer_version_v.as_integer() != 1:
         raise SignatureInvalid("SignedData and SignerInfo must be version 1")
     if [is_sha256(asn1.algorithm_oid(v))
             for v in asn1.require(algs_v, asn1.SET).children] != [True]:
         raise SignatureInvalid("digestAlgorithms must be exactly SHA-256")
-    return encap_v, sid_v, digest_alg_v, attrs_v, sig_alg_v, sig_v
-
-
-def verify_signed(ci: ContentInfo,
-                  trusted_pub: RsaPublicKey) -> tuple[ContentInfo, bool]:
-    """Check digest binding then signature; returns the encapsulated content.
-
-    Raises DigestMismatch when the messageDigest attribute disagrees with the
-    received content (checked before any signature work) and SignatureInvalid
-    when the signature itself fails.
-    """
-    encap_v, _sid, digest_alg_v, attrs_v, sig_alg_v, sig_v = _parse_signed(ci)
     if not is_sha256(asn1.algorithm_oid(digest_alg_v)):
         raise SignatureInvalid("unsupported digest algorithm")
     if not pkcs1.is_pss(asn1.algorithm_oid(sig_alg_v)):
         raise SignatureInvalid("unsupported signature algorithm")
     inner = ContentInfo.from_der_value(encap_v)
-    message = _covered_as_received(inner, attrs_v)
+    message = _covered_as_received(inner, attrs[0] if attrs else None)
     if not pkcs1.verify(message, sig_v.as_octet_string(), trusted_pub):
         raise SignatureInvalid("signature does not verify")
     return inner, True
@@ -339,17 +332,18 @@ def digest_data(inner: ContentInfo) -> ContentInfo:
     return ContentInfo(oids.CT_DIGESTED_DATA, body)
 
 
-def check_digest(ci: ContentInfo) -> bool:
+def check_digest(ci: ContentInfo) -> ContentInfo:
+    """The encapsulated content, once its digest is checked.  Raises
+    IntegrityFailure for a version other than 0 or a digest algorithm other
+    than SHA-256, and DigestMismatch for a digest that is not the content's."""
     _expect_type(ci, oids.CT_DIGESTED_DATA, "digested-data")
     version_v, alg_v, encap_v, digest_v = asn1._fields(ci.content, 4)
     if version_v.as_integer() != 0 or not is_sha256(asn1.algorithm_oid(alg_v)):
-        return False
-    return ct_equal(SHA256.digest(der_encode(encap_v)), digest_v.as_octet_string())
-
-
-def digested_content(ci: ContentInfo) -> ContentInfo:
-    _expect_type(ci, oids.CT_DIGESTED_DATA, "digested-data")
-    return ContentInfo.from_der_value(asn1._fields(ci.content, 4)[2])
+        raise IntegrityFailure("DigestedData must be version 0 with SHA-256")
+    inner = ContentInfo.from_der_value(encap_v)
+    if not ct_equal(SHA256.digest(inner.to_der()), digest_v.as_octet_string()):
+        raise DigestMismatch("digest does not match the content")
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -407,29 +401,20 @@ def authenticate_data(inner: ContentInfo, key: bytes,
     return ContentInfo(oids.CT_AUTHENTICATED_DATA, body)
 
 
-def _parse_auth(ci: ContentInfo) -> tuple[DerValue, DerValue, DerValue, DerValue | None,
-                                          DerValue]:
-    """(version, MAC algorithm, encapsulated content, [0] attributes or None,
-    MAC) of an authenticated-data as authenticate_data writes it."""
+def check_auth(ci: ContentInfo, key: bytes) -> ContentInfo:
+    """The encapsulated content, once its MAC is checked.  Raises
+    IntegrityFailure for a version other than 0, a MAC algorithm other than
+    HMAC-SHA-256 or a MAC that does not verify, and for a received attribute
+    set what verify_signed raises for it."""
     _expect_type(ci, oids.CT_AUTHENTICATED_DATA, "authenticated-data")
-    kids = asn1._fields(ci.content, 4, 5)
-    return kids[0], kids[1], kids[2], kids[3] if len(kids) == 5 else None, kids[-1]
-
-
-def check_auth(ci: ContentInfo, key: bytes) -> bool:
-    version_v, alg_v, encap_v, attrs_v, mac_v = _parse_auth(ci)
-    if (version_v.as_integer() != 0
-            or not pkcs5.is_hmac_sha256(asn1.algorithm_oid(alg_v))):
-        return False
-    try:
-        message = _covered_as_received(ContentInfo.from_der_value(encap_v), attrs_v)
-    except (asn1.DerError, IntegrityFailure):
-        return False
-    return ct_equal(hmac_digest(key, message), mac_v.as_octet_string())
-
-
-def authenticated_content(ci: ContentInfo) -> ContentInfo:
-    return ContentInfo.from_der_value(_parse_auth(ci)[2])
+    version_v, alg_v, encap_v, *attrs, mac_v = asn1._fields(ci.content, 4, 5)
+    if version_v.as_integer() != 0 or not pkcs5.is_hmac_sha256(asn1.algorithm_oid(alg_v)):
+        raise IntegrityFailure("MAC does not verify")
+    inner = ContentInfo.from_der_value(encap_v)
+    message = _covered_as_received(inner, attrs[0] if attrs else None)
+    if not ct_equal(hmac_digest(key, message), mac_v.as_octet_string()):
+        raise IntegrityFailure("MAC does not verify")
+    return inner
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +438,9 @@ def toy_issue(request: CertificationRequest, ca_key: RsaPrivateKey, ca_name: Nam
     return sign_data(make_data(payload), ca_key, SignerIdent(ca_name, b"ca"), attrs, rng)
 
 
-def cert_fields(cert: ContentInfo) -> tuple[Name, RsaPublicKey, int, Name]:
-    """Subject, subject key, serial, issuer of a toy certificate.  Callers
-    must check the certificate with verify_signed before trusting these."""
-    encap_v, *_ = _parse_signed(cert)
-    inner = der_decode(data_payload(ContentInfo.from_der_value(encap_v)))
-    subject_v, spki_v, serial_v, issuer_v = asn1._fields(inner, 4)
+def cert_fields(content: ContentInfo) -> tuple[Name, RsaPublicKey, int, Name]:
+    """Subject, subject key, serial, issuer of a toy certificate, read from the
+    content verify_signed returned for it: no field is read unchecked."""
+    subject_v, spki_v, serial_v, issuer_v = asn1._fields(der_decode(data_payload(content)), 4)
     return (Name.from_der_value(subject_v), pkcs1.decode_public_key_info(spki_v),
             serial_v.as_integer(), Name.from_der_value(issuer_v))

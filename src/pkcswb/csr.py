@@ -13,8 +13,8 @@ from __future__ import annotations
 from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue
 from .errors import Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
-from .keystore import (Attribute, SyntaxViolation, attribute_check, _attributes_from_der,
-                       _attributes_to_der)
+from .keystore import (Attribute, SyntaxViolation, attribute_check, _is_country,
+                       _attributes_from_der, _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
 from .rsa import InvalidKey, RsaPrivateKey, RsaPublicKey
@@ -59,7 +59,7 @@ class Name(DerForm, Frozen):
         for key, value in pairs:
             if not isinstance(value, str):
                 raise MalformedRequest(f"{key} must be text")
-            if key == "country" and not (len(value) == 2 and value.isascii() and value.isalpha()):
+            if key == "country" and not _is_country(value):
                 raise MalformedRequest("country must be a two-letter code")
             if key == "emailAddress" and not value.isascii():
                 raise MalformedRequest("emailAddress must be ASCII")

@@ -25,7 +25,6 @@ an Attribute or, to verification, in place as a (type, values) pair.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from contextlib import contextmanager
 
 from . import asn1, oids, pkcs1
@@ -112,15 +111,30 @@ def _is_primitive(value: DerValue, tag: int) -> bool:
 # The calendar after the year, shared by both time syntaxes and dateOfBirth:
 # month 01-12, day 01-31, hour 00-23, minutes and seconds 00-59, then Z.
 _TIME_TAIL = "(0[1-9]|1[0-2])(0[1-9]|[12][0-9]|3[01])([01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]Z"
-_UTC_TIME = re.compile(f"[0-9]{{2}}{_TIME_TAIL}".encode())
-_GENERALIZED_TIME = re.compile(f"[0-9]{{4}}{_TIME_TAIL}".encode())
+_UTC_TIME = re.compile(f"([0-9]{{2}}){_TIME_TAIL}")
+_GENERALIZED_TIME = re.compile(f"([0-9]{{4}}){_TIME_TAIL}")
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _is_time(syntax: re.Pattern, text: str) -> bool:
+    """Whether ``text`` is a time of ``syntax`` on a day its month has, leap
+    years counted: signingTime, built and received, and dateOfBirth are all
+    checked here.  A UTCTime year 50-99 is 19xx and 00-49 20xx (RFC 5280
+    §4.1.2.5.1); that span's one century year, 2000, is a leap year, so its
+    two digits alone give the same leap years."""
+    match = syntax.fullmatch(text)
+    if match is None:
+        return False
+    year, month, day = map(int, match.group(1, 2, 3))
+    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return day <= _MONTH_DAYS[month - 1] + leap
 
 
 def _check_time(value: DerValue) -> bool:
     if _is_primitive(value, asn1.UTC_TIME):
-        return _UTC_TIME.fullmatch(value.octets) is not None
+        return _is_time(_UTC_TIME, value.octets.decode("latin-1"))
     if _is_primitive(value, asn1.GENERALIZED_TIME):
-        return _GENERALIZED_TIME.fullmatch(value.octets) is not None
+        return _is_time(_GENERALIZED_TIME, value.octets.decode("latin-1"))
     return False
 
 
@@ -220,23 +234,23 @@ def _attributes_from_der(value: DerValue, read=Attribute.from_der_value) -> tupl
 # ---------------------------------------------------------------------------
 # attribute bundles (directory object classes, flattened)
 
-# name: (type, value builder, pattern the value must match or None).  The
-# patterns are the syntaxes of RFC 2985 §5.2 and RFC 3739 §3.2: a two-letter
+# name: (type, value builder, the check a value must pass or None).  The
+# checks are the syntaxes of RFC 2985 §5.2 and RFC 3739 §3.2: a two-letter
 # country code, gender M, F, m or f, and dateOfBirth as a GeneralizedTime
 # YYYYMMDDHHMMSSZ.  A pkcsEntity value is a built DerValue, carried as it is.
-_COUNTRY = re.compile("[A-Za-z]{2}")
-_NATURAL_PERSON_FIELDS: dict[str, tuple[Oid, Callable[[str], DerValue], re.Pattern | None]] = {
+_is_country = re.compile("[A-Za-z]{2}").fullmatch
+_NATURAL_PERSON_FIELDS: dict[str, tuple] = {
     "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, None),
-    "country_of_citizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, asn1.printable_string, _COUNTRY),
-    "country_of_residence": (oids.AT_COUNTRY_OF_RESIDENCE, asn1.printable_string, _COUNTRY),
+    "country_of_citizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, asn1.printable_string, _is_country),
+    "country_of_residence": (oids.AT_COUNTRY_OF_RESIDENCE, asn1.printable_string, _is_country),
     "pseudonym": (oids.AT_PSEUDONYM, asn1.utf8_string, None),
     "place_of_birth": (oids.AT_PLACE_OF_BIRTH, asn1.utf8_string, None),
     "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string, None),
     "unstructured_address": (oids.AT_UNSTRUCTURED_ADDRESS, asn1.utf8_string, None),
     "unstructured_name": (oids.AT_UNSTRUCTURED_NAME, asn1.utf8_string, None),
-    "gender": (oids.AT_GENDER, asn1.printable_string, re.compile("[MFmf]")),
+    "gender": (oids.AT_GENDER, asn1.printable_string, re.compile("[MFmf]").fullmatch),
     "date_of_birth": (oids.AT_DATE_OF_BIRTH, asn1.generalized_time,
-                      re.compile(f"[0-9]{{4}}{_TIME_TAIL}")),
+                      lambda text: _is_time(_GENERALIZED_TIME, text)),
 }
 
 _PKCS_ENTITY_FIELDS = {name: (oid, lambda value: value, None) for name, oid in {
@@ -249,13 +263,13 @@ _PKCS_ENTITY_FIELDS = {name: (oid, lambda value: value, None) for name, oid in {
 
 def _bundle(table: dict[str, tuple], kind: type, fields: dict) -> tuple[Attribute, ...]:
     """One attribute per field of ``table``; SyntaxViolation for a value not
-    of ``kind`` or outside its field's pattern."""
+    of ``kind`` or that fails its field's check."""
     out = []
     for name, value in fields.items():
         if name not in table:
             raise UnknownAttributeType(name)
-        oid, make, pattern = table[name]
-        if not isinstance(value, kind) or pattern and not pattern.fullmatch(value):
+        oid, make, check = table[name]
+        if not isinstance(value, kind) or check and not check(value):
             raise SyntaxViolation(f"{name} does not match its syntax")
         out.append(Attribute(oid, (make(value),)))
     return tuple(out)

@@ -139,16 +139,6 @@ def targets(key_1024, key_1024_b, toy_keys):
     def ci(opener):
         return lambda octets: opener(ContentInfo.from_der(octets))
 
-    def digested(value):
-        ok = cms.check_digest(value)
-        cms.digested_content(value)
-        return ok
-
-    def authenticated(value):
-        ok = cms.check_auth(value, b"mac key")
-        cms.authenticated_content(value)
-        return ok
-
     out = {
         "PrivateKeyInfo": (info.to_der(), PrivateKeyInfo.from_der),
         "EncryptedPrivateKeyInfo": (epki.to_der(), lambda octets: decrypt_private_key(
@@ -160,11 +150,11 @@ def targets(key_1024, key_1024_b, toy_keys):
                         ci(lambda value: cms.verify_signed(value, public))),
         "enveloped-data": (cms.envelope(inner, other_public, rng).to_der(),
                            ci(lambda value: cms.open_envelope(value, other_private))),
-        "digested-data": (cms.digest_data(inner).to_der(), ci(digested)),
+        "digested-data": (cms.digest_data(inner).to_der(), ci(cms.check_digest)),
         "encrypted-data": (cms.encrypt_data(inner, b"k" * 16, rng).to_der(),
                            ci(lambda value: cms.decrypt_data(value, b"k" * 16))),
         "authenticated-data": (cms.authenticate_data(inner, b"mac key", attrs).to_der(),
-                               ci(authenticated)),
+                               ci(lambda value: cms.check_auth(value, b"mac key"))),
     }
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pfx, "_MAC_ITERATIONS", 2)

@@ -51,17 +51,18 @@ MUTANT_OUTCOMES = {
          "NonMinimalLength": 1, "TrailingOctets": 13, "Truncated": 272, "WrongContentType": 5,
          "value": 13}),
     "digested-data": (
-        "4c22ae3b5de122e04cafe2978fa6ae6f172129abc258de42a0af3fe8e36cdb77",
-        {"ArcOverflow": 4, "IndefiniteLength": 1, "NonCanonical": 39, "TrailingOctets": 35,
-         "Truncated": 283, "WrongContentType": 20, "value False": 118}),
+        "af74d28d8fa11fbd2c85d11f7d803c245f1c5771309ed2d737bed3a11decebcb",
+        {"ArcOverflow": 4, "DigestMismatch": 93, "IndefiniteLength": 1, "IntegrityFailure": 25,
+         "NonCanonical": 39, "TrailingOctets": 35, "Truncated": 283, "WrongContentType": 20}),
     "encrypted-data": (
         "b6c21fbdb16a100359481be51043601e15322ddd34964f858fe051b3a96acac1",
         {"ArcOverflow": 4, "DecryptionError": 119, "IndefiniteLength": 19, "NonCanonical": 16,
          "TrailingOctets": 37, "Truncated": 253, "WrongContentType": 16, "value": 36}),
     "authenticated-data": (
-        "7186759a3fc370eec5d2d220c8c9ac6070c8e1dd83e377c840f9b7cf41f76122",
-        {"ArcOverflow": 6, "IndefiniteLength": 2, "NonCanonical": 20, "NonMinimalLength": 1,
-         "TrailingOctets": 15, "Truncated": 308, "WrongContentType": 9, "value False": 139}),
+        "267d6b3f17e19a191fee6ef79faaaaad04498cde0cc9dac69f4dd398ce494153",
+        {"ArcOverflow": 6, "DigestMismatch": 39, "IndefiniteLength": 2, "IntegrityFailure": 51,
+         "NonCanonical": 28, "NonMinimalLength": 1, "SignatureInvalid": 41,
+         "TrailingOctets": 15, "Truncated": 308, "WrongContentType": 9}),
     "pfx-password-password": (
         "a1c81886b070d757a1878aae92bc8b548ef778abc8fd4096fabc3007c9d1d4f9",
         {"IntegrityFailure": 184, "NonCanonical": 6, "TrailingOctets": 1, "Truncated": 309}),
@@ -98,14 +99,14 @@ CLI_OUTCOMES = {
         "fb2513d5684a3e51ed7b0d724337a1fce94d322a2165d2d52b8686624bbf0dfe",
         {"exit 0": 1, "exit 1": 73, "exit 2": 126}),
     "cms-digest --check": (
-        "f7fb9f0edd71096ef20971386a4dd0e5761930cc31b57abfec61cf6b102960c2",
-        {"exit 1": 56, "exit 2": 144}),
+        "18c317746667e1be083090579675ea288c0aa9892c0d9a49e5bcdf0100d7bae1",
+        {"exit 1": 53, "exit 2": 147}),
     "cms-encrypt --decrypt": (
         "04fa74c64528d7bf9a27b9a89520b7b2b49bced77b3b7bcf6b6256e57452c04e",
         {"exit 0": 2, "exit 1": 60, "exit 2": 138}),
     "cms-auth --check": (
-        "4dcc77313f83aa44068660f52aef53c9af0bcc36f3d6172f7f338a32399ab45b",
-        {"exit 0": 1, "exit 1": 46, "exit 2": 153}),
+        "6c10e21d337e24ac6cd6ea469bb9182d5462916ae880ebdf5893687984d5f227",
+        {"exit 0": 1, "exit 1": 42, "exit 2": 157}),
     "pfx-unpack": (
         "1c551eea315476c891283e5af4632294fc6af1b23c0419eb104f3295f863601f",
         {"exit 1": 75, "exit 2": 125}),

@@ -4,13 +4,13 @@ from pkcswb import asn1, cms, csr, keystore, oids, pkcs1, rsa
 from pkcswb.asn1 import AlgorithmIdentifier
 from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIdent,
                         WrongContentType,
-                        authenticate_data, authenticated_content, cert_fields,
+                        authenticate_data, cert_fields,
                         check_auth, check_digest, data_payload, decrypt_data,
-                        digest_data, digested_content, encrypt_data, envelope,
+                        digest_data, encrypt_data, envelope,
                         make_data, open_envelope, sign_data, toy_issue,
                         verify_signed)
 from pkcswb.csr import CertificationRequest, Name, build_csr
-from pkcswb.errors import DecryptionError
+from pkcswb.errors import DecryptionError, IntegrityFailure
 from pkcswb.keystore import Attribute, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
 from pkcswb.primitives import SHA256, BadLength, hmac_digest
@@ -315,13 +315,13 @@ def test_every_received_attribute_set_outcome(key_1024, ident, case):
     signed, maced = _with_attributes(signed, members), _with_attributes(maced, members)
     if outcome is None:
         assert verify_signed(signed, public) == (_INNER, True)
-        assert check_auth(maced, b"mac key")
+        assert check_auth(maced, b"mac key") == _INNER
         return
     error, message = outcome
-    with pytest.raises(error) as raised:
-        verify_signed(signed, public)
-    assert type(raised.value) is error and str(raised.value) == message
-    assert check_auth(maced, b"mac key") is False
+    for check in (lambda: verify_signed(signed, public), lambda: check_auth(maced, b"mac key")):
+        with pytest.raises(error) as raised:
+            check()
+        assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_verifying_builds_no_attribute(key_1024, ident, monkeypatch):
@@ -520,14 +520,11 @@ def test_ten_nested_layers_decode_within_the_depth_limit(key_1024, ident):
     assert depth(asn1.der_decode(ci.to_der())) <= asn1.MAX_DEPTH // 2
     for layer in reversed(range(10)):
         if layer % 3 == 0:
-            decoded, ok = verify_signed(decoded, sign_public)
+            decoded, _ = verify_signed(decoded, sign_public)
         elif layer % 3 == 1:
-            ok = check_digest(decoded)
-            decoded = digested_content(decoded)
+            decoded = check_digest(decoded)
         else:
-            ok = check_auth(decoded, b"k" * 16)
-            decoded = authenticated_content(decoded)
-        assert ok
+            decoded = check_auth(decoded, b"k" * 16)
     assert data_payload(decoded) == b"core"
 
 
@@ -537,12 +534,11 @@ def test_ten_nested_layers_decode_within_the_depth_limit(key_1024, ident):
 def test_digest_round_trip():
     inner = make_data(b"digest me")
     wrapped = digest_data(inner)
-    assert check_digest(wrapped)
-    assert digested_content(wrapped) == inner
+    assert check_digest(wrapped) == inner
 
 
 def test_digest_empty_payload():
-    assert check_digest(digest_data(make_data(b"")))
+    assert check_digest(digest_data(make_data(b""))) == make_data(b"")
 
 
 def test_digest_payload_mutation_detected():
@@ -550,14 +546,17 @@ def test_digest_payload_mutation_detected():
     version, alg, _encap, digest = wrapped.content.children
     forged = ContentInfo(oids.CT_DIGESTED_DATA, asn1.sequence(
         version, alg, make_data(b"digest mE").to_der_value(), digest))
-    assert not check_digest(forged)
+    with pytest.raises(DigestMismatch, match="digest does not match the content"):
+        check_digest(forged)
 
 
 def test_digest_version_other_than_0_is_refused():
     wrapped = digest_data(make_data(b"digest me"))
     _version, *rest = wrapped.content.children
     edited = ContentInfo(oids.CT_DIGESTED_DATA, asn1.sequence(asn1.integer(5), *rest))
-    assert not check_digest(ContentInfo.from_der(edited.to_der()))
+    with pytest.raises(IntegrityFailure) as raised:
+        check_digest(ContentInfo.from_der(edited.to_der()))
+    assert type(raised.value) is IntegrityFailure
 
 
 # -- encrypted-data --------------------------------------------------------------------
@@ -609,13 +608,13 @@ def test_auth_round_trip_with_and_without_attrs():
     inner = make_data(b"authentic")
     for attrs in ((), (SIGNING_TIME,)):
         wrapped = authenticate_data(inner, b"mac key", attrs)
-        assert check_auth(wrapped, b"mac key")
-        assert authenticated_content(wrapped) == inner
+        assert check_auth(wrapped, b"mac key") == inner
 
 
 def test_auth_wrong_key():
     wrapped = authenticate_data(make_data(b"m"), b"mac key")
-    assert not check_auth(wrapped, b"other key")
+    with pytest.raises(IntegrityFailure, match="^MAC does not verify$"):
+        check_auth(wrapped, b"other key")
 
 
 def test_auth_attr_tamper_detected():
@@ -629,7 +628,8 @@ def test_auth_attr_tamper_detected():
         replaced.append(attribute.to_der_value())
     kids[3] = asn1.context(0, tuple(sorted(replaced, key=asn1.der_encode)))
     forged = ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(*kids))
-    assert not check_auth(forged, b"mac key")
+    with pytest.raises(IntegrityFailure, match="^MAC does not verify$"):
+        check_auth(forged, b"mac key")
 
 
 def test_auth_attrs_without_content_type_are_refused():
@@ -641,7 +641,8 @@ def test_auth_attrs_without_content_type_are_refused():
     body = asn1.sequence(asn1.integer(0),
                          AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value(),
                          inner.to_der_value(), attrs_v, asn1.octet_string(tag))
-    assert not check_auth(ContentInfo(oids.CT_AUTHENTICATED_DATA, body), b"mac key")
+    with pytest.raises(SignatureInvalid, match=_MANDATORY):
+        check_auth(ContentInfo(oids.CT_AUTHENTICATED_DATA, body), b"mac key")
 
 
 def test_auth_content_tamper_detected():
@@ -649,14 +650,16 @@ def test_auth_content_tamper_detected():
     kids = list(wrapped.content.children)
     kids[2] = make_data(b"M").to_der_value()
     forged = ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(*kids))
-    assert not check_auth(forged, b"mac key")
+    with pytest.raises(DigestMismatch, match=_NOT_THE_DIGEST):
+        check_auth(forged, b"mac key")
 
 
 def test_auth_version_other_than_0_is_refused():
     wrapped = authenticate_data(make_data(b"m"), b"mac key")
     _version, *rest = wrapped.content.children
     edited = ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(asn1.integer(9), *rest))
-    assert not check_auth(ContentInfo.from_der(edited.to_der()), b"mac key")
+    with pytest.raises(IntegrityFailure, match="^MAC does not verify$"):
+        check_auth(ContentInfo.from_der(edited.to_der()), b"mac key")
 
 
 # -- readers refuse a wrong field count ----------------------------------------------
@@ -668,16 +671,9 @@ _SPKI = pkcs1.encode_public_key_info(rsa.RsaPublicKey(2**1023 + 1, 65537))
 
 
 def _toy_cert(*fields) -> ContentInfo:
-    """A signed-data laid out as toy_issue writes it, around a payload of the
-    given fields; cert_fields reads it without checking the signature."""
-    signer = asn1.sequence(
-        asn1.integer(1), SignerIdent(Name((("commonName", "CA"),)), b"ca").to_der_value(),
-        AlgorithmIdentifier(oids.SHA256).to_der_value(),
-        AlgorithmIdentifier(oids.RSASSA_PSS).to_der_value(), asn1.octet_string(bytes(128)))
-    payload = make_data(asn1.der_encode(asn1.sequence(*fields)))
-    return ContentInfo(oids.CT_SIGNED_DATA, asn1.sequence(
-        asn1.integer(1), asn1.set_value(AlgorithmIdentifier(oids.SHA256).to_der_value()),
-        payload.to_der_value(), asn1.set_value(signer)))
+    """The content verify_signed returns for a toy certificate of the given
+    fields: the data that cert_fields reads."""
+    return make_data(asn1.der_encode(asn1.sequence(*fields)))
 
 
 def test_toy_cert_reads_with_four_fields():
@@ -695,9 +691,7 @@ def test_toy_cert_reads_with_four_fields():
         asn1.oid_value(oids.CT_DATA), asn1.context(0, (asn1.null(), asn1.null())))),
      asn1.NonCanonical),
     (lambda: check_digest(ContentInfo(oids.CT_DIGESTED_DATA, _SHORT_BODY)), asn1.NonCanonical),
-    (lambda: digested_content(ContentInfo(oids.CT_DIGESTED_DATA, _SHORT_BODY)),
-     asn1.NonCanonical),
-    (lambda: authenticated_content(ContentInfo(oids.CT_AUTHENTICATED_DATA, _SHORT_BODY)),
+    (lambda: check_auth(ContentInfo(oids.CT_AUTHENTICATED_DATA, _SHORT_BODY), b"k"),
      asn1.NonCanonical),
     (lambda: Attribute.from_der_value(asn1.sequence(asn1.oid_value(oids.AT_SIGNING_TIME),
                                                     asn1.set_value())), asn1.NonCanonical),
@@ -715,8 +709,8 @@ def test_toy_cert_reads_with_four_fields():
     (lambda: cert_fields(_toy_cert(asn1.sequence(asn1.set_value(asn1.sequence(
         asn1.oid_value(oids.ORGANIZATION), asn1.utf8_string("Example")))),
         _SPKI, asn1.integer(7), _SUBJECT)), csr.MalformedRequest),
-], ids=["content-info-3", "content-info-[0]-2", "check_digest", "digested_content",
-        "authenticated_content", "attribute-no-values", "cert-payload-3", "spki-3",
+], ids=["content-info-3", "content-info-[0]-2", "check_digest", "check_auth",
+        "attribute-no-values", "cert-payload-3", "spki-3",
         "spki-key-3", "name-rdn-2", "name-pair-3", "subject-without-common-name"])
 def test_wrong_field_count_is_non_canonical(read, error):
     with pytest.raises(error):
@@ -760,10 +754,11 @@ def test_toy_issue_and_fields(key_1024, key_1024_b):
                         (attribute_make("challengePassword", "pw"),), seeded(b"i"))
     ca_name = Name((("commonName", "Toy CA"),))
     certificate = toy_issue(request, ca_private, ca_name, 42, seeded(b"i2"))
-    verify_signed(certificate, ca_public)
-    got_subject, got_public, serial, issuer = cert_fields(certificate)
+    got_subject, got_public, serial, issuer = cert_fields(verify_signed(certificate, ca_public)[0])
     assert got_subject == subject and got_public == subject_public
     assert serial == 42 and issuer == ca_name
+    with pytest.raises(WrongContentType):  # the fields of an unchecked certificate
+        cert_fields(certificate)
 
 
 def test_toy_issue_carries_a_received_subject_as_received(key_1024, key_1024_b):
@@ -803,7 +798,7 @@ def test_toy_issue_carries_a_received_key_info_as_received(key_1024, key_1024_b)
     inner, _ = verify_signed(certificate, ca_public)
     issued_spki_v = asn1._fields(asn1.der_decode(data_payload(inner)), 4)[1]
     assert asn1.der_encode(issued_spki_v) == asn1.der_encode(spki_v)
-    assert cert_fields(certificate)[1] == subject_public
+    assert cert_fields(inner)[1] == subject_public
 
 
 def test_toy_issue_rejects_bad_request(key_1024, key_1024_b):

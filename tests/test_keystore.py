@@ -175,13 +175,13 @@ def _read_authenticated_data(retag, keypair):
     return cms.check_auth(cms.ContentInfo(oids.CT_AUTHENTICATED_DATA, body), bytes(16))
 
 
-# every reader of a [0] IMPLICIT SET OF Attribute, and what it does with a set
-# under another tag: raise that class, or return False
+# every reader of a [0] IMPLICIT SET OF Attribute, and the class it raises for a
+# set under another tag
 _ATTRIBUTE_SET_READERS = {
     "private-key-info": (_read_private_key_info, MalformedKey),
     "request": (_read_request, csr.MalformedRequest),
     "signed-data": (_read_signed_data, asn1.NonCanonical),
-    "authenticated-data": (_read_authenticated_data, False),
+    "authenticated-data": (_read_authenticated_data, asn1.NonCanonical),
 }
 
 
@@ -192,11 +192,8 @@ _ATTRIBUTE_SET_READERS = {
 def test_every_reader_refuses_an_attribute_set_not_tagged_context_zero(reader, retag, key_512):
     read, refused = _ATTRIBUTE_SET_READERS[reader]
     assert read(lambda v: v, key_512)  # under [0], the same set is read
-    if refused is False:
-        assert read(retag, key_512) is False
-    else:
-        with pytest.raises(refused, match="CONTEXT tag 0"):
-            read(retag, key_512)
+    with pytest.raises(refused, match="CONTEXT tag 0"):
+        read(retag, key_512)
 
 
 def test_unsupported_key_algorithm():
@@ -385,6 +382,11 @@ def test_signing_time_syntax():
     assert attribute_check(attribute_make("signingTime", "20200101120000Z"))
     for text in ("000101000000Z", "991231235959Z", "00000101000000Z", "99991231235959Z"):
         assert attribute_check(attribute_make("signingTime", text))  # the calendar's bounds
+    # leap days: a UTCTime year 00-49 is 20xx and 50-99 19xx (RFC 5280 §4.1.2.5.1)
+    for text in ("000229000000Z", "520229000000Z", "20240229000000Z"):
+        assert attribute_check(attribute_make("signingTime", text))
+    with pytest.raises(SyntaxViolation):  # 1900 is no leap year
+        attribute_make("signingTime", "19000229000000Z")
     with pytest.raises(SyntaxViolation):
         attribute_make("signingTime", "not a time")
     # a value that is neither UTCTime nor GeneralizedTime
@@ -393,9 +395,11 @@ def test_signing_time_syntax():
 
 # the calendar after the year: each field just out of its range (month 01-12, day
 # 01-31, hour 00-23, minutes and seconds 00-59), then month 13, day 32, hour 25, and
-# every digit 9
+# every digit 9, then days their month does not have in 1999: 31 February, 31 April
+# and 29 February
 IMPOSSIBLE_TAILS = ["0001000000Z", "1301000000Z", "0100000000Z", "0132000000Z",
-                    "0101240000Z", "0101006000Z", "0101000060Z", "1332250000Z", "9999999999Z"]
+                    "0101240000Z", "0101006000Z", "0101000060Z", "1332250000Z", "9999999999Z",
+                    "0231000000Z", "0431000000Z", "0229000000Z"]
 
 
 @pytest.mark.parametrize("tail", IMPOSSIBLE_TAILS)

@@ -46,6 +46,22 @@ def test_one_edit_mutants_raise_only_declared_errors(targets, name):
     assert ledger(lines) == MUTANT_OUTCOMES[name]
 
 
+def test_every_bit_flip_of_a_digested_or_authenticated_data_raises(targets):
+    """Each of the 8 bits of every octet, flipped alone, makes check_digest or
+    check_auth raise a declared error: no flip returns content."""
+    returned = []
+    for name in ("digested-data", "authenticated-data"):
+        octets, opener = targets[name]
+        for at in range(len(octets)):
+            for bit in range(8):
+                try:
+                    opener(octets[:at] + bytes([octets[at] ^ 1 << bit]) + octets[at + 1:])
+                except DECLARED:
+                    continue
+                returned.append(f"{name} octet {at} bit {bit}")
+    assert returned == []
+
+
 def _triples_edited(edit):
     """A key body edit that replaces the first triple's fields by ``edit(fields)``."""
     def body_edit(fields):

@@ -1,11 +1,10 @@
 import hashlib
 import hmac
-import time
 
 import pytest
 
 from oracles import naive_pbkdf2
-from pkcswb import oids
+from pkcswb import oids, pkcs5
 from pkcswb.asn1 import AlgorithmIdentifier
 from pkcswb.errors import DecryptionError, MalformedKey, uniform_decryption
 from pkcswb.pkcs5 import (MAX_ITERATIONS, DerivedKeyTooLong, Pbkdf2Params, TooManyIterations,
@@ -77,18 +76,20 @@ def test_any_input_perturbation_changes_key():
     assert pbkdf2(PASSWORD, Pbkdf2Params(SALT, 8, 32)) != base
 
 
-def test_iteration_cost_scales_linearly():
-    def median_time(iterations: int) -> float:
-        samples = []
-        for _ in range(7):
-            start = time.perf_counter()
-            pbkdf2(PASSWORD, Pbkdf2Params(SALT, iterations, 32))
-            samples.append(time.perf_counter() - start)
-        samples.sort()
-        return samples[len(samples) // 2]
+@pytest.mark.parametrize("dk_len", [31, 32, 69])
+@pytest.mark.parametrize("iterations", [1, 2, 1000, 4000])
+def test_prf_calls_are_iterations_times_blocks(monkeypatch, iterations, dk_len):
+    # the work grows linearly with the count: c PRF calls per 32-octet block
+    calls = []
+    real_keyed_hmac = pkcs5.keyed_hmac
 
-    ratio = median_time(4000) / median_time(1000)
-    assert 3.0 <= ratio <= 5.0, f"ratio {ratio:.2f} outside [3, 5]"
+    def counting(key):
+        mac = real_keyed_hmac(key)
+        return lambda message: calls.append(message) or mac(message)
+
+    monkeypatch.setattr(pkcs5, "keyed_hmac", counting)
+    assert len(pbkdf2(PASSWORD, Pbkdf2Params(SALT, iterations, dk_len))) == dk_len
+    assert len(calls) == iterations * -(-dk_len // 32)
 
 
 def test_param_validation():
