@@ -290,10 +290,13 @@ class DerValue(Frozen):
     def as_oid(self) -> Oid:
         """The Oid of the content: one the decoder's content rule put in the
         parse memo, if it has at most ``_OID_MEMO_OCTETS`` octets."""
+        content = self.content
         if self.constructed or self.tag_number != OBJECT_IDENTIFIER \
                 or self.tag_class != _UNIVERSAL:
             _not_primitive("OBJECT IDENTIFIER")
-        return _parse_oid(self.content)
+        if len(content) <= _OID_MEMO_OCTETS:
+            return _memo_oid(content)
+        return _parse_oid(content)
 
     def as_text(self) -> str:
         if self.constructed or self.tag_class != _UNIVERSAL \

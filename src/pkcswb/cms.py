@@ -10,10 +10,11 @@ raises an IntegrityFailure.  Their failures are reported distinctly
 (DigestMismatch vs SignatureInvalid) because a verifier is not a decryption
 oracle; the decryption-side operations collapse every failure into the shared
 uniform DecryptionError.  Wherever a digest or signature is checked, the
-octets hashed are the ones received on the wire, never a re-normalized
-encoding.  ``keystore`` writes and reads the attribute sets, and ``pkcs1``
-and ``pkcs5`` the algorithm identifiers but SHA-256's; a contentType or
-messageDigest attribute holds one value, of the registry's syntax.
+octets hashed are the ones received on the wire, read where they lie, never
+a re-normalized encoding.  ``keystore`` writes and reads the attribute sets,
+and ``pkcs1`` and ``pkcs5`` the algorithm identifiers but SHA-256's; a
+contentType or messageDigest attribute holds one value, of the registry's
+syntax.
 Verification reads a received attribute set in place, through keystore's one
 reader, as (type, values) pairs; it builds no Attribute.
 """
@@ -186,14 +187,15 @@ def _is_digest(values: tuple[DerValue, ...], digest: bytes) -> bool:
             and ct_equal(values[0].octets, digest))
 
 
-def _covered_as_received(encap: ContentInfo, attrs_v: DerValue | None) -> bytes:
+def _covered_as_received(encap: ContentInfo,
+                         attrs_v: DerValue | None) -> bytes | memoryview:
     """The octets a received signature or MAC covers: the encapsulated content
     as received, or the received [0] attribute set, which must hold the
     content's type as its one contentType and a digest of that content as its
     one messageDigest (RFC 5652 §5.3, §9.2, §11.1, §11.2).  The set is read in
     place, as keystore's reader gives it: (type, values) pairs, no Attribute.
     Raises NonCanonical, SignatureInvalid or DigestMismatch."""
-    content_der = encap.to_der()
+    content_der = asn1._encoding(encap.to_der_value())  # as kept: no copy
     if attrs_v is None:
         return content_der
     pairs = _attributes_from_der(attrs_v, _attribute_pair)

@@ -4,7 +4,8 @@ A request is the DER of CertificationRequestInfo (version, subject name,
 subject public key info, attributes) signed with the subject's own private
 key under RSASSA-PSS, so verification needs nothing but the request itself.
 ``build_csr`` signs and ``verify_csr`` checks the DER of the value the info
-object keeps, so a received request is verified over the octets received.
+object keeps, so a received request is verified over the octets received,
+read where they lie.
 ``pkcs1`` writes and reads the subject key info and the signature identifier.
 """
 
@@ -174,4 +175,4 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
 def verify_csr(csr: CertificationRequest) -> bool:
     """Self-signature check under the public key embedded in the request."""
     return pkcs1.is_pss(csr.signature_algorithm.oid) and pkcs1.verify(
-        csr.info.to_der(), csr.signature, csr.info.public_key)
+        asn1._encoding(csr.info.to_der_value()), csr.signature, csr.info.public_key)

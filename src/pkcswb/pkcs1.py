@@ -1,8 +1,10 @@
 """RSA encryption and signature schemes: EME-PKCS1-v1_5, EME-OAEP, EMSA-PSS.
 
-The encoding layers work purely on octet strings of the modulus length k and
-are exercised octet-for-octet in the tests; the scheme layer composes them
-with the raw modular operations.
+The encoding layers work on octet strings of the modulus length k and are
+exercised octet-for-octet in the tests; the scheme layer composes them with
+the raw modular operations.  The one EMSA-PSS check reads the encoded
+message as an integer, so ``verify`` hands it s^e mod n as it is and
+``pss_verify_encoding``, its octet front end, converts once.
 
 Every decryption failure - wrong leading octets, bad delimiter, short
 padding, out-of-range representative - raises the same DecryptionError value
@@ -323,23 +325,29 @@ def pss_encode(message: bytes, params: PssParams, rng: RandomSource) -> bytes:
 
 
 def pss_verify_encoding(message: bytes, em: bytes, params: PssParams) -> bool:
-    alg, k, k0 = params.hash_alg, params.k, params.k0
-    if len(em) != k or not params.fits():
+    """The EMSA-PSS check of an encoded message of k octets, as one integer."""
+    return len(em) == params.k and _pss_verify_representative(message, os2ip(em), params)
+
+
+def _pss_verify_representative(message: bytes, em: int, params: PssParams) -> bool:
+    """RFC 8017 §9.1.2 on EM = maskedDB || H || 0xbc read as one big-endian
+    integer, the one EMSA-PSS check.  EM is public, so each test is a shift
+    and a mask and the first that fails decides: the trailer, the cleared top
+    bits (EM < 2^(|n|-1)), DB = PS || 0x01 || salt with exactly sLen salt
+    octets (DB >> 8sLen == 1), then H against the hash of M'."""
+    alg, k0, salt_bits = params.hash_alg, params.k0, 8 * params.salt_len
+    if em & 0xFF != 0xBC or em >> (params.modulus_bits - 1) or not params.fits():
         return False
-    ok = em[-1] == 0xBC
-    masked_db, h = em[:k - k0 - 1], em[k - k0 - 1:k - 1]
-    keep = 0xFF >> params.cleared_bits
-    ok &= em[0] & ~keep & 0xFF == 0
-    db = _xor(masked_db, mgf(h, k - k0 - 1, alg))
-    # EM is public, so DB is read with bytes operations, not a constant-time scan:
-    # PS is zeros up to the 0x01 separator, and the salt follows it
-    db = (bytes([db[0] & keep]) + db[1:]).lstrip(b"\x00")
-    ok &= db[:1] == b"\x01"
-    salt = db[1:]
-    ok &= len(salt) == params.salt_len  # RFC 8017 §9.1.2 step 10: sLen is fixed
-    m_prime = b"\x00" * 8 + alg.digest(message) + salt
-    ok &= ct_equal(alg.digest(m_prime), h)
-    return bool(ok)
+    h = ((em >> 8) & ((1 << 8 * k0) - 1)).to_bytes(k0, "big")
+    mask = int.from_bytes(mgf(h, params.k - k0 - 1, alg), "big")
+    db_bits = params.modulus_bits - 1 - 8 * (k0 + 1)  # DB less its cleared top bits
+    db = ((em >> 8 * (k0 + 1)) ^ mask) & ((1 << db_bits) - 1)
+    if db >> salt_bits != 1:  # step 10: sLen is fixed
+        return False
+    m_hash = int.from_bytes(alg.digest(message), "big")
+    m_prime = ((m_hash << salt_bits) | (db ^ (1 << salt_bits))).to_bytes(
+        8 + k0 + params.salt_len, "big")
+    return ct_equal(alg.digest(m_prime), h)
 
 
 # ---------------------------------------------------------------------------
@@ -393,5 +401,4 @@ def verify(message: bytes, signature: bytes, pk: RsaPublicKey,
     s = os2ip(signature)
     if s >= pk.n:
         return False
-    em = i2osp(rsa_public_op(s, pk), k)
-    return pss_verify_encoding(message, em, params)
+    return _pss_verify_representative(message, rsa_public_op(s, pk), params)

@@ -70,7 +70,7 @@ class HashAlg(Frozen):
         self.__dict__.update(name=name, output_len=output_len, raw=raw)
 
     def digest(self, data: bytes) -> bytes:
-        out = self.raw(bytes(data))
+        out = self.raw(data)
         if len(out) != self.output_len:
             raise ValueError(f"{self.name} produced {len(out)} octets, expected {self.output_len}")
         return out
@@ -116,7 +116,6 @@ def mgf(seed: bytes, out_len: int, alg: HashAlg = SHA256) -> bytes:
         raise ValueError("negative output length")
     if out_len > (1 << 32) * alg.output_len:
         raise ValueError("mask longer than the MGF can produce")
-    seed = bytes(seed)
     blocks = -(-out_len // alg.output_len)
     return b"".join([alg.digest(seed + counter.to_bytes(4, "big"))
                      for counter in range(blocks)])[:out_len]
@@ -124,7 +123,7 @@ def mgf(seed: bytes, out_len: int, alg: HashAlg = SHA256) -> bytes:
 
 def ct_equal(a: bytes, b: bytes) -> bool:
     """Constant-time octet comparison for MAC tags and padding checks."""
-    return _hmac.compare_digest(bytes(a), bytes(b))
+    return _hmac.compare_digest(a, b)
 
 
 # ---------------------------------------------------------------------------

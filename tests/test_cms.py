@@ -13,7 +13,7 @@ from pkcswb.csr import CertificationRequest, Name, build_csr
 from pkcswb.errors import DecryptionError, IntegrityFailure
 from pkcswb.keystore import Attribute, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
-from pkcswb.primitives import SHA256, BadLength, hmac_digest
+from pkcswb.primitives import SHA256, BadLength, HashAlg, hmac_digest
 from conftest import seeded
 from oracles import der_tlv_count
 
@@ -409,6 +409,26 @@ def test_verifying_received_content_builds_no_value_and_encodes_no_tag(key_1024,
     assert check_digest(ContentInfo.from_der(digested))
     assert check_auth(ContentInfo.from_der(authenticated), b"mac")
     assert (built, tags) == ([], [])
+
+
+def test_verifying_hashes_each_input_once(key_1024, ident, monkeypatch):
+    # a count, not a time: signed-data hashes its content, its attribute set,
+    # M' and the ceil(95/32) = 3 MGF1 blocks of a 1024-bit modulus; a request
+    # its info, M' and the same 3 blocks
+    signed = ContentInfo.from_der(sign_data(make_data(b"m"), key_1024[1], ident, (SIGNING_TIME,),
+                                            seeded(b"s")).to_der())
+    request = CertificationRequest.from_der(build_csr(
+        Name((("commonName", "Subject"),)), key_1024,
+        (attribute_make("challengePassword", "pw"),), seeded(b"r")).to_der())
+    hashed = []
+    real_digest = HashAlg.digest
+    monkeypatch.setattr(HashAlg, "digest",
+                        lambda alg, data: hashed.append(data) or real_digest(alg, data))
+    assert verify_signed(signed, key_1024[0])[1]
+    assert len(hashed) == 6
+    hashed.clear()
+    assert csr.verify_csr(request)
+    assert len(hashed) == 5
 
 
 def test_verifying_signed_data_builds_no_algorithm_identifier(key_1024, ident, monkeypatch):

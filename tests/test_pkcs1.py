@@ -192,8 +192,9 @@ def test_pss_round_trip_hundred_messages():
         assert not pss_verify_encoding(message + b"!", em, params)
 
 
-def test_pss_exhaustive_bit_flip_sweep_k32():
-    params = PssParams(32, 256, tiny_hash(8), salt_len=8)
+@pytest.mark.parametrize("modulus_bits", [256, 249])  # 249 = 8k - 7 clears the first octet
+def test_pss_exhaustive_bit_flip_sweep_k32(modulus_bits):
+    params = PssParams(32, modulus_bits, tiny_hash(8), salt_len=8)
     em = pss_encode(b"bits", params, seeded(b"sweep"))
     for byte_index in range(32):
         for bit in range(8):

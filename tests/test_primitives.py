@@ -423,6 +423,16 @@ def test_ct_equal():
     assert not ct_equal(b"same", b"diff")
 
 
+@pytest.mark.parametrize("call", [lambda: ct_equal(5, bytes(5)), lambda: SHA256.digest(3),
+                                  lambda: mgf(4, 10)], ids=["ct_equal", "digest", "mgf"])
+def test_an_int_is_refused_not_read_as_that_many_zero_octets(call):
+    # bytes(n) is n zero octets; the octets of a view are read where they lie
+    with pytest.raises(TypeError):
+        call()
+    view = memoryview(b"xabc")[1:]
+    assert SHA256.digest(view) == SHA256.digest(b"abc") and ct_equal(view, b"abc")
+
+
 @pytest.mark.parametrize("iv_len", [0, 15, 17])
 def test_cbc_encrypt_refuses_an_iv_that_is_not_16_octets(iv_len):
     with pytest.raises(BadLength):
