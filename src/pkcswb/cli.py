@@ -154,14 +154,14 @@ def _cmd_csr_new(args) -> int:
     rng = _build_rng(args)
     private = _load_private(args.key)
     pairs = [("commonName", args.cn)]
-    if args.org:
+    if args.org is not None:
         pairs.append(("organization", args.org))
-    if args.country:
+    if args.country is not None:
         pairs.append(("country", args.country))
-    if args.email:
+    if args.email is not None:
         pairs.append(("emailAddress", args.email))
     attrs = ()
-    if args.challenge:
+    if args.challenge is not None:
         attrs = (keystore.attribute_make("challengePassword", args.challenge),)
     request = csr_mod.build_csr(csr_mod.Name(tuple(pairs)),
                                 (private.public_key, private), attrs, rng)
@@ -181,7 +181,7 @@ def _cmd_csr_verify(args) -> int:
 def _cmd_cms_sign(args) -> int:
     rng = _build_rng(args)
     attrs = ()
-    if args.signing_time:
+    if args.signing_time is not None:
         attrs = (keystore.attribute_make("signingTime", args.signing_time),)
     ident = cms.SignerIdent(csr_mod.Name((("commonName", args.cn),)), b"cli")
     signed = cms.sign_data(cms.make_data(_read(args.infile)), _load_private(args.key),

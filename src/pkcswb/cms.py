@@ -12,11 +12,12 @@ oracle; the decryption-side operations collapse every failure into the shared
 uniform DecryptionError.  Wherever a digest or signature is checked, the
 octets hashed are the ones received on the wire, read where they lie, never
 a re-normalized encoding.  ``keystore`` writes and reads the attribute sets,
-and ``pkcs1`` and ``pkcs5`` the algorithm identifiers but SHA-256's; a
-contentType or messageDigest attribute holds one value, of the registry's
-syntax.
-Verification reads a received attribute set in place, through keystore's one
-reader, as (type, values) pairs; it builds no Attribute.
+and ``pkcs1`` and ``pkcs5`` the algorithm identifiers but SHA-256's.
+sign_data and authenticate_data alone add the contentType and messageDigest
+attributes, computed from the content, and refuse a caller-given one
+(SyntaxViolation); a received set must hold each once, as one value of the
+registry's syntax.  Verification reads a received attribute set in place,
+through keystore's one reader, as (type, values) pairs; it builds no Attribute.
 """
 
 from __future__ import annotations
@@ -136,55 +137,34 @@ def _attr_message(attrs_v: DerValue) -> bytes:
     return bytes([0x20 | asn1.SET]) + der_encode(attrs_v)[1:]
 
 
-def _find_attr(pairs: tuple[tuple[Oid, tuple[DerValue, ...]], ...], oid: Oid,
-               duplicate: type[PkcsError]) -> tuple[DerValue, ...] | None:
-    """The values of the (type, values) pair of type ``oid``, or None; ``duplicate`` for
-    a second one (contentType and messageDigest appear once, RFC 5652 §11.1, §11.2)."""
+def _find_attr(pairs: tuple[tuple[Oid, tuple[DerValue, ...]], ...],
+               oid: Oid) -> tuple[DerValue, ...] | None:
+    """The values of the (type, values) pair of type ``oid``, or None;
+    SignatureInvalid for a second one (RFC 5652 §11.1, §11.2 allow one)."""
     found = [values for attr_type, values in pairs if attr_type == oid]
     if len(found) > 1:
-        raise duplicate(f"more than one {oid} attribute")
+        raise SignatureInvalid(f"more than one {oid} attribute")
     return found[0] if found else None
 
 
 def _covered(encap: ContentInfo,
              attrs: tuple[Attribute, ...]) -> tuple[DerValue, tuple[DerValue, ...], bytes]:
     """(encapsulated content, a tuple of none or one [0] attribute set, octets a
-    signature or MAC covers); attributes gain contentType and messageDigest if
-    absent, and given ones must be the content's (WrongContentType, DigestMismatch)
-    and appear once (SyntaxViolation)."""
+    signature or MAC covers).  A non-empty attribute set gains the content's
+    contentType and messageDigest, which the signer alone adds (RFC 5652 §5.3,
+    §11.1, §11.2): SyntaxViolation for a given one."""
     encap_v = encap.to_der_value()
     content_der = der_encode(encap_v)
     attrs = tuple(attrs)
     if not attrs:
         return encap_v, (), content_der
-    pairs = tuple((attribute.attr_type, attribute.values) for attribute in attrs)
-    content_type = _find_attr(pairs, oids.AT_CONTENT_TYPE, SyntaxViolation)
-    if content_type is None:
-        attrs += (attribute_make("contentType", encap.content_type),)
-    elif not _is_content_type(content_type, encap.content_type):
-        raise WrongContentType("contentType attribute is not the encapsulated content's type")
-    digest = SHA256.digest(content_der)
-    message_digest = _find_attr(pairs, oids.AT_MESSAGE_DIGEST, SyntaxViolation)
-    if message_digest is None:
-        attrs += (attribute_make("messageDigest", digest),)
-    elif not _is_digest(message_digest, digest):
-        raise DigestMismatch("messageDigest attribute is not the content's digest")
-    attrs_v = _attributes_to_der(attrs)
+    if any(attribute.attr_type in (oids.AT_CONTENT_TYPE, oids.AT_MESSAGE_DIGEST)
+           for attribute in attrs):
+        raise SyntaxViolation("contentType and messageDigest are the signer's to add")
+    attrs_v = _attributes_to_der(attrs + (
+        attribute_make("contentType", encap.content_type),
+        attribute_make("messageDigest", SHA256.digest(content_der))))
     return encap_v, (attrs_v,), _attr_message(attrs_v)
-
-
-def _is_content_type(values: tuple[DerValue, ...], content_type: Oid) -> bool:
-    """Whether a contentType attribute's values are exactly ``content_type``, as
-    one value of the registry's syntax (RFC 5652 §11.1)."""
-    return (len(values) == 1 and _values_check(oids.AT_CONTENT_TYPE, values)
-            and values[0].as_oid() == content_type)
-
-
-def _is_digest(values: tuple[DerValue, ...], digest: bytes) -> bool:
-    """Whether a messageDigest attribute's values are exactly ``digest``, as one
-    value of the registry's syntax (RFC 5652 §11.2)."""
-    return (len(values) == 1 and _values_check(oids.AT_MESSAGE_DIGEST, values)
-            and ct_equal(values[0].octets, digest))
 
 
 def _covered_as_received(encap: ContentInfo,
@@ -192,29 +172,33 @@ def _covered_as_received(encap: ContentInfo,
     """The octets a received signature or MAC covers: the encapsulated content
     as received, or the received [0] attribute set, which must hold the
     content's type as its one contentType and a digest of that content as its
-    one messageDigest (RFC 5652 §5.3, §9.2, §11.1, §11.2).  The set is read in
-    place, as keystore's reader gives it: (type, values) pairs, no Attribute.
-    Raises NonCanonical, SignatureInvalid or DigestMismatch."""
+    one messageDigest, each one value of the registry's syntax (RFC 5652
+    §5.3, §9.2, §11.1, §11.2).  The set is read in place, as keystore's reader
+    gives it: (type, values) pairs, no Attribute.  Raises NonCanonical,
+    SignatureInvalid or DigestMismatch."""
     content_der = asn1._encoding(encap.to_der_value())  # as kept: no copy
     if attrs_v is None:
         return content_der
     pairs = _attributes_from_der(attrs_v, _attribute_pair)
-    md = _find_attr(pairs, oids.AT_MESSAGE_DIGEST, SignatureInvalid)
-    content_type = _find_attr(pairs, oids.AT_CONTENT_TYPE, SignatureInvalid)
+    md = _find_attr(pairs, oids.AT_MESSAGE_DIGEST)
+    content_type = _find_attr(pairs, oids.AT_CONTENT_TYPE)
     if md is None or content_type is None:
         raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
-    if not _is_content_type(content_type, encap.content_type):
+    if not (len(content_type) == 1 and _values_check(oids.AT_CONTENT_TYPE, content_type)
+            and content_type[0].as_oid() == encap.content_type):
         raise SignatureInvalid("contentType attribute is not the encapsulated content's type")
-    if not _is_digest(md, SHA256.digest(content_der)):
+    if not (len(md) == 1 and _values_check(oids.AT_MESSAGE_DIGEST, md)
+            and ct_equal(md[0].octets, SHA256.digest(content_der))):
         raise DigestMismatch("messageDigest attribute does not match the content")
     return _attr_message(attrs_v)
 
 
 def sign_data(inner: ContentInfo, signer_key: RsaPrivateKey, signer_ident: SignerIdent,
               signed_attrs: tuple[Attribute, ...], rng: RandomSource) -> ContentInfo:
-    """Wrap ``inner`` in signed-data.  A non-empty attribute set is augmented
-    with contentType and messageDigest and the signature covers the attribute
-    set; with no attributes the signature covers the encapsulated DER."""
+    """Wrap ``inner`` in signed-data.  A non-empty attribute set gains
+    contentType and messageDigest (SyntaxViolation if it holds either) and the
+    signature covers the attribute set; with no attributes the signature
+    covers the encapsulated DER."""
     encap_v, attrs_set, message = _covered(inner, signed_attrs)
     signature = pkcs1.sign(message, signer_key, rng)
     signer_info = asn1.sequence(
@@ -391,7 +375,7 @@ def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
 def authenticate_data(inner: ContentInfo, key: bytes,
                       auth_attrs: tuple[Attribute, ...] = ()) -> ContentInfo:
     """HMAC tag over the content, or over the attribute set when present
-    (augmented with contentType and messageDigest, like signed-data)."""
+    (gaining contentType and messageDigest, like signed-data)."""
     encap_v, attrs_set, message = _covered(inner, auth_attrs)
     body = asn1.sequence(
         asn1.integer(0),

@@ -101,6 +101,9 @@ def _pki_der(n: int, e: int, primes: tuple[int, ...], d: int = 3) -> bytes:
 
 
 def _mutants(octets: bytes, rng: random.Random):
+    """MUTANTS one-edit mutants of ``octets``, none equal to it: a bit flip, a
+    truncation, an octet inserted, deleted or replaced.  A replacement that
+    draws the octet already there takes its complement instead."""
     for _ in range(MUTANTS):
         at = rng.randrange(len(octets))
         edit = rng.randrange(5)
@@ -113,7 +116,10 @@ def _mutants(octets: bytes, rng: random.Random):
         elif edit == 3:
             yield octets[:at] + octets[at + 1:]
         else:
-            yield octets[:at] + bytes([rng.randrange(256)]) + octets[at + 1:]
+            octet = rng.randrange(256)
+            if octet == octets[at]:
+                octet ^= 0xFF
+            yield octets[:at] + bytes([octet]) + octets[at + 1:]
 
 
 @pytest.fixture(scope="module")

@@ -28,14 +28,14 @@ def ledger(lines: list[str]) -> tuple[str, dict[str, int]]:
 
 MUTANT_OUTCOMES = {
     "PrivateKeyInfo": (
-        "c2478fbaeeb22c7db43a3f70aac456f5b233654278e19c8a460efa73f4d95d10",
-        {"MalformedKey": 466, "UnsupportedAlgorithm": 11, "value": 23}),
+        "bb22116a970ad51eec81275b119df399210edad03fd6fc2f57c185c88aa25e2b",
+        {"MalformedKey": 467, "UnsupportedAlgorithm": 11, "value": 22}),
     "EncryptedPrivateKeyInfo": (
-        "39e75e9aa8a71078703d1e6218be76f7a9a1f96921a3a91540e6b8c066b158dd",
-        {"DecryptionError": 128, "MalformedKey": 343, "UnsupportedAlgorithm": 28, "value": 1}),
+        "d8c71d491491c204713249c37405a0558c525f9d38c146279fc5c84e33ee5948",
+        {"DecryptionError": 128, "MalformedKey": 343, "UnsupportedAlgorithm": 29}),
     "CertificationRequest": (
-        "3d00a6cf22751e71db4baf03ebfd58350e2dfb16b9ddf02df46822781de02cbc",
-        {"MalformedRequest": 329, "value False": 170, "value True": 1}),
+        "5815a288a65d939fc6eb063608c6694c17e9036079d1a1d9be51f386286c5df7",
+        {"MalformedRequest": 330, "value False": 170}),
     "data": (
         "bd1d611273d39e55d1f65aece782bf7787439df594a71a5bc16ba62505913084",
         {"ArcOverflow": 3, "NonCanonical": 26, "TrailingOctets": 48, "Truncated": 276,
@@ -46,10 +46,10 @@ MUTANT_OUTCOMES = {
          "OversizeTag": 11, "SignatureInvalid": 127, "TrailingOctets": 32, "Truncated": 269,
          "WrongContentType": 4, "value": 12}),
     "enveloped-data": (
-        "c4039513de007835ed37d5840efcac487ccb9411188ffe2c72802ce187fe08ef",
-        {"ArcOverflow": 2, "DecryptionError": 176, "IndefiniteLength": 8, "NonCanonical": 10,
+        "a5d3189021643a87f2e393c5d53003f74225cdecaca9b5b617d8ac43c5657b2e",
+        {"ArcOverflow": 2, "DecryptionError": 178, "IndefiniteLength": 8, "NonCanonical": 10,
          "NonMinimalLength": 1, "TrailingOctets": 13, "Truncated": 272, "WrongContentType": 5,
-         "value": 13}),
+         "value": 11}),
     "digested-data": (
         "af74d28d8fa11fbd2c85d11f7d803c245f1c5771309ed2d737bed3a11decebcb",
         {"ArcOverflow": 4, "DigestMismatch": 93, "IndefiniteLength": 1, "IntegrityFailure": 25,
@@ -71,8 +71,8 @@ MUTANT_OUTCOMES = {
         {"IntegrityFailure": 2, "NonCanonical": 8, "NonMinimalLength": 2,
          "SignatureInvalid": 189, "TrailingOctets": 16, "Truncated": 279, "value": 4}),
     "pfx-public_key-password": (
-        "378eb1a1aff7686c877e767f59d343d2b66de7e1fe7fde97f95183ca71d0af41",
-        {"IntegrityFailure": 186, "MalformedKey": 1, "Truncated": 312, "value": 1}),
+        "a8d6d5d565d6202d860f5177d8c3107e1c14fba2029a388d47826b2970ad00bb",
+        {"IntegrityFailure": 187, "MalformedKey": 1, "Truncated": 312}),
     "pfx-public_key-public_key": (
         "718c83464047bff7285e227beb762cb78148d82a3f4622b68dcfc57b20f14d8b",
         {"IntegrityFailure": 1, "NonCanonical": 92, "NonMinimalLength": 2,
@@ -105,8 +105,8 @@ CLI_OUTCOMES = {
         "04fa74c64528d7bf9a27b9a89520b7b2b49bced77b3b7bcf6b6256e57452c04e",
         {"exit 0": 2, "exit 1": 60, "exit 2": 138}),
     "cms-auth --check": (
-        "6c10e21d337e24ac6cd6ea469bb9182d5462916ae880ebdf5893687984d5f227",
-        {"exit 0": 1, "exit 1": 42, "exit 2": 157}),
+        "e9bca32088dece83f0151fd38263842ec94e86d5f58a9c3210dbb416a4430bf4",
+        {"exit 1": 43, "exit 2": 157}),
     "pfx-unpack": (
         "1c551eea315476c891283e5af4632294fc6af1b23c0419eb104f3295f863601f",
         {"exit 1": 75, "exit 2": 125}),

@@ -71,6 +71,8 @@ def test_oid_validation():
         Oid((1, 40))
     with pytest.raises(ValueError):
         Oid((1,))
+    with pytest.raises(BadParameter, match="non-negative"):
+        Oid((1, -1))
 
 
 def test_integer_values_round_trip():
@@ -179,6 +181,7 @@ def test_oid_longer_than_the_memo_keeps_parses_alike():
     assert len(octets) > asn1._OID_MEMO_OCTETS
     before = asn1._memo_oid.cache_info()
     assert octets_to_oid(octets) == octets_to_oid(memoryview(octets)) == oid
+    assert asn1.oid_value(oid).as_oid() == octets_to_oid(octets)
     with pytest.raises(ArcOverflow):
         octets_to_oid(octets[:-1])
     assert asn1._memo_oid.cache_info() == before  # parsed, and not kept
@@ -237,6 +240,8 @@ def test_boolean_content_rule():
     assert der_decode(bytes.fromhex("0101ff")).as_boolean() is True
     with pytest.raises(NonCanonical):
         der_decode(bytes.fromhex("010101"))
+    with pytest.raises(NonCanonical, match="not a primitive BOOLEAN"):
+        asn1.integer(1).as_boolean()
 
 
 def test_set_reordered_on_encode():

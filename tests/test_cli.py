@@ -30,6 +30,27 @@ def test_strength_command(capsys):
     assert code == 0 and out.strip() == "absent"
 
 
+def test_python_dash_m_runs_the_entry_point(tmp_path):
+    """``python -m pkcswb`` from the source tree, with no install: the exit
+    code main returns is the process's, and its errors reach stderr."""
+    import subprocess
+    import sys
+    from pathlib import Path
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def pkcswb(*argv):
+        return subprocess.run([sys.executable, "-m", "pkcswb", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=30)
+
+    done = pkcswb("strength", "--bits", "1024", "--primes", "2")
+    assert (done.returncode, done.stdout) == (0, "80\n")
+    done = pkcswb("csr-verify", "--in", str(tmp_path / "missing.csr"))
+    assert done.returncode == 2 and done.stderr.startswith("error: ")
+    assert "Traceback" not in done.stderr
+    done = pkcswb("no-such-command")
+    assert done.returncode == 2 and "invalid choice: 'no-such-command'" in done.stderr
+
+
 def test_kdf_single_iteration_reduction(capsys):
     import hashlib
     import hmac
@@ -521,6 +542,13 @@ USAGE_ERRORS = {
     "cms-sign --signing-time bad": ["cms-sign", "--key", "{dir}/alice.p8",
                                     "--in", "{dir}/message.bin", "--signing-time", "bad",
                                     "--out", "{out}"],
+    # an explicitly empty value is refused, not dropped
+    **{f"csr-new --{option} ''": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",
+                                  f"--{option}", "", "--out", "{out}"]
+       for option in ("org", "country", "email", "challenge")},
+    "cms-sign --signing-time ''": ["cms-sign", "--key", "{dir}/alice.p8",
+                                   "--in", "{dir}/message.bin", "--signing-time", "",
+                                   "--out", "{out}"],
     # values that reach an encoder or the system random source
     "csr-new --country ÜS": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",
                              "--country", "ÜS", "--out", "{out}"],
@@ -693,6 +721,7 @@ def test_reading_subcommands_are_total(readable, tmp_path, capsys, monkeypatch, 
     rng = random.Random(f"cli/{command}")
     lines = []
     for edited in itertools.islice(_mutants(octets, rng), CLI_MUTANTS):
+        assert edited != octets
         mutant.write_bytes(edited)
         try:
             code = main(["--seed", SEED, *argv])

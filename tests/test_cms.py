@@ -147,69 +147,59 @@ def test_wrong_content_type_is_declared(key_1024, ident):
     assert issubclass(WrongContentType, ValueError)
 
 
-def test_sign_refuses_a_content_type_attribute_of_another_type(key_1024, ident):
-    public, private = key_1024
-    inner = make_data(b"m")
-    both = Attribute(oids.AT_CONTENT_TYPE, (asn1.oid_value(oids.CT_DATA),
-                                            asn1.oid_value(oids.CT_ENVELOPED_DATA)))
-    for given in (attribute_make("contentType", oids.CT_ENVELOPED_DATA), both):
-        with pytest.raises(WrongContentType):
-            sign_data(inner, private, ident, (given,), seeded(b"s"))
-        with pytest.raises(WrongContentType):
-            authenticate_data(inner, b"mac key", (given,))
-    # the content's own type, given by the caller, is kept as it is
-    same = attribute_make("contentType", oids.CT_DATA)
-    assert verify_signed(sign_data(inner, private, ident, (same,), seeded(b"s")), public)[1]
-    assert check_auth(authenticate_data(inner, b"mac key", (same,)), b"mac key")
+_INNER = make_data(b"m")
+_DIGEST = SHA256.digest(_INNER.to_der())
+
+# attributes only the signer adds: either type, matching the content or not,
+# once or twice, of any value type
+SIGNER_ADDED = {
+    "the content's contentType": (attribute_make("contentType", oids.CT_DATA),),
+    "another contentType": (attribute_make("contentType", oids.CT_ENVELOPED_DATA),),
+    "contentType with two values": (Attribute(oids.AT_CONTENT_TYPE, (
+        asn1.oid_value(oids.CT_DATA), asn1.oid_value(oids.CT_ENVELOPED_DATA))),),
+    "contentType that is not an OID": (Attribute(oids.AT_CONTENT_TYPE, (asn1.integer(1),)),),
+    "two contentType": (attribute_make("contentType", oids.CT_DATA),
+                        attribute_make("contentType", oids.CT_SIGNED_DATA)),
+    "the content's messageDigest": (attribute_make("messageDigest", _DIGEST),),
+    "another messageDigest": (attribute_make("messageDigest", bytes(32)),),
+    "messageDigest as an INTEGER": (Attribute(oids.AT_MESSAGE_DIGEST, (
+        asn1.integer(int.from_bytes(_DIGEST, "big")),)),),
+    "two messageDigest": (attribute_make("messageDigest", _DIGEST),
+                          attribute_make("messageDigest", b"\xff" * 32)),
+    "both, beside another": (SIGNING_TIME, attribute_make("contentType", oids.CT_DATA),
+                             attribute_make("messageDigest", _DIGEST)),
+}
 
 
-def test_sign_refuses_a_message_digest_that_is_not_the_contents(key_1024, ident):
-    public, private = key_1024
-    inner = make_data(b"m")
-    digest = SHA256.digest(inner.to_der())
-    twice = Attribute(oids.AT_MESSAGE_DIGEST, (asn1.octet_string(digest),) * 2)
-    as_integer = Attribute(oids.AT_MESSAGE_DIGEST, (asn1.integer(int.from_bytes(digest, "big")),))
-    for given in (attribute_make("messageDigest", bytes(32)), twice, as_integer):
-        with pytest.raises(DigestMismatch):
-            sign_data(inner, private, ident, (given,), seeded(b"s"))
-        with pytest.raises(DigestMismatch):
-            authenticate_data(inner, b"mac key", (given,))
-    # the content's own digest, given by the caller, is kept as it is
-    same = attribute_make("messageDigest", digest)
-    assert verify_signed(sign_data(inner, private, ident, (same,), seeded(b"s")), public)[1]
-    assert check_auth(authenticate_data(inner, b"mac key", (same,)), b"mac key")
+def _attribute_set(ci: ContentInfo) -> asn1.DerValue:
+    """The [0] set sign_data or authenticate_data wrote."""
+    if ci.content_type == oids.CT_SIGNED_DATA:
+        return ci.content.children[3].children[0].children[3]
+    return ci.content.children[3]
 
 
-# a contentType attribute whose one value is not an OBJECT IDENTIFIER
-NOT_AN_OID = Attribute(oids.AT_CONTENT_TYPE, (asn1.integer(1),))
-
-
-def test_content_type_value_that_is_not_an_oid_is_the_wrong_type(key_1024, ident):
+@pytest.mark.parametrize("writer", ["sign_data", "authenticate_data"])
+def test_signers_alone_add_content_type_and_message_digest(key_1024, ident, monkeypatch, writer):
     _, private = key_1024
-    with pytest.raises(WrongContentType):
-        sign_data(make_data(b"m"), private, ident, (NOT_AN_OID,), seeded(b"s"))
-    with pytest.raises(WrongContentType):
-        authenticate_data(make_data(b"m"), b"k", (NOT_AN_OID,))
-
-
-def _second_instance(kind: str, inner: ContentInfo) -> tuple[Attribute, Attribute]:
-    """Two attributes of one type, the first the content's own (RFC 5652 §11.1,
-    §11.2 allow one): its digest and ff..ff, or id-data and id-signedData."""
-    if kind == "messageDigest":
-        return (attribute_make(kind, SHA256.digest(inner.to_der())),
-                attribute_make(kind, b"\xff" * 32))
-    return attribute_make(kind, oids.CT_DATA), attribute_make(kind, oids.CT_SIGNED_DATA)
-
-
-@pytest.mark.parametrize("kind", ["messageDigest", "contentType"])
-def test_a_second_content_type_or_message_digest_is_not_written(key_1024, ident, kind):
-    _, private = key_1024
-    inner = make_data(b"m")
-    attrs = _second_instance(kind, inner)
-    with pytest.raises(ValueError, match="more than one"):
-        sign_data(inner, private, ident, attrs, seeded(b"s"))
-    with pytest.raises(ValueError, match="more than one"):
-        authenticate_data(inner, b"mac key", attrs)
+    write = {
+        "sign_data": lambda attrs: sign_data(_INNER, private, ident, attrs, seeded(b"s")),
+        "authenticate_data": lambda attrs: authenticate_data(_INNER, b"mac key", attrs),
+    }[writer]
+    given = (SIGNING_TIME, attribute_make("friendlyName", "f"))
+    members = _attribute_set(write(given)).children
+    assert list(members) == sorted(members, key=asn1.der_encode)  # SET OF order
+    assert sorted(map(asn1.der_encode, members)) == sorted(map(asn1.der_encode, (
+        *(attribute.to_der_value() for attribute in given),
+        attribute_make("contentType", oids.CT_DATA).to_der_value(),
+        attribute_make("messageDigest", _DIGEST).to_der_value())))
+    # a given one is refused before any signing or MAC work
+    monkeypatch.setattr(pkcs1, "sign", None)
+    monkeypatch.setattr(cms, "hmac_digest", None)
+    for name, attrs in SIGNER_ADDED.items():
+        with pytest.raises(keystore.SyntaxViolation) as raised:
+            write(attrs)
+        assert raised.type is keystore.SyntaxViolation, name
+        assert str(raised.value) == "contentType and messageDigest are the signer's to add"
 
 
 # -- received attribute sets, rebuilt by hand -----------------------------------------
@@ -227,9 +217,7 @@ def _message_digest(*values: asn1.DerValue) -> asn1.DerValue:
     return _attribute(asn1.oid_value(oids.AT_MESSAGE_DIGEST), *values)
 
 
-_INNER = make_data(b"m")
 _CT = _content_type(oids.CT_DATA)
-_DIGEST = SHA256.digest(_INNER.to_der())
 _MD = _message_digest(asn1.octet_string(_DIGEST))
 _TIME = SIGNING_TIME.to_der_value()
 _OTHER_MD = _message_digest(asn1.octet_string(SHA256.digest(b"other content")))

@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 
 import pkcswb
-from pkcswb import asn1, csr, keystore
+from pkcswb import asn1, cli, csr, keystore, pfx, pkcs1, primitives
 from pkcswb.errors import BadParameter, PkcsError
+from conftest import seeded
 
 PACKAGE = Path(pkcswb.__file__).resolve().parent
 
@@ -40,30 +41,24 @@ PROGRAMMING_ERRORS = {
 
 
 def _raises(tree: ast.Module):
-    """(qualified function name, raise node, the function's node) for every
-    raise with an exception inside a function."""
-    def walk(node, scope, function):
+    """(qualified function name, raise node) for every raise with an exception
+    inside a function."""
+    def walk(node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                inner = child if isinstance(child, ast.FunctionDef) else function
-                yield from walk(child, scope + [child.name], inner)
+                yield from walk(child, scope + [child.name])
             elif isinstance(child, ast.Raise) and child.exc is not None:
-                yield ".".join(scope), child, function
+                yield ".".join(scope), child
             else:
-                yield from walk(child, scope, function)
-    yield from walk(tree, [], None)
+                yield from walk(child, scope)
+    yield from walk(tree, [])
 
 
-def _raised_class(module, raise_node: ast.Raise, function: ast.FunctionDef):
-    """The class a raise statement raises; a parameter annotated
-    ``type[X]`` stands for X."""
+def _raised_class(module, raise_node: ast.Raise):
+    """The class a raise statement raises."""
     target = raise_node.exc.func if isinstance(raise_node.exc, ast.Call) else raise_node.exc
     if isinstance(target, ast.Attribute):
         return getattr(getattr(module, target.value.id), target.attr)
-    annotations = {arg.arg: arg.annotation for arg in function.args.args}
-    annotation = annotations.get(target.id)
-    if isinstance(annotation, ast.Subscript):  # type[X]
-        target = annotation.slice
     return getattr(module, target.id, None) or getattr(builtins, target.id)
 
 
@@ -71,8 +66,8 @@ def test_every_raised_class_is_declared_or_a_listed_programming_error():
     undeclared, seen = [], set()
     for path in sorted(PACKAGE.glob("[!_]*.py")):
         module = importlib.import_module(f"pkcswb.{path.stem}")
-        for name, node, function in _raises(ast.parse(path.read_text(), str(path))):
-            raised = _raised_class(module, node, function)
+        for name, node in _raises(ast.parse(path.read_text(), str(path))):
+            raised = _raised_class(module, node)
             if issubclass(raised, PkcsError):
                 continue
             where = f"{path.stem}.{name}"
@@ -82,6 +77,63 @@ def test_every_raised_class_is_declared_or_a_listed_programming_error():
                 undeclared.append(f"{where}:{node.lineno} raises {raised.__name__}")
     assert undeclared == []
     assert seen == set(PROGRAMMING_ERRORS)  # no entry outlives its raise
+
+
+def _initialized_token():
+    """A token with its SO PIN set, and a read-write session on it."""
+    token = pkcswb.token.Token("programming-errors", seeded(b"token"))
+    token.initialize("so-pin")
+    return token, token.open_session(rw=True)
+
+
+# "module.function": a call that reaches its programming-error raise with a
+# minimal bad input, given the fixture keys (public, private), (public, private)
+PROGRAMMING_ERROR_CALLS = {
+    "errors.Frozen.__setattr__": lambda a, b: setattr(asn1.Oid((1, 2)), "arcs", (1, 3)),
+    "asn1.DerValue.__init__": lambda a, b: asn1.DerValue(
+        asn1.TagClass.UNIVERSAL, True, asn1.SEQUENCE, b""),
+    "primitives.HashAlg.digest": lambda a, b: primitives.HashAlg(
+        "short", 32, raw=lambda data: b"").digest(b""),
+    "primitives.mgf": lambda a, b: primitives.mgf(b"", -1),
+    "primitives.RandomSource.read": lambda a, b: primitives.RandomSource().read(1),
+    "primitives.ConstantSource.__init__": lambda a, b: primitives.ConstantSource(256),
+    "pkcs1.PssParams.__init__": lambda a, b: pkcs1.PssParams(128, 1024, salt_len=-1),
+    "pkcs1.encrypt": lambda a, b: pkcs1.encrypt(b"", a[0], "unknown", seeded(b"r")),
+    "pkcs1.decrypt": lambda a, b: pkcs1.decrypt(b"", a[1], "unknown"),
+    "csr.Name.__init__": lambda a, b: csr.Name((("commonName", "x"), ("nickname", "y"))),
+    "csr.build_csr": lambda a, b: csr.build_csr(
+        csr.Name((("commonName", "x"),)), (b[0], a[1]), (), seeded(b"r")),
+    "pfx.SafeBag.__init__": lambda a, b: pfx.SafeBag("unknown", None),
+    "pfx._privacy_wrap": lambda a, b: pfx._privacy_wrap(
+        b"", "unknown", pfx.PfxCredentials(), seeded(b"r")),
+    "pfx.pfx_create": lambda a, b: pfx.pfx_create(
+        (), pfx.PRIVACY_PUBLIC_KEY, "unknown", pfx.PfxCredentials(destination_pub=b[0]),
+        seeded(b"r")),
+    "token.Token.login": lambda a, b: (
+        lambda token, session: token.login(session, "unknown", "so-pin"))(
+            *_initialized_token()),
+    "token.Token.create_object": lambda a, b: (
+        lambda token, session: token.create_object(session, "unknown", {}))(
+            *_initialized_token()),
+    "cli.run_scenario": lambda a, b: cli.run_scenario(b"seed", "unknown"),
+}
+
+
+def test_the_call_table_covers_every_programming_error():
+    assert set(PROGRAMMING_ERROR_CALLS) == set(PROGRAMMING_ERRORS)
+
+
+@pytest.mark.parametrize("where", PROGRAMMING_ERROR_CALLS)
+def test_each_programming_error_raises_its_listed_class(key_1024, key_1024_b, where):
+    with pytest.raises(Exception) as raised:
+        PROGRAMMING_ERROR_CALLS[where](key_1024, key_1024_b)
+    assert raised.type is PROGRAMMING_ERRORS[where]
+    tb = raised.tb
+    while tb.tb_next is not None:
+        tb = tb.tb_next
+    module, function = where.split(".")[0], where.split(".")[-1]
+    assert (tb.tb_frame.f_globals["__name__"], tb.tb_frame.f_code.co_name) == (
+        f"pkcswb.{module}", function)  # raised where the row says
 
 
 def _declared_classes(cls=PkcsError):

@@ -375,6 +375,8 @@ def test_attribute_check_is_total():
     assert not attribute_check(Attribute(Oid.parse("1.2.3.4"), (asn1.null(),)))
     wrong_syntax = Attribute(oids.AT_MESSAGE_DIGEST, (asn1.integer(5),))
     assert not attribute_check(wrong_syntax)
+    with pytest.raises(asn1.NonCanonical, match="at least one value"):
+        Attribute(oids.AT_SIGNING_TIME, ())
 
 
 def test_signing_time_syntax():

@@ -2,7 +2,7 @@
 
 Each target is built once, then opened as 500 one-edit mutants drawn under a
 fixed seed: a bit flip, a truncation, one octet inserted or deleted, or one
-octet replaced.  Only declared errors (``PkcsError``) may escape; a bare
+octet replaced by another.  Only declared errors (``PkcsError``) may escape; a bare
 ValueError, IndexError, AttributeError or ZeroDivisionError fails the test.
 PBKDF2 counts are set to 2 or 3 when the targets are built, so that a mutant
 costs microseconds, not the milliseconds of a real count.  Each mutant's end
@@ -34,6 +34,7 @@ def test_one_edit_mutants_raise_only_declared_errors(targets, name):
     rng = random.Random(f"mutation/{name}")
     lines = []
     for mutant in _mutants(octets, rng):
+        assert mutant != octets
         try:
             result = opener(mutant)
         except DECLARED as exc:
