@@ -41,9 +41,15 @@ class ScenarioStepFailed(PkcsError):
 
 
 def _seed(args) -> bytes | None:
-    """The octets of --seed, else of PKCSWB_SEED; None when neither is set."""
-    text = args.seed or os.environ.get("PKCSWB_SEED")
-    return _hex_arg(text) if text else None
+    """The octets of --seed, else of PKCSWB_SEED; None when neither is set.
+    An empty PKCSWB_SEED is not set, but a seed of no octets is refused."""
+    text = args.seed if args.seed is not None else os.environ.get("PKCSWB_SEED") or None
+    if text is None:
+        return None
+    seed = _hex_arg(text)
+    if not seed:
+        raise BadParameter("the seed is empty")
+    return seed
 
 
 def _build_rng(args) -> RandomSource:
@@ -249,7 +255,7 @@ def _cmd_cms_auth(args) -> int:
 
 
 def _pfx_credentials(args) -> pfx_mod.PfxCredentials:
-    integrity = args.integrity_password or args.password
+    integrity = args.password if args.integrity_password is None else args.integrity_password
     return pfx_mod.PfxCredentials(
         privacy_password=text_octets(args.password) if args.password else None,
         integrity_password=text_octets(integrity) if integrity else None,
@@ -545,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Desk-scale PKCS workbench: keys, paddings, containers, token.")
     parser.add_argument("--seed", default=None,
                         help="hex seed for a deterministic random source "
-                        "(or set PKCSWB_SEED)")
+                        "(or set PKCSWB_SEED; an empty PKCSWB_SEED counts as not set)")
     # each option that several subcommands take is defined once, in a parent
     # parser; --seed is accepted on either side of the subcommand, and
     # SUPPRESS keeps the subcommand-level flag from clobbering a top-level value
@@ -659,6 +665,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

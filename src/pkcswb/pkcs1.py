@@ -2,9 +2,10 @@
 
 The encoding layers work on octet strings of the modulus length k and are
 exercised octet-for-octet in the tests; the scheme layer composes them with
-the raw modular operations.  The one EMSA-PSS check reads the encoded
-message as an integer, so ``verify`` hands it s^e mod n as it is and
-``pss_verify_encoding``, its octet front end, converts once.
+the raw modular operations.  EMSA-PSS is built and checked as one integer,
+DB masked to ``PssParams.db_bits``: ``sign`` exponentiates the built one,
+``verify`` checks s^e mod n as it is, and ``pss_encode`` and
+``pss_verify_encoding`` are their octet front ends.
 
 Every decryption failure - wrong leading octets, bad delimiter, short
 padding, out-of-range representative - raises the same DecryptionError value
@@ -68,12 +69,9 @@ RSA_KEY_ALGORITHM = asn1.AlgorithmIdentifier(oids.RSA_ENCRYPTION, asn1.null())
 PSS_ALGORITHM = asn1.AlgorithmIdentifier(oids.RSASSA_PSS)
 OAEP_ALGORITHM = asn1.AlgorithmIdentifier(oids.RSAES_OAEP)
 
-# SHA-256 accepts inputs below 2^61 octets; longer labels are unhashable.
-_MAX_HASH_INPUT = 2**61 - 1
-
 
 class MessageTooLong(PkcsError, ValueError):
-    """The message, or the OAEP label, needs more room than the scheme allows."""
+    """The message needs more room than the scheme's padding leaves."""
 
 
 class EncodingError(PkcsError, ValueError):
@@ -112,8 +110,8 @@ class OaepParams(Frozen):
 
     @property
     def max_message_len(self) -> int:
-        # message length k1 must satisfy k1 < k - 2*k0 - 2
-        return self.k - 2 * self.k0 - 3
+        # RFC 8017 §7.1.1 step 1b: the PS length under an empty message
+        return self.k - 2 * self.k0 - 2
 
 
 def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
@@ -139,13 +137,13 @@ class PssParams(Frozen):
         return self.hash_alg.output_len
 
     @property
-    def cleared_bits(self) -> int:
-        # leftmost 8k - |n| + 1 bits of EM are forced to zero
-        return 8 * self.k - self.modulus_bits + 1
+    def db_bits(self) -> int:
+        # maskedDB's width in EM < 2^(|n|-1), under H || 0xbc: no cleared bits
+        return self.modulus_bits - 1 - 8 * (self.k0 + 1)
 
     def fits(self) -> bool:
-        # emLen >= hLen + sLen + 2, emLen = ceil((|n| - 1) / 8): k - 1 if |n| = 8k - 7
-        return (self.modulus_bits + 6) // 8 >= self.k0 + self.salt_len + 2
+        # emLen >= hLen + sLen + 2: DB's 0x01 bit, 8 sLen, lies inside the width
+        return self.db_bits > 8 * self.salt_len
 
     @classmethod
     def for_key(cls, key: RsaPublicKey | RsaPrivateKey) -> "PssParams":
@@ -157,9 +155,9 @@ class PssParams(Frozen):
 @functools.lru_cache(maxsize=64)
 def _pss_params_for_bits(modulus_bits: int) -> PssParams:
     """The one RSASSA-PSS salt rule, min(hLen, emLen - hLen - 2), or 0 if none fits."""
-    h_len = SHA256.output_len
-    salt_len = max(0, min(h_len, (modulus_bits + 6) // 8 - h_len - 2))
-    return PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=salt_len)
+    bare = PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=0)
+    salt_len = max(0, min(bare.k0, (bare.db_bits - 1) // 8))  # largest 8 sLen < db_bits
+    return PssParams(bare.k, modulus_bits, salt_len=salt_len)
 
 
 def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:
@@ -234,9 +232,9 @@ def key_from_body(body: asn1.DerValue) -> RsaPrivateKey:
 def eme_v15_pad(message: bytes, k: int, rng: RandomSource) -> bytes:
     """0x00 || 0x02 || PS || 0x00 || M with at least eight nonzero PS octets;
     RngExhausted if 256 draws from ``rng`` do not fill PS."""
-    if len(message) > k - 11:
-        raise MessageTooLong("message needs more room than the modulus allows")
     ps_len = k - 3 - len(message)
+    if ps_len < 8:  # RFC 8017 §7.2.1 step 1
+        raise MessageTooLong("message needs more room than the modulus allows")
     ps = bytearray()
     # a uniform source fills PS in a few draws: the budget trips only for one
     # that keeps yielding zeros
@@ -249,14 +247,12 @@ def eme_v15_pad(message: bytes, k: int, rng: RandomSource) -> bytes:
 
 def eme_v15_unpad(em: bytes, k: int) -> bytes:
     """Inverse of eme_v15_pad; every failure collapses into DecryptionError."""
-    bad = len(em) != k or k < 11
+    bad = len(em) != k or em[:2] != b"\x00\x02"
     sep = -1
     for i in range(2, len(em)):
         if em[i] == 0 and sep < 0:
             sep = i
-    bad |= len(em) < 2 or em[0] != 0x00 or em[1] != 0x02
-    bad |= sep < 0
-    bad |= sep - 2 < 8
+    bad |= sep - 2 < 8  # PS runs to the first 0x00; with none, sep is -1
     if bad:
         raise DecryptionError()
     return em[sep + 1:]
@@ -269,13 +265,10 @@ def eme_v15_unpad(em: bytes, k: int) -> bytes:
 def oaep_encode(message: bytes, params: OaepParams, rng: RandomSource) -> bytes:
     """EM = 0x00 || (r xor MGF(maskedDB, k0)) || (DB xor MGF(r, k-k0-1))."""
     k, k0 = params.k, params.k0
-    if len(params.label) > _MAX_HASH_INPUT:
-        raise MessageTooLong("label beyond the hash input limit")
-    if len(message) > params.max_message_len:
+    ps_len = params.max_message_len - len(message)
+    if ps_len < 0:
         raise MessageTooLong("message too long for OAEP under this modulus")
-    lhash = params.hash_alg.digest(params.label)
-    ps = b"\x00" * (k - 2 * k0 - 2 - len(message))
-    db = lhash + ps + b"\x01" + bytes(message)
+    db = params.hash_alg.digest(params.label) + bytes(ps_len) + b"\x01" + bytes(message)
     seed = rng.read(k0)
     masked_db = _xor(db, mgf(seed, k - k0 - 1, params.hash_alg))
     masked_seed = _xor(seed, mgf(masked_db, k0, params.hash_alg))
@@ -284,7 +277,7 @@ def oaep_encode(message: bytes, params: OaepParams, rng: RandomSource) -> bytes:
 
 def oaep_decode(em: bytes, params: OaepParams) -> bytes:
     k, k0 = params.k, params.k0
-    if len(em) != k or k < 2 * k0 + 2:
+    if len(em) != k or params.max_message_len < 0:
         raise DecryptionError()
     masked_seed, masked_db = em[1:1 + k0], em[1 + k0:]
     seed = _xor(masked_seed, mgf(masked_db, k0, params.hash_alg))
@@ -308,20 +301,28 @@ def oaep_decode(em: bytes, params: OaepParams) -> bytes:
 # EMSA-PSS
 
 
+def _db_mask(h: bytes, params: PssParams) -> int:
+    """MGF(H, emLen - hLen - 1) as one integer, cut to the width of DB."""
+    octets = mgf(h, (params.db_bits + 7) // 8, params.hash_alg)
+    return int.from_bytes(octets, "big") & ((1 << params.db_bits) - 1)
+
+
+def _pss_representative(message: bytes, params: PssParams, rng: RandomSource) -> int:
+    """RFC 8017 §9.1.1 as one big-endian integer, the one EMSA-PSS builder:
+    EM = maskedDB || H || 0xbc, DB = PS || 0x01 || salt = 2^8sLen + salt masked
+    to the width verification reads.  The caller checks that params fit."""
+    alg, k0 = params.hash_alg, params.k0
+    salt = rng.read(params.salt_len)
+    h = alg.digest(bytes(8) + alg.digest(message) + salt)
+    masked_db = ((1 << 8 * params.salt_len) | int.from_bytes(salt, "big")) ^ _db_mask(h, params)
+    return (masked_db << 8 * (k0 + 1)) | (int.from_bytes(h, "big") << 8) | 0xBC
+
+
 def pss_encode(message: bytes, params: PssParams, rng: RandomSource) -> bytes:
-    """maskedDB || H(M') || 0xbc with the leftmost 8k-|n|+1 bits cleared."""
+    """The builder's EM as k octets, the form ``pss_verify_encoding`` reads."""
     if not params.fits():
         raise EncodingError("no room for PS || 0x01 || salt")
-    alg, k, k0 = params.hash_alg, params.k, params.k0
-    salt = rng.read(params.salt_len)
-    m_prime = b"\x00" * 8 + alg.digest(message) + salt
-    h = alg.digest(m_prime)
-    ps = b"\x00" * (k - k0 - 2 - params.salt_len)
-    db = ps + b"\x01" + salt
-    masked_db = _xor(db, mgf(h, k - k0 - 1, alg))
-    em = masked_db + h + b"\xbc"
-    keep = 0xFF >> params.cleared_bits
-    return bytes([em[0] & keep]) + em[1:]
+    return i2osp(_pss_representative(message, params, rng), params.k)
 
 
 def pss_verify_encoding(message: bytes, em: bytes, params: PssParams) -> bool:
@@ -339,9 +340,7 @@ def _pss_verify_representative(message: bytes, em: int, params: PssParams) -> bo
     if em & 0xFF != 0xBC or em >> (params.modulus_bits - 1) or not params.fits():
         return False
     h = ((em >> 8) & ((1 << 8 * k0) - 1)).to_bytes(k0, "big")
-    mask = int.from_bytes(mgf(h, params.k - k0 - 1, alg), "big")
-    db_bits = params.modulus_bits - 1 - 8 * (k0 + 1)  # DB less its cleared top bits
-    db = ((em >> 8 * (k0 + 1)) ^ mask) & ((1 << db_bits) - 1)
+    db = (em >> 8 * (k0 + 1)) ^ _db_mask(h, params)
     if db >> salt_bits != 1:  # step 10: sLen is fixed
         return False
     m_hash = int.from_bytes(alg.digest(message), "big")
@@ -388,8 +387,7 @@ def sign(message: bytes, sk: RsaPrivateKey, rng: RandomSource) -> bytes:
     params = PssParams.for_key(sk)
     if not params.fits():
         raise ModulusTooSmall("modulus too small for these PSS parameters")
-    em = pss_encode(message, params, rng)
-    return i2osp(rsa_private_op(os2ip(em), sk), params.k)
+    return i2osp(rsa_private_op(_pss_representative(message, params, rng), sk), params.k)
 
 
 def verify(message: bytes, signature: bytes, pk: RsaPublicKey,

@@ -62,21 +62,19 @@ class RngExhausted(PkcsError):
 
 
 class HashAlg(Frozen):
-    """A hash function: name, output length (octets), and the function."""
+    """A hash function: name and the function.  Its output length in octets,
+    hLen, is measured once from the function, so it cannot disagree with it."""
 
     _fields = ("name", "output_len")
 
-    def __init__(self, name: str, output_len: int, raw: Callable[[bytes], bytes]):
-        self.__dict__.update(name=name, output_len=output_len, raw=raw)
+    def __init__(self, name: str, raw: Callable[[bytes], bytes]):
+        self.__dict__.update(name=name, output_len=len(raw(b"")), raw=raw)
 
     def digest(self, data: bytes) -> bytes:
-        out = self.raw(data)
-        if len(out) != self.output_len:
-            raise ValueError(f"{self.name} produced {len(out)} octets, expected {self.output_len}")
-        return out
+        return self.raw(data)
 
 
-SHA256 = HashAlg("sha256", 32, lambda data: hashlib.sha256(data).digest())
+SHA256 = HashAlg("sha256", lambda data: hashlib.sha256(data).digest())
 
 
 _HMAC_BLOCK = 64  # SHA-256 block length, the B of RFC 2104

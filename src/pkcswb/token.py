@@ -8,7 +8,9 @@ attribute set for the class, so no partially initialized object ever exists.
 Sensitive keys never leave the token in plaintext (their value attribute is
 unreadable) and unextractable keys cannot leave it at all, wrapped or not.
 Once set, neither flag can be observed false again on the object or any copy:
-creation, copy and set write attributes through one check.  A copy may change
+creation, copy and set write attributes through one check, which also
+refuses a CKA_ID that is not octets and a label that is not text on one
+line, so every object prints as one manifest line.  A copy may change
 CKA_TOKEN and CKA_PRIVATE besides what a set may, and only the token sets
 CKA_LOCAL, on the pairs it generates.
 
@@ -51,6 +53,7 @@ __all__ = [
     "TemplateIncomplete",
     "UnknownObject",
     "AttributeTypeInvalid",
+    "AttributeValueInvalid",
     "CLASS_DATA",
     "CLASS_CERTIFICATE",
     "CLASS_KEY",
@@ -179,6 +182,18 @@ class AttributeTypeInvalid(TokenError):
     """The object has no attribute of the requested type."""
 
 
+class AttributeValueInvalid(TokenError):
+    """CKR_ATTRIBUTE_VALUE_INVALID: a CKA_ID that is not octets, or a label
+    that is not text on one line, which the manifest could not print as one."""
+
+
+def _label(text) -> str:
+    """``text`` as a label: str, with no line break of its own."""
+    if not isinstance(text, str) or text.splitlines() not in ([], [text]):
+        raise AttributeValueInvalid("CKA_LABEL must be text on one line")
+    return text
+
+
 class Session:
     def __init__(self, handle: int, rw: bool):
         self.handle = handle
@@ -204,6 +219,10 @@ def _written(attrs: dict, changes: dict, fixed: frozenset) -> dict:
             raise AttributeReadOnly("CKA_SENSITIVE is one-way")
         if name == CKA_EXTRACTABLE and not attrs[CKA_EXTRACTABLE] and value is not False:
             raise AttributeReadOnly("CKA_EXTRACTABLE is one-way")
+        if name == CKA_ID and not isinstance(value, (bytes, bytearray, memoryview)):
+            raise AttributeValueInvalid("CKA_ID must be octets")
+        if name == CKA_LABEL:
+            _label(value)
     return {**attrs, **changes}
 
 
@@ -234,7 +253,7 @@ class Token:
     )
 
     def __init__(self, label: str, rng: RandomSource | None = None):
-        self.label = label
+        self.label = _label(label)
         self._rng = rng if rng is not None else SystemRandomSource()
         self._lock = threading.RLock()
         self._so_pin: tuple[bytes, bytes] | None = None     # (salt, hash)
@@ -423,6 +442,7 @@ class Token:
     def generate_key_pair(self, session: Session, bits: int, u: int = 2,
                           e: int = 65537, label: str = "") -> tuple[int, int]:
         """Generate an RSA pair on the token; the private half never leaves it."""
+        _label(label)
         if self.login_state != USER_NORMAL:
             raise NotLoggedIn("key generation stores a private object")
         self._require_writable(session, True)
@@ -496,9 +516,8 @@ _DIRECTORY_ORDER = ("AODF", "PrKDF", "PuKDF", "CDF", "DODF")
 
 
 def _object_line(obj: TokenObject) -> str:
-    key_id = obj.attrs.get(CKA_ID, b"") or b""
-    label = obj.attrs.get(CKA_LABEL, "")
-    return f"  handle={obj.handle} id={bytes(key_id).hex()} label={label}"
+    key_id = obj.attrs.get(CKA_ID, b"")
+    return f"  handle={obj.handle} id={key_id.hex()} label={obj.attrs[CKA_LABEL]}"
 
 
 def export_pkcs15_layout(token: Token) -> str:

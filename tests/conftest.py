@@ -32,8 +32,7 @@ def seeded(tag: bytes) -> SeededSource:
 
 def tiny_hash(out_len: int) -> HashAlg:
     """Truncated SHA-256, for exercising padding layouts at small moduli."""
-    return HashAlg(f"sha256/{out_len}", out_len,
-                   raw=lambda data: hashlib.sha256(data).digest()[:out_len])
+    return HashAlg(f"sha256/{out_len}", raw=lambda data: hashlib.sha256(data).digest()[:out_len])
 
 
 def count_sha256_constructions(monkeypatch) -> list[bytes]:

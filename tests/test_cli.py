@@ -339,6 +339,11 @@ def test_environment_seed(tmp_path, capsys, monkeypatch):
     code = main(["scenario"])
     out = capsys.readouterr().out
     assert code == 0 and f"seed={SEED}" in out
+    # an empty PKCSWB_SEED counts as not set: the scenario's own default seed
+    monkeypatch.setenv("PKCSWB_SEED", "")
+    code = main(["scenario"])
+    out = capsys.readouterr().out
+    assert code == 0 and f"seed={bytes(range(16)).hex()}" in out
 
 
 def test_key_with_a_prime_of_one_is_a_usage_error(workdir, capsys):
@@ -524,6 +529,8 @@ USAGE_ERRORS = {
     "cms-encrypt --decrypt --key-hex 00": ["cms-encrypt", "--decrypt", "--key-hex", "00",
                                            "--in", "{dir}/message.p7e", "--out", "{out}"],
     "--seed zz": ["--seed", "zz", "scenario"],
+    # an empty value is refused, not replaced by unseeded randomness
+    "keygen --seed ''": ["keygen", "--seed", "", "--bits", "512", "--out", "{out}"],
     "PKCSWB_SEED=zz": ["scenario"],
     "keygen --bits 8": ["keygen", "--bits", "8", "--out", "{out}"],
     # a key the readers would refuse is never written
@@ -549,6 +556,11 @@ USAGE_ERRORS = {
     "cms-sign --signing-time ''": ["cms-sign", "--key", "{dir}/alice.p8",
                                    "--in", "{dir}/message.bin", "--signing-time", "",
                                    "--out", "{out}"],
+    # and not replaced by --password: MissingCredential
+    "pfx-pack --integrity-password ''": [
+        "pfx-pack", "--privacy", "password", "--integrity", "password",
+        "--key", "{dir}/alice.p8", "--password", "pw", "--integrity-password", "",
+        "--out", "{out}"],
     # values that reach an encoder or the system random source
     "csr-new --country ÜS": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",
                              "--country", "ÜS", "--out", "{out}"],

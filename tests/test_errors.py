@@ -22,7 +22,6 @@ PACKAGE = Path(pkcswb.__file__).resolve().parent
 PROGRAMMING_ERRORS = {
     "errors.Frozen.__setattr__": AttributeError,
     "asn1.DerValue.__init__": ValueError,
-    "primitives.HashAlg.digest": ValueError,
     "primitives.mgf": ValueError,
     "primitives.RandomSource.read": NotImplementedError,
     "primitives.ConstantSource.__init__": ValueError,
@@ -92,8 +91,6 @@ PROGRAMMING_ERROR_CALLS = {
     "errors.Frozen.__setattr__": lambda a, b: setattr(asn1.Oid((1, 2)), "arcs", (1, 3)),
     "asn1.DerValue.__init__": lambda a, b: asn1.DerValue(
         asn1.TagClass.UNIVERSAL, True, asn1.SEQUENCE, b""),
-    "primitives.HashAlg.digest": lambda a, b: primitives.HashAlg(
-        "short", 32, raw=lambda data: b"").digest(b""),
     "primitives.mgf": lambda a, b: primitives.mgf(b"", -1),
     "primitives.RandomSource.read": lambda a, b: primitives.RandomSource().read(1),
     "primitives.ConstantSource.__init__": lambda a, b: primitives.ConstantSource(256),

@@ -252,6 +252,15 @@ def test_pss_verify_agrees_with_the_rfc_verifier(modulus_bits, case, salt, accep
     assert pss_verify_encoding(b"message", em, params) is accepted
 
 
+@pytest.mark.parametrize("modulus_bits", [1025, 2329])  # 8k - 7: emLen is k - 1
+def test_pss_where_em_is_an_octet_shorter_than_k_is_the_rfc_encoding(modulus_bits):
+    params = PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=32)
+    em = pss_encode(b"message", params, seeded(b"short em"))
+    assert em[0] == 0 and pss_verify_oracle(b"message", em[1:], modulus_bits - 1, 32)
+    crafted = _crafted_em(b"message", _SALT, modulus_bits - 1)
+    assert pss_verify_encoding(b"message", b"\x00" + crafted, params)
+
+
 def test_pss_no_room_is_encoding_error():
     params = PssParams(64, 512, SHA256, salt_len=32)  # needs 64-32-1 >= 33
     with pytest.raises(EncodingError):
@@ -280,7 +289,7 @@ def test_boundary_message_lengths(key_1024):
     public, private = key_1024
     rng = seeded(b"bounds")
     k = public.modulus_octets
-    limits = {SCHEME_V15: k - 11, SCHEME_OAEP: k - 2 * 32 - 3}
+    limits = {SCHEME_V15: k - 11, SCHEME_OAEP: k - 2 * 32 - 2}  # RFC 8017 §7.2.1, §7.1.1
     for scheme, limit in limits.items():
         for length in (0, 1, limit - 1, limit):
             message = rng.read(length) if length else b""
@@ -288,6 +297,51 @@ def test_boundary_message_lengths(key_1024):
                                  private, scheme) == message
         with pytest.raises(MessageTooLong):
             pkcs1.encrypt(b"x" * (limit + 1), public, scheme, rng)
+
+
+def _pyca():
+    """``cryptography``'s RSA, hashes and padding modules, where the optional
+    ``test`` extra (``pip install .[test]``) is installed."""
+    pytest.importorskip("cryptography", reason="cryptography comes with the 'test' extra")
+    from cryptography.hazmat.primitives import hashes
+    from cryptography.hazmat.primitives.asymmetric import padding, rsa as pyca_rsa
+    return pyca_rsa, hashes, padding
+
+
+def _pyca_private(pyca_rsa, private):
+    """The ``cryptography`` key of a two-prime key."""
+    p, q = private.primes
+    return pyca_rsa.RSAPrivateNumbers(
+        p, q, private.d, private.d % (p - 1), private.d % (q - 1), pow(q, -1, p),
+        pyca_rsa.RSAPublicNumbers(private.e, private.n)).private_key()
+
+
+def test_oaep_bound_agrees_with_cryptography(key_1024):
+    pyca_rsa, hashes, padding = _pyca()
+    public, private = key_1024
+    theirs = _pyca_private(pyca_rsa, private)
+    oaep = padding.OAEP(padding.MGF1(hashes.SHA256()), hashes.SHA256(), None)
+    assert OaepParams(128).max_message_len == 62
+    message = seeded(b"oaep 62").read(62)
+    assert theirs.decrypt(pkcs1.encrypt(message, public, SCHEME_OAEP, seeded(b"r")),
+                          oaep) == message
+    assert pkcs1.decrypt(theirs.public_key().encrypt(message, oaep), private,
+                         SCHEME_OAEP) == message
+    with pytest.raises(MessageTooLong):
+        pkcs1.encrypt(message + b"!", public, SCHEME_OAEP, seeded(b"r"))
+    with pytest.raises(ValueError):
+        theirs.public_key().encrypt(message + b"!", oaep)
+
+
+def test_pss_signatures_agree_with_cryptography(key_1024):
+    pyca_rsa, hashes, padding = _pyca()
+    pss = padding.PSS(padding.MGF1(hashes.SHA256()), 32)
+    # 1025 = 8k - 7 bits: EM is an octet shorter than the modulus
+    for public, private in (key_1024, rsa.generate_key(1025, 2, 65537, seeded(b"1025"))):
+        theirs = _pyca_private(pyca_rsa, private)
+        signature = pkcs1.sign(b"m", private, seeded(b"s"))
+        theirs.public_key().verify(signature, b"m", pss, hashes.SHA256())  # raises if refused
+        assert pkcs1.verify(b"m", theirs.sign(b"m", pss, hashes.SHA256()), public)
 
 
 def test_toy_modulus_rejected():

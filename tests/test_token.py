@@ -436,25 +436,30 @@ _FIXED = {
 }
 # (CKA_SENSITIVE, CKA_EXTRACTABLE) of the object written; creation starts open
 _STARTS = {"open": (False, True), "closed": (True, False), "closed-by-int": (1, 0)}
-# (writer, start) -> how many of its 16 x 6 writes are refused
+# (writer, start) -> how many of its 16 x 6 writes are refused: with the 11
+# values that are not octets for CKA_ID (6) or not text for CKA_LABEL (5)
 _REFUSED_WRITES = {
-    ("create", "open"): 6,
-    ("copy", "open"): 24, ("copy", "closed"): 34, ("copy", "closed-by-int"): 34,
-    ("set", "open"): 36, ("set", "closed"): 46, ("set", "closed-by-int"): 46,
+    ("create", "open"): 17,
+    ("copy", "open"): 35, ("copy", "closed"): 45, ("copy", "closed-by-int"): 45,
+    ("set", "open"): 47, ("set", "closed"): 57, ("set", "closed-by-int"): 57,
 }
 _KEY_TEMPLATE = {CKA_VALUE: b"v", CKA_KEY_TYPE: "rsa", CKA_KEY_KIND: "public",
                  CKA_ID: b"\x01"}
 
 
 def _write_refusal(writer, start, name, value):
-    """The message a write must be refused with, or None where it must land."""
+    """The (class, message) a write must be refused with, or None where it must land."""
     sensitive, extractable = _STARTS[start]
     if name in _FIXED[writer]:
-        return f"{name} is fixed at creation"
+        return tk.AttributeReadOnly, f"{name} is fixed at creation"
     if name == CKA_SENSITIVE and sensitive and value is not True:
-        return "CKA_SENSITIVE is one-way"
+        return tk.AttributeReadOnly, "CKA_SENSITIVE is one-way"
     if name == CKA_EXTRACTABLE and not extractable and value is not False:
-        return "CKA_EXTRACTABLE is one-way"
+        return tk.AttributeReadOnly, "CKA_EXTRACTABLE is one-way"
+    if name == CKA_ID:  # none of the written values is octets
+        return tk.AttributeValueInvalid, "CKA_ID must be octets"
+    if name == CKA_LABEL and value != "":
+        return tk.AttributeValueInvalid, "CKA_LABEL must be text on one line"
     return None
 
 
@@ -483,8 +488,8 @@ def test_create_copy_and_set_keep_one_write_rule(writer, start):
             expected = _write_refusal(*case)
             try:
                 handle = _write(token, session, *case)
-            except tk.AttributeReadOnly as exc:
-                assert str(exc) == expected, case
+            except (tk.AttributeReadOnly, tk.AttributeValueInvalid) as exc:
+                assert (type(exc), str(exc)) == expected, case
                 refused += 1
             else:
                 assert expected is None, case
@@ -706,6 +711,39 @@ def test_manifest_lists_label_and_id():
         CKA_VALUE: b"v", CKA_LABEL: "wallet", CKA_ID: b"\xab"})
     manifest = export_pkcs15_layout(token)
     assert "id=ab label=wallet" in manifest
+
+
+# writes of an ID that is not octets, or of a label that is not text on one
+# line: the manifest would print 3 as id=000000, fail on "ab", or list a line
+# that the label forged
+_INVALID_VALUES = {
+    "create id 3": lambda t, s, data: t.create_object(
+        s, CLASS_DATA, {CKA_VALUE: b"v", CKA_ID: 3}),
+    "create id text": lambda t, s, data: t.create_object(
+        s, CLASS_DATA, {CKA_VALUE: b"v", CKA_ID: "ab"}),
+    "create forged line": lambda t, s, data: t.create_object(
+        s, CLASS_DATA, {CKA_VALUE: b"v", CKA_LABEL: "x\nEF(PrKDF): 1"}),
+    "copy carriage return": lambda t, s, data: t.copy_object(s, data, {CKA_LABEL: "x\r"}),
+    "set octets label": lambda t, s, data: t.set_attribute(s, data, CKA_LABEL, b"x"),
+    "set id None": lambda t, s, data: t.set_attribute(s, data, CKA_ID, None),
+    "key pair line separator": lambda t, s, data: t.generate_key_pair(s, 512, label="a\u2028b"),
+    "token forged line": lambda t, s, data: Token("card\nEF(PrKDF): 1"),
+    "token label 7": lambda t, s, data: Token(7),
+}
+
+
+@pytest.mark.parametrize("write", _INVALID_VALUES)
+def test_ids_and_labels_are_checked_where_they_are_written(write):
+    token = fresh_token(b"values")
+    session = user_session(token)
+    data = token.create_object(session, CLASS_DATA, {
+        CKA_VALUE: b"v", CKA_LABEL: "kept", CKA_ID: bytearray(b"\xab\xcd")})
+    token.create_object(session, CLASS_DATA, {CKA_VALUE: b"w", CKA_ID: memoryview(b"\x01")})
+    before = export_pkcs15_layout(token)
+    assert "id=abcd label=kept\n" in before and "id=01 label=\n" in before
+    with pytest.raises(tk.AttributeValueInvalid):
+        _INVALID_VALUES[write](token, session, data)
+    assert export_pkcs15_layout(token) == before
 
 
 @pytest.mark.parametrize("call,refused,message", [
