@@ -270,21 +270,21 @@ def _pfx_credentials(args) -> pfx_mod.PfxCredentials:
 
 def _cmd_pfx_pack(args) -> int:
     rng = _build_rng(args)
-    bags = []
     key_id = keystore.attribute_make("localKeyId", b"\x01")
-    if args.key:
-        info = keystore.PrivateKeyInfo.from_der(_read(args.key))
-        if args.password:
-            epki = keystore.encrypt_private_key(info, text_octets(args.password),
-                                                rng.read(pkcs5.DEFAULT_SALT_LEN),
-                                                pkcs5.DEFAULT_ITERATIONS, rng)
-            bags.append(pfx_mod.SafeBag("shroudedKey", epki, (key_id,)))
-        else:
-            bags.append(pfx_mod.SafeBag("key", info, (key_id,)))
-    if args.cert:
-        cert = cms.ContentInfo.from_der(_read(args.cert))
-        bags.append(pfx_mod.SafeBag("cert", cert, (key_id,)))
-    pdu = pfx_mod.pfx_create(bags, args.privacy.replace("-", "_"),
+
+    def bags():  # read by pfx_create after its guard, so a refused pack shrouds nothing
+        if args.key:
+            info = keystore.PrivateKeyInfo.from_der(_read(args.key))
+            if args.password:
+                epki = keystore.encrypt_private_key(info, text_octets(args.password),
+                                                    rng.read(pkcs5.DEFAULT_SALT_LEN),
+                                                    pkcs5.DEFAULT_ITERATIONS, rng)
+                yield pfx_mod.SafeBag("shroudedKey", epki, (key_id,))
+            else:
+                yield pfx_mod.SafeBag("key", info, (key_id,))
+        if args.cert:
+            yield pfx_mod.SafeBag("cert", cms.ContentInfo.from_der(_read(args.cert)), (key_id,))
+    pdu = pfx_mod.pfx_create(bags(), args.privacy.replace("-", "_"),
                              args.integrity.replace("-", "_"),
                              _pfx_credentials(args), rng,
                              allow_plain_keys=args.allow_plain_keys)

@@ -264,25 +264,37 @@ def _encrypted_content_value(content_type: Oid, algorithm: AlgorithmIdentifier,
     )
 
 
-def _parse_encrypted_content(value: DerValue) -> tuple[AlgorithmIdentifier, bytes]:
-    """(content-encryption algorithm, ciphertext) of an EncryptedContentInfo."""
+def _parse_encrypted_content(value: DerValue) -> tuple[Oid, AlgorithmIdentifier, bytes]:
+    """(declared content type, content-encryption algorithm, ciphertext) of an
+    EncryptedContentInfo."""
     type_v, alg_v, ct_v = asn1._fields(value, 3)
-    asn1.require(type_v, asn1.OBJECT_IDENTIFIER, constructed=False)
     asn1.require(ct_v, 0, tag_class=asn1.TagClass.CONTEXT, constructed=False)
-    return AlgorithmIdentifier.from_der_value(alg_v), ct_v.content
+    return type_v.as_oid(), AlgorithmIdentifier.from_der_value(alg_v), ct_v.content
+
+
+def _decrypt_content(key: bytes, iv: bytes, declared: Oid, ciphertext: bytes) -> ContentInfo:
+    """The ContentInfo an EncryptedContentInfo carries, which must be of the
+    type it declares: DecryptionError otherwise.  Callers run it inside
+    uniform_decryption."""
+    inner = cbc_decrypt(key, iv, ciphertext, ContentInfo.from_der)
+    if inner.content_type != declared:
+        raise DecryptionError()
+    return inner
 
 
 def envelope(inner: ContentInfo, recipient_pub: RsaPublicKey,
              rng: RandomSource) -> ContentInfo:
-    """Key transport: fresh CEK, AES-128-CBC payload, CEK wrapped with OAEP."""
+    """Key transport: fresh CEK, CEK wrapped with OAEP, AES-128-CBC payload.
+    The CEK is wrapped first, so a recipient key too small to carry it is
+    refused before the payload is encrypted; the draws are CEK, IV, OAEP seed."""
     cek = rng.read(pkcs5.AES128_KEY_LEN)
     iv = rng.read(BLOCK_LEN)
-    ciphertext = cbc_encrypt(cek, iv, inner.to_der())
     try:
         encrypted_key = pkcs1.encrypt(cek, recipient_pub, pkcs1.SCHEME_OAEP, rng)
     except pkcs1.MessageTooLong:
         raise pkcs1.ModulusTooSmall(
             "recipient modulus cannot carry an OAEP-wrapped content key") from None
+    ciphertext = cbc_encrypt(cek, iv, inner.to_der())
     recipient = asn1.sequence(asn1.integer(0), pkcs1.OAEP_ALGORITHM.to_der_value(),
                               asn1.octet_string(encrypted_key))
     enveloped = asn1.sequence(asn1.integer(0), recipient, _encrypted_content_value(
@@ -298,10 +310,10 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
         if (version_v.as_integer() != 0 or rversion_v.as_integer() != 0
                 or not pkcs1.is_oaep(asn1.algorithm_oid(kea_v))):
             raise DecryptionError()
-        algorithm, ciphertext = _parse_encrypted_content(econtent_v)
+        declared, algorithm, ciphertext = _parse_encrypted_content(econtent_v)
         iv = pkcs5.aes128_cbc_iv(algorithm)
         cek = pkcs1.decrypt(ek_v.as_octet_string(), recipient_priv, pkcs1.SCHEME_OAEP)
-        return cbc_decrypt(cek, iv, ciphertext, ContentInfo.from_der)
+        return _decrypt_content(cek, iv, declared, ciphertext)
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +356,23 @@ def _encrypted_data(content_type: Oid, algorithm: AlgorithmIdentifier,
         asn1.integer(0), _encrypted_content_value(content_type, algorithm, ciphertext)))
 
 
-def _parse_encrypted_data(ci: ContentInfo) -> tuple[AlgorithmIdentifier, bytes]:
-    """(content-encryption algorithm, ciphertext) of an EncryptedData, which
-    must be version 0.  Callers run it inside uniform_decryption."""
+def _parse_encrypted_data(ci: ContentInfo) -> tuple[Oid, AlgorithmIdentifier, bytes]:
+    """(declared content type, content-encryption algorithm, ciphertext) of an
+    EncryptedData, which must be version 0.  Callers run it inside
+    uniform_decryption."""
     version_v, econtent_v = asn1._fields(ci.content, 2)
     if version_v.as_integer() != 0:
         raise DecryptionError()
     return _parse_encrypted_content(econtent_v)
 
 
+def _check_key(key: bytes) -> None:
+    if len(key) != pkcs5.AES128_KEY_LEN:  # the caller's key, not the wire's: no oracle
+        raise BadLength("AES-128 key must be 16 octets")
+
+
 def encrypt_data(inner: ContentInfo, key: bytes, rng: RandomSource) -> ContentInfo:
+    _check_key(key)
     iv = rng.read(BLOCK_LEN)
     return _encrypted_data(inner.content_type, pkcs5.aes128_cbc_algorithm(iv),
                            cbc_encrypt(key, iv, inner.to_der()))
@@ -361,11 +380,10 @@ def encrypt_data(inner: ContentInfo, key: bytes, rng: RandomSource) -> ContentIn
 
 def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
     _expect_type(ci, oids.CT_ENCRYPTED_DATA, "encrypted-data")
-    if len(key) != pkcs5.AES128_KEY_LEN:  # the caller's key, not the wire's: no oracle
-        raise BadLength("AES-128 key must be 16 octets")
+    _check_key(key)
     with uniform_decryption():
-        algorithm, ciphertext = _parse_encrypted_data(ci)
-        return cbc_decrypt(key, pkcs5.aes128_cbc_iv(algorithm), ciphertext, ContentInfo.from_der)
+        declared, algorithm, ciphertext = _parse_encrypted_data(ci)
+        return _decrypt_content(key, pkcs5.aes128_cbc_iv(algorithm), declared, ciphertext)
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from . import asn1, cms, oids
 from .asn1 import DerForm, DerValue, der_decode, der_encode
 from .cms import ContentInfo, SignerIdent
 from .csr import Name
-from .errors import (Frozen, IntegrityFailure, MissingCredential, UnsupportedAlgorithm,
-                     uniform_decryption)
+from .errors import (DecryptionError, Frozen, IntegrityFailure, MissingCredential,
+                     UnsupportedAlgorithm, uniform_decryption)
 from .keystore import Attribute, EncryptedPrivateKeyInfo, PrivateKeyInfo
 from .pkcs5 import (DEFAULT_SALT_LEN, pbes2_decrypt, pbes2_encrypt, pbkdf2_fields, pbmac1_tag,
                     pbmac1_verify)
@@ -173,17 +173,12 @@ def _safe_contents(octets: bytes) -> DerValue:
 
 def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
                   rng: RandomSource) -> ContentInfo:
+    """The element guarding ``contents``: pfx_create has checked the mode and its credential."""
     if privacy == PRIVACY_PASSWORD:
-        if credentials.privacy_password is None:
-            raise MissingCredential("password privacy needs a privacy password")
         salt = rng.read(DEFAULT_SALT_LEN)
         return cms._encrypted_data(oids.CT_DATA, *pbes2_encrypt(
             contents, credentials.privacy_password, salt, _PRIVACY_ITERATIONS, rng))
-    if privacy == PRIVACY_PUBLIC_KEY:
-        if credentials.destination_pub is None:
-            raise MissingCredential("public-key privacy needs the destination public key")
-        return cms.envelope(cms.make_data(contents), credentials.destination_pub, rng)
-    raise ValueError(f"unknown privacy mode {privacy!r}")
+    return cms.envelope(cms.make_data(contents), credentials.destination_pub, rng)
 
 
 def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerValue:
@@ -191,8 +186,11 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerVal
         if credentials.privacy_password is None:
             raise MissingCredential("password privacy needs a privacy password")
         with uniform_decryption():
-            return pbes2_decrypt(*cms._parse_encrypted_data(element),
-                                 credentials.privacy_password, _safe_contents)
+            declared, algorithm, ciphertext = cms._parse_encrypted_data(element)
+            if declared != oids.CT_DATA:  # the SafeContents octets are id-data's
+                raise DecryptionError()
+            return pbes2_decrypt(algorithm, ciphertext, credentials.privacy_password,
+                                 _safe_contents)
     if element.content_type == oids.CT_ENVELOPED_DATA:
         if credentials.destination_priv is None:
             raise MissingCredential("public-key privacy needs the destination private key")
@@ -204,7 +202,19 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerVal
 
 def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,
                rng: RandomSource, *, allow_plain_keys: bool = False) -> PfxPdu:
-    """Pack bags under one of the four privacy x integrity combinations."""
+    """Pack bags under one privacy x integrity combination; refusals come before any work."""
+    if (privacy not in (PRIVACY_PASSWORD, PRIVACY_PUBLIC_KEY)
+            or integrity not in (INTEGRITY_PASSWORD, INTEGRITY_PUBLIC_KEY)):
+        raise ValueError(f"unknown mode: privacy {privacy!r}, integrity {integrity!r}")
+    if privacy == PRIVACY_PASSWORD and credentials.privacy_password is None:
+        raise MissingCredential("password privacy needs a privacy password")
+    if privacy == PRIVACY_PUBLIC_KEY and credentials.destination_pub is None:
+        raise MissingCredential("public-key privacy needs the destination public key")
+    if integrity == INTEGRITY_PASSWORD and credentials.integrity_password is None:
+        raise MissingCredential("password integrity needs an integrity password")
+    if integrity == INTEGRITY_PUBLIC_KEY and (credentials.source_sign_key is None
+                                             or credentials.source_name is None):
+        raise MissingCredential("public-key integrity needs the source signing key and name")
     bags = tuple(bags)
     if (privacy == PRIVACY_PASSWORD and not allow_plain_keys
             and any(bag.bag_type == "key" for bag in bags)):
@@ -213,23 +223,15 @@ def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,
             "prefer a shroudedKeyBag or public-key privacy",
             PfxSecurityWarning, stacklevel=2)
     element = _privacy_wrap(_safe_contents_der(bags), privacy, credentials, rng)
-    authenticated_safe = der_encode(asn1.sequence(element.to_der_value()))
-    auth_safe = cms.make_data(authenticated_safe)
+    auth_safe = cms.make_data(der_encode(asn1.sequence(element.to_der_value())))
     if integrity == INTEGRITY_PASSWORD:
-        if credentials.integrity_password is None:
-            raise MissingCredential("password integrity needs an integrity password")
         salt = rng.read(DEFAULT_SALT_LEN)
         tag = pbmac1_tag(auth_safe.to_der(), credentials.integrity_password,
                          salt, _MAC_ITERATIONS)
         return PfxPdu(auth_safe, MacData(tag, salt, _MAC_ITERATIONS))
-    if integrity == INTEGRITY_PUBLIC_KEY:
-        if credentials.source_sign_key is None or credentials.source_name is None:
-            raise MissingCredential("public-key integrity needs the source signing key and name")
-        signed = cms.sign_data(auth_safe, credentials.source_sign_key,
-                               SignerIdent(credentials.source_name, b"pfx-source"),
-                               (), rng)
-        return PfxPdu(signed, None)
-    raise ValueError(f"unknown integrity mode {integrity!r}")
+    signed = cms.sign_data(auth_safe, credentials.source_sign_key,
+                           SignerIdent(credentials.source_name, b"pfx-source"), (), rng)
+    return PfxPdu(signed, None)
 
 
 def pfx_open(pfx: PfxPdu, credentials: PfxCredentials) -> tuple[SafeBag, ...]:

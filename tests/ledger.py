@@ -46,18 +46,18 @@ MUTANT_OUTCOMES = {
          "OversizeTag": 11, "SignatureInvalid": 127, "TrailingOctets": 32, "Truncated": 269,
          "WrongContentType": 4, "value": 12}),
     "enveloped-data": (
-        "a5d3189021643a87f2e393c5d53003f74225cdecaca9b5b617d8ac43c5657b2e",
-        {"ArcOverflow": 2, "DecryptionError": 178, "IndefiniteLength": 8, "NonCanonical": 10,
+        "c6f8f46b69b5d0180da4d93e8a3eb9db3f7f4b9e772b57f4d560882a16a92d8f",
+        {"ArcOverflow": 2, "DecryptionError": 187, "IndefiniteLength": 8, "NonCanonical": 10,
          "NonMinimalLength": 1, "TrailingOctets": 13, "Truncated": 272, "WrongContentType": 5,
-         "value": 11}),
+         "value": 2}),
     "digested-data": (
         "af74d28d8fa11fbd2c85d11f7d803c245f1c5771309ed2d737bed3a11decebcb",
         {"ArcOverflow": 4, "DigestMismatch": 93, "IndefiniteLength": 1, "IntegrityFailure": 25,
          "NonCanonical": 39, "TrailingOctets": 35, "Truncated": 283, "WrongContentType": 20}),
     "encrypted-data": (
-        "b6c21fbdb16a100359481be51043601e15322ddd34964f858fe051b3a96acac1",
-        {"ArcOverflow": 4, "DecryptionError": 119, "IndefiniteLength": 19, "NonCanonical": 16,
-         "TrailingOctets": 37, "Truncated": 253, "WrongContentType": 16, "value": 36}),
+        "9abadca3a9e99d47abc81f2e870a09a62f13b02385bafc1f473bb53e75b84d0d",
+        {"ArcOverflow": 4, "DecryptionError": 153, "IndefiniteLength": 19, "NonCanonical": 16,
+         "TrailingOctets": 37, "Truncated": 253, "WrongContentType": 16, "value": 2}),
     "authenticated-data": (
         "267d6b3f17e19a191fee6ef79faaaaad04498cde0cc9dac69f4dd398ce494153",
         {"ArcOverflow": 6, "DigestMismatch": 39, "IndefiniteLength": 2, "IntegrityFailure": 51,
@@ -96,14 +96,14 @@ CLI_OUTCOMES = {
         "0231f85a9a4ba927753fe022f78916fd7827ab3bcc07ca1f45bbfa28c2a566e1",
         {"exit 0": 2, "exit 1": 55, "exit 2": 143}),
     "cms-open": (
-        "fb2513d5684a3e51ed7b0d724337a1fce94d322a2165d2d52b8686624bbf0dfe",
-        {"exit 0": 1, "exit 1": 73, "exit 2": 126}),
+        "3c9fd25949c772f8309834ba95af1f8ea841825bbf1d2969650fdba4ef285bb2",
+        {"exit 1": 76, "exit 2": 124}),
     "cms-digest --check": (
         "18c317746667e1be083090579675ea288c0aa9892c0d9a49e5bcdf0100d7bae1",
         {"exit 1": 53, "exit 2": 147}),
     "cms-encrypt --decrypt": (
-        "04fa74c64528d7bf9a27b9a89520b7b2b49bced77b3b7bcf6b6256e57452c04e",
-        {"exit 0": 2, "exit 1": 60, "exit 2": 138}),
+        "23c11d89b8cfd5b2313caab779a3a4da709d2c3525391de1cc8edfbb65efd88e",
+        {"exit 1": 67, "exit 2": 133}),
     "cms-auth --check": (
         "e9bca32088dece83f0151fd38263842ec94e86d5f58a9c3210dbb416a4430bf4",
         {"exit 1": 43, "exit 2": 157}),

@@ -7,6 +7,7 @@ import pytest
 from pkcswb import cli
 from pkcswb.cli import FAULT_POINTS, _build_parser, _fingerprint, main, run_scenario
 from pkcswb.csr import MalformedRequest
+from pkcswb.errors import DecryptionError
 
 SEED = "000102030405060708090a0b0c0d0e0f"
 # SHA-256 of the scenario report for SEED, by fault point
@@ -285,6 +286,60 @@ def test_a_declared_error_in_a_step_is_its_fail_line(monkeypatch):
     assert not ok
     assert "step 3/9 certification-request      FAIL  MalformedRequest: no request\n" in report
     assert "result: 2/9 steps passed, failed at certification-request\n" in report
+
+
+def _answers(*values):
+    answers = iter(values)
+    return lambda *args: next(answers)
+
+
+# each step check's FAIL line, and the pkcswb function patched to reach it: the
+# replacement, given the real function, returns a wrong result of the declared
+# kind (or, for an unusable PFX, raises a declared error)
+SELF_CHECKS = {
+    "operation identity": (
+        "step 1/9 keypair-generation         FAIL  operation identity failed",
+        cli.rsa, "rsa_private_op", lambda real: lambda c, key: real(c, key) + 1),
+    "attribute round trip": (
+        "step 2/9 natural-person-attributes  FAIL  attribute round-trip failed",
+        cli.keystore.Attribute, "from_der",
+        lambda real: lambda octets: cli.keystore.attribute_make("friendlyName", "mallory")),
+    "self-signature": (
+        "step 3/9 certification-request      FAIL  self-signature failed",
+        cli.csr_mod, "verify_csr", lambda real: _answers(False)),
+    "request after transport": (
+        "step 4/9 enveloped-transport        FAIL  request invalid after transport",
+        cli.csr_mod, "verify_csr", lambda real: _answers(True, False)),
+    "certificate identity": (
+        "step 5/9 certificate-issuance       FAIL  certificate binds the wrong identity",
+        cli.cms, "cert_fields", lambda real: lambda content: (
+            cli.csr_mod.Name((("commonName", "Mallory"),)), *real(content)[1:])),
+    "wrap/unwrap": (
+        "step 6/9 private-key-wrapping       FAIL  wrap/unwrap mismatch",
+        cli.keystore, "decrypt_private_key",
+        lambda real: lambda epki, password: cli.keystore.PrivateKeyInfo(
+            real(epki, password).key)),
+    "PFX unusable": (
+        "step 8/9 token-provisioning         FAIL  PFX unusable: DecryptionError",
+        cli.pfx_mod, "pfx_open", lambda real: _raising(DecryptionError())),
+    "bags altered": (
+        "step 8/9 token-provisioning         FAIL  bags arrived altered",
+        cli.pfx_mod, "pfx_open", lambda real: lambda pdu, credentials: real(
+            pdu, credentials)[::-1]),
+    "directory export": (
+        "step 8/9 token-provisioning         FAIL  directory export incomplete",
+        cli, "export_pkcs15_layout", lambda real: lambda token: "EF(PrKDF): 1\nEF(CDF): 1\n"),
+}
+
+
+@pytest.mark.parametrize("check", list(SELF_CHECKS))
+def test_each_scenario_self_check_reaches_its_fail_line(monkeypatch, check):
+    line, owner, name, replacement = SELF_CHECKS[check]
+    monkeypatch.setattr(owner, name, replacement(getattr(owner, name)))
+    report, ok = run_scenario(bytes.fromhex(SEED))
+    assert not ok
+    assert line + "\n" in report and report.count(" FAIL ") == 1
+    assert report.endswith(f", failed at {line.split()[2]}\n")
 
 
 def test_written_files_are_echoed_by_fingerprint(workdir, readable, tmp_path, capsys,
@@ -595,6 +650,21 @@ def test_bad_values_are_usage_errors(workdir, tmp_path, capsys, monkeypatch, cas
     code = main([arg.format(dir=workdir, out=out) for arg in USAGE_ERRORS[case]])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_a_refused_pfx_pack_runs_no_pbkdf2(workdir, tmp_path, capsys, monkeypatch):
+    """The missing integrity password is refused before the key is shrouded or
+    the privacy key derived: 10 000 and 2 048 iterations that would be wasted."""
+    from pkcswb import pkcs5
+    iterations, real = [], pkcs5.pbkdf2
+    monkeypatch.setattr(pkcs5, "pbkdf2", lambda password, params: iterations.append(
+        params.iterations) or real(password, params))
+    out = tmp_path / "out"
+    argv = USAGE_ERRORS["pfx-pack --integrity-password ''"]
+    code = main(["--seed", SEED, *(arg.format(dir=workdir, out=out) for arg in argv)])
+    assert (code, iterations) == (2, [])
+    assert capsys.readouterr().err == "error: password integrity needs an integrity password\n"
     assert not out.exists()
 
 

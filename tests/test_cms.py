@@ -13,7 +13,7 @@ from pkcswb.csr import CertificationRequest, Name, build_csr
 from pkcswb.errors import DecryptionError, IntegrityFailure
 from pkcswb.keystore import Attribute, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
-from pkcswb.primitives import SHA256, BadLength, HashAlg, hmac_digest
+from pkcswb.primitives import SHA256, BadLength, ExhaustibleSource, HashAlg, hmac_digest
 from conftest import seeded
 from oracles import der_tlv_count
 
@@ -488,6 +488,13 @@ def test_envelope_modulus_too_small():
         envelope(make_data(b"m"), public, seeded(b"e"))
 
 
+def test_envelope_refuses_a_small_recipient_before_it_encrypts_the_content(key_512,
+                                                                           monkeypatch):
+    monkeypatch.setattr(cms, "cbc_encrypt", lambda *args: pytest.fail("content encrypted"))
+    with pytest.raises(ModulusTooSmall):
+        envelope(make_data(b"m" * 4096), key_512[0], seeded(b"e"))
+
+
 def test_envelope_of_signed_data_nests(key_1024, key_1024_b, ident):
     sign_public, sign_private = key_1024
     enc_public, enc_private = key_1024_b
@@ -588,6 +595,50 @@ def test_decrypt_data_key_of_another_length_is_bad_length(key):
     wrapped = encrypt_data(make_data(b"m"), b"k" * 16, seeded(b"iv"))
     with pytest.raises(BadLength):
         decrypt_data(wrapped, key)
+
+
+def test_encrypt_data_refuses_a_key_of_another_length_before_it_draws_the_iv():
+    with pytest.raises(BadLength):
+        encrypt_data(make_data(b"m"), b"k" * 15, ExhaustibleSource(b""))
+
+
+def _replaced(ci: ContentInfo, old: bytes, new: bytes) -> ContentInfo:
+    """``ci`` as received with its one occurrence of ``old`` replaced by ``new``."""
+    octets = ci.to_der()
+    assert octets.count(old) == 1
+    return ContentInfo.from_der(octets.replace(old, new))
+
+
+def _sealed(kind: str, key_1024):
+    """A sealed id-data content of ``kind``, and the reader that opens it."""
+    public, private = key_1024
+    if kind == "encrypted-data":
+        return (encrypt_data(make_data(b"m"), b"k" * 16, seeded(b"iv")),
+                lambda ci: decrypt_data(ci, b"k" * 16))
+    return envelope(make_data(b"m"), public, seeded(b"e")), lambda ci: open_envelope(ci, private)
+
+
+@pytest.mark.parametrize("declared", [oids.CT_SIGNED_DATA, oids.CT_DIGESTED_DATA])
+@pytest.mark.parametrize("kind", ["encrypted-data", "enveloped-data"])
+def test_a_declared_type_other_than_the_content_type_is_refused(key_1024, kind, declared):
+    sealed, read = _sealed(kind, key_1024)
+    assert read(sealed) == make_data(b"m")
+    edited = _replaced(sealed, asn1.der_encode(asn1.oid_value(oids.CT_DATA)),
+                       asn1.der_encode(asn1.oid_value(declared)))
+    with pytest.raises(DecryptionError):
+        read(edited)
+
+
+@pytest.mark.parametrize("kind", ["encrypted-data", "enveloped-data"])
+def test_an_iv_edit_that_rewrites_the_content_type_is_refused(key_1024, kind):
+    # make_data(b"m") encodes as 30 0f 06 09 2a864886f70d0107 01 ...: the first
+    # block's octet 12 is the last arc of id-data, which CBC lets the IV rewrite
+    sealed, read = _sealed(kind, key_1024)
+    ecinfo = sealed.content.children[-1]
+    iv = ecinfo.children[1].children[1].as_octet_string()
+    rewritten = iv[:12] + bytes([iv[12] ^ 0x01 ^ 0x02]) + iv[13:]  # id-data -> id-signedData
+    with pytest.raises(DecryptionError):
+        read(_replaced(sealed, iv, rewritten))
 
 
 def test_encrypted_data_version_other_than_0_is_refused():

@@ -31,7 +31,6 @@ PROGRAMMING_ERRORS = {
     "csr.Name.__init__": ValueError,
     "csr.build_csr": ValueError,
     "pfx.SafeBag.__init__": ValueError,
-    "pfx._privacy_wrap": ValueError,
     "pfx.pfx_create": ValueError,
     "token.Token.login": ValueError,
     "token.Token.create_object": ValueError,
@@ -101,8 +100,6 @@ PROGRAMMING_ERROR_CALLS = {
     "csr.build_csr": lambda a, b: csr.build_csr(
         csr.Name((("commonName", "x"),)), (b[0], a[1]), (), seeded(b"r")),
     "pfx.SafeBag.__init__": lambda a, b: pfx.SafeBag("unknown", None),
-    "pfx._privacy_wrap": lambda a, b: pfx._privacy_wrap(
-        b"", "unknown", pfx.PfxCredentials(), seeded(b"r")),
     "pfx.pfx_create": lambda a, b: pfx.pfx_create(
         (), pfx.PRIVACY_PUBLIC_KEY, "unknown", pfx.PfxCredentials(destination_pub=b[0]),
         seeded(b"r")),

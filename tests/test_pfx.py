@@ -9,6 +9,7 @@ from pkcswb.errors import (DecryptionError, IntegrityFailure, MalformedKey, Miss
 from pkcswb.keystore import PrivateKeyInfo, attribute_make, encrypt_private_key
 from pkcswb.pfx import (MacData, PfxCredentials, PfxPdu, PfxSecurityWarning,
                         SafeBag, pfx_create, pfx_open)
+from pkcswb.primitives import RandomSource
 from conftest import seeded
 
 
@@ -243,6 +244,22 @@ def test_password_privacy_version_other_than_0_is_refused(material):
             == pfx._safe_contents_der(bags))
 
 
+@pytest.mark.parametrize("declared", [oids.CT_SIGNED_DATA, oids.CT_ENCRYPTED_DATA])
+def test_password_privacy_declaring_a_type_other_than_data_is_refused(material, declared):
+    bags, credentials, _ = material
+    rng = seeded(b"privacy-type")
+    element = pfx._privacy_wrap(pfx._safe_contents_der(bags), "password", credentials, rng)
+    version, ecinfo = element.content.children
+    _type, *rest = ecinfo.children
+    edited = cms.ContentInfo(oids.CT_ENCRYPTED_DATA, asn1.sequence(
+        version, asn1.sequence(asn1.oid_value(declared), *rest)))
+    with pytest.raises(DecryptionError):
+        pfx._privacy_unwrap(edited, credentials)
+    # MACed with the right password, so only the privacy layer can refuse it
+    with pytest.raises(DecryptionError):
+        pfx_open(PfxPdu.from_der(_macced_pfx(edited, credentials, rng)), credentials)
+
+
 def test_pfx_version_other_than_three_is_unsupported(material):
     bags, credentials, _ = material
     built = pfx_create(bags, "public_key", "password", credentials, seeded(b"version"))
@@ -325,6 +342,50 @@ def test_mac_covers_the_auth_safe_octets_as_received(material, monkeypatch):
     assert macced == [(received, 0)]
 
 
+def _lacking(credentials: PfxCredentials, missing: str | None) -> PfxCredentials:
+    """``credentials`` without the one named ``missing``."""
+    return PfxCredentials(**{
+        name: None if name == missing else getattr(credentials, name)
+        for name in ("privacy_password", "integrity_password", "destination_pub",
+                     "destination_priv", "source_sign_key", "source_verify_key", "source_name")})
+
+
+class _Untouched(RandomSource):
+    def read(self, n: int) -> bytes:
+        pytest.fail("pfx_create drew an octet before it refused")
+
+
+def _unread_bags():
+    pytest.fail("pfx_create read its bags before it refused")
+    yield
+
+
+@pytest.mark.parametrize("privacy,integrity,missing,refusal", [
+    ("password", "public_key", "privacy_password",
+     (MissingCredential, "password privacy needs a privacy password")),
+    ("public_key", "password", "destination_pub",
+     (MissingCredential, "public-key privacy needs the destination public key")),
+    ("public_key", "password", "integrity_password",
+     (MissingCredential, "password integrity needs an integrity password")),
+    ("password", "public_key", "source_sign_key",
+     (MissingCredential, "public-key integrity needs the source signing key and name")),
+    ("password", "public_key", "source_name",
+     (MissingCredential, "public-key integrity needs the source signing key and name")),
+    ("shrouded", "password", None, (ValueError, "unknown mode: privacy 'shrouded'")),
+    ("password", "signed", None, (ValueError, "unknown mode: privacy 'password', "
+                                              "integrity 'signed'")),
+], ids=["privacy_password", "destination_pub", "integrity_password", "source_sign_key",
+        "source_name", "unknown-privacy", "unknown-integrity"])
+def test_pfx_create_refuses_before_it_reads_a_bag_or_draws_an_octet(
+        material, privacy, integrity, missing, refusal):
+    _, credentials, _ = material
+    error, message = refusal
+    with pytest.raises(error) as raised:
+        pfx_create(_unread_bags(), privacy, integrity, _lacking(credentials, missing),
+                   _Untouched())
+    assert type(raised.value) is error and str(raised.value).startswith(message)
+
+
 @pytest.mark.parametrize("privacy,integrity,missing,message", [
     ("public_key", "password", "destination_priv", "destination private key"),
     ("password", "public_key", "source_sign_key", "source signing key"),
@@ -332,10 +393,7 @@ def test_mac_covers_the_auth_safe_octets_as_received(material, monkeypatch):
 ], ids=["_privacy_unwrap", "pfx_create", "pfx_open"])
 def test_public_key_modes_need_their_credentials(material, privacy, integrity, missing, message):
     bags, credentials, _ = material
-    lacking = PfxCredentials(**{
-        name: None if name == missing else getattr(credentials, name)
-        for name in ("privacy_password", "integrity_password", "destination_pub",
-                     "destination_priv", "source_sign_key", "source_verify_key", "source_name")})
+    lacking = _lacking(credentials, missing)
     with pytest.raises(MissingCredential, match=message):
         pfx_open(pfx_create(bags, privacy, integrity, lacking, seeded(b"lacking")), lacking)
 
