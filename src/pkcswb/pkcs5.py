@@ -1,10 +1,12 @@
 """Password-based cryptography: PBKDF2 derivation, PBES2 encryption, PBMAC1.
 
-The pseudorandom function is HMAC-SHA-256 keyed by the password, built once
-per derivation by ``primitives.keyed_hmac``.  Block i of the derived key is
-T_i = U_1 xor ... xor U_c with U_1 = PRF(P, S || INT(i)) and
-U_j = PRF(P, U_{j-1}), INT(i) being the four-octet big-endian encoding of the
-block index starting at 1.  PBES2 encrypts with AES-128-CBC and decrypts
+The pseudorandom function is HMAC-SHA-256 keyed by the password.  Block i of
+the derived key is T_i = U_1 xor ... xor U_c with U_1 = PRF(P, S || INT(i))
+and U_j = PRF(P, U_{j-1}), INT(i) being the four-octet big-endian encoding of
+the block index starting at 1; ``hashlib.pbkdf2_hmac`` computes it in one
+call, and the tests hold it to a naive oracle written from RFC 8018 §5.2.
+``Pbkdf2Params`` bounds the count and the length, so every derivation's work
+is bounded before it starts.  PBES2 encrypts with AES-128-CBC and decrypts
 through ``primitives.cbc_decrypt``, passing the caller's reader on to it.
 
 The PBES2 header (RFC 8018 §A.2, §A.4) is written and read here:
@@ -19,13 +21,14 @@ implemented; decoding such an algorithm identifier fails loudly instead.
 
 from __future__ import annotations
 
+import hashlib
 from collections.abc import Callable
 
 from . import asn1, oids
 from .asn1 import AlgorithmIdentifier, DerValue, Oid
 from .errors import BadParameter, Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
 from .primitives import (BLOCK_LEN, RandomSource, cbc_decrypt, cbc_encrypt, ct_equal,
-                         hmac_digest, keyed_hmac)
+                         hmac_digest)
 
 __all__ = [
     "DerivedKeyTooLong",
@@ -42,6 +45,7 @@ __all__ = [
     "DEFAULT_ITERATIONS",
     "DEFAULT_SALT_LEN",
     "MAX_ITERATIONS",
+    "MAX_DK_LEN",
     "check_iterations",
 ]
 
@@ -50,14 +54,18 @@ DEFAULT_SALT_LEN = 8
 # Largest iteration count accepted from a file; a count sets the PBKDF2 cost,
 # so an edited header must not be able to demand unbounded work.
 MAX_ITERATIONS = 1_000_000
+# Longest derived key, in octets: 32 PRF blocks, 32 times the longest key
+# pkcswb derives (PBMAC1's 32 octets), so a derivation costs at most
+# 32 * MAX_ITERATIONS PRF calls.  RFC 8018's own limit, (2**32 - 1) * hLen,
+# bounds nothing a machine can run, and hashlib takes no more than 2**31 - 1.
+MAX_DK_LEN = 1024
 
 AES128_KEY_LEN = 16
-_H_LEN = 32  # HMAC-SHA-256 output
 HMAC_SHA256_ALGORITHM = AlgorithmIdentifier(oids.HMAC_WITH_SHA256)
 
 
 class DerivedKeyTooLong(PkcsError, ValueError):
-    pass
+    """A derived key length exceeds MAX_DK_LEN."""
 
 
 class TooManyIterations(PkcsError, ValueError):
@@ -80,30 +88,21 @@ class Pbkdf2Params(Frozen):
     _fields = ("salt", "iterations", "dk_len")
 
     def __init__(self, salt: bytes, iterations: int, dk_len: int):
-        salt = bytes(salt)
+        salt = bytes(memoryview(salt))  # an int is refused, not read as zero octets
         if len(salt) < 1:
             raise BadParameter("salt must be at least one octet")
         check_iterations(iterations)
         if dk_len < 1:
             raise BadParameter("derived key length must be positive")
-        if dk_len > (2**32 - 1) * _H_LEN:
-            raise DerivedKeyTooLong("derived key length beyond the PRF block limit")
+        if dk_len > MAX_DK_LEN:
+            raise DerivedKeyTooLong(f"derived key length exceeds {MAX_DK_LEN} octets")
         self.__dict__.update(salt=salt, iterations=iterations, dk_len=dk_len)
 
 
 def pbkdf2(password: bytes, params: Pbkdf2Params) -> bytes:
     """Derive params.dk_len octets from the password."""
-    prf = keyed_hmac(password)
-    blocks = -(-params.dk_len // _H_LEN)
-    out = bytearray()
-    for i in range(1, blocks + 1):
-        u = prf(params.salt + i.to_bytes(4, "big"))
-        t = int.from_bytes(u, "big")
-        for _ in range(params.iterations - 1):
-            u = prf(u)
-            t ^= int.from_bytes(u, "big")
-        out += t.to_bytes(_H_LEN, "big")
-    return bytes(out[:params.dk_len])
+    return hashlib.pbkdf2_hmac("sha256", password, params.salt, params.iterations,
+                               params.dk_len)
 
 
 def pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:

@@ -5,8 +5,9 @@ MGF1 and of the OAEP and PSS encodings; an instance with another function,
 such as a truncated SHA-256, keeps the padding layers testable at small
 output sizes.  HMAC-SHA-256 follows RFC 2104 §4: ``keyed_hmac`` hashes the
 key's two padded blocks (K xor ipad, K xor opad) once and returns a MAC that
-copies those two SHA-256 states for each message, so PBKDF2 and the seeded
-source pay for the key once, not once per block.  AES-128 is
+copies those two SHA-256 states for each message, so the seeded source pays
+for the key once, not once per block.  A key, like a seed or a pool, is
+octets: an int is refused, not read as that many zero octets.  AES-128 is
 implemented here from the FIPS 197 construction so that the package stays
 self-contained and octet-for-octet testable.  Its rounds are table-driven
 (32-bit T-tables derived at import, four column words of state); decryption
@@ -86,7 +87,7 @@ def keyed_hmac(key: bytes) -> Callable[[bytes], bytes]:
     """HMAC-SHA-256 (RFC 2104) under ``key``, as a function of the message.
 
     A key longer than the 64-octet block is hashed first."""
-    key = bytes(key)
+    key = bytes(memoryview(key))
     if len(key) > _HMAC_BLOCK:
         key = hashlib.sha256(key).digest()
     key = key.ljust(_HMAC_BLOCK, b"\x00")
@@ -393,7 +394,7 @@ class ExhaustibleSource(RandomSource):
     """Fixed-octet pool that raises RngExhausted once consumed."""
 
     def __init__(self, data: bytes):
-        self._data = bytes(data)
+        self._data = bytes(memoryview(data))
         self._pos = 0
 
     def read(self, n: int) -> bytes:

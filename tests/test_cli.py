@@ -250,6 +250,19 @@ def test_scenario_byte_reproducible():
         assert hashlib.sha256(report.encode()).hexdigest() == digest, fault
 
 
+def test_scenario_pbkdf2_work_is_pinned(monkeypatch):
+    """The seeded scenario's password-based work, counted and never timed:
+    PBES2, the PFX privacy layer and PBMAC1 derive 7 keys of 14 336
+    iterations in all.  A change that moves this work edits these figures."""
+    from pkcswb import pkcs5
+    iterations, real = [], pkcs5.pbkdf2
+    monkeypatch.setattr(pkcs5, "pbkdf2", lambda password, params: iterations.append(
+        params.iterations) or real(password, params))
+    _, ok = run_scenario(bytes.fromhex(SEED))
+    assert ok
+    assert (len(iterations), sum(iterations)) == (7, 14336)
+
+
 def test_scenario_fault_points(capsys):
     expectations = {
         "transport": "enveloped-transport",
@@ -593,6 +606,8 @@ USAGE_ERRORS = {
     "keygen --e 2**300+1": ["keygen", "--bits", "512", "--e", str(2**300 + 1),
                             "--out", "{out}"],
     "kdf --len 0": ["kdf", "--password", "x", "--salt", "00", "--len", "0"],
+    # refused at once by the length cap, not derived for hours
+    "kdf --len 99999999999": ["kdf", "--password", "x", "--salt", "00", "--len", "99999999999"],
     "kdf --iter 0": ["kdf", "--password", "x", "--salt", "00", "--iter", "0"],
     "kdf --salt ''": ["kdf", "--password", "x", "--salt", ""],
     "csr-new --country USA": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",

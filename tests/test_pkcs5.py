@@ -4,13 +4,13 @@ import hmac
 import pytest
 
 from oracles import naive_pbkdf2
-from pkcswb import oids, pkcs5
+from pkcswb import oids, pkcs5, primitives
 from pkcswb.asn1 import AlgorithmIdentifier
 from pkcswb.errors import DecryptionError, MalformedKey, uniform_decryption
-from pkcswb.pkcs5 import (MAX_ITERATIONS, DerivedKeyTooLong, Pbkdf2Params, TooManyIterations,
-                          check_iterations, pbes2_algorithm, pbes2_decrypt, pbes2_encrypt,
-                          pbes2_fields, pbkdf2, pbmac1_tag, pbmac1_verify)
-from conftest import count_sha256_constructions, hmac_pads, seeded
+from pkcswb.pkcs5 import (MAX_DK_LEN, MAX_ITERATIONS, DerivedKeyTooLong, Pbkdf2Params,
+                          TooManyIterations, check_iterations, pbes2_algorithm, pbes2_decrypt,
+                          pbes2_encrypt, pbes2_fields, pbkdf2, pbmac1_tag, pbmac1_verify)
+from conftest import count_sha256_constructions, seeded
 
 PASSWORD = b"correct horse"
 SALT = b"\x00" * 8
@@ -52,10 +52,18 @@ def test_passwords_across_the_hmac_block_size(password_len):
         assert ours == hashlib.pbkdf2_hmac("sha256", password, SALT, iterations, dk_len)
 
 
-def test_derivation_hashes_the_password_pads_once(monkeypatch):
+def test_derivation_runs_no_python_side_hmac(monkeypatch):
+    # the c * blocks PRF calls run inside hashlib: not one SHA-256 object or
+    # HMAC is made on the Python side
     made = count_sha256_constructions(monkeypatch)
+    monkeypatch.setattr(primitives, "keyed_hmac", _no_keyed_hmac)
+    assert not hasattr(pkcs5, "keyed_hmac")
     pbkdf2(PASSWORD, Pbkdf2Params(SALT, 1000, 69))
-    assert made == hmac_pads(PASSWORD)
+    assert made == []
+
+
+def _no_keyed_hmac(key):
+    raise AssertionError("PBKDF2 built an HMAC in Python")
 
 
 def test_prefix_property():
@@ -79,17 +87,34 @@ def test_any_input_perturbation_changes_key():
 @pytest.mark.parametrize("dk_len", [31, 32, 69])
 @pytest.mark.parametrize("iterations", [1, 2, 1000, 4000])
 def test_prf_calls_are_iterations_times_blocks(monkeypatch, iterations, dk_len):
-    # the work grows linearly with the count: c PRF calls per 32-octet block
+    # the work grows linearly with the count: one hashlib derivation, asked for
+    # exactly c PRF calls per 32-octet block, and its key is the oracle's
     calls = []
-    real_keyed_hmac = pkcs5.keyed_hmac
+    real_pbkdf2_hmac = hashlib.pbkdf2_hmac
+    monkeypatch.setattr(hashlib, "pbkdf2_hmac",
+                        lambda *args: calls.append(args) or real_pbkdf2_hmac(*args))
+    derived = pbkdf2(PASSWORD, Pbkdf2Params(SALT, iterations, dk_len))
+    assert calls == [("sha256", PASSWORD, SALT, iterations, dk_len)]
+    assert derived == naive_pbkdf2(PASSWORD, SALT, iterations, dk_len)
 
-    def counting(key):
-        mac = real_keyed_hmac(key)
-        return lambda message: calls.append(message) or mac(message)
 
-    monkeypatch.setattr(pkcs5, "keyed_hmac", counting)
-    assert len(pbkdf2(PASSWORD, Pbkdf2Params(SALT, iterations, dk_len))) == dk_len
-    assert len(calls) == iterations * -(-dk_len // 32)
+def test_derived_key_length_is_capped():
+    assert len(pbkdf2(PASSWORD, Pbkdf2Params(SALT, 1, MAX_DK_LEN))) == MAX_DK_LEN
+    for dk_len in (MAX_DK_LEN + 1, 2**31, 99999999999):
+        with pytest.raises(DerivedKeyTooLong, match=f"exceeds {MAX_DK_LEN} octets"):
+            Pbkdf2Params(SALT, 1, dk_len)
+
+
+@pytest.mark.parametrize("call", [lambda: Pbkdf2Params(5, 1, 16),
+                                  lambda: pbkdf2(2, Pbkdf2Params(SALT, 1, 16))],
+                         ids=["salt", "password"])
+def test_an_int_is_refused_not_read_as_that_many_zero_octets(call):
+    # bytes(n) is n zero octets; the octets of a view are read where they lie
+    with pytest.raises(TypeError):
+        call()
+    view = memoryview(b"x" + SALT)[1:]
+    assert pbkdf2(memoryview(PASSWORD), Pbkdf2Params(view, 1, 16)) == \
+        pbkdf2(PASSWORD, Pbkdf2Params(SALT, 1, 16))
 
 
 def test_param_validation():

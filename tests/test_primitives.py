@@ -423,14 +423,21 @@ def test_ct_equal():
     assert not ct_equal(b"same", b"diff")
 
 
-@pytest.mark.parametrize("call", [lambda: ct_equal(5, bytes(5)), lambda: SHA256.digest(3),
-                                  lambda: mgf(4, 10)], ids=["ct_equal", "digest", "mgf"])
+@pytest.mark.parametrize("call", [
+    lambda: ct_equal(5, bytes(5)), lambda: SHA256.digest(3), lambda: mgf(4, 10),
+    lambda: keyed_hmac(3), lambda: hmac_digest(3, b"m"), lambda: SeededSource(4),
+    lambda: ExhaustibleSource(5),
+], ids=["ct_equal", "digest", "mgf", "keyed_hmac", "hmac_digest", "SeededSource",
+        "ExhaustibleSource"])
 def test_an_int_is_refused_not_read_as_that_many_zero_octets(call):
     # bytes(n) is n zero octets; the octets of a view are read where they lie
     with pytest.raises(TypeError):
         call()
     view = memoryview(b"xabc")[1:]
     assert SHA256.digest(view) == SHA256.digest(b"abc") and ct_equal(view, b"abc")
+    assert hmac_digest(view, b"m") == hmac_digest(b"abc", b"m")
+    assert SeededSource(view).read(40) == SeededSource(b"abc").read(40)
+    assert ExhaustibleSource(view).read(3) == b"abc"
 
 
 @pytest.mark.parametrize("iv_len", [0, 15, 17])
