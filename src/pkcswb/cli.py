@@ -286,8 +286,7 @@ def _cmd_pfx_pack(args) -> int:
             yield pfx_mod.SafeBag("cert", cms.ContentInfo.from_der(_read(args.cert)), (key_id,))
     pdu = pfx_mod.pfx_create(bags(), args.privacy.replace("-", "_"),
                              args.integrity.replace("-", "_"),
-                             _pfx_credentials(args), rng,
-                             allow_plain_keys=args.allow_plain_keys)
+                             _pfx_credentials(args), rng)
     _write(args.out, pdu.to_der())
     return 0
 
@@ -637,7 +636,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dest-pub")
     p.add_argument("--sign-key")
     p.add_argument("--source-cn")
-    p.add_argument("--allow-plain-keys", action="store_true")
     p = command("pfx-unpack", _cmd_pfx_unpack, "open a PFX and write its bags out",
                 infile, pfx_passwords)
     p.add_argument("--dest-key")

@@ -63,7 +63,7 @@ _BAG_TYPES = {oid: name for name, (oid, _) in _BAGS.items()}
 
 
 class PfxSecurityWarning(UserWarning):
-    """Raised for permitted-but-unwise mode combinations."""
+    """Issued for permitted-but-unwise mode combinations."""
 
 
 class SafeBag(DerForm, Frozen):
@@ -201,7 +201,7 @@ def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerVal
 
 
 def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,
-               rng: RandomSource, *, allow_plain_keys: bool = False) -> PfxPdu:
+               rng: RandomSource) -> PfxPdu:
     """Pack bags under one privacy x integrity combination; refusals come before any work."""
     if (privacy not in (PRIVACY_PASSWORD, PRIVACY_PUBLIC_KEY)
             or integrity not in (INTEGRITY_PASSWORD, INTEGRITY_PUBLIC_KEY)):
@@ -216,8 +216,7 @@ def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,
                                              or credentials.source_name is None):
         raise MissingCredential("public-key integrity needs the source signing key and name")
     bags = tuple(bags)
-    if (privacy == PRIVACY_PASSWORD and not allow_plain_keys
-            and any(bag.bag_type == "key" for bag in bags)):
+    if privacy == PRIVACY_PASSWORD and any(bag.bag_type == "key" for bag in bags):
         warnings.warn(
             "transporting an unshrouded private key under password privacy; "
             "prefer a shroudedKeyBag or public-key privacy",

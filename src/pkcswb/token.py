@@ -29,7 +29,7 @@ import threading
 from . import cms, keystore, pkcs1
 from .asn1 import der_decode, der_encode, text_octets
 from .errors import PkcsError
-from .primitives import SHA256, RandomSource, SystemRandomSource, ct_equal
+from .primitives import SHA256, RandomSource, ct_equal
 from .rsa import generate_key
 
 __all__ = [
@@ -252,9 +252,9 @@ class Token:
         "aes-128-cbc", "hmac-sha256", "rsa-multiprime", "rsa-oaep", "rsa-pss", "sha-256",
     )
 
-    def __init__(self, label: str, rng: RandomSource | None = None):
+    def __init__(self, label: str, rng: RandomSource):
         self.label = _label(label)
-        self._rng = rng if rng is not None else SystemRandomSource()
+        self._rng = rng
         self._lock = threading.RLock()
         self._so_pin: tuple[bytes, bytes] | None = None     # (salt, hash)
         self._user_pin: tuple[bytes, bytes] | None = None
@@ -288,8 +288,9 @@ class Token:
 
     @_in_session
     def init_user_pin(self, session: Session, user_pin: str) -> None:
-        if self.login_state != USER_SO:
-            raise NotLoggedInAsSO("setting the user PIN requires the SO")
+        # C_InitPIN runs only in the R/W SO Functions state (PKCS #11 v2.40 §5.5)
+        if self.login_state != USER_SO or not session.rw:
+            raise NotLoggedInAsSO("setting the user PIN requires the SO on a R/W session")
         self._user_pin = self._pin_record(user_pin)
 
     # -- sessions --------------------------------------------------------
@@ -439,14 +440,13 @@ class Token:
         return pkcs1.decode_public_key_info(der_decode(obj.attrs[CKA_VALUE]))
 
     @_in_session
-    def generate_key_pair(self, session: Session, bits: int, u: int = 2,
-                          e: int = 65537, label: str = "") -> tuple[int, int]:
-        """Generate an RSA pair on the token; the private half never leaves it."""
+    def generate_key_pair(self, session: Session, bits: int, label: str = "") -> tuple[int, int]:
+        """Generate a 2-prime RSA pair, e = 65537, on the token; the private half stays on it."""
         _label(label)
         if self.login_state != USER_NORMAL:
             raise NotLoggedIn("key generation stores a private object")
         self._require_writable(session, True)
-        public, private = generate_key(bits, u, e, self._rng)
+        public, private = generate_key(bits, 2, 65537, self._rng)
         key_id = self._rng.read(4)
         pub_der = der_encode(pkcs1.encode_public_key_info(public))
         pub_handle = self._store(session, CLASS_KEY, {

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -161,13 +162,13 @@ def targets(key_1024, key_1024_b, toy_keys):
         "authenticated-data": (cms.authenticate_data(inner, b"mac key", attrs).to_der(),
                                ci(lambda value: cms.check_auth(value, b"mac key"))),
     }
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings():
         patch.setattr(pfx, "_MAC_ITERATIONS", 2)
         patch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
+        warnings.simplefilter("ignore", pfx.PfxSecurityWarning)
         for privacy in ("password", "public_key"):
             for integrity in ("password", "public_key"):
-                built = pfx_create(bags, privacy, integrity, credentials, rng,
-                                   allow_plain_keys=True)
+                built = pfx_create(bags, privacy, integrity, credentials, rng)
                 out[f"pfx-{privacy}-{integrity}"] = (built.to_der(), lambda octets: pfx_open(
                     PfxPdu.from_der(octets), credentials))
     return out

@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import os
+import warnings
 
 import pytest
 
@@ -8,6 +9,7 @@ from pkcswb import cli
 from pkcswb.cli import FAULT_POINTS, _build_parser, _fingerprint, main, run_scenario
 from pkcswb.csr import MalformedRequest
 from pkcswb.errors import DecryptionError
+from pkcswb.pfx import PfxSecurityWarning
 
 SEED = "000102030405060708090a0b0c0d0e0f"
 # SHA-256 of the scenario report for SEED, by fault point
@@ -210,6 +212,20 @@ def test_pfx_pack_unpack(workdir, capsys):
         (workdir / "bags" / "bag0.p8e").read_bytes())
     info = keystore.decrypt_private_key(epki, b"transfer")
     assert info.to_der() == (workdir / "alice.p8").read_bytes()
+
+
+def test_password_privacy_pack_shrouds_every_key(workdir, tmp_path, capsys):
+    """Password privacy needs --password, and with it pfx-pack shrouds the key: no plain bag."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PfxSecurityWarning)
+        code, _ = run(capsys, "pfx-pack", "--privacy", "password", "--integrity", "password",
+                      "--password", "P", "--key", workdir / "alice.p8",
+                      "--out", tmp_path / "key.pfxw")
+    assert code == 0
+    code, out = run(capsys, "pfx-unpack", "--in", tmp_path / "key.pfxw", "--password", "P",
+                    "--out-dir", tmp_path / "bags")
+    assert code == 0 and "unpacked 1 bags" in out
+    assert os.listdir(tmp_path / "bags") == ["bag0.p8e"]
 
 
 def test_pfx_wrong_integrity_password(workdir, capsys):
@@ -550,7 +566,6 @@ OPTION_SURFACE = {
         "--dest-pub": ("dest_pub", False, None, None, None),
         "--sign-key": ("sign_key", False, None, None, None),
         "--source-cn": ("source_cn", False, None, None, None),
-        "--allow-plain-keys": ("allow_plain_keys", False, False, None, None),
         "--out": ("out", True, None, None, None)}),
     "pfx-unpack": ("_cmd_pfx_unpack", {
         "--in": ("infile", True, None, None, None),

@@ -155,7 +155,7 @@ RUNS = [
     ("pfx-pack public-key", ["pfx-pack", "--privacy", "public-key", "--integrity", "public-key",
                              "--key", "{dir}/alice.p8", "--dest-pub", "{dir}/other.spki",
                              "--sign-key", "{dir}/alice.p8", "--source-cn", "Alice",
-                             "--allow-plain-keys", "--out", "{dir}/public.pfxw"], 0),
+                             "--out", "{dir}/public.pfxw"], 0),
     ("pfx-unpack public-key", ["pfx-unpack", "--in", "{dir}/public.pfxw", "--dest-key",
                                "{dir}/other.p8", "--source-pub", "{dir}/alice.spki",
                                "--out-dir", "{dir}/public-bags"], 0),
@@ -247,8 +247,7 @@ def test_no_returned_repr_or_error_text_holds_a_secret(monkeypatch):
     for privacy, integrity in (("password", "password"), ("public_key", "public_key")):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pfx.PfxSecurityWarning)
-            pdu = pfx.pfx_create(bags, privacy, integrity, credentials, rng,
-                                 allow_plain_keys=True)
+            pdu = pfx.pfx_create(bags, privacy, integrity, credentials, rng)
         returned += [pdu, pfx.pfx_open(pdu, credentials)]
     returned.append(credentials)
     refused(pfx.pfx_open, pdu, pfx.PfxCredentials(b"x", b"y", other_public, private, private,

@@ -11,6 +11,7 @@ also shows which outputs moved and which did not.
 """
 
 import hashlib
+import warnings
 
 import pytest
 
@@ -73,10 +74,12 @@ def seeded_outputs(key_512, key_1024, key_1024_b, toy_keys) -> dict[str, bytes]:
         destination_pub=other_public, destination_priv=other_private,
         source_sign_key=private, source_verify_key=public, source_name=name)
     bags = (pfx.SafeBag("shroudedKey", epki, (key_id,)), pfx.SafeBag("key", info, (key_id,)))
-    for privacy in (pfx.PRIVACY_PASSWORD, pfx.PRIVACY_PUBLIC_KEY):
-        for integrity in (pfx.INTEGRITY_PASSWORD, pfx.INTEGRITY_PUBLIC_KEY):
-            out[f"pfx-{privacy}-{integrity}"] = pfx.pfx_create(
-                bags, privacy, integrity, credentials, rng, allow_plain_keys=True).to_der()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", pfx.PfxSecurityWarning)
+        for privacy in (pfx.PRIVACY_PASSWORD, pfx.PRIVACY_PUBLIC_KEY):
+            for integrity in (pfx.INTEGRITY_PASSWORD, pfx.INTEGRITY_PUBLIC_KEY):
+                out[f"pfx-{privacy}-{integrity}"] = pfx.pfx_create(
+                    bags, privacy, integrity, credentials, rng).to_der()
     report, ok = run_scenario(bytes(range(16)))
     assert ok
     out["scenario"] = report.encode()

@@ -207,8 +207,10 @@ def test_plain_key_bag_warns_under_password_privacy(material):
         pfx_create((key_bag,), "password", "password", credentials, seeded(b"w"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pfx_create((key_bag,), "password", "password", credentials, seeded(b"w"),
-                   allow_plain_keys=True)
+        warnings.simplefilter("ignore", PfxSecurityWarning)
+        pfx_create((key_bag,), "password", "password", credentials, seeded(b"w"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         pfx_create((key_bag,), "public_key", "password", credentials, seeded(b"w"))
 
 

@@ -40,11 +40,24 @@ def test_double_initialize():
 
 
 def test_init_user_pin_requires_so():
-    token = fresh_token()
+    rng = seeded(b"init-pin")
+    token = Token("unit-token", rng)
+    token.initialize("so-pin")
     session = token.open_session(rw=True)
     with pytest.raises(tk.NotLoggedInAsSO):
         token.init_user_pin(session, "user-pin")
-    token.login(session, tk.USER_NORMAL, "x") if False else None
+    # C_InitPIN runs only in the R/W SO Functions state, so an R/O session under the SO is refused
+    token.login(session, tk.USER_SO, "so-pin")
+    read_only = token.open_session(rw=False)
+    with pytest.raises(tk.NotLoggedInAsSO):
+        token.init_user_pin(read_only, "user-pin")
+    token.logout(session)
+    with pytest.raises(tk.UserPinNotInitialized):
+        token.login(read_only, tk.USER_NORMAL, "user-pin")
+    # the refusals drew no salt: only the SO PIN's 8 octets are gone
+    expected = seeded(b"init-pin")
+    expected.read(8)
+    assert rng.read(16) == expected.read(16)
     token.login(session, tk.USER_SO, "so-pin")
     token.init_user_pin(session, "user-pin")
 
@@ -727,8 +740,8 @@ _INVALID_VALUES = {
     "set octets label": lambda t, s, data: t.set_attribute(s, data, CKA_LABEL, b"x"),
     "set id None": lambda t, s, data: t.set_attribute(s, data, CKA_ID, None),
     "key pair line separator": lambda t, s, data: t.generate_key_pair(s, 512, label="a\u2028b"),
-    "token forged line": lambda t, s, data: Token("card\nEF(PrKDF): 1"),
-    "token label 7": lambda t, s, data: Token(7),
+    "token forged line": lambda t, s, data: Token("card\nEF(PrKDF): 1", seeded(b"label")),
+    "token label 7": lambda t, s, data: Token(7, seeded(b"label")),
 }
 
 
