@@ -518,7 +518,7 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
     })
     manifest = export_pkcs15_layout(token)
     for required in ("EF(PrKDF): 1", "EF(CDF): 1", "EF(DODF): 1"):
-        if required not in manifest:
+        if required not in manifest.splitlines():
             raise ScenarioStepFailed("directory export incomplete")
     directory.append(manifest)
     yield "card initialized, 3 objects stored"

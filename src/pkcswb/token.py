@@ -19,6 +19,12 @@ logical actor, so callers on any number of threads observe a linear history.
 Each call that takes a session takes the lock and checks that the session is
 open on this token in one place.  Closing the last session ends the login;
 C_Finalize, C_CloseAllSessions and the removal of the device are one operation.
+
+One guard, ``Token._require``, refuses each access by the session's PKCS #11
+state (v2.40 §5.4-5.5): R/O or R/W Public, R/O or R/W User Functions, or R/W
+SO Functions.  Two sequences PKCS #11 refuses stay accepted, an SO login beside
+an R/O session and an R/O session opened under the SO, because the acceptance
+matrix opens the second.
 """
 
 from __future__ import annotations
@@ -288,9 +294,7 @@ class Token:
 
     @_in_session
     def init_user_pin(self, session: Session, user_pin: str) -> None:
-        # C_InitPIN runs only in the R/W SO Functions state (PKCS #11 v2.40 §5.5)
-        if self.login_state != USER_SO or not session.rw:
-            raise NotLoggedInAsSO("setting the user PIN requires the SO on a R/W session")
+        self._require(session, "setting the user PIN", so=True)
         self._user_pin = self._pin_record(user_pin)
 
     # -- sessions --------------------------------------------------------
@@ -353,27 +357,26 @@ class Token:
 
     # -- object management ------------------------------------------------
 
-    def _visible(self, attrs: dict) -> bool:
-        """Private objects exist only for the logged-in normal user."""
-        return not attrs[CKA_PRIVATE] or self.login_state == USER_NORMAL
+    def _require(self, session: Session, what: str, private=False, write=False, so=False):
+        """Refuse what the session's state ``(session.rw, login_state)`` does not allow, in
+        turn: a private object, a token-object write, then C_InitPIN outside R/W SO."""
+        if private and self.login_state != USER_NORMAL:
+            raise NotLoggedIn(f"{what} needs the normal user")
+        if write and not session.rw:
+            raise ReadOnlySession(f"{what} needs a R/W session")
+        if so and (self.login_state != USER_SO or not session.rw):
+            raise NotLoggedInAsSO(f"{what} needs the SO on a R/W session")
 
-    def _lookup(self, handle: int) -> TokenObject:
+    def _lookup(self, session: Session, handle: int, write: bool = False) -> TokenObject:
         obj = self._objects.get(handle)
         if obj is None:
             raise UnknownObject(f"no object with handle {handle}")
-        if not self._visible(obj.attrs):
-            raise NotLoggedIn("private objects need the normal user")
+        self._require(session, f"object {handle}", obj.attrs[CKA_PRIVATE],
+                      write and obj.attrs[CKA_TOKEN])
         return obj
 
-    def _require_writable(self, session: Session, token_resident: bool) -> None:
-        if token_resident and not session.rw:
-            raise ReadOnlySession("token objects cannot be modified in a R/O session")
-
     def _store(self, session: Session, obj_class: str, attrs: dict) -> int:
-        """Add an object: privacy, then session writability, then a complete template."""
-        if not self._visible(attrs):
-            raise NotLoggedIn("creating a private object needs the normal user")
-        self._require_writable(session, attrs[CKA_TOKEN])
+        self._require(session, "creating an object", attrs[CKA_PRIVATE], attrs[CKA_TOKEN])
         missing = _REQUIRED[obj_class] - set(attrs)
         if missing:
             raise TemplateIncomplete(f"missing required attributes: {sorted(missing)}")
@@ -391,19 +394,18 @@ class Token:
 
     @_in_session
     def destroy_object(self, session: Session, handle: int) -> None:
-        obj = self._lookup(handle)
-        self._require_writable(session, obj.attrs[CKA_TOKEN])
+        self._lookup(session, handle, write=True)
         del self._objects[handle]
 
     @_in_session
     def copy_object(self, session: Session, handle: int, overrides: dict | None = None) -> int:
-        source = self._lookup(handle)
+        source = self._lookup(session, handle)
         return self._store(session, source.obj_class,
                            _written(source.attrs, overrides or {}, _FIXED_ON_COPY))
 
     @_in_session
     def get_attribute(self, session: Session, handle: int, name: str):
-        obj = self._lookup(handle)
+        obj = self._lookup(session, handle)
         if name == CKA_VALUE and obj.obj_class == CLASS_KEY and (
                 obj.attrs[CKA_SENSITIVE] or not obj.attrs[CKA_EXTRACTABLE]):
             raise AttributeSensitive("sensitive keys cannot be read in plaintext")
@@ -413,19 +415,19 @@ class Token:
 
     @_in_session
     def set_attribute(self, session: Session, handle: int, name: str, value) -> None:
-        obj = self._lookup(handle)
-        self._require_writable(session, obj.attrs[CKA_TOKEN])
+        obj = self._lookup(session, handle, write=True)
         obj.attrs = _written(obj.attrs, {name: value}, _IMMUTABLE)
 
     @_serialized
     def object_handles(self) -> tuple[int, ...]:
         """Handles of the objects visible at the current login state."""
-        return tuple(sorted(h for h, obj in self._objects.items() if self._visible(obj.attrs)))
+        return tuple(sorted(h for h, obj in self._objects.items()
+                            if not obj.attrs[CKA_PRIVATE] or self.login_state == USER_NORMAL))
 
     # -- cryptographic operations -----------------------------------------
 
-    def _usable_key(self, handle: int, usage: str, kind: str) -> TokenObject:
-        obj = self._lookup(handle)
+    def _usable_key(self, session: Session, handle: int, usage: str, kind: str) -> TokenObject:
+        obj = self._lookup(session, handle)
         if obj.obj_class != CLASS_KEY or obj.attrs.get(CKA_KEY_KIND) != kind:
             raise KeyUsageViolation(f"object {handle} is not a {kind} key")
         if not obj.attrs.get(usage, False):
@@ -443,9 +445,7 @@ class Token:
     def generate_key_pair(self, session: Session, bits: int, label: str = "") -> tuple[int, int]:
         """Generate a 2-prime RSA pair, e = 65537, on the token; the private half stays on it."""
         _label(label)
-        if self.login_state != USER_NORMAL:
-            raise NotLoggedIn("key generation stores a private object")
-        self._require_writable(session, True)
+        self._require(session, "key generation", private=True, write=True)
         public, private = generate_key(bits, 2, 65537, self._rng)
         key_id = self._rng.read(4)
         pub_der = der_encode(pkcs1.encode_public_key_info(public))
@@ -465,30 +465,30 @@ class Token:
 
     @_in_session
     def sign(self, session: Session, handle: int, message: bytes) -> bytes:
-        obj = self._usable_key(handle, CKA_SIGN, "private")
+        obj = self._usable_key(session, handle, CKA_SIGN, "private")
         return pkcs1.sign(message, self._private_key(obj), self._rng)
 
     @_in_session
     def verify(self, session: Session, handle: int, message: bytes,
                signature: bytes) -> bool:
-        obj = self._usable_key(handle, CKA_VERIFY, "public")
+        obj = self._usable_key(session, handle, CKA_VERIFY, "public")
         return pkcs1.verify(message, signature, self._public_key(obj))
 
     @_in_session
     def encrypt(self, session: Session, handle: int, message: bytes) -> bytes:
-        obj = self._usable_key(handle, CKA_ENCRYPT, "public")
+        obj = self._usable_key(session, handle, CKA_ENCRYPT, "public")
         return pkcs1.encrypt(message, self._public_key(obj), pkcs1.SCHEME_OAEP, self._rng)
 
     @_in_session
     def decrypt(self, session: Session, handle: int, ciphertext: bytes) -> bytes:
-        obj = self._usable_key(handle, CKA_DECRYPT, "private")
+        obj = self._usable_key(session, handle, CKA_DECRYPT, "private")
         return pkcs1.decrypt(ciphertext, self._private_key(obj), pkcs1.SCHEME_OAEP)
 
     @_in_session
     def wrap_key(self, session: Session, wrapping_handle: int, handle: int) -> bytes:
         """Export a key encrypted to a wrapping key; refused for unextractable keys."""
-        wrapping = self._usable_key(wrapping_handle, CKA_WRAP, "public")
-        target = self._lookup(handle)
+        wrapping = self._usable_key(session, wrapping_handle, CKA_WRAP, "public")
+        target = self._lookup(session, handle)
         if target.obj_class != CLASS_KEY:
             raise KeyUsageViolation("only keys can be wrapped")
         if not target.attrs[CKA_EXTRACTABLE]:

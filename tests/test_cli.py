@@ -358,6 +358,10 @@ SELF_CHECKS = {
     "directory export": (
         "step 8/9 token-provisioning         FAIL  directory export incomplete",
         cli, "export_pkcs15_layout", lambda real: lambda token: "EF(PrKDF): 1\nEF(CDF): 1\n"),
+    "directory files only inside a label": (
+        "step 8/9 token-provisioning         FAIL  directory export incomplete",
+        cli, "export_pkcs15_layout",
+        lambda real: lambda token: "  handle=3 id= label=EF(PrKDF): 1 EF(CDF): 1 EF(DODF): 1\n"),
 }
 
 

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 
 import pytest
 
@@ -18,16 +19,13 @@ def fresh_token(tag: bytes = b"token") -> Token:
     return token
 
 
-def user_session(token: Token, rw: bool = True):
+def user_session(token: Token):
     session = token.open_session(rw=True)
     token.login(session, tk.USER_SO, "so-pin")
     token.init_user_pin(session, "user-pin")
     token.logout(session)
     token.login(session, tk.USER_NORMAL, "user-pin")
-    if rw:
-        return session
-    token.close_session(session)
-    return token.open_session(rw=False)
+    return session
 
 
 # -- lifecycle ------------------------------------------------------------------
@@ -328,29 +326,6 @@ def _login_as(token, session, login):
         token.login(session, tk.USER_NORMAL, "user-pin")
 
 
-def test_access_control_matrix_exhaustive():
-    token, anchor, handles = _matrix_token()
-    operations = ("read", "create", "write", "destroy")
-    cases = checked = 0
-    for obj_class in (CLASS_DATA, CLASS_CERTIFICATE, CLASS_KEY):
-        for private in (False, True):
-            for login in (None, tk.USER_SO, tk.USER_NORMAL):
-                for rw in (False, True):
-                    _login_as(token, anchor, login)
-                    session = token.open_session(rw=rw)
-                    for operation in operations:
-                        cases += 1
-                        expected = expected_outcome(operation, private, login, rw)
-                        outcome = _attempt(token, session, obj_class, private,
-                                           handles, operation)
-                        assert outcome is expected, (
-                            obj_class, private, login, rw, operation,
-                            outcome, expected)
-                        checked += 1
-                    token.close_session(session)
-    assert cases == 3 * 2 * 3 * 2 * 4 and checked == cases
-
-
 def _attempt(token, session, obj_class, private, handles, operation):
     """Run one probe; returns the error class raised, or None on success."""
     handle = handles[(obj_class, private)]
@@ -370,6 +345,147 @@ def _attempt(token, session, obj_class, private, handles, operation):
     except tk.TokenError as exc:
         return type(exc)
     return None
+
+
+# -- call sequences against PKCS #11's session and login rules -------------------------
+#
+# A model of PKCS #11 v2.40's sessions and users (§5.4-5.5), written from the
+# standard: a session is R/O or R/W, the token's login is public, the SO or the
+# normal user, and a session's state is the pair.  Object access follows
+# expected_outcome.  A call on a session that is not open fails before any other
+# rule; closing the last session, or all of them, ends the login.
+
+_CALLS = ("open R/O", "open R/W", "close", "close all", "login SO", "login user",
+          "logout", "init PIN", "create public", "create private", "read private")
+
+# PKCS #11 refuses these; pkcswb accepts both while criterion 7 opens an R/O session under the SO
+_ACCEPTED_REFUSALS = {
+    "CKR_SESSION_READ_ONLY_EXISTS",      # C_Login as SO while an R/O session is open
+    "CKR_SESSION_READ_WRITE_SO_EXISTS",  # C_OpenSession R/O while the SO is logged in
+}
+
+
+class _SessionModel:
+    """The expected outcome of each call, and the login and session count after it."""
+
+    def __init__(self):
+        self.opened = []      # the rw flag of each session, in the order opened
+        self.open = set()     # indexes into opened
+        self.last = None      # the session calls use; None is the closed set-up session
+        self.login = None
+
+    def step(self, call: str):
+        if call in ("open R/O", "open R/W"):
+            rw, code = call == "open R/W", "CKR_SESSION_READ_WRITE_SO_EXISTS"
+            if not rw and self.login == tk.USER_SO and code not in _ACCEPTED_REFUSALS:
+                return code
+            self.last = len(self.opened)
+            self.opened.append(rw)
+            self.open.add(self.last)
+            return "session"
+        if call == "close all":
+            self.open.clear()
+            self.login = None
+            return None
+        if self.last not in self.open:
+            return tk.SessionClosed                    # CKR_SESSION_HANDLE_INVALID
+        rw = self.opened[self.last]
+        if call == "close":
+            self.open.remove(self.last)
+            if not self.open:
+                self.login = None
+            return None
+        if call in ("login SO", "login user"):
+            if self.login is not None:
+                return tk.AlreadyLoggedIn              # CKR_USER_ALREADY_LOGGED_IN
+            so, code = call == "login SO", "CKR_SESSION_READ_ONLY_EXISTS"
+            read_only = not all(self.opened[h] for h in self.open)
+            if so and read_only and code not in _ACCEPTED_REFUSALS:
+                return code
+            self.login = tk.USER_SO if so else tk.USER_NORMAL
+            return None
+        if call == "logout":
+            if self.login is None:
+                return tk.NotLoggedIn                  # CKR_USER_NOT_LOGGED_IN
+            self.login = None
+            return None
+        if call == "init PIN":                         # only in R/W SO Functions
+            return None if (self.login, rw) == (tk.USER_SO, True) else tk.NotLoggedInAsSO
+        if call == "read private":
+            return expected_outcome("read", True, self.login, rw) or b"private"
+        return expected_outcome("create", call == "create private", self.login, rw) or "handle"
+
+
+_ACTIONS = {
+    "open R/O": lambda token, session, handle: token.open_session(rw=False),
+    "open R/W": lambda token, session, handle: token.open_session(rw=True),
+    "close": lambda token, session, handle: token.close_session(session),
+    "close all": lambda token, session, handle: token.close_all(),
+    "login SO": lambda token, session, handle: token.login(session, tk.USER_SO, "so-pin"),
+    "login user": lambda token, session, handle: token.login(
+        session, tk.USER_NORMAL, "user-pin"),
+    "logout": lambda token, session, handle: token.logout(session),
+    "init PIN": lambda token, session, handle: token.init_user_pin(session, "user-pin"),
+    "create public": lambda token, session, handle: token.create_object(
+        session, CLASS_DATA, {CKA_VALUE: b"public"}),
+    "create private": lambda token, session, handle: token.create_object(
+        session, CLASS_DATA, {CKA_VALUE: b"mine", CKA_PRIVATE: True}),
+    "read private": lambda token, session, handle: token.get_attribute(
+        session, handle, CKA_VALUE),
+}
+
+# every outcome the rules allow each call, each of which some sequence reaches
+_REACHABLE = {
+    "open R/O": {"session"},
+    "open R/W": {"session"},
+    "close": {None, tk.SessionClosed},
+    "close all": {None},
+    "login SO": {None, tk.AlreadyLoggedIn, tk.SessionClosed},
+    "login user": {None, tk.AlreadyLoggedIn, tk.SessionClosed},
+    "logout": {None, tk.NotLoggedIn, tk.SessionClosed},
+    "init PIN": {None, tk.NotLoggedInAsSO, tk.SessionClosed},
+    "create public": {"handle", tk.ReadOnlySession, tk.SessionClosed},
+    "create private": {"handle", tk.NotLoggedIn, tk.ReadOnlySession, tk.SessionClosed},
+    "read private": {b"private", tk.NotLoggedIn, tk.SessionClosed},
+}
+
+
+def _sequence_start():
+    """An initialized token with the user PIN set, one private token object and
+    no session open; the closed set-up session is returned too."""
+    token = fresh_token(b"sequences")
+    setup = user_session(token)
+    handle = token.create_object(setup, CLASS_DATA, {CKA_VALUE: b"private", CKA_PRIVATE: True})
+    token.close_session(setup)
+    return token, setup, handle
+
+
+def _outcome(token, session, handle, call):
+    """(what the call gave, the session later calls use)"""
+    try:
+        result = _ACTIONS[call](token, session, handle)
+    except tk.TokenError as exc:
+        return type(exc), session
+    if isinstance(result, tk.Session):
+        return "session", result
+    return ("handle" if isinstance(result, int) else result), session
+
+
+def test_every_sequence_of_up_to_four_calls_follows_the_session_rules():
+    sequences, reached = 0, {call: set() for call in _CALLS}
+    for length in range(1, 5):
+        for sequence in itertools.product(_CALLS, repeat=length):
+            sequences += 1
+            token, session, handle = _sequence_start()
+            model = _SessionModel()
+            for step, call in enumerate(sequence, 1):
+                outcome, session = _outcome(token, session, handle, call)
+                reached[call].add(outcome)
+                expected = model.step(call)
+                assert (outcome, token.login_state, token.open_session_count) == (
+                    expected, model.login, len(model.open)), sequence[:step]
+    assert sequences == 11 + 11**2 + 11**3 + 11**4 == 16_104
+    assert reached == _REACHABLE
 
 
 # -- object semantics --------------------------------------------------------------------
