@@ -222,28 +222,26 @@ class DerValue(Frozen):
     _fields = ("tag_class", "constructed", "tag_number", "content")
     _der: bytes | memoryview | None = None  # its DER octets, once known
 
-    def __init__(self, tag_class: TagClass, constructed: bool, tag_number: int,
+    def __init__(self, tag_class: TagClass, tag_number: int,
                  content: bytes | tuple["DerValue", ...]):
-        """A built value: its fields' types, the rule ``_RULES`` has for its
-        identifier (the decoder's rules too), and SET children put in
-        canonical order.  The fields are written to the instance dict once."""
-        universal = tag_class == _UNIVERSAL
+        """A built value, primitive for octets and constructed for a tuple or
+        list of child values: the rule ``_RULES`` has for its identifier (the
+        decoder's rules too), and SET children put in canonical order.  The
+        fields are written to the instance dict once."""
         if tag_number < 0:
             raise ValueError("negative tag number")
-        if constructed:
-            if isinstance(content, (bytes, bytearray)):
-                raise ValueError("constructed value must carry child values")
-        elif isinstance(content, (bytes, bytearray)):
-            content = bytes(content)
+        if isinstance(content, (bytes, bytearray)):
+            content, constructed = bytes(content), False
+        elif isinstance(content, (tuple, list)):
+            content, constructed = tuple(content), True
         else:
-            raise ValueError("primitive value must carry octets")
+            raise ValueError("content must be octets or a tuple of values")
+        universal = tag_class == _UNIVERSAL
         if universal and tag_number < 0x1F:
             rule = _RULES.get(tag_number | 0x20 if constructed else tag_number)
             if rule is not None:
                 rule(content)
-        if constructed:
-            content = tuple(content)
-            if universal and tag_number == SET:
+            if tag_number == SET and constructed:
                 # SETs are canonical by construction, so every round trip is
                 # structure- and octet-exact
                 content = set_order(content)
@@ -329,20 +327,19 @@ def _not_primitive(what: str) -> None:
 def integer(value: int) -> DerValue:
     magnitude = value if value >= 0 else value + 1
     length = magnitude.bit_length() // 8 + 1
-    return DerValue(_UNIVERSAL, False, INTEGER,
-                    value.to_bytes(length, "big", signed=True))
+    return DerValue(_UNIVERSAL, INTEGER, value.to_bytes(length, "big", signed=True))
 
 
 def boolean(value: bool) -> DerValue:
-    return DerValue(_UNIVERSAL, False, BOOLEAN, b"\xff" if value else b"\x00")
+    return DerValue(_UNIVERSAL, BOOLEAN, b"\xff" if value else b"\x00")
 
 
 def octet_string(data: bytes) -> DerValue:
-    return DerValue(_UNIVERSAL, False, OCTET_STRING, bytes(data))
+    return DerValue(_UNIVERSAL, OCTET_STRING, bytes(data))
 
 
 def null() -> DerValue:
-    return DerValue(_UNIVERSAL, False, NULL, b"")
+    return DerValue(_UNIVERSAL, NULL, b"")
 
 
 def oid_value(oid: Oid | str) -> DerValue:
@@ -358,11 +355,11 @@ def oid_value(oid: Oid | str) -> DerValue:
 
 @functools.lru_cache(maxsize=512)
 def _memo_oid_value(oid: Oid) -> DerValue:
-    return DerValue(_UNIVERSAL, False, OBJECT_IDENTIFIER, oid_to_octets(oid))
+    return DerValue(_UNIVERSAL, OBJECT_IDENTIFIER, oid_to_octets(oid))
 
 
 def bit_string(data: bytes) -> DerValue:
-    return DerValue(_UNIVERSAL, False, BIT_STRING, b"\x00" + bytes(data))
+    return DerValue(_UNIVERSAL, BIT_STRING, b"\x00" + bytes(data))
 
 
 def text_octets(text: str, encoding: str = "utf-8") -> bytes:
@@ -374,43 +371,43 @@ def text_octets(text: str, encoding: str = "utf-8") -> bytes:
 
 
 def utf8_string(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, False, UTF8_STRING, text_octets(text))
+    return DerValue(_UNIVERSAL, UTF8_STRING, text_octets(text))
 
 
 def printable_string(text: str) -> DerValue:
     if not _PRINTABLE_RE.match(text):
         raise BadParameter("text outside the PrintableString repertoire")
-    return DerValue(_UNIVERSAL, False, PRINTABLE_STRING, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, PRINTABLE_STRING, text.encode("ascii"))
 
 
 def ia5_string(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, False, IA5_STRING, text_octets(text, "ascii"))
+    return DerValue(_UNIVERSAL, IA5_STRING, text_octets(text, "ascii"))
 
 
 def utc_time(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, False, UTC_TIME, text_octets(text, "ascii"))
+    return DerValue(_UNIVERSAL, UTC_TIME, text_octets(text, "ascii"))
 
 
 def generalized_time(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, False, GENERALIZED_TIME, text_octets(text, "ascii"))
+    return DerValue(_UNIVERSAL, GENERALIZED_TIME, text_octets(text, "ascii"))
 
 
 def sequence(*children: DerValue) -> DerValue:
-    return DerValue(_UNIVERSAL, True, SEQUENCE, tuple(children))
+    return DerValue(_UNIVERSAL, SEQUENCE, children)
 
 
 def set_value(*children: DerValue) -> DerValue:
     """SET (OF); the constructor puts children into DER canonical order."""
-    return DerValue(_UNIVERSAL, True, SET, tuple(children))
+    return DerValue(_UNIVERSAL, SET, children)
 
 
-def context(tag_number: int, children_or_octets, constructed: bool = True) -> DerValue:
-    return DerValue(_CONTEXT, constructed, tag_number, children_or_octets)
+def context(tag_number: int, children_or_octets) -> DerValue:
+    return DerValue(_CONTEXT, tag_number, children_or_octets)
 
 
 def explicit(tag_number: int, inner: DerValue) -> DerValue:
     """[tag] EXPLICIT wrapper: constructed context value with one child."""
-    return DerValue(_CONTEXT, True, tag_number, (inner,))
+    return DerValue(_CONTEXT, tag_number, (inner,))
 
 
 # ---------------------------------------------------------------------------

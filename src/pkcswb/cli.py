@@ -141,6 +141,8 @@ def _cmd_kdf(args) -> int:
 
 
 def _cmd_p8_wrap(args) -> int:
+    if args.salt_len > pkcs5.MAX_SALT_LEN:
+        raise BadParameter(f"salt length exceeds {pkcs5.MAX_SALT_LEN} octets")
     rng = _build_rng(args)
     info = keystore.PrivateKeyInfo.from_der(_read(args.infile))
     epki = keystore.encrypt_private_key(info, text_octets(args.password),
@@ -279,11 +281,11 @@ def _cmd_pfx_pack(args) -> int:
                 epki = keystore.encrypt_private_key(info, text_octets(args.password),
                                                     rng.read(pkcs5.DEFAULT_SALT_LEN),
                                                     pkcs5.DEFAULT_ITERATIONS, rng)
-                yield pfx_mod.SafeBag("shroudedKey", epki, (key_id,))
+                yield pfx_mod.SafeBag(epki, (key_id,))
             else:
-                yield pfx_mod.SafeBag("key", info, (key_id,))
+                yield pfx_mod.SafeBag(info, (key_id,))
         if args.cert:
-            yield pfx_mod.SafeBag("cert", cms.ContentInfo.from_der(_read(args.cert)), (key_id,))
+            yield pfx_mod.SafeBag(cms.ContentInfo.from_der(_read(args.cert)), (key_id,))
     pdu = pfx_mod.pfx_create(bags(), args.privacy.replace("-", "_"),
                              args.integrity.replace("-", "_"),
                              _pfx_credentials(args), rng)
@@ -474,9 +476,8 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
     # pfx-transfer
     key_id = keystore.attribute_make("localKeyId", b"\x01")
     bags = (
-        pfx_mod.SafeBag("shroudedKey", epki,
-                        (key_id, keystore.attribute_make("friendlyName", "alice-key"))),
-        pfx_mod.SafeBag("cert", certificate,
+        pfx_mod.SafeBag(epki, (key_id, keystore.attribute_make("friendlyName", "alice-key"))),
+        pfx_mod.SafeBag(certificate,
                         (key_id, keystore.attribute_make("friendlyName", "alice-cert"))),
     )
     pfx_der = pfx_mod.pfx_create(bags, pfx_mod.PRIVACY_PASSWORD, pfx_mod.INTEGRITY_PASSWORD,

@@ -260,7 +260,7 @@ def _encrypted_content_value(content_type: Oid, algorithm: AlgorithmIdentifier,
     return asn1.sequence(
         asn1.oid_value(content_type),
         algorithm.to_der_value(),
-        asn1.context(0, ciphertext, constructed=False),
+        asn1.context(0, ciphertext),
     )
 
 

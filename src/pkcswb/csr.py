@@ -173,6 +173,10 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
 
 
 def verify_csr(csr: CertificationRequest) -> bool:
-    """Self-signature check under the public key embedded in the request."""
-    return pkcs1.is_pss(csr.signature_algorithm.oid) and pkcs1.verify(
-        asn1._encoding(csr.info.to_der_value()), csr.signature, csr.info.public_key)
+    """Self-signature check under the public key embedded in the request;
+    UnsupportedAlgorithm for a signature algorithm other than RSASSA-PSS."""
+    if not pkcs1.is_pss(csr.signature_algorithm.oid):
+        raise UnsupportedAlgorithm(
+            f"unsupported signature algorithm {csr.signature_algorithm.oid}")
+    return pkcs1.verify(asn1._encoding(csr.info.to_der_value()), csr.signature,
+                        csr.info.public_key)

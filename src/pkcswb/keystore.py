@@ -236,18 +236,19 @@ def _attributes_from_der(value: DerValue, read=Attribute.from_der_value) -> tupl
 
 # name: (type, value builder, the check a value must pass or None).  The
 # checks are the syntaxes of RFC 2985 §5.2 and RFC 3739 §3.2: a two-letter
-# country code, gender M, F, m or f, and dateOfBirth as a GeneralizedTime
-# YYYYMMDDHHMMSSZ.  A pkcsEntity value is a built DerValue, carried as it is.
+# country code, gender M, F, m or f, dateOfBirth as a GeneralizedTime
+# YYYYMMDDHHMMSSZ, and any other text non-empty, as its SIZE (1..ub) bound
+# asks.  A pkcsEntity value is a built DerValue, carried as it is.
 _is_country = re.compile("[A-Za-z]{2}").fullmatch
 _NATURAL_PERSON_FIELDS: dict[str, tuple] = {
-    "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, None),
+    "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, bool),
     "country_of_citizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, asn1.printable_string, _is_country),
     "country_of_residence": (oids.AT_COUNTRY_OF_RESIDENCE, asn1.printable_string, _is_country),
-    "pseudonym": (oids.AT_PSEUDONYM, asn1.utf8_string, None),
-    "place_of_birth": (oids.AT_PLACE_OF_BIRTH, asn1.utf8_string, None),
-    "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string, None),
-    "unstructured_address": (oids.AT_UNSTRUCTURED_ADDRESS, asn1.utf8_string, None),
-    "unstructured_name": (oids.AT_UNSTRUCTURED_NAME, asn1.utf8_string, None),
+    "pseudonym": (oids.AT_PSEUDONYM, asn1.utf8_string, bool),
+    "place_of_birth": (oids.AT_PLACE_OF_BIRTH, asn1.utf8_string, bool),
+    "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string, bool),
+    "unstructured_address": (oids.AT_UNSTRUCTURED_ADDRESS, asn1.utf8_string, bool),
+    "unstructured_name": (oids.AT_UNSTRUCTURED_NAME, asn1.utf8_string, bool),
     "gender": (oids.AT_GENDER, asn1.printable_string, re.compile("[MFmf]").fullmatch),
     "date_of_birth": (oids.AT_DATE_OF_BIRTH, asn1.generalized_time,
                       lambda text: _is_time(_GENERALIZED_TIME, text)),

@@ -53,13 +53,13 @@ INTEGRITY_PUBLIC_KEY = "public_key"
 _MAC_ITERATIONS = 2048
 _PRIVACY_ITERATIONS = 2048
 
-# bag type -> (its OID, the class of the value it holds)
+# the class of a bag's value -> (its bag type, the bag's OID)
 _BAGS = {
-    "key": (oids.KEY_BAG, PrivateKeyInfo),
-    "shroudedKey": (oids.SHROUDED_KEY_BAG, EncryptedPrivateKeyInfo),
-    "cert": (oids.CERT_BAG, ContentInfo),
+    PrivateKeyInfo: ("key", oids.KEY_BAG),
+    EncryptedPrivateKeyInfo: ("shroudedKey", oids.SHROUDED_KEY_BAG),
+    ContentInfo: ("cert", oids.CERT_BAG),
 }
-_BAG_TYPES = {oid: name for name, (oid, _) in _BAGS.items()}
+_BAG_CLASSES = {oid: cls for cls, (_, oid) in _BAGS.items()}
 
 
 class PfxSecurityWarning(UserWarning):
@@ -67,23 +67,24 @@ class PfxSecurityWarning(UserWarning):
 
 
 class SafeBag(DerForm, Frozen):
-    """One item of personal identity information plus its attributes."""
+    """One item of personal identity information plus its attributes; the
+    class of the value names the bag's type."""
 
     _fields = ("bag_type", "value", "attributes")
 
-    def __init__(self, bag_type: str,
-                 value: PrivateKeyInfo | EncryptedPrivateKeyInfo | ContentInfo,
+    def __init__(self, value: PrivateKeyInfo | EncryptedPrivateKeyInfo | ContentInfo,
                  attributes: tuple[Attribute, ...] = ()):
-        if bag_type not in _BAGS:
-            raise ValueError(f"unknown bag type {bag_type!r}")
-        expected = _BAGS[bag_type][1]
-        if not isinstance(value, expected):
-            raise ValueError(f"{bag_type} bag must hold {expected.__name__}")
-        self.__dict__.update(bag_type=bag_type, value=value,
+        if type(value) not in _BAGS:
+            raise ValueError(f"no bag holds a {type(value).__name__}")
+        self.__dict__.update(value=value,
                              attributes=asn1.set_order(attributes, Attribute.to_der_value))
 
+    @property
+    def bag_type(self) -> str:
+        return _BAGS[type(self.value)][0]
+
     def _build(self) -> DerValue:
-        children = [asn1.oid_value(_BAGS[self.bag_type][0]),
+        children = [asn1.oid_value(_BAGS[type(self.value)][1]),
                     asn1.explicit(0, self.value.to_der_value())]
         if self.attributes:
             children.append(asn1.set_value(*(a.to_der_value() for a in self.attributes)))
@@ -92,16 +93,16 @@ class SafeBag(DerForm, Frozen):
     @classmethod
     def _parse(cls, value: DerValue) -> "SafeBag":
         kids = asn1._fields(value, 2, 3)
-        bag_type = _BAG_TYPES.get(kids[0].as_oid())
-        if bag_type is None:  # crlBag, secretBag and safeContentsBag are not modelled
+        bag_class = _BAG_CLASSES.get(kids[0].as_oid())
+        if bag_class is None:  # crlBag, secretBag and safeContentsBag are not modelled
             raise UnsupportedAlgorithm(f"unsupported bag type {kids[0].as_oid()}")
         (inner,) = asn1._fields(kids[1], 1, tag_number=0, tag_class=asn1.TagClass.CONTEXT)
-        bag_value = _BAGS[bag_type][1].from_der_value(inner)
+        bag_value = bag_class.from_der_value(inner)
         attributes = ()
         if len(kids) == 3:
             attrs_v = asn1.require(kids[2], asn1.SET)
             attributes = tuple(Attribute.from_der_value(c) for c in attrs_v.children)
-        return cls(bag_type, bag_value, attributes)
+        return cls(bag_value, attributes)
 
 
 class MacData(DerForm, Frozen):

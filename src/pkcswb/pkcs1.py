@@ -120,17 +120,16 @@ def pss_salt_len_for(key: RsaPublicKey | RsaPrivateKey) -> int:
 
 
 class PssParams(Frozen):
-    """EMSA-PSS geometry: hash (output k0), salt length, k, and |n| in bits."""
+    """EMSA-PSS geometry: hash (output k0), salt length, and |n| in bits,
+    which sets k, the modulus octet length."""
 
     _fields = ("k", "modulus_bits", "hash_alg", "salt_len")
 
-    def __init__(self, k: int, modulus_bits: int, hash_alg: HashAlg = SHA256, *,
-                 salt_len: int):
+    def __init__(self, modulus_bits: int, hash_alg: HashAlg = SHA256, *, salt_len: int):
         if salt_len < 0:
             raise ValueError("negative salt length")
-        if (modulus_bits + 7) // 8 != k:
-            raise ValueError("k must be the octet length of the modulus")
-        self.__dict__.update(k=k, modulus_bits=modulus_bits, hash_alg=hash_alg, salt_len=salt_len)
+        self.__dict__.update(k=(modulus_bits + 7) // 8, modulus_bits=modulus_bits,
+                             hash_alg=hash_alg, salt_len=salt_len)
 
     @property
     def k0(self) -> int:
@@ -155,9 +154,9 @@ class PssParams(Frozen):
 @functools.lru_cache(maxsize=64)
 def _pss_params_for_bits(modulus_bits: int) -> PssParams:
     """The one RSASSA-PSS salt rule, min(hLen, emLen - hLen - 2), or 0 if none fits."""
-    bare = PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=0)
+    bare = PssParams(modulus_bits, salt_len=0)
     salt_len = max(0, min(bare.k0, (bare.db_bits - 1) // 8))  # largest 8 sLen < db_bits
-    return PssParams(bare.k, modulus_bits, salt_len=salt_len)
+    return PssParams(modulus_bits, salt_len=salt_len)
 
 
 def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:

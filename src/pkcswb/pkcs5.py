@@ -46,6 +46,7 @@ __all__ = [
     "DEFAULT_SALT_LEN",
     "MAX_ITERATIONS",
     "MAX_DK_LEN",
+    "MAX_SALT_LEN",
     "check_iterations",
 ]
 
@@ -59,6 +60,11 @@ MAX_ITERATIONS = 1_000_000
 # 32 * MAX_ITERATIONS PRF calls.  RFC 8018's own limit, (2**32 - 1) * hLen,
 # bounds nothing a machine can run, and hashlib takes no more than 2**31 - 1.
 MAX_DK_LEN = 1024
+# Longest salt, in octets, that ``p8-wrap --salt-len`` may ask for.  RFC 8018
+# §4.1 asks for at least eight; the salt is drawn before ``Pbkdf2Params``
+# sees it, so an unbounded length would ask the random source for unbounded
+# octets.
+MAX_SALT_LEN = 1024
 
 AES128_KEY_LEN = 16
 HMAC_SHA256_ALGORITHM = AlgorithmIdentifier(oids.HMAC_WITH_SHA256)

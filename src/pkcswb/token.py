@@ -285,12 +285,11 @@ class Token:
 
     @_serialized
     def initialize(self, so_pin: str) -> None:
-        """Set the SO credential and wipe the object store."""
+        """Set the SO credential, once: before it no session opens, so the
+        object store is empty and no user PIN is set."""
         if self._so_pin is not None:
             raise AlreadyInitialized("token is already initialized")
         self._so_pin = self._pin_record(so_pin)
-        self._user_pin = None
-        self._objects.clear()
 
     @_in_session
     def init_user_pin(self, session: Session, user_pin: str) -> None:

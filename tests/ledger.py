@@ -34,8 +34,8 @@ MUTANT_OUTCOMES = {
         "d8c71d491491c204713249c37405a0558c525f9d38c146279fc5c84e33ee5948",
         {"DecryptionError": 128, "MalformedKey": 343, "UnsupportedAlgorithm": 29}),
     "CertificationRequest": (
-        "5815a288a65d939fc6eb063608c6694c17e9036079d1a1d9be51f386286c5df7",
-        {"MalformedRequest": 330, "value False": 170}),
+        "0180169c9bbcb4fad30b291f60c2a513210c69675b4476df442a5cd77a8a9961",
+        {"MalformedRequest": 330, "UnsupportedAlgorithm": 10, "value False": 160}),
     "data": (
         "bd1d611273d39e55d1f65aece782bf7787439df594a71a5bc16ba62505913084",
         {"ArcOverflow": 3, "NonCanonical": 26, "TrailingOctets": 48, "Truncated": 276,
@@ -90,8 +90,8 @@ CLI_OUTCOMES = {
         "e3e1899ce8dfb1e5bb49d2a5bb889089383e345708f77d473e65a74a0575b099",
         {"exit 1": 77, "exit 2": 123}),
     "csr-verify": (
-        "cb353786bd17879cec9cfa28ec7857fd5f47be578b3c7ff60faaa89c61bd2b3f",
-        {"exit 1": 71, "exit 2": 129}),
+        "7cd6f31a3ea87856e8476f930e07bcb8176bcca3e0a8af4629b595fa37f7ff4f",
+        {"exit 1": 69, "exit 2": 131}),
     "cms-verify": (
         "0231f85a9a4ba927753fe022f78916fd7827ab3bcc07ca1f45bbfa28c2a566e1",
         {"exit 0": 2, "exit 1": 55, "exit 2": 143}),

@@ -101,7 +101,7 @@ def test_criterion_3_padding_layouts():
         # PSS: trailer octet and cleared top bits, both |n| = 8k and 8k - 7
         for modulus_bits, lead_mask in ((8 * k, 0x7F), (8 * k - 7, 0x00)):
             pss_hash = pkcs1.SHA256 if k - 32 - 2 >= 8 else tiny_hash(8)
-            pss = pkcs1.PssParams(k, modulus_bits, pss_hash, salt_len=8)
+            pss = pkcs1.PssParams(modulus_bits, pss_hash, salt_len=8)
             em = pkcs1.pss_encode(b"m", pss, seeded(b"pss%d" % k))
             assert len(em) == k
             assert em[-1] == 0xBC
@@ -244,8 +244,7 @@ def test_criterion_6_containers(key_1024, key_1024_b, key_1024_c):
     cert = cms.toy_issue(request, key_1024_b[1], csr_mod.Name((("commonName", "CA"),)),
                          1, rng)
     key_id = keystore.attribute_make("localKeyId", b"\x01")
-    bags = (pfx_mod.SafeBag("shroudedKey", epki, (key_id,)),
-            pfx_mod.SafeBag("cert", cert, (key_id,)))
+    bags = (pfx_mod.SafeBag(epki, (key_id,)), pfx_mod.SafeBag(cert, (key_id,)))
     dest_public, dest_private = key_1024_c
     credentials = pfx_mod.PfxCredentials(
         privacy_password=b"priv", integrity_password=b"integ",

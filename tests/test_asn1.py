@@ -108,7 +108,7 @@ def test_reject_trailing_octets():
 
 
 def test_reject_oversize_tag():
-    huge = DerValue(TagClass.CONTEXT, False, 2**22, b"")
+    huge = DerValue(TagClass.CONTEXT, 2**22, b"")
     with pytest.raises(OversizeTag):
         der_encode(huge)
     with pytest.raises(OversizeTag):
@@ -244,8 +244,28 @@ def test_boolean_content_rule():
         asn1.integer(1).as_boolean()
 
 
+@pytest.mark.parametrize("content, constructed", [
+    (b"ab", False), (bytearray(b"ab"), False), ((asn1.null(),), True), ([asn1.null()], True)])
+def test_the_form_follows_the_content(content, constructed):
+    value = DerValue(TagClass.CONTEXT, 0, content)
+    assert value.constructed is constructed
+    assert type(value.content) is (tuple if constructed else bytes)
+
+
+@pytest.mark.parametrize("tag_number, content, message", [
+    (-1, b"", "negative tag number"),
+    (0, None, "content must be octets or a tuple of values"),
+    (0, "ab", "content must be octets or a tuple of values"),
+    (0, memoryview(b"ab"), "content must be octets or a tuple of values"),
+])
+def test_a_value_is_built_from_a_tag_number_and_octets_or_values(tag_number, content, message):
+    with pytest.raises(ValueError) as raised:
+        DerValue(TagClass.CONTEXT, tag_number, content)
+    assert str(raised.value) == message
+
+
 def test_set_reordered_on_encode():
-    unordered = DerValue(TagClass.UNIVERSAL, True, asn1.SET,
+    unordered = DerValue(TagClass.UNIVERSAL, asn1.SET,
                          (asn1.integer(300), asn1.boolean(True)))
     encoded = der_encode(unordered)
     # BOOLEAN (tag 01) sorts before INTEGER (tag 02)
@@ -258,7 +278,7 @@ def test_set_decode_requires_canonical_order():
 
 
 def test_high_tag_number_form():
-    value = DerValue(TagClass.CONTEXT, False, 31, b"ab")
+    value = DerValue(TagClass.CONTEXT, 31, b"ab")
     encoded = der_encode(value)
     assert encoded[:2] == bytes.fromhex("9f1f")
     assert der_decode(encoded) == value
@@ -328,7 +348,7 @@ def random_value(rng: random.Random, depth: int) -> DerValue:
         return asn1.sequence(*children)
     if kind == "set":
         return asn1.set_value(*children)
-    return DerValue(TagClass.CONTEXT, True, rng.randint(0, 40), children)
+    return DerValue(TagClass.CONTEXT, rng.randint(0, 40), children)
 
 
 def test_fuzz_round_trip_structure_and_octets():
@@ -411,7 +431,7 @@ def rebuilt(value: DerValue) -> DerValue:
     content = value.content
     if value.constructed:
         content = tuple(rebuilt(child) for child in content)
-    return DerValue(value.tag_class, value.constructed, value.tag_number, content)
+    return DerValue(value.tag_class, value.tag_number, content)
 
 
 def length_offsets(value: DerValue, start: int = 0) -> list[int]:
@@ -484,23 +504,23 @@ U = TagClass.UNIVERSAL
 
 
 @pytest.mark.parametrize("fields, encoded", [
-    ((U, True, asn1.INTEGER, (asn1.integer(1),)), "2203020101"),
-    ((U, True, asn1.OCTET_STRING, (asn1.octet_string(b"a"),)), "2403040161"),
-    ((U, True, asn1.OBJECT_IDENTIFIER, (asn1.oid_value("1.2.3"),)), "260406022a03"),
-    ((U, False, asn1.SEQUENCE, b""), "1000"),
-    ((U, False, asn1.SET, b"\x05\x00"), "11020500"),
-    ((U, False, asn1.INTEGER, b""), "0200"),
-    ((U, False, asn1.INTEGER, b"\x00\x7f"), "0202007f"),
-    ((U, False, asn1.INTEGER, b"\xff\x80"), "0202ff80"),
-    ((U, False, asn1.BOOLEAN, b"\x01"), "010101"),
-    ((U, False, asn1.BOOLEAN, b""), "0100"),
-    ((U, False, asn1.NULL, b"\x00"), "050100"),
-    ((U, False, asn1.BIT_STRING, b""), "0300"),
-    ((U, False, asn1.BIT_STRING, b"\x08\x00"), "03020800"),
-    ((U, False, asn1.BIT_STRING, b"\x01"), "030101"),
-    ((U, False, asn1.OBJECT_IDENTIFIER, b""), "0600"),
-    ((U, False, asn1.OBJECT_IDENTIFIER, b"\x80\x01"), "06028001"),
-    ((U, False, asn1.OBJECT_IDENTIFIER, b"\x2a\x86"), "06022a86"),
+    ((U, asn1.INTEGER, (asn1.integer(1),)), "2203020101"),
+    ((U, asn1.OCTET_STRING, (asn1.octet_string(b"a"),)), "2403040161"),
+    ((U, asn1.OBJECT_IDENTIFIER, (asn1.oid_value("1.2.3"),)), "260406022a03"),
+    ((U, asn1.SEQUENCE, b""), "1000"),
+    ((U, asn1.SET, b"\x05\x00"), "11020500"),
+    ((U, asn1.INTEGER, b""), "0200"),
+    ((U, asn1.INTEGER, b"\x00\x7f"), "0202007f"),
+    ((U, asn1.INTEGER, b"\xff\x80"), "0202ff80"),
+    ((U, asn1.BOOLEAN, b"\x01"), "010101"),
+    ((U, asn1.BOOLEAN, b""), "0100"),
+    ((U, asn1.NULL, b"\x00"), "050100"),
+    ((U, asn1.BIT_STRING, b""), "0300"),
+    ((U, asn1.BIT_STRING, b"\x08\x00"), "03020800"),
+    ((U, asn1.BIT_STRING, b"\x01"), "030101"),
+    ((U, asn1.OBJECT_IDENTIFIER, b""), "0600"),
+    ((U, asn1.OBJECT_IDENTIFIER, b"\x80\x01"), "06028001"),
+    ((U, asn1.OBJECT_IDENTIFIER, b"\x2a\x86"), "06022a86"),
 ], ids=["constructed-integer", "constructed-octet-string", "constructed-oid",
         "primitive-sequence", "primitive-set", "empty-integer", "integer-leading-00",
         "integer-leading-ff", "boolean-01", "empty-boolean", "null-content",
@@ -564,17 +584,17 @@ _CONTEXT_0 = {"tag_number": 0, "tag_class": C}
 @pytest.mark.parametrize("read, value, message", [
     (lambda v: asn1.require(v, 0, tag_class=C), asn1.context(1, ()),
      "expected constructed CONTEXT tag 0, got constructed CONTEXT tag 1"),
-    (lambda v: asn1.require(v, 0, tag_class=C), DerValue(A, True, 0, ()),
+    (lambda v: asn1.require(v, 0, tag_class=C), DerValue(A, 0, ()),
      "expected constructed CONTEXT tag 0, got constructed APPLICATION tag 0"),
-    (lambda v: asn1.require(v, 0, tag_class=C), asn1.context(0, b"", constructed=False),
+    (lambda v: asn1.require(v, 0, tag_class=C), asn1.context(0, b""),
      "expected constructed CONTEXT tag 0, got primitive CONTEXT tag 0"),
     (lambda v: asn1.require(v, asn1.INTEGER, constructed=False), asn1.octet_string(b""),
      "expected primitive UNIVERSAL tag 2, got primitive UNIVERSAL tag 4"),
     (lambda v: asn1._fields(v, 1, **_CONTEXT_0), asn1.context(1, ()),
      "expected constructed CONTEXT tag 0, got constructed CONTEXT tag 1"),
-    (lambda v: asn1._fields(v, 1, **_CONTEXT_0), DerValue(A, True, 0, ()),
+    (lambda v: asn1._fields(v, 1, **_CONTEXT_0), DerValue(A, 0, ()),
      "expected constructed CONTEXT tag 0, got constructed APPLICATION tag 0"),
-    (lambda v: asn1._fields(v, 1, **_CONTEXT_0), asn1.context(0, b"", constructed=False),
+    (lambda v: asn1._fields(v, 1, **_CONTEXT_0), asn1.context(0, b""),
      "expected constructed CONTEXT tag 0, got primitive CONTEXT tag 0"),
     (lambda v: asn1._fields(v, 2), asn1.set_value(),
      "expected constructed UNIVERSAL tag 16, got constructed UNIVERSAL tag 17"),
@@ -582,32 +602,32 @@ _CONTEXT_0 = {"tag_number": 0, "tag_class": C}
      "expected constructed UNIVERSAL tag 16, got primitive UNIVERSAL tag 2"),
     (lambda v: asn1._fields(v, 2), asn1.sequence(asn1.null()), "expected 2 fields, got 1"),
     (lambda v: asn1._fields(v, 5, 6), asn1.sequence(), "expected 5 or 6 fields, got 0"),
-    (lambda v: asn1._fields(v, 5, 6), asn1.context(16, b"", constructed=False),
+    (lambda v: asn1._fields(v, 5, 6), asn1.context(16, b""),
      "expected constructed UNIVERSAL tag 16, got primitive CONTEXT tag 16"),
     (DerValue.as_integer, asn1.octet_string(b"\x01"), "value is not a primitive INTEGER"),
-    (DerValue.as_integer, asn1.context(asn1.INTEGER, b"\x01", constructed=False),
+    (DerValue.as_integer, asn1.context(asn1.INTEGER, b"\x01"),
      "value is not a primitive INTEGER"),
     (DerValue.as_integer, unchecked(TagClass.UNIVERSAL, True, asn1.INTEGER, ()),
      "value is not a primitive INTEGER"),
     (DerValue.as_octet_string, asn1.integer(1), "value is not a primitive OCTET STRING"),
-    (DerValue.as_octet_string, asn1.context(asn1.OCTET_STRING, b"", constructed=False),
+    (DerValue.as_octet_string, asn1.context(asn1.OCTET_STRING, b""),
      "value is not a primitive OCTET STRING"),
     (DerValue.as_octet_string, unchecked(TagClass.UNIVERSAL, True, asn1.OCTET_STRING, ()),
      "value is not a primitive OCTET STRING"),
     (DerValue.as_oid, asn1.octet_string(b"\x2a"), "value is not a primitive OBJECT IDENTIFIER"),
-    (DerValue.as_oid, asn1.context(asn1.OBJECT_IDENTIFIER, b"\x2a", constructed=False),
+    (DerValue.as_oid, asn1.context(asn1.OBJECT_IDENTIFIER, b"\x2a"),
      "value is not a primitive OBJECT IDENTIFIER"),
     (DerValue.as_oid, unchecked(TagClass.UNIVERSAL, True, asn1.OBJECT_IDENTIFIER, ()),
      "value is not a primitive OBJECT IDENTIFIER"),
     (DerValue.as_bit_string, asn1.octet_string(b"\x00"), "value is not a primitive BIT STRING"),
-    (DerValue.as_bit_string, asn1.context(asn1.BIT_STRING, b"\x00", constructed=False),
+    (DerValue.as_bit_string, asn1.context(asn1.BIT_STRING, b"\x00"),
      "value is not a primitive BIT STRING"),
     (DerValue.as_bit_string, unchecked(TagClass.UNIVERSAL, True, asn1.BIT_STRING, ()),
      "value is not a primitive BIT STRING"),
     (DerValue.as_bit_string, der_decode(bytes.fromhex("030201ff")),
      "only BIT STRING values with zero unused bits are used here"),
     (lambda v: v.children, asn1.integer(1), "primitive value has no children"),
-    (lambda v: v.children, asn1.context(0, b"", constructed=False),
+    (lambda v: v.children, asn1.context(0, b""),
      "primitive value has no children"),
     (lambda v: v.octets, asn1.sequence(), "constructed value has no content octets"),
     (lambda v: v.octets, asn1.context(0, ()), "constructed value has no content octets"),
@@ -637,7 +657,7 @@ def flattened(value: DerValue, start: int = 0):
 def test_decoding_bytes_bytearray_or_memoryview_gives_equal_values_of_their_own():
     encoded = der_encode(asn1.sequence(
         asn1.set_value(asn1.integer(2), asn1.integer(1)), asn1.octet_string(b"x" * 200),
-        asn1.oid_value("1.2.840.113549.1.7.1"), asn1.context(0, b"\x01", constructed=False),
+        asn1.oid_value("1.2.840.113549.1.7.1"), asn1.context(0, b"\x01"),
         asn1.explicit(3, asn1.bit_string(b"abc"))))
     caller = bytearray(encoded)
     decoded = [der_decode(encoded), der_decode(caller), der_decode(memoryview(caller))]

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from pkcswb import cli
+from pkcswb import asn1, cli, csr
 from pkcswb.cli import FAULT_POINTS, _build_parser, _fingerprint, main, run_scenario
 from pkcswb.csr import MalformedRequest
 from pkcswb.errors import DecryptionError
@@ -132,6 +132,21 @@ def test_csr_new_then_verify(workdir, capsys):
     assert code == 0
     code, _ = run(capsys, "csr-verify", "--in", workdir / "alice.csr")
     assert code == 0
+
+
+def test_csr_verify_refuses_an_unsupported_algorithm_as_a_usage_error(workdir, tmp_path,
+                                                                       capsys):
+    assert run(capsys, "csr-new", "--key", workdir / "alice.p8", "--cn", "Alice",
+               "--out", tmp_path / "pss.csr")[0] == 0
+    request = csr.CertificationRequest.from_der((tmp_path / "pss.csr").read_bytes())
+    v15 = csr.CertificationRequest(
+        request.info, asn1.AlgorithmIdentifier(asn1.Oid.parse("1.2.840.113549.1.1.11")),
+        request.signature)
+    (tmp_path / "v15.csr").write_bytes(v15.to_der())
+    code = main(["csr-verify", "--in", str(tmp_path / "v15.csr")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: unsupported signature algorithm 1.2.840.113549.1.1.11\n")
 
 
 def test_cms_sign_verify(workdir, capsys):
@@ -662,6 +677,11 @@ USAGE_ERRORS = {
                                        "--salt-len", "-1", "--out", "{out}"],
     "p8-wrap --salt-len 0": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw",
                              "--salt-len", "0", "--out", "{out}"],
+    # refused before a salt octet is drawn, not drawn until memory runs out
+    **{f"p8-wrap --salt-len 10**11{seed}": ["p8-wrap", "--in", "{dir}/alice.p8",
+                                            "--password", "pw", "--salt-len", str(10**11),
+                                            "--out", "{out}"]
+       for seed in ("", ", no seed")},
     "p8-wrap --salt-len 0, no seed": ["p8-wrap", "--in", "{dir}/alice.p8", "--password", "pw",
                                       "--salt-len", "0", "--out", "{out}"],
     # text that is not UTF-8: argv octets that did not decode arrive as lone surrogates

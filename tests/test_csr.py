@@ -4,7 +4,7 @@ from pkcswb import asn1, csr, oids, pkcs1, rsa
 from pkcswb.asn1 import AlgorithmIdentifier, der_encode
 from pkcswb.csr import (CertificationRequest, CertificationRequestInfo,
                         MalformedRequest, Name, build_csr, verify_csr)
-from pkcswb.errors import MalformedKey
+from pkcswb.errors import MalformedKey, UnsupportedAlgorithm
 from pkcswb.keystore import attribute_make
 from conftest import seeded
 
@@ -136,6 +136,18 @@ def test_key_substitution_defeats_verification(key_512, key_1024):
     assert not verify_csr(forged)
 
 
+def test_a_signature_algorithm_other_than_pss_is_unsupported_not_forged(key_512):
+    # a v1.5 request (OpenSSL's default) used to verify as False, like a forgery
+    public, private = key_512
+    request = build_csr(_alice_name(), (public, private), (), seeded(b"v15"))
+    v15 = CertificationRequest.from_der(CertificationRequest(
+        request.info, AlgorithmIdentifier(asn1.Oid.parse("1.2.840.113549.1.1.11"), asn1.null()),
+        request.signature).to_der())
+    with pytest.raises(UnsupportedAlgorithm,
+                       match="^unsupported signature algorithm 1.2.840.113549.1.1.11$"):
+        verify_csr(v15)
+
+
 def test_malformed_request_decode():
     with pytest.raises(MalformedRequest):
         CertificationRequest.from_der(b"\x30\x03\x02\x01\x00")
@@ -187,7 +199,7 @@ def test_request_version_other_than_0_is_refused(key_1024):
 
 
 def test_name_and_key_readers_raise_only_declared_errors():
-    bad_text = asn1.DerValue(asn1.TagClass.UNIVERSAL, False, asn1.UTF8_STRING, b"\xff")
+    bad_text = asn1.DerValue(asn1.TagClass.UNIVERSAL, asn1.UTF8_STRING, b"\xff")
     with pytest.raises(asn1.NonCanonical):
         Name.from_der_value(asn1.sequence(asn1.set_value(
             asn1.sequence(asn1.oid_value(oids.CN), bad_text))))

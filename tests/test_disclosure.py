@@ -243,7 +243,7 @@ def test_no_returned_repr_or_error_text_holds_a_secret(monkeypatch):
     monkeypatch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
     credentials = pfx.PfxCredentials(PFX_PASSWORD.encode(), PASSWORD.encode(), other_public,
                                      other_private, private, public, request.info.subject)
-    bags = (pfx.SafeBag("key", info), pfx.SafeBag("shroudedKey", epki))
+    bags = (pfx.SafeBag(info), pfx.SafeBag(epki))
     for privacy, integrity in (("password", "password"), ("public_key", "public_key")):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pfx.PfxSecurityWarning)

@@ -1,7 +1,7 @@
 """One declared-error root.  Every class that pkcswb raises derives from
 ``errors.PkcsError``, except the programming-error raises listed in
-PROGRAMMING_ERRORS (an unknown scheme, mode, bag type or fault point, a
-DerValue built from the wrong types, an attribute set on an immutable value,
+PROGRAMMING_ERRORS (an unknown scheme, mode or fault point, a value no bag
+holds, a DerValue built from the wrong types, an attribute set on an immutable value,
 ...), and ``exit_code`` is 1 exactly for the cryptographic failures."""
 
 import ast
@@ -89,17 +89,17 @@ def _initialized_token():
 PROGRAMMING_ERROR_CALLS = {
     "errors.Frozen.__setattr__": lambda a, b: setattr(asn1.Oid((1, 2)), "arcs", (1, 3)),
     "asn1.DerValue.__init__": lambda a, b: asn1.DerValue(
-        asn1.TagClass.UNIVERSAL, True, asn1.SEQUENCE, b""),
+        asn1.TagClass.UNIVERSAL, asn1.SEQUENCE, None),
     "primitives.mgf": lambda a, b: primitives.mgf(b"", -1),
     "primitives.RandomSource.read": lambda a, b: primitives.RandomSource().read(1),
     "primitives.ConstantSource.__init__": lambda a, b: primitives.ConstantSource(256),
-    "pkcs1.PssParams.__init__": lambda a, b: pkcs1.PssParams(128, 1024, salt_len=-1),
+    "pkcs1.PssParams.__init__": lambda a, b: pkcs1.PssParams(1024, salt_len=-1),
     "pkcs1.encrypt": lambda a, b: pkcs1.encrypt(b"", a[0], "unknown", seeded(b"r")),
     "pkcs1.decrypt": lambda a, b: pkcs1.decrypt(b"", a[1], "unknown"),
     "csr.Name.__init__": lambda a, b: csr.Name((("commonName", "x"), ("nickname", "y"))),
     "csr.build_csr": lambda a, b: csr.build_csr(
         csr.Name((("commonName", "x"),)), (b[0], a[1]), (), seeded(b"r")),
-    "pfx.SafeBag.__init__": lambda a, b: pfx.SafeBag("unknown", None),
+    "pfx.SafeBag.__init__": lambda a, b: pfx.SafeBag(None),
     "pfx.pfx_create": lambda a, b: pfx.pfx_create(
         (), pfx.PRIVACY_PUBLIC_KEY, "unknown", pfx.PfxCredentials(destination_pub=b[0]),
         seeded(b"r")),

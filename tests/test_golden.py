@@ -73,7 +73,7 @@ def seeded_outputs(key_512, key_1024, key_1024_b, toy_keys) -> dict[str, bytes]:
         privacy_password=b"privacy", integrity_password=b"integrity",
         destination_pub=other_public, destination_priv=other_private,
         source_sign_key=private, source_verify_key=public, source_name=name)
-    bags = (pfx.SafeBag("shroudedKey", epki, (key_id,)), pfx.SafeBag("key", info, (key_id,)))
+    bags = (pfx.SafeBag(epki, (key_id,)), pfx.SafeBag(info, (key_id,)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pfx.PfxSecurityWarning)
         for privacy in (pfx.PRIVACY_PASSWORD, pfx.PRIVACY_PUBLIC_KEY):

@@ -138,7 +138,7 @@ def _with_child(value, index, child):
     """``value`` with its child at ``index`` replaced by ``child``."""
     kids = list(value.children)
     kids[index] = child
-    return asn1.DerValue(value.tag_class, True, value.tag_number, tuple(kids))
+    return asn1.DerValue(value.tag_class, value.tag_number, kids)
 
 
 _SIGNING_TIME = attribute_make("signingTime", "260101120000Z")
@@ -474,6 +474,13 @@ def test_natural_person_bundle():
     ("country_of_citizenship", "U"),
     ("country_of_residence", "1"),
     ("country_of_residence", "U1"),
+    # RFC 2985 §5.2 and X.520 bound each of these texts to SIZE (1..ub)
+    ("email_address", ""),
+    ("pseudonym", ""),
+    ("place_of_birth", ""),
+    ("serial_number", ""),
+    ("unstructured_address", ""),
+    ("unstructured_name", ""),
 ])
 def test_natural_person_bundle_refuses_a_value_outside_its_syntax(field, value):
     # RFC 2985 §5.2 and RFC 3739 §3.2: dateOfBirth is a GeneralizedTime

@@ -29,8 +29,8 @@ def material(request):
     epki = encrypt_private_key(info, b"alice-pw", b"salt-key", 128, rng)
     key_id = attribute_make("localKeyId", b"\x01")
     bags = (
-        SafeBag("shroudedKey", epki, (key_id, attribute_make("friendlyName", "k"))),
-        SafeBag("cert", certificate, (key_id,)),
+        SafeBag(epki, (key_id, attribute_make("friendlyName", "k"))),
+        SafeBag(certificate, (key_id,)),
     )
     dest_public, dest_private = key_1024_c
     credentials = PfxCredentials(
@@ -202,7 +202,7 @@ def test_bag_attributes_preserved(material):
 
 def test_plain_key_bag_warns_under_password_privacy(material):
     bags, credentials, info = material
-    key_bag = SafeBag("key", info, ())
+    key_bag = SafeBag(info, ())
     with pytest.warns(PfxSecurityWarning):
         pfx_create((key_bag,), "password", "password", credentials, seeded(b"w"))
     with warnings.catch_warnings():
@@ -222,11 +222,10 @@ def test_unprotected_pfx_rejected(material):
 
 
 def test_bag_type_validation(material):
-    _, _, info = material
+    bags, _, info = material
+    assert [bag.bag_type for bag in (*bags, SafeBag(info))] == ["shroudedKey", "cert", "key"]
     with pytest.raises(ValueError):
-        SafeBag("unknown", info, ())
-    with pytest.raises(ValueError):
-        SafeBag("cert", info, ())  # wrong value type for the bag
+        SafeBag(info.key, ())  # a value no bag type holds
 
 
 def test_password_privacy_version_other_than_0_is_refused(material):
@@ -280,7 +279,7 @@ def test_reprs_print_no_secret(key_1024, key_1024_b):
     public, private = key_1024
     secrets = [private.d, *private.primes, *private.crt_exponents, *private.crt_coefficients[1:]]
     info = PrivateKeyInfo(private)
-    texts = [repr(private), repr(info), repr(SafeBag("key", info))]
+    texts = [repr(private), repr(info), repr(SafeBag(info))]
     for text in texts:
         assert not any(str(value) in text for value in secrets), text
     assert "1024 bits" in texts[0] and "u=2" in texts[0] and "e=65537" in texts[0]

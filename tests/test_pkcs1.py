@@ -158,7 +158,7 @@ def test_oaep_wrong_label_fails():
 
 def test_pss_trailer_and_top_bits():
     for k, bits in ((32, 256), (64, 512), (128, 1024)):
-        params = PssParams(k, bits, tiny_hash(8), salt_len=8)
+        params = PssParams(bits, tiny_hash(8), salt_len=8)
         em = pss_encode(b"message", params, seeded(b"pss"))
         assert len(em) == k
         assert em[-1] == 0xBC
@@ -169,21 +169,21 @@ def test_pss_trailer_and_top_bits():
 
 def test_pss_full_leading_octet_cleared():
     # |n| = 8k - 7 clears all eight leading bits
-    params = PssParams(32, 249, tiny_hash(8), salt_len=0)
+    params = PssParams(249, tiny_hash(8), salt_len=0)
     em = pss_encode(b"m", params, seeded(b"clr"))
     assert em[0] == 0x00
     assert pss_verify_encoding(b"m", em, params)
 
 
 def test_pss_salt_zero_deterministic():
-    params = PssParams(64, 512, tiny_hash(8), salt_len=0)
+    params = PssParams(512, tiny_hash(8), salt_len=0)
     a = pss_encode(b"same", params, seeded(b"a"))
     b = pss_encode(b"same", params, seeded(b"b"))
     assert a == b
 
 
 def test_pss_round_trip_hundred_messages():
-    params = PssParams(128, 1024, salt_len=32)
+    params = PssParams(1024, salt_len=32)
     rng = seeded(b"pss-rt")
     for _ in range(100):
         message = rng.read(int(rng.read(1)[0]) % 50)
@@ -194,7 +194,7 @@ def test_pss_round_trip_hundred_messages():
 
 @pytest.mark.parametrize("modulus_bits", [256, 249])  # 249 = 8k - 7 clears the first octet
 def test_pss_exhaustive_bit_flip_sweep_k32(modulus_bits):
-    params = PssParams(32, modulus_bits, tiny_hash(8), salt_len=8)
+    params = PssParams(modulus_bits, tiny_hash(8), salt_len=8)
     em = pss_encode(b"bits", params, seeded(b"sweep"))
     for byte_index in range(32):
         for bit in range(8):
@@ -204,7 +204,7 @@ def test_pss_exhaustive_bit_flip_sweep_k32(modulus_bits):
 
 
 def test_pss_bad_trailer_rejected():
-    params = PssParams(32, 256, tiny_hash(8), salt_len=8)
+    params = PssParams(256, tiny_hash(8), salt_len=8)
     em = bytearray(pss_encode(b"m", params, seeded(b"t")))
     em[-1] = 0xBB
     assert not pss_verify_encoding(b"m", bytes(em), params)
@@ -247,14 +247,14 @@ def test_pss_verify_agrees_with_the_rfc_verifier(modulus_bits, case, salt, accep
           "first non-zero DB octet is 0x02": bytes(db_len - len(salt) - 1) + b"\x02" + salt}
     em = _crafted_em(b"message", salt, em_bits, db=db.get(case), top_bits=case == "top bits set",
                      trailer=0xBD if case == "trailer 0xbd" else 0xBC)
-    params = PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=s_len)
+    params = PssParams(modulus_bits, salt_len=s_len)
     assert pss_verify_oracle(b"message", em, em_bits, s_len) is accepted
     assert pss_verify_encoding(b"message", em, params) is accepted
 
 
 @pytest.mark.parametrize("modulus_bits", [1025, 2329])  # 8k - 7: emLen is k - 1
 def test_pss_where_em_is_an_octet_shorter_than_k_is_the_rfc_encoding(modulus_bits):
-    params = PssParams((modulus_bits + 7) // 8, modulus_bits, salt_len=32)
+    params = PssParams(modulus_bits, salt_len=32)
     em = pss_encode(b"message", params, seeded(b"short em"))
     assert em[0] == 0 and pss_verify_oracle(b"message", em[1:], modulus_bits - 1, 32)
     crafted = _crafted_em(b"message", _SALT, modulus_bits - 1)
@@ -262,7 +262,7 @@ def test_pss_where_em_is_an_octet_shorter_than_k_is_the_rfc_encoding(modulus_bit
 
 
 def test_pss_no_room_is_encoding_error():
-    params = PssParams(64, 512, SHA256, salt_len=32)  # needs 64-32-1 >= 33
+    params = PssParams(512, SHA256, salt_len=32)  # needs 64-32-1 >= 33
     with pytest.raises(EncodingError):
         pss_encode(b"m", params, seeded(b"x"))
 
@@ -391,7 +391,7 @@ def _sign_off_rule(message, sk, params, rng):
 
 def test_sign_zero_salt_is_deterministic(key_1024):
     public, private = key_1024
-    params = PssParams(128, 1024, salt_len=0)
+    params = PssParams(1024, salt_len=0)
     first = _sign_off_rule(b"stable", private, params, seeded(b"a"))
     second = _sign_off_rule(b"stable", private, params, seeded(b"b"))
     assert first == second
@@ -400,7 +400,7 @@ def test_sign_zero_salt_is_deterministic(key_1024):
 
 def test_sign_512_with_reduced_salt(key_512):
     public, private = key_512
-    params = PssParams(64, 512, salt_len=30)  # min(32, 64 - 32 - 2)
+    params = PssParams(512, salt_len=30)  # min(32, 64 - 32 - 2)
     signature = pkcs1.sign(b"m", private, seeded(b"s"))
     assert pkcs1.verify(b"m", signature, public, params)
     # the default is the signer's own salt rule, so default params work too
@@ -412,8 +412,8 @@ def test_sign_512_with_reduced_salt(key_512):
 def test_sign_and_verify_use_one_salt_rule(key_1024):
     public, private = key_1024
     assert [pss_salt_len_for(public), PssParams.for_key(private).salt_len] == [32, 32]
-    signature = _sign_off_rule(b"m", private, PssParams(128, 1024, salt_len=20), seeded(b"s"))
-    assert pkcs1.verify(b"m", signature, public, PssParams(128, 1024, salt_len=20))
+    signature = _sign_off_rule(b"m", private, PssParams(1024, salt_len=20), seeded(b"s"))
+    assert pkcs1.verify(b"m", signature, public, PssParams(1024, salt_len=20))
     assert not pkcs1.verify(b"m", signature, public)  # sLen 20 is not the rule's 32
 
 
@@ -433,8 +433,7 @@ def test_pss_params_are_built_once_per_modulus_size(key_1024, key_1024_b, toy_ke
     sizes = [rsa.RsaPublicKey((1 << bits - 1) | 1, 65537) for bits in range(49, 4097)]
     for key in [public for public, _ in toy_keys.values()] + sizes:
         bits = key.n.bit_length()
-        assert PssParams.for_key(key) == PssParams((bits + 7) // 8, bits,
-                                                   salt_len=pss_salt_len_for(key))
+        assert PssParams.for_key(key) == PssParams(bits, salt_len=pss_salt_len_for(key))
         assert pss_salt_len_for(key) == PssParams.for_key(key).salt_len
 
 

@@ -118,6 +118,13 @@ def test_mgf_prefix_property():
         assert mgf(seed, a) == mgf(seed, a + b)[:a]
 
 
+@pytest.mark.parametrize("alg", [SHA256, tiny_hash(4)], ids=["sha256", "tiny"])
+def test_mgf_refuses_a_mask_past_its_four_octet_counter(alg):
+    # RFC 8017 §B.2.1 step 1: maskLen > 2^32 hLen is "mask too long", refused before a block
+    with pytest.raises(ValueError, match="mask longer than the MGF can produce"):
+        mgf(b"seed", (1 << 32) * alg.output_len + 1, alg)
+
+
 def test_mgf_respects_custom_hash():
     alg = tiny_hash(4)
     assert mgf(b"s", 9, alg) == (alg.digest(b"s" + bytes(4))

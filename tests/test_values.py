@@ -42,10 +42,9 @@ def values(key_512, key_1024):
     return {
         asn1.Oid: (make(asn1.Oid, arcs=(1, 2, 840)), [{"arcs": (1, 2, 841)}]),
         asn1.DerValue: (
-            make(asn1.DerValue, tag_class=asn1.TagClass.CONTEXT, constructed=False,
-                 tag_number=0, content=b"ab"),
+            make(asn1.DerValue, tag_class=asn1.TagClass.CONTEXT, tag_number=0, content=b"ab"),
             [{"tag_class": asn1.TagClass.APPLICATION}, {"tag_number": 1},
-             {"content": b"ac"}, {"constructed": True, "content": (asn1.null(),)}]),
+             {"content": b"ac"}, {"content": (asn1.null(),)}]),
         asn1.AlgorithmIdentifier: (
             make(asn1.AlgorithmIdentifier, oid=oids.RSA_ENCRYPTION, params=asn1.null()),
             [{"oid": oids.RSASSA_PSS}, {"params": None}]),
@@ -61,9 +60,8 @@ def values(key_512, key_1024):
         pkcs1.OaepParams: (make(pkcs1.OaepParams, k=128, hash_alg=primitives.SHA256, label=b""),
                            [{"k": 127}, {"hash_alg": OTHER_HASH}, {"label": b"x"}]),
         pkcs1.PssParams: (
-            make(pkcs1.PssParams, k=128, modulus_bits=1024, hash_alg=primitives.SHA256,
-                 salt_len=32),
-            [{"k": 127, "modulus_bits": 1016}, {"modulus_bits": 1023},
+            make(pkcs1.PssParams, modulus_bits=1024, hash_alg=primitives.SHA256, salt_len=32),
+            [{"modulus_bits": 1016}, {"modulus_bits": 1023},
              {"hash_alg": OTHER_HASH}, {"salt_len": 20}]),
         pkcs5.Pbkdf2Params: (make(pkcs5.Pbkdf2Params, salt=b"salt", iterations=2, dk_len=16),
                              [{"salt": b"pepper"}, {"iterations": 3}, {"dk_len": 32}]),
@@ -98,9 +96,9 @@ def values(key_512, key_1024):
         cms.SignerIdent: (make(cms.SignerIdent, name=name, key_id=b"id"),
                           [{"name": csr.Name((("commonName", "Bob"),))}, {"key_id": b"di"}]),
         pfx.SafeBag: (
-            make(pfx.SafeBag, bag_type="key", value=info, attributes=()),
+            make(pfx.SafeBag, value=info, attributes=()),
             [{"value": keystore.PrivateKeyInfo(other_private)}, {"attributes": (attribute,)},
-             {"bag_type": "shroudedKey", "value": epki}]),
+             {"value": epki}]),
         pfx.MacData: (make(pfx.MacData, tag=b"tag", salt=b"salt", iterations=2),
                       [{"tag": b"gat"}, {"salt": b"tlas"}, {"iterations": 3}]),
         pfx.PfxPdu: (make(pfx.PfxPdu, auth_safe=data, mac_data=None),
@@ -117,7 +115,7 @@ def values(key_512, key_1024):
     }
 
 
-# the fields each class compares: the derived ones of a private key included
+# the fields each class compares, the derived ones included
 COMPARED = {
     "Oid": ("arcs",),
     "DerValue": ("tag_class", "constructed", "tag_number", "content"),
@@ -142,6 +140,15 @@ COMPARED = {
     "PfxCredentials": ("privacy_password", "integrity_password", "destination_pub",
                        "destination_priv", "source_sign_key", "source_verify_key",
                        "source_name"),
+}
+
+
+# the compared fields a class works out from the others, not taken from its caller
+DERIVED = {
+    "DerValue": {"constructed"},
+    "RsaPrivateKey": {"n", "crt_exponents", "crt_coefficients"},
+    "PssParams": {"k"},
+    "SafeBag": {"bag_type"},
 }
 
 
@@ -173,7 +180,7 @@ def test_equality_covers_each_compared_field_and_equal_values_hash_alike(values)
         fields = COMPARED[cls.__name__]
         assert all(getattr(a, name) == getattr(b, name) for name in fields)
         # every compared field that a caller passes is varied by some change
-        derived = {"n", "crt_exponents", "crt_coefficients"} if cls is rsa.RsaPrivateKey else set()
+        derived = DERIVED.get(cls.__name__, set())
         varied = {name for overrides in changes for name in overrides}
         if cls is primitives.HashAlg:  # output_len is measured from raw
             varied = varied - {"raw"} | {"output_len"}
@@ -224,7 +231,7 @@ def test_a_decoded_value_equals_its_built_twin(key_1024):
     request = csr.build_csr(name, (public, private),
                             (keystore.attribute_make("challengePassword", "pw"),),
                             primitives.SeededSource(b"csr"))
-    bag = pfx.SafeBag("shroudedKey", epki, (keystore.attribute_make("localKeyId", b"\x01"),))
+    bag = pfx.SafeBag(epki, (keystore.attribute_make("localKeyId", b"\x01"),))
     pdu = pfx.PfxPdu(cms.make_data(b"auth safe"), pfx.MacData(b"t" * 32, b"saltsalt", 2))
     algorithm = pkcs5.pbes2_algorithm(b"saltsalt", 2, bytes(16))
     attribute = keystore.attribute_make("signingTime", "260101120000Z")
@@ -265,7 +272,7 @@ def test_reprs_name_the_shown_fields_and_hide_the_secret_ones(values, key_512):
     assert repr(asn1.AlgorithmIdentifier(oids.SHA256)) == \
         "AlgorithmIdentifier(oid=Oid(arcs=(2, 16, 840, 1, 101, 3, 4, 2, 1)), params=None)"
     assert repr(primitives.SHA256) == "HashAlg(name='sha256', output_len=32)"
-    assert repr(pkcs1.PssParams(128, 1024, salt_len=32)) == (
+    assert repr(pkcs1.PssParams(1024, salt_len=32)) == (
         "PssParams(k=128, modulus_bits=1024, hash_alg=HashAlg(name='sha256', output_len=32), "
         "salt_len=32)")
     assert repr(asn1.octet_string(b"ab")) == (
