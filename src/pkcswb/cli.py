@@ -256,18 +256,14 @@ def _cmd_cms_auth(args) -> int:
 # PFX commands
 
 
-def _pfx_credentials(args) -> pfx_mod.PfxCredentials:
-    integrity = args.password if args.integrity_password is None else args.integrity_password
-    return pfx_mod.PfxCredentials(
-        privacy_password=text_octets(args.password) if args.password else None,
-        integrity_password=text_octets(integrity) if integrity else None,
-        destination_pub=_load_public(args.dest_pub) if getattr(args, "dest_pub", None) else None,
-        destination_priv=_load_private(args.dest_key) if getattr(args, "dest_key", None) else None,
-        source_sign_key=_load_private(args.sign_key) if getattr(args, "sign_key", None) else None,
-        source_verify_key=_load_public(args.source_pub) if getattr(args, "source_pub", None) else None,
-        source_name=csr_mod.Name((("commonName", args.source_cn),))
-        if getattr(args, "source_cn", None) else None,
-    )
+def _password(text: str | None) -> bytes | None:
+    """A PFX password's octets; an absent or empty one is no credential."""
+    return text_octets(text) if text else None
+
+
+def _integrity_password(args) -> bytes | None:
+    return _password(args.password if args.integrity_password is None
+                     else args.integrity_password)
 
 
 def _cmd_pfx_pack(args) -> int:
@@ -286,9 +282,13 @@ def _cmd_pfx_pack(args) -> int:
                 yield pfx_mod.SafeBag(info, (key_id,))
         if args.cert:
             yield pfx_mod.SafeBag(cms.ContentInfo.from_der(_read(args.cert)), (key_id,))
-    pdu = pfx_mod.pfx_create(bags(), args.privacy.replace("-", "_"),
-                             args.integrity.replace("-", "_"),
-                             _pfx_credentials(args), rng)
+    privacy = _load_public(args.dest_pub) if args.dest_pub else _password(args.password)
+    if args.sign_key:
+        integrity = (_load_private(args.sign_key),
+                     csr_mod.Name((("commonName", args.source_cn),)) if args.source_cn else None)
+    else:
+        integrity = _integrity_password(args)
+    pdu = pfx_mod.pfx_create(bags(), privacy, integrity, rng)
     _write(args.out, pdu.to_der())
     return 0
 
@@ -298,7 +298,9 @@ _BAG_SUFFIXES = {"cert": "cms", "key": "p8", "shroudedKey": "p8e"}
 
 def _cmd_pfx_unpack(args) -> int:
     pdu = pfx_mod.PfxPdu.from_der(_read(args.infile))
-    bags = pfx_mod.pfx_open(pdu, _pfx_credentials(args))
+    bags = pfx_mod.pfx_open(
+        pdu, _load_private(args.dest_key) if args.dest_key else _password(args.password),
+        _load_public(args.source_pub) if args.source_pub else _integrity_password(args))
     os.makedirs(args.out_dir, exist_ok=True)
     for index, bag in enumerate(bags):
         suffix = _BAG_SUFFIXES[bag.bag_type]
@@ -363,8 +365,7 @@ SCENARIO_STEPS = (
 FAULT_POINTS = ("transport", "pfx", "challenge")
 
 _ALICE_PASSWORD = b"alice-card-pin"
-_TRANSFER_CREDENTIALS = pfx_mod.PfxCredentials(privacy_password=b"transfer-privacy",
-                                               integrity_password=b"transfer-integrity")
+_TRANSFER_PASSWORDS = (b"transfer-privacy", b"transfer-integrity")
 
 
 def run_scenario(seed: bytes, fault: str | None = None) -> tuple[str, bool]:
@@ -480,8 +481,7 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
         pfx_mod.SafeBag(certificate,
                         (key_id, keystore.attribute_make("friendlyName", "alice-cert"))),
     )
-    pfx_der = pfx_mod.pfx_create(bags, pfx_mod.PRIVACY_PASSWORD, pfx_mod.INTEGRITY_PASSWORD,
-                                 _TRANSFER_CREDENTIALS, rng).to_der()
+    pfx_der = pfx_mod.pfx_create(bags, *_TRANSFER_PASSWORDS, rng).to_der()
     yield f"pfx={_fingerprint(pfx_der)} bags={len(bags)}"
 
     # token-provisioning
@@ -489,7 +489,7 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
     if fault == "pfx":
         wire[len(wire) // 2] ^= 0x01
     try:
-        arrived = pfx_mod.pfx_open(pfx_mod.PfxPdu.from_der(bytes(wire)), _TRANSFER_CREDENTIALS)
+        arrived = pfx_mod.pfx_open(pfx_mod.PfxPdu.from_der(bytes(wire)), *_TRANSFER_PASSWORDS)
     except IntegrityFailure:
         raise ScenarioStepFailed("PFX integrity check failed")
     except PkcsError as exc:
@@ -630,17 +630,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key-hex", required=True)
 
     p = command("pfx-pack", _cmd_pfx_pack, "pack key/cert bags into a PFX", pfx_passwords, out)
-    p.add_argument("--privacy", choices=["password", "public-key"], required=True)
-    p.add_argument("--integrity", choices=["password", "public-key"], required=True)
     p.add_argument("--key", help="private key to shroud and carry")
     p.add_argument("--cert", help="toy certificate (CMS signed-data file)")
-    p.add_argument("--dest-pub")
-    p.add_argument("--sign-key")
+    p.add_argument("--dest-pub", help="public-key privacy to this key, in place of --password")
+    p.add_argument("--sign-key", help="public-key integrity: sign with this key as --source-cn")
     p.add_argument("--source-cn")
     p = command("pfx-unpack", _cmd_pfx_unpack, "open a PFX and write its bags out",
                 infile, pfx_passwords)
-    p.add_argument("--dest-key")
-    p.add_argument("--source-pub")
+    p.add_argument("--dest-key", help="for public-key privacy, in place of --password")
+    p.add_argument("--source-pub", help="for public-key integrity, in place of a password")
     p.add_argument("--out-dir", required=True)
 
     command("token-demo", _cmd_token_demo, "exercise the software token")

@@ -30,14 +30,16 @@ __all__ = [
     "pss_salt_len_for",
 ]
 
-# name field -> (attribute type, the string type of its value)
+# name field -> (attribute type, the string type of its value, its most
+# characters: RFC 5280 Appendix A's ub-common-name, ub-organization-name,
+# ub-country-name-alpha-length and ub-emailaddress-length)
 _NAME_FIELDS = {
-    "commonName": (oids.CN, asn1.utf8_string),
-    "organization": (oids.ORGANIZATION, asn1.utf8_string),
-    "country": (oids.COUNTRY, asn1.printable_string),
-    "emailAddress": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string),
+    "commonName": (oids.CN, asn1.utf8_string, 64),
+    "organization": (oids.ORGANIZATION, asn1.utf8_string, 64),
+    "country": (oids.COUNTRY, asn1.printable_string, 2),
+    "emailAddress": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, 255),
 }
-_NAME_FIELDS_BY_OID = {oid: name for name, (oid, _) in _NAME_FIELDS.items()}
+_NAME_FIELDS_BY_OID = {oid: name for name, (oid, _, _) in _NAME_FIELDS.items()}
 
 
 class MalformedRequest(PkcsError, ValueError):
@@ -66,6 +68,8 @@ class Name(DerForm, Frozen):
                 raise MalformedRequest("emailAddress must be ASCII")
             if not value:
                 raise MalformedRequest(f"{key} must be non-empty")
+            if len(value) > _NAME_FIELDS[key][2]:
+                raise MalformedRequest(f"{key} must be at most {_NAME_FIELDS[key][2]} characters")
         self.__dict__["pairs"] = pairs
 
     def get(self, field: str) -> str | None:
@@ -77,7 +81,7 @@ class Name(DerForm, Frozen):
     def _build(self) -> DerValue:
         rdns = []
         for key, value in self.pairs:
-            oid, make = _NAME_FIELDS[key]
+            oid, make, _ = _NAME_FIELDS[key]
             rdns.append(asn1.set_value(asn1.sequence(asn1.oid_value(oid), make(value))))
         return asn1.sequence(*rdns)
 

@@ -79,11 +79,10 @@ class MalformedKey(PkcsError, ValueError):
 class Frozen:
     """Base of an immutable value class, whose ``__init__`` writes the instance
     dict: no attribute can be set or deleted.  Equality (with an instance of
-    the same class only) and the hash cover the class's ``_fields``; the repr
-    shows ``_repr_fields``, by default the same, as ``Class(name=value, ...)``."""
+    the same class only), the hash and the repr, ``Class(name=value, ...)``,
+    cover the class's ``_fields``."""
 
     _fields: tuple[str, ...] = ()
-    _repr_fields: tuple[str, ...] | None = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -103,6 +102,5 @@ class Frozen:
         return hash(self._key(self))
 
     def __repr__(self):
-        shown = ", ".join(f"{name}={getattr(self, name)!r}"
-                          for name in self._repr_fields or self._fields)
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"

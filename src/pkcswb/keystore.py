@@ -131,10 +131,13 @@ def _is_time(syntax: re.Pattern, text: str) -> bool:
 
 
 def _check_time(value: DerValue) -> bool:
+    """signingTime: a UTCTime, or a GeneralizedTime outside 1950-2049, which
+    RFC 5652 §11.3 has written as a UTCTime."""
     if _is_primitive(value, asn1.UTC_TIME):
         return _is_time(_UTC_TIME, value.octets.decode("latin-1"))
     if _is_primitive(value, asn1.GENERALIZED_TIME):
-        return _is_time(_GENERALIZED_TIME, value.octets.decode("latin-1"))
+        text = value.octets.decode("latin-1")
+        return _is_time(_GENERALIZED_TIME, text) and not 1950 <= int(text[:4]) <= 2049
     return False
 
 
@@ -238,15 +241,18 @@ def _attributes_from_der(value: DerValue, read=Attribute.from_der_value) -> tupl
 # checks are the syntaxes of RFC 2985 §5.2 and RFC 3739 §3.2: a two-letter
 # country code, gender M, F, m or f, dateOfBirth as a GeneralizedTime
 # YYYYMMDDHHMMSSZ, and any other text non-empty, as its SIZE (1..ub) bound
-# asks.  A pkcsEntity value is a built DerValue, carried as it is.
+# asks; serialNumber's ub is 64 (X.520 ub-serial-number) and emailAddress's
+# 255 (RFC 2985 pkcs-9-ub-emailAddress).  A pkcsEntity value is a built
+# DerValue, carried as it is.
 _is_country = re.compile("[A-Za-z]{2}").fullmatch
 _NATURAL_PERSON_FIELDS: dict[str, tuple] = {
-    "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, bool),
+    "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, lambda text: 0 < len(text) <= 255),
     "country_of_citizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, asn1.printable_string, _is_country),
     "country_of_residence": (oids.AT_COUNTRY_OF_RESIDENCE, asn1.printable_string, _is_country),
     "pseudonym": (oids.AT_PSEUDONYM, asn1.utf8_string, bool),
     "place_of_birth": (oids.AT_PLACE_OF_BIRTH, asn1.utf8_string, bool),
-    "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string, bool),
+    "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string,
+                      lambda text: 0 < len(text) <= 64),
     "unstructured_address": (oids.AT_UNSTRUCTURED_ADDRESS, asn1.utf8_string, bool),
     "unstructured_name": (oids.AT_UNSTRUCTURED_NAME, asn1.utf8_string, bool),
     "gender": (oids.AT_GENDER, asn1.printable_string, re.compile("[MFmf]").fullmatch),

@@ -22,7 +22,6 @@ import warnings
 from . import asn1, cms, oids
 from .asn1 import DerForm, DerValue, der_decode, der_encode
 from .cms import ContentInfo, SignerIdent
-from .csr import Name
 from .errors import (DecryptionError, Frozen, IntegrityFailure, MissingCredential,
                      UnsupportedAlgorithm, uniform_decryption)
 from .keystore import Attribute, EncryptedPrivateKeyInfo, PrivateKeyInfo
@@ -36,19 +35,9 @@ __all__ = [
     "SafeBag",
     "MacData",
     "PfxPdu",
-    "PfxCredentials",
     "pfx_create",
     "pfx_open",
-    "PRIVACY_PASSWORD",
-    "PRIVACY_PUBLIC_KEY",
-    "INTEGRITY_PASSWORD",
-    "INTEGRITY_PUBLIC_KEY",
 ]
-
-PRIVACY_PASSWORD = "password"
-PRIVACY_PUBLIC_KEY = "public_key"
-INTEGRITY_PASSWORD = "password"
-INTEGRITY_PUBLIC_KEY = "public_key"
 
 _MAC_ITERATIONS = 2048
 _PRIVACY_ITERATIONS = 2048
@@ -143,27 +132,6 @@ class PfxPdu(DerForm, Frozen):
         return cls(ContentInfo.from_der_value(kids[1]), mac)
 
 
-class PfxCredentials(Frozen):
-    """Whatever the chosen modes require; unused fields stay None.  The
-    passwords and private keys are left out of the repr."""
-
-    _fields = ("privacy_password", "integrity_password", "destination_pub", "destination_priv",
-               "source_sign_key", "source_verify_key", "source_name")
-    _repr_fields = ("destination_pub", "source_verify_key", "source_name")
-
-    def __init__(self, privacy_password: bytes | None = None,
-                 integrity_password: bytes | None = None,
-                 destination_pub: RsaPublicKey | None = None,
-                 destination_priv: RsaPrivateKey | None = None,
-                 source_sign_key: RsaPrivateKey | None = None,
-                 source_verify_key: RsaPublicKey | None = None, source_name: Name | None = None):
-        self.__dict__.update(
-            privacy_password=privacy_password, integrity_password=integrity_password,
-            destination_pub=destination_pub, destination_priv=destination_priv,
-            source_sign_key=source_sign_key, source_verify_key=source_verify_key,
-            source_name=source_name)
-
-
 def _safe_contents_der(bags: tuple[SafeBag, ...]) -> bytes:
     return der_encode(asn1.sequence(*(bag.to_der_value() for bag in bags)))
 
@@ -172,84 +140,75 @@ def _safe_contents(octets: bytes) -> DerValue:
     return asn1.require(der_decode(octets), asn1.SEQUENCE)
 
 
-def _privacy_wrap(contents: bytes, privacy: str, credentials: PfxCredentials,
-                  rng: RandomSource) -> ContentInfo:
-    """The element guarding ``contents``: pfx_create has checked the mode and its credential."""
-    if privacy == PRIVACY_PASSWORD:
-        salt = rng.read(DEFAULT_SALT_LEN)
-        return cms._encrypted_data(oids.CT_DATA, *pbes2_encrypt(
-            contents, credentials.privacy_password, salt, _PRIVACY_ITERATIONS, rng))
-    return cms.envelope(cms.make_data(contents), credentials.destination_pub, rng)
+def _privacy_wrap(contents: bytes, privacy, rng: RandomSource) -> ContentInfo:
+    """The element guarding ``contents`` under a password or to the destination's public key."""
+    if isinstance(privacy, RsaPublicKey):
+        return cms.envelope(cms.make_data(contents), privacy, rng)
+    salt = rng.read(DEFAULT_SALT_LEN)
+    return cms._encrypted_data(oids.CT_DATA, *pbes2_encrypt(
+        contents, privacy, salt, _PRIVACY_ITERATIONS, rng))
 
 
-def _privacy_unwrap(element: ContentInfo, credentials: PfxCredentials) -> DerValue:
+def _privacy_unwrap(element: ContentInfo, privacy) -> DerValue:
     if element.content_type == oids.CT_ENCRYPTED_DATA:
-        if credentials.privacy_password is None:
+        if privacy is None or isinstance(privacy, RsaPrivateKey):
             raise MissingCredential("password privacy needs a privacy password")
         with uniform_decryption():
             declared, algorithm, ciphertext = cms._parse_encrypted_data(element)
             if declared != oids.CT_DATA:  # the SafeContents octets are id-data's
                 raise DecryptionError()
-            return pbes2_decrypt(algorithm, ciphertext, credentials.privacy_password,
-                                 _safe_contents)
+            return pbes2_decrypt(algorithm, ciphertext, privacy, _safe_contents)
     if element.content_type == oids.CT_ENVELOPED_DATA:
-        if credentials.destination_priv is None:
+        if not isinstance(privacy, RsaPrivateKey):
             raise MissingCredential("public-key privacy needs the destination private key")
         with uniform_decryption():
-            return _safe_contents(cms.data_payload(
-                cms.open_envelope(element, credentials.destination_priv)))
+            return _safe_contents(cms.data_payload(cms.open_envelope(element, privacy)))
     raise UnsupportedAlgorithm(f"unsupported authenticated-safe element {element.content_type}")
 
 
-def pfx_create(bags, privacy: str, integrity: str, credentials: PfxCredentials,
-               rng: RandomSource) -> PfxPdu:
-    """Pack bags under one privacy x integrity combination; refusals come before any work."""
-    if (privacy not in (PRIVACY_PASSWORD, PRIVACY_PUBLIC_KEY)
-            or integrity not in (INTEGRITY_PASSWORD, INTEGRITY_PUBLIC_KEY)):
-        raise ValueError(f"unknown mode: privacy {privacy!r}, integrity {integrity!r}")
-    if privacy == PRIVACY_PASSWORD and credentials.privacy_password is None:
-        raise MissingCredential("password privacy needs a privacy password")
-    if privacy == PRIVACY_PUBLIC_KEY and credentials.destination_pub is None:
-        raise MissingCredential("public-key privacy needs the destination public key")
-    if integrity == INTEGRITY_PASSWORD and credentials.integrity_password is None:
-        raise MissingCredential("password integrity needs an integrity password")
-    if integrity == INTEGRITY_PUBLIC_KEY and (credentials.source_sign_key is None
-                                             or credentials.source_name is None):
-        raise MissingCredential("public-key integrity needs the source signing key and name")
+def pfx_create(bags, privacy, integrity, rng: RandomSource) -> PfxPdu:
+    """Pack bags under the modes the credentials name: privacy is a password or
+    the destination's RsaPublicKey, integrity a password or the source's
+    (RsaPrivateKey, Name); refusals come before any work."""
+    if privacy is None:
+        raise MissingCredential("privacy needs a privacy password or the destination public key")
+    if integrity is None or (isinstance(integrity, tuple) and None in integrity):
+        raise MissingCredential(
+            "integrity needs an integrity password or the source signing key and source name")
     bags = tuple(bags)
-    if privacy == PRIVACY_PASSWORD and any(bag.bag_type == "key" for bag in bags):
+    if not isinstance(privacy, RsaPublicKey) and any(bag.bag_type == "key" for bag in bags):
         warnings.warn(
             "transporting an unshrouded private key under password privacy; "
             "prefer a shroudedKeyBag or public-key privacy",
             PfxSecurityWarning, stacklevel=2)
-    element = _privacy_wrap(_safe_contents_der(bags), privacy, credentials, rng)
+    element = _privacy_wrap(_safe_contents_der(bags), privacy, rng)
     auth_safe = cms.make_data(der_encode(asn1.sequence(element.to_der_value())))
-    if integrity == INTEGRITY_PASSWORD:
-        salt = rng.read(DEFAULT_SALT_LEN)
-        tag = pbmac1_tag(auth_safe.to_der(), credentials.integrity_password,
-                         salt, _MAC_ITERATIONS)
-        return PfxPdu(auth_safe, MacData(tag, salt, _MAC_ITERATIONS))
-    signed = cms.sign_data(auth_safe, credentials.source_sign_key,
-                           SignerIdent(credentials.source_name, b"pfx-source"), (), rng)
-    return PfxPdu(signed, None)
+    if isinstance(integrity, tuple):
+        sign_key, source_name = integrity
+        ident = SignerIdent(source_name, b"pfx-source")
+        return PfxPdu(cms.sign_data(auth_safe, sign_key, ident, (), rng), None)
+    salt = rng.read(DEFAULT_SALT_LEN)
+    tag = pbmac1_tag(auth_safe.to_der(), integrity, salt, _MAC_ITERATIONS)
+    return PfxPdu(auth_safe, MacData(tag, salt, _MAC_ITERATIONS))
 
 
-def pfx_open(pfx: PfxPdu, credentials: PfxCredentials) -> tuple[SafeBag, ...]:
-    """Reverse of pfx_create: verify integrity, then undo privacy protection."""
+def pfx_open(pfx: PfxPdu, privacy, integrity) -> tuple[SafeBag, ...]:
+    """Reverse of pfx_create, given a password or the destination's
+    RsaPrivateKey and a password or the source's RsaPublicKey: verify
+    integrity, then undo privacy protection, in the modes the file names."""
     if pfx.mac_data is not None:
-        if credentials.integrity_password is None:
+        if integrity is None or isinstance(integrity, RsaPublicKey):
             raise MissingCredential("password integrity needs an integrity password")
         # every decoded container keeps its value: these are the octets received
-        if not pbmac1_verify(pfx.auth_safe.to_der(), pfx.mac_data.tag,
-                             credentials.integrity_password, pfx.mac_data.salt,
-                             pfx.mac_data.iterations):
+        if not pbmac1_verify(pfx.auth_safe.to_der(), pfx.mac_data.tag, integrity,
+                             pfx.mac_data.salt, pfx.mac_data.iterations):
             raise IntegrityFailure("PFX MAC does not verify")
         content = pfx.auth_safe
     elif pfx.auth_safe.content_type == oids.CT_SIGNED_DATA:
-        if credentials.source_verify_key is None:
+        if not isinstance(integrity, RsaPublicKey):
             raise MissingCredential("public-key integrity needs the source public key")
         # DigestMismatch and SignatureInvalid are IntegrityFailures
-        content, _ = cms.verify_signed(pfx.auth_safe, credentials.source_verify_key)
+        content, _ = cms.verify_signed(pfx.auth_safe, integrity)
     else:
         raise IntegrityFailure("PFX carries no integrity protection")
     elements = asn1.require(der_decode(cms.data_payload(content)), asn1.SEQUENCE).children
@@ -257,5 +216,5 @@ def pfx_open(pfx: PfxPdu, credentials: PfxCredentials) -> tuple[SafeBag, ...]:
     for element_v in elements:  # each element carries its own SafeContents
         element = ContentInfo.from_der_value(element_v)
         bags += tuple(SafeBag.from_der_value(child)
-                      for child in _privacy_unwrap(element, credentials).children)
+                      for child in _privacy_unwrap(element, privacy).children)
     return bags

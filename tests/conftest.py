@@ -10,7 +10,7 @@ from pkcswb.cms import ContentInfo
 from pkcswb.csr import CertificationRequest, Name, build_csr, verify_csr
 from pkcswb.keystore import (EncryptedPrivateKeyInfo, PrivateKeyInfo, attribute_make,
                              decrypt_private_key, encrypt_private_key)
-from pkcswb.pfx import PfxCredentials, PfxPdu, SafeBag, pfx_create, pfx_open
+from pkcswb.pfx import PfxPdu, SafeBag, pfx_create, pfx_open
 from pkcswb.primitives import HashAlg, SeededSource
 
 MUTANTS = 500
@@ -18,6 +18,18 @@ MUTANTS = 500
 
 def seeded(tag: bytes) -> SeededSource:
     return SeededSource(tag)
+
+
+def pfx_credentials(privacy_password: bytes, integrity_password: bytes, destination, source,
+                    source_name: Name):
+    """mode -> (the credential pfx_create takes, the one pfx_open takes), for
+    privacy and for integrity; ``destination`` and ``source`` are key pairs."""
+    (destination_public, destination_private), (source_public, source_private) = (
+        destination, source)
+    return ({"password": (privacy_password, privacy_password),
+             "public_key": (destination_public, destination_private)},
+            {"password": (integrity_password, integrity_password),
+             "public_key": ((source_private, source_name), source_public)})
 
 
 def tiny_hash(out_len: int) -> HashAlg:
@@ -125,10 +137,8 @@ def targets(key_1024, key_1024_b, toy_keys):
     epki = encrypt_private_key(info, b"pw", b"saltsalt", 2, rng)
     csr = build_csr(name, key_1024, (attribute_make("challengePassword", "pw"),), rng)
     inner = cms.make_data(b"mutated payload")
-    credentials = PfxCredentials(
-        privacy_password=b"privacy", integrity_password=b"integrity",
-        destination_pub=other_public, destination_priv=other_private,
-        source_sign_key=private, source_verify_key=public, source_name=name)
+    privacies, integrities = pfx_credentials(b"privacy", b"integrity", key_1024_b, key_1024,
+                                             name)
     bags = (SafeBag(epki, (key_id,)), SafeBag(info, (key_id,)))
 
     def ci(opener):
@@ -155,9 +165,10 @@ def targets(key_1024, key_1024_b, toy_keys):
         patch.setattr(pfx, "_MAC_ITERATIONS", 2)
         patch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
         warnings.simplefilter("ignore", pfx.PfxSecurityWarning)
-        for privacy in ("password", "public_key"):
-            for integrity in ("password", "public_key"):
-                built = pfx_create(bags, privacy, integrity, credentials, rng)
-                out[f"pfx-{privacy}-{integrity}"] = (built.to_der(), lambda octets: pfx_open(
-                    PfxPdu.from_der(octets), credentials))
+        for privacy, (seal, unseal) in privacies.items():
+            for integrity, (sign, check) in integrities.items():
+                built = pfx_create(bags, seal, sign, rng)
+                out[f"pfx-{privacy}-{integrity}"] = (
+                    built.to_der(), lambda octets, unseal=unseal, check=check: pfx_open(
+                        PfxPdu.from_der(octets), unseal, check))
     return out

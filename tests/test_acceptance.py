@@ -17,7 +17,7 @@ from pkcswb import asn1, cms, csr as csr_mod, keystore, pfx as pfx_mod, pkcs1, \
 from pkcswb.cli import run_scenario
 from pkcswb.errors import DecryptionError
 from pkcswb.primitives import ConstantSource
-from conftest import seeded, tiny_hash
+from conftest import pfx_credentials, seeded, tiny_hash
 from test_asn1 import random_value
 from test_token import _attempt, _login_as, _matrix_token, expected_outcome
 
@@ -245,19 +245,14 @@ def test_criterion_6_containers(key_1024, key_1024_b, key_1024_c):
                          1, rng)
     key_id = keystore.attribute_make("localKeyId", b"\x01")
     bags = (pfx_mod.SafeBag(epki, (key_id,)), pfx_mod.SafeBag(cert, (key_id,)))
-    dest_public, dest_private = key_1024_c
-    credentials = pfx_mod.PfxCredentials(
-        privacy_password=b"priv", integrity_password=b"integ",
-        destination_pub=dest_public, destination_priv=dest_private,
-        source_sign_key=alice_private, source_verify_key=alice_public,
-        source_name=subject)
-    for privacy in ("password", "public_key"):
-        for integrity in ("password", "public_key"):
-            pdu = pfx_mod.pfx_create(bags, privacy, integrity, credentials, rng)
+    privacies, integrities = pfx_credentials(b"priv", b"integ", key_1024_c, key_1024, subject)
+    for seal, unseal in privacies.values():
+        for sign, check in integrities.values():
+            pdu = pfx_mod.pfx_create(bags, seal, sign, rng)
             decoded_pdu = stable(pdu.to_der(), pfx_mod.PfxPdu.from_der,
                                  lambda v: v.to_der())
             assert decoded_pdu == pdu
-            assert pfx_mod.pfx_open(decoded_pdu, credentials) == bags
+            assert pfx_mod.pfx_open(decoded_pdu, unseal, check) == bags
 
 
 # -- 7: token access-control matrix -----------------------------------------------------------

@@ -211,8 +211,7 @@ def test_pfx_pack_unpack(workdir, capsys):
     code, _ = run(capsys, "cms-sign", "--key", workdir / "other.p8",
                   "--in", workdir / "message.bin", "--out", workdir / "cert.cms")
     assert code == 0
-    code, _ = run(capsys, "pfx-pack", "--privacy", "password",
-                  "--integrity", "password", "--key", workdir / "alice.p8",
+    code, _ = run(capsys, "pfx-pack", "--key", workdir / "alice.p8",
                   "--cert", workdir / "cert.cms", "--password", "transfer",
                   "--out", workdir / "alice.pfxw")
     assert code == 0
@@ -233,8 +232,7 @@ def test_password_privacy_pack_shrouds_every_key(workdir, tmp_path, capsys):
     """Password privacy needs --password, and with it pfx-pack shrouds the key: no plain bag."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", PfxSecurityWarning)
-        code, _ = run(capsys, "pfx-pack", "--privacy", "password", "--integrity", "password",
-                      "--password", "P", "--key", workdir / "alice.p8",
+        code, _ = run(capsys, "pfx-pack", "--password", "P", "--key", workdir / "alice.p8",
                       "--out", tmp_path / "key.pfxw")
     assert code == 0
     code, out = run(capsys, "pfx-unpack", "--in", tmp_path / "key.pfxw", "--password", "P",
@@ -248,6 +246,48 @@ def test_pfx_wrong_integrity_password(workdir, capsys):
                   "--password", "transfer", "--integrity-password", "wrong",
                   "--out-dir", workdir / "bags2")
     assert code == 1
+
+
+# each mode's pfx-pack options, then pfx-unpack's
+PFX_PRIVACY = {"password": (["--password", "P"], ["--password", "P"]),
+               "public-key": (["--dest-pub", "{dir}/other.spki"], ["--dest-key", "{dir}/other.p8"])}
+PFX_INTEGRITY = {
+    "password": (["--integrity-password", "I"], ["--integrity-password", "I"]),
+    "public-key": (["--sign-key", "{dir}/alice.p8", "--source-cn", "Alice"],
+                   ["--source-pub", "{dir}/alice.spki"])}
+
+
+@pytest.mark.parametrize("privacy", list(PFX_PRIVACY))
+@pytest.mark.parametrize("integrity", list(PFX_INTEGRITY))
+def test_pfx_round_trip_in_each_mode(workdir, tmp_path, capsys, monkeypatch, privacy,
+                                     integrity):
+    """The options given name the modes; the bags come back as packed, the key
+    shrouded under the privacy password and carried as it is under public-key privacy."""
+    from pkcswb import keystore, pfx
+    monkeypatch.setattr(pfx, "_MAC_ITERATIONS", 2)
+    monkeypatch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
+    code, _ = run(capsys, "cms-sign", "--key", workdir / "other.p8",
+                  "--in", workdir / "message.bin", "--out", tmp_path / "cert.cms")
+    assert code == 0
+    pack, unpack = ([arg.format(dir=workdir) for arg in privacy_args + integrity_args]
+                    for privacy_args, integrity_args in zip(PFX_PRIVACY[privacy],
+                                                            PFX_INTEGRITY[integrity]))
+    code, _ = run(capsys, "pfx-pack", "--key", workdir / "alice.p8", "--cert",
+                  tmp_path / "cert.cms", *pack, "--out", tmp_path / "alice.pfxw")
+    assert code == 0
+    code, out = run(capsys, "pfx-unpack", "--in", tmp_path / "alice.pfxw", *unpack,
+                    "--out-dir", tmp_path / "bags")
+    assert code == 0 and "unpacked 2 bags" in out
+    bags = tmp_path / "bags"
+    assert (bags / "bag1.cms").read_bytes() == (tmp_path / "cert.cms").read_bytes()
+    if privacy == "password":
+        assert sorted(os.listdir(bags)) == ["bag0.p8e", "bag1.cms"]
+        key = keystore.decrypt_private_key(keystore.EncryptedPrivateKeyInfo.from_der(
+            (bags / "bag0.p8e").read_bytes()), b"P").to_der()
+    else:
+        assert sorted(os.listdir(bags)) == ["bag0.p8", "bag1.cms"]
+        key = (bags / "bag0.p8").read_bytes()
+    assert key == (workdir / "alice.p8").read_bytes()
 
 
 def test_token_demo_deterministic(capsys):
@@ -368,8 +408,7 @@ SELF_CHECKS = {
         cli.pfx_mod, "pfx_open", lambda real: _raising(DecryptionError())),
     "bags altered": (
         "step 8/9 token-provisioning         FAIL  bags arrived altered",
-        cli.pfx_mod, "pfx_open", lambda real: lambda pdu, credentials: real(
-            pdu, credentials)[::-1]),
+        cli.pfx_mod, "pfx_open", lambda real: lambda *args: real(*args)[::-1]),
     "directory export": (
         "step 8/9 token-provisioning         FAIL  directory export incomplete",
         cli, "export_pkcs15_layout", lambda real: lambda token: "EF(PrKDF): 1\nEF(CDF): 1\n"),
@@ -404,9 +443,8 @@ def test_written_files_are_echoed_by_fingerprint(workdir, readable, tmp_path, ca
              "--out", "{tmp}/ct.bin"],
             ["cms-envelope", "--key", "{dir}/alice.spki", "--in", "{dir}/message.bin",
              "--out", "{tmp}/sealed.cms"],
-            ["pfx-pack", "--privacy", "password", "--integrity", "password",
-             "--key", "{dir}/alice.p8", "--cert", "{readable}/signed.cms", "--password", "pw",
-             "--out", "{tmp}/alice.pfxw"]):
+            ["pfx-pack", "--key", "{dir}/alice.p8", "--cert", "{readable}/signed.cms",
+             "--password", "pw", "--out", "{tmp}/alice.pfxw"]):
         assert main(["--seed", SEED, *(arg.format(dir=workdir, readable=readable, tmp=inputs)
                                        for arg in argv)]) == 0
     writers = {
@@ -576,8 +614,6 @@ OPTION_SURFACE = {
         "--out": ("out", False, None, None, None),
         "--check": ("check", False, False, None, None)}),
     "pfx-pack": ("_cmd_pfx_pack", {
-        "--privacy": ("privacy", True, None, None, ["password", "public-key"]),
-        "--integrity": ("integrity", True, None, None, ["password", "public-key"]),
         "--key": ("key", False, None, None, None),
         "--cert": ("cert", False, None, None, None),
         "--password": ("password", False, None, None, None),
@@ -662,9 +698,11 @@ USAGE_ERRORS = {
                                    "--out", "{out}"],
     # and not replaced by --password: MissingCredential
     "pfx-pack --integrity-password ''": [
-        "pfx-pack", "--privacy", "password", "--integrity", "password",
-        "--key", "{dir}/alice.p8", "--password", "pw", "--integrity-password", "",
+        "pfx-pack", "--key", "{dir}/alice.p8", "--password", "pw", "--integrity-password", "",
         "--out", "{out}"],
+    "pfx-pack --sign-key, no --source-cn": [
+        "pfx-pack", "--key", "{dir}/alice.p8", "--password", "pw",
+        "--sign-key", "{dir}/alice.p8", "--out", "{out}"],
     # values that reach an encoder or the system random source
     "csr-new --country ÜS": ["csr-new", "--key", "{dir}/alice.p8", "--cn", "x",
                              "--country", "ÜS", "--out", "{out}"],
@@ -707,19 +745,36 @@ def test_bad_values_are_usage_errors(workdir, tmp_path, capsys, monkeypatch, cas
     assert not out.exists()
 
 
-def test_a_refused_pfx_pack_runs_no_pbkdf2(workdir, tmp_path, capsys, monkeypatch):
-    """The missing integrity password is refused before the key is shrouded or
-    the privacy key derived: 10 000 and 2 048 iterations that would be wasted."""
+def _refused_pack(workdir, tmp_path, capsys, monkeypatch, case) -> str:
+    """stderr of the pfx-pack ``USAGE_ERRORS[case]``, which must exit 2, write
+    nothing and run no PBKDF2."""
     from pkcswb import pkcs5
     iterations, real = [], pkcs5.pbkdf2
     monkeypatch.setattr(pkcs5, "pbkdf2", lambda password, params: iterations.append(
         params.iterations) or real(password, params))
     out = tmp_path / "out"
-    argv = USAGE_ERRORS["pfx-pack --integrity-password ''"]
-    code = main(["--seed", SEED, *(arg.format(dir=workdir, out=out) for arg in argv)])
+    code = main(["--seed", SEED, *(arg.format(dir=workdir, out=out)
+                                   for arg in USAGE_ERRORS[case])])
     assert (code, iterations) == (2, [])
-    assert capsys.readouterr().err == "error: password integrity needs an integrity password\n"
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_a_refused_pfx_pack_runs_no_pbkdf2(workdir, tmp_path, capsys, monkeypatch):
+    """The missing integrity password is refused before the key is shrouded or
+    the privacy key derived: 10 000 and 2 048 iterations that would be wasted."""
+    assert _refused_pack(workdir, tmp_path, capsys, monkeypatch,
+                         "pfx-pack --integrity-password ''") == (
+        "error: integrity needs an integrity password or the source signing key and "
+        "source name\n")
+
+
+def test_pfx_pack_sign_key_without_source_cn_runs_no_pbkdf2(workdir, tmp_path, capsys,
+                                                             monkeypatch):
+    """--sign-key with no --source-cn lacks the name to sign as: refused as
+    the empty integrity password is, before any work."""
+    assert _refused_pack(workdir, tmp_path, capsys, monkeypatch,
+                         "pfx-pack --sign-key, no --source-cn").endswith("source name\n")
 
 
 def test_kdf_refuses_a_count_the_reader_refuses(capsys, monkeypatch):
@@ -801,8 +856,8 @@ def readable(workdir, tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pfx, "_MAC_ITERATIONS", 2)
         patch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
-        make("pfx-pack", "--privacy", "password", "--integrity", "password",
-             "--cert", "{dir}/signed.cms", "--password", "pw", "--out", "{dir}/alice.pfxw")
+        make("pfx-pack", "--cert", "{dir}/signed.cms", "--password", "pw",
+             "--out", "{dir}/alice.pfxw")
     return path
 
 

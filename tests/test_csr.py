@@ -253,6 +253,23 @@ def test_name_component_must_be_non_empty(field):
         Name((("commonName", "c"), (field, "")))
 
 
+@pytest.mark.parametrize("field,bound", [("commonName", 64), ("organization", 64),
+                                         ("emailAddress", 255)])
+def test_name_component_has_an_upper_bound(field, bound):
+    """RFC 5280 Appendix A's ub-common-name, ub-organization-name and
+    ub-emailaddress-length, built and received alike."""
+    at_bound = Name((("commonName", "c"), (field, "a" * bound)))
+    assert Name.from_der(at_bound.to_der()) == at_bound
+    oid, make, _ = csr._NAME_FIELDS[field]
+    received = asn1.sequence(at_bound.to_der_value().children[0], asn1.set_value(
+        asn1.sequence(asn1.oid_value(oid), make("a" * (bound + 1)))))
+    message = f"{field} must be at most {bound} characters"
+    with pytest.raises(MalformedRequest, match=message):
+        Name((("commonName", "c"), (field, "a" * (bound + 1))))
+    with pytest.raises(MalformedRequest, match=message):
+        Name.from_der_value(received)
+
+
 @pytest.mark.parametrize("value", [5, 3.7, b"US", None, True], ids=repr)
 @pytest.mark.parametrize("field", list(csr._NAME_FIELDS))
 def test_name_takes_only_text(field, value):

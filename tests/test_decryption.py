@@ -8,7 +8,7 @@ from pkcswb import asn1, cms, oids
 from pkcswb.asn1 import AlgorithmIdentifier, der_encode
 from pkcswb.errors import DecryptionError
 from pkcswb.keystore import EncryptedPrivateKeyInfo, PrivateKeyInfo, decrypt_private_key
-from pkcswb.pfx import MacData, PfxCredentials, PfxPdu, pfx_open
+from pkcswb.pfx import MacData, PfxPdu, pfx_open
 from pkcswb.pkcs5 import AES128_KEY_LEN, Pbkdf2Params, pbes2_algorithm, pbkdf2, pbmac1_tag
 from pkcswb.primitives import cbc_encrypt
 from conftest import seeded
@@ -44,23 +44,21 @@ def _decrypt_private_key(right, ciphertext):
                                PASSWORD if right else b"wrong-pw")
 
 
-def _pfx_open(element, credentials):
+def _pfx_open(element, privacy):
     """A PFX holding ``element`` whose MAC verifies, so decryption runs."""
     auth_safe = cms.make_data(der_encode(asn1.sequence(element.to_der_value())))
     tag = pbmac1_tag(auth_safe.to_der(), b"integrity-pw", b"mac-salt", 16)
-    return pfx_open(PfxPdu(auth_safe, MacData(tag, b"mac-salt", 16)),
-                    PfxCredentials(integrity_password=b"integrity-pw", **credentials))
+    return pfx_open(PfxPdu(auth_safe, MacData(tag, b"mac-salt", 16)), privacy, b"integrity-pw")
 
 
 def _pfx_open_password(right, ciphertext):
     return _pfx_open(cms._encrypted_data(oids.CT_DATA, PBES2, ciphertext),
-                     {"privacy_password": PASSWORD if right else b"wrong-pw"})
+                     PASSWORD if right else b"wrong-pw")
 
 
 def _pfx_open_public_key(keys, right, ciphertext):
     (public, private), (_, wrong_private) = keys
-    return _pfx_open(_enveloped(public, ciphertext),
-                     {"destination_priv": private if right else wrong_private})
+    return _pfx_open(_enveloped(public, ciphertext), private if right else wrong_private)
 
 
 @pytest.fixture(params=["decrypt_data", "open_envelope", "decrypt_private_key",

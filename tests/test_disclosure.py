@@ -145,15 +145,14 @@ RUNS = [
                           "--check"], 0),
     ("cms-auth --check wrong key", ["cms-auth", "--key-hex", WRONG_CEK, "--in",
                                     "{dir}/authenticated.cms", "--check"], 1),
-    ("pfx-pack", ["pfx-pack", "--privacy", "password", "--integrity", "password", "--key",
-                  "{dir}/alice.p8", "--cert", "{dir}/signed.cms", "--password", PFX_PASSWORD,
-                  "--out", "{dir}/alice.pfxw"], 0),
+    ("pfx-pack", ["pfx-pack", "--key", "{dir}/alice.p8", "--cert", "{dir}/signed.cms",
+                  "--password", PFX_PASSWORD, "--out", "{dir}/alice.pfxw"], 0),
     ("pfx-unpack", ["pfx-unpack", "--in", "{dir}/alice.pfxw", "--password", PFX_PASSWORD,
                     "--out-dir", "{dir}/bags"], 0),
     ("pfx-unpack wrong password", ["pfx-unpack", "--in", "{dir}/alice.pfxw", "--password",
                                    PASSWORD, "--out-dir", "{dir}/bags-wrong"], 1),
-    ("pfx-pack public-key", ["pfx-pack", "--privacy", "public-key", "--integrity", "public-key",
-                             "--key", "{dir}/alice.p8", "--dest-pub", "{dir}/other.spki",
+    ("pfx-pack public-key", ["pfx-pack", "--key", "{dir}/alice.p8",
+                             "--dest-pub", "{dir}/other.spki",
                              "--sign-key", "{dir}/alice.p8", "--source-cn", "Alice",
                              "--out", "{dir}/public.pfxw"], 0),
     ("pfx-unpack public-key", ["pfx-unpack", "--in", "{dir}/public.pfxw", "--dest-key",
@@ -185,8 +184,7 @@ def test_no_cli_output_holds_a_secret(tmp_path, capsys, monkeypatch):
         printed[label] = out + err
     forms = recorder.forms(PASSWORD, PFX_PASSWORD, bytes.fromhex(CEK),
                            bytes.fromhex(WRONG_CEK), MISTYPED_CEK, *PINS,
-                           cli._TRANSFER_CREDENTIALS.privacy_password,
-                           cli._TRANSFER_CREDENTIALS.integrity_password)
+                           *cli._TRANSFER_PASSWORDS)
     # the scan finds a secret where one is: the plaintext key file holds the primes
     alice = keystore.decode_private_key((tmp_path / "alice.p8").read_bytes())
     assert all(f"{r:x}" in (tmp_path / "alice.p8").read_bytes().hex() for r in alice.primes)
@@ -200,8 +198,7 @@ def test_no_scenario_report_holds_a_secret(monkeypatch):
     reports = {f"fault {fault}": run_scenario(bytes.fromhex(SEED), fault)[0]
                for fault in (None, *FAULT_POINTS)}
     assert len(recorder.secrets) > 4 * 3 * 5  # four runs, three keys each, CEKs and MAC keys
-    forms = recorder.forms(*PINS, cli._TRANSFER_CREDENTIALS.privacy_password,
-                           cli._TRANSFER_CREDENTIALS.integrity_password)
+    forms = recorder.forms(*PINS, *cli._TRANSFER_PASSWORDS)
     assert _leaks(reports, forms) == []
 
 
@@ -241,17 +238,15 @@ def test_no_returned_repr_or_error_text_holds_a_secret(monkeypatch):
 
     monkeypatch.setattr(pfx, "_MAC_ITERATIONS", 2)
     monkeypatch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
-    credentials = pfx.PfxCredentials(PFX_PASSWORD.encode(), PASSWORD.encode(), other_public,
-                                     other_private, private, public, request.info.subject)
     bags = (pfx.SafeBag(info), pfx.SafeBag(epki))
-    for privacy, integrity in (("password", "password"), ("public_key", "public_key")):
+    for seal, sign, unseal, check in (
+            (PFX_PASSWORD.encode(), PASSWORD.encode(), PFX_PASSWORD.encode(), PASSWORD.encode()),
+            (other_public, (private, request.info.subject), other_private, public)):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", pfx.PfxSecurityWarning)
-            pdu = pfx.pfx_create(bags, privacy, integrity, credentials, rng)
-        returned += [pdu, pfx.pfx_open(pdu, credentials)]
-    returned.append(credentials)
-    refused(pfx.pfx_open, pdu, pfx.PfxCredentials(b"x", b"y", other_public, private, private,
-                                                  other_public))
+            pdu = pfx.pfx_create(bags, seal, sign, rng)
+        returned += [pdu, pfx.pfx_open(pdu, unseal, check)]
+    refused(pfx.pfx_open, pdu, private, other_public)
 
     token = token_mod.Token("card", rng)
     token.initialize("so-factory-pin")

@@ -31,7 +31,6 @@ PROGRAMMING_ERRORS = {
     "csr.Name.__init__": ValueError,
     "csr.build_csr": ValueError,
     "pfx.SafeBag.__init__": ValueError,
-    "pfx.pfx_create": ValueError,
     "token.Token.login": ValueError,
     "token.Token.create_object": ValueError,
     "cli.run_scenario": ValueError,
@@ -100,9 +99,6 @@ PROGRAMMING_ERROR_CALLS = {
     "csr.build_csr": lambda a, b: csr.build_csr(
         csr.Name((("commonName", "x"),)), (b[0], a[1]), (), seeded(b"r")),
     "pfx.SafeBag.__init__": lambda a, b: pfx.SafeBag(None),
-    "pfx.pfx_create": lambda a, b: pfx.pfx_create(
-        (), pfx.PRIVACY_PUBLIC_KEY, "unknown", pfx.PfxCredentials(destination_pub=b[0]),
-        seeded(b"r")),
     "token.Token.login": lambda a, b: (
         lambda token, session: token.login(session, "unknown", "so-pin"))(
             *_initialized_token()),

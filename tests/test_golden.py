@@ -20,7 +20,7 @@ from pkcswb.cli import run_scenario
 from pkcswb.csr import Name, build_csr
 from pkcswb.keystore import PrivateKeyInfo, attribute_make, encrypt_private_key
 from pkcswb.pkcs1 import encode_public_key_info
-from conftest import seeded
+from conftest import pfx_credentials, seeded
 
 GOLDEN = "974adc40e563fc4c4efc7704922302e564e7a158facff3678a090c52de12c4a1"
 OUTPUT_DIGESTS = {
@@ -48,8 +48,8 @@ OUTPUT_DIGESTS = {
 def seeded_outputs(key_512, key_1024, key_1024_b, toy_keys) -> dict[str, bytes]:
     """name -> octets of each seeded output."""
     rng = seeded(b"golden")
-    public, private = key_1024
-    other_public, other_private = key_1024_b
+    _, private = key_1024
+    other_public, _ = key_1024_b
     name = Name((("commonName", "Alice"), ("organization", "Example"), ("country", "US")))
     key_id = attribute_make("localKeyId", b"\x01")
     out = {f"p8-u{u}": PrivateKeyInfo(toy_keys[u][1]).to_der() for u in sorted(toy_keys)}
@@ -69,17 +69,15 @@ def seeded_outputs(key_512, key_1024, key_1024_b, toy_keys) -> dict[str, bytes]:
     out["digested-data"] = cms.digest_data(inner).to_der()
     out["encrypted-data"] = cms.encrypt_data(inner, b"k" * 16, rng).to_der()
     out["authenticated-data"] = cms.authenticate_data(inner, b"mac key", attrs).to_der()
-    credentials = pfx.PfxCredentials(
-        privacy_password=b"privacy", integrity_password=b"integrity",
-        destination_pub=other_public, destination_priv=other_private,
-        source_sign_key=private, source_verify_key=public, source_name=name)
+    privacies, integrities = pfx_credentials(b"privacy", b"integrity", key_1024_b, key_1024,
+                                             name)
     bags = (pfx.SafeBag(epki, (key_id,)), pfx.SafeBag(info, (key_id,)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", pfx.PfxSecurityWarning)
-        for privacy in (pfx.PRIVACY_PASSWORD, pfx.PRIVACY_PUBLIC_KEY):
-            for integrity in (pfx.INTEGRITY_PASSWORD, pfx.INTEGRITY_PUBLIC_KEY):
-                out[f"pfx-{privacy}-{integrity}"] = pfx.pfx_create(
-                    bags, privacy, integrity, credentials, rng).to_der()
+        for privacy, (seal, _) in privacies.items():
+            for integrity, (sign, _) in integrities.items():
+                out[f"pfx-{privacy}-{integrity}"] = pfx.pfx_create(bags, seal, sign,
+                                                                   rng).to_der()
     report, ok = run_scenario(bytes(range(16)))
     assert ok
     out["scenario"] = report.encode()

@@ -316,7 +316,7 @@ def test_built_values_pass_through_every_type():
     # and one valid native value of each row that takes one
     native = [("contentType", oids.CT_DATA), ("contentType", "1.2.840.113549.1.7.1"),
               ("messageDigest", bytes(32)), ("signingTime", "200101120000Z"),
-              ("signingTime", "20200101120000Z"), ("sequenceNumber", 3),
+              ("signingTime", "20520101120000Z"), ("sequenceNumber", 3),
               ("randomNonce", bytearray(b"\x01\x02\x03\x04")),
               ("challengePassword", "pw"), ("friendlyName", "k"),
               ("localKeyId", memoryview(b"\x01"))]
@@ -381,12 +381,20 @@ def test_attribute_check_is_total():
 
 def test_signing_time_syntax():
     assert attribute_check(attribute_make("signingTime", "200101120000Z"))
-    assert attribute_check(attribute_make("signingTime", "20200101120000Z"))
+    assert attribute_check(attribute_make("signingTime", "20520101120000Z"))
     for text in ("000101000000Z", "991231235959Z", "00000101000000Z", "99991231235959Z"):
         assert attribute_check(attribute_make("signingTime", text))  # the calendar's bounds
     # leap days: a UTCTime year 00-49 is 20xx and 50-99 19xx (RFC 5280 §4.1.2.5.1)
-    for text in ("000229000000Z", "520229000000Z", "20240229000000Z"):
+    for text in ("000229000000Z", "520229000000Z", "20520229000000Z"):
         assert attribute_check(attribute_make("signingTime", text))
+    # 1950-2049 is UTCTime's span, and a GeneralizedTime in it is refused (RFC 5652 §11.3)
+    for text in ("19491231235959Z", "20500101000000Z"):
+        assert attribute_check(attribute_make("signingTime", text))
+    for text in ("19500101000000Z", "20491231235959Z"):
+        with pytest.raises(SyntaxViolation):
+            attribute_make("signingTime", text)
+        generalized = Attribute(oids.AT_SIGNING_TIME, (asn1.generalized_time(text),))
+        assert not attribute_check(generalized)
     with pytest.raises(SyntaxViolation):  # 1900 is no leap year
         attribute_make("signingTime", "19000229000000Z")
     with pytest.raises(SyntaxViolation):
@@ -397,8 +405,8 @@ def test_signing_time_syntax():
 
 # the calendar after the year: each field just out of its range (month 01-12, day
 # 01-31, hour 00-23, minutes and seconds 00-59), then month 13, day 32, hour 25, and
-# every digit 9, then days their month does not have in 1999: 31 February, 31 April
-# and 29 February
+# every digit 9, then days their month does not have in 1999 and 2099: 31 February,
+# 31 April and 29 February
 IMPOSSIBLE_TAILS = ["0001000000Z", "1301000000Z", "0100000000Z", "0132000000Z",
                     "0101240000Z", "0101006000Z", "0101000060Z", "1332250000Z", "9999999999Z",
                     "0231000000Z", "0431000000Z", "0229000000Z"]
@@ -406,7 +414,7 @@ IMPOSSIBLE_TAILS = ["0001000000Z", "1301000000Z", "0100000000Z", "0132000000Z",
 
 @pytest.mark.parametrize("tail", IMPOSSIBLE_TAILS)
 def test_impossible_calendar_times_are_refused(tail):
-    utc, generalized = "99" + tail, "1999" + tail
+    utc, generalized = "99" + tail, "2099" + tail  # 1999 is a UTCTime's year
     for text in (utc, generalized):
         with pytest.raises(SyntaxViolation, match="signingTime syntax"):
             attribute_make("signingTime", text)
@@ -460,6 +468,8 @@ def test_natural_person_bundle():
         natural_person_bundle(shoe_size="44")
     assert natural_person_bundle(date_of_birth="19991231235959Z")[0].attr_type == \
         oids.AT_DATE_OF_BIRTH
+    # each text at its upper bound (the refusals above it are below)
+    assert len(natural_person_bundle(serial_number="1" * 64, email_address="a" * 255)) == 2
 
 
 
@@ -481,6 +491,9 @@ def test_natural_person_bundle():
     ("serial_number", ""),
     ("unstructured_address", ""),
     ("unstructured_name", ""),
+    # and X.520 ub-serial-number and RFC 2985 pkcs-9-ub-emailAddress from above
+    pytest.param("serial_number", "1" * 65, id="serial_number-65-characters"),
+    pytest.param("email_address", "a" * 256, id="email_address-256-characters"),
 ])
 def test_natural_person_bundle_refuses_a_value_outside_its_syntax(field, value):
     # RFC 2985 §5.2 and RFC 3739 §3.2: dateOfBirth is a GeneralizedTime

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from pkcswb import keystore, rsa, token as tk
+from pkcswb import keystore, token as tk
 from pkcswb.errors import BadParameter
 from pkcswb.token import (CKA_DECRYPT, CKA_EXTRACTABLE, CKA_ID, CKA_KEY_KIND,
                           CKA_KEY_TYPE, CKA_LABEL, CKA_LOCAL, CKA_PRIVATE,

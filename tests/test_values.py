@@ -104,14 +104,6 @@ def values(key_512, key_1024):
         pfx.PfxPdu: (make(pfx.PfxPdu, auth_safe=data, mac_data=None),
                      [{"auth_safe": cms.make_data(b"other")},
                       {"mac_data": pfx.MacData(b"tag", b"salt", 2)}]),
-        pfx.PfxCredentials: (
-            make(pfx.PfxCredentials, privacy_password=b"p", integrity_password=b"i",
-                 destination_pub=public, destination_priv=private, source_sign_key=private,
-                 source_verify_key=public, source_name=name),
-            [{"privacy_password": b"q"}, {"integrity_password": b"j"},
-             {"destination_pub": other_public}, {"destination_priv": other_private},
-             {"source_sign_key": other_private}, {"source_verify_key": other_public},
-             {"source_name": None}]),
     }
 
 
@@ -137,9 +129,6 @@ COMPARED = {
     "SafeBag": ("bag_type", "value", "attributes"),
     "MacData": ("tag", "salt", "iterations"),
     "PfxPdu": ("auth_safe", "mac_data"),
-    "PfxCredentials": ("privacy_password", "integrity_password", "destination_pub",
-                       "destination_priv", "source_sign_key", "source_verify_key",
-                       "source_name"),
 }
 
 
@@ -267,7 +256,7 @@ def test_a_decoded_value_equals_its_built_twin(key_1024):
         assert decoded == built and hash(decoded) == hash(built), type(built).__name__
 
 
-def test_reprs_name_the_shown_fields_and_hide_the_secret_ones(values, key_512):
+def test_reprs_name_the_shown_fields_and_hide_the_secret_ones(key_512):
     assert repr(asn1.Oid((1, 2, 840))) == "Oid(arcs=(1, 2, 840))"
     assert repr(asn1.AlgorithmIdentifier(oids.SHA256)) == \
         "AlgorithmIdentifier(oid=Oid(arcs=(2, 16, 840, 1, 101, 3, 4, 2, 1)), params=None)"
@@ -278,9 +267,5 @@ def test_reprs_name_the_shown_fields_and_hide_the_secret_ones(values, key_512):
     assert repr(asn1.octet_string(b"ab")) == (
         "DerValue(tag_class=<TagClass.UNIVERSAL: 0>, constructed=False, tag_number=4, "
         "content=b'ab')")
-    public, private = key_512
-    make, _ = values[pfx.PfxCredentials]
-    assert repr(make()) == (f"PfxCredentials(destination_pub={public!r}, "
-                            f"source_verify_key={public!r}, "
-                            "source_name=Name(pairs=(('commonName', 'Alice'),)))")
+    _, private = key_512
     assert repr(private) == "RsaPrivateKey(e=65537, n=<512 bits>, u=2)"
