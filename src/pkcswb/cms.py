@@ -18,6 +18,8 @@ attributes, computed from the content, and refuse a caller-given one
 (SyntaxViolation); a received set must hold each once, as one value of the
 registry's syntax.  Verification reads a received attribute set in place,
 through keystore's one reader, as (type, values) pairs; it builds no Attribute.
+pkcs1 refuses a signature algorithm other than RSASSA-PSS, for signed-data as
+for requests, as UnsupportedAlgorithm: one it lacks is no integrity failure.
 """
 
 from __future__ import annotations
@@ -227,7 +229,8 @@ def verify_signed(ci: ContentInfo,
     (RFC 5652 §5.1, §5.3) and digestAlgorithms is exactly SHA-256, as
     sign_data writes them; DigestMismatch when the messageDigest attribute
     disagrees with the received content (checked before any signature work);
-    and SignatureInvalid when the signature itself fails.
+    and SignatureInvalid when the signature itself fails.  pkcs1 refuses a
+    signature algorithm other than RSASSA-PSS before the digest binding is read.
     """
     _expect_type(ci, oids.CT_SIGNED_DATA, "signed-data")
     version_v, algs_v, encap_v, signers_v = asn1._fields(ci.content, 4)
@@ -240,8 +243,7 @@ def verify_signed(ci: ContentInfo,
         raise SignatureInvalid("digestAlgorithms must be exactly SHA-256")
     if not is_sha256(asn1.algorithm_oid(digest_alg_v)):
         raise SignatureInvalid("unsupported digest algorithm")
-    if not pkcs1.is_pss(asn1.algorithm_oid(sig_alg_v)):
-        raise SignatureInvalid("unsupported signature algorithm")
+    pkcs1.check_signature_algorithm(asn1.algorithm_oid(sig_alg_v))
     inner = ContentInfo.from_der_value(encap_v)
     message = _covered_as_received(inner, attrs[0] if attrs else None)
     if not pkcs1.verify(message, sig_v.as_octet_string(), trusted_pub):

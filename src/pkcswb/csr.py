@@ -178,9 +178,7 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
 
 def verify_csr(csr: CertificationRequest) -> bool:
     """Self-signature check under the public key embedded in the request;
-    UnsupportedAlgorithm for a signature algorithm other than RSASSA-PSS."""
-    if not pkcs1.is_pss(csr.signature_algorithm.oid):
-        raise UnsupportedAlgorithm(
-            f"unsupported signature algorithm {csr.signature_algorithm.oid}")
+    pkcs1 refuses a signature algorithm other than RSASSA-PSS."""
+    pkcs1.check_signature_algorithm(csr.signature_algorithm.oid)
     return pkcs1.verify(asn1._encoding(csr.info.to_der_value()), csr.signature,
                         csr.info.public_key)

@@ -5,14 +5,18 @@ exercised octet-for-octet in the tests; the scheme layer composes them with
 the raw modular operations.  EMSA-PSS is built and checked as one integer,
 DB masked to ``PssParams.db_bits``: ``sign`` exponentiates the built one,
 ``verify`` checks s^e mod n as it is, and ``pss_encode`` and
-``pss_verify_encoding`` are their octet front ends.
+``pss_verify_encoding`` are their octet front ends.  The builder refuses
+parameters that leave no room as ModulusTooSmall, the one PSS encoding error.
 
 Every decryption failure - wrong leading octets, bad delimiter, short
 padding, out-of-range representative - raises the same DecryptionError value
 so that callers cannot be turned into a format oracle.  Signature
 verification is a plain boolean and never reveals which check failed.  It
 reads public octets only, so unlike the two decryption decoders, which scan
-every octet of a secret encoded message, it is not constant time.
+every octet of a secret encoded message, it is not constant time.  Before it,
+``check_signature_algorithm`` alone refuses a received signature algorithm
+other than RSASSA-PSS, for requests and signed-data alike, as
+UnsupportedAlgorithm: an algorithm pkcswb lacks is never reported as forged.
 
 RSASSA-PSS has one salt rule, over the modulus bit length: sLen = min(hLen,
 emLen - hLen - 2).  sign uses it, verify defaults to it, and verification
@@ -41,7 +45,6 @@ from .rsa import RsaPrivateKey, RsaPublicKey, check_key_caps, rsa_private_op, rs
 
 __all__ = [
     "MessageTooLong",
-    "EncodingError",
     "ModulusTooSmall",
     "OaepParams",
     "PssParams",
@@ -74,12 +77,8 @@ class MessageTooLong(PkcsError, ValueError):
     """The message needs more room than the scheme's padding leaves."""
 
 
-class EncodingError(PkcsError, ValueError):
-    """The PSS parameters leave no room for PS || 0x01 || salt."""
-
-
 class ModulusTooSmall(PkcsError, ValueError):
-    pass
+    """No room for the encoding; for PSS, raised by its one builder alone."""
 
 
 def os2ip(octets: bytes) -> int:
@@ -168,9 +167,10 @@ def rsa_key_algorithm(value: asn1.DerValue) -> asn1.AlgorithmIdentifier:
     return algorithm
 
 
-def is_pss(oid: asn1.Oid) -> bool:
-    """Whether an AlgorithmIdentifier's OID is RSASSA-PSS: the OID alone is read."""
-    return oid == oids.RSASSA_PSS
+def check_signature_algorithm(oid: asn1.Oid) -> None:
+    """The one refusal of a received signature algorithm: any OID but RSASSA-PSS."""
+    if oid != oids.RSASSA_PSS:
+        raise UnsupportedAlgorithm(f"unsupported signature algorithm {oid}")
 
 
 def is_oaep(oid: asn1.Oid) -> bool:
@@ -309,7 +309,10 @@ def _db_mask(h: bytes, params: PssParams) -> int:
 def _pss_representative(message: bytes, params: PssParams, rng: RandomSource) -> int:
     """RFC 8017 §9.1.1 as one big-endian integer, the one EMSA-PSS builder:
     EM = maskedDB || H || 0xbc, DB = PS || 0x01 || salt = 2^8sLen + salt masked
-    to the width verification reads.  The caller checks that params fit."""
+    to the width verification reads; ModulusTooSmall, before any draw, if
+    params do not fit."""
+    if not params.fits():
+        raise ModulusTooSmall("modulus too small for these PSS parameters")
     alg, k0 = params.hash_alg, params.k0
     salt = rng.read(params.salt_len)
     h = alg.digest(bytes(8) + alg.digest(message) + salt)
@@ -319,8 +322,6 @@ def _pss_representative(message: bytes, params: PssParams, rng: RandomSource) ->
 
 def pss_encode(message: bytes, params: PssParams, rng: RandomSource) -> bytes:
     """The builder's EM as k octets, the form ``pss_verify_encoding`` reads."""
-    if not params.fits():
-        raise EncodingError("no room for PS || 0x01 || salt")
     return i2osp(_pss_representative(message, params, rng), params.k)
 
 
@@ -384,8 +385,6 @@ def decrypt(ciphertext: bytes, sk: RsaPrivateKey, scheme: str,
 def sign(message: bytes, sk: RsaPrivateKey, rng: RandomSource) -> bytes:
     """RSASSA-PSS signature under PssParams.for_key, verify's default."""
     params = PssParams.for_key(sk)
-    if not params.fits():
-        raise ModulusTooSmall("modulus too small for these PSS parameters")
     return i2osp(rsa_private_op(_pss_representative(message, params, rng), sk), params.k)
 
 

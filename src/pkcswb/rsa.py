@@ -18,7 +18,6 @@ writes a key the readers refuse.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -251,13 +250,12 @@ def _is_probable_prime(n: int, rng: RandomSource) -> bool:
     return True
 
 
-@functools.lru_cache(maxsize=64)
 def _prime_floor(bits: int, u: int) -> int:
     """⌈2^(bits − 1/u)⌉, the least m with m^u ≥ 2^(u·bits − 1).
 
     Integer Newton iteration for the u-th root, started above the root so it
-    descends to ⌊root⌋.  Cached: generate_key asks once per prime for at most
-    two sizes.
+    descends to ⌊root⌋.  generate_prime asks once per prime; at tens of
+    microseconds against a key's hundreds of milliseconds, it needs no memo.
     """
     target = 1 << (u * bits - 1)
     m = 1 << bits

@@ -41,10 +41,10 @@ MUTANT_OUTCOMES = {
         {"ArcOverflow": 3, "NonCanonical": 26, "TrailingOctets": 48, "Truncated": 276,
          "WrongContentType": 46, "value": 101}),
     "signed-data": (
-        "0b8b006f258c651b4afec0a5ef61f02577ac821740c7287db5255fe7bbb5d06e",
+        "a5fef8653ef1dbbe1737b2850728be260d71c89dea5dcf098a19930d59b8e64c",
         {"ArcOverflow": 4, "DigestMismatch": 29, "IndefiniteLength": 1, "NonCanonical": 11,
-         "OversizeTag": 11, "SignatureInvalid": 127, "TrailingOctets": 32, "Truncated": 269,
-         "WrongContentType": 4, "value": 12}),
+         "OversizeTag": 11, "SignatureInvalid": 121, "TrailingOctets": 32, "Truncated": 269,
+         "UnsupportedAlgorithm": 6, "WrongContentType": 4, "value": 12}),
     "enveloped-data": (
         "c6f8f46b69b5d0180da4d93e8a3eb9db3f7f4b9e772b57f4d560882a16a92d8f",
         {"ArcOverflow": 2, "DecryptionError": 187, "IndefiniteLength": 8, "NonCanonical": 10,
@@ -67,9 +67,10 @@ MUTANT_OUTCOMES = {
         "a1c81886b070d757a1878aae92bc8b548ef778abc8fd4096fabc3007c9d1d4f9",
         {"IntegrityFailure": 184, "NonCanonical": 6, "TrailingOctets": 1, "Truncated": 309}),
     "pfx-password-public_key": (
-        "172bf212c53036b54e6a8fe43a4d9bedc354a12ec6e05b4402e68f503395d7d6",
+        "a065f45d7c556d629f9ef7ce141d8b09cabd6c2279c3f40151fda22a91341cf4",
         {"IntegrityFailure": 2, "NonCanonical": 8, "NonMinimalLength": 2,
-         "SignatureInvalid": 189, "TrailingOctets": 16, "Truncated": 279, "value": 4}),
+         "SignatureInvalid": 187, "TrailingOctets": 16, "Truncated": 279,
+         "UnsupportedAlgorithm": 2, "value": 4}),
     "pfx-public_key-password": (
         "a8d6d5d565d6202d860f5177d8c3107e1c14fba2029a388d47826b2970ad00bb",
         {"IntegrityFailure": 187, "MalformedKey": 1, "Truncated": 312}),
@@ -93,8 +94,8 @@ CLI_OUTCOMES = {
         "7cd6f31a3ea87856e8476f930e07bcb8176bcca3e0a8af4629b595fa37f7ff4f",
         {"exit 1": 69, "exit 2": 131}),
     "cms-verify": (
-        "0231f85a9a4ba927753fe022f78916fd7827ab3bcc07ca1f45bbfa28c2a566e1",
-        {"exit 0": 2, "exit 1": 55, "exit 2": 143}),
+        "00f9d5dd2a1947822ab90399706925f03461e706cef6ec6409fe244463b01d00",
+        {"exit 0": 2, "exit 1": 54, "exit 2": 144}),
     "cms-open": (
         "3c9fd25949c772f8309834ba95af1f8ea841825bbf1d2969650fdba4ef285bb2",
         {"exit 1": 76, "exit 2": 124}),

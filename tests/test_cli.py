@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from pkcswb import asn1, cli, csr
+from pkcswb import asn1, cli
 from pkcswb.cli import FAULT_POINTS, _build_parser, _fingerprint, main, run_scenario
 from pkcswb.csr import MalformedRequest
 from pkcswb.errors import DecryptionError
@@ -134,17 +134,40 @@ def test_csr_new_then_verify(workdir, capsys):
     assert code == 0
 
 
-def test_csr_verify_refuses_an_unsupported_algorithm_as_a_usage_error(workdir, tmp_path,
-                                                                       capsys):
-    assert run(capsys, "csr-new", "--key", workdir / "alice.p8", "--cn", "Alice",
-               "--out", tmp_path / "pss.csr")[0] == 0
-    request = csr.CertificationRequest.from_der((tmp_path / "pss.csr").read_bytes())
-    v15 = csr.CertificationRequest(
-        request.info, asn1.AlgorithmIdentifier(asn1.Oid.parse("1.2.840.113549.1.1.11")),
-        request.signature)
-    (tmp_path / "v15.csr").write_bytes(v15.to_der())
-    code = main(["csr-verify", "--in", str(tmp_path / "v15.csr")])
-    assert code == 2
+# subcommand: (how to make a PSS-signed input "{in}" from the workdir "{dir}",
+# how to read it back); the PFX is password privacy, public-key integrity
+UNSUPPORTED_SIGNATURE_READERS = {
+    "csr-verify": (["csr-new", "--key", "{dir}/alice.p8", "--cn", "Alice", "--out", "{in}"],
+                   ["csr-verify", "--in", "{in}"]),
+    "cms-verify": (["cms-sign", "--key", "{dir}/alice.p8", "--in", "{dir}/message.bin",
+                    "--out", "{in}"],
+                   ["cms-verify", "--key", "{dir}/alice.spki", "--in", "{in}"]),
+    "pfx-unpack --source-pub": (
+        ["pfx-pack", "--key", "{dir}/alice.p8", "--password", "P", "--sign-key",
+         "{dir}/alice.p8", "--source-cn", "Alice", "--out", "{in}"],
+        ["pfx-unpack", "--in", "{in}", "--password", "P", "--source-pub",
+         "{dir}/alice.spki", "--out-dir", "{out}"]),
+}
+PSS_OID_DER = bytes.fromhex("06092a864886f70d01010a")  # 1.2.840.113549.1.1.10
+
+
+@pytest.mark.parametrize("command", list(UNSUPPORTED_SIGNATURE_READERS))
+def test_an_unsupported_signature_algorithm_is_a_usage_error(workdir, tmp_path, capsys,
+                                                             monkeypatch, command):
+    """One octet turns RSASSA-PSS into sha256WithRSAEncryption: each reader
+    refuses the algorithm by name, never as a forgery (exit 1)."""
+    from pkcswb import pfx
+    monkeypatch.setattr(pfx, "_MAC_ITERATIONS", 2)
+    monkeypatch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
+    paths = {"dir": workdir, "in": tmp_path / "signed", "out": tmp_path / "out"}
+    make, read = ([arg.format(**paths) for arg in argv]
+                  for argv in UNSUPPORTED_SIGNATURE_READERS[command])
+    assert main(["--seed", SEED, *make]) == 0
+    octets = (tmp_path / "signed").read_bytes()
+    assert octets.count(PSS_OID_DER) == 1
+    (tmp_path / "signed").write_bytes(octets.replace(PSS_OID_DER, PSS_OID_DER[:-1] + b"\x0b"))
+    capsys.readouterr()
+    assert main(read) == 2
     assert capsys.readouterr().err == (
         "error: unsupported signature algorithm 1.2.840.113549.1.1.11\n")
 

@@ -1,6 +1,6 @@
 import pytest
 
-from pkcswb import asn1, cms, csr, keystore, oids, pkcs1, rsa
+from pkcswb import asn1, cms, csr, keystore, oids, pfx, pkcs1, rsa
 from pkcswb.asn1 import AlgorithmIdentifier
 from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIdent,
                         WrongContentType,
@@ -10,7 +10,7 @@ from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIde
                         make_data, open_envelope, sign_data, toy_issue,
                         verify_signed)
 from pkcswb.csr import CertificationRequest, Name, build_csr
-from pkcswb.errors import DecryptionError, IntegrityFailure
+from pkcswb.errors import DecryptionError, IntegrityFailure, UnsupportedAlgorithm
 from pkcswb.keystore import Attribute, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
 from pkcswb.primitives import SHA256, BadLength, ExhaustibleSource, HashAlg, hmac_digest
@@ -130,6 +130,50 @@ def test_unsigned_field_edits_are_refused(key_1024, ident):
         with pytest.raises(SignatureInvalid):
             verify_signed(_edit(octets, offset, octet), public)
     assert verify_signed(ContentInfo.from_der(octets), public)[1]
+
+
+PSS_OID_DER = asn1.der_encode(asn1.oid_value(oids.RSASSA_PSS))
+SHA256_WITH_RSA = "1.2.840.113549.1.1.11"  # PSS_OID_DER's last arc plus one
+
+
+def _signed_inputs(key_1024, ident):
+    """reader -> (its PSS-signed input's DER, how the reader opens such DER)."""
+    public, private = key_1024
+    name = Name((("commonName", "Source"),))
+    return {
+        "verify_signed": (
+            sign_data(make_data(b"payload"), private, ident, (), seeded(b"s")).to_der(),
+            lambda der: verify_signed(ContentInfo.from_der(der), public)),
+        "verify_csr": (
+            build_csr(name, key_1024, (), seeded(b"r")).to_der(),
+            lambda der: csr.verify_csr(CertificationRequest.from_der(der))),
+        "pfx_open": (
+            pfx.pfx_create((pfx.SafeBag(make_data(b"cert")),), b"pw", (private, name),
+                           seeded(b"p")).to_der(),
+            lambda der: pfx.pfx_open(pfx.PfxPdu.from_der(der), b"pw", public)),
+    }
+
+
+@pytest.mark.parametrize("reader", ["verify_signed", "verify_csr", "pfx_open"])
+def test_an_unsupported_signature_algorithm_is_refused_before_any_public_operation(
+        key_1024, ident, monkeypatch, reader):
+    # pkcs1 refuses the algorithm by name for each reader: never a forgery verdict
+    der, read = _signed_inputs(key_1024, ident)[reader]
+    assert der.count(PSS_OID_DER) == 1
+    public_ops = []
+    monkeypatch.setattr(pkcs1, "rsa_public_op", lambda *args: public_ops.append(args))
+    with pytest.raises(UnsupportedAlgorithm) as raised:
+        read(der.replace(PSS_OID_DER, PSS_OID_DER[:-1] + b"\x0b"))
+    assert (str(raised.value), public_ops) == (
+        f"unsupported signature algorithm {SHA256_WITH_RSA}", [])
+
+
+@pytest.mark.parametrize("reader", ["verify_signed", "pfx_open"])
+def test_a_flipped_signature_under_pss_is_still_invalid(key_1024, ident, reader):
+    # the signature value is the last field of each: the refusal moved no verdict
+    der, read = _signed_inputs(key_1024, ident)[reader]
+    with pytest.raises(SignatureInvalid, match="^signature does not verify$"):
+        read(der[:-1] + bytes([der[-1] ^ 1]))
 
 
 def test_wrong_content_type_is_declared(key_1024, ident):

@@ -3,10 +3,10 @@ the modules listed before it in LAYERS (the order bench/tracer.py assumes).
 One decision sits in one layer: only pkcs1 names PssParams, each algorithm
 OID is named by the one module that writes and reads its identifier, only
 pkcs1, which writes and reads the RSA key layouts, calls rsa's
-check_key_caps, token reads a public key without csr, AlgorithmIdentifier is
-defined in asn1 alone, only asn1 keeps a container's value and defines its
-codec, and only primitives (CBC decryption), cms and pfx (their headers)
-enter uniform_decryption."""
+check_key_caps, only pkcs1 refuses a signature algorithm, token reads a
+public key without csr, AlgorithmIdentifier is defined in asn1 alone, only
+asn1 keeps a container's value and defines its codec, and only primitives
+(CBC decryption), cms and pfx (their headers) enter uniform_decryption."""
 
 import ast
 from pathlib import Path
@@ -104,6 +104,25 @@ def test_each_algorithm_oid_is_named_only_by_its_owner():
                     for name in set(_oid_names(path)) & set(OID_OWNERS)
                     if OID_OWNERS[name] != path.stem)
     assert naming == []
+
+
+def _raised_messages(path: Path):
+    """The leading text of each message ``path`` raises, plain or f-string."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+            message = node.exc.args[0]
+            if isinstance(message, ast.JoinedStr) and message.values:
+                message = message.values[0]
+            if isinstance(message, ast.Constant) and isinstance(message.value, str):
+                yield message.value
+
+
+def test_only_pkcs1_refuses_a_signature_algorithm():
+    # requests and signed-data (PFX integrity too) share pkcs1's one refusal
+    refusing = sorted(path.stem for path in PACKAGE.glob("*.py")
+                      if any(message.startswith("unsupported signature algorithm")
+                             for message in _raised_messages(path)))
+    assert refusing == ["pkcs1"]
 
 
 def test_only_pkcs1_checks_key_caps_and_token_does_not_import_csr():

@@ -4,12 +4,12 @@ import pytest
 
 from pkcswb import pkcs1, rsa
 from pkcswb.errors import DecryptionError
-from pkcswb.pkcs1 import (EncodingError, MessageTooLong, ModulusTooSmall,
+from pkcswb.pkcs1 import (MessageTooLong, ModulusTooSmall,
                           OaepParams, PssParams, SCHEME_OAEP, SCHEME_V15,
                           eme_v15_pad, eme_v15_unpad, i2osp, oaep_decode,
                           oaep_encode, os2ip, pss_encode, pss_salt_len_for,
                           pss_verify_encoding)
-from pkcswb.primitives import SHA256, ConstantSource, RngExhausted
+from pkcswb.primitives import SHA256, ConstantSource, ExhaustibleSource, RngExhausted
 from conftest import seeded, tiny_hash
 from oracles import mgf1_oracle, pss_verify_oracle
 
@@ -261,10 +261,11 @@ def test_pss_where_em_is_an_octet_shorter_than_k_is_the_rfc_encoding(modulus_bit
     assert pss_verify_encoding(b"message", b"\x00" + crafted, params)
 
 
-def test_pss_no_room_is_encoding_error():
+def test_pss_no_room_is_modulus_too_small_before_any_draw():
+    # the one builder refuses for pss_encode and sign alike, drawing no salt
     params = PssParams(512, SHA256, salt_len=32)  # needs 64-32-1 >= 33
-    with pytest.raises(EncodingError):
-        pss_encode(b"m", params, seeded(b"x"))
+    with pytest.raises(ModulusTooSmall):
+        pss_encode(b"m", params, ExhaustibleSource(b""))
 
 
 # -- scheme layer -------------------------------------------------------------------
@@ -441,7 +442,7 @@ def test_no_room_for_pss_signs_never_and_verifies_false():
     public, private = rsa.generate_key(200, 2, 65537, seeded(b"200"))
     assert PssParams.for_key(public).salt_len == 0
     with pytest.raises(ModulusTooSmall):
-        pkcs1.sign(b"m", private, seeded(b"s"))
+        pkcs1.sign(b"m", private, ExhaustibleSource(b""))
     assert not pkcs1.verify(b"m", bytes(25), public)
     assert not pkcs1.verify(b"m", i2osp(rsa.rsa_private_op(5, private), 25), public)
 
