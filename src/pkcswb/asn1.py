@@ -54,7 +54,7 @@ import enum
 import functools
 import re
 
-from .errors import BadParameter, Frozen, PkcsError
+from .errors import BadParameter, Frozen, PkcsError, UnsupportedAlgorithm
 
 __all__ = [
     "TagClass",
@@ -732,9 +732,12 @@ class DerForm:
     """The codec of a container class, which defines ``_build`` (its value from
     its fields) and the classmethod ``_parse`` (an instance from a value).  An
     instance keeps the value it was decoded from, or its first build; equality,
-    over the fields alone, ignores it."""
+    over the fields alone, ignores it.  Its two readers alone give a container's
+    faults their class: each declared fault read becomes the class's ``fault``,
+    but UnsupportedAlgorithm; the default, PkcsError, lets each through as itself."""
 
     _value: DerValue | None = None
+    fault: type[PkcsError] = PkcsError
 
     def to_der_value(self) -> DerValue:
         value = self._value
@@ -747,13 +750,23 @@ class DerForm:
 
     @classmethod
     def from_der_value(cls, value: DerValue):
-        form = cls._parse(value)
+        try:
+            form = cls._parse(value)
+        except (UnsupportedAlgorithm, cls.fault):
+            raise
+        except PkcsError as exc:
+            raise cls.fault(str(exc)) from None
         form.__dict__["_value"] = value
         return form
 
     @classmethod
     def from_der(cls, octets: bytes):
-        return cls.from_der_value(der_decode(octets))
+        try:
+            return cls.from_der_value(der_decode(octets))
+        except cls.fault:
+            raise
+        except DerError as exc:
+            raise cls.fault(str(exc)) from None
 
 
 class AlgorithmIdentifier(DerForm, Frozen):

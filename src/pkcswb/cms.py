@@ -4,22 +4,23 @@ Everything is a ContentInfo (content type OID plus type-specific content) and
 any producer accepts any ContentInfo as its payload, so envelopes nest
 arbitrarily: data inside signed-data inside enveloped-data and so on.
 
-verify_signed, check_digest and check_auth are the only readers of the
-content they protect: each returns the encapsulated content it verified or
-raises an IntegrityFailure.  Their failures are reported distinctly
-(DigestMismatch vs SignatureInvalid) because a verifier is not a decryption
-oracle; the decryption-side operations collapse every failure into the shared
-uniform DecryptionError.  Wherever a digest or signature is checked, the
-octets hashed are the ones received on the wire, read where they lie, never
+verify_signed, check_digest and check_auth are the only readers of the content
+they protect: each returns the encapsulated content it verified or raises a
+declared error, an IntegrityFailure when it does not verify, reported
+distinctly (DigestMismatch vs SignatureInvalid) because a verifier is not a
+decryption oracle; the decryption-side operations collapse every failure into
+the shared uniform DecryptionError.  Wherever a digest or signature is checked,
+the octets hashed are the ones received on the wire, read where they lie, never
 a re-normalized encoding.  ``keystore`` writes and reads the attribute sets,
-and ``pkcs1`` and ``pkcs5`` the algorithm identifiers but SHA-256's.
-sign_data and authenticate_data alone add the contentType and messageDigest
-attributes, computed from the content, and refuse a caller-given one
-(SyntaxViolation); a received set must hold each once, as one value of the
-registry's syntax.  Verification reads a received attribute set in place,
-through keystore's one reader, as (type, values) pairs; it builds no Attribute.
-pkcs1 refuses a signature algorithm other than RSASSA-PSS, for signed-data as
-for requests, as UnsupportedAlgorithm: one it lacks is no integrity failure.
+and ``pkcs1`` and ``pkcs5`` the algorithm identifiers but SHA-256's.  sign_data
+and authenticate_data alone add the contentType and messageDigest attributes,
+computed from the content, and refuse a caller-given one (SyntaxViolation); a
+received set must hold each once, as one value of the registry's syntax.
+Verification reads a received attribute set in place, through keystore's one
+reader, as (type, values) pairs; it builds no Attribute.  An algorithm pkcswb
+lacks is no integrity failure: its owner's one check
+(``check_digest_algorithm`` here) refuses it as UnsupportedAlgorithm, which
+inside a decryption is the uniform DecryptionError.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ from __future__ import annotations
 from . import asn1, oids, pkcs1, pkcs5
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue, Oid, der_decode, der_encode
 from .csr import CertificationRequest, Name, verify_csr
-from .errors import DecryptionError, Frozen, IntegrityFailure, PkcsError, uniform_decryption
+from .errors import (DecryptionError, Frozen, IntegrityFailure, MissingCredential, PkcsError,
+                     UnsupportedAlgorithm, uniform_decryption)
 from .keystore import (Attribute, SyntaxViolation, _attribute_pair, _attributes_from_der,
                        _attributes_to_der, _values_check, attribute_make)
 from .primitives import (BLOCK_LEN, SHA256, BadLength, RandomSource, cbc_decrypt, cbc_encrypt,
@@ -59,9 +61,10 @@ __all__ = [
 SHA256_ALGORITHM = AlgorithmIdentifier(oids.SHA256)  # written without parameters
 
 
-def is_sha256(oid: Oid) -> bool:
-    """Whether an AlgorithmIdentifier's OID is SHA-256: the OID alone is read."""
-    return oid == oids.SHA256
+def check_digest_algorithm(oid: Oid) -> None:
+    """The one refusal of a received digest algorithm: any OID but SHA-256."""
+    if oid != oids.SHA256:
+        raise UnsupportedAlgorithm(f"unsupported digest algorithm {oid}")
 
 
 class DigestMismatch(IntegrityFailure):
@@ -226,11 +229,11 @@ def verify_signed(ci: ContentInfo,
     then the signature; returns the encapsulated content.
 
     Raises SignatureInvalid unless SignedData and SignerInfo are version 1
-    (RFC 5652 §5.1, §5.3) and digestAlgorithms is exactly SHA-256, as
-    sign_data writes them; DigestMismatch when the messageDigest attribute
-    disagrees with the received content (checked before any signature work);
-    and SignatureInvalid when the signature itself fails.  pkcs1 refuses a
-    signature algorithm other than RSASSA-PSS before the digest binding is read.
+    (RFC 5652 §5.1, §5.3), NonCanonical unless digestAlgorithms holds one,
+    and UnsupportedAlgorithm for a digest other than SHA-256 or a signature
+    other than RSASSA-PSS; then DigestMismatch when the messageDigest attribute
+    disagrees with the received content, and SignatureInvalid when the
+    signature itself fails.
     """
     _expect_type(ci, oids.CT_SIGNED_DATA, "signed-data")
     version_v, algs_v, encap_v, signers_v = asn1._fields(ci.content, 4)
@@ -238,11 +241,8 @@ def verify_signed(ci: ContentInfo,
     signer_version_v, _sid, digest_alg_v, *attrs, sig_alg_v, sig_v = asn1._fields(signer_v, 5, 6)
     if version_v.as_integer() != 1 or signer_version_v.as_integer() != 1:
         raise SignatureInvalid("SignedData and SignerInfo must be version 1")
-    if [is_sha256(asn1.algorithm_oid(v))
-            for v in asn1.require(algs_v, asn1.SET).children] != [True]:
-        raise SignatureInvalid("digestAlgorithms must be exactly SHA-256")
-    if not is_sha256(asn1.algorithm_oid(digest_alg_v)):
-        raise SignatureInvalid("unsupported digest algorithm")
+    for alg_v in (*asn1._fields(algs_v, 1, tag_number=asn1.SET), digest_alg_v):
+        check_digest_algorithm(asn1.algorithm_oid(alg_v))
     pkcs1.check_signature_algorithm(asn1.algorithm_oid(sig_alg_v))
     inner = ContentInfo.from_der_value(encap_v)
     message = _covered_as_received(inner, attrs[0] if attrs else None)
@@ -309,9 +309,9 @@ def open_envelope(ci: ContentInfo, recipient_priv: RsaPrivateKey) -> ContentInfo
     with uniform_decryption():
         version_v, recipient_v, econtent_v = asn1._fields(ci.content, 3)
         rversion_v, kea_v, ek_v = asn1._fields(recipient_v, 3)
-        if (version_v.as_integer() != 0 or rversion_v.as_integer() != 0
-                or not pkcs1.is_oaep(asn1.algorithm_oid(kea_v))):
+        if version_v.as_integer() != 0 or rversion_v.as_integer() != 0:
             raise DecryptionError()
+        pkcs1.check_key_transport_algorithm(asn1.algorithm_oid(kea_v))
         declared, algorithm, ciphertext = _parse_encrypted_content(econtent_v)
         iv = pkcs5.aes128_cbc_iv(algorithm)
         cek = pkcs1.decrypt(ek_v.as_octet_string(), recipient_priv, pkcs1.SCHEME_OAEP)
@@ -334,12 +334,14 @@ def digest_data(inner: ContentInfo) -> ContentInfo:
 
 def check_digest(ci: ContentInfo) -> ContentInfo:
     """The encapsulated content, once its digest is checked.  Raises
-    IntegrityFailure for a version other than 0 or a digest algorithm other
-    than SHA-256, and DigestMismatch for a digest that is not the content's."""
+    IntegrityFailure for a version other than 0, UnsupportedAlgorithm for a
+    digest algorithm other than SHA-256, and DigestMismatch for a digest that
+    is not the content's."""
     _expect_type(ci, oids.CT_DIGESTED_DATA, "digested-data")
     version_v, alg_v, encap_v, digest_v = asn1._fields(ci.content, 4)
-    if version_v.as_integer() != 0 or not is_sha256(asn1.algorithm_oid(alg_v)):
-        raise IntegrityFailure("DigestedData must be version 0 with SHA-256")
+    if version_v.as_integer() != 0:
+        raise IntegrityFailure("DigestedData must be version 0")
+    check_digest_algorithm(asn1.algorithm_oid(alg_v))
     inner = ContentInfo.from_der_value(encap_v)
     if not ct_equal(SHA256.digest(inner.to_der()), digest_v.as_octet_string()):
         raise DigestMismatch("digest does not match the content")
@@ -395,7 +397,10 @@ def decrypt_data(ci: ContentInfo, key: bytes) -> ContentInfo:
 def authenticate_data(inner: ContentInfo, key: bytes,
                       auth_attrs: tuple[Attribute, ...] = ()) -> ContentInfo:
     """HMAC tag over the content, or over the attribute set when present
-    (gaining contentType and messageDigest, like signed-data)."""
+    (gaining contentType and messageDigest, like signed-data); MissingCredential
+    for an empty key, under which anyone can make the tag."""
+    if not key:
+        raise MissingCredential("MAC key must be non-empty")
     encap_v, attrs_set, message = _covered(inner, auth_attrs)
     body = asn1.sequence(
         asn1.integer(0),
@@ -409,13 +414,16 @@ def authenticate_data(inner: ContentInfo, key: bytes,
 
 def check_auth(ci: ContentInfo, key: bytes) -> ContentInfo:
     """The encapsulated content, once its MAC is checked.  Raises
-    IntegrityFailure for a version other than 0, a MAC algorithm other than
-    HMAC-SHA-256 or a MAC that does not verify, and for a received attribute
-    set what verify_signed raises for it."""
+    MissingCredential for an empty key, IntegrityFailure for a version other
+    than 0 or a MAC that does not verify, UnsupportedAlgorithm for a MAC but
+    HMAC-SHA-256, and for a received attribute set what verify_signed does."""
+    if not key:
+        raise MissingCredential("MAC key must be non-empty")
     _expect_type(ci, oids.CT_AUTHENTICATED_DATA, "authenticated-data")
     version_v, alg_v, encap_v, *attrs, mac_v = asn1._fields(ci.content, 4, 5)
-    if version_v.as_integer() != 0 or not pkcs5.is_hmac_sha256(asn1.algorithm_oid(alg_v)):
-        raise IntegrityFailure("MAC does not verify")
+    if version_v.as_integer() != 0:
+        raise IntegrityFailure("AuthenticatedData must be version 0")
+    pkcs5.check_mac_algorithm(asn1.algorithm_oid(alg_v))
     inner = ContentInfo.from_der_value(encap_v)
     message = _covered_as_received(inner, attrs[0] if attrs else None)
     if not ct_equal(hmac_digest(key, message), mac_v.as_octet_string()):

@@ -7,18 +7,19 @@ key under RSASSA-PSS, so verification needs nothing but the request itself.
 object keeps, so a received request is verified over the octets received,
 read where they lie.
 ``pkcs1`` writes and reads the subject key info and the signature identifier.
+A request's ``fault`` is MalformedRequest: any fault read but an unsupported algorithm.
 """
 
 from __future__ import annotations
 
 from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue
-from .errors import Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
+from .errors import Frozen, PkcsError
 from .keystore import (Attribute, SyntaxViolation, attribute_check, _is_country,
                        _attributes_from_der, _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
-from .rsa import InvalidKey, RsaPrivateKey, RsaPublicKey
+from .rsa import RsaPrivateKey, RsaPublicKey
 
 __all__ = [
     "MalformedRequest",
@@ -135,9 +136,10 @@ class CertificationRequestInfo(DerForm, Frozen):
 
 
 class CertificationRequest(DerForm, Frozen):
-    """Signed request: the signature covers the DER of ``info``; a bad one is MalformedRequest."""
+    """Signed request: the signature covers the DER of ``info``."""
 
     _fields = ("info", "signature_algorithm", "signature")
+    fault = MalformedRequest
 
     def __init__(self, info: CertificationRequestInfo, signature_algorithm: AlgorithmIdentifier,
                  signature: bytes):
@@ -153,13 +155,6 @@ class CertificationRequest(DerForm, Frozen):
         info_v, alg_v, sig_v = asn1._fields(value, 3)
         return cls(CertificationRequestInfo.from_der_value(info_v),
                    AlgorithmIdentifier.from_der_value(alg_v), sig_v.as_bit_string())
-
-    @classmethod
-    def from_der(cls, octets: bytes) -> "CertificationRequest":
-        try:
-            return super().from_der(octets)
-        except (asn1.DerError, UnsupportedAlgorithm, MalformedKey, InvalidKey) as exc:
-            raise MalformedRequest(str(exc)) from None
 
 
 def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],

@@ -7,7 +7,7 @@ header from ``pkcs5``, ciphertext).  ``pkcs1`` writes and reads the key
 algorithm and the RSA key body inside PrivateKeyInfo.  The algorithm is
 always rsaEncryption, so a PrivateKeyInfo holds only its key and attributes,
 and a received one with absent parameters equals its built twin.  Both are
-DerForms, like Attribute, and report every fault they read as MalformedKey.
+DerForms whose ``fault`` is MalformedKey: any fault read but an unsupported algorithm.
 
 The attribute registry holds exactly the ten types the other standards pull
 in: contentType, messageDigest, signingTime, sequenceNumber, randomNonce,
@@ -25,14 +25,13 @@ an Attribute or, to verification, in place as a (type, values) pair.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 
 from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue, Oid, der_decode, der_encode
 from .errors import Frozen, MalformedKey, MissingCredential, PkcsError
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
-from .rsa import InvalidKey, RsaPrivateKey
+from .rsa import RsaPrivateKey
 
 __all__ = [
     "UnknownAttributeType",
@@ -58,15 +57,6 @@ class UnknownAttributeType(PkcsError, KeyError):
 
 class SyntaxViolation(PkcsError, ValueError):
     pass
-
-
-@contextmanager
-def _as_malformed_key():
-    """Report a DER failure or a refused key inside the block as MalformedKey."""
-    try:
-        yield
-    except (asn1.DerError, InvalidKey) as exc:
-        raise MalformedKey(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +290,7 @@ def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
 
 class PrivateKeyInfo(DerForm, Frozen):
     _fields = ("key", "attributes")
+    fault = MalformedKey
 
     def __init__(self, key: RsaPrivateKey, attributes: tuple[Attribute, ...] = ()):
         self.__dict__.update(key=key,
@@ -317,19 +308,13 @@ class PrivateKeyInfo(DerForm, Frozen):
 
     @classmethod
     def _parse(cls, value: DerValue) -> "PrivateKeyInfo":
-        with _as_malformed_key():
-            kids = asn1.require(value, asn1.SEQUENCE).children
-            if len(kids) not in (3, 4) or kids[0].as_integer() != 0:
-                raise MalformedKey("unrecognized PrivateKeyInfo shape")
-            pkcs1.rsa_key_algorithm(kids[1])
-            key = pkcs1.key_from_body(der_decode(kids[2].as_octet_string()))
-            attributes = _attributes_from_der(kids[3]) if len(kids) == 4 else ()
-            return cls(key, attributes)
-
-    @classmethod
-    def from_der(cls, octets: bytes) -> "PrivateKeyInfo":
-        with _as_malformed_key():
-            return super().from_der(octets)
+        kids = asn1.require(value, asn1.SEQUENCE).children
+        if len(kids) not in (3, 4) or kids[0].as_integer() != 0:
+            raise MalformedKey("unrecognized PrivateKeyInfo shape")
+        pkcs1.rsa_key_algorithm(kids[1])
+        key = pkcs1.key_from_body(der_decode(kids[2].as_octet_string()))
+        attributes = _attributes_from_der(kids[3]) if len(kids) == 4 else ()
+        return cls(key, attributes)
 
 
 def encode_private_key(key: RsaPrivateKey) -> bytes:
@@ -346,6 +331,7 @@ def decode_private_key(octets: bytes) -> RsaPrivateKey:
 
 class EncryptedPrivateKeyInfo(DerForm, Frozen):
     _fields = ("algorithm", "encrypted_data")
+    fault = MalformedKey
 
     def __init__(self, algorithm: AlgorithmIdentifier, encrypted_data: bytes):
         self.__dict__.update(algorithm=algorithm, encrypted_data=encrypted_data)
@@ -355,14 +341,8 @@ class EncryptedPrivateKeyInfo(DerForm, Frozen):
 
     @classmethod
     def _parse(cls, value: DerValue) -> "EncryptedPrivateKeyInfo":
-        with _as_malformed_key():
-            alg_v, data_v = asn1._fields(value, 2)
-            return cls(AlgorithmIdentifier.from_der_value(alg_v), data_v.as_octet_string())
-
-    @classmethod
-    def from_der(cls, octets: bytes) -> "EncryptedPrivateKeyInfo":
-        with _as_malformed_key():
-            return super().from_der(octets)
+        alg_v, data_v = asn1._fields(value, 2)
+        return cls(AlgorithmIdentifier.from_der_value(alg_v), data_v.as_octet_string())
 
 
 def encrypt_private_key(info: PrivateKeyInfo, password: bytes, salt: bytes,
@@ -375,6 +355,4 @@ def encrypt_private_key(info: PrivateKeyInfo, password: bytes, salt: bytes,
 
 def decrypt_private_key(epki: EncryptedPrivateKeyInfo, password: bytes) -> PrivateKeyInfo:
     # a wrong password that slips past the padding check must look the same
-    with _as_malformed_key():  # a DER fault in the PBES2 header
-        return pbes2_decrypt(epki.algorithm, epki.encrypted_data, password,
-                             PrivateKeyInfo.from_der)
+    return pbes2_decrypt(epki.algorithm, epki.encrypted_data, password, PrivateKeyInfo.from_der)

@@ -17,6 +17,7 @@ every octet of a secret encoded message, it is not constant time.  Before it,
 ``check_signature_algorithm`` alone refuses a received signature algorithm
 other than RSASSA-PSS, for requests and signed-data alike, as
 UnsupportedAlgorithm: an algorithm pkcswb lacks is never reported as forged.
+So do ``rsa_key_algorithm`` and ``check_key_transport_algorithm`` for theirs.
 
 RSASSA-PSS has one salt rule, over the modulus bit length: sLen = min(hLen,
 emLen - hLen - 2).  sign uses it, verify defaults to it, and verification
@@ -173,9 +174,10 @@ def check_signature_algorithm(oid: asn1.Oid) -> None:
         raise UnsupportedAlgorithm(f"unsupported signature algorithm {oid}")
 
 
-def is_oaep(oid: asn1.Oid) -> bool:
-    """Whether an AlgorithmIdentifier's OID is RSAES-OAEP: the OID alone is read."""
-    return oid == oids.RSAES_OAEP
+def check_key_transport_algorithm(oid: asn1.Oid) -> None:
+    """The one refusal of a received key transport algorithm: any OID but RSAES-OAEP."""
+    if oid != oids.RSAES_OAEP:
+        raise UnsupportedAlgorithm(f"unsupported key transport algorithm {oid}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ through ``primitives.cbc_decrypt``, passing the caller's reader on to it.
 The PBES2 header (RFC 8018 §A.2, §A.4) is written and read here:
 ``pbes2_encrypt`` returns it, ``pbes2_decrypt`` checks it before any
 derivation, and ``pbkdf2_fields`` is the one salt and count check, which the
-PFX MacData shares too.  So are the hmacWithSHA256 and AES-128-CBC
-identifiers inside it (RFC 8018 §B.1.2, §B.2.5), which CMS carries as well.
+PFX MacData shares too; a DER fault in the header is MalformedKey.  So are
+the hmacWithSHA256 and AES-128-CBC identifiers inside it (RFC 8018 §B.1.2,
+§B.2.5), which CMS carries as well; ``check_mac_algorithm`` refuses any other.
 
 PBES1 (and the rest of the legacy password-based encryption family) is not
 implemented; decoding such an algorithm identifier fails loudly instead.
@@ -124,9 +125,10 @@ def pbkdf2_fields(salt_v: DerValue, iter_v: DerValue) -> tuple[bytes, int]:
     return salt, check_iterations(count)
 
 
-def is_hmac_sha256(oid: Oid) -> bool:
-    """Whether an AlgorithmIdentifier's OID is hmacWithSHA256: the OID alone is read."""
-    return oid == oids.HMAC_WITH_SHA256
+def check_mac_algorithm(oid: Oid) -> None:
+    """The one refusal of a received MAC or PRF algorithm: any OID but hmacWithSHA256."""
+    if oid != oids.HMAC_WITH_SHA256:
+        raise UnsupportedAlgorithm(f"unsupported MAC algorithm {oid}")
 
 
 def aes128_cbc_algorithm(iv: bytes) -> AlgorithmIdentifier:
@@ -153,23 +155,24 @@ def pbes2_algorithm(salt: bytes, iterations: int, iv: bytes) -> AlgorithmIdentif
 
 def pbes2_fields(algorithm: AlgorithmIdentifier) -> tuple[bytes, int, bytes]:
     """(salt, count, IV) of a PBES2 header, checked before any derivation; a
-    DER fault in it is left for the caller to report."""
+    DER fault in it is MalformedKey, as in ``pbkdf2_fields``."""
     if algorithm.oid in oids.LEGACY_PBE:
         raise UnsupportedAlgorithm(f"legacy password-based scheme {algorithm.oid} not supported")
     if algorithm.oid != oids.PBES2:
         raise UnsupportedAlgorithm(f"unsupported encryption algorithm {algorithm.oid}")
     if algorithm.params is None:
         raise MalformedKey("PBES2 header lacks parameters")
-    kdf, enc = map(AlgorithmIdentifier.from_der_value, asn1._fields(algorithm.params, 2))
-    if kdf.oid != oids.PBKDF2:
-        raise UnsupportedAlgorithm(f"unsupported key derivation {kdf.oid}")
-    iv = aes128_cbc_iv(enc)
-    if kdf.params is None:
-        raise MalformedKey("PBKDF2 identifier lacks parameters")
-    salt_v, iter_v, prf_v = asn1._fields(kdf.params, 3)
-    prf = AlgorithmIdentifier.from_der_value(prf_v)
-    if not is_hmac_sha256(prf.oid):
-        raise UnsupportedAlgorithm(f"unsupported PRF {prf.oid}")
+    try:
+        kdf, enc = map(AlgorithmIdentifier.from_der_value, asn1._fields(algorithm.params, 2))
+        if kdf.oid != oids.PBKDF2:
+            raise UnsupportedAlgorithm(f"unsupported key derivation {kdf.oid}")
+        iv = aes128_cbc_iv(enc)
+        if kdf.params is None:
+            raise MalformedKey("PBKDF2 identifier lacks parameters")
+        salt_v, iter_v, prf_v = asn1._fields(kdf.params, 3)
+        check_mac_algorithm(asn1.algorithm_oid(prf_v))
+    except asn1.DerError as exc:
+        raise MalformedKey(str(exc)) from None
     return (*pbkdf2_fields(salt_v, iter_v), iv)
 
 

@@ -74,6 +74,8 @@ def workdir(tmp_path_factory):
     (path / "message.bin").write_bytes(b"the quick brown fox\n")
     assert main(["--seed", SEED, "cms-encrypt", "--key-hex", "00" * 16,
                  "--in", str(path / "message.bin"), "--out", str(path / "message.p7e")]) == 0
+    assert main(["cms-auth", "--key-hex", "6d6163", "--in", str(path / "message.bin"),
+                 "--out", str(path / "message.p7a")]) == 0
     return path
 
 
@@ -134,42 +136,63 @@ def test_csr_new_then_verify(workdir, capsys):
     assert code == 0
 
 
-# subcommand: (how to make a PSS-signed input "{in}" from the workdir "{dir}",
-# how to read it back); the PFX is password privacy, public-key integrity
-UNSUPPORTED_SIGNATURE_READERS = {
-    "csr-verify": (["csr-new", "--key", "{dir}/alice.p8", "--cn", "Alice", "--out", "{in}"],
-                   ["csr-verify", "--in", "{in}"]),
-    "cms-verify": (["cms-sign", "--key", "{dir}/alice.p8", "--in", "{dir}/message.bin",
-                    "--out", "{in}"],
-                   ["cms-verify", "--key", "{dir}/alice.spki", "--in", "{in}"]),
-    "pfx-unpack --source-pub": (
-        ["pfx-pack", "--key", "{dir}/alice.p8", "--password", "P", "--sign-key",
-         "{dir}/alice.p8", "--source-cn", "Alice", "--out", "{in}"],
-        ["pfx-unpack", "--in", "{in}", "--password", "P", "--source-pub",
-         "{dir}/alice.spki", "--out-dir", "{out}"]),
+# role -> (the DER of the OID pkcswb writes, the OID that adding one to its
+# last octet makes, which pkcswb lacks): RSASSA-PSS to sha256WithRSAEncryption,
+# SHA-256 to SHA-384, hmacWithSHA256 to hmacWithSHA384
+ALGORITHM_EDITS = {
+    "signature": (bytes.fromhex("06092a864886f70d01010a"), "1.2.840.113549.1.1.11"),
+    "digest": (bytes.fromhex("0609608648016503040201"), "2.16.840.1.101.3.4.2.2"),
+    "MAC": (bytes.fromhex("06082a864886f70d0209"), "1.2.840.113549.2.10"),
 }
-PSS_OID_DER = bytes.fromhex("06092a864886f70d01010a")  # 1.2.840.113549.1.1.10
+_SIGNED = ["cms-sign", "--key", "{dir}/alice.p8", "--in", "{dir}/message.bin", "--out", "{in}"]
+_CMS_VERIFY = ["cms-verify", "--key", "{dir}/alice.spki", "--in", "{in}"]
+# the PFX is password privacy, public-key integrity
+_PFX = ["pfx-pack", "--key", "{dir}/alice.p8", "--password", "P", "--sign-key",
+        "{dir}/alice.p8", "--source-cn", "Alice", "--out", "{in}"]
+_PFX_UNPACK = ["pfx-unpack", "--in", "{in}", "--password", "P", "--source-pub",
+               "{dir}/alice.spki", "--out-dir", "{out}"]
+_AUTH = ["cms-auth", "--key-hex", "6d6163", "--in", "{dir}/message.bin", "--out", "{in}"]
+# case: (how to make an input "{in}" from the workdir "{dir}", how to read it
+# back, the role of the identifier edited, which of the OID's occurrences is
+# edited and how many the input holds)
+UNSUPPORTED_ALGORITHM_READERS = {
+    "csr-verify": (["csr-new", "--key", "{dir}/alice.p8", "--cn", "Alice", "--out", "{in}"],
+                   ["csr-verify", "--in", "{in}"], "signature", 0, 1),
+    "cms-verify": (_SIGNED, _CMS_VERIFY, "signature", 0, 1),
+    "pfx-unpack --source-pub": (_PFX, _PFX_UNPACK, "signature", 0, 1),
+    "cms-digest --check": (["cms-digest", "--in", "{dir}/message.bin", "--out", "{in}"],
+                           ["cms-digest", "--check", "--in", "{in}"], "digest", 0, 1),
+    "cms-verify, digestAlgorithms": (_SIGNED, _CMS_VERIFY, "digest", 0, 2),
+    "cms-verify, the signer's digestAlgorithm": (_SIGNED, _CMS_VERIFY, "digest", 1, 2),
+    "pfx-unpack --source-pub, digestAlgorithms": (_PFX, _PFX_UNPACK, "digest", 0, 2),
+    "cms-auth --check": (_AUTH, ["cms-auth", "--check", "--key-hex", "6d6163", "--in", "{in}"],
+                         "MAC", 0, 1),
+}
 
 
-@pytest.mark.parametrize("command", list(UNSUPPORTED_SIGNATURE_READERS))
-def test_an_unsupported_signature_algorithm_is_a_usage_error(workdir, tmp_path, capsys,
-                                                             monkeypatch, command):
-    """One octet turns RSASSA-PSS into sha256WithRSAEncryption: each reader
-    refuses the algorithm by name, never as a forgery (exit 1)."""
+@pytest.mark.parametrize("case", list(UNSUPPORTED_ALGORITHM_READERS))
+def test_an_unsupported_algorithm_is_a_usage_error(workdir, tmp_path, capsys, monkeypatch,
+                                                   case):
+    """One octet turns an algorithm pkcswb writes into one it lacks: each
+    reader refuses the algorithm by name, never as a forgery (exit 1)."""
     from pkcswb import pfx
     monkeypatch.setattr(pfx, "_MAC_ITERATIONS", 2)
     monkeypatch.setattr(pfx, "_PRIVACY_ITERATIONS", 3)
-    paths = {"dir": workdir, "in": tmp_path / "signed", "out": tmp_path / "out"}
-    make, read = ([arg.format(**paths) for arg in argv]
-                  for argv in UNSUPPORTED_SIGNATURE_READERS[command])
+    paths = {"dir": workdir, "in": tmp_path / "input", "out": tmp_path / "out"}
+    *argvs, role, nth, count = UNSUPPORTED_ALGORITHM_READERS[case]
+    make, read = ([arg.format(**paths) for arg in argv] for argv in argvs)
     assert main(["--seed", SEED, *make]) == 0
-    octets = (tmp_path / "signed").read_bytes()
-    assert octets.count(PSS_OID_DER) == 1
-    (tmp_path / "signed").write_bytes(octets.replace(PSS_OID_DER, PSS_OID_DER[:-1] + b"\x0b"))
+    oid_der, lacked = ALGORITHM_EDITS[role]
+    octets = bytearray((tmp_path / "input").read_bytes())
+    assert octets.count(oid_der) == count
+    at = -1
+    for _ in range(nth + 1):
+        at = octets.index(oid_der, at + 1)
+    octets[at + len(oid_der) - 1] += 1
+    (tmp_path / "input").write_bytes(octets)
     capsys.readouterr()
     assert main(read) == 2
-    assert capsys.readouterr().err == (
-        "error: unsupported signature algorithm 1.2.840.113549.1.1.11\n")
+    assert capsys.readouterr().err == f"error: unsupported {role} algorithm {lacked}\n"
 
 
 def test_cms_sign_verify(workdir, capsys):
@@ -689,6 +712,11 @@ USAGE_ERRORS = {
     # the key is the caller's: its length is named, not hidden in "decryption failed"
     "cms-encrypt --decrypt --key-hex 00": ["cms-encrypt", "--decrypt", "--key-hex", "00",
                                            "--in", "{dir}/message.p7e", "--out", "{out}"],
+    # under an empty MAC key anyone can make the tag: refused both ways
+    "cms-auth --key-hex ''": ["cms-auth", "--key-hex", "", "--in", "{dir}/message.bin",
+                              "--out", "{out}"],
+    "cms-auth --check --key-hex ''": ["cms-auth", "--check", "--key-hex", "",
+                                      "--in", "{dir}/message.p7a"],
     "--seed zz": ["--seed", "zz", "scenario"],
     # an empty value is refused, not replaced by unseeded randomness
     "keygen --seed ''": ["keygen", "--seed", "", "--bits", "512", "--out", "{out}"],

@@ -10,7 +10,8 @@ from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIde
                         make_data, open_envelope, sign_data, toy_issue,
                         verify_signed)
 from pkcswb.csr import CertificationRequest, Name, build_csr
-from pkcswb.errors import DecryptionError, IntegrityFailure, UnsupportedAlgorithm
+from pkcswb.errors import (DecryptionError, IntegrityFailure, MissingCredential,
+                           UnsupportedAlgorithm)
 from pkcswb.keystore import Attribute, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
 from pkcswb.primitives import SHA256, BadLength, ExhaustibleSource, HashAlg, hmac_digest
@@ -124,11 +125,13 @@ def test_unsigned_field_edits_are_refused(key_1024, ident):
     signer_der = asn1.der_encode(signers.children[0])
     signer_version_at = octets.index(signer_der) + signer_der.index(b"\x02\x01\x01") + 2
     assert signer_der.index(b"\x02\x01\x01") <= 4  # right after the SEQUENCE header
-    for offset, octet in ((algs_at - 1, 3),                   # SignedData version 3
-                          (signer_version_at, 3),             # SignerInfo version 3
-                          (algs_at + len(algs_der) - 1, 3)):  # SHA-512 for SHA-256
-        with pytest.raises(SignatureInvalid):
-            verify_signed(_edit(octets, offset, octet), public)
+    for offset in (algs_at - 1, signer_version_at):  # SignedData, SignerInfo version 3
+        with pytest.raises(SignatureInvalid, match="^SignedData and SignerInfo must be version 1$"):
+            verify_signed(_edit(octets, offset, 3), public)
+    # SHA-512 for SHA-256: an algorithm pkcswb lacks, not a forgery
+    with pytest.raises(UnsupportedAlgorithm,
+                       match="^unsupported digest algorithm 2.16.840.1.101.3.4.2.3$"):
+        verify_signed(_edit(octets, algs_at + len(algs_der) - 1, 3), public)
     assert verify_signed(ContentInfo.from_der(octets), public)[1]
 
 
@@ -166,6 +169,39 @@ def test_an_unsupported_signature_algorithm_is_refused_before_any_public_operati
         read(der.replace(PSS_OID_DER, PSS_OID_DER[:-1] + b"\x0b"))
     assert (str(raised.value), public_ops) == (
         f"unsupported signature algorithm {SHA256_WITH_RSA}", [])
+
+
+SHA256_OID_DER = asn1.der_encode(asn1.oid_value(oids.SHA256))
+HMAC_SHA256_OID_DER = asn1.der_encode(asn1.oid_value(oids.HMAC_WITH_SHA256))
+
+
+def _digest_and_mac_inputs(key_1024, ident):
+    """reader -> (its input's DER, how the reader opens such DER, the DER of
+    the OID edited, the OID that adding one to its last octet makes)."""
+    signed = {reader: (der, read, SHA256_OID_DER, "2.16.840.1.101.3.4.2.2")
+              for reader, (der, read) in _signed_inputs(key_1024, ident).items()
+              if reader != "verify_csr"}
+    return {
+        **signed,
+        "check_digest": (digest_data(make_data(b"payload")).to_der(),
+                         lambda der: check_digest(ContentInfo.from_der(der)),
+                         SHA256_OID_DER, "2.16.840.1.101.3.4.2.2"),
+        "check_auth": (authenticate_data(make_data(b"payload"), b"mac").to_der(),
+                       lambda der: check_auth(ContentInfo.from_der(der), b"mac"),
+                       HMAC_SHA256_OID_DER, "1.2.840.113549.2.10"),
+    }
+
+
+@pytest.mark.parametrize("reader", ["verify_signed", "pfx_open", "check_digest", "check_auth"])
+def test_an_unsupported_digest_or_mac_algorithm_is_refused_by_name(key_1024, ident, reader):
+    # SHA-384 for SHA-256, HMAC-SHA-384 for HMAC-SHA-256, wherever each is read
+    der, read, oid_der, lacked = _digest_and_mac_inputs(key_1024, ident)[reader]
+    role = "MAC" if reader == "check_auth" else "digest"
+    ends = [at + len(oid_der) - 1 for at in range(len(der)) if der.startswith(oid_der, at)]
+    assert len(ends) == (2 if reader in ("verify_signed", "pfx_open") else 1)
+    for end in ends:  # signed-data's digestAlgorithms, then its signer's
+        with pytest.raises(UnsupportedAlgorithm, match=f"^unsupported {role} algorithm {lacked}$"):
+            read(der[:end] + bytes([der[end] + 1]) + der[end + 1:])
 
 
 @pytest.mark.parametrize("reader", ["verify_signed", "pfx_open"])
@@ -525,6 +561,20 @@ def test_envelope_versions_other_than_0_are_refused(key_1024):
     assert open_envelope(sealed, private) == make_data(b"m")
 
 
+def test_an_unsupported_key_transport_is_the_uniform_decryption_error(key_1024):
+    # pkcs1 refuses RSAES-OAEP's neighbour 1.2.840.113549.1.1.8 by name, and
+    # inside a decryption its refusal is the one DecryptionError
+    public, private = key_1024
+    der = envelope(make_data(b"m"), public, seeded(b"e")).to_der()
+    oaep_der = asn1.der_encode(asn1.oid_value(oids.RSAES_OAEP))
+    end = der.index(oaep_der) + len(oaep_der) - 1
+    with pytest.raises(UnsupportedAlgorithm,
+                       match="^unsupported key transport algorithm 1.2.840.113549.1.1.8$"):
+        pkcs1.check_key_transport_algorithm(asn1.Oid.parse("1.2.840.113549.1.1.8"))
+    with pytest.raises(DecryptionError):
+        open_envelope(ContentInfo.from_der(der[:end] + b"\x08" + der[end + 1:]), private)
+
+
 def test_envelope_modulus_too_small():
     import pkcswb.rsa as rsa
     public, _ = rsa.generate_key(256, 2, 65537, seeded(b"tiny"))
@@ -761,8 +811,18 @@ def test_auth_version_other_than_0_is_refused():
     wrapped = authenticate_data(make_data(b"m"), b"mac key")
     _version, *rest = wrapped.content.children
     edited = ContentInfo(oids.CT_AUTHENTICATED_DATA, asn1.sequence(asn1.integer(9), *rest))
-    with pytest.raises(IntegrityFailure, match="^MAC does not verify$"):
+    with pytest.raises(IntegrityFailure, match="^AuthenticatedData must be version 0$"):
         check_auth(ContentInfo.from_der(edited.to_der()), b"mac key")
+
+
+def test_an_empty_mac_key_is_refused_before_any_work(monkeypatch):
+    # anyone can make a tag under the empty key: refused making and checking,
+    # before the content is read or a MAC computed
+    monkeypatch.setattr(cms, "hmac_digest", lambda *args: pytest.fail("MAC computed"))
+    with pytest.raises(MissingCredential, match="^MAC key must be non-empty$"):
+        authenticate_data(make_data(b"m"), b"")
+    with pytest.raises(MissingCredential, match="^MAC key must be non-empty$"):
+        check_auth(make_data(b"not authenticated-data"), b"")
 
 
 # -- readers refuse a wrong field count ----------------------------------------------

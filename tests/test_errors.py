@@ -12,8 +12,8 @@ from pathlib import Path
 import pytest
 
 import pkcswb
-from pkcswb import asn1, cli, csr, keystore, pfx, pkcs1, primitives
-from pkcswb.errors import BadParameter, PkcsError
+from pkcswb import asn1, cli, csr, keystore, oids, pfx, pkcs1, primitives
+from pkcswb.errors import BadParameter, MalformedKey, PkcsError, UnsupportedAlgorithm
 from conftest import seeded
 
 PACKAGE = Path(pkcswb.__file__).resolve().parent
@@ -51,12 +51,16 @@ def _raises(tree: ast.Module):
     yield from walk(tree, [])
 
 
-def _raised_class(module, raise_node: ast.Raise):
-    """The class a raise statement raises."""
+def _raised_classes(module, raise_node: ast.Raise) -> set:
+    """The classes a raise statement raises: one, or for DerForm's raise of
+    ``cls.fault``, the value of ``fault`` on DerForm and each container class."""
     target = raise_node.exc.func if isinstance(raise_node.exc, ast.Call) else raise_node.exc
+    if isinstance(target, ast.Attribute) and target.value.id == "cls":
+        forms = [asn1.DerForm, *_declared_classes(asn1.DerForm)]
+        return {getattr(form, target.attr) for form in forms}
     if isinstance(target, ast.Attribute):
-        return getattr(getattr(module, target.value.id), target.attr)
-    return getattr(module, target.id, None) or getattr(builtins, target.id)
+        return {getattr(getattr(module, target.value.id), target.attr)}
+    return {getattr(module, target.id, None) or getattr(builtins, target.id)}
 
 
 def test_every_raised_class_is_declared_or_a_listed_programming_error():
@@ -64,14 +68,14 @@ def test_every_raised_class_is_declared_or_a_listed_programming_error():
     for path in sorted(PACKAGE.glob("[!_]*.py")):
         module = importlib.import_module(f"pkcswb.{path.stem}")
         for name, node in _raises(ast.parse(path.read_text(), str(path))):
-            raised = _raised_class(module, node)
-            if issubclass(raised, PkcsError):
-                continue
-            where = f"{path.stem}.{name}"
-            if PROGRAMMING_ERRORS.get(where) is raised:
-                seen.add(where)
-            else:
-                undeclared.append(f"{where}:{node.lineno} raises {raised.__name__}")
+            for raised in _raised_classes(module, node):
+                if issubclass(raised, PkcsError):
+                    continue
+                where = f"{path.stem}.{name}"
+                if PROGRAMMING_ERRORS.get(where) is raised:
+                    seen.add(where)
+                else:
+                    undeclared.append(f"{where}:{node.lineno} raises {raised.__name__}")
     assert undeclared == []
     assert seen == set(PROGRAMMING_ERRORS)  # no entry outlives its raise
 
@@ -181,3 +185,51 @@ def test_text_builders_give_a_value_or_a_declared_error(builder, text):
 def test_dotted_text_outside_ascii_digit_arcs_is_bad_parameter(text):
     with pytest.raises(BadParameter):
         asn1.Oid.parse(text)
+
+
+RSA_ENCRYPTION_DER = asn1.der_encode(asn1.oid_value(oids.RSA_ENCRYPTION))
+HMAC_SHA256_DER = asn1.der_encode(asn1.oid_value(oids.HMAC_WITH_SHA256))
+
+
+def _pkcs8_and_10(key_1024):
+    """container -> (its class, the class of a fault read in it, its DER, how
+    it is opened, the DER of the OID of an algorithm it reads, the refusal of
+    that OID with one added to its last octet)."""
+    private = key_1024[1]
+    info = keystore.PrivateKeyInfo(private)
+    epki = keystore.encrypt_private_key(info, b"pw", b"saltsalt", 2, seeded(b"e"))
+    request = csr.build_csr(csr.Name((("commonName", "x"),)), key_1024, (), seeded(b"r"))
+    return {
+        "PrivateKeyInfo": (keystore.PrivateKeyInfo, MalformedKey, info.to_der(),
+                           keystore.PrivateKeyInfo.from_der, RSA_ENCRYPTION_DER,
+                           "unsupported key algorithm 1.2.840.113549.1.1.2"),
+        "EncryptedPrivateKeyInfo": (
+            keystore.EncryptedPrivateKeyInfo, MalformedKey, epki.to_der(),
+            lambda der: keystore.decrypt_private_key(
+                keystore.EncryptedPrivateKeyInfo.from_der(der), b"pw"),
+            HMAC_SHA256_DER, "unsupported MAC algorithm 1.2.840.113549.2.10"),
+        "CertificationRequest": (csr.CertificationRequest, csr.MalformedRequest,
+                                 request.to_der(), csr.CertificationRequest.from_der,
+                                 RSA_ENCRYPTION_DER,
+                                 "unsupported key algorithm 1.2.840.113549.1.1.2"),
+    }
+
+
+@pytest.mark.parametrize("container", ["PrivateKeyInfo", "EncryptedPrivateKeyInfo",
+                                       "CertificationRequest"])
+def test_a_pkcs8_or_10_fault_takes_the_container_class_but_an_unsupported_algorithm(
+        key_1024, container):
+    form, fault, der, read, oid_der, refusal = _pkcs8_and_10(key_1024)[container]
+    value = asn1.der_decode(der)
+    # a truncated encoding, a value cut to its first field, and one that is no SEQUENCE
+    for reading in (lambda: form.from_der(der[:-1]),
+                    lambda: form.from_der_value(asn1.sequence(value.children[0])),
+                    lambda: form.from_der_value(asn1.integer(0))):
+        with pytest.raises(PkcsError) as raised:
+            reading()
+        assert type(raised.value) is fault
+    assert der.count(oid_der) == 1
+    end = der.index(oid_der) + len(oid_der) - 1
+    with pytest.raises(UnsupportedAlgorithm) as raised:
+        read(der[:end] + bytes([der[end] + 1]) + der[end + 1:])
+    assert (type(raised.value), str(raised.value)) == (UnsupportedAlgorithm, refusal)

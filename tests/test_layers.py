@@ -3,15 +3,17 @@ the modules listed before it in LAYERS (the order bench/tracer.py assumes).
 One decision sits in one layer: only pkcs1 names PssParams, each algorithm
 OID is named by the one module that writes and reads its identifier, only
 pkcs1, which writes and reads the RSA key layouts, calls rsa's
-check_key_caps, only pkcs1 refuses a signature algorithm, token reads a
-public key without csr, AlgorithmIdentifier is defined in asn1 alone, only
-asn1 keeps a container's value and defines its codec, and only primitives
-(CBC decryption), cms and pfx (their headers) enter uniform_decryption."""
+check_key_caps, each algorithm refusal is raised by the owner of the
+identifier alone, token reads a public key without csr, AlgorithmIdentifier
+is defined in asn1 alone, only asn1 keeps a container's value and defines its
+codec, only asn1 and pkcs5 turn a DER fault into another class, and only
+primitives (CBC decryption), cms and pfx (their headers) enter
+uniform_decryption."""
 
 import ast
 from pathlib import Path
 
-from pkcswb import oids
+from pkcswb import asn1, oids
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "pkcswb"
 LAYERS = ("errors", "asn1", "oids", "primitives", "pkcs5", "rsa", "pkcs1",
@@ -117,12 +119,54 @@ def _raised_messages(path: Path):
                 yield message.value
 
 
-def test_only_pkcs1_refuses_a_signature_algorithm():
-    # requests and signed-data (PFX integrity too) share pkcs1's one refusal
-    refusing = sorted(path.stem for path in PACKAGE.glob("*.py")
-                      if any(message.startswith("unsupported signature algorithm")
-                             for message in _raised_messages(path)))
-    assert refusing == ["pkcs1"]
+# the leading text of each refusal of a received algorithm -> the one module
+# that raises it, the owner of the identifier in OID_OWNERS
+ALGORITHM_REFUSALS = {
+    "unsupported signature algorithm": "pkcs1",
+    "unsupported key algorithm": "pkcs1",
+    "unsupported key transport algorithm": "pkcs1",
+    "unsupported digest algorithm": "cms",
+    "unsupported MAC algorithm": "pkcs5",
+    "unsupported cipher": "pkcs5",
+    "unsupported key derivation": "pkcs5",
+    "unsupported encryption algorithm": "pkcs5",
+}
+
+
+def test_each_algorithm_refusal_is_raised_by_its_owner_alone():
+    # requests, signed-data, digested-data, authenticated-data, PBES2 and PFX
+    # share each owner's one refusal: none raises its own
+    raising = {path.stem: list(_raised_messages(path)) for path in PACKAGE.glob("*.py")}
+    owners = {refusal: [module for module, messages in sorted(raising.items())
+                        if any(message.startswith(refusal) for message in messages)]
+              for refusal in ALGORITHM_REFUSALS}
+    assert owners == {refusal: [owner] for refusal, owner in ALGORITHM_REFUSALS.items()}
+
+
+DER_ERRORS = {cls.__name__ for cls in vars(asn1).values()
+              if isinstance(cls, type) and issubclass(cls, asn1.DerError)}
+
+
+def _translating_handlers(path: Path):
+    """The line of each except clause in ``path`` that catches DerError (or a
+    subclass of it) by name and raises in its body."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names = {c.attr if isinstance(c, ast.Attribute) else getattr(c, "id", "")
+                     for c in caught}
+            if names & DER_ERRORS and any(isinstance(inner, ast.Raise) and inner.exc is not None
+                                          for statement in node.body
+                                          for inner in ast.walk(statement)):
+                yield node.lineno
+
+
+def test_only_asn1_and_pkcs5_turn_a_der_fault_into_another_class():
+    # DerForm gives a container's faults its class; pkcs5 reports a DER fault
+    # in its own PBES2 and PBKDF2 headers as MalformedKey
+    translating = sorted(path.stem for path in PACKAGE.glob("*.py")
+                         if any(_translating_handlers(path)))
+    assert translating == ["asn1", "pkcs5"]
 
 
 def test_only_pkcs1_checks_key_caps_and_token_does_not_import_csr():
@@ -142,15 +186,10 @@ def test_algorithm_identifier_is_defined_only_in_asn1():
     assert defining == ["asn1"]
 
 
-# the from_der overrides that translate a reader's faults into the layer's error
-FROM_DER_OVERRIDES = {"keystore.PrivateKeyInfo", "keystore.EncryptedPrivateKeyInfo",
-                      "csr.CertificationRequest"}
-
-
 def test_only_asn1_keeps_a_container_value_and_defines_its_codec():
     # every container builds through _build and parses through _parse; asn1's
     # DerForm alone keeps the value and defines to_der_value, to_der,
-    # from_der_value and from_der
+    # from_der_value and from_der, which give a reader's faults their class
     keeping, defining = [], set()
     for path in PACKAGE.glob("*.py"):
         if path.stem == "asn1":
@@ -163,8 +202,7 @@ def test_only_asn1_keeps_a_container_value_and_defines_its_codec():
                 defining |= {f"{path.stem}.{node.name}.{item.name}" for item in node.body
                              if isinstance(item, ast.FunctionDef) and item.name in
                              ("to_der_value", "to_der", "from_der_value", "from_der")}
-    assert keeping == []
-    assert defining == {f"{owner}.from_der" for owner in FROM_DER_OVERRIDES}
+    assert (keeping, defining) == ([], set())
 
 
 def test_only_primitives_cms_and_pfx_enter_uniform_decryption():
