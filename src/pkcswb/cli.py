@@ -416,10 +416,10 @@ def _scenario(rng: RandomSource, fault: str | None, directory: list[str]):
 
     # natural-person-attributes
     bundle = keystore.natural_person_bundle(
-        email_address="alice@example.org",
-        country_of_citizenship="US",
-        place_of_birth="Springfield",
-        date_of_birth="19800101000000Z",
+        emailAddress="alice@example.org",
+        countryOfCitizenship="US",
+        placeOfBirth="Springfield",
+        dateOfBirth="19800101000000Z",
         gender="F",
     )
     for attribute in bundle:

@@ -5,18 +5,20 @@ subject public key info, attributes) signed with the subject's own private
 key under RSASSA-PSS, so verification needs nothing but the request itself.
 ``build_csr`` signs and ``verify_csr`` checks the DER of the value the info
 object keeps, so a received request is verified over the octets received,
-read where they lie.
-``pkcs1`` writes and reads the subject key info and the signature identifier.
-A request's ``fault`` is MalformedRequest: any fault read but an unsupported algorithm.
+read where they lie.  ``pkcs1`` writes and reads the subject key info and the
+signature identifier, and ``keystore``'s attribute registry the subject
+name's components.  A request's ``fault`` is MalformedRequest: any fault read
+but an unsupported algorithm.
 """
 
 from __future__ import annotations
 
-from . import asn1, oids, pkcs1
+from . import asn1, pkcs1
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue
 from .errors import Frozen, PkcsError
-from .keystore import (Attribute, SyntaxViolation, attribute_check, _is_country,
-                       _attributes_from_der, _attributes_to_der)
+from .keystore import (ATTRIBUTE_REGISTRY, Attribute, SyntaxViolation, UnknownAttributeType,
+                       attribute_check, _attribute_value, _attributes_from_der,
+                       _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey
@@ -31,16 +33,9 @@ __all__ = [
     "pss_salt_len_for",
 ]
 
-# name field -> (attribute type, the string type of its value, its most
-# characters: RFC 5280 Appendix A's ub-common-name, ub-organization-name,
-# ub-country-name-alpha-length and ub-emailaddress-length)
-_NAME_FIELDS = {
-    "commonName": (oids.CN, asn1.utf8_string, 64),
-    "organization": (oids.ORGANIZATION, asn1.utf8_string, 64),
-    "country": (oids.COUNTRY, asn1.printable_string, 2),
-    "emailAddress": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, 255),
-}
-_NAME_FIELDS_BY_OID = {oid: name for name, (oid, _, _) in _NAME_FIELDS.items()}
+# the registry names a subject may hold
+_NAME_FIELDS = ("commonName", "organization", "country", "emailAddress")
+_NAME_FIELDS_BY_OID = {ATTRIBUTE_REGISTRY[name][0]: name for name in _NAME_FIELDS}
 
 
 class MalformedRequest(PkcsError, ValueError):
@@ -48,43 +43,28 @@ class MalformedRequest(PkcsError, ValueError):
 
 
 class Name(DerForm, Frozen):
-    """Ordered distinguished-name pairs; commonName is mandatory."""
+    """Ordered distinguished-name pairs; commonName is mandatory.  Each value,
+    text or the received DerValue ``_parse`` passes, is checked as it lies by
+    keystore's attribute registry."""
 
     _fields = ("pairs",)
 
-    def __init__(self, pairs: tuple[tuple[str, str], ...]):
-        pairs = tuple((k, v) for k, v in pairs)
-        names = [k for k, _ in pairs]
-        unknown = set(names) - set(_NAME_FIELDS)
-        if unknown:
-            raise ValueError(f"unsupported name fields: {sorted(unknown)}")
-        if "commonName" not in names:
-            raise MalformedRequest("commonName is required")
+    def __init__(self, pairs: tuple[tuple[str, str | DerValue], ...]):
+        checked = []
         for key, value in pairs:
-            if not isinstance(value, str):
-                raise MalformedRequest(f"{key} must be text")
-            if key == "country" and not _is_country(value):
-                raise MalformedRequest("country must be a two-letter code")
-            if key == "emailAddress" and not value.isascii():
-                raise MalformedRequest("emailAddress must be ASCII")
-            if not value:
-                raise MalformedRequest(f"{key} must be non-empty")
-            if len(value) > _NAME_FIELDS[key][2]:
-                raise MalformedRequest(f"{key} must be at most {_NAME_FIELDS[key][2]} characters")
-        self.__dict__["pairs"] = pairs
+            if key not in _NAME_FIELDS:
+                raise UnknownAttributeType(key)
+            checked.append((key, _attribute_value(key, value)[1].as_text()))
+        if "commonName" not in (key for key, _ in checked):
+            raise MalformedRequest("commonName is required")
+        self.__dict__["pairs"] = tuple(checked)
 
     def get(self, field: str) -> str | None:
-        for key, value in self.pairs:
-            if key == field:
-                return value
-        return None
+        return next((value for key, value in self.pairs if key == field), None)
 
     def _build(self) -> DerValue:
-        rdns = []
-        for key, value in self.pairs:
-            oid, make, _ = _NAME_FIELDS[key]
-            rdns.append(asn1.set_value(asn1.sequence(asn1.oid_value(oid), make(value))))
-        return asn1.sequence(*rdns)
+        return asn1.sequence(*(asn1.set_value(asn1.sequence(asn1.oid_value(oid), value))
+                               for oid, value in (_attribute_value(*pair) for pair in self.pairs)))
 
     @classmethod
     def _parse(cls, value: DerValue) -> "Name":
@@ -95,7 +75,7 @@ class Name(DerForm, Frozen):
             field = _NAME_FIELDS_BY_OID.get(oid_v.as_oid())
             if field is None:
                 raise MalformedRequest(f"unsupported name component {oid_v.as_oid()}")
-            pairs.append((field, text_v.as_text()))
+            pairs.append((field, text_v))
         return cls(tuple(pairs))
 
 

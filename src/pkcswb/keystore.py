@@ -9,12 +9,11 @@ always rsaEncryption, so a PrivateKeyInfo holds only its key and attributes,
 and a received one with absent parameters equals its built twin.  Both are
 DerForms whose ``fault`` is MalformedKey: any fault read but an unsupported algorithm.
 
-The attribute registry holds exactly the ten types the other standards pull
-in: contentType, messageDigest, signingTime, sequenceNumber, randomNonce,
-counterSignature, challengePassword, extensionRequest, friendlyName, and
-localKeyId, each a plain row of its OID, native Python type, builder and
-syntax.  naturalPerson/pkcsEntity groupings are plain attribute bundles
-with no directory-schema machinery behind them.
+The attribute registry is the one table of attribute types, a plain row of
+OID, native Python type, builder and syntax for each in ``oids``; one path,
+``_attribute_value``, builds and checks a value for ``attribute_make``, the
+naturalPerson/pkcsEntity bundles and ``csr.Name``.  Each bundle is flat: its
+object class is a tuple of registry names, with no directory-schema machinery.
 
 The [0] IMPLICIT SET OF Attribute that PKCS #8, #10 and CMS carry is written,
 read and checked here alone: the writer re-tags a built SET's children, the
@@ -28,7 +27,7 @@ import re
 
 from . import asn1, oids, pkcs1
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue, Oid, der_decode, der_encode
-from .errors import Frozen, MalformedKey, MissingCredential, PkcsError
+from .errors import BadParameter, Frozen, MalformedKey, MissingCredential, PkcsError
 from .pkcs5 import pbes2_decrypt, pbes2_encrypt
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey
@@ -131,17 +130,22 @@ def _check_time(value: DerValue) -> bool:
     return False
 
 
-def _check_directory_string(value: DerValue) -> bool:
-    return (_is_primitive(value, asn1.PRINTABLE_STRING)
-            or _is_primitive(value, asn1.UTF8_STRING)) and len(value.octets) > 0
+def _text(check, *tags: int):
+    """The syntax of a text row: a string of one of ``tags`` (tested first)
+    whose text, decoded as its tag says, passes ``check``."""
+    def syntax(value: DerValue) -> bool:
+        if value.tag_number not in tags:
+            return False
+        try:
+            return check(value.as_text())
+        except asn1.NonCanonical:  # octets its tag cannot decode
+            return False
+    return syntax
 
 
 def _make_time(text: str) -> DerValue:
-    if re.fullmatch(r"[0-9]{12}Z", text):
-        return asn1.utc_time(text)
-    if re.fullmatch(r"[0-9]{14}Z", text):
-        return asn1.generalized_time(text)
-    raise SyntaxViolation("time must look like YYMMDDHHMMSSZ or YYYYMMDDHHMMSSZ")
+    """A UTCTime for YYMMDDHHMMSSZ's 13 characters, else a GeneralizedTime."""
+    return asn1.utc_time(text) if len(text) == 13 else asn1.generalized_time(text)
 
 
 def _make_directory_string(value: str) -> DerValue:
@@ -150,10 +154,22 @@ def _make_directory_string(value: str) -> DerValue:
     return asn1.utf8_string(value)
 
 
+def _is_sequence(value: DerValue) -> bool:
+    return value.constructed and value.is_universal(asn1.SEQUENCE)
+
+
+# Text is SIZE (1..ub) (RFC 2985 §5, RFC 5280 Appendix A: ub-common-name,
+# ub-organization-name and ub-serial-number 64, pkcs-9-ub-emailAddress 255),
+# a country two letters, and gender M, F, m or f (RFC 3739 §3.2).
+_PRINTABLE, _UTF8, _IA5 = asn1.PRINTABLE_STRING, asn1.UTF8_STRING, asn1.IA5_STRING
+_DIRECTORY_STRING = _text(bool, _PRINTABLE, _UTF8)
+_COUNTRY = _text(re.compile("[A-Za-z]{2}").fullmatch, _PRINTABLE)
+_NAME_TEXT = _text(lambda text: 0 < len(text) <= 64, _PRINTABLE, _UTF8)
 _OCTETS = (bytes, bytearray, memoryview)
 # name: (type, the Python type a native value must have or None when only a
 # built DerValue fits, the builder of a native value, the syntax every value
-# must match)
+# must match): the types the other standards pull in, RFC 2985 §5.2's
+# naturalPerson and pkcsEntity types, and the components of a subject name.
 ATTRIBUTE_REGISTRY: dict[str, tuple] = {
     "contentType": (oids.AT_CONTENT_TYPE, (Oid, str), asn1.oid_value,
                     lambda v: _is_primitive(v, asn1.OBJECT_IDENTIFIER)),
@@ -164,23 +180,46 @@ ATTRIBUTE_REGISTRY: dict[str, tuple] = {
                        lambda v: _is_primitive(v, asn1.INTEGER) and v.as_integer() >= 1),
     "randomNonce": (oids.AT_RANDOM_NONCE, _OCTETS, asn1.octet_string,
                     lambda v: _is_primitive(v, asn1.OCTET_STRING) and len(v.octets) >= 4),
-    "counterSignature": (oids.AT_COUNTER_SIGNATURE, None, None,
-                         lambda v: v.constructed and v.is_universal(asn1.SEQUENCE)),
+    "counterSignature": (oids.AT_COUNTER_SIGNATURE, None, None, _is_sequence),
     "challengePassword": (oids.AT_CHALLENGE_PASSWORD, str, _make_directory_string,
-                          _check_directory_string),
-    "extensionRequest": (oids.AT_EXTENSION_REQUEST, None, None,
-                         lambda v: v.constructed and v.is_universal(asn1.SEQUENCE)),
-    "friendlyName": (oids.AT_FRIENDLY_NAME, str, asn1.utf8_string,
-                     lambda v: _is_primitive(v, asn1.UTF8_STRING) and len(v.octets) > 0),
+                          _DIRECTORY_STRING),
+    "extensionRequest": (oids.AT_EXTENSION_REQUEST, None, None, _is_sequence),
+    "friendlyName": (oids.AT_FRIENDLY_NAME, str, asn1.utf8_string, _text(bool, _UTF8)),
     "localKeyId": (oids.AT_LOCAL_KEY_ID, _OCTETS, asn1.octet_string,
                    lambda v: _is_primitive(v, asn1.OCTET_STRING)),
+    "emailAddress": (oids.AT_EMAIL_ADDRESS, str, asn1.ia5_string,
+                     _text(lambda text: 0 < len(text) <= 255, _IA5)),
+    "unstructuredName": (oids.AT_UNSTRUCTURED_NAME, str, asn1.utf8_string,
+                         _text(bool, _PRINTABLE, _UTF8, _IA5)),
+    "unstructuredAddress": (oids.AT_UNSTRUCTURED_ADDRESS, str, asn1.utf8_string,
+                            _DIRECTORY_STRING),
+    "dateOfBirth": (oids.AT_DATE_OF_BIRTH, str, asn1.generalized_time, _text(
+        lambda text: _is_time(_GENERALIZED_TIME, text), asn1.GENERALIZED_TIME)),
+    "placeOfBirth": (oids.AT_PLACE_OF_BIRTH, str, asn1.utf8_string, _DIRECTORY_STRING),
+    "gender": (oids.AT_GENDER, str, asn1.printable_string,
+               _text(re.compile("[MFmf]").fullmatch, _PRINTABLE)),
+    "countryOfCitizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, str, asn1.printable_string,
+                             _COUNTRY),
+    "countryOfResidence": (oids.AT_COUNTRY_OF_RESIDENCE, str, asn1.printable_string, _COUNTRY),
+    "pseudonym": (oids.AT_PSEUDONYM, str, asn1.utf8_string, _DIRECTORY_STRING),
+    "serialNumber": (oids.AT_SERIAL_NUMBER, str, asn1.printable_string,
+                     _text(lambda text: 0 < len(text) <= 64, _PRINTABLE)),
+    "pkcs7PDU": (oids.AT_PKCS7_PDU, None, None, _is_sequence),
+    "userPKCS12": (oids.AT_USER_PKCS12, None, None, _is_sequence),
+    "pkcs15Token": (oids.AT_PKCS15_TOKEN, None, None, _is_sequence),
+    "encryptedPrivateKeyInfo": (oids.AT_ENCRYPTED_PRIVATE_KEY_INFO, None, None, _is_sequence),
+    "commonName": (oids.CN, str, asn1.utf8_string, _NAME_TEXT),
+    "organization": (oids.ORGANIZATION, str, asn1.utf8_string, _NAME_TEXT),
+    "country": (oids.COUNTRY, str, asn1.printable_string, _COUNTRY),
 }
 _SYNTAX_BY_OID = {oid: syntax for oid, _, _, syntax in ATTRIBUTE_REGISTRY.values()}
 
 
-def attribute_make(type_name: str, value) -> Attribute:
-    """Build a registered attribute from a built DerValue, or from a native
-    value of the type's own Python type (no bool)."""
+def _attribute_value(type_name: str, value) -> tuple[Oid, DerValue]:
+    """The OID of a registered type and its value: a built DerValue checked
+    as it lies, or a native value of the type's own Python type (no bool)
+    built, then checked.  SyntaxViolation for any other value, and for one
+    its builder refuses or that is outside the type's syntax."""
     row = ATTRIBUTE_REGISTRY.get(type_name)
     if row is None:
         raise UnknownAttributeType(type_name)
@@ -188,13 +227,22 @@ def attribute_make(type_name: str, value) -> Attribute:
     if isinstance(value, DerValue):
         der_value = value
     elif kind is None:
-        raise SyntaxViolation("expected an already-built value")
+        raise SyntaxViolation(f"{type_name} expects an already-built value")
     elif isinstance(value, bool) or not isinstance(value, kind):
-        raise SyntaxViolation(f"a {type(value).__name__} value does not fit this attribute")
+        raise SyntaxViolation(f"a {type(value).__name__} value does not fit {type_name}")
     else:
-        der_value = make(value)
-    if not syntax(der_value):
+        try:
+            der_value = make(value)
+        except BadParameter:
+            der_value = None
+    if der_value is None or not syntax(der_value):
         raise SyntaxViolation(f"value does not match the {type_name} syntax")
+    return oid, der_value
+
+
+def attribute_make(type_name: str, value) -> Attribute:
+    """A registered attribute of one value, built and checked by ``_attribute_value``."""
+    oid, der_value = _attribute_value(type_name, value)
     return Attribute(oid, (der_value,))
 
 
@@ -227,61 +275,33 @@ def _attributes_from_der(value: DerValue, read=Attribute.from_der_value) -> tupl
 # ---------------------------------------------------------------------------
 # attribute bundles (directory object classes, flattened)
 
-# name: (type, value builder, the check a value must pass or None).  The
-# checks are the syntaxes of RFC 2985 §5.2 and RFC 3739 §3.2: a two-letter
-# country code, gender M, F, m or f, dateOfBirth as a GeneralizedTime
-# YYYYMMDDHHMMSSZ, and any other text non-empty, as its SIZE (1..ub) bound
-# asks; serialNumber's ub is 64 (X.520 ub-serial-number) and emailAddress's
-# 255 (RFC 2985 pkcs-9-ub-emailAddress).  A pkcsEntity value is a built
-# DerValue, carried as it is.
-_is_country = re.compile("[A-Za-z]{2}").fullmatch
-_NATURAL_PERSON_FIELDS: dict[str, tuple] = {
-    "email_address": (oids.AT_EMAIL_ADDRESS, asn1.ia5_string, lambda text: 0 < len(text) <= 255),
-    "country_of_citizenship": (oids.AT_COUNTRY_OF_CITIZENSHIP, asn1.printable_string, _is_country),
-    "country_of_residence": (oids.AT_COUNTRY_OF_RESIDENCE, asn1.printable_string, _is_country),
-    "pseudonym": (oids.AT_PSEUDONYM, asn1.utf8_string, bool),
-    "place_of_birth": (oids.AT_PLACE_OF_BIRTH, asn1.utf8_string, bool),
-    "serial_number": (oids.AT_SERIAL_NUMBER, asn1.printable_string,
-                      lambda text: 0 < len(text) <= 64),
-    "unstructured_address": (oids.AT_UNSTRUCTURED_ADDRESS, asn1.utf8_string, bool),
-    "unstructured_name": (oids.AT_UNSTRUCTURED_NAME, asn1.utf8_string, bool),
-    "gender": (oids.AT_GENDER, asn1.printable_string, re.compile("[MFmf]").fullmatch),
-    "date_of_birth": (oids.AT_DATE_OF_BIRTH, asn1.generalized_time,
-                      lambda text: _is_time(_GENERALIZED_TIME, text)),
-}
-
-_PKCS_ENTITY_FIELDS = {name: (oid, lambda value: value, None) for name, oid in {
-    "pkcs7_pdu": oids.AT_PKCS7_PDU,
-    "user_pkcs12": oids.AT_USER_PKCS12,
-    "pkcs15_token": oids.AT_PKCS15_TOKEN,
-    "encrypted_private_key_info": oids.AT_ENCRYPTED_PRIVATE_KEY_INFO,
-}.items()}
+# Each bundle's object class, RFC 2985 §5.2's naturalPerson and pkcsEntity:
+# the registry names its fields may take.
+_NATURAL_PERSON = ("emailAddress", "unstructuredName", "unstructuredAddress", "dateOfBirth",
+                   "placeOfBirth", "gender", "countryOfCitizenship", "countryOfResidence",
+                   "pseudonym", "serialNumber")
+_PKCS_ENTITY = ("pkcs7PDU", "userPKCS12", "pkcs15Token", "encryptedPrivateKeyInfo")
 
 
-def _bundle(table: dict[str, tuple], kind: type, fields: dict) -> tuple[Attribute, ...]:
-    """One attribute per field of ``table``; SyntaxViolation for a value not
-    of ``kind`` or that fails its field's check."""
-    out = []
-    for name, value in fields.items():
-        if name not in table:
-            raise UnknownAttributeType(name)
-        oid, make, check = table[name]
-        if not isinstance(value, kind) or check and not check(value):
-            raise SyntaxViolation(f"{name} does not match its syntax")
-        out.append(Attribute(oid, (make(value),)))
-    return tuple(out)
+def _bundle(object_class: tuple[str, ...], fields: dict) -> tuple[Attribute, ...]:
+    """One attribute per field, each built by ``attribute_make``;
+    UnknownAttributeType for a field outside ``object_class``."""
+    unknown = sorted(fields.keys() - set(object_class))
+    if unknown:
+        raise UnknownAttributeType(unknown[0])
+    return tuple(attribute_make(name, value) for name, value in fields.items())
 
 
 def natural_person_bundle(**fields: str) -> tuple[Attribute, ...]:
-    """Personal attributes as a flat bundle, one attribute per supplied field;
-    SyntaxViolation for a value that is not text or is outside its field's syntax."""
-    return _bundle(_NATURAL_PERSON_FIELDS, str, fields)
+    """Personal attributes as a flat bundle, one attribute per supplied field,
+    each keyword a registry name (``emailAddress=``, ``dateOfBirth=``, ...)."""
+    return _bundle(_NATURAL_PERSON, fields)
 
 
 def pkcs_entity_bundle(**fields: DerValue) -> tuple[Attribute, ...]:
-    """PKCS-document attributes (CMS PDU, PFX, wrapped key) as a flat bundle;
-    SyntaxViolation for a value that is not a built DerValue."""
-    return _bundle(_PKCS_ENTITY_FIELDS, DerValue, fields)
+    """PKCS-document attributes (CMS PDU, PFX, token, wrapped key) as a flat
+    bundle, each a built SEQUENCE under its registry name (``pkcs7PDU=``, ...)."""
+    return _bundle(_PKCS_ENTITY, fields)
 
 
 # ---------------------------------------------------------------------------

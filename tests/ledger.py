@@ -34,7 +34,7 @@ MUTANT_OUTCOMES = {
         "c01ea8ef2850fd518aee63b0203f11518ce5f457dc0330cd1a2a5a6ac3ae61e0",
         {"DecryptionError": 128, "MalformedKey": 343, "UnsupportedAlgorithm": 29}),
     "CertificationRequest": (
-        "fbb6c7ece76c7c02cb469c5f84879523c8947a337a7aa2d9f8cf649b414d9f00",
+        "d6d4cc12e2a6decb96376fd3ab50fd9e48a6ef16356a7f66fc146fcb49f9e05b",
         {"MalformedRequest": 325, "UnsupportedAlgorithm": 15, "value False": 160}),
     "data": (
         "bd1d611273d39e55d1f65aece782bf7787439df594a71a5bc16ba62505913084",
@@ -94,7 +94,7 @@ CLI_OUTCOMES = {
         "d09fa1cd17b8e52069b24f0d34105105e92d657c239e4b3546301ab3f06cdf5f",
         {"exit 1": 77, "exit 2": 123}),
     "csr-verify": (
-        "7cd6f31a3ea87856e8476f930e07bcb8176bcca3e0a8af4629b595fa37f7ff4f",
+        "362023fd1f37006e13baf71e8bdd0350a23118319f890c09347f32f9413c6709",
         {"exit 1": 69, "exit 2": 131}),
     "cms-verify": (
         "8f4d30a00a8b31b700e65d3a1c56615d87b994ed54020859073af5009ceb8acd",

@@ -1,11 +1,12 @@
 import pytest
 
-from pkcswb import asn1, csr, oids, pkcs1, rsa
+from pkcswb import asn1, oids, pkcs1, rsa
 from pkcswb.asn1 import AlgorithmIdentifier, der_encode
 from pkcswb.csr import (CertificationRequest, CertificationRequestInfo,
                         MalformedRequest, Name, build_csr, verify_csr)
 from pkcswb.errors import MalformedKey, UnsupportedAlgorithm
-from pkcswb.keystore import attribute_make
+from pkcswb.keystore import (ATTRIBUTE_REGISTRY, SyntaxViolation, UnknownAttributeType,
+                             attribute_make, natural_person_bundle)
 from conftest import seeded
 
 
@@ -200,10 +201,10 @@ def test_request_version_other_than_0_is_refused(key_1024):
 
 def test_name_and_key_readers_raise_only_declared_errors():
     bad_text = asn1.DerValue(asn1.TagClass.UNIVERSAL, asn1.UTF8_STRING, b"\xff")
-    with pytest.raises(asn1.NonCanonical):
+    with pytest.raises(SyntaxViolation, match="commonName"):
         Name.from_der_value(asn1.sequence(asn1.set_value(
             asn1.sequence(asn1.oid_value(oids.CN), bad_text))))
-    with pytest.raises(MalformedRequest, match="country"):
+    with pytest.raises(SyntaxViolation, match="country"):
         Name.from_der_value(asn1.sequence(asn1.set_value(
             asn1.sequence(asn1.oid_value(oids.CN), asn1.utf8_string("x"))), asn1.set_value(
             asn1.sequence(asn1.oid_value(oids.COUNTRY), asn1.printable_string("USA")))))
@@ -249,7 +250,7 @@ def test_rsa_encryption_parameters_other_than_null_are_malformed(key_512):
 
 @pytest.mark.parametrize("field", ["commonName", "organization", "emailAddress"])
 def test_name_component_must_be_non_empty(field):
-    with pytest.raises(MalformedRequest, match=f"{field} must be non-empty"):
+    with pytest.raises(SyntaxViolation, match=f"{field} syntax"):
         Name((("commonName", "c"), (field, "")))
 
 
@@ -260,22 +261,60 @@ def test_name_component_has_an_upper_bound(field, bound):
     ub-emailaddress-length, built and received alike."""
     at_bound = Name((("commonName", "c"), (field, "a" * bound)))
     assert Name.from_der(at_bound.to_der()) == at_bound
-    oid, make, _ = csr._NAME_FIELDS[field]
+    oid, _, make, _ = ATTRIBUTE_REGISTRY[field]
     received = asn1.sequence(at_bound.to_der_value().children[0], asn1.set_value(
         asn1.sequence(asn1.oid_value(oid), make("a" * (bound + 1)))))
-    message = f"{field} must be at most {bound} characters"
-    with pytest.raises(MalformedRequest, match=message):
+    message = f"{field} syntax"
+    with pytest.raises(SyntaxViolation, match=message):
         Name((("commonName", "c"), (field, "a" * (bound + 1))))
-    with pytest.raises(MalformedRequest, match=message):
+    with pytest.raises(SyntaxViolation, match=message):
         Name.from_der_value(received)
 
 
-@pytest.mark.parametrize("value", [5, 3.7, b"US", None, True], ids=repr)
-@pytest.mark.parametrize("field", list(csr._NAME_FIELDS))
-def test_name_takes_only_text(field, value):
-    # each used to build, then fail in to_der with AttributeError or TypeError,
-    # or raise TypeError from the country check
-    pairs = (("commonName", value),) if field == "commonName" else (
-        ("commonName", "c"), (field, value))
-    with pytest.raises(MalformedRequest, match=f"{field} must be text"):
-        Name(pairs)
+def test_name_refuses_a_field_a_subject_does_not_hold():
+    for field in ("shoe_size", "challengePassword", "gender"):
+        with pytest.raises(UnknownAttributeType):
+            Name((("commonName", "c"), (field, "F")))
+
+
+def _received_name(oid, value):
+    return asn1.sequence(_alice_name().to_der_value().children[0],
+                         asn1.set_value(asn1.sequence(asn1.oid_value(oid), value)))
+
+
+# received name components of a string type their syntax does not allow
+@pytest.mark.parametrize("field,value", [
+    ("commonName", asn1.utc_time("200101120000Z")),
+    ("commonName", asn1.ia5_string("Alice")),
+    ("country", asn1.utf8_string("US")),
+    ("emailAddress", asn1.utf8_string("alice@example.org")),
+], ids=["commonName-UTCTime", "commonName-IA5String", "country-UTF8String",
+        "emailAddress-UTF8String"])
+def test_received_name_component_of_the_wrong_string_type_is_refused(field, value, key_512):
+    name = _received_name(ATTRIBUTE_REGISTRY[field][0], value)
+    with pytest.raises(SyntaxViolation, match=f"{field} syntax"):
+        Name.from_der_value(name)
+    public, _ = key_512
+    info = asn1.sequence(asn1.integer(0), name, pkcs1.encode_public_key_info(public),
+                         asn1.context(0, ()))
+    request = der_encode(asn1.sequence(info, pkcs1.PSS_ALGORITHM.to_der_value(),
+                                       asn1.bit_string(b"")))
+    with pytest.raises(MalformedRequest, match=f"{field} syntax"):
+        CertificationRequest.from_der(request)
+
+
+def test_received_printable_string_common_name_is_accepted():
+    # as older tools write it
+    name = asn1.sequence(asn1.set_value(asn1.sequence(
+        asn1.oid_value(oids.CN), asn1.printable_string("Alice Example"))))
+    assert Name.from_der_value(name) == Name((("commonName", "Alice Example"),))
+
+
+def test_build_csr_takes_the_scenario_bundle(key_512):
+    # each of these attributes used to fail attribute_check, so build_csr refused them
+    bundle = natural_person_bundle(emailAddress="alice@example.org",
+                                   countryOfCitizenship="US", placeOfBirth="Springfield",
+                                   dateOfBirth="19800101000000Z", gender="F")
+    request = build_csr(_alice_name(), key_512, bundle, seeded(b"bundle"))
+    received = CertificationRequest.from_der(request.to_der())
+    assert received == request and verify_csr(received)

@@ -28,7 +28,6 @@ PROGRAMMING_ERRORS = {
     "pkcs1.PssParams.__init__": ValueError,
     "pkcs1.encrypt": ValueError,
     "pkcs1.decrypt": ValueError,
-    "csr.Name.__init__": ValueError,
     "csr.build_csr": ValueError,
     "pfx.SafeBag.__init__": ValueError,
     "token.Token.login": ValueError,
@@ -99,7 +98,6 @@ PROGRAMMING_ERROR_CALLS = {
     "pkcs1.PssParams.__init__": lambda a, b: pkcs1.PssParams(1024, salt_len=-1),
     "pkcs1.encrypt": lambda a, b: pkcs1.encrypt(b"", a[0], "unknown", seeded(b"r")),
     "pkcs1.decrypt": lambda a, b: pkcs1.decrypt(b"", a[1], "unknown"),
-    "csr.Name.__init__": lambda a, b: csr.Name((("commonName", "x"), ("nickname", "y"))),
     "csr.build_csr": lambda a, b: csr.build_csr(
         csr.Name((("commonName", "x"),)), (b[0], a[1]), (), seeded(b"r")),
     "pfx.SafeBag.__init__": lambda a, b: pfx.SafeBag(None),
@@ -160,10 +158,8 @@ TEXT_BUILDERS = {
                                          asn1.ia5_string, asn1.utc_time,
                                          asn1.generalized_time, asn1.oid_value)},
     **{f"attribute_make.{name}": (lambda text, name=name: keystore.attribute_make(name, text))
-       for name in ("contentType", "signingTime", "challengePassword", "friendlyName")},
-    **{f"natural_person_bundle.{field}": (
-        lambda text, field=field: keystore.natural_person_bundle(**{field: text}))
-       for field in keystore._NATURAL_PERSON_FIELDS},
+       for name, (_, kind, _, _) in keystore.ATTRIBUTE_REGISTRY.items()
+       if kind is not None and issubclass(str, kind)},
     **{f"csr.Name.{field}": (
         lambda text, field=field: csr.Name((("commonName", "x"), (field, text))).to_der())
        for field in csr._NAME_FIELDS},

@@ -4,7 +4,7 @@ import pytest
 
 from pkcswb import asn1, cms, csr, keystore, oids, pkcs5, rsa
 from pkcswb.asn1 import AlgorithmIdentifier, Oid, der_decode, der_encode
-from pkcswb.errors import BadParameter, DecryptionError, MalformedKey, UnsupportedAlgorithm
+from pkcswb.errors import DecryptionError, MalformedKey, UnsupportedAlgorithm
 from pkcswb.keystore import (ATTRIBUTE_REGISTRY, Attribute,
                              EncryptedPrivateKeyInfo, PrivateKeyInfo,
                              SyntaxViolation, UnknownAttributeType, attribute_check,
@@ -266,15 +266,15 @@ def test_legacy_pbe_identifier_unsupported():
 # -- attribute registry --------------------------------------------------------------
 
 
-def test_registry_is_a_bijection_of_exactly_ten():
-    names = list(ATTRIBUTE_REGISTRY)
+# the attribute-type OIDs of oids: every AT_*, and the three X.520 name components
+ATTRIBUTE_TYPE_OIDS = [value for name, value in vars(oids).items()
+                       if name.startswith("AT_") or name in ("CN", "COUNTRY", "ORGANIZATION")]
+
+
+def test_registry_has_one_row_per_attribute_type_oid():
     oid_list = [oid for oid, *_ in ATTRIBUTE_REGISTRY.values()]
-    assert len(names) == 10
-    assert len(set(oid_list)) == 10
-    assert sorted(names) == sorted([
-        "contentType", "messageDigest", "signingTime", "sequenceNumber",
-        "randomNonce", "counterSignature", "challengePassword",
-        "extensionRequest", "friendlyName", "localKeyId"])
+    assert len(ATTRIBUTE_TYPE_OIDS) == len(set(ATTRIBUTE_TYPE_OIDS)) == 27
+    assert len(oid_list) == len(set(oid_list)) and set(oid_list) == set(ATTRIBUTE_TYPE_OIDS)
 
 
 def test_challenge_password_directory_string():
@@ -306,11 +306,30 @@ def test_built_values_pass_through_every_type():
              "challengePassword": asn1.utf8_string("pw"),
              "extensionRequest": asn1.sequence(),
              "friendlyName": asn1.utf8_string("k"),
-             "localKeyId": asn1.octet_string(b"\x01")}
+             "localKeyId": asn1.octet_string(b"\x01"),
+             "emailAddress": asn1.ia5_string("a@example.org"),
+             "unstructuredName": asn1.ia5_string("router"),
+             "unstructuredAddress": asn1.printable_string("1 Main St"),
+             "dateOfBirth": asn1.generalized_time("19800101000000Z"),
+             "placeOfBirth": asn1.utf8_string("Zürich"),
+             "gender": asn1.printable_string("f"),
+             "countryOfCitizenship": asn1.printable_string("US"),
+             "countryOfResidence": asn1.printable_string("de"),
+             "pseudonym": asn1.printable_string("Al"),
+             "serialNumber": asn1.printable_string("1234"),
+             "pkcs7PDU": asn1.sequence(asn1.oid_value(oids.CT_DATA)),
+             "userPKCS12": asn1.sequence(asn1.integer(3)),
+             "pkcs15Token": asn1.sequence(),
+             "encryptedPrivateKeyInfo": asn1.sequence(asn1.sequence(), asn1.octet_string(b"x")),
+             "commonName": asn1.printable_string("Alice"),  # as older tools write it
+             "organization": asn1.utf8_string("Example"),
+             "country": asn1.printable_string("US")}
     assert set(built) == set(ATTRIBUTE_REGISTRY)
     for name, value in built.items():
         assert attribute_make(name, value).values == (value,)
-    for name in ("counterSignature", "extensionRequest"):
+        assert attribute_check(attribute_make(name, value)), name
+    for name in ("counterSignature", "extensionRequest", "pkcs7PDU", "userPKCS12",
+                 "pkcs15Token", "encryptedPrivateKeyInfo"):
         with pytest.raises(SyntaxViolation, match="already-built"):
             attribute_make(name, b"\x30\x00")
     # and one valid native value of each row that takes one
@@ -319,7 +338,12 @@ def test_built_values_pass_through_every_type():
               ("signingTime", "20520101120000Z"), ("sequenceNumber", 3),
               ("randomNonce", bytearray(b"\x01\x02\x03\x04")),
               ("challengePassword", "pw"), ("friendlyName", "k"),
-              ("localKeyId", memoryview(b"\x01"))]
+              ("localKeyId", memoryview(b"\x01")), ("emailAddress", "a@example.org"),
+              ("unstructuredName", "router"), ("unstructuredAddress", "1 Main St"),
+              ("dateOfBirth", "19800101000000Z"), ("placeOfBirth", "Zürich"),
+              ("gender", "M"), ("countryOfCitizenship", "US"), ("countryOfResidence", "fr"),
+              ("pseudonym", "Al"), ("serialNumber", "1234"), ("commonName", "Alice"),
+              ("organization", "Exämple"), ("country", "US")]
     assert {name for name, _ in native} == {
         name for name, (_, kind, _, _) in ATTRIBUTE_REGISTRY.items() if kind is not None}
     for name, value in native:
@@ -330,40 +354,48 @@ def test_built_values_pass_through_every_type():
 
 # the Python type each builder takes (None: only a built value); 5 used to give five
 # zero octets, 3.7 the integer 3, True the integer 1 or one zero octet, and the rest
-# Python's own ValueError, TypeError or AttributeError
+# Python's own ValueError, TypeError or AttributeError.  The naturalPerson bundle and a
+# Name each used to raise TypeError from a pattern match or AttributeError from a
+# builder, and a pkcsEntity bundle to give an Attribute that failed only when encoded.
 BUILDER_TYPES = {"contentType": str, "messageDigest": bytes, "signingTime": str,
                  "sequenceNumber": int, "randomNonce": bytes, "counterSignature": None,
                  "challengePassword": str, "extensionRequest": None, "friendlyName": str,
-                 "localKeyId": bytes}
+                 "localKeyId": bytes, "emailAddress": str, "unstructuredName": str,
+                 "unstructuredAddress": str, "dateOfBirth": str, "placeOfBirth": str,
+                 "gender": str, "countryOfCitizenship": str, "countryOfResidence": str,
+                 "pseudonym": str, "serialNumber": str, "pkcs7PDU": None, "userPKCS12": None,
+                 "pkcs15Token": None, "encryptedPrivateKeyInfo": None, "commonName": str,
+                 "organization": str, "country": str}
+
+
+def _builders(name: str) -> list:
+    """Each way a caller builds a value of registry row ``name``: attribute_make,
+    and the bundle or Name that holds the row."""
+    builders = [lambda value: attribute_make(name, value)]
+    if name in keystore._NATURAL_PERSON:
+        builders.append(lambda value: natural_person_bundle(**{name: value})[0])
+    if name in keystore._PKCS_ENTITY:
+        builders.append(lambda value: pkcs_entity_bundle(**{name: value})[0])
+    if name in csr._NAME_FIELDS:
+        builders.append(lambda value: csr.Name(
+            (("commonName", "c"),) * (name != "commonName") + ((name, value),)))
+    return builders
 
 
 @pytest.mark.parametrize("value", ["a_b", 5, 3.7, b"\x01\x02\x03\x04", None, True], ids=repr)
 @pytest.mark.parametrize("name", BUILDER_TYPES)
 def test_attribute_builders_take_only_their_own_type(name, value):
     assert set(BUILDER_TYPES) == set(ATTRIBUTE_REGISTRY)
-    if type(value) is not BUILDER_TYPES[name]:
-        with pytest.raises(SyntaxViolation):
-            attribute_make(name, value)
-        return
-    try:
-        assert attribute_check(attribute_make(name, value))
-    except (BadParameter, SyntaxViolation):
-        pass
-
-
-@pytest.mark.parametrize("value", [5, 3.7, b"F", None, True], ids=repr)
-@pytest.mark.parametrize("field", keystore._NATURAL_PERSON_FIELDS)
-def test_natural_person_bundle_takes_only_text(field, value):
-    # each used to raise TypeError from the pattern match or AttributeError from the builder
-    with pytest.raises(SyntaxViolation):
-        natural_person_bundle(**{field: value})
-
-
-@pytest.mark.parametrize("value", [5, "text", b"blob", None], ids=repr)
-def test_pkcs_entity_bundle_takes_only_a_built_value(value):
-    # each used to give an Attribute that failed only when encoded, with AttributeError
-    with pytest.raises(SyntaxViolation):
-        pkcs_entity_bundle(pkcs7_pdu=value)
+    for build in _builders(name):
+        if type(value) is not BUILDER_TYPES[name]:
+            with pytest.raises(SyntaxViolation):
+                build(value)
+            continue
+        try:
+            built = build(value)
+        except SyntaxViolation:
+            continue
+        assert isinstance(built, csr.Name) or attribute_check(built)
 
 
 def test_unknown_attribute_type():
@@ -421,7 +453,7 @@ def test_impossible_calendar_times_are_refused(tail):
     for value in (asn1.utc_time(utc), asn1.generalized_time(generalized)):
         assert not attribute_check(Attribute(oids.AT_SIGNING_TIME, (value,)))
     with pytest.raises(SyntaxViolation):
-        natural_person_bundle(date_of_birth=generalized)
+        natural_person_bundle(dateOfBirth=generalized)
 
 
 def test_sequence_number_and_nonce():
@@ -456,44 +488,48 @@ def test_received_attribute_set_out_of_order_is_non_canonical():
 
 
 def test_natural_person_bundle():
-    bundle = natural_person_bundle(email_address="a@example.org",
-                                   country_of_citizenship="US",
+    bundle = natural_person_bundle(emailAddress="a@example.org",
+                                   countryOfCitizenship="US",
                                    gender="F",
-                                   date_of_birth="19800101000000Z")
+                                   dateOfBirth="19800101000000Z")
     assert len(bundle) == 4
     assert {a.attr_type for a in bundle} == {
         oids.AT_EMAIL_ADDRESS, oids.AT_COUNTRY_OF_CITIZENSHIP,
         oids.AT_GENDER, oids.AT_DATE_OF_BIRTH}
-    with pytest.raises(UnknownAttributeType):
-        natural_person_bundle(shoe_size="44")
-    assert natural_person_bundle(date_of_birth="19991231235959Z")[0].attr_type == \
+    assert all(map(attribute_check, bundle))
+    # a registry name outside the object class is as unknown as no name at all
+    for name in ("shoe_size", "email_address", "friendlyName", "pkcs7PDU", "commonName"):
+        with pytest.raises(UnknownAttributeType):
+            natural_person_bundle(**{name: "44"})
+    assert natural_person_bundle(dateOfBirth="19991231235959Z")[0].attr_type == \
         oids.AT_DATE_OF_BIRTH
     # each text at its upper bound (the refusals above it are below)
-    assert len(natural_person_bundle(serial_number="1" * 64, email_address="a" * 255)) == 2
-
+    assert len(natural_person_bundle(serialNumber="1" * 64, emailAddress="a" * 255)) == 2
 
 
 @pytest.mark.parametrize("field,value", [
-    ("date_of_birth", "1980"),
-    ("date_of_birth", "198001010000Z"),           # UTCTime, not GeneralizedTime
-    ("date_of_birth", "19800101000000"),
+    ("dateOfBirth", "1980"),
+    ("dateOfBirth", "198001010000Z"),           # UTCTime, not GeneralizedTime
+    ("dateOfBirth", "19800101000000"),
     ("gender", "Female"),
     ("gender", "X"),
     ("gender", "F\n"),
-    ("country_of_citizenship", "USA"),
-    ("country_of_citizenship", "U"),
-    ("country_of_residence", "1"),
-    ("country_of_residence", "U1"),
+    ("countryOfCitizenship", "USA"),
+    ("countryOfCitizenship", "U"),
+    ("countryOfResidence", "1"),
+    ("countryOfResidence", "U1"),
     # RFC 2985 §5.2 and X.520 bound each of these texts to SIZE (1..ub)
-    ("email_address", ""),
+    ("emailAddress", ""),
     ("pseudonym", ""),
-    ("place_of_birth", ""),
-    ("serial_number", ""),
-    ("unstructured_address", ""),
-    ("unstructured_name", ""),
+    ("placeOfBirth", ""),
+    ("serialNumber", ""),
+    ("unstructuredAddress", ""),
+    ("unstructuredName", ""),
     # and X.520 ub-serial-number and RFC 2985 pkcs-9-ub-emailAddress from above
-    pytest.param("serial_number", "1" * 65, id="serial_number-65-characters"),
-    pytest.param("email_address", "a" * 256, id="email_address-256-characters"),
+    pytest.param("serialNumber", "1" * 65, id="serialNumber-65-characters"),
+    pytest.param("emailAddress", "a" * 256, id="emailAddress-256-characters"),
+    # an emailAddress is an IA5String: it used to raise BadParameter here
+    ("emailAddress", "é@example.org"),
 ])
 def test_natural_person_bundle_refuses_a_value_outside_its_syntax(field, value):
     # RFC 2985 §5.2 and RFC 3739 §3.2: dateOfBirth is a GeneralizedTime
@@ -503,15 +539,29 @@ def test_natural_person_bundle_refuses_a_value_outside_its_syntax(field, value):
 
 
 def test_natural_person_bundle_takes_each_letter_case():
-    bundle = natural_person_bundle(gender="m", country_of_citizenship="fr",
-                                   country_of_residence="DE")
+    bundle = natural_person_bundle(gender="m", countryOfCitizenship="fr",
+                                   countryOfResidence="DE")
     assert [a.values[0].octets for a in bundle] == [b"m", b"fr", b"DE"]
 
+
 def test_pkcs_entity_bundle():
-    bundle = pkcs_entity_bundle(encrypted_private_key_info=asn1.octet_string(b"blob"))
+    epki = asn1.sequence(asn1.sequence(asn1.oid_value(oids.PBES2)), asn1.octet_string(b"blob"))
+    bundle = pkcs_entity_bundle(encryptedPrivateKeyInfo=epki)
     assert bundle[0].attr_type == oids.AT_ENCRYPTED_PRIVATE_KEY_INFO
-    with pytest.raises(UnknownAttributeType):
-        pkcs_entity_bundle(unknown_thing=asn1.null())
+    assert attribute_check(bundle[0])
+    for name in ("unknown_thing", "encrypted_private_key_info", "counterSignature"):
+        with pytest.raises(UnknownAttributeType):
+            pkcs_entity_bundle(**{name: asn1.sequence()})
+
+
+@pytest.mark.parametrize("name", ["pkcs7PDU", "userPKCS12", "pkcs15Token",
+                                  "encryptedPrivateKeyInfo"])
+@pytest.mark.parametrize("value", [asn1.octet_string(b"blob"), asn1.null(),
+                                   asn1.set_value(asn1.integer(1))], ids=["octets", "null", "set"])
+def test_pkcs_entity_bundle_refuses_a_value_that_is_not_a_sequence(name, value):
+    # RFC 2985 §5.2 gives all four a SEQUENCE syntax; each used to build
+    with pytest.raises(SyntaxViolation, match=f"{name} syntax"):
+        pkcs_entity_bundle(**{name: value})
 
 
 # -- hostile PBES2 headers ----------------------------------------------------------

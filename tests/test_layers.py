@@ -1,9 +1,10 @@
 """The layers import downward only: each module of the package imports only
 the modules listed before it in LAYERS (the order bench/tracer.py assumes).
 One decision sits in one layer: only pkcs1 names PssParams, each algorithm
-OID is named by the one module that writes and reads its identifier, only
-pkcs1, which writes and reads the RSA key layouts, calls rsa's
-check_key_caps, each algorithm refusal is raised by the owner of the
+OID is named by the one module that writes and reads its identifier, each
+attribute-type OID by keystore alone (and contentType and messageDigest, the
+two attributes it adds and finds, by cms too), only pkcs1, which writes and
+reads the RSA key layouts, calls rsa's check_key_caps, each algorithm refusal is raised by the owner of the
 identifier alone, token reads a public key without csr, AlgorithmIdentifier
 is defined in asn1 alone, only asn1 keeps a container's value and defines its
 codec, only asn1 and pkcs5 turn a DER fault into another class, and only
@@ -105,6 +106,23 @@ def test_each_algorithm_oid_is_named_only_by_its_owner():
                     if path.stem != "oids"
                     for name in set(_oid_names(path)) & set(OID_OWNERS)
                     if OID_OWNERS[name] != path.stem)
+    assert naming == []
+
+
+# the attribute-type OIDs of oids.py: keystore's ATTRIBUTE_REGISTRY alone names
+# them, but for the contentType and messageDigest attributes that cms adds and finds
+ATTRIBUTE_OIDS = {name for name in vars(oids)
+                  if name.startswith("AT_") or name in ("CN", "COUNTRY", "ORGANIZATION")}
+ATTRIBUTE_OID_NAMERS = {"AT_CONTENT_TYPE": {"keystore", "cms"},
+                        "AT_MESSAGE_DIGEST": {"keystore", "cms"}}
+
+
+def test_each_attribute_oid_is_named_only_by_keystore():
+    # csr reads a subject's components through the registry, by name
+    naming = sorted(f"{path.stem} names {name}" for path in PACKAGE.glob("*.py")
+                    if path.stem != "oids"
+                    for name in set(_oid_names(path)) & ATTRIBUTE_OIDS
+                    if path.stem not in ATTRIBUTE_OID_NAMERS.get(name, {"keystore"}))
     assert naming == []
 
 
