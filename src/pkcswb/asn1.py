@@ -9,10 +9,12 @@ first encoding.  Decoding nests at most ``MAX_DEPTH`` values deep.
 DER's rules for single values live in one table, ``_RULES``, keyed by the
 identifier octet of a universal tag: a form DER forbids (a constructed
 INTEGER, a primitive SET, ...), or a check of a primitive's content octets
-(INTEGER, BOOLEAN, NULL, BIT STRING, OBJECT IDENTIFIER).  The constructor
-looks a built value's identifier up there, and so does the decoder, through
-``_IDENTIFIERS``, built from it; it creates each value directly and runs only
-the rule its identifier has.
+(INTEGER, BOOLEAN, NULL, BIT STRING, OBJECT IDENTIFIER, and each string and
+time type: its repertoire, or RFC 5280's DER profile on a real calendar day).
+The constructor looks a built value's identifier up there, and so does the
+decoder, through ``_IDENTIFIERS``, built from it; it creates each value
+directly and runs only the rule its identifier has.  So no value outside its
+type is built or decoded, and ``as_text`` alone reads string octets.
 SET OF order (X.690 §11.6) on the wire is set only where a SET is built: the
 constructor sorts its children (``set_order``), and an implicitly tagged SET
 OF is written as the re-tagged children of a built SET.  It is checked where
@@ -117,8 +119,7 @@ _ALWAYS_PRIMITIVE = {BOOLEAN, INTEGER, NULL, OBJECT_IDENTIFIER, OCTET_STRING,
                      BIT_STRING} | _STRING_TAGS
 _ALWAYS_CONSTRUCTED = {SEQUENCE, SET}
 
-_PRINTABLE_RE = re.compile(r"[A-Za-z0-9 '()+,\-./:=?]*\Z")
-_DOTTED_OID = re.compile(r"[0-9]+(?:\.[0-9]+)+")
+_DOTTED_OID = re.compile(r"(?:0|[1-9][0-9]*)(?:\.(?:0|[1-9][0-9]*))+")  # RFC 4512's numericoid
 
 
 class DerError(PkcsError, ValueError):
@@ -300,10 +301,7 @@ class DerValue(Frozen):
         if self.constructed or self.tag_class != _UNIVERSAL \
                 or self.tag_number not in _STRING_TAGS:
             raise NonCanonical("value is not a supported string type")
-        try:
-            return self.content.decode("utf-8" if self.tag_number == UTF8_STRING else "ascii")
-        except UnicodeDecodeError:
-            raise NonCanonical("string octets are not valid for their type") from None
+        return self.content.decode()  # every string rule admits only UTF-8
 
     def as_bit_string(self) -> bytes:
         """Content of a BIT STRING with no unused bits."""
@@ -362,12 +360,12 @@ def bit_string(data: bytes) -> DerValue:
     return DerValue(_UNIVERSAL, BIT_STRING, b"\x00" + bytes(data))
 
 
-def text_octets(text: str, encoding: str = "utf-8") -> bytes:
-    """``text`` in ``encoding``; text it cannot hold (a lone surrogate, say) is BadParameter."""
+def text_octets(text: str) -> bytes:
+    """``text`` in UTF-8; text it cannot hold (a lone surrogate, say) is BadParameter."""
     try:
-        return text.encode(encoding)
+        return text.encode()
     except UnicodeEncodeError:
-        raise BadParameter(f"text cannot be encoded as {encoding}") from None
+        raise BadParameter("text cannot be encoded as utf-8") from None
 
 
 def utf8_string(text: str) -> DerValue:
@@ -375,21 +373,19 @@ def utf8_string(text: str) -> DerValue:
 
 
 def printable_string(text: str) -> DerValue:
-    if not _PRINTABLE_RE.match(text):
-        raise BadParameter("text outside the PrintableString repertoire")
-    return DerValue(_UNIVERSAL, PRINTABLE_STRING, text.encode("ascii"))
+    return DerValue(_UNIVERSAL, PRINTABLE_STRING, text_octets(text))
 
 
 def ia5_string(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, IA5_STRING, text_octets(text, "ascii"))
+    return DerValue(_UNIVERSAL, IA5_STRING, text_octets(text))
 
 
 def utc_time(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, UTC_TIME, text_octets(text, "ascii"))
+    return DerValue(_UNIVERSAL, UTC_TIME, text_octets(text))
 
 
 def generalized_time(text: str) -> DerValue:
-    return DerValue(_UNIVERSAL, GENERALIZED_TIME, text_octets(text, "ascii"))
+    return DerValue(_UNIVERSAL, GENERALIZED_TIME, text_octets(text))
 
 
 def sequence(*children: DerValue) -> DerValue:
@@ -521,6 +517,37 @@ def _check_bit_string(content: bytes) -> None:
         raise NonCanonical("invalid BIT STRING unused-bit count")
 
 
+def _check_utf8(content: bytes) -> None:
+    try:
+        content.decode()
+    except UnicodeDecodeError:
+        raise NonCanonical("UTF8String octets are not UTF-8") from None
+
+
+# The octets of the other string and time types: ASCII, X.680's PrintableString
+# repertoire, and RFC 5280 §4.1.2.5's DER profile of a time: a YY or YYYY year,
+# month 01-12, day 01-31, hour 00-23, minutes and seconds 00-59, then Z.
+_TIME_TAIL = rb"(0[1-9]|1[0-2])(0[1-9]|[12][0-9]|3[01])([01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]Z"
+_TEXT_SYNTAX = {IA5_STRING: ("IA5String", re.compile(rb"[\x00-\x7f]*")),
+                PRINTABLE_STRING: ("PrintableString", re.compile(rb"[A-Za-z0-9 '()+,\-./:=?]*")),
+                UTC_TIME: ("UTCTime", re.compile(rb"([0-9]{2})" + _TIME_TAIL)),
+                GENERALIZED_TIME: ("GeneralizedTime", re.compile(rb"([0-9]{4})" + _TIME_TAIL))}
+_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _check_text(name: str, syntax: re.Pattern, content: bytes) -> None:
+    """The rule of a ``_TEXT_SYNTAX`` type; a time also names a day its month has.  A
+    UTCTime's span, 1950-2049, has one leap century year, 2000, so YY gives its leap years."""
+    match = syntax.fullmatch(content)
+    if match is None:
+        raise NonCanonical(f"{name} octets outside its type")
+    if syntax.groups and int(match[3]) > 28:  # a time on a day some month lacks
+        year, month, day = map(int, match.group(1, 2, 3))
+        leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+        if day > _MONTH_DAYS[month - 1] + leap:
+            raise NonCanonical(f"{name} names a day its month does not have")
+
+
 def _wrong_form(message: str):
     def rule(content) -> None:
         raise NonCanonical(message)
@@ -531,7 +558,8 @@ def _wrong_form(message: str):
 # the constructed form): the form DER forbids, or a check of primitive content.
 # _parse_oid validates the arc structure and memoizes the Oid.
 _RULES = {INTEGER: _check_integer, BOOLEAN: _check_boolean, NULL: _check_null,
-          BIT_STRING: _check_bit_string, OBJECT_IDENTIFIER: _parse_oid}
+          BIT_STRING: _check_bit_string, OBJECT_IDENTIFIER: _parse_oid, UTF8_STRING: _check_utf8}
+_RULES.update({tag: functools.partial(_check_text, *text) for tag, text in _TEXT_SYNTAX.items()})
 _RULES.update({0x20 | tag: _wrong_form(f"universal tag {tag} must be primitive")
                for tag in _ALWAYS_PRIMITIVE})
 _RULES.update({tag: _wrong_form(f"universal tag {tag} must be constructed")

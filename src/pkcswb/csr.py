@@ -16,9 +16,8 @@ from __future__ import annotations
 from . import asn1, pkcs1
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue
 from .errors import Frozen, PkcsError
-from .keystore import (ATTRIBUTE_REGISTRY, Attribute, SyntaxViolation, UnknownAttributeType,
-                       attribute_check, _attribute_value, _attributes_from_der,
-                       _attributes_to_der)
+from .keystore import (ATTRIBUTE_REGISTRY, Attribute, UnknownAttributeType, _attribute_value,
+                       _attributes_from_der, _attributes_to_der)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey
@@ -143,9 +142,6 @@ def build_csr(subject: Name, keypair: tuple[RsaPublicKey, RsaPrivateKey],
     public, private = keypair
     if public != private.public_key:
         raise ValueError("public key does not match the private key")
-    for attribute in attributes:
-        if not attribute_check(attribute):
-            raise SyntaxViolation(f"attribute {attribute.attr_type} fails its syntax check")
     info = CertificationRequestInfo(subject, public, tuple(attributes))
     signature = pkcs1.sign(info.to_der(), private, rng)
     return CertificationRequest(info, pkcs1.PSS_ALGORITHM, signature)

@@ -12,13 +12,15 @@ DerForms whose ``fault`` is MalformedKey: any fault read but an unsupported algo
 The attribute registry is the one table of attribute types, a plain row of
 OID, native Python type, builder and syntax for each in ``oids``; one path,
 ``_attribute_value``, builds and checks a value for ``attribute_make``, the
-naturalPerson/pkcsEntity bundles and ``csr.Name``.  Each bundle is flat: its
-object class is a tuple of registry names, with no directory-schema machinery.
+naturalPerson/pkcsEntity bundles and ``csr.Name``.  A text row reads text
+through ``as_text`` alone, as asn1's rules decide what a string or time holds.
+Each bundle is flat: its object class is a tuple of registry names.
 
 The [0] IMPLICIT SET OF Attribute that PKCS #8, #10 and CMS carry is written,
-read and checked here alone: the writer re-tags a built SET's children, the
-reader checks the tag, then the order, then each Attribute, and gives each as
-an Attribute or, to verification, in place as a (type, values) pair.
+read and checked here alone: the writer refuses what ``attribute_check``
+refuses and re-tags a built SET's children, the reader checks the tag, then
+the order, then each Attribute, and gives each as an Attribute or, to
+verification, in place as a (type, values) pair.
 """
 
 from __future__ import annotations
@@ -97,49 +99,16 @@ def _is_primitive(value: DerValue, tag: int) -> bool:
     return not value.constructed and value.is_universal(tag)
 
 
-# The calendar after the year, shared by both time syntaxes and dateOfBirth:
-# month 01-12, day 01-31, hour 00-23, minutes and seconds 00-59, then Z.
-_TIME_TAIL = "(0[1-9]|1[0-2])(0[1-9]|[12][0-9]|3[01])([01][0-9]|2[0-3])[0-5][0-9][0-5][0-9]Z"
-_UTC_TIME = re.compile(f"([0-9]{{2}}){_TIME_TAIL}")
-_GENERALIZED_TIME = re.compile(f"([0-9]{{4}}){_TIME_TAIL}")
-_MONTH_DAYS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
-
-
-def _is_time(syntax: re.Pattern, text: str) -> bool:
-    """Whether ``text`` is a time of ``syntax`` on a day its month has, leap
-    years counted: signingTime, built and received, and dateOfBirth are all
-    checked here.  A UTCTime year 50-99 is 19xx and 00-49 20xx (RFC 5280
-    §4.1.2.5.1); that span's one century year, 2000, is a leap year, so its
-    two digits alone give the same leap years."""
-    match = syntax.fullmatch(text)
-    if match is None:
-        return False
-    year, month, day = map(int, match.group(1, 2, 3))
-    leap = month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
-    return day <= _MONTH_DAYS[month - 1] + leap
-
-
-def _check_time(value: DerValue) -> bool:
-    """signingTime: a UTCTime, or a GeneralizedTime outside 1950-2049, which
-    RFC 5652 §11.3 has written as a UTCTime."""
-    if _is_primitive(value, asn1.UTC_TIME):
-        return _is_time(_UTC_TIME, value.octets.decode("latin-1"))
-    if _is_primitive(value, asn1.GENERALIZED_TIME):
-        text = value.octets.decode("latin-1")
-        return _is_time(_GENERALIZED_TIME, text) and not 1950 <= int(text[:4]) <= 2049
-    return False
+def _check_time(text: str) -> bool:
+    """signingTime's text: RFC 5652 §11.3 writes 1950-2049 as a UTCTime."""
+    return len(text) == 13 or not 1950 <= int(text[:4]) <= 2049
 
 
 def _text(check, *tags: int):
-    """The syntax of a text row: a string of one of ``tags`` (tested first)
-    whose text, decoded as its tag says, passes ``check``."""
+    """The syntax of a text row: a primitive of one of ``tags`` whose text passes ``check``."""
     def syntax(value: DerValue) -> bool:
-        if value.tag_number not in tags:
-            return False
-        try:
-            return check(value.as_text())
-        except asn1.NonCanonical:  # octets its tag cannot decode
-            return False
+        return (value.tag_number in tags and not value.constructed
+                and value.tag_class == asn1.TagClass.UNIVERSAL and check(value.as_text()))
     return syntax
 
 
@@ -149,9 +118,10 @@ def _make_time(text: str) -> DerValue:
 
 
 def _make_directory_string(value: str) -> DerValue:
-    if asn1._PRINTABLE_RE.match(value):
+    try:
         return asn1.printable_string(value)
-    return asn1.utf8_string(value)
+    except asn1.NonCanonical:
+        return asn1.utf8_string(value)
 
 
 def _is_sequence(value: DerValue) -> bool:
@@ -175,7 +145,8 @@ ATTRIBUTE_REGISTRY: dict[str, tuple] = {
                     lambda v: _is_primitive(v, asn1.OBJECT_IDENTIFIER)),
     "messageDigest": (oids.AT_MESSAGE_DIGEST, _OCTETS, asn1.octet_string,
                       lambda v: _is_primitive(v, asn1.OCTET_STRING)),
-    "signingTime": (oids.AT_SIGNING_TIME, str, _make_time, _check_time),
+    "signingTime": (oids.AT_SIGNING_TIME, str, _make_time,
+                    _text(_check_time, asn1.UTC_TIME, asn1.GENERALIZED_TIME)),
     "sequenceNumber": (oids.AT_SEQUENCE_NUMBER, int, asn1.integer,
                        lambda v: _is_primitive(v, asn1.INTEGER) and v.as_integer() >= 1),
     "randomNonce": (oids.AT_RANDOM_NONCE, _OCTETS, asn1.octet_string,
@@ -193,8 +164,8 @@ ATTRIBUTE_REGISTRY: dict[str, tuple] = {
                          _text(bool, _PRINTABLE, _UTF8, _IA5)),
     "unstructuredAddress": (oids.AT_UNSTRUCTURED_ADDRESS, str, asn1.utf8_string,
                             _DIRECTORY_STRING),
-    "dateOfBirth": (oids.AT_DATE_OF_BIRTH, str, asn1.generalized_time, _text(
-        lambda text: _is_time(_GENERALIZED_TIME, text), asn1.GENERALIZED_TIME)),
+    "dateOfBirth": (oids.AT_DATE_OF_BIRTH, str, asn1.generalized_time,
+                    _text(bool, asn1.GENERALIZED_TIME)),
     "placeOfBirth": (oids.AT_PLACE_OF_BIRTH, str, asn1.utf8_string, _DIRECTORY_STRING),
     "gender": (oids.AT_GENDER, str, asn1.printable_string,
                _text(re.compile("[MFmf]").fullmatch, _PRINTABLE)),
@@ -233,7 +204,7 @@ def _attribute_value(type_name: str, value) -> tuple[Oid, DerValue]:
     else:
         try:
             der_value = make(value)
-        except BadParameter:
+        except (BadParameter, asn1.NonCanonical):
             der_value = None
     if der_value is None or not syntax(der_value):
         raise SyntaxViolation(f"value does not match the {type_name} syntax")
@@ -258,7 +229,12 @@ def _values_check(attr_type: Oid, values: tuple[DerValue, ...]) -> bool:
 
 
 def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
-    """[0] IMPLICIT SET OF Attribute: the SET constructor's order, re-tagged."""
+    """[0] IMPLICIT SET OF Attribute: the SET constructor's order, re-tagged.
+    The one writer of such a set: SyntaxViolation for an attribute that
+    ``attribute_check`` refuses."""
+    for attribute in attributes:
+        if not attribute_check(attribute):
+            raise SyntaxViolation(f"attribute {attribute.attr_type} fails its syntax check")
     return asn1.context(0, asn1.set_value(*(a.to_der_value() for a in attributes)).children)
 
 

@@ -28,30 +28,31 @@ def ledger(lines: list[str]) -> tuple[str, dict[str, int]]:
 
 MUTANT_OUTCOMES = {
     "PrivateKeyInfo": (
-        "bb22116a970ad51eec81275b119df399210edad03fd6fc2f57c185c88aa25e2b",
+        "4f8f2eb13d1a0fd9779c65e867204f9a2f72c24015852401f03b77811cfda250",
         {"MalformedKey": 467, "UnsupportedAlgorithm": 11, "value": 22}),
     "EncryptedPrivateKeyInfo": (
-        "c01ea8ef2850fd518aee63b0203f11518ce5f457dc0330cd1a2a5a6ac3ae61e0",
+        "d3100e3d6af9a701424c0b78b31134a9be7d9d614a27a51920fe43344c26942f",
         {"DecryptionError": 128, "MalformedKey": 343, "UnsupportedAlgorithm": 29}),
     "CertificationRequest": (
-        "d6d4cc12e2a6decb96376fd3ab50fd9e48a6ef16356a7f66fc146fcb49f9e05b",
-        {"MalformedRequest": 325, "UnsupportedAlgorithm": 15, "value False": 160}),
+        "d051a818700e9854c391408c0069ee7bbce6a98396efe13c6606c9ff0d46ca29",
+        {"MalformedRequest": 327, "UnsupportedAlgorithm": 15, "value False": 158}),
     "data": (
-        "bd1d611273d39e55d1f65aece782bf7787439df594a71a5bc16ba62505913084",
+        "c6fc715960da2b6e7b68542a9390f797424810a22c7ebc78e105b6849440cdbe",
         {"ArcOverflow": 3, "NonCanonical": 26, "TrailingOctets": 48, "Truncated": 276,
          "WrongContentType": 46, "value": 101}),
     "signed-data": (
-        "d956fb75184a025dc4dd79e35e6336f4a4774f3febceb18164400bcd9b4def93",
-        {"ArcOverflow": 4, "DigestMismatch": 29, "IndefiniteLength": 1, "NonCanonical": 11,
-         "OversizeTag": 11, "SignatureInvalid": 113, "TrailingOctets": 32, "Truncated": 269,
-         "UnsupportedAlgorithm": 14, "WrongContentType": 4, "value": 12}),
+        "977d7cb3949ac98f3116d373d0a226f2e759c9df96a9d08ece67d8afee41dd87",
+        {"ArcOverflow": 4, "DigestMismatch": 29, "IndefiniteLength": 1,
+         "NonCanonical": 26, "OversizeTag": 11, "SignatureInvalid": 105,
+         "TrailingOctets": 32, "Truncated": 264, "UnsupportedAlgorithm": 14,
+         "WrongContentType": 4, "value": 10}),
     "enveloped-data": (
         "c6f8f46b69b5d0180da4d93e8a3eb9db3f7f4b9e772b57f4d560882a16a92d8f",
         {"ArcOverflow": 2, "DecryptionError": 187, "IndefiniteLength": 8, "NonCanonical": 10,
          "NonMinimalLength": 1, "TrailingOctets": 13, "Truncated": 272, "WrongContentType": 5,
          "value": 2}),
     "digested-data": (
-        "0aa479c6feebb06fa2d05cd28d77a1b804119f96a3ce25b16ffae52d076106cd",
+        "87c3706895a56231b440e72cf35e28d57229f844dda666f149484ac2648f8891",
         {"ArcOverflow": 4, "DigestMismatch": 93, "IndefiniteLength": 1, "IntegrityFailure": 5,
          "NonCanonical": 39, "TrailingOctets": 35, "Truncated": 283, "UnsupportedAlgorithm": 20,
          "WrongContentType": 20}),
@@ -60,11 +61,11 @@ MUTANT_OUTCOMES = {
         {"ArcOverflow": 4, "DecryptionError": 153, "IndefiniteLength": 19, "NonCanonical": 16,
          "TrailingOctets": 37, "Truncated": 253, "WrongContentType": 16, "value": 2}),
     "authenticated-data": (
-        "0f90c25d9b02998a746659218e7d1eef7b02c404932b0d5faa7db7675f5412a1",
-        {"ArcOverflow": 6, "DigestMismatch": 39, "IndefiniteLength": 2, "IntegrityFailure": 49,
-         "NonCanonical": 28, "NonMinimalLength": 1, "SignatureInvalid": 41,
-         "TrailingOctets": 15, "Truncated": 308, "UnsupportedAlgorithm": 2,
-         "WrongContentType": 9}),
+        "58355b378ffa2165e3ef3bc745fad7e226ae5cf8b46bd56e0999a3dab7dc6877",
+        {"ArcOverflow": 6, "DigestMismatch": 39, "IndefiniteLength": 2,
+         "IntegrityFailure": 42, "NonCanonical": 41, "NonMinimalLength": 1,
+         "SignatureInvalid": 41, "TrailingOctets": 15, "Truncated": 302,
+         "UnsupportedAlgorithm": 2, "WrongContentType": 9}),
     "pfx-password-password": (
         "a1c81886b070d757a1878aae92bc8b548ef778abc8fd4096fabc3007c9d1d4f9",
         {"IntegrityFailure": 184, "NonCanonical": 6, "TrailingOctets": 1, "Truncated": 309}),
@@ -94,11 +95,11 @@ CLI_OUTCOMES = {
         "d09fa1cd17b8e52069b24f0d34105105e92d657c239e4b3546301ab3f06cdf5f",
         {"exit 1": 77, "exit 2": 123}),
     "csr-verify": (
-        "362023fd1f37006e13baf71e8bdd0350a23118319f890c09347f32f9413c6709",
+        "129023a17ab9baeb8969101b649cacd29f8d692df1947f10fad0b96f0cf3a455",
         {"exit 1": 69, "exit 2": 131}),
     "cms-verify": (
-        "8f4d30a00a8b31b700e65d3a1c56615d87b994ed54020859073af5009ceb8acd",
-        {"exit 0": 2, "exit 1": 48, "exit 2": 150}),
+        "bde246de1e6c7beb9c1bc04f63f5870c79e6229199dfbc7c0e95e89aa483b6b4",
+        {"exit 0": 2, "exit 1": 47, "exit 2": 151}),
     "cms-open": (
         "3c9fd25949c772f8309834ba95af1f8ea841825bbf1d2969650fdba4ef285bb2",
         {"exit 1": 76, "exit 2": 124}),
@@ -109,7 +110,7 @@ CLI_OUTCOMES = {
         "23c11d89b8cfd5b2313caab779a3a4da709d2c3525391de1cc8edfbb65efd88e",
         {"exit 1": 67, "exit 2": 133}),
     "cms-auth --check": (
-        "fbf5f2835b2ed25d0d4c27f8690f74d30858d72cf5667c5ce9a0c7b74db57f46",
+        "21bb609c7461125a1c2693a89cce97fb501531ee7a3f0a668c41d4ab08537a4e",
         {"exit 1": 40, "exit 2": 160}),
     "pfx-unpack": (
         "1c551eea315476c891283e5af4632294fc6af1b23c0419eb104f3295f863601f",

@@ -59,6 +59,14 @@ def test_oid_large_second_arc():
     assert octets_to_oid(octets).dotted() == "2.999.1"
 
 
+def test_dotted_arc_with_a_leading_zero_is_bad_parameter():
+    # RFC 4512 §1.4's numericoid: the text is no second spelling of an OID
+    for dotted in ("01.2.840", "1.02", "1.2.840.0113549.1.7.1", "1.2.00"):
+        with pytest.raises(BadParameter):
+            Oid.parse(dotted)
+    assert Oid.parse("0.0").arcs == (0, 0) and Oid.parse("2.0.10").arcs == (2, 0, 10)
+
+
 def test_oid_arc_overflow():
     with pytest.raises(ArcOverflow):
         octets_to_oid(bytes.fromhex("2a86"))  # continuation bit still set at the end
@@ -294,14 +302,69 @@ def test_text_types_round_trip():
         assert der_decode(der_encode(value)).as_text() == text
 
 
-@pytest.mark.parametrize("factory, text", [
-    (asn1.utf8_string, "\udcff"), (asn1.ia5_string, "é@x"),
-    (asn1.utc_time, "20010112000éZ"), (asn1.generalized_time, "1980é"),
-], ids=["utf8-lone-surrogate", "ia5-non-ascii", "utc-time-non-ascii",
-        "generalized-time-non-ascii"])
-def test_text_a_string_type_cannot_hold_is_bad_parameter(factory, text):
+TEXT_FACTORIES = [asn1.utf8_string, asn1.printable_string, asn1.ia5_string, asn1.utc_time,
+                  asn1.generalized_time]
+
+
+@pytest.mark.parametrize("factory", TEXT_FACTORIES, ids=lambda factory: factory.__name__)
+def test_text_utf8_cannot_hold_is_bad_parameter(factory):
     with pytest.raises(BadParameter, match="cannot be encoded"):
+        factory("\udcff")  # a lone surrogate
+
+
+@pytest.mark.parametrize("factory, text", [
+    (asn1.printable_string, "é"), (asn1.ia5_string, "é@x"),
+    (asn1.utc_time, "20010112000éZ"), (asn1.generalized_time, "1980é"),
+], ids=["printable-non-ascii", "ia5-non-ascii", "utc-time-non-ascii",
+        "generalized-time-non-ascii"])
+def test_text_outside_its_type_is_refused_by_the_types_rule(factory, text):
+    with pytest.raises(NonCanonical):
         factory(text)
+
+
+# contents each string and time type's rule refuses: outside its repertoire,
+# not UTF-8, or off RFC 5280 §4.1.2.5's profile or calendar
+REFUSED_TEXT = {
+    "PrintableString": (asn1.PRINTABLE_STRING, [b"a_b@", b"*"]),
+    "IA5String": (asn1.IA5_STRING, [b"\x80"]),
+    "UTF8String": (asn1.UTF8_STRING, [b"\xff", b"\xed\xa0\x80"]),  # the second a surrogate
+    "UTCTime": (asn1.UTC_TIME, [b"200231120000Z", b"2001011200Z", b"200101120000+0100"]),
+    "GeneralizedTime": (asn1.GENERALIZED_TIME, [b"20200101120000.5Z", b"21000229000000Z"]),
+}
+
+
+@pytest.mark.parametrize("tag, content", [
+    pytest.param(tag, content, id=f"{name}-{ascii(content)}")
+    for name, (tag, contents) in REFUSED_TEXT.items() for content in contents])
+def test_string_and_time_rules_refuse_at_build_and_at_decode(tag, content):
+    with pytest.raises(NonCanonical):
+        DerValue(TagClass.UNIVERSAL, tag, content)
+    encoded = bytes([tag, len(content)]) + content
+    for octets in (encoded, sequence_around(encoded)):
+        with pytest.raises(NonCanonical):
+            der_decode(octets)
+
+
+@pytest.mark.parametrize("name", list(REFUSED_TEXT))
+def test_string_and_time_rules_build_what_they_decode_and_read_as_text(name):
+    # every one-octet content, then seeded contents of profile characters
+    tag = REFUSED_TEXT[name][0]
+    rng = random.Random(f"text/{name}")
+    contents = [bytes([octet]) for octet in range(256)] + [
+        bytes(rng.choice(b"0123456789Z.+-a_\xc3\xa9") for _ in range(rng.choice((13, 15))))
+        for _ in range(500)] + [b"000229000000Z", b"20000229235959Z", b"Z"]
+    accepted = 0
+    for content in contents:
+        try:
+            value = DerValue(TagClass.UNIVERSAL, tag, content)
+        except NonCanonical:
+            with pytest.raises(NonCanonical):
+                der_decode(bytes([tag, len(content)]) + content)
+            continue
+        accepted += 1
+        assert value.as_text().encode() == content
+        assert der_decode(der_encode(value)).as_text() == value.as_text()
+    assert accepted
 
 
 def test_require_names_what_it_found():

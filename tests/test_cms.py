@@ -99,6 +99,16 @@ def test_attr_tamper_is_signature_invalid(key_1024, ident):
         verify_signed(forged, public)
 
 
+def test_signing_time_on_a_day_its_month_lacks_is_not_read(key_1024, ident):
+    # 31 February: the signed-data does not decode, so no verifier reads it
+    _, private = key_1024
+    octets = sign_data(make_data(b"m"), private, ident, (SIGNING_TIME,), seeded(b"s")).to_der()
+    edited = octets.replace(b"\x17\x0d200101120000Z", b"\x17\x0d200231120000Z")
+    assert edited != octets
+    with pytest.raises(asn1.NonCanonical, match="day its month"):
+        ContentInfo.from_der(edited)
+
+
 def test_wrong_key_is_signature_invalid(key_1024, key_1024_b, ident):
     _, private = key_1024
     other_public, _ = key_1024_b

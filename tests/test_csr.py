@@ -200,10 +200,10 @@ def test_request_version_other_than_0_is_refused(key_1024):
 
 
 def test_name_and_key_readers_raise_only_declared_errors():
-    bad_text = asn1.DerValue(asn1.TagClass.UNIVERSAL, asn1.UTF8_STRING, b"\xff")
-    with pytest.raises(SyntaxViolation, match="commonName"):
-        Name.from_der_value(asn1.sequence(asn1.set_value(
-            asn1.sequence(asn1.oid_value(oids.CN), bad_text))))
+    # octets a UTF8String cannot hold are refused as they are decoded
+    name = der_encode(Name((("commonName", "?"),)).to_der_value())
+    with pytest.raises(asn1.NonCanonical, match="UTF-8"):
+        Name.from_der(name.replace(b"\x0c\x01?", b"\x0c\x01\xff"))
     with pytest.raises(SyntaxViolation, match="country"):
         Name.from_der_value(asn1.sequence(asn1.set_value(
             asn1.sequence(asn1.oid_value(oids.CN), asn1.utf8_string("x"))), asn1.set_value(
@@ -308,6 +308,15 @@ def test_received_printable_string_common_name_is_accepted():
     name = asn1.sequence(asn1.set_value(asn1.sequence(
         asn1.oid_value(oids.CN), asn1.printable_string("Alice Example"))))
     assert Name.from_der_value(name) == Name((("commonName", "Alice Example"),))
+
+
+def test_received_printable_string_outside_its_repertoire_is_refused(key_512):
+    # what attribute_make refuses to write, a request does not read either
+    request = build_csr(Name((("commonName", "abcd"),)), key_512, (), seeded(b"a_b@")).to_der()
+    edited = request.replace(b"\x0c\x04abcd", b"\x13\x04a_b@")
+    assert edited != request
+    with pytest.raises(MalformedRequest, match="PrintableString"):
+        CertificationRequest.from_der(edited)
 
 
 def test_build_csr_takes_the_scenario_bundle(key_512):

@@ -411,6 +411,43 @@ def test_attribute_check_is_total():
         Attribute(oids.AT_SIGNING_TIME, ())
 
 
+def test_content_type_text_with_a_leading_zero_arc_is_refused():
+    # no second spelling of 1.2.840.113549.1.7.1 (RFC 4512 §1.4)
+    with pytest.raises(SyntaxViolation):
+        attribute_make("contentType", "1.2.840.0113549.1.7.1")
+
+
+# attributes attribute_check refuses: a signingTime in 1950-2049 as a
+# GeneralizedTime (RFC 5652 §11.3 writes it as a UTCTime), a sequenceNumber
+# of 0, and a type the registry does not hold
+UNCHECKED_ATTRIBUTES = {
+    "generalized-signing-time": Attribute(oids.AT_SIGNING_TIME,
+                                          (asn1.generalized_time("20300101000000Z"),)),
+    "sequence-number-0": Attribute(oids.AT_SEQUENCE_NUMBER, (asn1.integer(0),)),
+    "unregistered": Attribute(Oid.parse("1.2.3.4"), (asn1.null(),)),
+}
+
+
+@pytest.mark.parametrize("case", list(UNCHECKED_ATTRIBUTES))
+def test_every_attribute_set_writer_refuses_what_attribute_check_refuses(key_512, case):
+    # PKCS #8, #10 and CMS signed and authenticated attributes share one writer
+    attribute = UNCHECKED_ATTRIBUTES[case]
+    assert not attribute_check(attribute)
+    _, private = key_512
+    name = csr.Name((("commonName", "x"),))
+    writers = {
+        "PrivateKeyInfo": lambda attrs: PrivateKeyInfo(private, attrs).to_der(),
+        "build_csr": lambda attrs: csr.build_csr(name, key_512, attrs, seeded(b"r")),
+        "sign_data": lambda attrs: cms.sign_data(cms.make_data(b"m"), private,
+                                                 cms.SignerIdent(name, b"k"), attrs, seeded(b"s")),
+        "authenticate_data": lambda attrs: cms.authenticate_data(cms.make_data(b"m"), b"key",
+                                                                 attrs),
+    }
+    for write in writers.values():
+        with pytest.raises(SyntaxViolation, match="fails its syntax check"):
+            write((attribute,))
+
+
 def test_signing_time_syntax():
     assert attribute_check(attribute_make("signingTime", "200101120000Z"))
     assert attribute_check(attribute_make("signingTime", "20520101120000Z"))
@@ -450,8 +487,10 @@ def test_impossible_calendar_times_are_refused(tail):
     for text in (utc, generalized):
         with pytest.raises(SyntaxViolation, match="signingTime syntax"):
             attribute_make("signingTime", text)
-    for value in (asn1.utc_time(utc), asn1.generalized_time(generalized)):
-        assert not attribute_check(Attribute(oids.AT_SIGNING_TIME, (value,)))
+    # asn1's time rules refuse to build such a value
+    for build, text in ((asn1.utc_time, utc), (asn1.generalized_time, generalized)):
+        with pytest.raises(asn1.NonCanonical, match="day its month|outside its type"):
+            build(text)
     with pytest.raises(SyntaxViolation):
         natural_person_bundle(dateOfBirth=generalized)
 

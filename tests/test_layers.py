@@ -7,9 +7,10 @@ two attributes it adds and finds, by cms too), only pkcs1, which writes and
 reads the RSA key layouts, calls rsa's check_key_caps, each algorithm refusal is raised by the owner of the
 identifier alone, token reads a public key without csr, AlgorithmIdentifier
 is defined in asn1 alone, only asn1 keeps a container's value and defines its
-codec, only asn1 and pkcs5 turn a DER fault into another class, and only
+codec, only asn1 and pkcs5 turn a DER fault into another class, only
 primitives (CBC decryption), cms and pfx (their headers) enter
-uniform_decryption."""
+uniform_decryption, and only asn1, whose rules decide what a string or time
+value holds, reads string octets."""
 
 import ast
 from pathlib import Path
@@ -229,3 +230,28 @@ def test_only_primitives_cms_and_pfx_enter_uniform_decryption():
                       if path.stem != "errors"
                       and "uniform_decryption" in set(_identifiers(path)))
     assert entering == ["cms", "pfx", "primitives"]
+
+
+# the patterns of asn1's string and time rules, and the names other modules
+# have given such patterns
+TEXT_RULE_NAMES = {"_TEXT_SYNTAX", "_TIME_TAIL", "_MONTH_DAYS", "_PRINTABLE_RE", "_UTC_TIME",
+                   "_GENERALIZED_TIME"}
+
+
+def _reads_string_octets(node) -> bool:
+    """Whether ``node`` decodes a value's octets or content, or names a text rule."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "decode":
+        return any(isinstance(inner, ast.Attribute) and inner.attr in ("octets", "content")
+                   for inner in ast.walk(node.func.value))
+    return (isinstance(node, ast.Name) and node.id in TEXT_RULE_NAMES
+            or isinstance(node, ast.Attribute) and node.attr in TEXT_RULE_NAMES)
+
+
+def test_only_asn1_reads_string_octets():
+    # as_text gives the text of a value its type's rule admitted, built or decoded
+    reading = sorted({f"{path.stem}.{getattr(top, 'name', '<module>')}"
+                      for path in PACKAGE.glob("*.py") if path.stem != "asn1"
+                      for top in ast.parse(path.read_text(), str(path)).body
+                      for node in ast.walk(top) if _reads_string_octets(node)})
+    assert reading == []
