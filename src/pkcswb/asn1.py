@@ -231,6 +231,8 @@ class DerValue(Frozen):
         fields are written to the instance dict once."""
         if tag_number < 0:
             raise ValueError("negative tag number")
+        if tag_number > _MAX_TAG_NUMBER:
+            raise OversizeTag(f"tag number {tag_number} not supported")
         if isinstance(content, (bytes, bytearray)):
             content, constructed = bytes(content), False
         elif isinstance(content, (tuple, list)):
@@ -478,8 +480,6 @@ def _encode_tag(value: DerValue) -> bytes:
     flags = (int(value.tag_class) << 6) | (0x20 if value.constructed else 0)
     if value.tag_number < 0x1F:
         return bytes([flags | value.tag_number])
-    if value.tag_number > _MAX_TAG_NUMBER:
-        raise OversizeTag(f"tag number {value.tag_number} not supported")
     return bytes([flags | 0x1F]) + _encode_base128(value.tag_number)
 
 

@@ -15,9 +15,10 @@ a re-normalized encoding.  ``keystore`` writes and reads the attribute sets,
 and ``pkcs1`` and ``pkcs5`` the algorithm identifiers but SHA-256's.  sign_data
 and authenticate_data alone add the contentType and messageDigest attributes,
 computed from the content, and refuse a caller-given one (SyntaxViolation); a
-received set must hold each once, as one value of the registry's syntax.
-Verification reads a received attribute set in place, through keystore's one
-reader, as (type, values) pairs; it builds no Attribute.  An algorithm pkcswb
+received set must hold each once, as one value.  Verification reads a
+received attribute set in place, through keystore's one reader, as (type,
+values) pairs that keystore checks against its registry as the Attribute
+constructor does (SyntaxViolation); it builds no Attribute.  An algorithm pkcswb
 lacks is no integrity failure: its owner's one check
 (``check_digest_algorithm`` here) refuses it as UnsupportedAlgorithm, which
 inside a decryption is the uniform DecryptionError.
@@ -31,7 +32,7 @@ from .csr import CertificationRequest, Name, verify_csr
 from .errors import (DecryptionError, Frozen, IntegrityFailure, MissingCredential, PkcsError,
                      UnsupportedAlgorithm, uniform_decryption)
 from .keystore import (Attribute, SyntaxViolation, _attribute_pair, _attributes_from_der,
-                       _attributes_to_der, _values_check, attribute_make)
+                       _attributes_to_der, attribute_make)
 from .primitives import (BLOCK_LEN, SHA256, BadLength, RandomSource, cbc_decrypt, cbc_encrypt,
                          ct_equal, hmac_digest)
 from .rsa import RsaPrivateKey, RsaPublicKey
@@ -177,9 +178,9 @@ def _covered_as_received(encap: ContentInfo,
     """The octets a received signature or MAC covers: the encapsulated content
     as received, or the received [0] attribute set, which must hold the
     content's type as its one contentType and a digest of that content as its
-    one messageDigest, each one value of the registry's syntax (RFC 5652
-    §5.3, §9.2, §11.1, §11.2).  The set is read in place, as keystore's reader
-    gives it: (type, values) pairs, no Attribute.  Raises NonCanonical,
+    one messageDigest (RFC 5652 §5.3, §9.2, §11.1, §11.2).  The set is read in
+    place, as keystore's reader gives it: (type, values) pairs, no Attribute,
+    each checked against the registry.  Raises NonCanonical, SyntaxViolation,
     SignatureInvalid or DigestMismatch."""
     content_der = asn1._encoding(encap.to_der_value())  # as kept: no copy
     if attrs_v is None:
@@ -189,11 +190,9 @@ def _covered_as_received(encap: ContentInfo,
     content_type = _find_attr(pairs, oids.AT_CONTENT_TYPE)
     if md is None or content_type is None:
         raise SignatureInvalid("contentType/messageDigest attributes are mandatory")
-    if not (len(content_type) == 1 and _values_check(oids.AT_CONTENT_TYPE, content_type)
-            and content_type[0].as_oid() == encap.content_type):
+    if not (len(content_type) == 1 and content_type[0].as_oid() == encap.content_type):
         raise SignatureInvalid("contentType attribute is not the encapsulated content's type")
-    if not (len(md) == 1 and _values_check(oids.AT_MESSAGE_DIGEST, md)
-            and ct_equal(md[0].octets, SHA256.digest(content_der))):
+    if not (len(md) == 1 and ct_equal(md[0].octets, SHA256.digest(content_der))):
         raise DigestMismatch("messageDigest attribute does not match the content")
     return _attr_message(attrs_v)
 
@@ -231,7 +230,8 @@ def verify_signed(ci: ContentInfo,
     Raises SignatureInvalid unless SignedData and SignerInfo are version 1
     (RFC 5652 §5.1, §5.3), NonCanonical unless digestAlgorithms holds one,
     and UnsupportedAlgorithm for a digest other than SHA-256 or a signature
-    other than RSASSA-PSS; then DigestMismatch when the messageDigest attribute
+    other than RSASSA-PSS; then SyntaxViolation for a signed attribute the
+    registry refuses, DigestMismatch when the messageDigest attribute
     disagrees with the received content, and SignatureInvalid when the
     signature itself fails.
     """

@@ -10,17 +10,18 @@ and a received one with absent parameters equals its built twin.  Both are
 DerForms whose ``fault`` is MalformedKey: any fault read but an unsupported algorithm.
 
 The attribute registry is the one table of attribute types, a plain row of
-OID, native Python type, builder and syntax for each in ``oids``; one path,
-``_attribute_value``, builds and checks a value for ``attribute_make``, the
+OID, native Python type, builder and syntax for each in ``oids``.  Its syntax
+is read by ``_values_check`` alone, which the Attribute constructor runs, so
+an attribute the registry refuses is neither built nor received;
+``_attribute_value`` builds and checks a value for ``attribute_make``, the
 naturalPerson/pkcsEntity bundles and ``csr.Name``.  A text row reads text
 through ``as_text`` alone, as asn1's rules decide what a string or time holds.
 Each bundle is flat: its object class is a tuple of registry names.
 
-The [0] IMPLICIT SET OF Attribute that PKCS #8, #10 and CMS carry is written,
-read and checked here alone: the writer refuses what ``attribute_check``
-refuses and re-tags a built SET's children, the reader checks the tag, then
-the order, then each Attribute, and gives each as an Attribute or, to
-verification, in place as a (type, values) pair.
+The [0] IMPLICIT SET OF Attribute that PKCS #8, #10 and CMS carry is written
+and read here alone: the writer re-tags a built SET's children, the reader
+checks the tag, then the order, then each Attribute, and gives each as an
+Attribute or, to verification, in place as a (type, values) pair.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "SyntaxViolation",
     "Attribute",
     "attribute_make",
-    "attribute_check",
     "ATTRIBUTE_REGISTRY",
     "PrivateKeyInfo",
     "EncryptedPrivateKeyInfo",
@@ -65,33 +65,31 @@ class SyntaxViolation(PkcsError, ValueError):
 
 
 class Attribute(DerForm, Frozen):
-    """attrType plus a set of values, held in canonical (encoded) order.  Its
-    kept value makes sorting attributes by their DER build and encode nothing
-    again."""
+    """attrType plus a set of values in canonical (encoded) order, built or
+    received only through ``_values_check``.  Its kept value makes sorting
+    attributes by their DER build and encode nothing again."""
 
     _fields = ("attr_type", "values")
 
     def __init__(self, attr_type: Oid, values: tuple[DerValue, ...]):
-        ordered = asn1.set_order(values)
-        if not ordered:
-            raise asn1.NonCanonical("attribute needs at least one value")
-        self.__dict__.update(attr_type=attr_type, values=ordered)
+        self.__dict__.update(attr_type=attr_type, values=asn1.set_order(values))
+        _values_check(attr_type, self.values)
 
     def _build(self) -> DerValue:
         return asn1.sequence(asn1.oid_value(self.attr_type), asn1.set_value(*self.values))
 
     @classmethod
     def _parse(cls, value: DerValue) -> "Attribute":
-        return cls(*_attribute_pair(value))
+        type_v, set_v = asn1._fields(value, 2)
+        return cls(type_v.as_oid(), asn1.require(set_v, asn1.SET).children)
 
 
 def _attribute_pair(value: DerValue) -> tuple[Oid, tuple[DerValue, ...]]:
-    """(type, values) of a received Attribute, read in place: NonCanonical
-    unless a SEQUENCE of an OID and a SET of at least one value."""
+    """(type, values) of a received Attribute, read in place and checked as the
+    constructor checks one: NonCanonical unless a SEQUENCE of an OID and a SET."""
     type_v, set_v = asn1._fields(value, 2)
     attr_type, values = type_v.as_oid(), asn1.require(set_v, asn1.SET).children
-    if not values:
-        raise asn1.NonCanonical("attribute needs at least one value")
+    _values_check(attr_type, values)
     return attr_type, values
 
 
@@ -112,6 +110,11 @@ def _text(check, *tags: int):
     return syntax
 
 
+def _sized(upper: int, *tags: int):
+    """The syntax of a text row of SIZE (1..upper): 1 to ``upper`` characters."""
+    return _text(lambda text: 0 < len(text) <= upper, *tags)
+
+
 def _make_time(text: str) -> DerValue:
     """A UTCTime for YYMMDDHHMMSSZ's 13 characters, else a GeneralizedTime."""
     return asn1.utc_time(text) if len(text) == 13 else asn1.generalized_time(text)
@@ -128,13 +131,12 @@ def _is_sequence(value: DerValue) -> bool:
     return value.constructed and value.is_universal(asn1.SEQUENCE)
 
 
-# Text is SIZE (1..ub) (RFC 2985 §5, RFC 5280 Appendix A: ub-common-name,
-# ub-organization-name and ub-serial-number 64, pkcs-9-ub-emailAddress 255),
-# a country two letters, and gender M, F, m or f (RFC 3739 §3.2).
+# Text is SIZE (1..ub) (RFC 2985 Appendix A, RFC 5280 Appendix A): 64 for a
+# common or organization name and a serialNumber, 255 for an emailAddress and
+# each pkcs9String row; a country is two letters, gender M, F, m or f (RFC 3739 §3.2).
 _PRINTABLE, _UTF8, _IA5 = asn1.PRINTABLE_STRING, asn1.UTF8_STRING, asn1.IA5_STRING
 _DIRECTORY_STRING = _text(bool, _PRINTABLE, _UTF8)
 _COUNTRY = _text(re.compile("[A-Za-z]{2}").fullmatch, _PRINTABLE)
-_NAME_TEXT = _text(lambda text: 0 < len(text) <= 64, _PRINTABLE, _UTF8)
 _OCTETS = (bytes, bytearray, memoryview)
 # name: (type, the Python type a native value must have or None when only a
 # built DerValue fits, the builder of a native value, the syntax every value
@@ -153,17 +155,16 @@ ATTRIBUTE_REGISTRY: dict[str, tuple] = {
                     lambda v: _is_primitive(v, asn1.OCTET_STRING) and len(v.octets) >= 4),
     "counterSignature": (oids.AT_COUNTER_SIGNATURE, None, None, _is_sequence),
     "challengePassword": (oids.AT_CHALLENGE_PASSWORD, str, _make_directory_string,
-                          _DIRECTORY_STRING),
+                          _sized(255, _PRINTABLE, _UTF8)),
     "extensionRequest": (oids.AT_EXTENSION_REQUEST, None, None, _is_sequence),
-    "friendlyName": (oids.AT_FRIENDLY_NAME, str, asn1.utf8_string, _text(bool, _UTF8)),
+    "friendlyName": (oids.AT_FRIENDLY_NAME, str, asn1.utf8_string, _sized(255, _UTF8)),
     "localKeyId": (oids.AT_LOCAL_KEY_ID, _OCTETS, asn1.octet_string,
                    lambda v: _is_primitive(v, asn1.OCTET_STRING)),
-    "emailAddress": (oids.AT_EMAIL_ADDRESS, str, asn1.ia5_string,
-                     _text(lambda text: 0 < len(text) <= 255, _IA5)),
+    "emailAddress": (oids.AT_EMAIL_ADDRESS, str, asn1.ia5_string, _sized(255, _IA5)),
     "unstructuredName": (oids.AT_UNSTRUCTURED_NAME, str, asn1.utf8_string,
-                         _text(bool, _PRINTABLE, _UTF8, _IA5)),
+                         _sized(255, _PRINTABLE, _UTF8, _IA5)),
     "unstructuredAddress": (oids.AT_UNSTRUCTURED_ADDRESS, str, asn1.utf8_string,
-                            _DIRECTORY_STRING),
+                            _sized(255, _PRINTABLE, _UTF8)),
     "dateOfBirth": (oids.AT_DATE_OF_BIRTH, str, asn1.generalized_time,
                     _text(bool, asn1.GENERALIZED_TIME)),
     "placeOfBirth": (oids.AT_PLACE_OF_BIRTH, str, asn1.utf8_string, _DIRECTORY_STRING),
@@ -174,27 +175,39 @@ ATTRIBUTE_REGISTRY: dict[str, tuple] = {
     "countryOfResidence": (oids.AT_COUNTRY_OF_RESIDENCE, str, asn1.printable_string, _COUNTRY),
     "pseudonym": (oids.AT_PSEUDONYM, str, asn1.utf8_string, _DIRECTORY_STRING),
     "serialNumber": (oids.AT_SERIAL_NUMBER, str, asn1.printable_string,
-                     _text(lambda text: 0 < len(text) <= 64, _PRINTABLE)),
+                     _sized(64, _PRINTABLE)),
     "pkcs7PDU": (oids.AT_PKCS7_PDU, None, None, _is_sequence),
     "userPKCS12": (oids.AT_USER_PKCS12, None, None, _is_sequence),
     "pkcs15Token": (oids.AT_PKCS15_TOKEN, None, None, _is_sequence),
     "encryptedPrivateKeyInfo": (oids.AT_ENCRYPTED_PRIVATE_KEY_INFO, None, None, _is_sequence),
-    "commonName": (oids.CN, str, asn1.utf8_string, _NAME_TEXT),
-    "organization": (oids.ORGANIZATION, str, asn1.utf8_string, _NAME_TEXT),
+    "commonName": (oids.CN, str, asn1.utf8_string, _sized(64, _PRINTABLE, _UTF8)),
+    "organization": (oids.ORGANIZATION, str, asn1.utf8_string, _sized(64, _PRINTABLE, _UTF8)),
     "country": (oids.COUNTRY, str, asn1.printable_string, _COUNTRY),
 }
-_SYNTAX_BY_OID = {oid: syntax for oid, _, _, syntax in ATTRIBUTE_REGISTRY.values()}
+_SYNTAX_BY_OID = {oid: (name, syntax) for name, (oid, _, _, syntax) in ATTRIBUTE_REGISTRY.items()}
+
+
+def _values_check(attr_type: Oid, values: tuple[DerValue, ...]) -> None:
+    """The one check of an attribute, built or received: NonCanonical for no value,
+    SyntaxViolation for a type the registry lacks or a value outside its syntax."""
+    if not values:
+        raise asn1.NonCanonical("attribute needs at least one value")
+    name, syntax = _SYNTAX_BY_OID.get(attr_type, (None, None))
+    if syntax is None:
+        raise SyntaxViolation(f"unregistered attribute type {attr_type}")
+    if not all(map(syntax, values)):
+        raise SyntaxViolation(f"value does not match the {name} syntax")
 
 
 def _attribute_value(type_name: str, value) -> tuple[Oid, DerValue]:
     """The OID of a registered type and its value: a built DerValue checked
     as it lies, or a native value of the type's own Python type (no bool)
-    built, then checked.  SyntaxViolation for any other value, and for one
-    its builder refuses or that is outside the type's syntax."""
+    built, then checked by ``_values_check``.  SyntaxViolation for any other
+    value, and for one its builder refuses or that is outside the type's syntax."""
     row = ATTRIBUTE_REGISTRY.get(type_name)
     if row is None:
         raise UnknownAttributeType(type_name)
-    oid, kind, make, syntax = row
+    oid, kind, make, _ = row
     if isinstance(value, DerValue):
         der_value = value
     elif kind is None:
@@ -206,8 +219,9 @@ def _attribute_value(type_name: str, value) -> tuple[Oid, DerValue]:
             der_value = make(value)
         except (BadParameter, asn1.NonCanonical):
             der_value = None
-    if der_value is None or not syntax(der_value):
+    if der_value is None:
         raise SyntaxViolation(f"value does not match the {type_name} syntax")
+    _values_check(oid, (der_value,))
     return oid, der_value
 
 
@@ -217,24 +231,9 @@ def attribute_make(type_name: str, value) -> Attribute:
     return Attribute(oid, (der_value,))
 
 
-def attribute_check(attribute: Attribute) -> bool:
-    """Total check: True iff the type is registered and every value conforms."""
-    return _values_check(attribute.attr_type, attribute.values)
-
-
-def _values_check(attr_type: Oid, values: tuple[DerValue, ...]) -> bool:
-    """attribute_check over a (type, values) pair, as a received set is read."""
-    syntax = _SYNTAX_BY_OID.get(attr_type)
-    return syntax is not None and all(map(syntax, values))
-
-
 def _attributes_to_der(attributes: tuple[Attribute, ...]) -> DerValue:
     """[0] IMPLICIT SET OF Attribute: the SET constructor's order, re-tagged.
-    The one writer of such a set: SyntaxViolation for an attribute that
-    ``attribute_check`` refuses."""
-    for attribute in attributes:
-        if not attribute_check(attribute):
-            raise SyntaxViolation(f"attribute {attribute.attr_type} fails its syntax check")
+    The one writer of such a set; each Attribute was checked as it was constructed."""
     return asn1.context(0, asn1.set_value(*(a.to_der_value() for a in attributes)).children)
 
 

@@ -5,10 +5,10 @@ ContentInfo.  Bags are serialized into a SafeContents sequence, wrapped in an
 AuthenticatedSafe (a sequence of per-mode ContentInfo elements), and guarded
 by one privacy mode (password -> PBES2, public key -> enveloped-data to the
 destination platform) and one integrity mode (password -> PBMAC1 over the
-authSafe DER, public key -> signed-data by the source platform).
-
-Opening a PFX always verifies integrity before attempting any privacy
-decryption.
+authSafe DER, public key -> signed-data by the source platform).  Opening a
+PFX always verifies integrity before attempting any privacy decryption.  A
+bag's attributes are keystore Attributes, checked against its registry as
+they are built or received.
 
 The MAC derivation here is PBKDF2/PBMAC1, not the key-derivation scheme
 deployed PKCS#12 files use, so these files are written with a distinct

@@ -28,22 +28,22 @@ def ledger(lines: list[str]) -> tuple[str, dict[str, int]]:
 
 MUTANT_OUTCOMES = {
     "PrivateKeyInfo": (
-        "4f8f2eb13d1a0fd9779c65e867204f9a2f72c24015852401f03b77811cfda250",
-        {"MalformedKey": 467, "UnsupportedAlgorithm": 11, "value": 22}),
+        "bf9352cfb138881d7df2e97cbc19ca3d76c4505a7fb5c14279b0ff1272329aea",
+        {"MalformedKey": 487, "UnsupportedAlgorithm": 11, "value": 2}),
     "EncryptedPrivateKeyInfo": (
         "d3100e3d6af9a701424c0b78b31134a9be7d9d614a27a51920fe43344c26942f",
         {"DecryptionError": 128, "MalformedKey": 343, "UnsupportedAlgorithm": 29}),
     "CertificationRequest": (
-        "d051a818700e9854c391408c0069ee7bbce6a98396efe13c6606c9ff0d46ca29",
-        {"MalformedRequest": 327, "UnsupportedAlgorithm": 15, "value False": 158}),
+        "475249cec135b6eb570e77f5a7d5d165950bf02d060e3f6db8df1b253979b9b4",
+        {"MalformedRequest": 335, "UnsupportedAlgorithm": 15, "value False": 150}),
     "data": (
         "c6fc715960da2b6e7b68542a9390f797424810a22c7ebc78e105b6849440cdbe",
         {"ArcOverflow": 3, "NonCanonical": 26, "TrailingOctets": 48, "Truncated": 276,
          "WrongContentType": 46, "value": 101}),
     "signed-data": (
-        "977d7cb3949ac98f3116d373d0a226f2e759c9df96a9d08ece67d8afee41dd87",
+        "64324acd5c6abfc021fa41d41bcc069dc9142adb5498ef42e369491720df1eca",
         {"ArcOverflow": 4, "DigestMismatch": 29, "IndefiniteLength": 1,
-         "NonCanonical": 26, "OversizeTag": 11, "SignatureInvalid": 105,
+         "NonCanonical": 26, "OversizeTag": 11, "SignatureInvalid": 93, "SyntaxViolation": 12,
          "TrailingOctets": 32, "Truncated": 264, "UnsupportedAlgorithm": 14,
          "WrongContentType": 4, "value": 10}),
     "enveloped-data": (
@@ -61,10 +61,10 @@ MUTANT_OUTCOMES = {
         {"ArcOverflow": 4, "DecryptionError": 153, "IndefiniteLength": 19, "NonCanonical": 16,
          "TrailingOctets": 37, "Truncated": 253, "WrongContentType": 16, "value": 2}),
     "authenticated-data": (
-        "58355b378ffa2165e3ef3bc745fad7e226ae5cf8b46bd56e0999a3dab7dc6877",
-        {"ArcOverflow": 6, "DigestMismatch": 39, "IndefiniteLength": 2,
-         "IntegrityFailure": 42, "NonCanonical": 41, "NonMinimalLength": 1,
-         "SignatureInvalid": 41, "TrailingOctets": 15, "Truncated": 302,
+        "ee017975d67ce2db07e904918c6939ee7c2825e4e409a54556e7f8d98723f673",
+        {"ArcOverflow": 6, "DigestMismatch": 38, "IndefiniteLength": 2,
+         "IntegrityFailure": 33, "NonCanonical": 41, "NonMinimalLength": 1,
+         "SignatureInvalid": 22, "SyntaxViolation": 29, "TrailingOctets": 15, "Truncated": 302,
          "UnsupportedAlgorithm": 2, "WrongContentType": 9}),
     "pfx-password-password": (
         "a1c81886b070d757a1878aae92bc8b548ef778abc8fd4096fabc3007c9d1d4f9",
@@ -95,11 +95,11 @@ CLI_OUTCOMES = {
         "d09fa1cd17b8e52069b24f0d34105105e92d657c239e4b3546301ab3f06cdf5f",
         {"exit 1": 77, "exit 2": 123}),
     "csr-verify": (
-        "129023a17ab9baeb8969101b649cacd29f8d692df1947f10fad0b96f0cf3a455",
-        {"exit 1": 69, "exit 2": 131}),
+        "6ebb91f230638ac509691f388a57814b17c45841c4229a93d5119247f0280c7e",
+        {"exit 1": 68, "exit 2": 132}),
     "cms-verify": (
-        "bde246de1e6c7beb9c1bc04f63f5870c79e6229199dfbc7c0e95e89aa483b6b4",
-        {"exit 0": 2, "exit 1": 47, "exit 2": 151}),
+        "6525a3dfcce7f34ee01734a63eb95f33da0faefa120cead6b1f013c4f6ff5e57",
+        {"exit 0": 2, "exit 1": 43, "exit 2": 155}),
     "cms-open": (
         "3c9fd25949c772f8309834ba95af1f8ea841825bbf1d2969650fdba4ef285bb2",
         {"exit 1": 76, "exit 2": 124}),

@@ -116,9 +116,10 @@ def test_reject_trailing_octets():
 
 
 def test_reject_oversize_tag():
-    huge = DerValue(TagClass.CONTEXT, 2**22, b"")
+    # a value that cannot be encoded cannot be built
     with pytest.raises(OversizeTag):
-        der_encode(huge)
+        DerValue(TagClass.CONTEXT, 2**22, b"")
+    assert der_encode(DerValue(TagClass.CONTEXT, 2**21 - 1, b"")).hex() == "9fffff7f00"
     with pytest.raises(OversizeTag):
         der_decode(bytes.fromhex("9fffffff7f00"))
 

@@ -12,7 +12,7 @@ from pkcswb.cms import (ContentInfo, DigestMismatch, SignatureInvalid, SignerIde
 from pkcswb.csr import CertificationRequest, Name, build_csr
 from pkcswb.errors import (DecryptionError, IntegrityFailure, MissingCredential,
                            UnsupportedAlgorithm)
-from pkcswb.keystore import Attribute, _attributes_to_der, attribute_make
+from pkcswb.keystore import Attribute, SyntaxViolation, _attributes_to_der, attribute_make
 from pkcswb.pkcs1 import ModulusTooSmall
 from pkcswb.primitives import SHA256, BadLength, ExhaustibleSource, HashAlg, hmac_digest
 from conftest import seeded
@@ -241,19 +241,16 @@ _INNER = make_data(b"m")
 _DIGEST = SHA256.digest(_INNER.to_der())
 
 # attributes only the signer adds: either type, matching the content or not,
-# once or twice, of any value type
+# once or twice (one of another value type cannot be built)
 SIGNER_ADDED = {
     "the content's contentType": (attribute_make("contentType", oids.CT_DATA),),
     "another contentType": (attribute_make("contentType", oids.CT_ENVELOPED_DATA),),
     "contentType with two values": (Attribute(oids.AT_CONTENT_TYPE, (
         asn1.oid_value(oids.CT_DATA), asn1.oid_value(oids.CT_ENVELOPED_DATA))),),
-    "contentType that is not an OID": (Attribute(oids.AT_CONTENT_TYPE, (asn1.integer(1),)),),
     "two contentType": (attribute_make("contentType", oids.CT_DATA),
                         attribute_make("contentType", oids.CT_SIGNED_DATA)),
     "the content's messageDigest": (attribute_make("messageDigest", _DIGEST),),
     "another messageDigest": (attribute_make("messageDigest", bytes(32)),),
-    "messageDigest as an INTEGER": (Attribute(oids.AT_MESSAGE_DIGEST, (
-        asn1.integer(int.from_bytes(_DIGEST, "big")),)),),
     "two messageDigest": (attribute_make("messageDigest", _DIGEST),
                           attribute_make("messageDigest", b"\xff" * 32)),
     "both, beside another": (SIGNING_TIME, attribute_make("contentType", oids.CT_DATA),
@@ -333,10 +330,16 @@ RECEIVED_SETS = {
                                     (SignatureInvalid, _NOT_THE_TYPE)),
     "contentType value that is not an OID": (
         [_attribute(asn1.oid_value(oids.AT_CONTENT_TYPE), asn1.integer(1)), _MD],
-        (SignatureInvalid, _NOT_THE_TYPE)),
+        (SyntaxViolation, "value does not match the contentType syntax")),
     "messageDigest as an INTEGER": (
         [_CT, _message_digest(asn1.integer(int.from_bytes(_DIGEST, "big")))],
-        (DigestMismatch, _NOT_THE_DIGEST)),
+        (SyntaxViolation, "value does not match the messageDigest syntax")),
+    "a signingTime that is an INTEGER": (
+        [_CT, _MD, _attribute(asn1.oid_value(oids.AT_SIGNING_TIME), asn1.integer(5))],
+        (SyntaxViolation, "value does not match the signingTime syntax")),
+    "a type the registry does not hold": (
+        [_CT, _MD, _attribute(asn1.oid_value(asn1.Oid.parse("1.2.3.4")), asn1.null())],
+        (SyntaxViolation, "unregistered attribute type 1.2.3.4")),
     "messageDigest of other content": ([_CT, _OTHER_MD], (DigestMismatch, _NOT_THE_DIGEST)),
     "messageDigest with two values": (
         [_CT, _message_digest(asn1.octet_string(_DIGEST), asn1.octet_string(bytes(32)))],
@@ -351,8 +354,9 @@ RECEIVED_SETS = {
         (asn1.NonCanonical, "value is not a primitive OBJECT IDENTIFIER")),
     "members out of SET OF order": ([_TIME, _MD, _CT],
                                     (asn1.NonCanonical, "attribute set not in canonical order")),
-    # where faults meet: every member's shape, then a second messageDigest, then a second
-    # contentType, then a missing one, then the contentType, and last the digest
+    # where faults meet: every member's shape and syntax, then a second messageDigest,
+    # then a second contentType, then a missing one, then the contentType, and last
+    # the digest
     "two of each, and an empty value SET": (
         [_CT, _content_type(oids.CT_SIGNED_DATA), _MD, _OTHER_MD, _EMPTY],
         (asn1.NonCanonical, "attribute needs at least one value")),
@@ -400,6 +404,33 @@ def test_every_received_attribute_set_outcome(key_1024, ident, case):
         with pytest.raises(error) as raised:
             check()
         assert type(raised.value) is error and str(raised.value) == message
+
+
+@pytest.mark.parametrize("content_type", ["signed-data", "authenticated-data"])
+def test_a_covered_attribute_outside_its_syntax_is_refused(key_1024, ident, content_type):
+    # a signingTime that is an INTEGER, under a signature or MAC made by hand over
+    # the set: sign_data and authenticate_data cannot write it
+    public, private = key_1024
+    refused = _attribute(asn1.oid_value(oids.AT_SIGNING_TIME), asn1.integer(5))
+    attrs_v = asn1.context(0, tuple(sorted((_CT, _MD, refused), key=asn1.der_encode)))
+    message = b"\x31" + asn1.der_encode(attrs_v)[1:]
+    if content_type == "signed-data":
+        kids = sign_data(_INNER, private, ident, (SIGNING_TIME,), seeded(b"s")).content.children
+        signer = kids[3].children[0].children
+        signature = pkcs1.sign(message, private, seeded(b"p"))
+        assert pkcs1.verify(message, signature, public)
+        body = asn1.sequence(*kids[:3], asn1.set_value(asn1.sequence(
+            *signer[:3], attrs_v, signer[4], asn1.octet_string(signature))))
+        type_oid, check, credential = oids.CT_SIGNED_DATA, verify_signed, public
+    else:
+        body = asn1.sequence(asn1.integer(0),
+                             AlgorithmIdentifier(oids.HMAC_WITH_SHA256).to_der_value(),
+                             _INNER.to_der_value(), attrs_v,
+                             asn1.octet_string(hmac_digest(b"mac key", message)))
+        type_oid, check, credential = oids.CT_AUTHENTICATED_DATA, check_auth, b"mac key"
+    received = ContentInfo.from_der(ContentInfo(type_oid, body).to_der())
+    with pytest.raises(SyntaxViolation, match="^value does not match the signingTime syntax$"):
+        check(received, credential)
 
 
 def test_verifying_builds_no_attribute(key_1024, ident, monkeypatch):

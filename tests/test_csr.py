@@ -53,12 +53,27 @@ def test_empty_attribute_set_is_valid(key_512):
 
 
 def test_bad_attribute_rejected(key_512):
+    # no request can be given one: the attribute itself cannot be built
     from pkcswb.keystore import Attribute
-    from pkcswb import asn1, oids
+    with pytest.raises(SyntaxViolation, match="messageDigest syntax"):
+        Attribute(oids.AT_MESSAGE_DIGEST, (asn1.integer(5),))
+
+
+def test_received_attribute_outside_its_syntax_is_malformed(key_512):
+    # a challengePassword that is an INTEGER, in an info signed by hand: build_csr
+    # cannot write it, and a request does not read it either
     public, private = key_512
-    wrong = Attribute(oids.AT_MESSAGE_DIGEST, (asn1.integer(5),))
-    with pytest.raises(ValueError):
-        build_csr(_alice_name(), (public, private), (wrong,), seeded(b"x"))
+    attribute = asn1.sequence(asn1.oid_value(oids.AT_CHALLENGE_PASSWORD),
+                              asn1.set_value(asn1.integer(5)))
+    info = asn1.sequence(asn1.integer(0), _alice_name().to_der_value(),
+                         pkcs1.encode_public_key_info(public), asn1.context(0, (attribute,)))
+    signature = pkcs1.sign(der_encode(info), private, seeded(b"x"))
+    assert pkcs1.verify(der_encode(info), signature, public)
+    request = der_encode(asn1.sequence(info, pkcs1.PSS_ALGORITHM.to_der_value(),
+                                       asn1.bit_string(signature)))
+    with pytest.raises(MalformedRequest, match="^value does not match the "
+                                               "challengePassword syntax$"):
+        CertificationRequest.from_der(request)
 
 
 def test_mismatched_keypair_rejected(key_512, key_1024):
@@ -320,7 +335,7 @@ def test_received_printable_string_outside_its_repertoire_is_refused(key_512):
 
 
 def test_build_csr_takes_the_scenario_bundle(key_512):
-    # each of these attributes used to fail attribute_check, so build_csr refused them
+    # each of these attributes used to fail the registry's check, so build_csr refused them
     bundle = natural_person_bundle(emailAddress="alice@example.org",
                                    countryOfCitizenship="US", placeOfBirth="Springfield",
                                    dateOfBirth="19800101000000Z", gender="F")

@@ -7,8 +7,7 @@ from pkcswb.asn1 import AlgorithmIdentifier, Oid, der_decode, der_encode
 from pkcswb.errors import DecryptionError, MalformedKey, UnsupportedAlgorithm
 from pkcswb.keystore import (ATTRIBUTE_REGISTRY, Attribute,
                              EncryptedPrivateKeyInfo, PrivateKeyInfo,
-                             SyntaxViolation, UnknownAttributeType, attribute_check,
-                             attribute_make, decode_private_key,
+                             SyntaxViolation, UnknownAttributeType, attribute_make, decode_private_key,
                              decrypt_private_key,
                              encode_private_key, encrypt_private_key,
                              natural_person_bundle, pkcs_entity_bundle)
@@ -220,6 +219,56 @@ def test_attributes_round_trip_and_canonical_order():
     assert decoded.to_der() == info_ab.to_der()
 
 
+@pytest.mark.parametrize("attribute", [
+    (oids.AT_FRIENDLY_NAME, asn1.integer(5), "^value does not match the friendlyName syntax$"),
+    (Oid.parse("1.2.3.4"), asn1.null(), "^unregistered attribute type 1.2.3.4$"),
+], ids=["friendlyName-integer", "unregistered"])
+def test_received_attribute_the_registry_refuses_is_malformed(attribute):
+    # the DER by hand: PrivateKeyInfo(key, attributes) cannot be given such an attribute
+    attr_type, value, message = attribute
+    _, private = rsa.key_from_primes((3, 5, 7), 5)
+    root = der_decode(encode_private_key(private))
+    refused = asn1.sequence(asn1.oid_value(attr_type), asn1.set_value(value))
+    edited = der_encode(asn1.sequence(*root.children, asn1.context(0, (refused,))))
+    with pytest.raises(MalformedKey, match=message):
+        decode_private_key(edited)
+
+
+def test_each_received_attribute_is_checked_once_on_each_read_path(key_512, monkeypatch):
+    from pkcswb import pfx
+    _, private = key_512
+    name = csr.Name((("commonName", "x"),))
+    friendly, key_id = attribute_make("friendlyName", "k"), attribute_make("localKeyId", b"\x01")
+    challenge = attribute_make("challengePassword", "pw")
+    signed = cms.sign_data(cms.make_data(b"m"), private, cms.SignerIdent(name, b"k"),
+                           (attribute_make("signingTime", "200101120000Z"),), seeded(b"s"))
+    packed = pfx.pfx_create((pfx.SafeBag(cms.make_data(b"c"), (friendly, key_id)),),
+                            b"pw", b"pw", seeded(b"p")).to_der()
+    reads = {
+        "PrivateKeyInfo": (PrivateKeyInfo(private, (friendly, key_id)).to_der(),
+                           PrivateKeyInfo.from_der, [oids.AT_FRIENDLY_NAME, oids.AT_LOCAL_KEY_ID]),
+        "CertificationRequest": (
+            csr.build_csr(name, key_512, (challenge,), seeded(b"r")).to_der(),
+            lambda octets: csr.verify_csr(csr.CertificationRequest.from_der(octets)),
+            [oids.CN, oids.AT_CHALLENGE_PASSWORD]),  # the subject's one component, too
+        "signed-data": (signed.to_der(),
+                        lambda octets: cms.verify_signed(cms.ContentInfo.from_der(octets),
+                                                         key_512[0]),
+                        [oids.AT_CONTENT_TYPE, oids.AT_MESSAGE_DIGEST, oids.AT_SIGNING_TIME]),
+        "pfx": (packed, lambda octets: pfx.pfx_open(pfx.PfxPdu.from_der(octets), b"pw", b"pw"),
+                [oids.AT_FRIENDLY_NAME, oids.AT_LOCAL_KEY_ID]),
+    }
+    checked = []
+    real = keystore._values_check
+    monkeypatch.setattr(keystore, "_values_check",
+                        lambda attr_type, values: checked.append(attr_type) or real(
+                            attr_type, values))
+    for path, (octets, read, expected) in reads.items():
+        checked.clear()
+        assert read(octets)
+        assert sorted(map(str, checked)) == sorted(map(str, expected)), path
+
+
 # -- EncryptedPrivateKeyInfo -------------------------------------------------------
 
 
@@ -279,21 +328,19 @@ def test_registry_has_one_row_per_attribute_type_oid():
 
 def test_challenge_password_directory_string():
     attribute = attribute_make("challengePassword", "s3cret")
-    assert attribute_check(attribute)
     assert attribute.values[0].is_universal(asn1.PRINTABLE_STRING)
     unicode_attr = attribute_make("challengePassword", "gehéim")
     assert unicode_attr.values[0].is_universal(asn1.UTF8_STRING)
-    assert attribute_check(unicode_attr)
 
 
 def test_message_digest_attribute():
-    assert attribute_check(attribute_make("messageDigest", b"\x00" * 32))
+    assert attribute_make("messageDigest", b"\x00" * 32).values == (asn1.octet_string(bytes(32)),)
 
 
 def test_friendly_name_must_be_non_empty():
     with pytest.raises(SyntaxViolation):
         attribute_make("friendlyName", "")
-    assert attribute_check(attribute_make("friendlyName", "display name"))
+    assert attribute_make("friendlyName", "display name").values[0].as_text() == "display name"
 
 
 def test_built_values_pass_through_every_type():
@@ -327,7 +374,7 @@ def test_built_values_pass_through_every_type():
     assert set(built) == set(ATTRIBUTE_REGISTRY)
     for name, value in built.items():
         assert attribute_make(name, value).values == (value,)
-        assert attribute_check(attribute_make(name, value)), name
+        assert Attribute(ATTRIBUTE_REGISTRY[name][0], (value,)).values == (value,)
     for name in ("counterSignature", "extensionRequest", "pkcs7PDU", "userPKCS12",
                  "pkcs15Token", "encryptedPrivateKeyInfo"):
         with pytest.raises(SyntaxViolation, match="already-built"):
@@ -349,7 +396,6 @@ def test_built_values_pass_through_every_type():
     for name, value in native:
         attribute = attribute_make(name, value)
         assert attribute.attr_type == ATTRIBUTE_REGISTRY[name][0], name
-        assert attribute_check(attribute), name
 
 
 # the Python type each builder takes (None: only a built value); 5 used to give five
@@ -395,7 +441,7 @@ def test_attribute_builders_take_only_their_own_type(name, value):
             built = build(value)
         except SyntaxViolation:
             continue
-        assert isinstance(built, csr.Name) or attribute_check(built)
+        assert isinstance(built, (csr.Name, Attribute))
 
 
 def test_unknown_attribute_type():
@@ -403,10 +449,31 @@ def test_unknown_attribute_type():
         attribute_make("nonexistent", 1)
 
 
-def test_attribute_check_is_total():
-    assert not attribute_check(Attribute(Oid.parse("1.2.3.4"), (asn1.null(),)))
-    wrong_syntax = Attribute(oids.AT_MESSAGE_DIGEST, (asn1.integer(5),))
-    assert not attribute_check(wrong_syntax)
+# (type, value) pairs the registry refuses: a type it does not hold, a value of
+# another ASN.1 type, a signingTime in 1950-2049 as a GeneralizedTime (RFC 5652
+# §11.3 writes it as a UTCTime), and a sequenceNumber of 0
+REFUSED_ATTRIBUTES = {
+    "unregistered": (Oid.parse("1.2.3.4"), asn1.null(), "unregistered attribute type 1.2.3.4"),
+    "friendlyName-integer": (oids.AT_FRIENDLY_NAME, asn1.integer(5), "friendlyName syntax"),
+    "messageDigest-integer": (oids.AT_MESSAGE_DIGEST, asn1.integer(5), "messageDigest syntax"),
+    "generalized-signing-time": (oids.AT_SIGNING_TIME, asn1.generalized_time("20300101000000Z"),
+                                 "signingTime syntax"),
+    "sequence-number-0": (oids.AT_SEQUENCE_NUMBER, asn1.integer(0), "sequenceNumber syntax"),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_ATTRIBUTES))
+def test_the_attribute_constructor_refuses_what_the_registry_refuses(case):
+    # one gate, built or received: so no writer of PKCS #8, #10, #12 or CMS is handed one
+    attr_type, value, message = REFUSED_ATTRIBUTES[case]
+    with pytest.raises(SyntaxViolation, match=message):
+        Attribute(attr_type, (value,))
+    received = asn1.sequence(asn1.oid_value(attr_type), asn1.set_value(value))
+    with pytest.raises(SyntaxViolation, match=message):
+        Attribute.from_der(der_encode(received))
+
+
+def test_an_attribute_needs_a_value():
     with pytest.raises(asn1.NonCanonical, match="at least one value"):
         Attribute(oids.AT_SIGNING_TIME, ())
 
@@ -417,59 +484,29 @@ def test_content_type_text_with_a_leading_zero_arc_is_refused():
         attribute_make("contentType", "1.2.840.0113549.1.7.1")
 
 
-# attributes attribute_check refuses: a signingTime in 1950-2049 as a
-# GeneralizedTime (RFC 5652 §11.3 writes it as a UTCTime), a sequenceNumber
-# of 0, and a type the registry does not hold
-UNCHECKED_ATTRIBUTES = {
-    "generalized-signing-time": Attribute(oids.AT_SIGNING_TIME,
-                                          (asn1.generalized_time("20300101000000Z"),)),
-    "sequence-number-0": Attribute(oids.AT_SEQUENCE_NUMBER, (asn1.integer(0),)),
-    "unregistered": Attribute(Oid.parse("1.2.3.4"), (asn1.null(),)),
-}
-
-
-@pytest.mark.parametrize("case", list(UNCHECKED_ATTRIBUTES))
-def test_every_attribute_set_writer_refuses_what_attribute_check_refuses(key_512, case):
-    # PKCS #8, #10 and CMS signed and authenticated attributes share one writer
-    attribute = UNCHECKED_ATTRIBUTES[case]
-    assert not attribute_check(attribute)
-    _, private = key_512
-    name = csr.Name((("commonName", "x"),))
-    writers = {
-        "PrivateKeyInfo": lambda attrs: PrivateKeyInfo(private, attrs).to_der(),
-        "build_csr": lambda attrs: csr.build_csr(name, key_512, attrs, seeded(b"r")),
-        "sign_data": lambda attrs: cms.sign_data(cms.make_data(b"m"), private,
-                                                 cms.SignerIdent(name, b"k"), attrs, seeded(b"s")),
-        "authenticate_data": lambda attrs: cms.authenticate_data(cms.make_data(b"m"), b"key",
-                                                                 attrs),
-    }
-    for write in writers.values():
-        with pytest.raises(SyntaxViolation, match="fails its syntax check"):
-            write((attribute,))
-
-
 def test_signing_time_syntax():
-    assert attribute_check(attribute_make("signingTime", "200101120000Z"))
-    assert attribute_check(attribute_make("signingTime", "20520101120000Z"))
+    attribute_make("signingTime", "200101120000Z")
+    attribute_make("signingTime", "20520101120000Z")
     for text in ("000101000000Z", "991231235959Z", "00000101000000Z", "99991231235959Z"):
-        assert attribute_check(attribute_make("signingTime", text))  # the calendar's bounds
+        attribute_make("signingTime", text)  # the calendar's bounds
     # leap days: a UTCTime year 00-49 is 20xx and 50-99 19xx (RFC 5280 §4.1.2.5.1)
     for text in ("000229000000Z", "520229000000Z", "20520229000000Z"):
-        assert attribute_check(attribute_make("signingTime", text))
+        attribute_make("signingTime", text)
     # 1950-2049 is UTCTime's span, and a GeneralizedTime in it is refused (RFC 5652 §11.3)
     for text in ("19491231235959Z", "20500101000000Z"):
-        assert attribute_check(attribute_make("signingTime", text))
+        attribute_make("signingTime", text)
     for text in ("19500101000000Z", "20491231235959Z"):
         with pytest.raises(SyntaxViolation):
             attribute_make("signingTime", text)
-        generalized = Attribute(oids.AT_SIGNING_TIME, (asn1.generalized_time(text),))
-        assert not attribute_check(generalized)
+        with pytest.raises(SyntaxViolation, match="signingTime syntax"):
+            Attribute(oids.AT_SIGNING_TIME, (asn1.generalized_time(text),))
     with pytest.raises(SyntaxViolation):  # 1900 is no leap year
         attribute_make("signingTime", "19000229000000Z")
     with pytest.raises(SyntaxViolation):
         attribute_make("signingTime", "not a time")
     # a value that is neither UTCTime nor GeneralizedTime
-    assert not attribute_check(Attribute(oids.AT_SIGNING_TIME, (asn1.integer(200101120000),)))
+    with pytest.raises(SyntaxViolation, match="signingTime syntax"):
+        Attribute(oids.AT_SIGNING_TIME, (asn1.integer(200101120000),))
 
 
 # the calendar after the year: each field just out of its range (month 01-12, day
@@ -496,10 +533,12 @@ def test_impossible_calendar_times_are_refused(tail):
 
 
 def test_sequence_number_and_nonce():
-    assert attribute_check(attribute_make("sequenceNumber", 9))
+    attribute_make("sequenceNumber", 9)
     with pytest.raises(SyntaxViolation):
         attribute_make("sequenceNumber", 0)
-    assert attribute_check(attribute_make("randomNonce", b"\x01\x02\x03\x04"))
+    with pytest.raises(SyntaxViolation):  # every value is checked, not the first alone
+        Attribute(oids.AT_SEQUENCE_NUMBER, (asn1.integer(3), asn1.integer(0)))
+    attribute_make("randomNonce", b"\x01\x02\x03\x04")
     with pytest.raises(SyntaxViolation):
         attribute_make("randomNonce", b"\x01")
 
@@ -535,7 +574,7 @@ def test_natural_person_bundle():
     assert {a.attr_type for a in bundle} == {
         oids.AT_EMAIL_ADDRESS, oids.AT_COUNTRY_OF_CITIZENSHIP,
         oids.AT_GENDER, oids.AT_DATE_OF_BIRTH}
-    assert all(map(attribute_check, bundle))
+    assert all(isinstance(attribute, Attribute) for attribute in bundle)
     # a registry name outside the object class is as unknown as no name at all
     for name in ("shoe_size", "email_address", "friendlyName", "pkcs7PDU", "commonName"):
         with pytest.raises(UnknownAttributeType):
@@ -577,6 +616,18 @@ def test_natural_person_bundle_refuses_a_value_outside_its_syntax(field, value):
         natural_person_bundle(**{field: value})
 
 
+@pytest.mark.parametrize("name", ["challengePassword", "unstructuredName",
+                                  "unstructuredAddress", "friendlyName"])
+def test_pkcs9_string_rows_are_bounded_at_255_characters(name):
+    # RFC 2985 Appendix A: each is SIZE (1..pkcs-9-ub-pkcs9String), 255
+    for letter in "aé":  # a PrintableString where the row writes one, and UTF8String
+        assert attribute_make(name, letter * 255).values[0].as_text() == letter * 255
+        with pytest.raises(SyntaxViolation, match=f"{name} syntax"):
+            attribute_make(name, letter * 256)
+    with pytest.raises(SyntaxViolation, match=f"{name} syntax"):
+        Attribute(ATTRIBUTE_REGISTRY[name][0], (asn1.utf8_string("a" * 256),))
+
+
 def test_natural_person_bundle_takes_each_letter_case():
     bundle = natural_person_bundle(gender="m", countryOfCitizenship="fr",
                                    countryOfResidence="DE")
@@ -587,7 +638,7 @@ def test_pkcs_entity_bundle():
     epki = asn1.sequence(asn1.sequence(asn1.oid_value(oids.PBES2)), asn1.octet_string(b"blob"))
     bundle = pkcs_entity_bundle(encryptedPrivateKeyInfo=epki)
     assert bundle[0].attr_type == oids.AT_ENCRYPTED_PRIVATE_KEY_INFO
-    assert attribute_check(bundle[0])
+    assert bundle[0].values == (epki,)
     for name in ("unknown_thing", "encrypted_private_key_info", "counterSignature"):
         with pytest.raises(UnknownAttributeType):
             pkcs_entity_bundle(**{name: asn1.sequence()})

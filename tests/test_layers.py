@@ -9,8 +9,9 @@ identifier alone, token reads a public key without csr, AlgorithmIdentifier
 is defined in asn1 alone, only asn1 keeps a container's value and defines its
 codec, only asn1 and pkcs5 turn a DER fault into another class, only
 primitives (CBC decryption), cms and pfx (their headers) enter
-uniform_decryption, and only asn1, whose rules decide what a string or time
-value holds, reads string octets."""
+uniform_decryption, only asn1, whose rules decide what a string or time
+value holds, reads string octets, and only keystore's ``_values_check``, the
+one check of an attribute built or received, reads the registry's syntax."""
 
 import ast
 from pathlib import Path
@@ -255,3 +256,39 @@ def test_only_asn1_reads_string_octets():
                       for top in ast.parse(path.read_text(), str(path)).body
                       for node in ast.walk(top) if _reads_string_octets(node)})
     assert reading == []
+
+
+def _reads_attribute_syntax(node) -> bool:
+    """Whether ``node`` reads the attribute registry's syntax column: binds a
+    row's fourth field to a name, indexes a row by it, or loads the OID map
+    built from it."""
+    if isinstance(node, (ast.Tuple, ast.List)) and isinstance(node.ctx, ast.Store):
+        return len(node.elts) == 4 and not (isinstance(node.elts[3], ast.Name)
+                                            and node.elts[3].id == "_")
+    if isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+        return node.slice.value in (3, -1) and any(
+            isinstance(inner, ast.Name) and inner.id == "ATTRIBUTE_REGISTRY"
+            for inner in ast.walk(node.value))
+    return isinstance(node, ast.Name) and node.id == "_SYNTAX_BY_OID" \
+        and isinstance(node.ctx, ast.Load)
+
+
+def _top_level_name(top) -> str:
+    """A function's or class's name, or the first name a module-level statement assigns."""
+    if hasattr(top, "name"):
+        return top.name
+    targets = [target for target in getattr(top, "targets", [getattr(top, "target", None)])
+               if isinstance(target, ast.Name)]
+    return targets[0].id if targets else "<module>"
+
+
+def test_only_values_check_reads_attribute_syntax():
+    # one check of an attribute, built or received: the map is built from the
+    # registry's syntax column where it is defined, and read by _values_check alone
+    path = PACKAGE / "keystore.py"
+    reading = sorted({_top_level_name(top) for top in ast.parse(path.read_text(), str(path)).body
+                      for node in ast.walk(top) if _reads_attribute_syntax(node)})
+    assert reading == ["_SYNTAX_BY_OID", "_values_check"]
+    naming = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "keystore"
+                    and {"_values_check", "_SYNTAX_BY_OID"} & set(_identifiers(path)))
+    assert naming == []

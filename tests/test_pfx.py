@@ -6,7 +6,8 @@ from pkcswb import asn1, cms, oids, pfx, pkcs5
 from pkcswb.csr import Name, build_csr
 from pkcswb.errors import (DecryptionError, IntegrityFailure, MalformedKey, MissingCredential,
                            UnsupportedAlgorithm)
-from pkcswb.keystore import PrivateKeyInfo, attribute_make, encrypt_private_key
+from pkcswb.keystore import (Attribute, PrivateKeyInfo, SyntaxViolation, attribute_make,
+                             encrypt_private_key)
 from pkcswb.pfx import MacData, PfxPdu, PfxSecurityWarning, SafeBag, pfx_create, pfx_open
 from pkcswb.primitives import RandomSource
 from conftest import pfx_credentials, seeded
@@ -146,6 +147,28 @@ def test_unmodelled_bag_type_is_unsupported_algorithm(material, privacy):
         other = asn1.sequence(asn1.oid_value(crl_or_contents), asn1.explicit(0, asn1.null()))
         with pytest.raises(UnsupportedAlgorithm):
             SafeBag.from_der_value(other)
+
+
+@pytest.mark.parametrize("attribute", [
+    (oids.AT_FRIENDLY_NAME, asn1.integer(5)),
+    (asn1.Oid.parse("1.2.3.4"), asn1.null()),
+], ids=["friendlyName-integer", "unregistered"])
+def test_a_bag_attribute_the_registry_refuses_is_not_read(material, attribute):
+    # a bag whose attribute set pfx_create cannot write, correctly encrypted and
+    # MACed: pfx_open refuses it as the Attribute constructor does
+    bags, _, _ = material
+    attr_type, value = attribute
+    bag_v = bags[0].to_der_value()
+    bag = asn1.sequence(*bag_v.children[:2], asn1.set_value(
+        asn1.sequence(asn1.oid_value(attr_type), asn1.set_value(value))))
+    rng = seeded(b"bag-attribute")
+    element = pfx._privacy_wrap(asn1.der_encode(asn1.sequence(bag)), PRIVACY_PW, rng)
+    octets = _macced_pfx(element, rng)
+    with pytest.raises(SyntaxViolation) as raised:
+        pfx_open(PfxPdu.from_der(octets), *PASSWORDS)
+    assert type(raised.value) is SyntaxViolation
+    with pytest.raises(SyntaxViolation):
+        SafeBag(bags[0].value, (Attribute(attr_type, (value,)),))
 
 
 def test_unmodelled_authenticated_safe_element_is_unsupported_algorithm(material):
