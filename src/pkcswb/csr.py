@@ -43,8 +43,9 @@ class MalformedRequest(PkcsError, ValueError):
 
 class Name(DerForm, Frozen):
     """Ordered distinguished-name pairs; commonName is mandatory.  Each value,
-    text or the received DerValue ``_parse`` passes, is checked as it lies by
-    keystore's attribute registry."""
+    text or the received DerValue ``_parse`` passes, is checked once, as it
+    lies, by the constructor of keystore's Attribute; ``_build`` builds the
+    kept text again and checks nothing."""
 
     _fields = ("pairs",)
 
@@ -53,7 +54,9 @@ class Name(DerForm, Frozen):
         for key, value in pairs:
             if key not in _NAME_FIELDS:
                 raise UnknownAttributeType(key)
-            checked.append((key, _attribute_value(key, value)[1].as_text()))
+            oid, der_value = _attribute_value(key, value)
+            Attribute(oid, (der_value,))  # the one check, as of any attribute
+            checked.append((key, der_value.as_text()))
         if "commonName" not in (key for key, _ in checked):
             raise MalformedRequest("commonName is required")
         self.__dict__["pairs"] = tuple(checked)

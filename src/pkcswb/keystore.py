@@ -13,8 +13,9 @@ The attribute registry is the one table of attribute types, a plain row of
 OID, native Python type, builder and syntax for each in ``oids``.  Its syntax
 is read by ``_values_check`` alone, which the Attribute constructor runs, so
 an attribute the registry refuses is neither built nor received;
-``_attribute_value`` builds and checks a value for ``attribute_make``, the
-naturalPerson/pkcsEntity bundles and ``csr.Name``.  A text row reads text
+``_attribute_value`` builds a value for ``attribute_make``, the
+naturalPerson/pkcsEntity bundles and ``csr.Name``, and leaves its check to
+them.  A text row reads text
 through ``as_text`` alone, as asn1's rules decide what a string or time holds.
 Each bundle is flat: its object class is a tuple of registry names.
 
@@ -200,10 +201,10 @@ def _values_check(attr_type: Oid, values: tuple[DerValue, ...]) -> None:
 
 
 def _attribute_value(type_name: str, value) -> tuple[Oid, DerValue]:
-    """The OID of a registered type and its value: a built DerValue checked
-    as it lies, or a native value of the type's own Python type (no bool)
-    built, then checked by ``_values_check``.  SyntaxViolation for any other
-    value, and for one its builder refuses or that is outside the type's syntax."""
+    """The OID of a registered type and its value: a built DerValue as it
+    lies, or a native value of the type's own Python type (no bool) built.
+    SyntaxViolation for any other value, and for one its builder refuses;
+    the caller checks the value against the type's syntax."""
     row = ATTRIBUTE_REGISTRY.get(type_name)
     if row is None:
         raise UnknownAttributeType(type_name)
@@ -221,12 +222,12 @@ def _attribute_value(type_name: str, value) -> tuple[Oid, DerValue]:
             der_value = None
     if der_value is None:
         raise SyntaxViolation(f"value does not match the {type_name} syntax")
-    _values_check(oid, (der_value,))
     return oid, der_value
 
 
 def attribute_make(type_name: str, value) -> Attribute:
-    """A registered attribute of one value, built and checked by ``_attribute_value``."""
+    """A registered attribute of one value, built by ``_attribute_value`` and
+    checked once, by the Attribute constructor."""
     oid, der_value = _attribute_value(type_name, value)
     return Attribute(oid, (der_value,))
 

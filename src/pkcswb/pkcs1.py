@@ -31,7 +31,10 @@ shape, the one ``rsa.RsaPrivateKey`` derives, and the triples map one to one.
 Multiprime keys use body version 1, two-prime keys version 0.  The reader
 builds the key from the body's e, d and primes, refuses a body whose n,
 version or triples differ from those they derive, and keeps d as received
-(OpenSSL may write it modulo phi(n)).
+(OpenSSL may write it modulo phi(n)).  It then runs the private operation's
+check once, on a fixed representative, so a key whose "primes" are not all
+prime is refused as MalformedKey when read, not at first use; where
+decryption meets that check failing, it raises the uniform DecryptionError.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ import math
 from . import asn1, oids
 from .errors import DecryptionError, Frozen, MalformedKey, PkcsError, UnsupportedAlgorithm
 from .primitives import SHA256, HashAlg, RandomSource, RngExhausted, ct_equal, mgf
-from .rsa import RsaPrivateKey, RsaPublicKey, check_key_caps, rsa_private_op, rsa_public_op
+from .rsa import (FaultDetected, RsaPrivateKey, RsaPublicKey, _checked_crt, check_key_caps,
+                  rsa_private_op, rsa_public_op)
 
 __all__ = [
     "MessageTooLong",
@@ -206,6 +210,11 @@ def key_body(key: RsaPrivateKey) -> asn1.DerValue:
                          asn1.sequence(*triples))
 
 
+# The representative on which a key read is checked once, as every private
+# operation checks its own: it catches most keys whose "primes" are not prime.
+_KEY_CHECK_REPRESENTATIVE = 2
+
+
 def key_from_body(body: asn1.DerValue) -> RsaPrivateKey:
     version_v, n_v, e_v, d_v, triples_v = asn1._fields(body, 5)
     asn1.require(triples_v, asn1.SEQUENCE)
@@ -223,6 +232,10 @@ def key_from_body(body: asn1.DerValue) -> RsaPrivateKey:
         raise MalformedKey("version must be 0 for two primes, 1 otherwise")
     if triples != list(zip(key.primes, key.crt_exponents, key.crt_coefficients)):
         raise MalformedKey("a CRT exponent or coefficient is not the one the primes give")
+    try:
+        _checked_crt(_KEY_CHECK_REPRESENTATIVE, key)
+    except FaultDetected:
+        raise MalformedKey("the key fails the private operation's check") from None
     return key
 
 
@@ -378,7 +391,10 @@ def decrypt(ciphertext: bytes, sk: RsaPrivateKey, scheme: str,
     c = os2ip(ciphertext)
     if c >= sk.n:
         raise DecryptionError()
-    em = i2osp(rsa_private_op(c, sk), k)
+    try:
+        em = i2osp(rsa_private_op(c, sk), k)
+    except FaultDetected:
+        raise DecryptionError() from None
     if scheme == SCHEME_V15:
         return eme_v15_unpad(em, k)
     return oaep_decode(em, OaepParams(k, label=label))

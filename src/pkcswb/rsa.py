@@ -6,7 +6,24 @@ its primes, from which it derives n and one (r_i, d_i, t_i) triple per prime,
 as its PKCS #8 body holds them: d_i = d mod (r_i - 1), and t_i is the inverse
 modulo r_i of the partial product R_i = r_1 * ... * r_{i-1}, so t_1 = 1 (R_1
 is the empty product).  The private operation recombines the per-prime
-exponentiations with Garner's step, one loop over the triples.
+exponentiations, its legs, with Garner's step, one loop over the triples.
+
+The private operation checks its result s before it returns it: unless
+s^e = c (mod n) it raises FaultDetected and releases nothing.  One wrong leg
+would otherwise give a signature s for which gcd(s^e - m, n) is a factor of n
+(the Bellcore attack: Boneh, DeMillo and Lipton, EUROCRYPT '97).  A key whose
+"primes" are not all prime gives wrong results too, so ``pkcs1`` runs the
+same check once on every key it reads; one check does not prove primality.
+
+The legs are independent, and ⌊u/2⌋ of them run in one forked worker
+process while the caller computes the other ⌈u/2⌉, when all of these hold:
+``os.fork`` exists, the process may run on two or more CPUs, it has one
+thread when the worker starts, and every prime has at least _LEG_BITS bits.
+Otherwise, and whenever another thread holds the worker, every leg runs
+in-process.  The results are the same either way, since the same Garner loop
+recombines the same values.  The worker starts at the first operation that
+may use it, serves only the process that forked it, and is closed and reaped
+at exit; key generation never uses it.
 
 Desk-scale keys are first class: nothing below enforces a minimum modulus
 beyond arithmetic validity, so exhaustive sweeps over toy moduli stay cheap.
@@ -15,11 +32,13 @@ because its modulus, public exponent and prime count set the cost of the
 work done with it, and key generation holds to the same caps, so it never
 writes a key the readers refuse.
 """
-
 from __future__ import annotations
 
+import atexit
 import itertools
 import math
+import os
+import threading
 
 from .errors import BadParameter, Frozen, PkcsError
 from .primitives import RandomSource, RngExhausted
@@ -33,6 +52,7 @@ __all__ = [
     "DuplicatePrime",
     "InvalidKey",
     "KeyTooLarge",
+    "FaultDetected",
     "MAX_MODULUS_BITS",
     "MAX_PRIMES",
     "MAX_EXPONENT_BITS",
@@ -72,6 +92,13 @@ class BadExponent(InvalidKey):
 
 class KeyTooLarge(InvalidKey):
     """A key read from a file exceeds one of the size caps below."""
+
+
+class FaultDetected(PkcsError):
+    """A private operation's result failed its check s^e = c (mod n): a leg
+    went wrong, or the key's "primes" are not all prime.  Nothing is released."""
+
+    exit_code = 1
 
 
 # Largest key accepted from a file.  The modulus cap sits above the 15360-bit
@@ -361,14 +388,187 @@ def rsa_public_op(m: int, pk: RsaPublicKey) -> int:
 
 
 def rsa_private_op(c: int, sk: RsaPrivateKey) -> int:
-    """c^d mod n via per-prime exponentiation and CRT recombination."""
+    """c^d mod n via per-prime exponentiation and CRT recombination, checked:
+    FaultDetected unless the result s has s^e = c (mod n)."""
     if not 0 <= c < sk.n:
         raise CiphertextRepresentativeOutOfRange("ciphertext representative out of range")
+    return _checked_crt(c, sk)
+
+
+def _checked_crt(c: int, sk: RsaPrivateKey) -> int:
+    """rsa_private_op for c in [0, n): the legs, the last ⌊u/2⌋ in the worker
+    when it is free, the Garner loop, then the check against the public
+    exponent (``pow`` itself, so no public operation is counted)."""
+    legs = list(zip(sk.primes, sk.crt_exponents))
+    kept = len(legs) - len(legs) // 2
+    worker = _free_worker(sk)
+    if worker is None:
+        values = [pow(c, d_i, r) for r, d_i in legs]
+    else:
+        try:
+            _send(worker.requests, [c, *itertools.chain.from_iterable(legs[kept:])])
+            values = [pow(c, d_i, r) for r, d_i in legs[:kept]]
+            values += _receive(worker.replies)
+        except OSError:
+            values = []
+        except BaseException:  # a reply may be on its way: no later op may read it
+            _discard(worker)
+            raise
+        if len(values) == len(legs):
+            worker.lock.release()
+        else:  # the worker is gone: its legs are done here
+            _discard(worker)
+            values = [pow(c, d_i, r) for r, d_i in legs]
     result, product = 0, 1
-    for r, d_i, t_i in zip(sk.primes, sk.crt_exponents, sk.crt_coefficients):
-        result += product * ((pow(c, d_i, r) - result) * t_i % r)
+    for value, r, t_i in zip(values, sk.primes, sk.crt_coefficients):
+        result += product * ((value - result) * t_i % r)
         product *= r
+    if pow(result, sk.e, sk.n) != c:
+        raise FaultDetected("the private operation failed its check")
     return result
+
+
+# ---------------------------------------------------------------------------
+# the exponentiation worker
+
+# The least prime size, in bits, of a leg the worker takes: the crossover
+# measured on two vCPUs with u = 2, where an operation took 121 µs with the
+# worker against 115 in-process at 128-bit primes, and 181 against 202 at 160.
+_LEG_BITS = 160
+
+
+class _Worker:
+    """A forked process that answers each request c, r_1, d_1, r_2, d_2, ...
+    with c^d_1 mod r_1, c^d_2 mod r_2, ... until its request pipe closes.
+    ``lock`` admits one exchange at a time; a discarded worker keeps it held."""
+
+    def __init__(self):
+        requests, self.requests = os.pipe()
+        self.replies, replies = os.pipe()
+        self.lock = threading.Lock()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (requests, self.requests, self.replies, replies):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                os.close(self.requests)
+                os.close(self.replies)
+                _serve(requests, replies)
+            finally:
+                os._exit(0)
+        os.close(requests)
+        os.close(replies)
+
+    def close(self) -> None:
+        """Close both pipes, which ends the worker's loop, then reap it."""
+        os.close(self.requests)
+        os.close(self.replies)
+        try:
+            os.waitpid(self.pid, 0)
+        except ChildProcessError:  # SIGCHLD ignored: the system reaped it
+            pass
+
+
+_worker: _Worker | None = None
+
+
+def _free_worker(sk: RsaPrivateKey) -> _Worker | None:
+    """The process's worker, started if there is none, locked for one exchange;
+    None when a prime of ``sk`` is below _LEG_BITS, when no worker can start
+    (no ``os.fork``, one CPU, other threads, or a failed fork), and when
+    another thread holds it."""
+    global _worker
+    if min(r.bit_length() for r in sk.primes) < _LEG_BITS:
+        return None
+    worker = _worker
+    if worker is None:
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)
+        if not hasattr(os, "fork") or cpus < 2 or threading.active_count() > 1:
+            return None
+        try:
+            worker = _worker = _Worker()
+        except OSError:
+            return None
+    return worker if worker.lock.acquire(blocking=False) else None
+
+
+def _discard(worker: _Worker) -> None:
+    """Drop a worker whose exchange failed, close it and reap it; its lock
+    stays held, so a thread that still holds a reference to it never sends."""
+    global _worker
+    if _worker is worker:
+        _worker = None
+    worker.close()
+
+
+@atexit.register
+def _stop_worker() -> None:
+    """At exit: close and reap the worker, once an exchange that a daemon
+    thread may still have in flight ends (waiting a second at most)."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        worker.lock.acquire(timeout=1)
+        worker.close()
+
+
+def _forget_worker() -> None:
+    """In a forked child: close the pipes of the parent's worker, which the
+    child neither uses nor reaps, so the worker still ends when the parent
+    closes them.  The child starts its own."""
+    global _worker
+    worker, _worker = _worker, None
+    if worker is not None:
+        os.close(worker.requests)
+        os.close(worker.replies)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def _serve(requests: int, replies: int) -> None:
+    """The worker's loop: one reply per request, until end of file."""
+    while request := _receive(requests):
+        c, *legs = request
+        _send(replies, [pow(c, d_i, r) for r, d_i in zip(legs[::2], legs[1::2])])
+
+
+def _send(fd: int, values: list[int]) -> None:
+    """One frame: its octet count, then each value as its octet count and
+    its big-endian octets, all as 4-octet counts."""
+    body = b"".join(len(octets).to_bytes(4, "big") + octets
+                    for octets in (v.to_bytes((v.bit_length() + 7) // 8, "big")
+                                   for v in values))
+    view = memoryview(len(body).to_bytes(4, "big") + body)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd: int) -> list[int]:
+    """The values of the next frame on ``fd``; none at end of file."""
+    body = _read(fd, int.from_bytes(_read(fd, 4), "big"))
+    values, i = [], 0
+    while i < len(body):
+        size = int.from_bytes(body[i:i + 4], "big")
+        values.append(int.from_bytes(body[i + 4:i + 4 + size], "big"))
+        i += 4 + size
+    return values
+
+
+def _read(fd: int, size: int) -> bytes:
+    """``size`` octets from ``fd``, or none if it ends first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return b""
+        data += chunk
+    return data
 
 
 # ---------------------------------------------------------------------------

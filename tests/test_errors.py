@@ -140,7 +140,7 @@ def test_exit_code_is_1_exactly_for_cryptographic_failures():
     token_errors = {cls.__name__ for cls in _declared_classes(pkcswb.token.TokenError)}
     assert failures == token_errors | {
         "TokenError", "DecryptionError", "IntegrityFailure",
-        "DigestMismatch", "SignatureInvalid", "ScenarioStepFailed"}
+        "DigestMismatch", "SignatureInvalid", "ScenarioStepFailed", "FaultDetected"}
     assert {cls.exit_code for cls in _declared_classes()} == {1, 2}
 
 

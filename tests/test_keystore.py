@@ -72,6 +72,20 @@ def _with_body_fields(private: rsa.RsaPrivateKey, edit) -> bytes:
                                     asn1.octet_string(der_encode(body))))
 
 
+def test_a_key_whose_primes_are_not_all_prime_is_refused_when_read():
+    # RFC 8017 §3.2 wants the r_i prime; the reader's one checked private
+    # operation refuses both keys, which construct
+    toy = rsa.RsaPrivateKey(5, 17, (15, 7))
+    rng = seeded(b"composite")
+    prime = rsa.generate_prime(512, rng)
+    product = rsa.generate_prime(256, rng) * rsa.generate_prime(256, rng)
+    _, big = rsa.key_from_primes((prime, product), 65537)
+    assert big.n.bit_length() == 1024
+    for key in (toy, big):
+        with pytest.raises(MalformedKey, match="check"):
+            decode_private_key(encode_private_key(key))
+
+
 def test_first_triple_with_a_coefficient_other_than_one_is_malformed():
     _, private = rsa.key_from_primes((3, 5, 7), 5)
 
@@ -266,6 +280,51 @@ def test_each_received_attribute_is_checked_once_on_each_read_path(key_512, monk
     for path, (octets, read, expected) in reads.items():
         checked.clear()
         assert read(octets)
+        assert sorted(map(str, checked)) == sorted(map(str, expected)), path
+
+
+def test_each_built_attribute_value_is_checked_once_on_each_build_path(key_512, monkeypatch):
+    # the write-side twin of the read-path test above: building and encoding
+    # check each value once, in the Attribute constructor (a Name in its own)
+    from pkcswb import pfx
+    _, private = key_512
+    ident = cms.SignerIdent(csr.Name((("commonName", "x"),)), b"k")
+    friendly = lambda: attribute_make("friendlyName", "k")
+    key_id = lambda: attribute_make("localKeyId", b"\x01")
+    builds = {
+        "attribute_make": (lambda: attribute_make("friendlyName", "k").to_der(),
+                           [oids.AT_FRIENDLY_NAME]),
+        "natural_person_bundle": (
+            lambda: [a.to_der() for a in natural_person_bundle(emailAddress="a@b.c", gender="F")],
+            [oids.AT_EMAIL_ADDRESS, oids.AT_GENDER]),
+        "pkcs_entity_bundle": (
+            lambda: [a.to_der() for a in
+                     pkcs_entity_bundle(pkcs7PDU=cms.make_data(b"m").to_der_value())],
+            [oids.AT_PKCS7_PDU]),
+        "Name": (lambda: csr.Name((("commonName", "x"), ("country", "US"))).to_der(),
+                 [oids.CN, oids.COUNTRY]),
+        "sign_data": (
+            lambda: cms.sign_data(cms.make_data(b"m"), private, ident,
+                                  (attribute_make("signingTime", "200101120000Z"),),
+                                  seeded(b"s")).to_der(),
+            [oids.AT_SIGNING_TIME, oids.AT_CONTENT_TYPE, oids.AT_MESSAGE_DIGEST]),
+        "authenticate_data": (
+            lambda: cms.authenticate_data(cms.make_data(b"m"), b"key",
+                                          (attribute_make("sequenceNumber", 1),)).to_der(),
+            [oids.AT_SEQUENCE_NUMBER, oids.AT_CONTENT_TYPE, oids.AT_MESSAGE_DIGEST]),
+        "PrivateKeyInfo": (lambda: PrivateKeyInfo(private, (friendly(), key_id())).to_der(),
+                           [oids.AT_FRIENDLY_NAME, oids.AT_LOCAL_KEY_ID]),
+        "SafeBag": (lambda: pfx.SafeBag(cms.make_data(b"c"), (friendly(), key_id())).to_der(),
+                    [oids.AT_FRIENDLY_NAME, oids.AT_LOCAL_KEY_ID]),
+    }
+    checked = []
+    real = keystore._values_check
+    monkeypatch.setattr(keystore, "_values_check",
+                        lambda attr_type, values: checked.extend([attr_type] * len(values))
+                        or real(attr_type, values))
+    for path, (build, expected) in builds.items():
+        checked.clear()
+        assert build()
         assert sorted(map(str, checked)) == sorted(map(str, expected)), path
 
 

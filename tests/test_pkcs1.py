@@ -362,6 +362,31 @@ def test_ciphertext_out_of_range_is_uniform_error(key_1024):
     assert len(shapes) == 1
 
 
+@pytest.mark.parametrize("path", ["v1_5", "oaep", "enveloped-data"])
+def test_a_faulty_private_operation_is_the_uniform_decryption_error(key_1024, path, monkeypatch):
+    from pkcswb import cms
+    public, private = key_1024
+    ciphertexts = {
+        "v1_5": lambda: pkcs1.encrypt(b"m", public, SCHEME_V15, seeded(b"f")),
+        "oaep": lambda: pkcs1.encrypt(b"m", public, SCHEME_OAEP, seeded(b"f")),
+        "enveloped-data": lambda: cms.envelope(cms.make_data(b"m"), public, seeded(b"f")),
+    }
+    opens = {
+        "v1_5": lambda sealed: pkcs1.decrypt(sealed, private, SCHEME_V15),
+        "oaep": lambda sealed: pkcs1.decrypt(sealed, private, SCHEME_OAEP),
+        "enveloped-data": lambda sealed: cms.open_envelope(sealed, private),
+    }
+    sealed = ciphertexts[path]()
+    assert opens[path](sealed)
+    real_pow = pow  # the first leg is always exponentiated in-process
+    monkeypatch.setattr(rsa, "pow", lambda base, exponent, modulus=None: real_pow(
+        base, exponent, modulus) + (modulus == private.primes[0]), raising=False)
+    with pytest.raises(DecryptionError) as info:
+        opens[path](sealed)
+    assert _error_shape(info.value) == (DecryptionError, ("decryption failed",))
+    assert info.value.__cause__ is None and info.value.__suppress_context__
+
+
 def test_sign_verify_round_trip(key_1024):
     public, private = key_1024
     rng = seeded(b"sig")

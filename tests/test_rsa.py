@@ -1,7 +1,13 @@
+import builtins
 import hashlib
 import inspect
 import math
+import os
 import random
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -88,6 +94,215 @@ def test_round_trip_identities_generated_key(key_512):
         m = int.from_bytes(rng.read(64), "big") % public.n
         assert rsa.rsa_private_op(rsa.rsa_public_op(m, public), private) == m
         assert rsa.rsa_public_op(rsa.rsa_private_op(m, private), public) == m
+
+
+# -- the fault check ------------------------------------------------------------
+
+
+def test_private_op_raises_exactly_where_crt_over_a_composite_prime_is_wrong():
+    # 15 is not prime: CRT gives 42 of the 105 results wrong, and the check
+    # (s^5 = c is one-to-one modulo 105) refuses exactly those
+    private = rsa.RsaPrivateKey(5, 17, (15, 7))
+    refused = 0
+    for c in range(105):
+        try:
+            assert rsa.rsa_private_op(c, private) == pow(c, 17, 105)
+        except rsa.FaultDetected:
+            refused += 1
+    assert refused == 42
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A process that may run on two CPUs, with no worker before or after the test."""
+    if not hasattr(os, "fork"):
+        pytest.skip("no os.fork on this platform")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    rsa._stop_worker()
+    yield
+    rsa._stop_worker()
+
+
+@pytest.fixture(scope="module")
+def key_u4():
+    """Four primes of 192 bits, above _LEG_BITS: legs 1 and 2 in-process, 3 and 4 in the worker."""
+    return rsa.generate_key(768, 4, 65537, seeded(b"fault/u4"))
+
+
+@pytest.mark.parametrize("in_worker", [False, True], ids=["in-process", "worker"])
+@pytest.mark.parametrize("position", [1, 2, 3, 4])
+def test_a_wrong_leg_at_any_position_is_refused_before_release(key_u4, position, in_worker,
+                                                                two_cpus, monkeypatch):
+    _, private = key_u4
+    if not in_worker:
+        monkeypatch.setattr(rsa, "_LEG_BITS", private.n.bit_length())
+    m = 0x1234567890ABCDEF
+    right = rsa.rsa_private_op(m, private)  # starts the worker, before any patch
+    assert (rsa._worker is not None) == in_worker
+    kept = 2
+    released = []
+
+    def faulty_pow(base, exponent, modulus=None):
+        if (modulus, exponent) == (private.n, private.e):
+            released.append(base)  # the check's input: what would be released
+        value = builtins.pow(base, exponent, modulus)
+        return value + 1 if modulus == private.primes[position - 1] else value
+
+    monkeypatch.setattr(rsa, "pow", faulty_pow, raising=False)
+    if in_worker and position > kept:
+        receive = rsa._receive
+        monkeypatch.setattr(rsa, "_receive", lambda fd: [
+            value + (k == position - kept - 1) for k, value in enumerate(receive(fd))])
+    with pytest.raises(rsa.FaultDetected):
+        rsa.rsa_private_op(m, private)
+    # unchecked, the result would have given away n / r_i (Bellcore, in Lenstra's form)
+    (s,) = released
+    assert s != right
+    assert math.gcd(pow(s, private.e, private.n) - m, private.n) == (
+        private.n // private.primes[position - 1])
+
+
+# -- the exponentiation worker ----------------------------------------------------
+
+
+def test_worker_results_equal_naive_exponentiation_for_2_to_16_primes(two_cpus):
+    rng = seeded(b"worker/u")
+    for u in range(2, rsa.MAX_PRIMES + 1):
+        _, private = rsa.generate_key(u * (rsa._LEG_BITS + 16), u, 65537, rng)
+        for c in (0, 1, 2, private.n - 1, int.from_bytes(rng.read(64), "big") % private.n):
+            assert rsa.rsa_private_op(c, private) == pow(c, private.d, private.n), u
+        assert rsa._worker is not None
+
+
+_REAPED_BY_EXIT = """
+import atexit, os
+pids = []
+
+def last():  # registered before pkcswb is imported, so it runs last
+    try:
+        os.waitpid(pids[0], os.WNOHANG)
+    except ChildProcessError:
+        print("reaped")
+    else:
+        print("not reaped")
+
+atexit.register(last)
+os.sched_getaffinity = lambda pid: {0, 1}
+from pkcswb import pkcs1, rsa
+from pkcswb.primitives import SeededSource
+_, private = rsa.generate_key(512, 2, 65537, SeededSource(b"exit"))
+pkcs1.sign(b"m", private, SeededSource(b"salt"))
+pids.append(rsa._worker.pid)
+"""
+
+
+def test_a_process_that_signs_has_reaped_its_worker_by_its_last_exit_handler(two_cpus):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(Path(rsa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", _REAPED_BY_EXIT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "reaped\n", "")
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_an_exception_after_send_discards_the_worker(two_cpus, key_1024, monkeypatch):
+    _, private = key_1024
+    assert rsa.rsa_private_op(2, private) == pow(2, private.d, private.n)
+    first = rsa._worker
+
+    def interrupted(fd):
+        raise _Interrupted()
+
+    receive = rsa._receive
+    monkeypatch.setattr(rsa, "_receive", interrupted)
+    with pytest.raises(_Interrupted):
+        rsa.rsa_private_op(3, private)  # its worker leg's reply is left unread
+    monkeypatch.setattr(rsa, "_receive", receive)
+    assert rsa._worker is None
+    with pytest.raises(ChildProcessError):
+        os.waitpid(first.pid, os.WNOHANG)  # reaped
+    assert rsa.rsa_private_op(2, private) == pow(2, private.d, private.n)
+    assert rsa._worker is not first
+
+
+def test_two_threads_signing_at_once_both_get_correct_results(two_cpus, key_1024):
+    _, private = key_1024
+    rsa.rsa_private_op(2, private)  # the worker starts while the process has one thread
+    rng = random.Random(7)
+    inputs = [[rng.randrange(private.n) for _ in range(40)] for _ in range(2)]
+    results = {}
+
+    def sign(k):
+        results[k] = [rsa.rsa_private_op(c, private) for c in inputs[k]]
+
+    threads = [threading.Thread(target=sign, args=(k,)) for k in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for k in range(2):
+        assert results[k] == [pow(c, private.d, private.n) for c in inputs[k]]
+    assert rsa._worker is not None
+
+
+def test_a_forked_child_does_not_use_its_parents_worker(two_cpus, key_1024):
+    _, private = key_1024
+    expected = pow(3, private.d, private.n)
+    rsa.rsa_private_op(2, private)
+    parent = rsa._worker
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            closed = []
+            for fd in (parent.requests, parent.replies):
+                try:
+                    os.fstat(fd)
+                except OSError:
+                    closed.append(fd)
+            forgotten = rsa._worker is None and len(closed) == 2
+            right = rsa.rsa_private_op(3, private) == expected
+            own = rsa._worker is not None and rsa._worker.pid != parent.pid
+            rsa._stop_worker()
+            code = 0 if (forgotten, right, own) == (True, True, True) else 1
+        finally:
+            os._exit(code)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert rsa._worker is parent
+    assert rsa.rsa_private_op(3, private) == expected
+
+
+@pytest.mark.parametrize("condition", ["one CPU", "small primes", "a second thread"])
+def test_no_worker_is_forked_unless_every_condition_holds(condition, two_cpus, key_1024,
+                                                          monkeypatch):
+    private = key_1024[1]
+    if condition == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    elif condition == "small primes":
+        _, private = rsa.generate_key(2 * (rsa._LEG_BITS - 8), 2, 65537, seeded(b"small"))
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no fork in this test")
+
+    monkeypatch.setattr(os, "fork", fork)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if condition == "a second thread":
+        thread.start()
+    try:
+        for c in (2, 3, 5):
+            assert rsa.rsa_private_op(c, private) == pow(c, private.d, private.n)
+    finally:
+        release.set()
+        if thread.is_alive():
+            thread.join()
+    assert forks == [] and rsa._worker is None
 
 
 def test_private_key_invariants_checked():

@@ -1,8 +1,11 @@
 """The runtime stays stdlib-only: no import outside the standard library, and
 no code generated at import: neither ``dataclasses`` nor ``typing`` is
-imported and nothing calls ``exec``, ``eval`` or ``compile``.  The oracles
-the tests and the benchmark check pkcswb against import only the standard
-library, so neither shares code with what it checks."""
+imported and nothing calls ``exec``, ``eval`` or ``compile``.  One process
+is started, by one module: ``rsa`` forks its exponentiation worker with
+``os.fork``, and nothing imports ``multiprocessing``, ``concurrent`` or
+``subprocess``.  The oracles the tests and the benchmark check pkcswb
+against import only the standard library, so neither shares code with what
+it checks."""
 
 import ast
 import sys
@@ -47,6 +50,20 @@ def test_package_generates_no_code():
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id in ("exec", "eval", "compile")]
     assert found == []
+
+
+def test_only_rsa_forks_and_nothing_starts_a_process_another_way():
+    forking, starting = [], []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        where = path.relative_to(PACKAGE)
+        forking += [f"{where}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr.startswith("fork")
+                    or isinstance(node, ast.alias) and node.name.startswith("fork")]
+        starting += [f"{where}: import {name}" for name in _imported_modules(path)
+                     if name.partition(".")[0] in ("multiprocessing", "concurrent", "subprocess")]
+    assert [entry.partition(":")[0] for entry in forking] == ["rsa.py"]
+    assert starting == []
 
 
 def test_oracles_import_only_the_standard_library():
