@@ -32,6 +32,7 @@ because its modulus, public exponent and prime count set the cost of the
 work done with it, and key generation holds to the same caps, so it never
 writes a key the readers refuse.
 """
+
 from __future__ import annotations
 
 import atexit

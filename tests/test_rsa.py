@@ -258,6 +258,24 @@ def test_threads_signing_at_once_all_get_correct_results(two_cpus, key_1024):
     assert rsa._worker is not None
 
 
+def test_private_ops_survive_a_timer_signal_every_half_millisecond(two_cpus, key_1024):
+    # the benchmark's speed meter interrupts every 25 ms: a read or write on a
+    # worker pipe that a signal interrupts is resumed (PEP 475)
+    _, private = key_1024
+    rng = random.Random(11)
+    inputs = [rng.randrange(private.n) for _ in range(40)]
+    signals = []
+    previous = signal.signal(signal.SIGALRM, lambda *args: signals.append(1))
+    signal.setitimer(signal.ITIMER_REAL, 0.0005, 0.0005)
+    try:
+        results = [rsa.rsa_private_op(c, private) for c in inputs]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert results == [pow(c, private.d, private.n) for c in inputs]
+    assert signals and rsa._worker is not None
+
+
 def test_a_forked_child_does_not_use_its_parents_worker(two_cpus, key_1024):
     _, private = key_1024
     expected = pow(3, private.d, private.n)
