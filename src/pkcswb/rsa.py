@@ -15,15 +15,18 @@ would otherwise give a signature s for which gcd(s^e - m, n) is a factor of n
 "primes" are not all prime gives wrong results too, so ``pkcs1`` runs the
 same check once on every key it reads; one check does not prove primality.
 
-The legs are independent, and ⌊u/2⌋ of them run in one forked worker
-process while the caller computes the other ⌈u/2⌉, when all of these hold:
-``os.fork`` exists, the process may run on two or more CPUs, it has one
-thread when the worker starts, and every prime has at least _LEG_BITS bits.
-Otherwise, and whenever another thread holds the worker, every leg runs
-in-process.  The results are the same either way, since the same Garner loop
-recombines the same values.  The worker starts at the first operation that
-may use it, serves only the process that forked it, and is closed and reaped
-at exit; key generation never uses it.
+Two kinds of exponentiation are independent of each other: a private
+operation's u legs, and the 40 random-witness Miller-Rabin rounds of a prime
+candidate.  The last half of either runs in one forked worker process while
+the caller computes the first half, when all of these hold: ``os.fork``
+exists, the process may run on two or more CPUs, it has one thread when the
+worker starts, and every modulus (a prime of the key, or the candidate) has
+at least _LEG_BITS bits.  Otherwise, and whenever another thread holds the
+worker, all of them run in-process.  The results are the same either way, and
+key generation reads the same octets either way.  The worker starts at the
+first exchange that may use it, serves only the process that forked it, and
+is closed and reaped at exit, or when an import of this module that has been
+discarded is collected.
 
 Desk-scale keys are first class: nothing below enforces a minimum modulus
 beyond arithmetic validity, so exhaustive sweeps over toy moduli stay cheap.
@@ -36,10 +39,13 @@ writes a key the readers refuse.
 from __future__ import annotations
 
 import atexit
+import functools
 import itertools
 import math
 import os
 import threading
+import types
+import weakref
 
 from .errors import BadParameter, Frozen, PkcsError
 from .primitives import RandomSource, RngExhausted
@@ -233,7 +239,12 @@ MILLER_RABIN_ROUNDS = 40
 def _is_strong_probable_prime(a: int, n: int, d: int, s: int) -> bool:
     """One Miller-Rabin round: is n a strong probable prime to base a, where
     n - 1 = d * 2^s with d odd?"""
-    x = pow(a, d, n)
+    return _squarings_pass(pow(a, d, n), n, s)
+
+
+def _squarings_pass(x: int, n: int, s: int) -> bool:
+    """The rest of a Miller-Rabin round once x = a^d mod n is known: x is 1
+    or n - 1, or one of its s - 1 squarings is n - 1."""
     if x in (1, n - 1):
         return True
     for _ in range(s - 1):
@@ -250,7 +261,11 @@ def _is_probable_prime(n: int, rng: RandomSource) -> bool:
     refused by the first of three steps that finds it composite: the gcd with
     the primes below 1000, then, once the first witness is drawn, the gcd with
     the primes in [1000, 2^14) and a strong test to base 2.  A candidate that
-    passes all three must pass MILLER_RABIN_ROUNDS random-witness rounds.
+    passes all three draws its other MILLER_RABIN_ROUNDS - 1 witnesses, in
+    order, and must pass a round with each of the MILLER_RABIN_ROUNDS.  Their
+    exponentiations go through _powers, the last half to the worker when it
+    is free, and the squarings are finished here.  So the octets read depend
+    on the candidate alone: none, one witness, or all of them.
     """
     if n < 2:
         return False
@@ -264,18 +279,19 @@ def _is_probable_prime(n: int, rng: RandomSource) -> bool:
         d //= 2
         s += 1
     width = (n.bit_length() + 7) // 8
-    for i in range(MILLER_RABIN_ROUNDS):
-        a = 2 + int.from_bytes(rng.read(width), "big") % (n - 3)
-        # Both steps run after the first witness is drawn, so the source is
-        # read as by Miller-Rabin alone unless n is composite and a strong
-        # liar for that witness.  Here n >= 997^2 exceeds every prime of the
-        # product: a gcd above 1 is a proper factor.
-        if i == 0 and (math.gcd(n, _PRODUCT) != 1
-                       or not _is_strong_probable_prime(2, n, d, s)):
-            return False
-        if not _is_strong_probable_prime(a, n, d, s):
-            return False
-    return True
+
+    def witness() -> int:
+        return 2 + int.from_bytes(rng.read(width), "big") % (n - 3)
+
+    witnesses = [witness()]
+    # Both steps run after the first witness is drawn, and every witness is
+    # drawn before any round runs, so a prime reads what Miller-Rabin alone
+    # reads.  Here n >= 997^2 exceeds every prime of the product: a gcd
+    # above 1 is a proper factor.
+    if math.gcd(n, _PRODUCT) != 1 or not _is_strong_probable_prime(2, n, d, s):
+        return False
+    witnesses += [witness() for _ in range(MILLER_RABIN_ROUNDS - 1)]
+    return all(_squarings_pass(x, n, s) for x in _powers([(a, d, n) for a in witnesses]))
 
 
 def _prime_floor(bits: int, u: int) -> int:
@@ -311,11 +327,17 @@ def generate_prime(bits: int, rng: RandomSource, u: int = 2) -> int:
     the first witness is drawn and before its exponentiation, a gcd with the
     primes in [1000, 2^14), and a strong test to base 2.  Base 2 costs about
     0.8 of a random witness in CPython's windowed pow, whose table of odd
-    powers 2, 2^3, ..., 2^31 then holds numbers of one or two digits.  The
-    three steps read no octet, so a seed gives the same primes as
-    Miller-Rabin alone, except where a composite that is a strong liar for
-    the drawn witness is refused by the second or third step: it reads one
-    witness, where Miller-Rabin alone would read more.
+    powers 2, 2^3, ..., 2^31 then holds numbers of one or two digits.
+
+    Each candidate reads its own octets, then no witness (refused by the
+    first step), one (refused by the second or third) or all
+    MILLER_RABIN_ROUNDS, before any of their rounds runs, wherever the rounds
+    then run.  A prime reads its witnesses as Miller-Rabin alone does, so a
+    seed gives the same primes as Miller-Rabin alone, on one CPU or two.  A
+    composite that the second or third step refuses reads one witness, where
+    Miller-Rabin alone may read more; one that passes them (a strong base-2
+    pseudoprime with no factor below 2^14) reads all of them, where
+    Miller-Rabin alone stops at the first that refuses it.
     """
     if bits < 8:
         raise BadParameter("need at least 8 bits")
@@ -397,30 +419,11 @@ def rsa_private_op(c: int, sk: RsaPrivateKey) -> int:
 
 
 def _checked_crt(c: int, sk: RsaPrivateKey) -> int:
-    """rsa_private_op for c in [0, n): the legs, the last ⌊u/2⌋ in the worker
-    when it is free, the Garner loop, then the check against the public
-    exponent.  The check calls ``pow`` itself, not rsa_public_op, so the
-    benchmark's tracer counts no public operation for it."""
-    legs = list(zip(sk.primes, sk.crt_exponents))
-    kept = len(legs) - len(legs) // 2
-    worker = _free_worker(sk)
-    if worker is None:
-        values = [pow(c, d_i, r) for r, d_i in legs]
-    else:
-        try:
-            _send(worker.requests, [c, *itertools.chain.from_iterable(legs[kept:])])
-            values = [pow(c, d_i, r) for r, d_i in legs[:kept]]
-            values += _receive(worker.replies)
-        except OSError:
-            values = []
-        except BaseException:  # a reply may be on its way: no later op may read it
-            _discard(worker)
-            raise
-        if len(values) == len(legs):
-            worker.lock.release()
-        else:  # the worker is gone: its legs are done here
-            _discard(worker)
-            values = [pow(c, d_i, r) for r, d_i in legs]
+    """rsa_private_op for c in [0, n): the legs, through _powers, the Garner
+    loop, then the check against the public exponent.  The check calls
+    ``pow`` itself, not rsa_public_op, so the benchmark's tracer counts no
+    public operation for it."""
+    values = _powers([(c, d_i, r) for r, d_i in zip(sk.primes, sk.crt_exponents)])
     result, product = 0, 1
     for value, r, t_i in zip(values, sk.primes, sk.crt_coefficients):
         result += product * ((value - result) * t_i % r)
@@ -433,16 +436,46 @@ def _checked_crt(c: int, sk: RsaPrivateKey) -> int:
 # ---------------------------------------------------------------------------
 # the exponentiation worker
 
-# The least prime size, in bits, of a leg the worker takes: the crossover
-# measured on two vCPUs with u = 2, where an operation took 121 µs with the
-# worker against 115 in-process at 128-bit primes, and 181 against 202 at 160.
+# The least modulus size, in bits, that the worker takes: the crossover
+# measured for private operations on two vCPUs with u = 2, where one took
+# 121 µs with the worker against 115 in-process at 128-bit primes, and 181
+# against 202 at 160.
 _LEG_BITS = 160
 
 
+def _powers(triples: list[tuple[int, int, int]]) -> list[int]:
+    """pow(b, e, m) for each triple (b, e, m): the last half in the worker
+    while the first half runs in-process, when _free_worker gives the worker;
+    all in-process when it does not, and when the worker fails, which
+    discards it."""
+    worker = _free_worker(min(m for _, _, m in triples).bit_length())
+    if worker is None:
+        return [pow(b, e, m) for b, e, m in triples]
+    kept = len(triples) - len(triples) // 2
+    try:
+        _send(worker.requests, list(itertools.chain.from_iterable(triples[kept:])))
+        values = [pow(b, e, m) for b, e, m in triples[:kept]]
+        values += _receive(worker.replies)
+    except OSError:
+        values = []
+    except BaseException:  # a reply may be on its way: no later exchange may read it
+        _discard(worker)
+        raise
+    if len(values) == len(triples):
+        worker.lock.release()
+        return values
+    _discard(worker)  # the worker is gone: its half is done here
+    return [pow(b, e, m) for b, e, m in triples]
+
+
 class _Worker:
-    """A forked process that answers each request c, r_1, d_1, r_2, d_2, ...
-    with c^d_1 mod r_1, c^d_2 mod r_2, ... until its request pipe closes.
-    ``lock`` admits one exchange at a time; a discarded worker keeps it held."""
+    """A forked process that answers each request b_1, e_1, m_1, b_2, ... with
+    b_1^e_1 mod m_1, b_2^e_2 mod m_2, ... until its request pipe closes.
+    ``lock`` admits one exchange at a time; a discarded worker keeps it held.
+    A worker dropped unclosed, with the import of this module that held it,
+    is closed and reaped then."""
+
+    open = False  # until the fork succeeds
 
     def __init__(self):
         requests, self.requests = os.pipe()
@@ -463,27 +496,35 @@ class _Worker:
                 os._exit(0)
         os.close(requests)
         os.close(replies)
+        self.open = True
 
-    def close(self) -> None:
-        """Close both pipes, which ends the worker's loop, then reap it."""
+    def close(self, reap: bool = True) -> None:
+        """Close both pipes, which ends the worker's loop, then reap it; only
+        the first call acts.  A forked child passes ``reap=False``."""
+        if not self.open:
+            return
+        self.open = False
         os.close(self.requests)
         os.close(self.replies)
-        try:
-            os.waitpid(self.pid, 0)
-        except ChildProcessError:  # SIGCHLD ignored: the system reaped it
-            pass
+        if reap:
+            try:
+                os.waitpid(self.pid, 0)
+            except ChildProcessError:  # SIGCHLD ignored: the system reaped it
+                pass
+
+    __del__ = close
 
 
 _worker: _Worker | None = None
 
 
-def _free_worker(sk: RsaPrivateKey) -> _Worker | None:
+def _free_worker(bits: int) -> _Worker | None:
     """The process's worker, started if there is none, locked for one exchange;
-    None when a prime of ``sk`` is below _LEG_BITS, when no worker can start
-    (no ``os.fork``, one CPU, other threads, or a failed fork), and when
-    another thread holds it."""
+    None when the least modulus has ``bits`` < _LEG_BITS, when no worker can
+    start (no ``os.fork``, one CPU, other threads, or a failed fork), and
+    when another thread holds it."""
     global _worker
-    if min(r.bit_length() for r in sk.primes) < _LEG_BITS:
+    if bits < _LEG_BITS:
         return None
     worker = _worker
     if worker is None:
@@ -507,7 +548,6 @@ def _discard(worker: _Worker) -> None:
     worker.close()
 
 
-@atexit.register
 def _stop_worker() -> None:
     """At exit: close and reap the worker, once an exchange that a daemon
     thread may still have in flight ends (waiting a second at most)."""
@@ -525,19 +565,32 @@ def _forget_worker() -> None:
     global _worker
     worker, _worker = _worker, None
     if worker is not None:
-        os.close(worker.requests)
-        os.close(worker.replies)
+        worker.close(reap=False)
 
 
+def _call_if_alive(ref: weakref.ref) -> None:
+    """Call the function ``ref`` refers to, unless it has been collected."""
+    function = ref()
+    if function is not None:
+        function()
+
+
+# atexit and os.register_at_fork keep their hooks to the end of the process.
+# Each hook here is _call_if_alive rebuilt with empty globals, holding its
+# function weakly, so no hook keeps an import of this module alive: one that
+# is discarded for a fresh import is collected, and its worker closed and
+# reaped with it.
+_call_if_alive = types.FunctionType(_call_if_alive.__code__, {})
+atexit.register(_call_if_alive, weakref.ref(_stop_worker))
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
+    os.register_at_fork(
+        after_in_child=functools.partial(_call_if_alive, weakref.ref(_forget_worker)))
 
 
 def _serve(requests: int, replies: int) -> None:
     """The worker's loop: one reply per request, until end of file."""
     while request := _receive(requests):
-        c, *legs = request
-        _send(replies, [pow(c, d_i, r) for r, d_i in zip(legs[::2], legs[1::2])])
+        _send(replies, [pow(b, e, m) for b, e, m in zip(*[iter(request)] * 3)])
 
 
 def _send(fd: int, values: list[int]) -> None:

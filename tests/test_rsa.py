@@ -198,21 +198,74 @@ pids.append(rsa._worker.pid)
 """
 
 
-def test_a_process_that_signs_has_reaped_its_worker_by_its_last_exit_handler(two_cpus):
+def _run_python(code: str) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a fresh interpreter running ``code``
+    with this checkout's pkcswb."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(Path(rsa.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run([sys.executable, "-c", _REAPED_BY_EXIT], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "reaped\n", "")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_a_process_that_signs_has_reaped_its_worker_by_its_last_exit_handler(two_cpus):
+    assert _run_python(_REAPED_BY_EXIT) == (0, "reaped\n", "")
+
+
+_FRESH_IMPORTS = """
+import gc, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+pids = []
+for _ in range(3):  # as the benchmark's set-up does before each build
+    for name in [m for m in sys.modules if m == "pkcswb" or m.startswith("pkcswb.")]:
+        del sys.modules[name]
+    from pkcswb import pkcs1, rsa
+    from pkcswb.primitives import SeededSource
+    _, private = rsa.generate_key(512, 2, 65537, SeededSource(b"fresh"))
+    pkcs1.sign(b"m", private, SeededSource(b"salt"))
+    pids.append(rsa._worker.pid)
+del pkcs1, rsa, SeededSource, private
+gc.collect()
+live = []
+for pid in pids:
+    try:
+        live.append(os.waitpid(pid, os.WNOHANG) == (0, 0))
+    except ChildProcessError:  # reaped
+        live.append(False)
+dicts = [o for o in gc.get_objects()
+         if isinstance(o, dict) and o.get("__name__") == "pkcswb.primitives"]
+print(live, len(dicts))
+"""
+
+
+def test_a_discarded_import_is_collected_and_its_worker_reaped(two_cpus):
+    # the exit and fork hooks hold no module: of three imports, each with its
+    # own worker, only the last is alive once the others are collected
+    assert _run_python(_FRESH_IMPORTS) == (0, "[False, False, True] 1\n", "")
 
 
 class _Interrupted(Exception):
     pass
 
 
-def test_an_exception_after_send_discards_the_worker(two_cpus, key_1024, monkeypatch):
-    _, private = key_1024
-    assert rsa.rsa_private_op(2, private) == pow(2, private.d, private.n)
+@pytest.fixture(params=["private op", "key generation"])
+def exchange(request, key_1024, monkeypatch):
+    """A call that exchanges with the worker, and what it returns in-process."""
+    if request.param == "private op":
+        _, private = key_1024
+        return (lambda: rsa.rsa_private_op(3, private)), pow(3, private.d, private.n)
+
+    def generate():
+        return rsa.generate_key(1024, 2, 65537, seeded(b"exchange"))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rsa, "_LEG_BITS", 1 << 20)
+        return generate, generate()
+
+
+def test_an_exception_after_send_discards_the_worker(exchange, two_cpus, monkeypatch):
+    run, expected = exchange
+    assert run() == expected
     first = rsa._worker
 
     def interrupted(fd):
@@ -221,12 +274,12 @@ def test_an_exception_after_send_discards_the_worker(two_cpus, key_1024, monkeyp
     receive = rsa._receive
     monkeypatch.setattr(rsa, "_receive", interrupted)
     with pytest.raises(_Interrupted):
-        rsa.rsa_private_op(3, private)  # its worker leg's reply is left unread
+        run()  # the worker's reply is left unread
     monkeypatch.setattr(rsa, "_receive", receive)
     assert rsa._worker is None
     with pytest.raises(ChildProcessError):
         os.waitpid(first.pid, os.WNOHANG)  # reaped
-    assert rsa.rsa_private_op(2, private) == pow(2, private.d, private.n)
+    assert run() == expected
     assert rsa._worker is not first
 
 
@@ -276,10 +329,9 @@ def test_private_ops_survive_a_timer_signal_every_half_millisecond(two_cpus, key
     assert signals and rsa._worker is not None
 
 
-def test_a_forked_child_does_not_use_its_parents_worker(two_cpus, key_1024):
-    _, private = key_1024
-    expected = pow(3, private.d, private.n)
-    rsa.rsa_private_op(2, private)
+def test_a_forked_child_does_not_use_its_parents_worker(exchange, two_cpus):
+    run, expected = exchange
+    assert run() == expected
     parent = rsa._worker
     pid = os.fork()
     if pid == 0:
@@ -292,7 +344,7 @@ def test_a_forked_child_does_not_use_its_parents_worker(two_cpus, key_1024):
                 except OSError:
                     closed.append(fd)
             forgotten = rsa._worker is None and len(closed) == 2
-            right = rsa.rsa_private_op(3, private) == expected
+            right = run() == expected
             own = rsa._worker is not None and rsa._worker.pid != parent.pid
             rsa._stop_worker()
             code = 0 if (forgotten, right, own) == (True, True, True) else 1
@@ -309,7 +361,7 @@ def test_a_forked_child_does_not_use_its_parents_worker(two_cpus, key_1024):
         pytest.fail("the forked child did not exit")
     assert os.waitstatus_to_exitcode(status) == 0
     assert rsa._worker is parent
-    assert rsa.rsa_private_op(3, private) == expected
+    assert run() == expected
 
 
 @pytest.mark.parametrize("condition", ["one CPU", "small primes", "a second thread"])
@@ -340,6 +392,75 @@ def test_no_worker_is_forked_unless_every_condition_holds(condition, two_cpus, k
             thread.join(timeout=60)
     assert not thread.is_alive()
     assert forks == [] and rsa._worker is None
+
+
+# -- key generation through the worker ------------------------------------------------
+
+
+def _keygen(seed: bytes) -> tuple[tuple[int, ...], list[int]]:
+    """The primes of a seeded 1024-bit two-prime key, and the sizes of the
+    reads it made, in order."""
+    rng = _CountingSource(seed)
+    return rsa.generate_key(1024, 2, 65537, rng)[1].primes, rng.reads
+
+
+def test_key_generation_reads_the_same_octets_with_or_without_the_worker(two_cpus,
+                                                                         monkeypatch):
+    with_worker = _keygen(b"host")
+    assert rsa._worker is not None
+    rsa._stop_worker()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_cpu = _keygen(b"host")
+    assert rsa._worker is None
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        second_thread = _keygen(b"host")
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert rsa._worker is None
+    assert with_worker == one_cpu == second_thread
+    # a candidate's 72 octets, then the kept prime's 40 witnesses of 64
+    assert with_worker[1][-1 - rsa.MILLER_RABIN_ROUNDS:] == [72] + [64] * rsa.MILLER_RABIN_ROUNDS
+
+
+def _kill(worker) -> None:
+    os.kill(worker.pid, signal.SIGKILL)
+
+
+def _end_replies(worker) -> None:
+    """Put /dev/null where the worker's reply pipe was: the next read ends."""
+    null = os.open(os.devnull, os.O_RDONLY)
+    os.dup2(null, worker.replies)
+    os.close(null)
+
+
+@pytest.mark.parametrize("failure", [_kill, _end_replies], ids=["killed", "replies end"])
+def test_a_worker_that_fails_during_key_generation_is_discarded(failure, two_cpus, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(rsa, "_LEG_BITS", 1 << 20)
+        expected = rsa.generate_key(1024, 3, 65537, seeded(b"keygen/fails"))
+    exchanges = []
+    send = rsa._send
+
+    def failing_on_the_second_exchange(fd, values):
+        worker = rsa._worker
+        if worker is not None and fd == worker.requests:  # not the worker's replies
+            exchanges.append(worker.pid)
+            if len(exchanges) == 2:
+                failure(worker)
+        send(fd, values)
+
+    monkeypatch.setattr(rsa, "_send", failing_on_the_second_exchange)
+    assert rsa.generate_key(1024, 3, 65537, seeded(b"keygen/fails")) == expected
+    # one exchange per kept prime: the second fails, and a new worker takes the third
+    first, failed, third = exchanges
+    assert first == failed != third == rsa._worker.pid
+    with pytest.raises(ChildProcessError):
+        os.waitpid(failed, os.WNOHANG)  # reaped
 
 
 def test_private_key_invariants_checked():
@@ -452,18 +573,28 @@ class _CountingSource(SeededSource):
         return super().read(n)
 
 
-def _count_exponentiations(monkeypatch) -> list[tuple[int, int]]:
+def _count_exponentiations(monkeypatch) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
     """(base, exponent) of the modular exponentiations rsa runs from now on,
-    bar squarings."""
-    calls = []
+    bar squarings, in-process or in the worker; and of those it sends to
+    the worker, which are in the first list too, in the order sent."""
+    calls, sent = [], []
 
     def counting(base, exponent, modulus=None):
         if exponent != 2:
             calls.append((base, exponent))
         return pow(base, exponent, modulus)
 
+    def sending(fd, values, send=rsa._send):
+        # only the parent sends requests: a worker forked from now on
+        # appends its replies to its own copy of these lists
+        triples = list(zip(values[::3], values[1::3]))
+        calls.extend(triples)
+        sent.extend(triples)
+        send(fd, values)
+
     monkeypatch.setattr(rsa, "pow", counting, raising=False)
-    return calls
+    monkeypatch.setattr(rsa, "_send", sending)
+    return calls, sent
 
 
 def _odd_part(n: int) -> int:
@@ -502,7 +633,7 @@ def test_factor_below_2_14_rejected_with_one_witness_and_no_exponentiation(monke
     assert factors[:2] == [1009, 16381]
     cofactors = [rsa.generate_prime(bits, seeded(b"cofactor/%d" % bits)) for bits in (21, 64, 512)]
     assert all(r > 2**20 for r in cofactors)
-    calls = _count_exponentiations(monkeypatch)
+    calls, _ = _count_exponentiations(monkeypatch)
     for q in factors:
         for r in cofactors:
             rng = _CountingSource(b"%d*%d" % (q, r))
@@ -527,8 +658,16 @@ def test_seeded_key_primes_are_pinned():
     assert private.primes == _STREAM_GUARD_PRIMES
 
 
-def test_seeded_prime_spends_a_pinned_count_of_exponentiations(monkeypatch):
-    calls = _count_exponentiations(monkeypatch)
+@pytest.fixture(params=[False, True], ids=["in-process", "worker"])
+def rounds_in_worker(request, two_cpus, monkeypatch):
+    """Whether the Miller-Rabin rounds' last half may go to the worker: any
+    candidate size may, or none may."""
+    monkeypatch.setattr(rsa, "_LEG_BITS", 0 if request.param else 1 << 20)
+    return request.param
+
+
+def test_seeded_prime_spends_a_pinned_count_of_exponentiations(rounds_in_worker, monkeypatch):
+    calls, sent = _count_exponentiations(monkeypatch)
     p = rsa.generate_prime(512, seeded(b"stream guard/512"))
     assert p == int("c6b141cb3aebefd31ac67a8db0053de0b17f531ed81df22a696177bf5b6c39cf"
                     "3a2ae58e441969ecb09163caa4e10383d5ca6f5489032a0b86b38a008b5eab67", 16)
@@ -541,9 +680,13 @@ def test_seeded_prime_spends_a_pinned_count_of_exponentiations(monkeypatch):
     assert [exponent for _, exponent in prime] == [_odd_part(p)] * (1 + rsa.MILLER_RABIN_ROUNDS)
     assert all(base != 2 for base, _ in prime[1:])
     assert len(calls) == 1 + rsa.MILLER_RABIN_ROUNDS + 9 == 50
+    # the worker takes the last half of the kept prime's random-witness rounds
+    assert len(sent) == (rsa.MILLER_RABIN_ROUNDS // 2 if rounds_in_worker else 0)
+    assert (rsa._worker is not None) == rounds_in_worker
 
 
-def test_strong_base_2_pseudoprime_is_refused_by_the_random_witnesses(monkeypatch):
+def test_strong_base_2_pseudoprime_is_refused_by_the_random_witnesses(rounds_in_worker,
+                                                                       monkeypatch):
     # the least kind of composite the three steps pass: no factor below 2^14
     # and a strong liar for base 2
     n = 579956653
@@ -551,21 +694,26 @@ def test_strong_base_2_pseudoprime_is_refused_by_the_random_witnesses(monkeypatc
     assert is_prime_by_trial_division(17029) and is_prime_by_trial_division(34057)
     d = _odd_part(n)
     assert rsa._is_strong_probable_prime(2, n, d, 2)
-    calls = _count_exponentiations(monkeypatch)
+    calls, sent = _count_exponentiations(monkeypatch)
     rng = _CountingSource(b"spsp2/10")
     assert not rsa._is_probable_prime(n, rng)
-    # the first two witnesses lie too, and the third refuses n: base 2 only
-    # ever refuses a candidate, never accepts one
-    assert rng.reads == [4, 4, 4]
+    # having passed the three steps, n draws all its witnesses before any
+    # round runs, and the first two lie too, but the third refuses n: base 2
+    # only ever refuses a candidate, never accepts one
+    assert rng.reads == [4] * rsa.MILLER_RABIN_ROUNDS
     assert calls[0] == (2, d)
-    assert [exponent for _, exponent in calls] == [d] * 4
+    assert [exponent for _, exponent in calls] == [d] * (1 + rsa.MILLER_RABIN_ROUNDS)
     assert all(base != 2 for base, _ in calls[1:])
+    assert len(sent) == (rsa.MILLER_RABIN_ROUNDS // 2 if rounds_in_worker else 0)
+    source = seeded(b"spsp2/10")
+    witnesses = [2 + int.from_bytes(source.read(4), "big") % (n - 3) for _ in range(3)]
+    assert [rsa._is_strong_probable_prime(a, n, d, 2) for a in witnesses] == [True, True, False]
 
 
 def test_composite_refused_by_base_2_reads_one_witness_and_no_random_exponentiation(monkeypatch):
     primes = [rsa.generate_prime(bits, seeded(b"base 2/%d" % bits)) for bits in (15, 21, 64, 512)]
     assert all(r > 2**14 for r in primes)
-    calls = _count_exponentiations(monkeypatch)
+    calls, _ = _count_exponentiations(monkeypatch)
     for i, q in enumerate(primes):
         for r in primes[i:]:
             rng = _CountingSource(b"%d*%d" % (q, r))
