@@ -16,8 +16,8 @@ from __future__ import annotations
 from . import asn1, pkcs1
 from .asn1 import AlgorithmIdentifier, DerForm, DerValue
 from .errors import Frozen, PkcsError
-from .keystore import (ATTRIBUTE_REGISTRY, Attribute, UnknownAttributeType, _attribute_value,
-                       _attributes_from_der, _attributes_to_der)
+from .keystore import (ATTRIBUTE_REGISTRY, Attribute, UnknownAttributeType,
+                       _attributes_from_der, _attributes_to_der, attribute_make)
 from .pkcs1 import pss_salt_len_for  # re-exported: the rule itself lives in pkcs1
 from .primitives import RandomSource
 from .rsa import RsaPrivateKey, RsaPublicKey
@@ -42,10 +42,10 @@ class MalformedRequest(PkcsError, ValueError):
 
 
 class Name(DerForm, Frozen):
-    """Ordered distinguished-name pairs; commonName is mandatory.  Each value,
-    text or the received DerValue ``_parse`` passes, is checked once, as it
-    lies, by the constructor of keystore's Attribute; ``_build`` builds the
-    kept text again and checks nothing."""
+    """Ordered distinguished-name pairs of a field and the DerValue that
+    ``attribute_make`` built from text, or took as received, and checked once;
+    ``_build`` writes the kept values.  commonName is mandatory, and equality
+    covers each value's string type: names are equal only when their DER is."""
 
     _fields = ("pairs",)
 
@@ -54,19 +54,17 @@ class Name(DerForm, Frozen):
         for key, value in pairs:
             if key not in _NAME_FIELDS:
                 raise UnknownAttributeType(key)
-            oid, der_value = _attribute_value(key, value)
-            Attribute(oid, (der_value,))  # the one check, as of any attribute
-            checked.append((key, der_value.as_text()))
+            checked.append((key, attribute_make(key, value).values[0]))
         if "commonName" not in (key for key, _ in checked):
             raise MalformedRequest("commonName is required")
         self.__dict__["pairs"] = tuple(checked)
 
     def get(self, field: str) -> str | None:
-        return next((value for key, value in self.pairs if key == field), None)
+        return next((value.as_text() for key, value in self.pairs if key == field), None)
 
     def _build(self) -> DerValue:
-        return asn1.sequence(*(asn1.set_value(asn1.sequence(asn1.oid_value(oid), value))
-                               for oid, value in (_attribute_value(*pair) for pair in self.pairs)))
+        return asn1.sequence(*(asn1.set_value(asn1.sequence(
+            asn1.oid_value(ATTRIBUTE_REGISTRY[key][0]), value)) for key, value in self.pairs))
 
     @classmethod
     def _parse(cls, value: DerValue) -> "Name":

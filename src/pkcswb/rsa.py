@@ -478,15 +478,17 @@ class _Worker:
     open = False  # until the fork succeeds
 
     def __init__(self):
-        requests, self.requests = os.pipe()
-        self.replies, replies = os.pipe()
-        self.lock = threading.Lock()
+        fds = []  # the request pipe's two ends, then the reply pipe's
         try:
+            fds += os.pipe()
+            fds += os.pipe()
             self.pid = os.fork()
         except OSError:
-            for fd in (requests, self.requests, self.replies, replies):
+            for fd in fds:
                 os.close(fd)
             raise
+        requests, self.requests, self.replies, replies = fds
+        self.lock = threading.Lock()
         if self.pid == 0:
             try:
                 os.close(self.requests)

@@ -966,7 +966,7 @@ def test_toy_issue_and_fields(key_1024, key_1024_b):
 
 
 def test_toy_issue_carries_a_received_subject_as_received(key_1024, key_1024_b):
-    # a commonName as a PrintableString: Name writes it as a UTF8String
+    # a commonName as a PrintableString, where Name writes text as a UTF8String
     subject_public, subject_private = key_1024
     ca_public, ca_private = key_1024_b
     subject_v = asn1.sequence(asn1.set_value(asn1.sequence(
@@ -976,7 +976,8 @@ def test_toy_issue_carries_a_received_subject_as_received(key_1024, key_1024_b):
     signature = pkcs1.sign(asn1.der_encode(info_v), subject_private, seeded(b"p"))
     request = CertificationRequest.from_der(asn1.der_encode(asn1.sequence(
         info_v, pkcs1.PSS_ALGORITHM.to_der_value(), asn1.bit_string(signature))))
-    assert request.info.subject == Name((("commonName", "Alice"),))
+    assert request.info.subject == Name((("commonName", asn1.printable_string("Alice")),))
+    assert request.info.subject != Name((("commonName", "Alice"),))
 
     certificate = toy_issue(request, ca_private, Name((("commonName", "CA"),)), 7, seeded(b"q"))
     inner, _ = verify_signed(certificate, ca_public)

@@ -318,11 +318,24 @@ def test_received_name_component_of_the_wrong_string_type_is_refused(field, valu
         CertificationRequest.from_der(request)
 
 
+def _printable_alice() -> asn1.DerValue:
+    # a commonName as older tools write it: a PrintableString, not a UTF8String
+    return asn1.sequence(asn1.set_value(asn1.sequence(
+        asn1.oid_value(oids.CN), asn1.printable_string("Alice"))))
+
+
 def test_received_printable_string_common_name_is_accepted():
-    # as older tools write it
-    name = asn1.sequence(asn1.set_value(asn1.sequence(
-        asn1.oid_value(oids.CN), asn1.printable_string("Alice Example"))))
-    assert Name.from_der_value(name) == Name((("commonName", "Alice Example"),))
+    # the same text, but not the same name: equality covers the string type
+    received, built = Name.from_der_value(_printable_alice()), Name((("commonName", "Alice"),))
+    assert received.get("commonName") == built.get("commonName") == "Alice"
+    assert received != built and received.to_der() != built.to_der()
+
+
+def test_a_name_rebuilt_from_received_pairs_encodes_the_received_octets():
+    received = Name.from_der_value(_printable_alice())
+    rebuilt = Name(received.pairs)
+    assert rebuilt == received
+    assert rebuilt.to_der() == der_encode(_printable_alice())
 
 
 def test_received_printable_string_outside_its_repertoire_is_refused(key_512):

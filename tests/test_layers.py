@@ -10,8 +10,10 @@ is defined in asn1 alone, only asn1 keeps a container's value and defines its
 codec, only asn1 and pkcs5 turn a DER fault into another class, only
 primitives (CBC decryption), cms and pfx (their headers) enter
 uniform_decryption, only asn1, whose rules decide what a string or time
-value holds, reads string octets, and only keystore's ``_values_check``, the
-one check of an attribute built or received, reads the registry's syntax."""
+value holds, reads string octets, only keystore's ``_values_check``, the
+one check of an attribute built or received, reads the registry's syntax, and
+only keystore, whose ``attribute_make`` builds every attribute value,
+constructs an Attribute."""
 
 import ast
 from pathlib import Path
@@ -292,3 +294,22 @@ def test_only_values_check_reads_attribute_syntax():
     naming = sorted(path.stem for path in PACKAGE.glob("*.py") if path.stem != "keystore"
                     and {"_values_check", "_SYNTAX_BY_OID"} & set(_identifiers(path)))
     assert naming == []
+
+
+def _builds_an_attribute(node) -> bool:
+    """Whether ``node`` calls the Attribute constructor or names ``_attribute_value``."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        return getattr(func, "id", getattr(func, "attr", None)) == "Attribute"
+    return "_attribute_value" in (getattr(node, "id", None), getattr(node, "attr", None),
+                                  getattr(node, "name", None))
+
+
+def test_only_keystore_builds_an_attribute():
+    # attribute_make is the one builder of an attribute value: the bundles and
+    # csr.Name take their values from it, and no other module constructs one
+    building = sorted(f"{path.stem}:{node.lineno}" for path in PACKAGE.glob("*.py")
+                      if path.stem != "keystore"
+                      for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                      if _builds_an_attribute(node))
+    assert building == []

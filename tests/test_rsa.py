@@ -1,6 +1,8 @@
 import builtins
+import errno
 import hashlib
 import inspect
+import itertools
 import math
 import os
 import random
@@ -174,6 +176,28 @@ def test_worker_results_equal_naive_exponentiation_for_2_to_16_primes(two_cpus):
         for c in (0, 1, 2, private.n - 1, int.from_bytes(rng.read(64), "big") % private.n):
             assert rsa.rsa_private_op(c, private) == pow(c, private.d, private.n), u
         assert rsa._worker is not None
+
+
+def test_a_worker_that_cannot_open_its_pipes_leaves_no_descriptor_open(two_cpus, monkeypatch):
+    # every second pipe fails (EMFILE, say): each try to start the worker
+    # gets its request pipe and no reply pipe, and must close the first
+    opened, calls, real_pipe = [], itertools.count(1), os.pipe
+
+    def pipe():
+        if next(calls) % 2 == 0:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        fds = real_pipe()
+        opened.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    _, private = rsa.generate_key(1024, 2, 65537, seeded(b"pipes"))
+    for c in (0, 1, 2, 3, private.n - 1):
+        assert rsa.rsa_private_op(c, private) == pow(c, private.d, private.n)
+    assert rsa._worker is None and opened
+    for fd in opened:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 _REAPED_BY_EXIT = """
